@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .matchers import (
     BudgetLedger,
+    Contract,
     CountOutcome,
     ExistenceOutcome,
     MatchQuery,
@@ -19,13 +20,13 @@ from .matchers import (
     ReportOutcome,
     below_thresh,
     count_nonperiodic,
-    count_smallk,
+    error_contract,
     existence,
     match_auto,
     report_periodic,
     trivial_all,
 )
-from .noise import LaplaceScale, NoiseSource, derive_seed, laplace_tail, sample_laplace
+from .noise import NoiseSource, derive_seed, laplace_tail
 from .periodicity import (
     DispatchDecision,
     PeriodicCandidate,
@@ -36,7 +37,6 @@ from .periodicity import (
     shortest_close_period,
 )
 from .text import (
-    WindowFamily,
     counting_cover,
     exact_count,
     exact_report,
@@ -60,11 +60,11 @@ from .audit import (
 
 __all__ = [
     "BudgetLedger",
+    "Contract",
     "CountOutcome",
     "DispatchDecision",
     "DpAuditReport",
     "ExistenceOutcome",
-    "LaplaceScale",
     "MatchQuery",
     "MatchResult",
     "NoiseSource",
@@ -74,14 +74,13 @@ __all__ = [
     "ReportOutcome",
     "TrialConfig",
     "UtilityReport",
-    "WindowFamily",
     "below_thresh",
     "count_nonperiodic",
-    "count_smallk",
     "counting_cover",
     "derive_seed",
     "dispatch",
     "dp_audit",
+    "error_contract",
     "exact_count",
     "exact_report",
     "existence",
@@ -96,7 +95,6 @@ __all__ = [
     "report_periodic",
     "reverse",
     "run_utility_experiment",
-    "sample_laplace",
     "shortest_close_period",
     "sliding_distances",
     "tile",

@@ -31,19 +31,14 @@ from .matchers import (
     MatchQuery,
     Outcome,
     ReportOutcome,
-    count_nonperiodic,
-    count_smallk,
+    error_contract,
     existence,
-    existence_additive_bound,
     match_auto,
-    nonperiodic_multiplicative_error,
-    periodic_additive_bound,
     report_periodic,
     trivial_all,
-    PERIODIC_MULTIPLICATIVE_ERROR,
 )
 from .noise import NoiseSource, derive_seed
-from .periodicity import Regime, dispatch, is_primitive, shortest_close_period
+from .periodicity import Regime, is_primitive, shortest_close_period
 from .text import hamming_distance, iter_sliding_distances, tile
 
 TEXT_ALPHABET = b"acgt"
@@ -342,10 +337,11 @@ def _run_existence_trial(
     inst: Instance, cfg: TrialConfig, src: NoiseSource, trial: int
 ) -> TrialRecord:
     query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
-    outcome = existence(inst.text, query, src)
+    result = match_auto(inst.text, query, src, variant="existence")
+    outcome = result.outcome
+    bound = result.contract.bound
     d = _distances(inst.text, inst.pattern)
     oracle_exists = _count_at_most(d, cfg.k) > 0
-    bound = cfg.k + existence_additive_bound(cfg.n, cfg.m, cfg.epsilon, cfg.beta)
     completeness = outcome.found or not oracle_exists
     wd = int(d[outcome.witness]) if outcome.found else None
     soundness = wd is None or wd <= bound
@@ -366,31 +362,10 @@ def _run_count_trial(
     inst: Instance, cfg: TrialConfig, src: NoiseSource, trial: int
 ) -> TrialRecord:
     query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
-    n, m, k = cfg.n, cfg.m, cfg.k
-    decision = dispatch(inst.pattern, k, n, cfg.epsilon, cfg.beta)
-    if decision.regime is Regime.PERIODIC_REPORTING:
-        report = report_periodic(inst.text, query, decision.candidate, src)
-        count = len(report.positions)
-        witness = report.positions[0] if report.positions else None
-        x_hi = (1 + PERIODIC_MULTIPLICATIVE_ERROR) * k + periodic_additive_bound(
-            n, cfg.epsilon, cfg.beta
-        )
-    elif decision.regime is Regime.NON_PERIODIC_COUNTING:
-        outcome = count_nonperiodic(inst.text, query, src)
-        count, witness = outcome.count, outcome.witness
-        gamma = nonperiodic_multiplicative_error(n, m, k, cfg.epsilon, cfg.beta)
-        x_hi = (1 + gamma) * k
-    elif decision.regime is Regime.SMALL_K_COUNTING:
-        cutoff = decision.effective_k
-        outcome = count_smallk(inst.text, query, cutoff, src)
-        count, witness = outcome.count, outcome.witness
-        gamma = nonperiodic_multiplicative_error(n, m, cutoff, cfg.epsilon, cfg.beta)
-        x_hi = (1 + gamma) * cutoff
-    else:
-        report = trivial_all(inst.text, query)
-        count = len(report.positions)
-        witness = report.positions[0] if report.positions else None
-        x_hi = float(m)
+    m, k = cfg.m, cfg.k
+    result = match_auto(inst.text, query, src, variant="count")
+    count, witness = result.outcome.count, result.outcome.witness
+    x_hi = result.contract.bound
     d = _distances(inst.text, inst.pattern)
     c_lo = _count_at_most(d, k)
     c_hi = _count_at_most(d, min(math.floor(x_hi), m))
@@ -399,7 +374,7 @@ def _run_count_trial(
     soundness = count <= c_hi and (wd is None or wd <= x_hi)
     return TrialRecord(
         trial=trial,
-        algorithm=decision.regime.value,
+        algorithm=result.regime.value,
         count=count,
         witness=witness,
         witness_distance=wd,
@@ -421,13 +396,12 @@ def _run_report_trial(
     if candidate is not None and m >= 2:
         outcome = report_periodic(inst.text, query, candidate, src)
         algorithm = Regime.PERIODIC_REPORTING.value
-        bound = (1 + PERIODIC_MULTIPLICATIVE_ERROR) * k + periodic_additive_bound(
-            n, cfg.epsilon, cfg.beta
-        )
+        matcher = "report_periodic"
     else:
         outcome = trivial_all(inst.text, query)
         algorithm = Regime.TRIVIAL_FALLBACK.value
-        bound = float(m)
+        matcher = "trivial_all"
+    bound = error_contract(matcher, n, m, k, cfg.epsilon, cfg.beta).bound
     d = _distances(inst.text, inst.pattern)
     oracle = {int(i) for i in np.flatnonzero(d <= k)}
     positions = set(outcome.positions)

@@ -9,10 +9,12 @@ below a noisy threshold. On top of it sit the matchers:
   and backward scans per window locate the arithmetic progression of
   occurrences.
 * `count_nonperiodic` — when no short close period exists, occurrences per
-  window are few, so repeated scans count them.
-* `count_smallk` — the non-periodic counter with a larger mismatch budget
-  substituted for small ``k``.
+  window are few, so repeated scans count them; in the small-k regime it runs
+  with a larger mismatch budget substituted for ``k``.
 * `trivial_all` — emits every position; private for free, additive error m.
+
+Each matcher's calibrated threshold and error contract is one row of
+`CONTRACTS`, read through `error_contract`.
 
 Every scan charges its epsilon slice to every position of its input in a
 `BudgetLedger`; the ledger's cap check is the executable form of the
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .noise import NoiseSource
 from .periodicity import (
@@ -40,9 +42,6 @@ from .text import counting_cover, iter_sliding_distances, periodic_cover, revers
 # counter: a window shorter than 2m holds at most this many occurrences per
 # unit of k when no short close period exists.
 WINDOW_OCCURRENCE_CAP = 1152
-
-# Multiplicative error of the periodic-case reporter.
-PERIODIC_MULTIPLICATIVE_ERROR = 7
 
 
 @dataclass(frozen=True)
@@ -153,21 +152,6 @@ class BudgetLedger:
                 peak = level
         return peak
 
-    def spent_at(self, position: int) -> Fraction:
-        return sum(
-            (eps for start, stop, eps in self._spans if start <= position < stop),
-            Fraction(0),
-        )
-
-    @property
-    def per_position(self) -> dict[int, Fraction]:
-        """Materialized position -> accumulated epsilon map (test-facing)."""
-        out: dict[int, Fraction] = {}
-        for start, stop, eps in self._spans:
-            for p in range(start, stop):
-                out[p] = out.get(p, Fraction(0)) + eps
-        return out
-
     def assert_within_cap(self) -> None:
         spent = self.max_spent
         if spent > self.cap:
@@ -211,46 +195,78 @@ def below_thresh(
     return None
 
 
-# --- thresholds and error bounds ------------------------------------------
+# --- error contracts ---------------------------------------------------------
 
-def existence_threshold(n: int, m: int, k: int, epsilon: float, beta: float) -> float:
-    """Scan threshold for the existence matcher."""
-    return k + 8.0 / epsilon * (math.log(n - m + 1) + math.log(2.0 / beta))
+@dataclass(frozen=True)
+class Contract:
+    """Calibrated scan threshold and error contract of one matcher.
 
+    ``threshold`` is what the matcher's noisy scans compare against. With
+    probability at least 1 - beta, no window within distance k of the pattern
+    is missed, and every window the matcher returns (or counts) lies within
+    distance ``bound = (1 + gamma) * k + alpha``.
+    """
 
-def existence_additive_bound(n: int, m: int, epsilon: float, beta: float) -> float:
-    """One-sided additive error of the existence matcher, with probability
-    at least 1 - beta."""
-    return 16.0 / epsilon * (math.log(n - m + 1) + math.log(2.0 / beta))
-
-
-def periodic_threshold(n: int, m: int, k: int, epsilon: float, beta: float) -> float:
-    """Per-window scan threshold for the periodic-case reporter."""
-    return k + 48.0 / epsilon * (math.log(m / 2.0) + math.log(12.0 * (n / m) / beta))
-
-
-def periodic_additive_bound(n: int, epsilon: float, beta: float) -> float:
-    """Additive error of the periodic-case reporter (multiplicative error is
-    ``PERIODIC_MULTIPLICATIVE_ERROR``), with probability at least 1 - beta."""
-    return 576.0 / epsilon * math.log(6.0 * n / beta)
+    threshold: float
+    gamma: float
+    alpha: float
+    bound: float
 
 
-def nonperiodic_threshold(n: int, m: int, k: int, epsilon: float, beta: float) -> float:
-    """Per-scan threshold for the non-periodic counter."""
-    cap = WINDOW_OCCURRENCE_CAP * k
-    return k + 16.0 * cap / epsilon * (math.log(m) + math.log(2.0 * (n / m) * cap / beta))
+def _existence_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contract:
+    logs = math.log(n - m + 1) + math.log(2.0 / beta)
+    alpha = 16.0 / epsilon * logs
+    return Contract(k + 8.0 / epsilon * logs, 0.0, alpha, k + alpha)
 
 
-def nonperiodic_multiplicative_error(
-    n: int, m: int, k: int, epsilon: float, beta: float
-) -> float:
-    """Multiplicative error gamma of the non-periodic counter: the count is
-    sandwiched between the true counts at distances k and (1+gamma)k."""
-    cap = WINDOW_OCCURRENCE_CAP * k
-    return (
-        32.0 * WINDOW_OCCURRENCE_CAP / epsilon
-        * (math.log(m) + math.log(2.0 * (n / m) * cap / beta))
+def _periodic_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contract:
+    threshold = k + 48.0 / epsilon * (
+        math.log(m / 2.0) + math.log(12.0 * (n / m) / beta)
     )
+    gamma = 7.0
+    alpha = 576.0 / epsilon * math.log(6.0 * n / beta)
+    return Contract(threshold, gamma, alpha, (1 + gamma) * k + alpha)
+
+
+def _nonperiodic_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contract:
+    cap = WINDOW_OCCURRENCE_CAP * k
+    logs = math.log(m) + math.log(2.0 * (n / m) * cap / beta)
+    gamma = 32.0 * WINDOW_OCCURRENCE_CAP / epsilon * logs
+    return Contract(k + 16.0 * cap / epsilon * logs, gamma, 0.0, (1 + gamma) * k)
+
+
+def _trivial_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contract:
+    # Every window is returned, as a noiseless scan at threshold m would.
+    return Contract(float(m), 0.0, float(m), float(m))
+
+
+# Keyed by the matcher that runs. The small-k regime is the
+# ``count_nonperiodic`` row evaluated at the cutoff in place of k.
+CONTRACTS: dict[str, Callable[[int, int, int, float, float], Contract]] = {
+    "existence": _existence_row,
+    "report_periodic": _periodic_row,
+    "count_nonperiodic": _nonperiodic_row,
+    "trivial_all": _trivial_row,
+}
+
+
+def error_contract(
+    matcher: str, n: int, m: int, k: int, epsilon: float, beta: float
+) -> Contract:
+    """The contract of ``matcher`` on a length-``n`` text, where ``k`` is the
+    mismatch budget the matcher runs at.
+
+    Raises ValueError when epsilon or beta is so small that the threshold or
+    bound is not a finite float: a scan against an infinite threshold would
+    compare ``inf - inf`` and answer at random.
+    """
+    row = CONTRACTS[matcher](n, m, k, epsilon, beta)
+    if not (math.isfinite(row.threshold) and math.isfinite(row.bound)):
+        raise ValueError(
+            f"{matcher} threshold {row.threshold} or bound {row.bound} is not "
+            f"finite at epsilon={epsilon!r}, beta={beta!r}"
+        )
+    return row
 
 
 # --- matchers ---------------------------------------------------------------
@@ -270,15 +286,17 @@ def existence(
 ) -> ExistenceOutcome:
     """Existence variant: one threshold scan over the whole text.
 
-    With probability at least 1 - beta the answer is one-sided within additive
-    error :func:`existence_additive_bound`: a true k-mismatch occurrence forces
-    YES, and any returned witness is within ``k`` plus the bound.
+    With probability at least 1 - beta the answer is one-sided within the
+    ``existence`` contract: a true k-mismatch occurrence forces YES, and any
+    returned witness is within the contract's ``bound``.
     """
     _require_text(text, query.m)
     if ledger is None:
         ledger = BudgetLedger(query.epsilon)
     n, m = len(text), query.m
-    thresh = existence_threshold(n, m, query.k, query.epsilon, query.beta)
+    thresh = error_contract(
+        "existence", n, m, query.k, query.epsilon, query.beta
+    ).threshold
     hit = below_thresh(
         text, query.pattern, thresh, Fraction(query.epsilon), src, ledger
     )
@@ -322,13 +340,15 @@ def report_periodic(
     thresh = (
         thresh_override
         if thresh_override is not None
-        else periodic_threshold(n, m, query.k, query.epsilon, query.beta)
+        else error_contract(
+            "report_periodic", n, m, query.k, query.epsilon, query.beta
+        ).threshold
     )
     eps_slice = Fraction(query.epsilon) / 6
     rev_pattern = reverse(query.pattern)
     step = candidate.length
     found: set[int] = set()
-    for a, b in periodic_cover(n, m).windows:
+    for a, b in periodic_cover(n, m):
         window = text[a : b + 1]
         first = below_thresh(
             window, query.pattern, thresh, eps_slice, src, ledger, base=a
@@ -384,11 +404,13 @@ def count_nonperiodic(
     thresh = (
         thresh_override
         if thresh_override is not None
-        else nonperiodic_threshold(n, m, k_eff, query.epsilon, query.beta)
+        else error_contract(
+            "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
+        ).threshold
     )
     total = 0
     witness: Optional[int] = None
-    for a, b in counting_cover(n, m).windows:
+    for a, b in counting_cover(n, m):
         window = text[a : b + 1]
         last_hit = -1
         hits = 0
@@ -414,31 +436,6 @@ def count_nonperiodic(
     return CountOutcome(count=count, witness=witness, raw_count=total)
 
 
-def count_smallk(
-    text: bytes,
-    query: MatchQuery,
-    cutoff: int,
-    src: NoiseSource,
-    ledger: Optional[BudgetLedger] = None,
-    *,
-    thresh_override: Optional[float] = None,
-) -> CountOutcome:
-    """Counting variant for small ``k``: delegates to the non-periodic counter
-    with ``cutoff`` taking the role of ``k``. Requires ``query.k < cutoff``."""
-    if query.k >= cutoff:
-        raise ValueError(
-            f"small-k counting needs k < cutoff, got k={query.k}, cutoff={cutoff}"
-        )
-    return count_nonperiodic(
-        text,
-        query,
-        src,
-        ledger,
-        effective_k=cutoff,
-        thresh_override=thresh_override,
-    )
-
-
 def trivial_all(text: bytes, query: MatchQuery) -> ReportOutcome:
     """Report every start position. Reads nothing but the lengths, so it is
     private for any epsilon, consumes no randomness, and charges no budget;
@@ -454,12 +451,14 @@ VARIANTS = ("auto", "existence", "count", "report")
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Outcome of an auto-dispatched query, tagged with the regime that ran."""
+    """Outcome of an auto-dispatched query, tagged with the regime that ran
+    and the error contract of the matcher that produced it."""
 
     regime: Regime
     decision: DispatchDecision
     outcome: Outcome
     ledger: BudgetLedger
+    contract: Contract
 
     def to_record(self, query: MatchQuery, seed: Optional[int] = None) -> dict:
         """Flat serializable record; the field set is the CLI wire contract."""
@@ -497,13 +496,15 @@ def match_auto(
     variant: str = "auto",
 ) -> MatchResult:
     """Dispatch on the public pattern, run the selected matcher, and return
-    the outcome together with the regime tag and the final budget ledger.
+    the outcome together with the regime tag, the final budget ledger and the
+    contract of the matcher that ran.
 
     ``variant`` narrows the output type: ``existence`` always runs the
-    existence scan; ``count`` converts a periodic report into its size;
-    ``report`` falls back to the trivial reporter when the counting regimes
-    were selected (they provide no reporting guarantee). With a fixed seed the
-    result is a deterministic function of the inputs.
+    existence scan (``regime`` still carries the dispatch tag); ``count``
+    converts a periodic report into its size; ``report`` falls back to the
+    trivial reporter when the counting regimes were selected (they provide no
+    reporting guarantee). With a fixed seed the result is a deterministic
+    function of the inputs.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -512,24 +513,30 @@ def match_auto(
     decision = dispatch(query.pattern, query.k, n, query.epsilon, query.beta)
     ledger = BudgetLedger(query.epsilon)
     regime = decision.regime
+    k_run = query.k
 
     if variant == "existence":
+        matcher = "existence"
         outcome: Outcome = existence(text, query, src, ledger)
     elif regime is Regime.PERIODIC_REPORTING:
         assert decision.candidate is not None
+        matcher = "report_periodic"
         report = report_periodic(text, query, decision.candidate, src, ledger)
         outcome = _count_from_report(report) if variant == "count" else report
-    elif regime in (Regime.NON_PERIODIC_COUNTING, Regime.SMALL_K_COUNTING):
-        if variant == "report":
-            regime = Regime.TRIVIAL_FALLBACK
-            outcome = trivial_all(text, query)
-        elif regime is Regime.SMALL_K_COUNTING:
-            outcome = count_smallk(text, query, decision.effective_k, src, ledger)
-        else:
-            outcome = count_nonperiodic(text, query, src, ledger)
+    elif variant != "report" and regime in (
+        Regime.NON_PERIODIC_COUNTING,
+        Regime.SMALL_K_COUNTING,
+    ):
+        matcher, k_run = "count_nonperiodic", decision.effective_k
+        outcome = count_nonperiodic(text, query, src, ledger, effective_k=k_run)
     else:
+        # The trivial regime, or a report request the counting regimes
+        # cannot serve.
+        regime = Regime.TRIVIAL_FALLBACK
+        matcher = "trivial_all"
         report = trivial_all(text, query)
         outcome = _count_from_report(report) if variant == "count" else report
 
     ledger.assert_within_cap()
-    return MatchResult(regime=regime, decision=decision, outcome=outcome, ledger=ledger)
+    contract = error_contract(matcher, n, query.m, k_run, query.epsilon, query.beta)
+    return MatchResult(regime, decision, outcome, ledger, contract)

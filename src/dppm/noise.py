@@ -1,9 +1,9 @@
-"""Seeded Laplace noise with swappable modes for testing.
+"""Seeded Laplace noise with a zero mode for testing.
 
 Draws come from numpy's PCG64 via inverse-CDF transform of a single uniform,
-so a seed pins the entire draw sequence bit-for-bit across platforms. Three
-modes: ``standard`` (real noise), ``zero`` (always 0, used by oracle tests),
-and ``recording`` (standard plus a log of every draw).
+so a seed pins the entire draw sequence bit-for-bit across platforms. Two
+modes: ``standard`` (real noise) and ``zero`` (always 0, used by oracle
+tests).
 
 Caveat: floating-point Laplace samplers are known to leak information through
 the binary representation of their outputs in adversarial settings. Hardening
@@ -14,13 +14,12 @@ of scope here; the privacy analysis treats noise as real-valued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-MODES = ("standard", "zero", "recording")
+MODES = ("standard", "zero")
 
 
 def splitmix64(x: int) -> int:
@@ -44,26 +43,14 @@ def derive_seed(root: int, *lanes: int) -> int:
     return state
 
 
-@dataclass(frozen=True)
-class LaplaceScale:
-    """Scale parameter ``b`` of a centered Laplace distribution."""
-
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"Laplace scale must be positive and finite, got {self.b}")
-
-
 class NoiseSource:
     """Single-owner stream of Laplace draws rooted at a 64-bit seed.
 
     Instances are mutable single-owner state: never draw from one source
-    concurrently. Independent sources (e.g. from :meth:`spawn`) may be used in
-    parallel freely. In ``standard`` mode equal seeds produce identical draw
-    sequences; ``zero`` mode returns 0 without consuming randomness;
-    ``recording`` mode behaves as standard and appends every draw to
-    ``draw_log``.
+    concurrently. Independent sources (e.g. seeded via :func:`derive_seed`)
+    may be used in parallel freely. In ``standard`` mode equal seeds produce
+    identical draw sequences; ``zero`` mode returns 0 without consuming
+    randomness.
     """
 
     def __init__(self, seed: int, mode: str = "standard"):
@@ -71,17 +58,12 @@ class NoiseSource:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.seed = seed & _MASK64
         self.mode = mode
-        self.draw_log: list[float] = []
         self._gen: np.random.Generator | None = None
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.Generator(np.random.PCG64(self.seed))
         return self._gen
-
-    def spawn(self, *lanes: int) -> "NoiseSource":
-        """Independent source with a seed derived via :func:`derive_seed`."""
-        return NoiseSource(derive_seed(self.seed, *lanes), self.mode)
 
     def laplace(self, b: float) -> float:
         """One draw from Lap(``b``) (0 in zero mode).
@@ -100,10 +82,7 @@ class NoiseSource:
         sign = (u > 0.0) - (u < 0.0)
         # np.log1p (not math.log1p): keeps single draws bit-identical to the
         # vectorized path in laplace_many.
-        value = -b * sign * float(np.log1p(-2.0 * abs(u)))
-        if self.mode == "recording":
-            self.draw_log.append(value)
-        return value
+        return -b * sign * float(np.log1p(-2.0 * abs(u)))
 
     def laplace_many(self, b: float, size: int) -> np.ndarray:
         """Vectorized draws; consumes the uniform stream exactly like
@@ -119,15 +98,7 @@ class NoiseSource:
         while boundary.any():
             u[boundary] = gen.random(int(boundary.sum())) - 0.5
             boundary = u == -0.5
-        values = -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-        if self.mode == "recording":
-            self.draw_log.extend(values.tolist())
-        return values
-
-
-def sample_laplace(src: NoiseSource, scale: LaplaceScale) -> float:
-    """One Laplace draw from ``src`` at the given scale."""
-    return src.laplace(scale.b)
+        return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def laplace_tail(b: float, t: float) -> float:

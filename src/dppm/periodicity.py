@@ -131,14 +131,30 @@ def shortest_close_period(
     return None
 
 
+def _ceil_finite(name: str, value: float, epsilon: float, beta: float) -> int:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{name} is not finite at epsilon={epsilon!r}, beta={beta!r}"
+        )
+    return math.ceil(value)
+
+
 def periodic_scale(k: int, n: int, epsilon: float, beta: float) -> int:
-    """Period-length divisor for the reporting regime (rounded up to an int)."""
-    return max(k, math.ceil(96.0 * (math.log(n) + math.log(6.0 / beta)) / epsilon))
+    """Period-length divisor for the reporting regime (rounded up to an int).
+
+    Raises ValueError when epsilon or beta is so small that it overflows.
+    """
+    value = 96.0 * (math.log(n) + math.log(6.0 / beta)) / epsilon
+    return max(k, _ceil_finite("period scale", value, epsilon, beta))
 
 
 def small_k_cutoff(n: int, epsilon: float, beta: float) -> int:
-    """Mismatch budget substituted for small ``k`` (rounded up to an int)."""
-    return math.ceil(24.0 * math.log(6.0 * n / beta) / epsilon)
+    """Mismatch budget substituted for small ``k`` (rounded up to an int).
+
+    Raises ValueError when epsilon or beta is so small that it overflows.
+    """
+    value = 24.0 * math.log(6.0 * n / beta) / epsilon
+    return _ceil_finite("small-k cutoff", value, epsilon, beta)
 
 
 def _validate_query_params(
@@ -171,7 +187,9 @@ def dispatch(
     ``m = 1``). If no regime applies, the trivial fallback still yields a
     valid private answer with additive error at most ``m``.
 
-    Deterministic: consumes no randomness.
+    Deterministic: consumes no randomness. Raises ValueError on invalid
+    parameters, including epsilon or beta so small that the period scale or
+    cutoff is not finite.
     """
     m = len(pattern)
     _validate_query_params(m, k, n, epsilon, beta)

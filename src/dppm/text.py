@@ -1,5 +1,9 @@
 """Byte-string primitives: Hamming distances, exact matching oracles, and the
-overlapping window decompositions used by the private matchers.
+overlapping window covers used by the private matchers.
+
+A cover is an ordered tuple of closed index intervals ``(a, b)`` covering
+``[0, n-1]`` such that every length-m interval lies in exactly one window,
+which is what lets per-window privacy losses compose to the query budget.
 
 Texts and patterns are plain ``bytes``; the alphabet is the full byte range.
 All functions here are pure and deterministic, so they double as the
@@ -8,7 +12,6 @@ non-private reference oracles for the randomized matchers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -108,63 +111,6 @@ def tile(unit: bytes, length: int) -> bytes:
     return (unit * reps)[:length]
 
 
-@dataclass(frozen=True)
-class WindowFamily:
-    """An ordered cover of ``[0, n-1]`` by closed index intervals.
-
-    Two kinds are produced:
-
-    * ``periodic-cover``: stride ``floor(m/2)`` windows of length
-      ``floor(3m/2) - 1``; every position lies in at most 3 windows.
-    * ``counting-cover``: stride ``m`` windows of length ``2m - 1``; every
-      position lies in at most 2 windows.
-
-    Both kinds guarantee that every length-m interval is contained in exactly
-    one window, which is what lets per-window privacy losses compose to the
-    query budget.
-    """
-
-    windows: tuple[tuple[int, int], ...]
-    kind: str
-
-    MULTIPLICITY = {"periodic-cover": 3, "counting-cover": 2}
-
-    def validate(self, n: int, m: int) -> None:
-        """Check every structural invariant; raises ValueError on violation."""
-        if self.kind not in self.MULTIPLICITY:
-            raise ValueError(f"unknown window family kind {self.kind!r}")
-        if not self.windows:
-            raise ValueError("window family is empty")
-        covered = [0] * n
-        for a, b in self.windows:
-            if not (0 <= a <= b <= n - 1):
-                raise ValueError(f"window [{a}, {b}] outside [0, {n - 1}]")
-            for p in range(a, b + 1):
-                covered[p] += 1
-        if any(c == 0 for c in covered):
-            raise ValueError("windows do not cover [0, n-1]")
-        bound = self.MULTIPLICITY[self.kind]
-        if max(covered) > bound:
-            raise ValueError(
-                f"position multiplicity {max(covered)} exceeds {bound} for {self.kind}"
-            )
-        for (a1, b1), (a2, b2) in zip(self.windows, self.windows[1:]):
-            overlap = min(b1, b2) - max(a1, a2) + 1
-            if overlap > m - 1:
-                raise ValueError(
-                    f"consecutive windows overlap by {overlap} > m-1 = {m - 1}"
-                )
-        for i in range(n - m + 1):
-            containing = sum(
-                1 for a, b in self.windows if a <= i and i + m - 1 <= b
-            )
-            if containing != 1:
-                raise ValueError(
-                    f"occurrence interval [{i}, {i + m - 1}] lies in "
-                    f"{containing} windows, expected exactly 1"
-                )
-
-
 def _dedupe(windows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     seen: dict[tuple[int, int], None] = {}
     for w in windows:
@@ -172,7 +118,7 @@ def _dedupe(windows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(seen)
 
 
-def periodic_cover(n: int, m: int) -> WindowFamily:
+def periodic_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
     """Stride-``floor(m/2)`` cover used by the periodic-case reporter.
 
     Windows start at ``j * floor(m/2)`` and span ``floor(3m/2) - 1`` positions
@@ -194,10 +140,10 @@ def periodic_cover(n: int, m: int) -> WindowFamily:
         (j * stride, min(j * stride + length - 1, n - 1)) for j in range(tail_index)
     ]
     windows.append((tail_index * stride, n - 1))
-    return WindowFamily(_dedupe(windows), "periodic-cover")
+    return _dedupe(windows)
 
 
-def counting_cover(n: int, m: int) -> WindowFamily:
+def counting_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
     """Stride-``m`` cover used by the non-periodic counter.
 
     Windows span ``[j*m, (j+2)*m - 2]`` plus a tail reaching ``n - 1``; each
@@ -216,4 +162,4 @@ def counting_cover(n: int, m: int) -> WindowFamily:
     tail_start = (blocks - 1) * m
     if tail_start <= n - 1:
         windows.append((tail_start, n - 1))
-    return WindowFamily(_dedupe(windows), "counting-cover")
+    return _dedupe(windows)

@@ -4,6 +4,7 @@ These deliberately avoid the library's own implementations so that the
 equivalence tests stay two-sided.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -24,6 +25,15 @@ def brute_first_at_most(text: bytes, pattern: bytes, thresh: float):
         if d <= thresh:
             return i
     return None
+
+
+def spent_by_position(ledger) -> dict[int, Fraction]:
+    """Fold a BudgetLedger's charge spans into position -> accumulated epsilon."""
+    out: dict[int, Fraction] = {}
+    for start, stop, eps in ledger._spans:
+        for p in range(start, stop):
+            out[p] = out.get(p, Fraction(0)) + eps
+    return out
 
 
 def binary_strings(length: int):

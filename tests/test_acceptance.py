@@ -25,9 +25,8 @@ from dppm.matchers import (
     MatchQuery,
     below_thresh,
     count_nonperiodic,
-    count_smallk,
+    error_contract,
     existence,
-    existence_additive_bound,
     report_periodic,
     trivial_all,
 )
@@ -86,7 +85,9 @@ def test_c02_existence_utility():
     )
     result = run_utility_experiment(cfg, "existence")
     yes = sum(1 for r in result.records if r.found)
-    bound = cfg.k + existence_additive_bound(cfg.n, cfg.m, cfg.epsilon, cfg.beta)
+    bound = error_contract(
+        "existence", cfg.n, cfg.m, cfg.k, cfg.epsilon, cfg.beta
+    ).bound
     allowed = cfg.beta * cfg.trials + three_sigma_slack(cfg.beta, cfg.trials)
     violations = result.violation_count
     ok = yes >= 170 and violations <= allowed
@@ -197,8 +198,8 @@ def test_c05_budget_ledger():
         cutoff = small_k_cutoff(n, epsilon, 0.1)
         if cutoff > 1:
             ledger = BudgetLedger(epsilon)
-            count_smallk(text, query, cutoff, src, ledger)
-            check("count_smallk", ledger, epsilon)
+            count_nonperiodic(text, query, src, ledger, effective_k=cutoff)
+            check("count_nonperiodic at the small-k cutoff", ledger, epsilon)
 
         # trivial fallback consumes nothing
         trivial_all(text, query)

@@ -20,6 +20,18 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+# Each makes a calibrated scale or threshold overflow to inf.
+OVERFLOWING = [("1e-310", "0.1"), ("1", "1e-320")]
+
+
+def assert_one_line_usage_error(code, capsys):
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dppm: invalid arguments:")
+    assert captured.err.count("\n") == 1
+
+
 class TestMatch:
     def test_existence_record(self, corpus, capsys):
         code = run_cli(
@@ -164,6 +176,26 @@ class TestMatch:
         assert code == EXIT_OK
         assert "regime:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("epsilon, beta", OVERFLOWING)
+    def test_overflowing_parameters_exit_2(self, corpus, capsys, epsilon, beta):
+        code = run_cli(
+            [
+                "match",
+                "--variant",
+                "existence",
+                "--pattern",
+                "abra",
+                "--k",
+                "0",
+                "--epsilon",
+                epsilon,
+                "--beta",
+                beta,
+                corpus,
+            ]
+        )
+        assert_one_line_usage_error(code, capsys)
+
 
 class TestInspectPattern:
     def test_close_period_reported(self, capsys):
@@ -225,6 +257,25 @@ class TestInspectPattern:
             ]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("epsilon, beta", OVERFLOWING)
+    def test_overflowing_parameters_exit_2(self, capsys, epsilon, beta):
+        code = run_cli(
+            [
+                "inspect-pattern",
+                "--pattern",
+                "abab",
+                "--k",
+                "1",
+                "--epsilon",
+                epsilon,
+                "--beta",
+                beta,
+                "--n",
+                "100",
+            ]
+        )
+        assert_one_line_usage_error(code, capsys)
 
 
 BENCH_CONFIG = """\

@@ -12,9 +12,8 @@ from dppm.matchers import (
     ReportOutcome,
     below_thresh,
     count_nonperiodic,
-    count_smallk,
+    error_contract,
     existence,
-    existence_threshold,
     match_auto,
     report_periodic,
     trivial_all,
@@ -23,7 +22,7 @@ from dppm.noise import NoiseSource
 from dppm.periodicity import PeriodicCandidate, Regime
 from dppm.text import exact_count, exact_report, tile
 
-from conftest import binary_strings, brute_first_at_most
+from conftest import binary_strings, brute_first_at_most, spent_by_position
 
 
 def zero_src() -> NoiseSource:
@@ -69,9 +68,10 @@ class TestBudgetLedger:
         ledger.charge_span(5, 15, Fraction(1, 3))
         ledger.charge_span(5, 10, Fraction(1, 3))
         assert ledger.max_spent == Fraction(1)
-        assert ledger.spent_at(0) == Fraction(1, 3)
-        assert ledger.spent_at(7) == Fraction(1)
-        assert ledger.spent_at(12) == Fraction(1, 3)
+        spent = spent_by_position(ledger)
+        assert spent[0] == Fraction(1, 3)
+        assert spent[7] == Fraction(1)
+        assert spent[12] == Fraction(1, 3)
         ledger.assert_within_cap()
 
     def test_cap_violation_detected(self):
@@ -84,7 +84,7 @@ class TestBudgetLedger:
     def test_per_position_matches_spans(self):
         ledger = BudgetLedger(1.0)
         ledger.charge_span(1, 3, Fraction(1, 2))
-        assert ledger.per_position == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert spent_by_position(ledger) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError):
@@ -112,7 +112,7 @@ class TestBelowThresh:
     def test_charges_whole_text(self):
         ledger = ledger_for(1.0)
         below_thresh(b"aaaa", b"bb", 1.0, Fraction(1), zero_src(), ledger, base=10)
-        assert ledger.per_position == {p: Fraction(1) for p in range(10, 14)}
+        assert spent_by_position(ledger) == {p: Fraction(1) for p in range(10, 14)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ class TestExistence:
         # Threshold ~ 60.6 exceeds m = 4, so every window qualifies even
         # over a disjoint alphabet.
         n, m = 100, 4
-        thresh = existence_threshold(n, m, 0, 1.0, 0.1)
+        thresh = error_contract("existence", n, m, 0, 1.0, 0.1).threshold
         assert thresh >= m
         query = MatchQuery(b"bbbb", 0, 1.0, 0.1)
         outcome = existence(b"a" * n, query, zero_src())
@@ -163,7 +163,7 @@ class TestExistence:
 
     def test_large_text_disjoint_alphabet_says_no(self):
         n, m = 10**4, 300
-        thresh = existence_threshold(n, m, 0, 1.0, 0.1)
+        thresh = error_contract("existence", n, m, 0, 1.0, 0.1).threshold
         assert thresh < m
         query = MatchQuery(b"b" * m, 0, 1.0, 0.1)
         outcome = existence(b"a" * n, query, zero_src())
@@ -173,8 +173,17 @@ class TestExistence:
         ledger = ledger_for(0.7)
         query = MatchQuery(b"ab", 1, 0.7, 0.1)
         existence(b"abab", query, NoiseSource(3), ledger)
-        assert set(ledger.per_position.values()) == {Fraction(0.7)}
+        assert set(spent_by_position(ledger).values()) == {Fraction(0.7)}
         assert ledger.max_spent == Fraction(0.7)
+
+    @pytest.mark.parametrize("epsilon, beta", [(1e-310, 0.1), (1.0, 1e-320)])
+    def test_overflowing_threshold_rejected(self, epsilon, beta):
+        # An infinite threshold would meet infinite noise (inf - inf = nan)
+        # and answer NO despite the exact match.
+        query = MatchQuery(b"ab", 0, epsilon, beta)
+        for seed in range(4):
+            with pytest.raises(ValueError, match="not finite"):
+                existence(b"abab", query, NoiseSource(seed))
 
 
 class TestReportPeriodic:
@@ -269,29 +278,16 @@ class TestCountNonPeriodic:
 
 
 class TestCountSmallK:
-    def test_delegation_identity(self):
-        text = tile(b"abc", 60)
-        query = MatchQuery(b"abcabc", 1, 1.0, 0.1)
-        cutoff = 5
-        one = count_smallk(text, query, cutoff, NoiseSource(8))
-        two = count_nonperiodic(text, query, NoiseSource(8), effective_k=cutoff)
-        assert one == two
-
     def test_zero_noise_cutoff_bounds(self):
         text = tile(b"ab", 40) + b"cc" + tile(b"ab", 18)
         pattern = tile(b"ab", 6)
         query = MatchQuery(pattern, 1, 1.0, 0.1)
         cutoff = 3
-        outcome = count_smallk(
-            text, query, cutoff, zero_src(), thresh_override=float(cutoff)
+        outcome = count_nonperiodic(
+            text, query, zero_src(), effective_k=cutoff, thresh_override=float(cutoff)
         )
         assert outcome.count >= exact_count(text, pattern, query.k)
         assert outcome.count <= exact_count(text, pattern, min(cutoff, len(pattern)))
-
-    def test_requires_k_below_cutoff(self):
-        query = MatchQuery(b"abcd", 2, 1.0, 0.1)
-        with pytest.raises(ValueError, match="k < cutoff"):
-            count_smallk(b"abcdabcd", query, 2, zero_src())
 
 
 class TestTrivialAll:
@@ -368,6 +364,23 @@ class TestMatchAuto:
         }
         assert record["seed"] == 7
         assert record["budget_max"] <= query.epsilon
+
+    def test_contract_of_the_matcher_that_ran(self):
+        n, eps, beta = 400, 50.0, 0.1
+        text = tile(b"ab", n)
+        query = MatchQuery(tile(b"ab", 256), 1, eps, beta)
+        counted = match_auto(text, query, NoiseSource(1), variant="count")
+        assert counted.regime is Regime.SMALL_K_COUNTING
+        cutoff = counted.decision.effective_k
+        assert counted.contract == error_contract(
+            "count_nonperiodic", n, 256, cutoff, eps, beta
+        )
+        exists = match_auto(text, query, NoiseSource(1), variant="existence")
+        assert exists.regime is Regime.SMALL_K_COUNTING
+        assert exists.contract == error_contract("existence", n, 256, 1, eps, beta)
+        reported = match_auto(text, query, NoiseSource(1), variant="report")
+        assert reported.regime is Regime.TRIVIAL_FALLBACK
+        assert reported.contract.bound == 256.0
 
     def test_invalid_variant(self):
         query = MatchQuery(b"ab", 1, 1.0, 0.1)

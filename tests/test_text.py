@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppm.text import (
-    WindowFamily,
     counting_cover,
     exact_count,
     exact_report,
@@ -18,6 +17,42 @@ from dppm.text import (
 )
 
 from conftest import binary_strings, brute_hamming, brute_sliding
+
+# Most windows any position may lie in, per cover.
+PERIODIC_MULTIPLICITY = 3
+COUNTING_MULTIPLICITY = 2
+
+
+def check_cover(windows, n: int, m: int, multiplicity: int) -> None:
+    """Check every structural invariant of a window cover of ``[0, n-1]``;
+    raises ValueError on violation."""
+    if not windows:
+        raise ValueError("window family is empty")
+    covered = [0] * n
+    for a, b in windows:
+        if not (0 <= a <= b <= n - 1):
+            raise ValueError(f"window [{a}, {b}] outside [0, {n - 1}]")
+        for p in range(a, b + 1):
+            covered[p] += 1
+    if any(c == 0 for c in covered):
+        raise ValueError("windows do not cover [0, n-1]")
+    if max(covered) > multiplicity:
+        raise ValueError(
+            f"position multiplicity {max(covered)} exceeds {multiplicity}"
+        )
+    for (a1, b1), (a2, b2) in zip(windows, windows[1:]):
+        overlap = min(b1, b2) - max(a1, a2) + 1
+        if overlap > m - 1:
+            raise ValueError(
+                f"consecutive windows overlap by {overlap} > m-1 = {m - 1}"
+            )
+    for i in range(n - m + 1):
+        containing = sum(1 for a, b in windows if a <= i and i + m - 1 <= b)
+        if containing != 1:
+            raise ValueError(
+                f"occurrence interval [{i}, {i + m - 1}] lies in "
+                f"{containing} windows, expected exactly 1"
+            )
 
 
 class TestHammingDistance:
@@ -160,15 +195,14 @@ class TestTile:
 
 class TestPeriodicCover:
     def test_spec_example(self):
-        assert periodic_cover(10, 4).windows == ((0, 4), (2, 6), (4, 8), (6, 9))
+        assert periodic_cover(10, 4) == ((0, 4), (2, 6), (4, 8), (6, 9))
 
     def test_degenerate_single_window(self):
-        assert periodic_cover(7, 7).windows == ((0, 6),)
+        assert periodic_cover(7, 7) == ((0, 6),)
 
     def test_window_count_bound(self):
         # |family| <= 3n/m
-        family = periodic_cover(10, 4)
-        assert len(family.windows) <= 3 * 10 / 4
+        assert len(periodic_cover(10, 4)) <= 3 * 10 / 4
 
     def test_rejects_m_one(self):
         with pytest.raises(ValueError, match="m >= 2"):
@@ -181,21 +215,18 @@ class TestPeriodicCover:
 
 class TestCountingCover:
     def test_spec_example(self):
-        assert counting_cover(10, 4).windows == ((0, 6), (4, 9))
+        assert counting_cover(10, 4) == ((0, 6), (4, 9))
 
     def test_degenerate_single_window(self):
-        assert counting_cover(5, 5).windows == ((0, 4),)
+        assert counting_cover(5, 5) == ((0, 4),)
 
     def test_unit_pattern(self):
-        family = counting_cover(4, 1)
-        family.validate(4, 1)
+        check_cover(counting_cover(4, 1), 4, 1, COUNTING_MULTIPLICITY)
 
     def test_every_occurrence_in_exactly_one_window(self):
-        family = counting_cover(10, 4)
+        windows = counting_cover(10, 4)
         for i in range(10 - 4 + 1):
-            containing = [
-                (a, b) for a, b in family.windows if a <= i and i + 3 <= b
-            ]
+            containing = [(a, b) for a, b in windows if a <= i and i + 3 <= b]
             assert len(containing) == 1
 
     def test_rejects_m_greater_than_n(self):
@@ -208,15 +239,10 @@ class TestWindowFamilyInvariants:
         # Full structural check of both covers over every (n, m) at desk scale.
         for n in range(2, 65):
             for m in range(2, n + 1):
-                periodic_cover(n, m).validate(n, m)
-                counting_cover(n, m).validate(n, m)
-            counting_cover(n, 1).validate(n, 1)
+                check_cover(periodic_cover(n, m), n, m, PERIODIC_MULTIPLICITY)
+                check_cover(counting_cover(n, m), n, m, COUNTING_MULTIPLICITY)
+            check_cover(counting_cover(n, 1), n, 1, COUNTING_MULTIPLICITY)
 
     def test_validate_rejects_gap(self):
-        family = WindowFamily(((0, 3), (6, 9)), "counting-cover")
         with pytest.raises(ValueError, match="cover"):
-            family.validate(10, 4)
-
-    def test_validate_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            WindowFamily(((0, 1),), "bogus").validate(2, 1)
+            check_cover(((0, 3), (6, 9)), 10, 4, COUNTING_MULTIPLICITY)

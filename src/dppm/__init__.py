@@ -42,7 +42,6 @@ from .text import (
     exact_report,
     hamming_distance,
     periodic_cover,
-    reverse,
     sliding_distances,
     tile,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "packing_family_planted",
     "periodic_cover",
     "report_periodic",
-    "reverse",
     "run_utility_experiment",
     "shortest_close_period",
     "sliding_distances",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .matchers import (
     BudgetLedger,
@@ -463,8 +463,8 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.999) -> t
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     tail = (1.0 - confidence) / 2.0
-    lo = 0.0 if successes == 0 else float(_beta_dist.ppf(tail, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(_beta_dist.ppf(1.0 - tail, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, tail))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
     return lo, hi
 
 
@@ -645,7 +645,13 @@ def dp_audit(
         )
     run, default_coarsening = AUDIT_MATCHERS[matcher]
     coarsen = COARSENINGS[coarsening if coarsening is not None else default_coarsening]
-    ratio_bound = math.exp(distance * query.epsilon)
+    try:
+        ratio_bound = math.exp(distance * query.epsilon)
+    except OverflowError:
+        raise ValueError(
+            f"ratio bound e^(d*epsilon) overflows at d={distance}, "
+            f"epsilon={query.epsilon!r}"
+        ) from None
 
     counts: list[dict[str, int]] = [{}, {}]
     for lane, text in enumerate((text_a, text_b)):

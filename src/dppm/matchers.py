@@ -1,23 +1,25 @@
 """Private approximate pattern matchers.
 
 The primitive is a noisy threshold scan (`below_thresh`): a sparse-vector-style
-pass that pays privacy once for the first window whose noisy distance falls
-below a noisy threshold. On top of it sit the matchers:
+pass over a sequence of window distances that pays privacy once for the first
+distance whose noisy value falls below a noisy threshold. Each matcher
+computes its distances once per query and runs the scan over them:
 
-* `existence` — one scan over the whole text; no multiplicative error.
-* `report_periodic` — for patterns close to a short primitive period, forward
-  and backward scans per window locate the arithmetic progression of
-  occurrences.
+* `existence` — one lazy scan over the whole text; no multiplicative error.
+* `report_periodic` — for patterns close to a short primitive period, a
+  forward and a backward scan over each window's distances locate the
+  arithmetic progression of occurrences.
 * `count_nonperiodic` — when no short close period exists, occurrences per
-  window are few, so repeated scans count them; in the small-k regime it runs
-  with a larger mismatch budget substituted for ``k``.
+  window are few, so repeated scans count them, each resuming one past the
+  previous hit; in the small-k regime it runs with a larger mismatch budget
+  substituted for ``k``.
 * `trivial_all` — emits every position; private for free, additive error m.
 
 Each matcher's calibrated threshold and error contract is one row of
 `CONTRACTS`, read through `error_contract`.
 
-Every scan charges its epsilon slice to every position of its input in a
-`BudgetLedger`; the ledger's cap check is the executable form of the
+Every scan charges its epsilon slice to the span of text its distances read,
+in a `BudgetLedger`; the ledger's cap check is the executable form of the
 composition argument (each position is covered by few windows, so slices sum
 to at most the query epsilon).
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .noise import NoiseSource
 from .periodicity import (
@@ -36,7 +38,12 @@ from .periodicity import (
     Regime,
     dispatch,
 )
-from .text import counting_cover, iter_sliding_distances, periodic_cover, reverse
+from .text import (
+    counting_cover,
+    iter_sliding_distances,
+    periodic_cover,
+    sliding_distances,
+)
 
 # Occurrence cap per window and unit of budget splitting in the non-periodic
 # counter: a window shorter than 2m holds at most this many occurrences per
@@ -161,35 +168,29 @@ class BudgetLedger:
 
 
 def below_thresh(
-    text: bytes,
-    pattern: bytes,
+    distances: Iterable[int],
     thresh: float,
     epsilon: Union[float, Fraction],
     src: NoiseSource,
     ledger: BudgetLedger,
-    *,
-    base: int = 0,
+    span: tuple[int, int],
 ) -> Optional[int]:
-    """Noisy threshold scan: first position whose noisy distance is at most
-    the noisy threshold, or None if no position qualifies.
+    """Noisy threshold scan: index of the first distance whose noisy value is
+    at most the noisy threshold, or None if no distance qualifies.
 
     The threshold receives Lap(2/epsilon) noise once; each examined distance
     receives fresh Lap(4/epsilon) noise, and the comparison is a plain ``<=``.
-    The scan charges ``epsilon`` to every position of ``text`` in the ledger
-    (``base`` translates local positions when ``text`` is a window of a larger
-    string). In zero-noise mode this returns exactly ``min{i : d_i <= thresh}``.
+    Only the distances up to the hit are read, so a second call on the same
+    iterator resumes one past the hit. The scan charges ``epsilon`` to the
+    half-open text span ``span = (start, stop)`` its distances read. In
+    zero-noise mode this returns exactly ``min{i : d_i <= thresh}``.
     """
-    n, m = len(text), len(pattern)
-    if m < 1:
-        raise ValueError("pattern must be non-empty")
-    if m > n:
-        raise ValueError(f"pattern length {m} exceeds text length {n}")
     eps = float(epsilon)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    ledger.charge_span(base, base + n, epsilon)
+    ledger.charge_span(*span, epsilon)
     noisy_thresh = thresh + src.laplace(2.0 / eps)
-    for i, d in enumerate(iter_sliding_distances(text, pattern)):
+    for i, d in enumerate(distances):
         if d + src.laplace(4.0 / eps) <= noisy_thresh:
             return i
     return None
@@ -297,9 +298,8 @@ def existence(
     thresh = error_contract(
         "existence", n, m, query.k, query.epsilon, query.beta
     ).threshold
-    hit = below_thresh(
-        text, query.pattern, thresh, Fraction(query.epsilon), src, ledger
-    )
+    distances = iter_sliding_distances(text, query.pattern)
+    hit = below_thresh(distances, thresh, Fraction(query.epsilon), src, ledger, (0, n))
     ledger.assert_within_cap()
     return ExistenceOutcome(found=hit is not None, witness=hit)
 
@@ -310,22 +310,17 @@ def report_periodic(
     candidate: PeriodicCandidate,
     src: NoiseSource,
     ledger: Optional[BudgetLedger] = None,
-    *,
-    thresh_override: Optional[float] = None,
 ) -> ReportOutcome:
     """Reporting variant for patterns close to a short primitive period.
 
     Each window of the stride-``floor(m/2)`` cover is scanned forward and
-    backward at epsilon/6; when both scans hit, the window contributes the
-    arithmetic progression from the first hit to the translated last hit with
-    step ``candidate.length``. Positions lie in the window's exclusive start
-    range, so the union is duplicate-free by construction (a set is used
-    anyway). The dispatcher is responsible for certifying the period-length
-    hypothesis; this function checks only structural validity
+    backward over its start positions' distances at epsilon/6; when both
+    scans hit, the window contributes the arithmetic progression from the
+    first hit to the last hit with step ``candidate.length``. The windows'
+    start ranges are disjoint and increasing, so the positions come out sorted
+    and duplicate-free. The dispatcher is responsible for certifying the
+    period-length hypothesis; this function checks only structural validity
     (``m >= 2`` and ``candidate.dist <= 2k``).
-
-    ``thresh_override`` replaces the calibrated threshold and exists for
-    zero-noise oracle tests only.
     """
     _require_text(text, query.m)
     n, m = len(text), query.m
@@ -337,35 +332,23 @@ def report_periodic(
         )
     if ledger is None:
         ledger = BudgetLedger(query.epsilon)
-    thresh = (
-        thresh_override
-        if thresh_override is not None
-        else error_contract(
-            "report_periodic", n, m, query.k, query.epsilon, query.beta
-        ).threshold
-    )
+    thresh = error_contract(
+        "report_periodic", n, m, query.k, query.epsilon, query.beta
+    ).threshold
     eps_slice = Fraction(query.epsilon) / 6
-    rev_pattern = reverse(query.pattern)
-    step = candidate.length
-    found: set[int] = set()
+    dist = sliding_distances(text, query.pattern)
+    found: list[int] = []
     for a, b in periodic_cover(n, m):
-        window = text[a : b + 1]
-        first = below_thresh(
-            window, query.pattern, thresh, eps_slice, src, ledger, base=a
-        )
-        rev_hit = below_thresh(
-            reverse(window), rev_pattern, thresh, eps_slice, src, ledger, base=a
-        )
+        starts = dist[a : b - m + 2]
+        span = (a, b + 1)
+        first = below_thresh(starts, thresh, eps_slice, src, ledger, span)
+        rev_hit = below_thresh(reversed(starts), thresh, eps_slice, src, ledger, span)
         if first is None or rev_hit is None:
             continue
-        last = (len(window) - 1) - rev_hit - (m - 1)
-        if last < first:
-            continue
-        found.update(
-            a + first + step * offset for offset in range((last - first) // step + 1)
-        )
+        last = len(starts) - 1 - rev_hit
+        found.extend(range(a + first, a + last + 1, candidate.length))
     ledger.assert_within_cap()
-    return ReportOutcome(tuple(sorted(found)))
+    return ReportOutcome(tuple(found))
 
 
 def count_nonperiodic(
@@ -375,19 +358,19 @@ def count_nonperiodic(
     ledger: Optional[BudgetLedger] = None,
     *,
     effective_k: Optional[int] = None,
-    thresh_override: Optional[float] = None,
 ) -> CountOutcome:
     """Counting variant for patterns with no short close period.
 
-    Each window of the stride-``m`` cover is scanned repeatedly, restarting
-    one past the previous hit, until the scan misses, the suffix runs out of
-    room, or the per-window cap of ``1152 * k`` is reached. Hit positions are
-    translated to absolute positions as previous-hit + 1 + local index. The
-    witness is the first hit encountered. The final count is the clamped sum
-    of per-window counts.
+    Each window of the stride-``m`` cover is scanned repeatedly over its start
+    positions' distances, each scan resuming one past the previous hit, until
+    a scan misses, the window's starts run out, or the per-window cap of
+    ``1152 * k`` is reached. A scan that resumes after the hit at ``h``
+    charges the text span from ``h + 1`` to the window's end. The witness is
+    the first hit encountered. The final count is the clamped sum of
+    per-window counts.
 
     ``effective_k`` substitutes a larger mismatch budget for ``k`` (small-k
-    regime); ``thresh_override`` exists for zero-noise oracle tests only.
+    regime).
     """
     _require_text(text, query.m)
     k_eff = query.k if effective_k is None else effective_k
@@ -401,28 +384,20 @@ def count_nonperiodic(
     n, m = len(text), query.m
     cap = WINDOW_OCCURRENCE_CAP * k_eff
     eps_slice = Fraction(query.epsilon) / (2 * cap)
-    thresh = (
-        thresh_override
-        if thresh_override is not None
-        else error_contract(
-            "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
-        ).threshold
-    )
+    thresh = error_contract(
+        "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
+    ).threshold
+    dist = sliding_distances(text, query.pattern)
     total = 0
     witness: Optional[int] = None
     for a, b in counting_cover(n, m):
-        window = text[a : b + 1]
+        starts = dist[a : b - m + 2]
+        remaining = iter(starts)
         last_hit = -1
         hits = 0
-        while last_hit < len(window) - m and hits < cap:
+        while last_hit < len(starts) - 1 and hits < cap:
             local = below_thresh(
-                window[last_hit + 1 :],
-                query.pattern,
-                thresh,
-                eps_slice,
-                src,
-                ledger,
-                base=a + last_hit + 1,
+                remaining, thresh, eps_slice, src, ledger, (a + last_hit + 1, b + 1)
             )
             if local is None:
                 break

@@ -96,11 +96,6 @@ def exact_report(text: bytes, pattern: bytes, x: int) -> set[int]:
     return {i for i, d in enumerate(iter_sliding_distances(text, pattern)) if d <= x}
 
 
-def reverse(text: bytes) -> bytes:
-    """The byte-wise reversal of ``text``."""
-    return text[::-1]
-
-
 def tile(unit: bytes, length: int) -> bytes:
     """``unit`` repeated and clipped to exactly ``length`` bytes."""
     if len(unit) < 1:
@@ -109,13 +104,6 @@ def tile(unit: bytes, length: int) -> bytes:
         raise ValueError("length must be non-negative")
     reps = -(-length // len(unit))
     return (unit * reps)[:length]
-
-
-def _dedupe(windows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    seen: dict[tuple[int, int], None] = {}
-    for w in windows:
-        seen.setdefault(w)
-    return tuple(seen)
 
 
 def periodic_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
@@ -140,7 +128,7 @@ def periodic_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
         (j * stride, min(j * stride + length - 1, n - 1)) for j in range(tail_index)
     ]
     windows.append((tail_index * stride, n - 1))
-    return _dedupe(windows)
+    return tuple(windows)
 
 
 def counting_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
@@ -162,4 +150,4 @@ def counting_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
     tail_start = (blocks - 1) * m
     if tail_start <= n - 1:
         windows.append((tail_start, n - 1))
-    return _dedupe(windows)
+    return tuple(windows)

@@ -38,7 +38,7 @@ from dppm.periodicity import (
     shortest_close_period,
     small_k_cutoff,
 )
-from dppm.text import tile
+from dppm.text import iter_sliding_distances, tile
 from dppm.cli import EXIT_OK, main as cli_main
 
 from conftest import binary_strings, brute_first_at_most
@@ -63,7 +63,12 @@ def test_c01_zero_noise_oracle_equivalence():
                 for pattern in binary_strings(m):
                     for thresh in range(m + 1):
                         got = below_thresh(
-                            text, pattern, float(thresh), 1.0, src, BudgetLedger(1.0)
+                            iter_sliding_distances(text, pattern),
+                            float(thresh),
+                            1.0,
+                            src,
+                            BudgetLedger(1.0),
+                            (0, n),
                         )
                         expected = brute_first_at_most(text, pattern, thresh)
                         assert got == expected, (text, pattern, thresh)

@@ -245,6 +245,13 @@ class TestDpAudit:
         )
         assert not report.refuted
 
+    def test_overflowing_ratio_bound_rejected(self):
+        # e^(d*epsilon) is past the largest float at d*epsilon = 1000.
+        with pytest.raises(ValueError, match="overflows"):
+            dp_audit(
+                "existence", b"ababab", b"abbbab", self.query(epsilon=1000.0), trials=10
+            )
+
     def test_seed_reproducible(self):
         args = ("existence", b"ababab", b"abbbab", self.query())
         one = dp_audit(*args, trials=500, seed=9)

@@ -368,6 +368,11 @@ class TestDpAudit:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["result"] == "refuted"
 
+    def test_overflowing_ratio_bound_exits_2(self, tmp_path, capsys):
+        args = self.audit_args(tmp_path, "existence")
+        args[args.index("--epsilon") + 1] = "1000"
+        assert_one_line_usage_error(run_cli(args), capsys)
+
     def test_non_neighbors_exit_2_without_group(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -421,3 +426,16 @@ class TestEntryPoint:
         )
         assert result.returncode == EXIT_OK
         assert json.loads(result.stdout)["seed"] == 3
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, dppm, dppm.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stdout.strip() == "False"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dppm.matchers as matchers
 from dppm.matchers import (
     BudgetLedger,
     CountOutcome,
@@ -20,7 +21,14 @@ from dppm.matchers import (
 )
 from dppm.noise import NoiseSource
 from dppm.periodicity import PeriodicCandidate, Regime
-from dppm.text import exact_count, exact_report, tile
+from dppm.text import (
+    exact_count,
+    exact_report,
+    iter_sliding_distances,
+    periodic_cover,
+    sliding_distances,
+    tile,
+)
 
 from conftest import binary_strings, brute_first_at_most, spent_by_position
 
@@ -31,6 +39,11 @@ def zero_src() -> NoiseSource:
 
 def ledger_for(epsilon: float) -> BudgetLedger:
     return BudgetLedger(epsilon)
+
+
+# At this epsilon every contract threshold is k plus less than 1e-6, so a
+# zero-noise scan hits exactly the windows within distance k.
+SHARP_EPSILON = 1e12
 
 
 class TestOutcomeTypes:
@@ -91,34 +104,49 @@ class TestBudgetLedger:
             BudgetLedger(1.0).charge_span(3, 3, Fraction(1))
 
 
+def scan(text, pattern, thresh, epsilon, src, ledger, base=0):
+    """Scan ``text`` as if it started at position ``base`` of a longer text."""
+    distances = iter_sliding_distances(text, pattern)
+    return below_thresh(
+        distances, thresh, epsilon, src, ledger, (base, base + len(text))
+    )
+
+
 class TestBelowThresh:
     def test_zero_noise_first_hit(self):
-        hit = below_thresh(
-            b"abracadabra", b"abra", 1.0, 1.0, zero_src(), ledger_for(1.0)
-        )
+        hit = scan(b"abracadabra", b"abra", 1.0, 1.0, zero_src(), ledger_for(1.0))
         assert hit == 0
 
     def test_zero_noise_suffix(self):
         # d-sequence of the suffix is (4, 3, 3, 3, 3, 4, 0).
-        hit = below_thresh(
-            b"bracadabra", b"abra", 2.5, 1.0, zero_src(), ledger_for(1.0)
-        )
+        hit = scan(b"bracadabra", b"abra", 2.5, 1.0, zero_src(), ledger_for(1.0))
         assert hit == 6
 
     def test_zero_noise_no_hit(self):
-        hit = below_thresh(b"aaaa", b"bb", 1.0, 1.0, zero_src(), ledger_for(1.0))
+        hit = scan(b"aaaa", b"bb", 1.0, 1.0, zero_src(), ledger_for(1.0))
         assert hit is None
 
     def test_charges_whole_text(self):
         ledger = ledger_for(1.0)
-        below_thresh(b"aaaa", b"bb", 1.0, Fraction(1), zero_src(), ledger, base=10)
+        scan(b"aaaa", b"bb", 1.0, Fraction(1), zero_src(), ledger, base=10)
         assert spent_by_position(ledger) == {p: Fraction(1) for p in range(10, 14)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            below_thresh(b"ab", b"abc", 1.0, 1.0, zero_src(), ledger_for(1.0))
+            below_thresh([0], 1.0, 0.0, zero_src(), ledger_for(1.0), (0, 1))
         with pytest.raises(ValueError):
-            below_thresh(b"ab", b"a", 1.0, 0.0, zero_src(), ledger_for(1.0))
+            below_thresh([0], 1.0, 1.0, zero_src(), ledger_for(1.0), (1, 1))
+
+    def test_resumes_one_past_the_hit(self):
+        # The counter's restarts rely on this: a hit at index i leaves the
+        # iterator at d_{i+1}, and the next scan's indices count from there.
+        distances = sliding_distances(b"abracadabra", b"abra")  # 0,4,3,3,3,3,4,0
+        it = iter(distances)
+        hit = below_thresh(it, 0.0, 1.0, zero_src(), ledger_for(2.0), (0, 11))
+        assert hit == 0
+        assert next(it) == distances[1]
+        again = below_thresh(it, 0.0, 1.0, zero_src(), ledger_for(2.0), (2, 11))
+        assert 2 + again == 7
 
     def test_exhaustive_zero_noise_oracle(self):
         # Small version of the acceptance sweep: binary texts up to length 7.
@@ -127,7 +155,7 @@ class TestBelowThresh:
                 for m in range(1, min(3, n) + 1):
                     for pattern in binary_strings(m):
                         for thresh in range(m + 1):
-                            got = below_thresh(
+                            got = scan(
                                 text,
                                 pattern,
                                 float(thresh),
@@ -139,8 +167,8 @@ class TestBelowThresh:
 
     def test_noisy_run_is_seed_deterministic(self):
         args = (b"abracadabra", b"abra", 2.0, 1.0)
-        one = below_thresh(*args, NoiseSource(5), ledger_for(1.0))
-        two = below_thresh(*args, NoiseSource(5), ledger_for(1.0))
+        one = scan(*args, NoiseSource(5), ledger_for(1.0))
+        two = scan(*args, NoiseSource(5), ledger_for(1.0))
         assert one == two
 
 
@@ -197,14 +225,12 @@ class TestReportPeriodic:
         assert set(outcome.positions) == exact_report(text, pattern, 0)
 
     def test_window_without_hit_contributes_nothing(self):
-        # Threshold override 0 and a pattern absent everywhere: empty report.
+        # Threshold k + tiny and a pattern absent everywhere: empty report.
         text = b"a" * 24
         pattern = b"bb" * 4
-        query = MatchQuery(pattern, 0, 1.0, 0.1)
+        query = MatchQuery(pattern, 0, SHARP_EPSILON, 0.1)
         candidate = PeriodicCandidate(2, b"bb", 0)
-        outcome = report_periodic(
-            text, query, candidate, zero_src(), thresh_override=0.0
-        )
+        outcome = report_periodic(text, query, candidate, zero_src())
         assert outcome.positions == ()
 
     def test_candidate_distance_validated(self):
@@ -228,21 +254,29 @@ class TestReportPeriodic:
         # so the exact rational maximum is the full query budget.
         assert ledger.max_spent == Fraction(0.9)
 
+    def test_charges_every_window_position_twice(self):
+        text = tile(b"ab", 101)
+        query = MatchQuery(tile(b"ab", 8), 1, 0.9, 0.1)
+        ledger = ledger_for(0.9)
+        candidate = PeriodicCandidate(2, b"ab", 0)
+        report_periodic(text, query, candidate, NoiseSource(1), ledger)
+        expected: dict[int, Fraction] = {}
+        for a, b in periodic_cover(len(text), query.m):
+            for p in range(a, b + 1):
+                expected[p] = expected.get(p, Fraction(0)) + 2 * Fraction(0.9) / 6
+        assert spent_by_position(ledger) == expected
+
 
 class TestCountNonPeriodic:
     def test_zero_noise_counts_exact(self):
-        query = MatchQuery(b"abra", 1, 1.0, 0.1)
-        outcome = count_nonperiodic(
-            b"abracadabra", query, zero_src(), thresh_override=1.0
-        )
+        query = MatchQuery(b"abra", 1, SHARP_EPSILON, 0.1)
+        outcome = count_nonperiodic(b"abracadabra", query, zero_src())
         assert outcome.count == 2
         assert outcome.witness in (0, 7)
 
     def test_zero_noise_disjoint_alphabet(self):
-        query = MatchQuery(b"bbbb", 1, 1.0, 0.1)
-        outcome = count_nonperiodic(
-            b"a" * 40, query, zero_src(), thresh_override=1.0
-        )
+        query = MatchQuery(b"bbbb", 1, SHARP_EPSILON, 0.1)
+        outcome = count_nonperiodic(b"a" * 40, query, zero_src())
         assert outcome.count == 0
         assert outcome.witness is None
         assert outcome.raw_count == 0
@@ -252,8 +286,8 @@ class TestCountNonPeriodic:
         # window must contribute exactly 1152 * k.
         m = 1200
         text = b"a" * (2 * m - 1)
-        query = MatchQuery(b"a" * m, 1, 1.0, 0.1)
-        outcome = count_nonperiodic(text, query, zero_src(), thresh_override=1.0)
+        query = MatchQuery(b"a" * m, 1, SHARP_EPSILON, 0.1)
+        outcome = count_nonperiodic(text, query, zero_src())
         assert outcome.count == 1152
 
     def test_rejects_k_zero(self):
@@ -281,13 +315,35 @@ class TestCountSmallK:
     def test_zero_noise_cutoff_bounds(self):
         text = tile(b"ab", 40) + b"cc" + tile(b"ab", 18)
         pattern = tile(b"ab", 6)
-        query = MatchQuery(pattern, 1, 1.0, 0.1)
+        query = MatchQuery(pattern, 1, SHARP_EPSILON, 0.1)
         cutoff = 3
-        outcome = count_nonperiodic(
-            text, query, zero_src(), effective_k=cutoff, thresh_override=float(cutoff)
-        )
+        outcome = count_nonperiodic(text, query, zero_src(), effective_k=cutoff)
         assert outcome.count >= exact_count(text, pattern, query.k)
         assert outcome.count <= exact_count(text, pattern, min(cutoff, len(pattern)))
+
+
+class TestDistancesOncePerQuery:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(text, pattern):
+            calls.append((text, pattern))
+            return sliding_distances(text, pattern)
+
+        monkeypatch.setattr(matchers, "sliding_distances", counting)
+        return calls
+
+    def test_report_periodic(self, calls):
+        text, pattern = tile(b"ab", 101), tile(b"ab", 8)
+        query = MatchQuery(pattern, 1, 0.9, 0.1)
+        report_periodic(text, query, PeriodicCandidate(2, b"ab", 0), NoiseSource(1))
+        assert calls == [(text, pattern)]
+
+    def test_count_nonperiodic(self, calls):
+        text = tile(b"ab", 50)
+        count_nonperiodic(text, MatchQuery(b"ab", 2, 1.3, 0.1), NoiseSource(9))
+        assert calls == [(text, b"ab")]
 
 
 class TestTrivialAll:

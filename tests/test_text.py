@@ -11,7 +11,6 @@ from dppm.text import (
     hamming_distance,
     iter_sliding_distances,
     periodic_cover,
-    reverse,
     sliding_distances,
     tile,
 )
@@ -171,15 +170,20 @@ class TestExactOracles:
             exact_count(b"abc", b"ab", 3)
 
 
-class TestReverse:
-    def test_basic(self):
-        assert reverse(b"abc") == b"cba"
-
-    def test_empty(self):
-        assert reverse(b"") == b""
-
-    def test_involution(self):
-        assert reverse(reverse(b"abracadabra")) == b"abracadabra"
+class TestReversal:
+    @given(
+        st.text(alphabet="abc", min_size=1, max_size=60).map(str.encode),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=200)
+    def test_reversed_distances(self, text, m):
+        # The periodic reporter's backward scan reads a window's distances in
+        # reverse; this identity makes that the same as scanning the reversed
+        # window with the reversed pattern.
+        pattern = tile(b"abca", min(m, len(text)))
+        assert sliding_distances(text[::-1], pattern[::-1]) == sliding_distances(
+            text, pattern
+        )[::-1]
 
 
 class TestTile:

@@ -25,7 +25,6 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .matchers import (
-    BudgetLedger,
     CountOutcome,
     ExistenceOutcome,
     MatchQuery,
@@ -307,23 +306,6 @@ class UtilityReport:
         )
         return rows
 
-    def to_records(self) -> list[dict]:
-        """Line-delimited record shape (one dict per trial plus a summary)."""
-        out = [dict(zip(_COLUMNS, r.row())) for r in self.records]
-        out.append(
-            {
-                "summary": True,
-                "variant": self.variant,
-                "trials": len(self.records),
-                "violations": self.violation_count,
-                "violation_rate": self.violation_rate,
-                "allowed_violation_rate": self.allowed_violation_rate,
-                "max_additive_error": self.max_additive_error,
-                "result": "pass" if self.passed else "fail",
-            }
-        )
-        return out
-
 
 def _distances(text: bytes, pattern: bytes) -> np.ndarray:
     return np.fromiter(iter_sliding_distances(text, pattern), dtype=np.int64)
@@ -497,16 +479,8 @@ def coarsen_by_type(outcome: Outcome) -> str:
     return coarsen_report(outcome)
 
 
-COARSENINGS: dict[str, Callable[[Outcome], str]] = {
-    "existence-witness": coarsen_existence,
-    "count-bucket": coarsen_count,
-    "report-hash": coarsen_report,
-    "by-type": coarsen_by_type,
-}
-
-
 def _audit_existence(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
-    return existence(text, query, src, BudgetLedger(query.epsilon))
+    return existence(text, query, src)
 
 
 def _audit_count(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
@@ -530,12 +504,15 @@ def _audit_canary(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
     return ExistenceOutcome(found=False, witness=None)
 
 
-AUDIT_MATCHERS: dict[str, tuple[Callable[[bytes, MatchQuery, NoiseSource], Outcome], str]] = {
-    "existence": (_audit_existence, "existence-witness"),
-    "count": (_audit_count, "count-bucket"),
-    "report": (_audit_report, "report-hash"),
-    "auto": (_audit_auto, "by-type"),
-    "canary": (_audit_canary, "existence-witness"),
+AUDIT_MATCHERS: dict[
+    str,
+    tuple[Callable[[bytes, MatchQuery, NoiseSource], Outcome], Callable[[Outcome], str]],
+] = {
+    "existence": (_audit_existence, coarsen_existence),
+    "count": (_audit_count, coarsen_count),
+    "report": (_audit_report, coarsen_report),
+    "auto": (_audit_auto, coarsen_by_type),
+    "canary": (_audit_canary, coarsen_existence),
 }
 
 
@@ -610,7 +587,6 @@ def dp_audit(
     text_b: bytes,
     query: MatchQuery,
     trials: int,
-    coarsening: Optional[str] = None,
     *,
     seed: int = 0,
     group: bool = False,
@@ -643,8 +619,7 @@ def dp_audit(
             f"strings at Hamming distance {distance} are not neighboring; "
             "pass group=True to audit at the group-privacy bound"
         )
-    run, default_coarsening = AUDIT_MATCHERS[matcher]
-    coarsen = COARSENINGS[coarsening if coarsening is not None else default_coarsening]
+    run, coarsen = AUDIT_MATCHERS[matcher]
     try:
         ratio_bound = math.exp(distance * query.epsilon)
     except OverflowError:

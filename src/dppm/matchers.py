@@ -18,10 +18,12 @@ computes its distances once per query and runs the scan over them:
 Each matcher's calibrated threshold and error contract is one row of
 `CONTRACTS`, read through `error_contract`.
 
-Every scan charges its epsilon slice to the span of text its distances read,
-in a `BudgetLedger`; the ledger's cap check is the executable form of the
-composition argument (each position is covered by few windows, so slices sum
-to at most the query epsilon).
+Every scan pays an integer share of the query epsilon (1 for existence, 6 for
+periodic reporting, 2 * 1152 * k for counting) on the span of text its
+distances read, in a `BudgetLedger`, and draws its noise at that slice. The
+ledger's cap check is the executable form of the composition argument (each
+position is covered by at most 3 or 2 windows, so slices sum to at most the
+query epsilon).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Union
 
 from .noise import NoiseSource
@@ -123,54 +126,56 @@ Outcome = Union[ExistenceOutcome, CountOutcome, ReportOutcome]
 
 
 class BudgetLedger:
-    """Per-position record of privacy budget consumed by threshold scans.
+    """Per-position record of the privacy budget a query's scans consume.
 
-    Charges are stored exactly (as ``Fraction``), so the cap comparison is not
-    subject to float rounding. Spans are half-open ``[start, stop)``.
+    A charge of integer ``share`` costs ``epsilon / share`` on each position
+    of its half-open span ``[start, stop)``. The peak sweep counts in integer
+    units of ``epsilon / lcm(shares)``, so the cap check is exact.
     """
 
-    def __init__(self, cap: Union[float, Fraction]):
-        self.cap = Fraction(cap)
-        self._spans: list[tuple[int, int, Fraction]] = []
+    def __init__(self, epsilon: float):
+        if not (epsilon > 0 and math.isfinite(epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        self.epsilon = epsilon
+        self._spans: list[tuple[int, int, int]] = []
 
-    def charge_span(self, start: int, stop: int, epsilon: Union[float, Fraction]) -> None:
+    def charge_span(self, start: int, stop: int, share: int) -> None:
         if stop <= start:
             raise ValueError(f"empty charge span [{start}, {stop})")
-        eps = Fraction(epsilon)
-        if eps < 0:
-            raise ValueError("cannot charge negative budget")
-        if eps > 0:
-            self._spans.append((start, stop, eps))
+        if not (isinstance(share, int) and share > 0):
+            raise ValueError(f"share must be a positive int, got {share!r}")
+        self._spans.append((start, stop, share))
+
+    def _peak(self) -> tuple[int, int]:
+        """Largest per-position spend as ``units`` of ``epsilon / denom``
+        (boundary sweep)."""
+        denom = math.lcm(*{share for _, _, share in self._spans})
+        deltas: dict[int, int] = {}
+        for start, stop, share in self._spans:
+            units = denom // share
+            deltas[start] = deltas.get(start, 0) + units
+            deltas[stop] = deltas.get(stop, 0) - units
+        return max(accumulate(deltas[p] for p in sorted(deltas)), default=0), denom
 
     @property
     def max_spent(self) -> Fraction:
-        """Largest accumulated charge over all positions (boundary sweep)."""
-        if not self._spans:
-            return Fraction(0)
-        deltas: dict[int, Fraction] = {}
-        for start, stop, eps in self._spans:
-            deltas[start] = deltas.get(start, Fraction(0)) + eps
-            deltas[stop] = deltas.get(stop, Fraction(0)) - eps
-        level = Fraction(0)
-        peak = Fraction(0)
-        for pos in sorted(deltas):
-            level += deltas[pos]
-            if level > peak:
-                peak = level
-        return peak
+        """Largest accumulated charge over all positions, as an exact rational."""
+        units, denom = self._peak()
+        return Fraction(self.epsilon) * units / denom
 
     def assert_within_cap(self) -> None:
-        spent = self.max_spent
-        if spent > self.cap:
+        units, denom = self._peak()
+        if units > denom:
             raise RuntimeError(
-                f"privacy budget exceeded: max per-position spend {spent} > cap {self.cap}"
+                f"privacy budget exceeded: a position pays {units}/{denom} of "
+                f"epsilon={self.epsilon!r}"
             )
 
 
 def below_thresh(
     distances: Iterable[int],
     thresh: float,
-    epsilon: Union[float, Fraction],
+    share: int,
     src: NoiseSource,
     ledger: BudgetLedger,
     span: tuple[int, int],
@@ -178,17 +183,16 @@ def below_thresh(
     """Noisy threshold scan: index of the first distance whose noisy value is
     at most the noisy threshold, or None if no distance qualifies.
 
-    The threshold receives Lap(2/epsilon) noise once; each examined distance
-    receives fresh Lap(4/epsilon) noise, and the comparison is a plain ``<=``.
-    Only the distances up to the hit are read, so a second call on the same
-    iterator resumes one past the hit. The scan charges ``epsilon`` to the
-    half-open text span ``span = (start, stop)`` its distances read. In
+    The scan pays ``share`` of the ledger's epsilon, charged to the half-open
+    text span ``span = (start, stop)`` its distances read, and runs at
+    ``eps = ledger.epsilon / share``: the threshold receives Lap(2/eps) noise
+    once, each examined distance receives fresh Lap(4/eps) noise, and the
+    comparison is a plain ``<=``. Only the distances up to the hit are read,
+    so a second call on the same iterator resumes one past the hit. In
     zero-noise mode this returns exactly ``min{i : d_i <= thresh}``.
     """
-    eps = float(epsilon)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    ledger.charge_span(*span, epsilon)
+    ledger.charge_span(*span, share)
+    eps = ledger.epsilon / share
     noisy_thresh = thresh + src.laplace(2.0 / eps)
     for i, d in enumerate(distances):
         if d + src.laplace(4.0 / eps) <= noisy_thresh:
@@ -279,6 +283,18 @@ def _require_text(text: bytes, m: int) -> None:
         raise ValueError(f"pattern length {m} exceeds text length {len(text)}")
 
 
+def _query_ledger(query: MatchQuery, ledger: Optional[BudgetLedger]) -> BudgetLedger:
+    """``ledger``, checked to hold the query's epsilon, or a fresh one."""
+    if ledger is None:
+        return BudgetLedger(query.epsilon)
+    if ledger.epsilon != query.epsilon:
+        raise ValueError(
+            f"ledger epsilon {ledger.epsilon!r} differs from query epsilon "
+            f"{query.epsilon!r}"
+        )
+    return ledger
+
+
 def existence(
     text: bytes,
     query: MatchQuery,
@@ -292,14 +308,13 @@ def existence(
     returned witness is within the contract's ``bound``.
     """
     _require_text(text, query.m)
-    if ledger is None:
-        ledger = BudgetLedger(query.epsilon)
+    ledger = _query_ledger(query, ledger)
     n, m = len(text), query.m
     thresh = error_contract(
         "existence", n, m, query.k, query.epsilon, query.beta
     ).threshold
     distances = iter_sliding_distances(text, query.pattern)
-    hit = below_thresh(distances, thresh, Fraction(query.epsilon), src, ledger, (0, n))
+    hit = below_thresh(distances, thresh, 1, src, ledger, (0, n))
     ledger.assert_within_cap()
     return ExistenceOutcome(found=hit is not None, witness=hit)
 
@@ -314,9 +329,10 @@ def report_periodic(
     """Reporting variant for patterns close to a short primitive period.
 
     Each window of the stride-``floor(m/2)`` cover is scanned forward and
-    backward over its start positions' distances at epsilon/6; when both
-    scans hit, the window contributes the arithmetic progression from the
-    first hit to the last hit with step ``candidate.length``. The windows'
+    backward over its start positions' distances, each scan paying share 6
+    (epsilon/6); when both scans hit, the window contributes the arithmetic
+    progression from the first hit to the last hit with step
+    ``candidate.length``. The windows'
     start ranges are disjoint and increasing, so the positions come out sorted
     and duplicate-free. The dispatcher is responsible for certifying the
     period-length hypothesis; this function checks only structural validity
@@ -330,19 +346,17 @@ def report_periodic(
         raise ValueError(
             f"candidate distance {candidate.dist} exceeds 2k = {2 * query.k}"
         )
-    if ledger is None:
-        ledger = BudgetLedger(query.epsilon)
+    ledger = _query_ledger(query, ledger)
     thresh = error_contract(
         "report_periodic", n, m, query.k, query.epsilon, query.beta
     ).threshold
-    eps_slice = Fraction(query.epsilon) / 6
     dist = sliding_distances(text, query.pattern)
     found: list[int] = []
     for a, b in periodic_cover(n, m):
         starts = dist[a : b - m + 2]
         span = (a, b + 1)
-        first = below_thresh(starts, thresh, eps_slice, src, ledger, span)
-        rev_hit = below_thresh(reversed(starts), thresh, eps_slice, src, ledger, span)
+        first = below_thresh(starts, thresh, 6, src, ledger, span)
+        rev_hit = below_thresh(reversed(starts), thresh, 6, src, ledger, span)
         if first is None or rev_hit is None:
             continue
         last = len(starts) - 1 - rev_hit
@@ -364,8 +378,9 @@ def count_nonperiodic(
     Each window of the stride-``m`` cover is scanned repeatedly over its start
     positions' distances, each scan resuming one past the previous hit, until
     a scan misses, the window's starts run out, or the per-window cap of
-    ``1152 * k`` is reached. A scan that resumes after the hit at ``h``
-    charges the text span from ``h + 1`` to the window's end. The witness is
+    ``1152 * k`` is reached. Each scan pays share ``2 * 1152 * k``; one that
+    resumes after the hit at ``h`` charges the text span from ``h + 1`` to the
+    window's end. The witness is
     the first hit encountered. The final count is the clamped sum of
     per-window counts.
 
@@ -379,11 +394,9 @@ def count_nonperiodic(
             "non-periodic counting needs k >= 1 (its budget split divides by k); "
             "k = 0 queries belong to the existence or trivial paths"
         )
-    if ledger is None:
-        ledger = BudgetLedger(query.epsilon)
+    ledger = _query_ledger(query, ledger)
     n, m = len(text), query.m
     cap = WINDOW_OCCURRENCE_CAP * k_eff
-    eps_slice = Fraction(query.epsilon) / (2 * cap)
     thresh = error_contract(
         "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
     ).threshold
@@ -397,7 +410,7 @@ def count_nonperiodic(
         hits = 0
         while last_hit < len(starts) - 1 and hits < cap:
             local = below_thresh(
-                remaining, thresh, eps_slice, src, ledger, (a + last_hit + 1, b + 1)
+                remaining, thresh, 2 * cap, src, ledger, (a + last_hit + 1, b + 1)
             )
             if local is None:
                 break
@@ -512,6 +525,5 @@ def match_auto(
         report = trivial_all(text, query)
         outcome = _count_from_report(report) if variant == "count" else report
 
-    ledger.assert_within_cap()
     contract = error_contract(matcher, n, query.m, k_run, query.epsilon, query.beta)
     return MatchResult(regime, decision, outcome, ledger, contract)

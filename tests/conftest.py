@@ -28,9 +28,12 @@ def brute_first_at_most(text: bytes, pattern: bytes, thresh: float):
 
 
 def spent_by_position(ledger) -> dict[int, Fraction]:
-    """Fold a BudgetLedger's charge spans into position -> accumulated epsilon."""
+    """Fold a BudgetLedger's charge spans into position -> accumulated epsilon,
+    in exact ``Fraction`` arithmetic: a charge of ``share`` costs
+    ``epsilon / share`` on each position of its span."""
     out: dict[int, Fraction] = {}
-    for start, stop, eps in ledger._spans:
+    for start, stop, share in ledger._spans:
+        eps = Fraction(ledger.epsilon) / share
         for p in range(start, stop):
             out[p] = out.get(p, Fraction(0)) + eps
     return out

@@ -65,7 +65,7 @@ def test_c01_zero_noise_oracle_equivalence():
                         got = below_thresh(
                             iter_sliding_distances(text, pattern),
                             float(thresh),
-                            1.0,
+                            1,
                             src,
                             BudgetLedger(1.0),
                             (0, n),

@@ -1,11 +1,14 @@
 """Tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dppm
 from dppm.cli import EXIT_IO, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, main
 
 
@@ -399,6 +402,14 @@ class TestDpAudit:
         assert code == EXIT_USAGE
 
 
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this checkout's dppm,
+    installed or not."""
+    src = str(Path(dppm.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, corpus):
         result = subprocess.run(
@@ -423,6 +434,7 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == EXIT_OK
         assert json.loads(result.stdout)["seed"] == 3
@@ -436,6 +448,7 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == EXIT_OK
         assert result.stdout.strip() == "False"

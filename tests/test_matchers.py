@@ -1,8 +1,11 @@
 """Tests for the private matchers and the budget ledger."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dppm.matchers as matchers
 from dppm.matchers import (
@@ -77,9 +80,9 @@ class TestOutcomeTypes:
 class TestBudgetLedger:
     def test_exact_accumulation(self):
         ledger = BudgetLedger(1.0)
-        ledger.charge_span(0, 10, Fraction(1, 3))
-        ledger.charge_span(5, 15, Fraction(1, 3))
-        ledger.charge_span(5, 10, Fraction(1, 3))
+        ledger.charge_span(0, 10, 3)
+        ledger.charge_span(5, 15, 3)
+        ledger.charge_span(5, 10, 3)
         assert ledger.max_spent == Fraction(1)
         spent = spent_by_position(ledger)
         assert spent[0] == Fraction(1, 3)
@@ -89,63 +92,129 @@ class TestBudgetLedger:
 
     def test_cap_violation_detected(self):
         ledger = BudgetLedger(1.0)
-        ledger.charge_span(0, 4, Fraction(2, 3))
-        ledger.charge_span(2, 6, Fraction(2, 3))
+        ledger.charge_span(0, 4, 1)
+        ledger.charge_span(2, 6, 2)
         with pytest.raises(RuntimeError, match="budget"):
             ledger.assert_within_cap()
 
     def test_per_position_matches_spans(self):
         ledger = BudgetLedger(1.0)
-        ledger.charge_span(1, 3, Fraction(1, 2))
+        ledger.charge_span(1, 3, 2)
         assert spent_by_position(ledger) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError):
-            BudgetLedger(1.0).charge_span(3, 3, Fraction(1))
+            BudgetLedger(1.0).charge_span(3, 3, 1)
+
+    @pytest.mark.parametrize("share", [0, -1, 1.5, Fraction(1, 2)])
+    def test_share_must_be_positive_int(self, share):
+        with pytest.raises(ValueError, match="share"):
+            BudgetLedger(1.0).charge_span(0, 1, share)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+    def test_epsilon_must_be_positive_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            BudgetLedger(epsilon)
+
+    def test_shares_summing_to_epsilon_pass_exactly(self):
+        # 1/2 + 1/3 + 1/6 of a non-dyadic epsilon is exactly epsilon; one
+        # more counting-sized slice on the same position is over the cap.
+        ledger = BudgetLedger(0.7)
+        for share in (2, 3, 6):
+            ledger.charge_span(4, 9, share)
+        assert ledger.max_spent == Fraction(0.7)
+        ledger.assert_within_cap()
+        ledger.charge_span(8, 9, 6912)
+        assert ledger.max_spent == Fraction(0.7) * 6913 / 6912
+        with pytest.raises(RuntimeError, match="budget"):
+            ledger.assert_within_cap()
+
+    @given(
+        epsilon=st.floats(min_value=1e-3, max_value=1e6),
+        charges=st.lists(
+            st.tuples(
+                st.integers(0, 30),
+                st.integers(1, 12),
+                st.sampled_from([1, 2, 3, 6, 2304, 6912]),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200)
+    def test_integer_sweep_matches_fraction_reference(self, epsilon, charges):
+        ledger = BudgetLedger(epsilon)
+        for start, length, share in charges:
+            ledger.charge_span(start, start + length, share)
+        peak = max(spent_by_position(ledger).values(), default=Fraction(0))
+        assert ledger.max_spent == peak
+        if peak > Fraction(epsilon):
+            with pytest.raises(RuntimeError, match="budget"):
+                ledger.assert_within_cap()
+        else:
+            ledger.assert_within_cap()
 
 
-def scan(text, pattern, thresh, epsilon, src, ledger, base=0):
+def scan(text, pattern, thresh, share, src, ledger, base=0):
     """Scan ``text`` as if it started at position ``base`` of a longer text."""
     distances = iter_sliding_distances(text, pattern)
     return below_thresh(
-        distances, thresh, epsilon, src, ledger, (base, base + len(text))
+        distances, thresh, share, src, ledger, (base, base + len(text))
     )
+
+
+class ScaleLog(NoiseSource):
+    """Zero-noise source that records the Laplace scale of every draw."""
+
+    def __init__(self):
+        super().__init__(0, mode="zero")
+        self.scales: list[float] = []
+
+    def laplace(self, b):
+        self.scales.append(b)
+        return super().laplace(b)
 
 
 class TestBelowThresh:
     def test_zero_noise_first_hit(self):
-        hit = scan(b"abracadabra", b"abra", 1.0, 1.0, zero_src(), ledger_for(1.0))
+        hit = scan(b"abracadabra", b"abra", 1.0, 1, zero_src(), ledger_for(1.0))
         assert hit == 0
 
     def test_zero_noise_suffix(self):
         # d-sequence of the suffix is (4, 3, 3, 3, 3, 4, 0).
-        hit = scan(b"bracadabra", b"abra", 2.5, 1.0, zero_src(), ledger_for(1.0))
+        hit = scan(b"bracadabra", b"abra", 2.5, 1, zero_src(), ledger_for(1.0))
         assert hit == 6
 
     def test_zero_noise_no_hit(self):
-        hit = scan(b"aaaa", b"bb", 1.0, 1.0, zero_src(), ledger_for(1.0))
+        hit = scan(b"aaaa", b"bb", 1.0, 1, zero_src(), ledger_for(1.0))
         assert hit is None
 
     def test_charges_whole_text(self):
         ledger = ledger_for(1.0)
-        scan(b"aaaa", b"bb", 1.0, Fraction(1), zero_src(), ledger, base=10)
+        scan(b"aaaa", b"bb", 1.0, 1, zero_src(), ledger, base=10)
         assert spent_by_position(ledger) == {p: Fraction(1) for p in range(10, 14)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            below_thresh([0], 1.0, 0.0, zero_src(), ledger_for(1.0), (0, 1))
+            below_thresh([0], 1.0, 0, zero_src(), ledger_for(1.0), (0, 1))
         with pytest.raises(ValueError):
-            below_thresh([0], 1.0, 1.0, zero_src(), ledger_for(1.0), (1, 1))
+            below_thresh([0], 1.0, 1, zero_src(), ledger_for(1.0), (1, 1))
+
+    def test_noise_scale_is_the_paid_slice(self):
+        # The slice charged and the scale drawn at come from one share.
+        src = ScaleLog()
+        below_thresh([5, 5], 1.0, 6, src, ledger_for(0.9), (0, 2))
+        eps = float(Fraction(0.9) / 6)
+        assert src.scales == [2.0 / eps, 4.0 / eps, 4.0 / eps]
 
     def test_resumes_one_past_the_hit(self):
         # The counter's restarts rely on this: a hit at index i leaves the
         # iterator at d_{i+1}, and the next scan's indices count from there.
         distances = sliding_distances(b"abracadabra", b"abra")  # 0,4,3,3,3,3,4,0
         it = iter(distances)
-        hit = below_thresh(it, 0.0, 1.0, zero_src(), ledger_for(2.0), (0, 11))
+        hit = below_thresh(it, 0.0, 2, zero_src(), ledger_for(1.0), (0, 11))
         assert hit == 0
         assert next(it) == distances[1]
-        again = below_thresh(it, 0.0, 1.0, zero_src(), ledger_for(2.0), (2, 11))
+        again = below_thresh(it, 0.0, 2, zero_src(), ledger_for(1.0), (2, 11))
         assert 2 + again == 7
 
     def test_exhaustive_zero_noise_oracle(self):
@@ -159,14 +228,14 @@ class TestBelowThresh:
                                 text,
                                 pattern,
                                 float(thresh),
-                                1.0,
+                                1,
                                 zero_src(),
                                 ledger_for(1.0),
                             )
                             assert got == brute_first_at_most(text, pattern, thresh)
 
     def test_noisy_run_is_seed_deterministic(self):
-        args = (b"abracadabra", b"abra", 2.0, 1.0)
+        args = (b"abracadabra", b"abra", 2.0, 1)
         one = scan(*args, NoiseSource(5), ledger_for(1.0))
         two = scan(*args, NoiseSource(5), ledger_for(1.0))
         assert one == two
@@ -344,6 +413,62 @@ class TestDistancesOncePerQuery:
         text = tile(b"ab", 50)
         count_nonperiodic(text, MatchQuery(b"ab", 2, 1.3, 0.1), NoiseSource(9))
         assert calls == [(text, b"ab")]
+
+
+class TestQueryLedger:
+    """A passed ledger sets every scan's noise scale, so it must hold the
+    query's epsilon."""
+
+    QUERY = MatchQuery(tile(b"ab", 4), 1, 0.9, 0.1)
+    RUNS = {
+        "existence": lambda q, led: existence(tile(b"ab", 20), q, zero_src(), led),
+        "report_periodic": lambda q, led: report_periodic(
+            tile(b"ab", 20), q, PeriodicCandidate(2, b"ab", 0), zero_src(), led
+        ),
+        "count_nonperiodic": lambda q, led: count_nonperiodic(
+            tile(b"ab", 20), q, zero_src(), led
+        ),
+    }
+
+    @pytest.mark.parametrize("matcher", sorted(RUNS))
+    def test_mismatched_epsilon_rejected(self, matcher):
+        ledger = BudgetLedger(2 * self.QUERY.epsilon)
+        with pytest.raises(ValueError, match="ledger epsilon"):
+            self.RUNS[matcher](self.QUERY, ledger)
+        assert ledger.max_spent == 0
+
+
+class TestOneCapCheckPerQuery:
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        checked = []
+        check = BudgetLedger.assert_within_cap
+
+        def counting(ledger):
+            checked.append(ledger)
+            check(ledger)
+
+        monkeypatch.setattr(BudgetLedger, "assert_within_cap", counting)
+        return checked
+
+    @pytest.mark.parametrize(
+        "text, query, variant",
+        [
+            (b"abracadabra", MatchQuery(b"abra", 0, 1.0, 0.1), "existence"),
+            (tile(b"ab", 100), MatchQuery(tile(b"ab", 64), 1, 1000.0, 0.1), "auto"),
+            (b"a" * 200, MatchQuery(b"abcdefgh", 1, 1.0, 0.1), "count"),
+        ],
+        ids=["existence", "report_periodic", "count_nonperiodic"],
+    )
+    def test_scanning_matcher_checks_once(self, checked, text, query, variant):
+        result = match_auto(text, query, NoiseSource(2), variant=variant)
+        assert checked == [result.ledger]
+
+    def test_trivial_path_checks_nothing(self, checked):
+        query = MatchQuery(b"a", 1, 1.0, 0.1)
+        result = match_auto(b"abcdefghij", query, NoiseSource(2))
+        assert result.regime is Regime.TRIVIAL_FALLBACK
+        assert checked == []
 
 
 class TestTrivialAll:

@@ -421,11 +421,15 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
     report = UtilityReport(config=cfg, variant=variant)
     started = time.perf_counter()
     mode = "zero" if cfg.noise == "zero" else "standard"
+    # derive_seed(derive_seed(r, a), b) == derive_seed(r, a, b): mix each
+    # lane into the root once, not once per trial.
+    instance_seed = derive_seed(cfg.seed, 1)
+    noise_seed = derive_seed(cfg.seed, 2)
     for trial in range(cfg.trials):
         instance_rng = np.random.Generator(
-            np.random.PCG64(derive_seed(cfg.seed, 1, trial))
+            np.random.PCG64(derive_seed(instance_seed, trial))
         )
-        src = NoiseSource(derive_seed(cfg.seed, 2, trial), mode=mode)
+        src = NoiseSource(derive_seed(noise_seed, trial), mode=mode)
         try:
             inst = generate(cfg, instance_rng)
             record = runner(inst, cfg, src, trial)
@@ -631,8 +635,10 @@ def dp_audit(
     counts: list[dict[str, int]] = [{}, {}]
     for lane, text in enumerate((text_a, text_b)):
         lane_counts = counts[lane]
+        # derive_seed(lane_seed, t) == derive_seed(seed, lane, t), one mix less.
+        lane_seed = derive_seed(seed, lane)
         for trial in range(trials):
-            src = NoiseSource(derive_seed(seed, lane, trial))
+            src = NoiseSource(derive_seed(lane_seed, trial))
             label = coarsen(run(text, query, src))
             lane_counts[label] = lane_counts.get(label, 0) + 1
 

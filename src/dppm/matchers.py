@@ -193,9 +193,11 @@ def below_thresh(
     """
     ledger.charge_span(*span, share)
     eps = ledger.epsilon / share
-    noisy_thresh = thresh + src.laplace(2.0 / eps)
+    draw = src.laplace
+    scale = 4.0 / eps
+    noisy_thresh = thresh + draw(2.0 / eps)
     for i, d in enumerate(distances):
-        if d + src.laplace(4.0 / eps) <= noisy_thresh:
+        if d + draw(scale) <= noisy_thresh:
             return i
     return None
 

@@ -5,6 +5,16 @@ so a seed pins the entire draw sequence bit-for-bit across platforms. Two
 modes: ``standard`` (real noise) and ``zero`` (always 0, used by oracle
 tests).
 
+A source serves its draws from a buffer of unit-Laplace values (scale 1),
+multiplied by each call's scale. A source's first 8 draws are made one
+uniform at a time, so a source that makes only a few draws (an audit trial
+makes two) pays no vector set-up. After that, each refill transforms one
+block of uniforms, as many as the source has drawn so far (so blocks double),
+capped at 4096. A uniform on the interval boundary is skipped in-stream,
+exactly where a one-at-a-time sampler would redraw it. How the stream is cut
+into blocks never changes a value: every draw equals the one-uniform-at-a-time
+transform of the same uniform, in the same order, bit for bit.
+
 Caveat: floating-point Laplace samplers are known to leak information through
 the binary representation of their outputs in adversarial settings. Hardening
 against that class of attack (snapping, discrete noise) is intentionally out
@@ -18,6 +28,11 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+# Unit draws made one uniform at a time before refills go vectorized, and the
+# largest vectorized refill.
+_SCALAR_DRAWS = 8
+_MAX_BLOCK = 4096
 
 MODES = ("standard", "zero")
 
@@ -59,6 +74,10 @@ class NoiseSource:
         self.seed = seed & _MASK64
         self.mode = mode
         self._gen: np.random.Generator | None = None
+        # Buffered unit draws; _block[_next:] are not yet served.
+        self._block: list[float] = []
+        self._next = 0
+        self._drawn = 0  # unit draws made from the generator so far
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
@@ -69,36 +88,70 @@ class NoiseSource:
         """One draw from Lap(``b``) (0 in zero mode).
 
         Inverse-CDF transform: draw U uniform on the open interval
-        (-1/2, 1/2) and return ``-b * sign(U) * ln(1 - 2|U|)``. A draw landing
-        exactly on the interval boundary is redrawn, so the result is always
-        finite; U = 0 maps to the median 0.
+        (-1/2, 1/2) and return ``-b * sign(U) * ln(1 - 2|U|)``. A uniform
+        landing exactly on the interval boundary is skipped, so the result is
+        always finite; U = 0 maps to the median 0. The unit value
+        ``-sign(U) * ln(1 - 2|U|)`` comes from the source's buffer (see the
+        module docstring). Negating and taking signs is exact, so ``b`` times
+        the unit rounds once, to the same double as the formula above.
         """
         if self.mode == "zero":
             return 0.0
-        gen = self._generator()
-        u = gen.random() - 0.5
-        while u == -0.5:
-            u = gen.random() - 0.5
-        sign = (u > 0.0) - (u < 0.0)
-        # np.log1p (not math.log1p): keeps single draws bit-identical to the
-        # vectorized path in laplace_many.
-        return -b * sign * float(np.log1p(-2.0 * abs(u)))
+        try:
+            unit = self._block[self._next]
+        except IndexError:
+            self._refill()
+            unit = self._block[0]
+        self._next += 1
+        return b * unit
 
     def laplace_many(self, b: float, size: int) -> np.ndarray:
-        """Vectorized draws; consumes the uniform stream exactly like
-        ``size`` successive calls to :meth:`laplace` (boundary redraws aside,
-        which occur with probability 2**-53 per draw)."""
+        """Vectorized draws: equal, value for value, to ``size`` successive
+        calls to :meth:`laplace`, and leaves the source where those calls
+        would."""
         if size < 0:
             raise ValueError("size must be non-negative")
         if self.mode == "zero":
             return np.zeros(size)
-        gen = self._generator()
-        u = gen.random(size) - 0.5
-        boundary = u == -0.5
-        while boundary.any():
-            u[boundary] = gen.random(int(boundary.sum())) - 0.5
-            boundary = u == -0.5
-        return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        rest = self._block[self._next:self._next + size]
+        self._next += len(rest)
+        parts = [np.array(rest, dtype=float)]
+        need = size - len(rest)
+        while need:
+            units = self._units(need)
+            parts.append(units)
+            need -= len(units)
+        return b * np.concatenate(parts)
+
+    def _refill(self) -> None:
+        """Replace the (fully served) buffer with the next unit draws."""
+        if self._drawn < _SCALAR_DRAWS:
+            gen = self._generator()
+            u = gen.random() - 0.5
+            while u == -0.5:
+                u = gen.random() - 0.5
+            # np.log1p, not math.log1p: math.log1p differs from the
+            # vectorized np.log1p in the last bit on some inputs.
+            log = float(np.log1p(-2.0 * abs(u)))
+            self._block = [-log if u > 0.0 else log if u < 0.0 else 0.0]
+            self._drawn += 1
+        else:
+            size = min(self._drawn, _MAX_BLOCK)
+            units = self._units(size)
+            while not len(units):  # every uniform was a boundary
+                units = self._units(size)
+            self._block = units.tolist()
+        self._next = 0
+
+    def _units(self, size: int) -> np.ndarray:
+        """Unit draws from the next ``size`` uniforms, boundary uniforms
+        skipped (so possibly fewer than ``size``, even none)."""
+        raw = self._generator().random(size)
+        if not raw.all():
+            raw = raw[raw != 0.0]  # raw 0.0 is U = -1/2, the boundary
+        u = raw - 0.5
+        self._drawn += len(u)
+        return -np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def laplace_tail(b: float, t: float) -> float:

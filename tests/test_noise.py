@@ -4,8 +4,64 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dppm.noise import NoiseSource, derive_seed, laplace_tail, splitmix64
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+def reference_laplace(gen: np.random.Generator, b: float) -> float:
+    """The one-uniform-at-a-time sampler the buffered stream must reproduce:
+    a uniform on the boundary is redrawn."""
+    u = gen.random() - 0.5
+    while u == -0.5:
+        u = gen.random() - 0.5
+    sign = (u > 0.0) - (u < 0.0)
+    return -b * sign * float(np.log1p(-2.0 * abs(u)))
+
+
+class FakeGenerator:
+    """PCG64 stream whose uniforms at chosen positions are replaced by 0.0
+    (the boundary U = -1/2); counts the calls that ask for a block."""
+
+    def __init__(self, seed: int, zeros=()):
+        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._zeros = set(zeros)
+        self.position = 0
+        self.sized_calls = 0
+
+    def random(self, size=None):
+        if size is None:
+            return float(self._block(1)[0])
+        self.sized_calls += 1
+        return self._block(size)
+
+    def _block(self, size):
+        raw = self._gen.random(size)
+        for p in range(self.position, self.position + size):
+            if p in self._zeros:
+                raw[p - self.position] = 0.0
+        self.position += size
+        return raw
+
+
+def faked(seed: int, zeros=()) -> tuple[NoiseSource, FakeGenerator]:
+    src = NoiseSource(seed)
+    src._gen = FakeGenerator(seed, zeros)
+    return src, src._gen
+
+
+def mixed_scales(seed: int, count: int) -> list[float]:
+    """Lap(2/eps) and Lap(4/eps) scales, eps log-uniform in [1e-3, 1e6]."""
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** rng.uniform(-3, 6, count)
+    return [float(x) for x in rng.choice([2.0, 4.0], count) / eps]
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
 
 
 class TestSeedDerivation:
@@ -27,6 +83,16 @@ class TestSeedDerivation:
         assert derive_seed(0, 0) == 12035550249420947055
         assert derive_seed(12345, 6, 7) == 3387611404008632545
 
+    @given(_U64, _U64, _U64)
+    @example(0, 0, 0)
+    @example(2**64 - 1, 2**64 - 1, 2**64 - 1)
+    @example(2**64 - 1, 0, 2**64 - 1)
+    def test_chained_lanes_compose(self, root, lane, trial):
+        # The audit loops mix each lane in once and each trial into that.
+        assert derive_seed(derive_seed(root, lane), trial) == derive_seed(
+            root, lane, trial
+        )
+
 
 class TestNoiseSource:
     def test_same_seed_same_sequence(self):
@@ -44,6 +110,8 @@ class TestNoiseSource:
     def test_zero_mode(self):
         src = NoiseSource(0, mode="zero")
         assert [src.laplace(5.0) for _ in range(10)] == [0.0] * 10
+        assert src.laplace_many(5.0, 3).tolist() == [0.0] * 3
+        assert src._gen is None
 
     def test_bulk_matches_single_draws(self):
         a = NoiseSource(5)
@@ -70,6 +138,73 @@ class TestNoiseSource:
         # Variance of Lap(b) is 2 b^2.
         draws = NoiseSource(77).laplace_many(4.0, 10**6)
         assert 2 * 16 * 0.95 < float(draws.var()) < 2 * 16 * 1.05
+
+
+class TestBufferedStream:
+    """The buffered stream equals the reference sampler bit for bit."""
+
+    @pytest.mark.parametrize(
+        "count", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 4096, 4097, 20_000]
+    )
+    def test_matches_reference(self, count):
+        for seed in range(50):
+            scales = mixed_scales(seed, count)
+            src = NoiseSource(seed)
+            gen = np.random.Generator(np.random.PCG64(seed))
+            assert hexes(src.laplace(b) for b in scales) == hexes(
+                reference_laplace(gen, b) for b in scales
+            )
+
+    def test_laplace_many_interleaved(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            src = NoiseSource(seed)
+            gen = np.random.Generator(np.random.PCG64(seed))
+            for _ in range(12):
+                b = mixed_scales(int(rng.integers(1 << 32)), 1)[0]
+                if rng.random() < 0.5:
+                    size = int(rng.choice([0, 1, 5, 9, 100, 3000]))
+                    got = src.laplace_many(b, size).tolist()
+                else:
+                    size = int(rng.integers(1, 40))
+                    got = [src.laplace(b) for _ in range(size)]
+                assert hexes(got) == hexes(
+                    reference_laplace(gen, b) for _ in range(size)
+                )
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            [3],  # scalar phase
+            [20],  # inside the second vector block (positions 16..31)
+            list(range(8, 16)),  # the whole first vector block
+            [3, 8, 9, 20, 40, 41],
+        ],
+    )
+    def test_boundary_uniforms_skipped_like_redraws(self, zeros):
+        src, _ = faked(11, zeros)
+        ref = FakeGenerator(11, zeros)
+        assert hexes(src.laplace(3.0) for _ in range(100)) == hexes(
+            reference_laplace(ref, 3.0) for _ in range(100)
+        )
+        src, _ = faked(11, zeros)
+        ref = FakeGenerator(11, zeros)
+        got = [src.laplace(3.0) for _ in range(2)] + src.laplace_many(3.0, 60).tolist()
+        assert hexes(got) == hexes(reference_laplace(ref, 3.0) for _ in range(62))
+
+    def test_small_source_draws_one_uniform_at_a_time(self):
+        # An audit trial makes two draws from a fresh source; a block
+        # request would cost more than the draws.
+        src, gen = faked(5)
+        for _ in range(8):
+            src.laplace(1.0)
+        assert gen.sized_calls == 0
+
+    def test_vector_refills_double(self):
+        src, gen = faked(5)
+        for _ in range(5000):
+            src.laplace(1.0)
+        assert 1 <= gen.sized_calls <= math.log2(5000 / 8) + 1
 
 
 class TestSampleLaplace:

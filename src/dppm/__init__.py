@@ -26,7 +26,7 @@ from .matchers import (
     report_periodic,
     trivial_all,
 )
-from .noise import NoiseSource, derive_seed, laplace_tail
+from .noise import NoiseSource, derive_seed
 from .periodicity import (
     DispatchDecision,
     PeriodicCandidate,
@@ -39,7 +39,6 @@ from .periodicity import (
 from .text import (
     counting_cover,
     exact_count,
-    exact_report,
     hamming_distance,
     periodic_cover,
     sliding_distances,
@@ -54,7 +53,6 @@ from .audit import (
     packing_family_mismatch,
     packing_family_planted,
     run_utility_experiment,
-    witness_error,
 )
 
 __all__ = [
@@ -81,11 +79,9 @@ __all__ = [
     "dp_audit",
     "error_contract",
     "exact_count",
-    "exact_report",
     "existence",
     "hamming_distance",
     "is_primitive",
-    "laplace_tail",
     "match_auto",
     "min_period_distance",
     "packing_family_mismatch",
@@ -97,5 +93,4 @@ __all__ = [
     "sliding_distances",
     "tile",
     "trivial_all",
-    "witness_error",
 ]

@@ -36,22 +36,12 @@ from .matchers import (
     report_periodic,
     trivial_all,
 )
-from .noise import NoiseSource, derive_seed
-from .periodicity import Regime, is_primitive, shortest_close_period
+from .noise import MODES, NoiseSource, derive_seed
+from .periodicity import Regime, is_primitive, widest_close_period
 from .text import hamming_distance, iter_sliding_distances, tile
 
 TEXT_ALPHABET = b"acgt"
 DISJOINT_ALPHABET = b"0123"
-
-
-def witness_error(text: bytes, pattern: bytes, position: int) -> int:
-    """Hamming distance of the window starting at ``position`` to the pattern."""
-    m = len(pattern)
-    if not 0 <= position <= len(text) - m:
-        raise ValueError(
-            f"position {position} outside [0, {len(text) - m}] for m={m}"
-        )
-    return hamming_distance(text[position : position + m], pattern)
 
 
 # --- instance generators ------------------------------------------------------
@@ -167,8 +157,8 @@ class TrialConfig:
             )
         if self.period_length < 1:
             raise ValueError("period_length must be at least 1")
-        if self.noise not in ("standard", "zero"):
-            raise ValueError(f"noise must be 'standard' or 'zero', got {self.noise!r}")
+        if self.noise not in MODES:
+            raise ValueError(f"noise must be one of {MODES}, got {self.noise!r}")
         if self.target is not None and not 0 < self.target < 1:
             raise ValueError(f"target must lie in (0, 1), got {self.target}")
 
@@ -372,9 +362,7 @@ def _run_report_trial(
 ) -> TrialRecord:
     query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
     n, m, k = cfg.n, cfg.m, cfg.k
-    # Widest period search the block-vote preprocessing supports; the matcher's
-    # guarantee is then checked empirically at whatever candidate this yields.
-    candidate = shortest_close_period(inst.pattern, k, m // (4 * k + 1))
+    candidate = widest_close_period(inst.pattern, k)
     if candidate is not None and m >= 2:
         outcome = report_periodic(inst.text, query, candidate, src)
         algorithm = Regime.PERIODIC_REPORTING.value
@@ -420,7 +408,6 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
     generate = GENERATORS[cfg.generator]
     report = UtilityReport(config=cfg, variant=variant)
     started = time.perf_counter()
-    mode = "zero" if cfg.noise == "zero" else "standard"
     # derive_seed(derive_seed(r, a), b) == derive_seed(r, a, b): mix each
     # lane into the root once, not once per trial.
     instance_seed = derive_seed(cfg.seed, 1)
@@ -429,7 +416,7 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
         instance_rng = np.random.Generator(
             np.random.PCG64(derive_seed(instance_seed, trial))
         )
-        src = NoiseSource(derive_seed(noise_seed, trial), mode=mode)
+        src = NoiseSource(derive_seed(noise_seed, trial), mode=cfg.noise)
         try:
             inst = generate(cfg, instance_rng)
             record = runner(inst, cfg, src, trial)

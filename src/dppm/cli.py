@@ -23,10 +23,16 @@ import os
 import sys
 from typing import Optional
 
-from .audit import AUDIT_MATCHERS, TrialConfig, dp_audit, run_utility_experiment
-from .matchers import MatchQuery, match_auto
+from .audit import (
+    AUDIT_MATCHERS,
+    VARIANTS as BENCH_VARIANTS,
+    TrialConfig,
+    dp_audit,
+    run_utility_experiment,
+)
+from .matchers import VARIANTS as MATCH_VARIANTS, MatchQuery, match_auto
 from .noise import NoiseSource, derive_seed
-from .periodicity import dispatch, shortest_close_period
+from .periodicity import dispatch, widest_close_period
 from . import __version__
 
 EXIT_OK = 0
@@ -124,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     match_p = sub.add_parser("match", help="run one private query against a text file")
     _add_query_arguments(match_p)
-    match_p.add_argument("--variant", choices=("auto", "existence", "count", "report"), default="auto")
+    match_p.add_argument("--variant", choices=MATCH_VARIANTS, default="auto")
     match_p.add_argument("--seed", type=int, default=None, help="root seed (default: DPPM_SEED or 0)")
     match_p.add_argument("--zero-noise", action="store_true", help="disable noise (testing only; not private)")
     match_p.add_argument("--format", choices=FORMATS, default="json-lines")
@@ -141,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench", help="run a utility experiment from a config file")
     bench_p.add_argument("config", help="flat key=value config file (see docs)")
-    bench_p.add_argument("--variant", choices=("existence", "count", "report"), default=None,
+    bench_p.add_argument("--variant", choices=BENCH_VARIANTS, default=None,
                          help="overrides the config file's variant")
     bench_p.add_argument("--format", choices=("csv", "json-lines"), default="csv")
     bench_p.add_argument("--out", default=None)
@@ -182,13 +188,7 @@ def cmd_match(args: argparse.Namespace) -> int:
 def cmd_inspect_pattern(args: argparse.Namespace) -> int:
     pattern = _pattern_bytes(args.pattern)
     decision = dispatch(pattern, args.k, args.n, args.epsilon, args.beta)
-    candidate = decision.candidate
-    if candidate is None:
-        # Diagnostic fallback: report the shortest close period within the
-        # widest bound the block-vote preprocessing supports.
-        candidate = shortest_close_period(
-            pattern, args.k, len(pattern) // (4 * args.k + 1)
-        )
+    candidate = decision.candidate or widest_close_period(pattern, args.k)
     record = {
         "regime": decision.regime.value,
         "period_scale": decision.period_scale,
@@ -211,15 +211,16 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key in mapping:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        mapping[key] = value.strip()
     return mapping
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     mapping = _parse_config_file(args.config)
     variant = args.variant or mapping.pop("variant", "existence")
-    if variant not in ("existence", "count", "report"):
-        raise ValueError(f"unknown variant {variant!r}")
     mapping.pop("variant", None)
     cfg = TrialConfig.from_mapping(mapping)
     report = run_utility_experiment(cfg, variant)

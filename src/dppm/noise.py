@@ -23,8 +23,6 @@ of scope here; the privacy analysis treats noise as real-valued.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -105,28 +103,10 @@ class NoiseSource:
         self._next += 1
         return b * unit
 
-    def laplace_many(self, b: float, size: int) -> np.ndarray:
-        """Vectorized draws: equal, value for value, to ``size`` successive
-        calls to :meth:`laplace`, and leaves the source where those calls
-        would."""
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        if self.mode == "zero":
-            return np.zeros(size)
-        rest = self._block[self._next:self._next + size]
-        self._next += len(rest)
-        parts = [np.array(rest, dtype=float)]
-        need = size - len(rest)
-        while need:
-            units = self._units(need)
-            parts.append(units)
-            need -= len(units)
-        return b * np.concatenate(parts)
-
     def _refill(self) -> None:
         """Replace the (fully served) buffer with the next unit draws."""
+        gen = self._generator()
         if self._drawn < _SCALAR_DRAWS:
-            gen = self._generator()
             u = gen.random() - 0.5
             while u == -0.5:
                 u = gen.random() - 0.5
@@ -137,27 +117,13 @@ class NoiseSource:
             self._drawn += 1
         else:
             size = min(self._drawn, _MAX_BLOCK)
-            units = self._units(size)
+            units = ()
             while not len(units):  # every uniform was a boundary
-                units = self._units(size)
+                raw = gen.random(size)
+                if not raw.all():
+                    raw = raw[raw != 0.0]  # raw 0.0 is U = -1/2, the boundary
+                u = raw - 0.5
+                units = -np.sign(u) * np.log1p(-2.0 * np.abs(u))
+            self._drawn += len(units)
             self._block = units.tolist()
         self._next = 0
-
-    def _units(self, size: int) -> np.ndarray:
-        """Unit draws from the next ``size`` uniforms, boundary uniforms
-        skipped (so possibly fewer than ``size``, even none)."""
-        raw = self._generator().random(size)
-        if not raw.all():
-            raw = raw[raw != 0.0]  # raw 0.0 is U = -1/2, the boundary
-        u = raw - 0.5
-        self._drawn += len(u)
-        return -np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def laplace_tail(b: float, t: float) -> float:
-    """P(|Lap(b)| > t) = exp(-t/b), the closed-form two-sided tail."""
-    if not (b > 0 and math.isfinite(b)):
-        raise ValueError(f"Laplace scale must be positive and finite, got {b}")
-    if t < 0:
-        raise ValueError(f"tail threshold must be non-negative, got {t}")
-    return math.exp(-t / b)

@@ -131,6 +131,18 @@ def shortest_close_period(
     return None
 
 
+def widest_close_period(pattern: bytes, k: int) -> Optional[PeriodicCandidate]:
+    """:func:`shortest_close_period` over the widest exact range of lengths.
+
+    Period lengths up to ``m // (4k + 1)`` leave at least ``4k + 1`` full
+    blocks. A root that verifies differs from at most ``2k`` of them, so it
+    wins a strict majority of the blocks and no other root can verify: the
+    block vote then returns exactly the columnwise optimum (see
+    :func:`min_period_distance`). With fewer blocks two roots can tie.
+    """
+    return shortest_close_period(pattern, k, len(pattern) // (4 * k + 1))
+
+
 def _ceil_finite(name: str, value: float, epsilon: float, beta: float) -> int:
     if not math.isfinite(value):
         raise ValueError(

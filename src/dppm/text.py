@@ -1,4 +1,4 @@
-"""Byte-string primitives: Hamming distances, exact matching oracles, and the
+"""Byte-string primitives: Hamming distances, the exact counting oracle, and the
 overlapping window covers used by the private matchers.
 
 A cover is an ordered tuple of closed index intervals ``(a, b)`` covering
@@ -87,13 +87,6 @@ def exact_count(text: bytes, pattern: bytes, x: int) -> int:
     if not 0 <= x <= len(pattern):
         raise ValueError(f"distance threshold {x} outside [0, {len(pattern)}]")
     return sum(1 for d in iter_sliding_distances(text, pattern) if d <= x)
-
-
-def exact_report(text: bytes, pattern: bytes, x: int) -> set[int]:
-    """Set of start positions whose window is within distance ``x``."""
-    if not 0 <= x <= len(pattern):
-        raise ValueError(f"distance threshold {x} outside [0, {len(pattern)}]")
-    return {i for i, d in enumerate(iter_sliding_distances(text, pattern)) if d <= x}
 
 
 def tile(unit: bytes, length: int) -> bytes:

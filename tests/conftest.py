@@ -7,6 +7,8 @@ equivalence tests stay two-sided.
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 
 def brute_hamming(a: bytes, b: bytes) -> int:
     assert len(a) == len(b)
@@ -42,3 +44,8 @@ def spent_by_position(ledger) -> dict[int, Fraction]:
 def binary_strings(length: int):
     for symbols in product(b"ab", repeat=length):
         yield bytes(symbols)
+
+
+def draws(src, b: float, size: int) -> np.ndarray:
+    """``size`` successive ``src.laplace(b)`` draws as an array."""
+    return np.array([src.laplace(b) for _ in range(size)])

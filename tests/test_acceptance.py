@@ -18,7 +18,6 @@ from dppm.audit import (
     packing_family_mismatch,
     packing_family_planted,
     run_utility_experiment,
-    witness_error,
 )
 from dppm.matchers import (
     BudgetLedger,
@@ -37,11 +36,12 @@ from dppm.periodicity import (
     min_period_distance,
     shortest_close_period,
     small_k_cutoff,
+    widest_close_period,
 )
-from dppm.text import iter_sliding_distances, tile
+from dppm.text import hamming_distance, iter_sliding_distances, tile
 from dppm.cli import EXIT_OK, main as cli_main
 
-from conftest import binary_strings, brute_first_at_most
+from conftest import binary_strings, brute_first_at_most, draws
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -219,8 +219,8 @@ def test_c06_periodicity_preprocessing_equivalence():
     for m in range(1, 13):
         for pattern in binary_strings(m):
             for k in (0, 1, 2):
+                cand = widest_close_period(pattern, k)
                 max_period = m // (4 * k + 1)
-                cand = shortest_close_period(pattern, k, max_period)
                 oracle = {
                     q: min_period_distance(pattern, q)
                     for q in range(1, max_period + 1)
@@ -273,10 +273,10 @@ def test_c08_packing_constructions():
                 a, b = planted.members[i], planted.members[j]
                 assert sum(x != y for x, y in zip(a, b)) == 2 * m
         for member, pos in zip(planted.members, planted.planted_positions):
-            assert witness_error(member, pattern, pos) == 0
+            assert hamming_distance(member[pos : pos + m], pattern) == 0
             for other in planted.planted_positions:
                 if other != pos:
-                    assert witness_error(member, pattern, other) == m
+                    assert hamming_distance(member[other : other + m], pattern) == m
 
         mismatch = packing_family_mismatch(pattern, n, k, alpha)
         for i in range(len(mismatch.members)):
@@ -284,20 +284,21 @@ def test_c08_packing_constructions():
                 a, b = mismatch.members[i], mismatch.members[j]
                 assert sum(x != y for x, y in zip(a, b)) == 2 * alpha + 2
         for member, pos in zip(mismatch.members, mismatch.planted_positions):
-            assert witness_error(member, pattern, pos) == k
+            assert hamming_distance(member[pos : pos + m], pattern) == k
             for other in mismatch.planted_positions:
                 if other != pos:
-                    assert witness_error(member, pattern, other) == k + alpha + 1
+                    window = member[other : other + m]
+                    assert hamming_distance(window, pattern) == k + alpha + 1
         checked += 1
     report("C8 packing constructions", True, f"{checked} configurations")
 
 
 def test_c09_laplace_sampler():
     """Moment and goodness-of-fit criteria for the Laplace sampler."""
-    draws = NoiseSource(424242).laplace_many(1.0, 10**6)
-    mean = float(draws.mean())
-    var = float(draws.var())
-    positive = float((draws > 0).mean())
+    values = draws(NoiseSource(424242), 1.0, 10**6)
+    mean = float(values.mean())
+    var = float(values.var())
+    positive = float((values > 0).mean())
     moments_ok = -0.01 <= mean <= 0.01 and 1.9 <= var <= 2.1
     symmetry_ok = 0.497 <= positive <= 0.503
 
@@ -306,7 +307,7 @@ def test_c09_laplace_sampler():
     below = 0
     seeds = 100
     for s in range(seeds):
-        sample = NoiseSource(derive_seed(1000, s)).laplace_many(1.0, ks_n)
+        sample = draws(NoiseSource(derive_seed(1000, s)), 1.0, ks_n)
         statistic = scipy_stats.kstest(sample, "laplace", args=(0, 1)).statistic
         if statistic < critical:
             below += 1

@@ -19,7 +19,6 @@ from dppm.audit import (
     packing_family_mismatch,
     packing_family_planted,
     run_utility_experiment,
-    witness_error,
 )
 from dppm.matchers import CountOutcome, ExistenceOutcome, MatchQuery, ReportOutcome
 from dppm.text import hamming_distance, sliding_distances
@@ -40,21 +39,6 @@ def small_config(**overrides) -> TrialConfig:
     )
     params.update(overrides)
     return TrialConfig(**params)
-
-
-class TestWitnessError:
-    def test_planted_exact(self):
-        assert witness_error(b"xxabraxx", b"abra", 2) == 0
-
-    def test_disjoint_window(self):
-        assert witness_error(b"aaaa", b"bb", 1) == 2
-
-    def test_sliding_oracle_example(self):
-        assert witness_error(b"abracadabra", b"abra", 2) == 3
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            witness_error(b"abcd", b"ab", 3)
 
 
 class TestGenerators:
@@ -340,10 +324,11 @@ class TestPackingFamilies:
         family = packing_family_mismatch(pattern, 24, k, alpha)
         m = len(pattern)
         for member, pos in zip(family.members, family.planted_positions):
-            assert witness_error(member, pattern, pos) == k
+            assert hamming_distance(member[pos : pos + m], pattern) == k
             for other in family.planted_positions:
                 if other != pos:
-                    assert witness_error(member, pattern, other) == k + alpha + 1
+                    window = member[other : other + m]
+                    assert hamming_distance(window, pattern) == k + alpha + 1
 
     def test_filler_exhaustion(self):
         with pytest.raises(ValueError, match="filler"):

@@ -243,6 +243,31 @@ class TestInspectPattern:
         record = json.loads(capsys.readouterr().out)
         assert record["regime"] == "NonPeriodicCounting"
 
+    def test_widest_search_fallback(self, capsys):
+        # Dispatch searches no period lengths here, so the candidate comes
+        # from the widest close-period search.
+        code = run_cli(
+            [
+                "inspect-pattern",
+                "--pattern",
+                "abababababababab",
+                "--k",
+                "1",
+                "--epsilon",
+                "1",
+                "--beta",
+                "0.1",
+                "--n",
+                "100",
+            ]
+        )
+        assert code == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert record["regime"] == "NonPeriodicCounting"
+        assert record["candidate_length"] == 2
+        assert record["candidate_root_hex"] == b"ab".hex()
+        assert record["candidate_distance"] == 0
+
     def test_invalid_beta_exits_2(self, capsys):
         code = run_cli(
             [
@@ -325,10 +350,19 @@ class TestBench:
         violated = header.index("violated")
         assert all(r.split(",")[violated] == "False" for r in rows[1:-1])
 
-    def test_malformed_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "this is not key value\n",
+            BENCH_CONFIG.replace("n = 400\n", "n = 50\n") + "n = 20\n",
+            BENCH_CONFIG.replace("variant = existence", "variant = bogus"),
+        ],
+        ids=["not-key-value", "duplicate-key", "unknown-variant"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
         config = tmp_path / "bench.cfg"
-        config.write_text("this is not key value\n")
-        assert run_cli(["bench", config]) == EXIT_USAGE
+        config.write_text(text)
+        assert_one_line_usage_error(run_cli(["bench", config]), capsys)
 
 
 class TestDpAudit:

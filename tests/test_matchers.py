@@ -26,7 +26,6 @@ from dppm.noise import NoiseSource
 from dppm.periodicity import PeriodicCandidate, Regime
 from dppm.text import (
     exact_count,
-    exact_report,
     iter_sliding_distances,
     periodic_cover,
     sliding_distances,
@@ -291,7 +290,9 @@ class TestReportPeriodic:
         candidate = PeriodicCandidate(2, b"ab", 0)
         outcome = report_periodic(text, query, candidate, zero_src())
         assert outcome.positions == tuple(range(0, 33, 2))
-        assert set(outcome.positions) == exact_report(text, pattern, 0)
+        assert set(outcome.positions) == {
+            i for i, d in enumerate(sliding_distances(text, pattern)) if d <= 0
+        }
 
     def test_window_without_hit_contributes_nothing(self):
         # Threshold k + tiny and a pattern absent everywhere: empty report.

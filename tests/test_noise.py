@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dppm.noise import NoiseSource, derive_seed, laplace_tail, splitmix64
+from dppm.noise import NoiseSource, derive_seed, splitmix64
+
+from conftest import draws
 
 _U64 = st.integers(0, 2**64 - 1)
 
@@ -110,34 +112,26 @@ class TestNoiseSource:
     def test_zero_mode(self):
         src = NoiseSource(0, mode="zero")
         assert [src.laplace(5.0) for _ in range(10)] == [0.0] * 10
-        assert src.laplace_many(5.0, 3).tolist() == [0.0] * 3
         assert src._gen is None
-
-    def test_bulk_matches_single_draws(self):
-        a = NoiseSource(5)
-        b = NoiseSource(5)
-        bulk = a.laplace_many(3.0, 256)
-        single = [b.laplace(3.0) for _ in range(256)]
-        assert bulk.tolist() == single
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode"):
             NoiseSource(0, mode="loud")
 
     def test_moments(self):
-        draws = NoiseSource(123).laplace_many(1.0, 10**6)
-        assert abs(float(draws.mean())) < 0.01
-        assert 1.9 < float(draws.var()) < 2.1
+        values = draws(NoiseSource(123), 1.0, 10**6)
+        assert abs(float(values.mean())) < 0.01
+        assert 1.9 < float(values.var()) < 2.1
 
     def test_symmetry(self):
-        draws = NoiseSource(321).laplace_many(1.0, 10**6)
-        positive = float((draws > 0).mean())
+        values = draws(NoiseSource(321), 1.0, 10**6)
+        positive = float((values > 0).mean())
         assert 0.497 < positive < 0.503
 
     def test_scale_parameter(self):
         # Variance of Lap(b) is 2 b^2.
-        draws = NoiseSource(77).laplace_many(4.0, 10**6)
-        assert 2 * 16 * 0.95 < float(draws.var()) < 2 * 16 * 1.05
+        values = draws(NoiseSource(77), 4.0, 10**6)
+        assert 2 * 16 * 0.95 < float(values.var()) < 2 * 16 * 1.05
 
 
 class TestBufferedStream:
@@ -155,23 +149,6 @@ class TestBufferedStream:
                 reference_laplace(gen, b) for b in scales
             )
 
-    def test_laplace_many_interleaved(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            src = NoiseSource(seed)
-            gen = np.random.Generator(np.random.PCG64(seed))
-            for _ in range(12):
-                b = mixed_scales(int(rng.integers(1 << 32)), 1)[0]
-                if rng.random() < 0.5:
-                    size = int(rng.choice([0, 1, 5, 9, 100, 3000]))
-                    got = src.laplace_many(b, size).tolist()
-                else:
-                    size = int(rng.integers(1, 40))
-                    got = [src.laplace(b) for _ in range(size)]
-                assert hexes(got) == hexes(
-                    reference_laplace(gen, b) for _ in range(size)
-                )
-
     @pytest.mark.parametrize(
         "zeros",
         [
@@ -187,10 +164,6 @@ class TestBufferedStream:
         assert hexes(src.laplace(3.0) for _ in range(100)) == hexes(
             reference_laplace(ref, 3.0) for _ in range(100)
         )
-        src, _ = faked(11, zeros)
-        ref = FakeGenerator(11, zeros)
-        got = [src.laplace(3.0) for _ in range(2)] + src.laplace_many(3.0, 60).tolist()
-        assert hexes(got) == hexes(reference_laplace(ref, 3.0) for _ in range(62))
 
     def test_small_source_draws_one_uniform_at_a_time(self):
         # An audit trial makes two draws from a fresh source; a block
@@ -214,24 +187,10 @@ class TestSampleLaplace:
 
 
 class TestLaplaceTail:
-    def test_at_zero(self):
-        assert laplace_tail(1.0, 0.0) == 1.0
-
-    def test_half(self):
-        assert laplace_tail(1.0, math.log(2)) == pytest.approx(0.5)
-
-    def test_closed_form(self):
-        assert laplace_tail(1.0, 2 * math.log(10)) == pytest.approx(0.01)
-        assert laplace_tail(2.0, 2 * math.log(10)) == pytest.approx(0.1)
-
     def test_matches_empirical_tail(self):
-        draws = np.abs(NoiseSource(17).laplace_many(2.0, 10**6))
+        # P(|Lap(b)| > t) = exp(-t/b).
+        b = 2.0
+        magnitudes = np.abs(draws(NoiseSource(17), b, 10**6))
         for t in (0.5, 2.0, 5.0):
-            empirical = float((draws > t).mean())
-            assert empirical == pytest.approx(laplace_tail(2.0, t), abs=0.005)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            laplace_tail(0.0, 1.0)
-        with pytest.raises(ValueError):
-            laplace_tail(1.0, -1.0)
+            empirical = float((magnitudes > t).mean())
+            assert empirical == pytest.approx(math.exp(-t / b), abs=0.005)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dppm.text import (
     counting_cover,
     exact_count,
-    exact_report,
     hamming_distance,
     iter_sliding_distances,
     periodic_cover,
@@ -155,15 +154,6 @@ class TestExactOracles:
         text, pattern = b"abracadabra", b"abra"
         counts = [exact_count(text, pattern, x) for x in range(len(pattern) + 1)]
         assert counts == sorted(counts)
-
-    def test_report_within_one(self):
-        assert exact_report(b"abracadabra", b"abra", 1) == {0, 7}
-
-    def test_report_at_m(self):
-        assert exact_report(b"abcde", b"xy", 2) == {0, 1, 2, 3}
-
-    def test_report_disjoint_alphabet_below_m(self):
-        assert exact_report(b"aaaa", b"bb", 1) == set()
 
     def test_threshold_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):

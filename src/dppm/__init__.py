@@ -38,6 +38,7 @@ from .periodicity import (
 )
 from .text import (
     counting_cover,
+    distance_chunks,
     exact_count,
     hamming_distance,
     periodic_cover,
@@ -76,6 +77,7 @@ __all__ = [
     "counting_cover",
     "derive_seed",
     "dispatch",
+    "distance_chunks",
     "dp_audit",
     "error_contract",
     "exact_count",

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .matchers import (
     CountOutcome,
@@ -38,7 +37,7 @@ from .matchers import (
 )
 from .noise import MODES, NoiseSource, derive_seed
 from .periodicity import Regime, is_primitive, widest_close_period
-from .text import hamming_distance, iter_sliding_distances, tile
+from .text import distance_array, hamming_distance, iter_sliding_distances, tile
 
 TEXT_ALPHABET = b"acgt"
 DISJOINT_ALPHABET = b"0123"
@@ -297,10 +296,6 @@ class UtilityReport:
         return rows
 
 
-def _distances(text: bytes, pattern: bytes) -> np.ndarray:
-    return np.fromiter(iter_sliding_distances(text, pattern), dtype=np.int64)
-
-
 def _count_at_most(distances: np.ndarray, x: float) -> int:
     return int((distances <= x).sum())
 
@@ -312,7 +307,7 @@ def _run_existence_trial(
     result = match_auto(inst.text, query, src, variant="existence")
     outcome = result.outcome
     bound = result.contract.bound
-    d = _distances(inst.text, inst.pattern)
+    d = distance_array(inst.text, inst.pattern)
     oracle_exists = _count_at_most(d, cfg.k) > 0
     completeness = outcome.found or not oracle_exists
     wd = int(d[outcome.witness]) if outcome.found else None
@@ -338,7 +333,7 @@ def _run_count_trial(
     result = match_auto(inst.text, query, src, variant="count")
     count, witness = result.outcome.count, result.outcome.witness
     x_hi = result.contract.bound
-    d = _distances(inst.text, inst.pattern)
+    d = distance_array(inst.text, inst.pattern)
     c_lo = _count_at_most(d, k)
     c_hi = _count_at_most(d, min(math.floor(x_hi), m))
     wd = int(d[witness]) if witness is not None else None
@@ -372,7 +367,7 @@ def _run_report_trial(
         algorithm = Regime.TRIVIAL_FALLBACK.value
         matcher = "trivial_all"
     bound = error_contract(matcher, n, m, k, cfg.epsilon, cfg.beta).bound
-    d = _distances(inst.text, inst.pattern)
+    d = distance_array(inst.text, inst.pattern)
     oracle = {int(i) for i in np.flatnonzero(d <= k)}
     positions = set(outcome.positions)
     completeness = oracle <= positions
@@ -435,6 +430,10 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.999) -> t
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    # Imported here, not at module top: scipy.special is most of a cold
+    # `import dppm`, and only this function needs it.
+    from scipy.special import betaincinv
+
     tail = (1.0 - confidence) / 2.0
     lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, tail))
     hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1.0 - tail))

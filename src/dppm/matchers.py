@@ -1,9 +1,16 @@
 """Private approximate pattern matchers.
 
-The primitive is a noisy threshold scan (`below_thresh`): a sparse-vector-style
-pass over a sequence of window distances that pays privacy once for the first
-distance whose noisy value falls below a noisy threshold. Each matcher
-computes its distances once per query and runs the scan over them:
+The primitive is a noisy threshold scan: a sparse-vector-style pass over a
+sequence of window distances that pays privacy once for the first distance
+whose noisy value falls below a noisy threshold. One kernel, `below_thresh`,
+runs every scan of every matcher: a single scan, or up to a cap of scans
+that each resume one past the previous hit. It compares a scan's first
+distances one at a time and the rest in numpy blocks, and it compares the
+first distances of a run of scans in one numpy operation once several scans
+in a row have hit at once; draws come from the `NoiseSource` stream in the
+order of a one-distance-at-a-time scan, so answers are the same seed for
+seed. Each matcher computes its distances once per query and runs the
+kernel over them:
 
 * `existence` — one lazy scan over the whole text; no multiplicative error.
 * `report_periodic` — for patterns close to a short primitive period, a
@@ -20,10 +27,11 @@ Each matcher's calibrated threshold and error contract is one row of
 
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
-distances read, in a `BudgetLedger`, and draws its noise at that slice. The
-ledger's cap check is the executable form of the composition argument (each
-position is covered by at most 3 or 2 windows, so slices sum to at most the
-query epsilon).
+distances read, in a `BudgetLedger`, and draws its noise at that slice; the
+kernel charges scans that start at consecutive positions as one run record.
+The ledger's cap check is the executable form of the composition argument
+(each position is covered by at most 3 or 2 windows, so slices sum to at most
+the query epsilon).
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .noise import NoiseSource
 from .periodicity import (
@@ -43,9 +51,9 @@ from .periodicity import (
 )
 from .text import (
     counting_cover,
-    iter_sliding_distances,
+    distance_array,
+    distance_chunks,
     periodic_cover,
-    sliding_distances,
 )
 
 # Occurrence cap per window and unit of budget splitting in the non-periodic
@@ -129,33 +137,68 @@ class BudgetLedger:
     """Per-position record of the privacy budget a query's scans consume.
 
     A charge of integer ``share`` costs ``epsilon / share`` on each position
-    of its half-open span ``[start, stop)``. The peak sweep counts in integer
-    units of ``epsilon / lcm(shares)``, so the cap check is exact.
+    of its half-open span ``[start, stop)``. A run of ``runs`` charges on
+    ``[start, stop)``, ``[start + 1, stop)``, ..., ``[start + runs - 1, stop)``
+    (consecutive scans that each hit at their first distance) is kept as one
+    record. The peak sweep counts in integer units of
+    ``epsilon / lcm(shares)``, so the cap check is exact.
     """
 
     def __init__(self, epsilon: float):
         if not (epsilon > 0 and math.isfinite(epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self.epsilon = epsilon
-        self._spans: list[tuple[int, int, int]] = []
+        self._runs: list[tuple[int, int, int, int]] = []  # (start, runs, stop, share)
 
-    def charge_span(self, start: int, stop: int, share: int) -> None:
-        if stop <= start:
-            raise ValueError(f"empty charge span [{start}, {stop})")
+    def charge_span(self, start: int, stop: int, share: int, runs: int = 1) -> None:
+        """Charge ``runs`` scans of integer ``share``, starting at ``start``,
+        ``start + 1``, ..., each on the span from its start to ``stop``."""
+        if not (isinstance(runs, int) and 0 < runs <= stop - start):
+            raise ValueError(
+                f"empty charge span: {runs!r} run(s) from [{start}, {stop})"
+            )
         if not (isinstance(share, int) and share > 0):
             raise ValueError(f"share must be a positive int, got {share!r}")
-        self._spans.append((start, stop, share))
+        self._runs.append((start, runs, stop, share))
 
     def _peak(self) -> tuple[int, int]:
-        """Largest per-position spend as ``units`` of ``epsilon / denom``
-        (boundary sweep)."""
-        denom = math.lcm(*{share for _, _, share in self._spans})
-        deltas: dict[int, int] = {}
-        for start, stop, share in self._spans:
+        """Largest per-position spend as ``units`` of ``epsilon / denom``.
+
+        Along the text the spend jumps up at each record's start, climbs
+        through the starts of its run (slope 1 per charge) and drops at its
+        stop. It never falls between drops, so the peak is at ``p - 1`` for
+        some ``p`` where it drops: the jumps before ``p`` (one C-level
+        prefix sum) plus the runs' climb up to ``p - 1`` (a sweep over the
+        few slope changes).
+        """
+        if len(self._runs) == 1:  # one scan or run (every existence query)
+            _, runs, _, share = self._runs[0]
+            return runs, share
+        denom = math.lcm(*{share for *_, share in self._runs})
+        jumps: dict[int, int] = {}
+        slopes: dict[int, int] = {}
+        for start, runs, stop, share in self._runs:
             units = denom // share
-            deltas[start] = deltas.get(start, 0) + units
-            deltas[stop] = deltas.get(stop, 0) - units
-        return max(accumulate(deltas[p] for p in sorted(deltas)), default=0), denom
+            jumps[start] = jumps.get(start, 0) + units
+            jumps[stop] = jumps.get(stop, 0) - units * runs
+            if runs > 1:
+                slopes[start + 1] = slopes.get(start + 1, 0) + units
+                slopes[start + runs] = slopes.get(start + runs, 0) - units
+        positions = sorted(jumps)
+        before = accumulate((jumps[p] for p in positions), initial=0)
+        events = sorted(slopes.items())
+        peak = climb = slope = at = k = 0  # climb up to position at
+        for p, level in zip(positions, before):
+            if jumps[p] >= 0:
+                continue
+            while k < len(events) and events[k][0] < p:
+                pos, change = events[k]
+                climb += slope * (pos - at) + change
+                slope += change
+                at = pos
+                k += 1
+            peak = max(peak, level + climb + slope * (p - 1 - at))
+        return peak, denom
 
     @property
     def max_spent(self) -> Fraction:
@@ -172,34 +215,134 @@ class BudgetLedger:
             )
 
 
+# A scan compares its first _HEAD distances one at a time, then blocks as long
+# as the distances it has examined so far (so blocks double) in numpy; a block
+# shorter than _HEAD is compared one distance at a time. Once _STREAK scans in
+# a row have hit at their first distance, the following scans are compared at
+# their first distances all at once, up to the first that misses there.
+_HEAD = 32
+_STREAK = 6
+
+
 def below_thresh(
-    distances: Iterable[int],
+    chunks: Iterable[Sequence[int]],
     thresh: float,
     share: int,
     src: NoiseSource,
     ledger: BudgetLedger,
     span: tuple[int, int],
-) -> Optional[int]:
-    """Noisy threshold scan: index of the first distance whose noisy value is
-    at most the noisy threshold, or None if no distance qualifies.
+    max_hits: int = 1,
+) -> list[int]:
+    """Noisy threshold scans over a sequence of distances: up to ``max_hits``
+    scans, each resuming one past the previous hit. Returns the hit indices in
+    order. Scanning stops at a scan that misses or when the distances run out;
+    no scan starts where no distance remains.
 
-    The scan pays ``share`` of the ledger's epsilon, charged to the half-open
-    text span ``span = (start, stop)`` its distances read, and runs at
+    ``chunks`` is the distance sequence cut into consecutive chunks (lists or
+    numpy int arrays), read lazily, so a scan that hits early does not pull
+    the rest. Each scan pays ``share`` of the ledger's epsilon and runs at
     ``eps = ledger.epsilon / share``: the threshold receives Lap(2/eps) noise
     once, each examined distance receives fresh Lap(4/eps) noise, and the
-    comparison is a plain ``<=``. Only the distances up to the hit are read,
-    so a second call on the same iterator resumes one past the hit. In
-    zero-noise mode this returns exactly ``min{i : d_i <= thresh}``.
+    comparison is a plain ``<=``. A scan that starts at index ``p`` is
+    charged, inside the kernel, to the text span ``(span[0] + p, span[1])``;
+    scans that start at consecutive indices are charged as one run record.
+    In zero-noise mode the first hit is exactly ``min{i : d_i <= thresh}``.
+
+    Noise is served from the source's one stream in the order of scans that
+    compare one distance at a time (threshold first, then one per examined
+    distance), whether the kernel compares distances singly, in numpy blocks,
+    or several scans' first distances at once; results are the same seed for
+    seed.
     """
-    ledger.charge_span(*span, share)
+    if not (isinstance(share, int) and share > 0):
+        raise ValueError(f"share must be a positive int, got {share!r}")
+    first, stop = span
     eps = ledger.epsilon / share
+    t_scale, d_scale = 2.0 / eps, 4.0 / eps
     draw = src.laplace
-    scale = 4.0 / eps
-    noisy_thresh = thresh + draw(2.0 / eps)
-    for i, d in enumerate(distances):
-        if d + draw(scale) <= noisy_thresh:
-            return i
-    return None
+    chunks = iter(chunks)
+    chunk: Sequence[int] = ()
+    values: list[int] = []  # chunk as a list, for one-at-a-time reads
+    base = at = end = 0  # sequence index of chunk[0]; read position; len(chunk)
+    hits: list[int] = []
+    # Scans started at consecutive indices from run_start, not yet charged;
+    # every one but the last started has hit at its first distance.
+    run_start = run = 0
+    while len(hits) < max_hits:
+        if at == end:
+            chunk = next(chunks, None)
+            if chunk is None:
+                break
+            base, at, end = base + end, 0, len(chunk)
+            values = chunk if isinstance(chunk, list) else chunk.tolist()
+        if not run:
+            run_start = base + at
+        elif run >= _STREAK:
+            # The scans from here on, each at its first distance with its own
+            # threshold unit; the leading hits are served, and the first scan
+            # that misses there is rerun below on the same units.
+            r = min(end - at, max_hits - len(hits))
+            u = src.units(2 * r)
+            ok = chunk[at : at + r] + d_scale * u[1::2] <= thresh + t_scale * u[::2]
+            j = int(ok.argmin())
+            if ok[j]:
+                j = r
+            src.skip(2 * j)
+            hits.extend(range(base + at, base + at + j))
+            at += j
+            run += j
+            if j == r:
+                continue
+        run += 1
+        start = base + at
+        noisy = thresh + draw(t_scale)
+        for i, d in enumerate(values[at : at + _HEAD]):
+            if d + draw(d_scale) <= noisy:
+                hit, at = start + i, at + i + 1
+                break
+        else:
+            head = min(_HEAD, end - at)
+            hit, chunk, values, base, at = _scan_on(
+                chunks, chunk, values, base, at + head, head, noisy, d_scale, src
+            )
+            if hit is None:
+                break
+            end = len(chunk)
+        hits.append(hit)
+        if hit != start:  # the next scan does not start at start + 1
+            ledger.charge_span(first + run_start, stop, share, run)
+            run = 0
+    if run:
+        ledger.charge_span(first + run_start, stop, share, run)
+    return hits
+
+
+def _scan_on(chunks, chunk, values, base, at, examined, noisy, d_scale, src):
+    """The rest of a scan that has missed on its first ``examined``
+    distances: the sequence index of its hit (None when the distances run
+    out) and the read state ``(chunk, values, base, at)`` one past it."""
+    draw = src.laplace
+    while True:
+        if at == len(chunk):
+            chunk = next(chunks, None)
+            if chunk is None:
+                return None, (), [], base, at
+            base, at = base + at, 0
+            values = chunk if isinstance(chunk, list) else chunk.tolist()
+        size = min(max(_HEAD, examined), len(chunk) - at)
+        if examined < _HEAD or size < _HEAD:
+            for i, d in enumerate(values[at : at + size]):
+                if d + draw(d_scale) <= noisy:
+                    return base + at + i, chunk, values, base, at + i + 1
+        else:
+            ok = chunk[at : at + size] + d_scale * src.units(size) <= noisy
+            i = int(ok.argmax())
+            if ok[i]:
+                src.skip(i + 1)
+                return base + at + i, chunk, values, base, at + i + 1
+            src.skip(size)
+        at += size
+        examined += size
 
 
 # --- error contracts ---------------------------------------------------------
@@ -315,10 +458,10 @@ def existence(
     thresh = error_contract(
         "existence", n, m, query.k, query.epsilon, query.beta
     ).threshold
-    distances = iter_sliding_distances(text, query.pattern)
-    hit = below_thresh(distances, thresh, 1, src, ledger, (0, n))
+    chunks = distance_chunks(text, query.pattern)
+    hits = below_thresh(chunks, thresh, 1, src, ledger, (0, n))
     ledger.assert_within_cap()
-    return ExistenceOutcome(found=hit is not None, witness=hit)
+    return ExistenceOutcome(found=bool(hits), witness=hits[0] if hits else None)
 
 
 def report_periodic(
@@ -352,17 +495,17 @@ def report_periodic(
     thresh = error_contract(
         "report_periodic", n, m, query.k, query.epsilon, query.beta
     ).threshold
-    dist = sliding_distances(text, query.pattern)
+    dist = distance_array(text, query.pattern)
     found: list[int] = []
     for a, b in periodic_cover(n, m):
         starts = dist[a : b - m + 2]
         span = (a, b + 1)
-        first = below_thresh(starts, thresh, 6, src, ledger, span)
-        rev_hit = below_thresh(reversed(starts), thresh, 6, src, ledger, span)
-        if first is None or rev_hit is None:
+        first = below_thresh((starts,), thresh, 6, src, ledger, span)
+        rev_hit = below_thresh((starts[::-1],), thresh, 6, src, ledger, span)
+        if not (first and rev_hit):
             continue
-        last = len(starts) - 1 - rev_hit
-        found.extend(range(a + first, a + last + 1, candidate.length))
+        last = len(starts) - 1 - rev_hit[0]
+        found.extend(range(a + first[0], a + last + 1, candidate.length))
     ledger.assert_within_cap()
     return ReportOutcome(tuple(found))
 
@@ -402,25 +545,15 @@ def count_nonperiodic(
     thresh = error_contract(
         "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
     ).threshold
-    dist = sliding_distances(text, query.pattern)
+    dist = distance_array(text, query.pattern)
     total = 0
     witness: Optional[int] = None
     for a, b in counting_cover(n, m):
         starts = dist[a : b - m + 2]
-        remaining = iter(starts)
-        last_hit = -1
-        hits = 0
-        while last_hit < len(starts) - 1 and hits < cap:
-            local = below_thresh(
-                remaining, thresh, 2 * cap, src, ledger, (a + last_hit + 1, b + 1)
-            )
-            if local is None:
-                break
-            last_hit = last_hit + 1 + local
-            hits += 1
-            if witness is None:
-                witness = a + last_hit
-        total += hits
+        hits = below_thresh((starts,), thresh, 2 * cap, src, ledger, (a, b + 1), cap)
+        if hits and witness is None:
+            witness = a + hits[0]
+        total += len(hits)
     count = min(max(total, 0), n - m + 1)
     ledger.assert_within_cap()
     return CountOutcome(count=count, witness=witness, raw_count=total)

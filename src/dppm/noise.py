@@ -15,6 +15,12 @@ exactly where a one-at-a-time sampler would redraw it. How the stream is cut
 into blocks never changes a value: every draw equals the one-uniform-at-a-time
 transform of the same uniform, in the same order, bit for bit.
 
+Vectorized consumers read the same stream through a cursor: ``units(count)``
+peeks at the next ``count`` unit values as an array without serving them, and
+``skip(count)`` serves that many of them. Scaling a peeked unit by ``b`` gives
+the value ``laplace(b)`` would have returned for it, so any interleaving of
+``laplace`` with peeks and skips serves one stream.
+
 Caveat: floating-point Laplace samplers are known to leak information through
 the binary representation of their outputs in adversarial settings. Hardening
 against that class of attack (snapping, discrete noise) is intentionally out
@@ -72,8 +78,10 @@ class NoiseSource:
         self.seed = seed & _MASK64
         self.mode = mode
         self._gen: np.random.Generator | None = None
-        # Buffered unit draws; _block[_next:] are not yet served.
+        # Buffered unit draws; _block[_next:] are not yet served. _array is
+        # the same buffer as a numpy array, or None until a peek needs it.
         self._block: list[float] = []
+        self._array: np.ndarray | None = None
         self._next = 0
         self._drawn = 0  # unit draws made from the generator so far
 
@@ -103,8 +111,25 @@ class NoiseSource:
         self._next += 1
         return b * unit
 
+    def units(self, count: int) -> np.ndarray:
+        """The next ``count`` unit draws, without serving them (zeros in zero
+        mode). The array is a view of the buffer and must not be written;
+        serve what was used with :meth:`skip`."""
+        if self.mode == "zero":
+            return np.zeros(count)
+        while len(self._block) - self._next < count:
+            self._refill()
+        if self._array is None:
+            self._array = np.array(self._block)
+        return self._array[self._next : self._next + count]
+
+    def skip(self, count: int) -> None:
+        """Serve ``count`` unit draws that :meth:`units` has peeked at."""
+        if self.mode != "zero":
+            self._next += count
+
     def _refill(self) -> None:
-        """Replace the (fully served) buffer with the next unit draws."""
+        """Append the next block of unit draws to the unserved buffer."""
         gen = self._generator()
         if self._drawn < _SCALAR_DRAWS:
             u = gen.random() - 0.5
@@ -113,7 +138,8 @@ class NoiseSource:
             # np.log1p, not math.log1p: math.log1p differs from the
             # vectorized np.log1p in the last bit on some inputs.
             log = float(np.log1p(-2.0 * abs(u)))
-            self._block = [-log if u > 0.0 else log if u < 0.0 else 0.0]
+            block = [-log if u > 0.0 else log if u < 0.0 else 0.0]
+            array = None
             self._drawn += 1
         else:
             size = min(self._drawn, _MAX_BLOCK)
@@ -125,5 +151,11 @@ class NoiseSource:
                 u = raw - 0.5
                 units = -np.sign(u) * np.log1p(-2.0 * np.abs(u))
             self._drawn += len(units)
-            self._block = units.tolist()
-        self._next = 0
+            block, array = units.tolist(), units
+        if self._next < len(self._block):  # a peek reached past the buffer
+            block = self._block[self._next :] + block
+            if array is not None and self._array is not None:
+                array = np.concatenate((self._array[self._next :], array))
+            else:
+                array = None
+        self._block, self._array, self._next = block, array, 0

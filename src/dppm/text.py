@@ -12,7 +12,8 @@ non-private reference oracles for the randomized matchers.
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import ne
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,12 +44,18 @@ def hamming_distance(a: bytes, b: bytes) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
-def iter_sliding_distances(text: bytes, pattern: bytes) -> Iterator[int]:
-    """Lazily yield the Hamming distance of ``pattern`` at every start position.
+def distance_chunks(text: bytes, pattern: bytes) -> Iterator[Sequence[int]]:
+    """Lazily yield the Hamming distance of ``pattern`` at every start position,
+    in consecutive chunks.
 
-    Equivalent to iterating :func:`sliding_distances` but computes distances in
-    bounded chunks, so consumers that stop early (noisy threshold scans) do not
-    pay for the rest of the text.
+    Below ``_NUMPY_CUTOFF`` byte comparisons the chunks are lists computed in
+    pure Python, one distance first and then doubling, so a consumer that stops
+    at the first distance computes only that one. Otherwise they are numpy int
+    arrays of at most ``_CHUNK_COMPARISONS // m`` distances. Either way a
+    consumer that stops early does not pay for the rest of the text.
+
+    Raises:
+        ValueError: if the pattern is empty or longer than the text.
     """
     n, m = len(text), len(pattern)
     if m < 1:
@@ -57,9 +64,12 @@ def iter_sliding_distances(text: bytes, pattern: bytes) -> Iterator[int]:
         raise ValueError(f"pattern length {m} exceeds text length {n}")
     count = n - m + 1
     if count * m <= _NUMPY_CUTOFF:
-        for i in range(count):
-            window = text[i : i + m]
-            yield sum(x != y for x, y in zip(window, pattern))
+        start, stop = 0, 1
+        while start < count:
+            yield [
+                sum(map(ne, text[i : i + m], pattern)) for i in range(start, stop)
+            ]
+            start, stop = stop, min(2 * stop, count)
         return
     tv = np.frombuffer(text, np.uint8)
     pv = np.frombuffer(pattern, np.uint8)
@@ -67,7 +77,19 @@ def iter_sliding_distances(text: bytes, pattern: bytes) -> Iterator[int]:
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         windows = sliding_window_view(tv[start : stop + m - 1], m)
-        yield from (windows != pv).sum(axis=1).tolist()
+        yield (windows != pv).sum(axis=1)
+
+
+def distance_array(text: bytes, pattern: bytes) -> np.ndarray:
+    """All distances of :func:`distance_chunks` as one numpy int array."""
+    return np.concatenate(list(distance_chunks(text, pattern)))
+
+
+def iter_sliding_distances(text: bytes, pattern: bytes) -> Iterator[int]:
+    """Lazily yield the Hamming distance of ``pattern`` at every start position,
+    as Python ints (see :func:`distance_chunks`)."""
+    for chunk in distance_chunks(text, pattern):
+        yield from chunk if isinstance(chunk, list) else chunk.tolist()
 
 
 def sliding_distances(text: bytes, pattern: bytes) -> list[int]:
@@ -79,7 +101,7 @@ def sliding_distances(text: bytes, pattern: bytes) -> list[int]:
     Raises:
         ValueError: if the pattern is empty or longer than the text.
     """
-    return list(iter_sliding_distances(text, pattern))
+    return distance_array(text, pattern).tolist()
 
 
 def exact_count(text: bytes, pattern: bytes, x: int) -> int:

@@ -1,13 +1,24 @@
 """Shared brute-force oracles for the test suite.
 
 These deliberately avoid the library's own implementations so that the
-equivalence tests stay two-sided.
+equivalence tests stay two-sided; the reference scans at the end reuse only
+the library's contract table, covers, distances and dispatcher.
 """
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
+
+from dppm.matchers import WINDOW_OCCURRENCE_CAP, error_contract
+from dppm.periodicity import Regime, dispatch
+from dppm.text import (
+    counting_cover,
+    iter_sliding_distances,
+    periodic_cover,
+    sliding_distances,
+)
 
 
 def brute_hamming(a: bytes, b: bytes) -> int:
@@ -30,14 +41,16 @@ def brute_first_at_most(text: bytes, pattern: bytes, thresh: float):
 
 
 def spent_by_position(ledger) -> dict[int, Fraction]:
-    """Fold a BudgetLedger's charge spans into position -> accumulated epsilon,
-    in exact ``Fraction`` arithmetic: a charge of ``share`` costs
-    ``epsilon / share`` on each position of its span."""
+    """Fold a BudgetLedger's run records into position -> accumulated epsilon,
+    in exact ``Fraction`` arithmetic. A record ``(start, runs, stop, share)``
+    is ``runs`` charges on the spans ``[start + t, stop)``, each costing
+    ``epsilon / share`` on every position of its span."""
     out: dict[int, Fraction] = {}
-    for start, stop, share in ledger._spans:
+    for start, runs, stop, share in ledger._runs:
         eps = Fraction(ledger.epsilon) / share
-        for p in range(start, stop):
-            out[p] = out.get(p, Fraction(0)) + eps
+        for first in range(start, start + runs):
+            for p in range(first, stop):
+                out[p] = out.get(p, Fraction(0)) + eps
     return out
 
 
@@ -49,3 +62,123 @@ def binary_strings(length: int):
 def draws(src, b: float, size: int) -> np.ndarray:
     """``size`` successive ``src.laplace(b)`` draws as an array."""
     return np.array([src.laplace(b) for _ in range(size)])
+
+
+# --- reference scans ---------------------------------------------------------
+#
+# The matchers' scans as they were written before the vectorized kernel: one
+# distance and one ``src.laplace`` draw at a time, one ledger span per scan.
+# Built only on ``src.laplace``, the library's contract table, covers and
+# distances; the seed-for-seed oracle tests compare the kernel against them.
+
+
+class RefLedger:
+    """Charge spans ``(start, stop, share)``, one per scan, with the integer
+    peak sweep over span boundaries."""
+
+    def __init__(self, epsilon: float):
+        self.epsilon = epsilon
+        self.spans: list[tuple[int, int, int]] = []
+
+    @property
+    def max_spent(self) -> Fraction:
+        denom = math.lcm(*{share for _, _, share in self.spans})
+        deltas: dict[int, int] = {}
+        for start, stop, share in self.spans:
+            deltas[start] = deltas.get(start, 0) + denom // share
+            deltas[stop] = deltas.get(stop, 0) - denom // share
+        units = max(accumulate(deltas[p] for p in sorted(deltas)), default=0)
+        return Fraction(self.epsilon) * units / denom
+
+
+def ref_below_thresh(distances, thresh, share, src, ledger, span):
+    """One scan: the index of the first hit, or None. Reads only the
+    distances up to the hit, so a second call on the same iterator resumes
+    one past it."""
+    ledger.spans.append((*span, share))
+    eps = ledger.epsilon / share
+    noisy_thresh = thresh + src.laplace(2.0 / eps)
+    for i, d in enumerate(distances):
+        if d + src.laplace(4.0 / eps) <= noisy_thresh:
+            return i
+    return None
+
+
+def ref_existence(text, query, src, ledger):
+    n = len(text)
+    thresh = error_contract(
+        "existence", n, query.m, query.k, query.epsilon, query.beta
+    ).threshold
+    hit = ref_below_thresh(
+        iter_sliding_distances(text, query.pattern), thresh, 1, src, ledger, (0, n)
+    )
+    return ("existence", hit is not None, hit)
+
+
+def ref_report_periodic(text, query, candidate, src, ledger):
+    n, m = len(text), query.m
+    thresh = error_contract(
+        "report_periodic", n, m, query.k, query.epsilon, query.beta
+    ).threshold
+    dist = sliding_distances(text, query.pattern)
+    found: list[int] = []
+    for a, b in periodic_cover(n, m):
+        starts = dist[a : b - m + 2]
+        span = (a, b + 1)
+        first = ref_below_thresh(starts, thresh, 6, src, ledger, span)
+        rev_hit = ref_below_thresh(reversed(starts), thresh, 6, src, ledger, span)
+        if first is None or rev_hit is None:
+            continue
+        last = len(starts) - 1 - rev_hit
+        found.extend(range(a + first, a + last + 1, candidate.length))
+    return ("report", tuple(found))
+
+
+def ref_count_nonperiodic(text, query, src, ledger, k_eff):
+    n, m = len(text), query.m
+    cap = WINDOW_OCCURRENCE_CAP * k_eff
+    thresh = error_contract(
+        "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
+    ).threshold
+    dist = sliding_distances(text, query.pattern)
+    total = 0
+    witness = None
+    for a, b in counting_cover(n, m):
+        starts = dist[a : b - m + 2]
+        remaining = iter(starts)
+        last_hit = -1
+        hits = 0
+        while last_hit < len(starts) - 1 and hits < cap:
+            local = ref_below_thresh(
+                remaining, thresh, 2 * cap, src, ledger, (a + last_hit + 1, b + 1)
+            )
+            if local is None:
+                break
+            last_hit = last_hit + 1 + local
+            hits += 1
+            if witness is None:
+                witness = a + last_hit
+        total += hits
+    return ("count", min(max(total, 0), n - m + 1), witness, total)
+
+
+def ref_match(text, query, src, variant):
+    """What ``match_auto`` answers, as a plain tuple, with the reference
+    ledger's ``max_spent``."""
+    decision = dispatch(query.pattern, query.k, len(text), query.epsilon, query.beta)
+    ledger = RefLedger(query.epsilon)
+    regime = decision.regime
+    counting = (Regime.NON_PERIODIC_COUNTING, Regime.SMALL_K_COUNTING)
+    if variant == "existence":
+        outcome = ref_existence(text, query, src, ledger)
+    elif regime is Regime.PERIODIC_REPORTING:
+        outcome = ref_report_periodic(text, query, decision.candidate, src, ledger)
+    elif variant != "report" and regime in counting:
+        outcome = ref_count_nonperiodic(text, query, src, ledger, decision.effective_k)
+    else:
+        outcome = ("report", tuple(range(len(text) - query.m + 1)))
+    if variant == "count" and outcome[0] == "report":
+        positions = outcome[1]
+        outcome = ("count", len(positions), positions[0] if positions else None,
+                   len(positions))
+    return outcome, ledger.max_spent

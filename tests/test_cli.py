@@ -474,11 +474,14 @@ class TestEntryPoint:
         assert json.loads(result.stdout)["seed"] == 3
 
     def test_import_leaves_scipy_stats_unloaded(self):
+        # No scipy module at all: scipy is imported only when an audit
+        # computes its interval.
         result = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import sys, dppm, dppm.cli; print('scipy.stats' in sys.modules)",
+                "import sys, dppm, dppm.cli; "
+                "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))",
             ],
             capture_output=True,
             text=True,

@@ -1,8 +1,10 @@
 """Tests for the private matchers and the budget ledger."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,14 +27,22 @@ from dppm.matchers import (
 from dppm.noise import NoiseSource
 from dppm.periodicity import PeriodicCandidate, Regime
 from dppm.text import (
+    distance_array,
+    distance_chunks,
     exact_count,
-    iter_sliding_distances,
     periodic_cover,
     sliding_distances,
     tile,
 )
 
-from conftest import binary_strings, brute_first_at_most, spent_by_position
+from conftest import (
+    RefLedger,
+    binary_strings,
+    brute_first_at_most,
+    ref_count_nonperiodic,
+    ref_match,
+    spent_by_position,
+)
 
 
 def zero_src() -> NoiseSource:
@@ -153,24 +163,82 @@ class TestBudgetLedger:
             ledger.assert_within_cap()
 
 
-def scan(text, pattern, thresh, share, src, ledger, base=0):
-    """Scan ``text`` as if it started at position ``base`` of a longer text."""
-    distances = iter_sliding_distances(text, pattern)
-    return below_thresh(
-        distances, thresh, share, src, ledger, (base, base + len(text))
+    @pytest.mark.parametrize(
+        "start, stop, share, runs",
+        [(0, 5, 1, 0), (0, 5, 1, -2), (0, 5, 1, 1.0), (2, 5, 1, 4), (0, 5, 1.5, 3)],
+        ids=["zero-runs", "negative-runs", "float-runs", "stop-before-last-start",
+             "float-share"],
     )
+    def test_run_record_validated(self, start, stop, share, runs):
+        with pytest.raises(ValueError):
+            BudgetLedger(1.0).charge_span(start, stop, share, runs)
+
+    def test_run_record_is_its_charges(self):
+        # A run of 3 from 2 to 6 is the charges [2, 6), [3, 6) and [4, 6).
+        run, spans = BudgetLedger(1.0), BudgetLedger(1.0)
+        run.charge_span(2, 6, 4, runs=3)
+        for start in (2, 3, 4):
+            spans.charge_span(start, 6, 4)
+        assert spent_by_position(run) == spent_by_position(spans)
+        assert run.max_spent == spans.max_spent == Fraction(3, 4)
+
+    @given(
+        epsilon=st.floats(min_value=1e-3, max_value=1e6),
+        records=st.lists(
+            st.tuples(
+                st.integers(0, 30),
+                st.integers(1, 6),
+                st.integers(0, 8),
+                st.sampled_from([1, 2, 3, 6, 2304, 6912]),
+            ),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_run_sweep_matches_fraction_fold(self, epsilon, records):
+        # Mixed run records and single charges: the slope sweep's peak is the
+        # per-position maximum of the brute-force Fraction fold, and the cap
+        # check fails exactly when some position pays more than epsilon.
+        ledger = BudgetLedger(epsilon)
+        for start, runs, tail, share in records:
+            ledger.charge_span(start, start + runs + tail, share, runs)
+        peak = max(spent_by_position(ledger).values(), default=Fraction(0))
+        assert ledger.max_spent == peak
+        if peak > Fraction(epsilon):
+            with pytest.raises(RuntimeError, match="budget"):
+                ledger.assert_within_cap()
+        else:
+            ledger.assert_within_cap()
 
 
-class ScaleLog(NoiseSource):
-    """Zero-noise source that records the Laplace scale of every draw."""
+def scan(text, pattern, thresh, share, src, ledger, base=0):
+    """One scan of ``text`` as if it started at position ``base`` of a longer
+    text: the index of its hit, or None."""
+    hits = below_thresh(
+        distance_chunks(text, pattern), thresh, share, src, ledger,
+        (base, base + len(text)),
+    )
+    return hits[0] if hits else None
+
+
+class FixedUnits(NoiseSource):
+    """A source whose every unit draw is 1.0, through ``laplace`` and through
+    the cursor alike; it counts the peeks so a test can tell the batched
+    path ran."""
 
     def __init__(self):
-        super().__init__(0, mode="zero")
-        self.scales: list[float] = []
+        super().__init__(0)
+        self.peeks = 0
 
     def laplace(self, b):
-        self.scales.append(b)
-        return super().laplace(b)
+        return b * 1.0
+
+    def units(self, count):
+        self.peeks += 1
+        return np.ones(count)
+
+    def skip(self, count):
+        pass
 
 
 class TestBelowThresh:
@@ -194,27 +262,59 @@ class TestBelowThresh:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            below_thresh([0], 1.0, 0, zero_src(), ledger_for(1.0), (0, 1))
+            below_thresh([[0]], 1.0, 0, zero_src(), ledger_for(1.0), (0, 1))
         with pytest.raises(ValueError):
-            below_thresh([0], 1.0, 1, zero_src(), ledger_for(1.0), (1, 1))
+            below_thresh([[0]], 1.0, 1, zero_src(), ledger_for(1.0), (1, 1))
 
     def test_noise_scale_is_the_paid_slice(self):
-        # The slice charged and the scale drawn at come from one share.
-        src = ScaleLog()
-        below_thresh([5, 5], 1.0, 6, src, ledger_for(0.9), (0, 2))
-        eps = float(Fraction(0.9) / 6)
-        assert src.scales == [2.0 / eps, 4.0 / eps, 4.0 / eps]
+        # The slice charged and the scale drawn at come from one share, on
+        # the one-at-a-time path and on the batched path alike. With every
+        # unit at 1.0 a comparison is d + 4/eps <= 20 + 2/eps, i.e.
+        # d <= 20 - 2/eps: at the paid slice (eps = 0.9/6, 2/eps = 13.3)
+        # distance 0 hits and 10 misses; at the query's 0.9 both would hit.
+        src = FixedUnits()
+        ledger = ledger_for(0.9)
+        distances = np.array([0] * 12 + [10] * 20)
+        hits = below_thresh([distances], 20.0, 6, src, ledger, (0, 32), 100)
+        assert hits == list(range(12))
+        assert src.peeks > 0  # the first-distance batch ran
+        slice_ = Fraction(0.9) / 6
+        assert spent_by_position(ledger) == {
+            p: slice_ * min(p + 1, 13) for p in range(32)
+        }
 
     def test_resumes_one_past_the_hit(self):
-        # The counter's restarts rely on this: a hit at index i leaves the
-        # iterator at d_{i+1}, and the next scan's indices count from there.
+        # The counter's restarts: a scan that hits at index i is followed by
+        # one that starts at i + 1 and is charged from there. After the hit
+        # at the last index no distance remains, so no further scan starts.
         distances = sliding_distances(b"abracadabra", b"abra")  # 0,4,3,3,3,3,4,0
-        it = iter(distances)
-        hit = below_thresh(it, 0.0, 2, zero_src(), ledger_for(1.0), (0, 11))
-        assert hit == 0
-        assert next(it) == distances[1]
-        again = below_thresh(it, 0.0, 2, zero_src(), ledger_for(1.0), (2, 11))
-        assert 2 + again == 7
+        ledger = ledger_for(1.0)
+        hits = below_thresh([distances], 0.0, 2, zero_src(), ledger, (0, 11), 5)
+        assert hits == [0, 7]
+        assert spent_by_position(ledger) == {
+            p: Fraction(1, 2) * min(p + 1, 2) for p in range(11)
+        }
+        # A zero-noise counter window with a cap of one hit stops there.
+        assert below_thresh([distances], 0.0, 2, zero_src(), ledger, (0, 11)) == [0]
+
+    def test_chunks_are_one_sequence(self):
+        # Where the sequence is cut into chunks, and whether a chunk is a list
+        # or an array, changes nothing: long scans cross cuts in numpy blocks
+        # and first-distance batches stop at cuts.
+        distances = [5] * 50 + [0] * 20 + [5] * 40 + [0, 5] * 10
+        zeros = [i for i, d in enumerate(distances) if d == 0]
+
+        def run(chunks):
+            return below_thresh(
+                chunks, 2.0, 1, NoiseSource(3), ledger_for(9.0), (0, 130), 100
+            )
+
+        assert run([np.array(distances)]) == zeros
+        for cuts in ([1, 30, 31, 55, 64, 120], [49, 50, 51, 69, 70], [3]):
+            bounds = [0, *cuts, len(distances)]
+            chunks = [distances[a:b] for a, b in zip(bounds, bounds[1:])]
+            assert run(chunks) == zeros
+            assert run([np.array(c) for c in chunks]) == zeros
 
     def test_exhaustive_zero_noise_oracle(self):
         # Small version of the acceptance sweep: binary texts up to length 7.
@@ -399,9 +499,9 @@ class TestDistancesOncePerQuery:
 
         def counting(text, pattern):
             calls.append((text, pattern))
-            return sliding_distances(text, pattern)
+            return distance_array(text, pattern)
 
-        monkeypatch.setattr(matchers, "sliding_distances", counting)
+        monkeypatch.setattr(matchers, "distance_array", counting)
         return calls
 
     def test_report_periodic(self, calls):
@@ -568,3 +668,99 @@ class TestMatchAuto:
         query = MatchQuery(b"ab", 1, 1.0, 0.1)
         with pytest.raises(ValueError, match="variant"):
             match_auto(b"abab", query, zero_src(), variant="fancy")
+
+
+def outcome_tuple(outcome):
+    if isinstance(outcome, ExistenceOutcome):
+        return ("existence", outcome.found, outcome.witness)
+    if isinstance(outcome, CountOutcome):
+        return ("count", outcome.count, outcome.witness, outcome.raw_count)
+    return ("report", outcome.positions)
+
+
+class TestSeedForSeedOracle:
+    """The vectorized kernel answers as the one-distance-at-a-time reference
+    scans in ``conftest`` do, seed for seed: same outcomes, same exact
+    ``max_spent``."""
+
+    QUERIES = 640
+
+    @staticmethod
+    def random_query(rng: random.Random):
+        alphabet = rng.choice([b"ab", b"abc", b"acgt"])
+        m = rng.choice([1, 1024, min(1024, int(2 ** rng.uniform(0, 10)))])
+        n = m + rng.randint(0, 1500)
+
+        def symbols(length):
+            return bytes(rng.choice(alphabet) for _ in range(length))
+
+        if rng.random() < 0.3:  # close to a short period: periodic reporting
+            unit = symbols(rng.randint(1, 4))
+            pattern, text = bytearray(tile(unit, m)), bytearray(tile(unit, n))
+            for _ in range(rng.randint(0, 2)):
+                pattern[rng.randrange(m)] = rng.choice(alphabet)
+            for _ in range(rng.randint(0, n // 50)):
+                text[rng.randrange(n)] = rng.choice(alphabet)
+        else:
+            pattern, text = bytearray(symbols(m)), bytearray(symbols(n))
+        for _ in range(rng.randint(0, 3)):  # planted copies
+            at = rng.randint(0, n - m)
+            text[at : at + m] = pattern
+        pattern, text = bytes(pattern), bytes(text)
+        k = rng.randint(0, min(m, 8))
+        regime = rng.choice(["all-hit", "mixed", "all-miss", "any"])
+        if regime == "all-hit":
+            epsilon = 1.0
+        elif regime == "all-miss":
+            epsilon = rng.choice([1e5, 1e6, 3e6])
+        elif regime == "mixed" and k >= 1:
+            # The counting threshold k + c/eps at the mean distance.
+            c = error_contract("count_nonperiodic", n, m, k, 1.0, 0.1).threshold - k
+            mean = sum(sliding_distances(text, pattern)) / (n - m + 1)
+            epsilon = c / max(mean - k, 0.5) * rng.uniform(0.7, 1.4)
+        else:
+            epsilon = 10 ** rng.uniform(-1, 6.5)
+        mode = "zero" if rng.random() < 0.1 else "standard"
+        variant = rng.choice(["auto", "existence", "count", "report"])
+        return text, MatchQuery(pattern, k, epsilon, 0.1), mode, variant
+
+    def test_match_auto_equals_reference_scans(self):
+        rng = random.Random(20261018)
+        shapes = set()
+        for seed in range(self.QUERIES):
+            text, query, mode, variant = self.random_query(rng)
+            expected, spent = ref_match(text, query, NoiseSource(seed, mode), variant)
+            result = match_auto(text, query, NoiseSource(seed, mode), variant=variant)
+            got = outcome_tuple(result.outcome)
+            assert got == expected, (seed, query, mode, variant)
+            assert result.ledger.max_spent == spent, (seed, query, mode, variant)
+            if got[0] == "count" and result.regime in (
+                Regime.NON_PERIODIC_COUNTING, Regime.SMALL_K_COUNTING
+            ):
+                ratio = got[3] / (len(text) - query.m + 1)
+                shapes.add(
+                    "all-hit" if ratio == 1 else "all-miss" if ratio == 0 else "mixed"
+                )
+            shapes.add(result.regime)
+            shapes.add(("m", query.m))
+            shapes.add(mode)
+        assert {"all-hit", "mixed", "all-miss", "zero"} <= shapes
+        assert {("m", 1), ("m", 1024)} <= shapes
+        assert set(Regime) <= shapes
+
+    @pytest.mark.parametrize("seed, epsilon", [(0, 1.0), (1, 10.0), (2, 3e4), (3, 1e5)])
+    def test_per_window_cap(self, seed, epsilon):
+        # m = 2000 > 1152 k: with every scan hitting at once, a window stops
+        # at the cap of 1152 hits.
+        rng = random.Random(seed)
+        text = bytes(rng.choice(b"acgt") for _ in range(5000))
+        pattern = bytes(rng.choice(b"acgt") for _ in range(2000))
+        query = MatchQuery(pattern, 1, epsilon, 0.1)
+        ledger = BudgetLedger(epsilon)
+        outcome = count_nonperiodic(text, query, NoiseSource(seed), ledger)
+        ref_ledger = RefLedger(epsilon)
+        expected = ref_count_nonperiodic(text, query, NoiseSource(seed), ref_ledger, 1)
+        assert outcome_tuple(outcome) == expected
+        assert ledger.max_spent == ref_ledger.max_spent
+        if epsilon == 1.0:
+            assert outcome.raw_count == 1152 + (5000 - 2000 + 1 - 2000)

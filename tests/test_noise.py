@@ -180,6 +180,61 @@ class TestBufferedStream:
         assert 1 <= gen.sized_calls <= math.log2(5000 / 8) + 1
 
 
+class TestCursor:
+    """``units`` peeks and ``skip`` serves; mixed with ``laplace`` they serve
+    the one plain stream bit for bit."""
+
+    @staticmethod
+    def interleaved(src, seed, total):
+        """Serve ``total`` draws from ``src`` by a seeded mix of ``laplace``
+        calls and peeks of 1 to 6000 units of which a prefix is served,
+        each draw at its own scale; return the served draws and scales."""
+        rng = np.random.default_rng([seed, 99])
+        served, scales = [], []
+        while len(served) < total:
+            b = float(10.0 ** rng.uniform(-3, 3))
+            if rng.random() < 0.5:
+                served.append(src.laplace(b))
+                scales.append(b)
+                continue
+            count = int(rng.choice([1, 3, 8, 9, 40, 4096, 4097, 6000]))
+            units = src.units(count)
+            assert src.units(count).tolist() == units.tolist()  # a peek serves nothing
+            take = int(rng.integers(0, count + 1))
+            served.extend(b * float(unit) for unit in units[:take])
+            scales.extend([b] * take)
+            src.skip(take)
+        return served, scales
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_interleaving_serves_the_plain_stream(self, seed):
+        served, scales = self.interleaved(NoiseSource(seed), seed, 20_000)
+        gen = np.random.Generator(np.random.PCG64(seed))
+        assert hexes(served) == hexes(reference_laplace(gen, b) for b in scales)
+
+    @pytest.mark.parametrize("zeros", [[3], [20], list(range(8, 16)), [4100, 4101]])
+    def test_interleaving_skips_boundaries_like_redraws(self, zeros):
+        src, _ = faked(11, zeros)
+        served, scales = self.interleaved(src, 5, 9000)
+        ref = FakeGenerator(11, zeros)
+        assert hexes(served) == hexes(reference_laplace(ref, b) for b in scales)
+
+    def test_first_peek_crosses_the_scalar_head(self):
+        # A fresh source's first 8 units come one uniform at a time, the rest
+        # in doubling blocks; one peek across both equals 40 plain draws.
+        gen = np.random.Generator(np.random.PCG64(21))
+        assert hexes(NoiseSource(21).units(40)) == hexes(
+            reference_laplace(gen, 1.0) for _ in range(40)
+        )
+
+    def test_zero_mode_returns_zeros_and_consumes_nothing(self):
+        src = NoiseSource(0, mode="zero")
+        assert src.units(7).tolist() == [0.0] * 7
+        src.skip(7)
+        assert src.laplace(3.0) == 0.0
+        assert src._gen is None and src._next == 0 and src._drawn == 0
+
+
 class TestSampleLaplace:
     def test_draws_are_finite(self):
         src = NoiseSource(99)

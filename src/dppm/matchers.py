@@ -50,6 +50,7 @@ from .periodicity import (
     dispatch,
 )
 from .text import (
+    check_bytes,
     counting_cover,
     distance_array,
     distance_chunks,
@@ -72,6 +73,7 @@ class MatchQuery:
     beta: float
 
     def __post_init__(self) -> None:
+        check_bytes("pattern", self.pattern)
         if len(self.pattern) < 1:
             raise ValueError("pattern must be non-empty")
         if not 0 <= self.k <= len(self.pattern):
@@ -422,6 +424,7 @@ def error_contract(
 # --- matchers ---------------------------------------------------------------
 
 def _require_text(text: bytes, m: int) -> None:
+    check_bytes("text", text)
     if len(text) < 1:
         raise ValueError("private input text must be non-empty")
     if m > len(text):

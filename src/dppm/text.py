@@ -5,9 +5,19 @@ A cover is an ordered tuple of closed index intervals ``(a, b)`` covering
 ``[0, n-1]`` such that every length-m interval lies in exactly one window,
 which is what lets per-window privacy losses compose to the query budget.
 
-Texts and patterns are plain ``bytes``; the alphabet is the full byte range.
-All functions here are pure and deterministic, so they double as the
-non-private reference oracles for the randomized matchers.
+Sliding distances come from one of three exact kernels, chosen by size: pure
+Python for tiny inputs, a compare of the ``rows x m`` window matrix for short
+runs of start positions, and a per-symbol shifted add otherwise. The shifted
+add compares the text span with each distinct pattern byte ``c`` once and adds
+the comparison, shifted by every offset ``j`` with ``pattern[j] == c``, into a
+match counter: m contiguous vector adds in place of a window matrix summed
+along its short axis. All three give the same integers.
+
+Texts and patterns are bytes-like (``bytes``, ``bytearray`` or a
+one-dimensional unsigned-byte ``memoryview``); anything else raises
+``TypeError``. The alphabet is the full byte range. All functions here are
+pure and deterministic, so they double as the non-private reference oracles
+for the randomized matchers.
 """
 
 from __future__ import annotations
@@ -22,17 +32,44 @@ from numpy.lib.stride_tricks import sliding_window_view
 # overhead (relevant for the audit harness, which runs millions of tiny scans).
 _NUMPY_CUTOFF = 4096
 
-# Rows of the sliding-window matrix materialized per chunk; bounds peak memory
-# at roughly 64 KiB of comparisons regardless of text length.
+# The window-matrix compare materializes at most this many comparisons (or one
+# window, when m is larger) at a time; it is also the size of the first numpy
+# chunk of distance_chunks.
 _CHUNK_COMPARISONS = 65536
+
+# Numpy chunks double up to this many rows, which bounds a shifted-add chunk's
+# working memory (counter, one symbol's comparison, int64 result: at most 17
+# bytes a row, about 1 MiB) plus its text span, whatever the text length.
+_MAX_CHUNK_ROWS = 1 << 16
+
+# Below this many rows the window-matrix compare beats the shifted add, which
+# makes one numpy call per pattern position.
+_SHIFTED_ADD_ROWS = 1024
+
+
+def check_bytes(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is ``bytes``, ``bytearray`` or a
+    one-dimensional unsigned-byte ``memoryview``: a ``str`` or a wider buffer
+    would compare item by item against bytes and give wrong distances."""
+    if isinstance(value, (bytes, bytearray)) or (
+        isinstance(value, memoryview) and value.format == "B" and value.ndim == 1
+    ):
+        return
+    raise TypeError(
+        f"{name} must be bytes, bytearray or a memoryview of unsigned bytes, "
+        f"got {type(value).__name__}"
+    )
 
 
 def hamming_distance(a: bytes, b: bytes) -> int:
     """Number of positions where ``a`` and ``b`` differ.
 
     Raises:
+        TypeError: if an input is not bytes-like.
         ValueError: if the inputs have different lengths.
     """
+    check_bytes("a", a)
+    check_bytes("b", b)
     if len(a) != len(b):
         raise ValueError(
             f"hamming_distance requires equal lengths, got {len(a)} and {len(b)}"
@@ -44,45 +81,125 @@ def hamming_distance(a: bytes, b: bytes) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
+def _lengths(text: bytes, pattern: bytes) -> tuple[int, int]:
+    """``(n, m)`` after checking the inputs' types and lengths."""
+    check_bytes("text", text)
+    check_bytes("pattern", pattern)
+    n, m = len(text), len(pattern)
+    if m < 1:
+        raise ValueError("pattern must be non-empty")
+    if m > n:
+        raise ValueError(f"pattern length {m} exceeds text length {n}")
+    return n, m
+
+
+def _symbol_offsets(pv: np.ndarray) -> list[tuple[int, list[int]]]:
+    """The pattern's offsets grouped by byte: ``[(c, [j, ...]), ...]`` with
+    ``pv[j] == c``."""
+    order = np.argsort(pv, kind="stable")
+    symbols = pv[order]
+    bounds = [0, *(np.flatnonzero(np.diff(symbols)) + 1).tolist(), len(pv)]
+    order, symbols = order.tolist(), symbols.tolist()
+    return [(symbols[a], order[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _window_compare(
+    tv: np.ndarray, pv: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """Distances at start positions ``[start, stop)`` from the window matrix,
+    at most ``_CHUNK_COMPARISONS`` comparisons (or one window) at a time."""
+    m = len(pv)
+    step = max(1, _CHUNK_COMPARISONS // m)
+    return np.concatenate([
+        (sliding_window_view(tv[a : min(a + step, stop) + m - 1], m) != pv).sum(axis=1)
+        for a in range(start, stop, step)
+    ])
+
+
+def _shifted_add(
+    tv: np.ndarray, m: int, offsets: list[tuple[int, list[int]]], start: int, stop: int
+) -> np.ndarray:
+    """Distances at start positions ``[start, stop)``: ``m`` minus the matches
+    counted by one vector add per pattern offset. The counter is the narrowest
+    unsigned type that holds m."""
+    rows = stop - start
+    span = tv[start : stop + m - 1]
+    dtype = np.uint8 if m < 1 << 8 else np.uint16 if m < 1 << 16 else np.uint32
+    matches = np.zeros(rows, dtype)
+    add = np.add  # out passed positionally: on short chunks call overhead dominates
+    for c, at in offsets:
+        eq = (span == c).astype(dtype)
+        for j in at:
+            add(matches, eq[j : j + rows], matches)
+    return np.subtract(m, matches, dtype=np.int64)
+
+
 def distance_chunks(text: bytes, pattern: bytes) -> Iterator[Sequence[int]]:
     """Lazily yield the Hamming distance of ``pattern`` at every start position,
     in consecutive chunks.
 
     Below ``_NUMPY_CUTOFF`` byte comparisons the chunks are lists computed in
     pure Python, one distance first and then doubling, so a consumer that stops
-    at the first distance computes only that one. Otherwise they are numpy int
-    arrays of at most ``_CHUNK_COMPARISONS // m`` distances. Either way a
-    consumer that stops early does not pay for the rest of the text.
+    at the first distance computes only that one. Otherwise they are numpy
+    int64 arrays, ``_CHUNK_COMPARISONS // m`` distances first and then
+    doubling up to ``_MAX_CHUNK_ROWS``; chunks shorter than
+    ``_SHIFTED_ADD_ROWS`` come from the window matrix, longer ones from the
+    shifted add, whose offset groups are built when the first such chunk
+    needs them. Either way a consumer that stops early computes at most about
+    twice what it read.
 
     Raises:
+        TypeError: if the text or pattern is not bytes-like.
         ValueError: if the pattern is empty or longer than the text.
     """
-    n, m = len(text), len(pattern)
-    if m < 1:
-        raise ValueError("pattern must be non-empty")
-    if m > n:
-        raise ValueError(f"pattern length {m} exceeds text length {n}")
+    n, m = _lengths(text, pattern)
     count = n - m + 1
     if count * m <= _NUMPY_CUTOFF:
-        start, stop = 0, 1
-        while start < count:
-            yield [
-                sum(map(ne, text[i : i + m], pattern)) for i in range(start, stop)
-            ]
-            start, stop = stop, min(2 * stop, count)
-        return
+        return _python_chunks(text, pattern, count)
+    return _numpy_chunks(text, pattern, count)
+
+
+def _python_chunks(text: bytes, pattern: bytes, count: int) -> Iterator[list[int]]:
+    m = len(pattern)
+    start, stop = 0, 1
+    while start < count:
+        yield [sum(map(ne, text[i : i + m], pattern)) for i in range(start, stop)]
+        start, stop = stop, min(2 * stop, count)
+
+
+def _numpy_chunks(text: bytes, pattern: bytes, count: int) -> Iterator[np.ndarray]:
     tv = np.frombuffer(text, np.uint8)
     pv = np.frombuffer(pattern, np.uint8)
-    chunk = max(1, _CHUNK_COMPARISONS // m)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        windows = sliding_window_view(tv[start : stop + m - 1], m)
-        yield (windows != pv).sum(axis=1)
+    m = len(pv)
+    offsets = None
+    start, size = 0, max(1, _CHUNK_COMPARISONS // m)
+    while start < count:
+        stop = min(start + size, count)
+        if stop - start < _SHIFTED_ADD_ROWS:
+            yield _window_compare(tv, pv, start, stop)
+        else:
+            if offsets is None:
+                offsets = _symbol_offsets(pv)
+            yield _shifted_add(tv, m, offsets, start, stop)
+        start, size = stop, min(2 * size, _MAX_CHUNK_ROWS)
 
 
 def distance_array(text: bytes, pattern: bytes) -> np.ndarray:
-    """All distances of :func:`distance_chunks` as one numpy int array."""
-    return np.concatenate(list(distance_chunks(text, pattern)))
+    """All distances of :func:`distance_chunks` as one numpy int64 array, from
+    one shifted-add pass over every start position when there are at least
+    ``_SHIFTED_ADD_ROWS`` of them and the input is past the pure-Python
+    cutoff.
+
+    Raises:
+        TypeError: if the text or pattern is not bytes-like.
+        ValueError: if the pattern is empty or longer than the text.
+    """
+    n, m = _lengths(text, pattern)
+    count = n - m + 1
+    if count * m <= _NUMPY_CUTOFF or count < _SHIFTED_ADD_ROWS:
+        return np.concatenate(list(distance_chunks(text, pattern)))
+    pv = np.frombuffer(pattern, np.uint8)
+    return _shifted_add(np.frombuffer(text, np.uint8), m, _symbol_offsets(pv), 0, count)
 
 
 def iter_sliding_distances(text: bytes, pattern: bytes) -> Iterator[int]:
@@ -99,6 +216,7 @@ def sliding_distances(text: bytes, pattern: bytes) -> list[int]:
     has ``n - m + 1`` entries.
 
     Raises:
+        TypeError: if the text or pattern is not bytes-like.
         ValueError: if the pattern is empty or longer than the text.
     """
     return distance_array(text, pattern).tolist()

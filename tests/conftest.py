@@ -1,8 +1,10 @@
 """Shared brute-force oracles for the test suite.
 
 These deliberately avoid the library's own implementations so that the
-equivalence tests stay two-sided; the reference scans at the end reuse only
-the library's contract table, covers, distances and dispatcher.
+equivalence tests stay two-sided. ``ref_distances`` is the window-matrix
+distance kernel the library used before its shifted-add kernel; the reference
+scans at the end read their distances from it and reuse only the library's
+contract table, covers and dispatcher.
 """
 
 import math
@@ -10,15 +12,11 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dppm.matchers import WINDOW_OCCURRENCE_CAP, error_contract
 from dppm.periodicity import Regime, dispatch
-from dppm.text import (
-    counting_cover,
-    iter_sliding_distances,
-    periodic_cover,
-    sliding_distances,
-)
+from dppm.text import counting_cover, periodic_cover
 
 
 def brute_hamming(a: bytes, b: bytes) -> int:
@@ -31,6 +29,20 @@ def brute_sliding(text: bytes, pattern: bytes) -> list[int]:
     return [
         brute_hamming(text[i : i + m], pattern) for i in range(len(text) - m + 1)
     ]
+
+
+def ref_distances(text: bytes, pattern: bytes) -> np.ndarray:
+    """Sliding Hamming distances from the ``L x m`` window matrix, summed
+    along its short axis, 65536 comparisons (or one window) at a time."""
+    tv = np.frombuffer(text, np.uint8)
+    pv = np.frombuffer(pattern, np.uint8)
+    m = len(pv)
+    count = len(tv) - m + 1
+    step = max(1, 65536 // m)
+    return np.concatenate([
+        (sliding_window_view(tv[a : min(a + step, count) + m - 1], m) != pv).sum(axis=1)
+        for a in range(0, count, step)
+    ])
 
 
 def brute_first_at_most(text: bytes, pattern: bytes, thresh: float):
@@ -68,8 +80,9 @@ def draws(src, b: float, size: int) -> np.ndarray:
 #
 # The matchers' scans as they were written before the vectorized kernel: one
 # distance and one ``src.laplace`` draw at a time, one ledger span per scan.
-# Built only on ``src.laplace``, the library's contract table, covers and
-# distances; the seed-for-seed oracle tests compare the kernel against them.
+# Built only on ``src.laplace``, ``ref_distances`` and the library's contract
+# table and covers; the seed-for-seed oracle tests compare the kernel against
+# them.
 
 
 class RefLedger:
@@ -110,7 +123,7 @@ def ref_existence(text, query, src, ledger):
         "existence", n, query.m, query.k, query.epsilon, query.beta
     ).threshold
     hit = ref_below_thresh(
-        iter_sliding_distances(text, query.pattern), thresh, 1, src, ledger, (0, n)
+        ref_distances(text, query.pattern).tolist(), thresh, 1, src, ledger, (0, n)
     )
     return ("existence", hit is not None, hit)
 
@@ -120,7 +133,7 @@ def ref_report_periodic(text, query, candidate, src, ledger):
     thresh = error_contract(
         "report_periodic", n, m, query.k, query.epsilon, query.beta
     ).threshold
-    dist = sliding_distances(text, query.pattern)
+    dist = ref_distances(text, query.pattern).tolist()
     found: list[int] = []
     for a, b in periodic_cover(n, m):
         starts = dist[a : b - m + 2]
@@ -140,7 +153,7 @@ def ref_count_nonperiodic(text, query, src, ledger, k_eff):
     thresh = error_contract(
         "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
     ).threshold
-    dist = sliding_distances(text, query.pattern)
+    dist = ref_distances(text, query.pattern).tolist()
     total = 0
     witness = None
     for a, b in counting_cover(n, m):

@@ -85,6 +85,17 @@ class TestOutcomeTypes:
         with pytest.raises(ValueError):
             MatchQuery(b"abc", 1, 1.0, 0.0)
 
+    def test_query_rejects_str_pattern(self):
+        with pytest.raises(TypeError, match="pattern must be bytes"):
+            MatchQuery("ba", 0, 1.0, 0.1)
+        MatchQuery(bytearray(b"ba"), 0, 1.0, 0.1)
+        MatchQuery(memoryview(b"ba"), 0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("variant", ["auto", "existence", "count", "report"])
+    def test_match_rejects_str_text(self, variant):
+        with pytest.raises(TypeError, match="text must be bytes"):
+            match_auto("ababab", MatchQuery(b"ba", 1, 1.0, 0.1), zero_src(), variant)
+
 
 class TestBudgetLedger:
     def test_exact_accumulation(self):

@@ -1,11 +1,17 @@
 """Tests for the string primitives and window covers."""
 
+import array
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dppm.text as text_module
 from dppm.text import (
     counting_cover,
+    distance_array,
+    distance_chunks,
     exact_count,
     hamming_distance,
     iter_sliding_distances,
@@ -14,7 +20,7 @@ from dppm.text import (
     tile,
 )
 
-from conftest import binary_strings, brute_hamming, brute_sliding
+from conftest import binary_strings, brute_hamming, brute_sliding, ref_distances
 
 # Most windows any position may lie in, per cover.
 PERIODIC_MULTIPLICITY = 3
@@ -136,6 +142,148 @@ class TestSlidingDistances:
             m = len(text)
         pattern = text[:m][::-1]
         assert sliding_distances(text, pattern) == brute_sliding(text, pattern)
+
+
+def chunk_rows(m: int, count: int) -> list[int]:
+    """The row counts of ``distance_chunks``' numpy chunks: the first chunk,
+    then doubling up to the cap."""
+    rows, size = [], max(1, text_module._CHUNK_COMPARISONS // m)
+    while sum(rows) < count:
+        rows.append(min(size, count - sum(rows)))
+        size = min(2 * size, text_module._MAX_CHUNK_ROWS)
+    return rows
+
+
+def edge_counts(m: int) -> list[int]:
+    """Start-position counts just below, at and above the window-matrix /
+    shifted-add switch, in ``distance_array`` and in ``distance_chunks``."""
+    switch = text_module._SHIFTED_ADD_ROWS
+    first = max(1, text_module._CHUNK_COMPARISONS // m)
+    before = 0  # rows of the chunks shorter than the switch
+    size = first
+    while size < switch:
+        before, size = before + size, 2 * size
+    counts = {1, switch - 1, switch, switch + 1, first - 1, first, first + 1}
+    counts |= {before + switch - 1, before + switch, before + switch + 1}
+    counts |= {before + size + 1}  # a one-row tail after a shifted-add chunk
+    counts |= {before + 3 * size - 1, before + 3 * size, before + 3 * size + 1}
+    return sorted(c for c in counts if c >= 1)
+
+
+def random_text(rng: np.random.Generator, n: int, alphabet: str) -> bytes:
+    if alphabet == "acgt":
+        return np.frombuffer(b"acgt", np.uint8)[rng.integers(0, 4, n)].tobytes()
+    return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+
+
+class TestDistanceKernels:
+    """``distance_array``, the concatenated ``distance_chunks`` and
+    ``iter_sliding_distances`` equal the window-matrix reference at every
+    kernel switch."""
+
+    @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 1024, 4096])
+    @pytest.mark.parametrize("alphabet", ["acgt", "bytes"])
+    def test_agree_with_reference(self, m, alphabet):
+        rng = np.random.default_rng(m)
+        for count in edge_counts(m):
+            n = count + m - 1
+            text = bytearray(random_text(rng, n, alphabet))
+            pattern = random_text(rng, m, alphabet)
+            if alphabet == "bytes":  # both ends of the byte range
+                pattern = b"\x00\xff" + pattern[2:] if m >= 2 else b"\xff"
+                text[: min(n, 4)] = b"\xff\x00\xff\x00"[: min(n, 4)]
+            for at in (0, (n - m) // 2, n - m):  # exact occurrences
+                text[at : at + m] = pattern
+            text = bytes(text)
+            expected = ref_distances(text, pattern)
+            assert expected[-1] == 0
+            got = distance_array(text, pattern)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), count
+            chunks = [np.asarray(c) for c in distance_chunks(text, pattern)]
+            assert np.array_equal(np.concatenate(chunks), expected), count
+            if count * m > text_module._NUMPY_CUTOFF:
+                assert [len(c) for c in chunks] == chunk_rows(m, count), count
+            assert list(iter_sliding_distances(text, pattern)) == expected.tolist()
+
+    def test_full_match_count_does_not_wrap(self):
+        # 256 matches wrap an 8-bit counter to 0; every window of a constant
+        # text matches a constant pattern of that length.
+        for m in (255, 256, 257):
+            for byte in (b"\x00", b"\xff"):
+                text, pattern = byte * (m + 2000), byte * m
+                assert not distance_array(text, pattern).any()
+                other = (b"\x01" if byte == b"\x00" else b"\xfe") * m
+                assert (distance_array(text, other) == m).all()
+
+    def test_first_chunk_computes_only_itself(self, monkeypatch):
+        computed = []
+
+        def counting(kernel):
+            def wrapped(*args):
+                out = kernel(*args)
+                computed.append(len(out))
+                return out
+            return wrapped
+
+        for name in ("_window_compare", "_shifted_add"):
+            monkeypatch.setattr(
+                text_module, name, counting(getattr(text_module, name))
+            )
+        rng = np.random.default_rng(7)
+        text = random_text(rng, 10**6, "acgt")
+        for m in (64, 256, 4096):
+            computed.clear()
+            first = next(distance_chunks(text, text[:m]))
+            assert computed == [len(first)]
+            assert first[0] == 0
+        computed.clear()
+        chunks = [len(c) for c in distance_chunks(text, text[:64])]
+        assert computed == chunks
+        assert sum(chunks) == 10**6 - 63
+        assert max(chunks) == text_module._MAX_CHUNK_ROWS
+
+
+class TestBytesLikeInputs:
+    """A ``str`` or a wide buffer would compare item by item against bytes
+    and give wrong distances, so it is refused on every path."""
+
+    SMALL = (b"ababab", b"ba")
+    LARGE = (tile(b"abcab", 3000), tile(b"abc", 40))
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("which", ["text", "pattern"])
+    def test_str_raises(self, size, which):
+        text, pattern = self.SMALL if size == "small" else self.LARGE
+        args = {"text": text, "pattern": pattern}
+        args[which] = args[which].decode()
+        for f in (sliding_distances, distance_array, distance_chunks):
+            with pytest.raises(TypeError, match=f"{which} must be bytes"):
+                f(args["text"], args["pattern"])
+        with pytest.raises(TypeError, match=f"{which} must be bytes"):
+            list(iter_sliding_distances(args["text"], args["pattern"]))
+        with pytest.raises(TypeError):
+            exact_count(args["text"], args["pattern"], 0)
+
+    def test_hamming_distance_rejects_str(self):
+        with pytest.raises(TypeError, match="a must be bytes"):
+            hamming_distance("ab", b"ab")
+        with pytest.raises(TypeError, match="b must be bytes"):
+            hamming_distance(b"ab" * 5000, "ab" * 5000)
+
+    def test_wide_buffer_raises(self):
+        wide = memoryview(array.array("i", [97, 98, 97]))
+        with pytest.raises(TypeError, match="text must be bytes"):
+            sliding_distances(wide, b"ab")
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_bytes_like_accepted(self, size):
+        text, pattern = self.SMALL if size == "small" else self.LARGE
+        expected = brute_sliding(text, pattern)
+        assert sliding_distances(bytearray(text), memoryview(pattern)) == expected
+        assert sliding_distances(memoryview(text), bytearray(pattern)) == expected
+        if size == "small":
+            assert expected == [2, 0, 2, 0, 2]
 
 
 class TestExactOracles:

@@ -37,6 +37,7 @@ the query epsilon).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -76,6 +77,10 @@ class MatchQuery:
         check_bytes("pattern", self.pattern)
         if len(self.pattern) < 1:
             raise ValueError("pattern must be non-empty")
+        try:
+            operator.index(self.k)
+        except TypeError:
+            raise TypeError(f"k must be an integer, got {self.k!r}") from None
         if not 0 <= self.k <= len(self.pattern):
             raise ValueError(f"k={self.k} outside [0, m={len(self.pattern)}]")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):

@@ -5,15 +5,17 @@ so a seed pins the entire draw sequence bit-for-bit across platforms. Two
 modes: ``standard`` (real noise) and ``zero`` (always 0, used by oracle
 tests).
 
-A source serves its draws from a buffer of unit-Laplace values (scale 1),
-multiplied by each call's scale. A source's first 8 draws are made one
-uniform at a time, so a source that makes only a few draws (an audit trial
-makes two) pays no vector set-up. After that, each refill transforms one
+A source serves its draws from one numpy buffer of unit-Laplace values
+(scale 1), multiplied by each call's scale. While a source has drawn fewer
+than 8 units and nothing is buffered, ``laplace`` computes its draw directly
+from one uniform, so a source that makes only a few draws (an audit trial
+makes two) pays no vector set-up. Every refill of the buffer transforms one
 block of uniforms, as many as the source has drawn so far (so blocks double),
-capped at 4096. A uniform on the interval boundary is skipped in-stream,
-exactly where a one-at-a-time sampler would redraw it. How the stream is cut
-into blocks never changes a value: every draw equals the one-uniform-at-a-time
-transform of the same uniform, in the same order, bit for bit.
+at least 1 and at most 4096. A uniform on the interval boundary is skipped
+in-stream, exactly where a one-at-a-time sampler would redraw it. How the
+stream is cut into blocks never changes a value: every draw equals the
+one-uniform-at-a-time transform of the same uniform, in the same order, bit
+for bit.
 
 Vectorized consumers read the same stream through a cursor: ``units(count)``
 peeks at the next ``count`` unit values as an array without serving them, and
@@ -33,10 +35,11 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Unit draws made one uniform at a time before refills go vectorized, and the
-# largest vectorized refill.
+# Unit draws a source may compute one uniform at a time, and the largest
+# refill. Every source starts on the one shared (never written) empty buffer.
 _SCALAR_DRAWS = 8
 _MAX_BLOCK = 4096
+_EMPTY = np.empty(0)
 
 MODES = ("standard", "zero")
 
@@ -78,10 +81,10 @@ class NoiseSource:
         self.seed = seed & _MASK64
         self.mode = mode
         self._gen: np.random.Generator | None = None
-        # Buffered unit draws; _block[_next:] are not yet served. _array is
-        # the same buffer as a numpy array, or None until a peek needs it.
-        self._block: list[float] = []
-        self._array: np.ndarray | None = None
+        # Buffered unit draws in one numpy array, _units[_next:] not yet
+        # served. Only a refill replaces it, so views units() handed out stay
+        # valid.
+        self._units = _EMPTY
         self._next = 0
         self._drawn = 0  # unit draws made from the generator so far
 
@@ -97,17 +100,29 @@ class NoiseSource:
         (-1/2, 1/2) and return ``-b * sign(U) * ln(1 - 2|U|)``. A uniform
         landing exactly on the interval boundary is skipped, so the result is
         always finite; U = 0 maps to the median 0. The unit value
-        ``-sign(U) * ln(1 - 2|U|)`` comes from the source's buffer (see the
-        module docstring). Negating and taking signs is exact, so ``b`` times
-        the unit rounds once, to the same double as the formula above.
+        ``-sign(U) * ln(1 - 2|U|)`` comes from the source's buffer, or, for
+        one of a source's first 8 draws with nothing buffered, straight from
+        one uniform (see the module docstring). Negating and taking signs is
+        exact, so ``b`` times the unit rounds once, to the same double as the
+        formula above.
         """
         if self.mode == "zero":
             return 0.0
+        if self._drawn < _SCALAR_DRAWS and self._next == len(self._units):
+            gen = self._generator()
+            u = gen.random() - 0.5
+            while u == -0.5:
+                u = gen.random() - 0.5
+            self._drawn += 1
+            # np.log1p, not math.log1p: math.log1p differs from the
+            # vectorized np.log1p in the last bit on some inputs.
+            log = float(np.log1p(-2.0 * abs(u)))
+            return b * (-log if u > 0.0 else log if u < 0.0 else 0.0)
         try:
-            unit = self._block[self._next]
+            unit = self._units.item(self._next)
         except IndexError:
             self._refill()
-            unit = self._block[0]
+            unit = self._units.item(0)
         self._next += 1
         return b * unit
 
@@ -117,11 +132,9 @@ class NoiseSource:
         serve what was used with :meth:`skip`."""
         if self.mode == "zero":
             return np.zeros(count)
-        while len(self._block) - self._next < count:
+        while len(self._units) - self._next < count:
             self._refill()
-        if self._array is None:
-            self._array = np.array(self._block)
-        return self._array[self._next : self._next + count]
+        return self._units[self._next : self._next + count]
 
     def skip(self, count: int) -> None:
         """Serve ``count`` unit draws that :meth:`units` has peeked at."""
@@ -131,31 +144,15 @@ class NoiseSource:
     def _refill(self) -> None:
         """Append the next block of unit draws to the unserved buffer."""
         gen = self._generator()
-        if self._drawn < _SCALAR_DRAWS:
-            u = gen.random() - 0.5
-            while u == -0.5:
-                u = gen.random() - 0.5
-            # np.log1p, not math.log1p: math.log1p differs from the
-            # vectorized np.log1p in the last bit on some inputs.
-            log = float(np.log1p(-2.0 * abs(u)))
-            block = [-log if u > 0.0 else log if u < 0.0 else 0.0]
-            array = None
-            self._drawn += 1
-        else:
-            size = min(self._drawn, _MAX_BLOCK)
-            units = ()
-            while not len(units):  # every uniform was a boundary
-                raw = gen.random(size)
-                if not raw.all():
-                    raw = raw[raw != 0.0]  # raw 0.0 is U = -1/2, the boundary
-                u = raw - 0.5
-                units = -np.sign(u) * np.log1p(-2.0 * np.abs(u))
-            self._drawn += len(units)
-            block, array = units.tolist(), units
-        if self._next < len(self._block):  # a peek reached past the buffer
-            block = self._block[self._next :] + block
-            if array is not None and self._array is not None:
-                array = np.concatenate((self._array[self._next :], array))
-            else:
-                array = None
-        self._block, self._array, self._next = block, array, 0
+        size = max(1, min(self._drawn, _MAX_BLOCK))
+        units = ()
+        while not len(units):  # every uniform was a boundary
+            raw = gen.random(size)
+            if not raw.all():
+                raw = raw[raw != 0.0]  # raw 0.0 is U = -1/2, the boundary
+            u = raw - 0.5
+            units = -np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        self._drawn += len(units)
+        if self._next < len(self._units):  # a peek reached past the buffer
+            units = np.concatenate((self._units[self._next :], units))
+        self._units, self._next = units, 0

@@ -49,15 +49,19 @@ _SHIFTED_ADD_ROWS = 1024
 
 def check_bytes(name: str, value) -> None:
     """Raise TypeError unless ``value`` is ``bytes``, ``bytearray`` or a
-    one-dimensional unsigned-byte ``memoryview``: a ``str`` or a wider buffer
-    would compare item by item against bytes and give wrong distances."""
+    contiguous one-dimensional unsigned-byte ``memoryview``: a ``str`` or a
+    wider buffer would compare item by item against bytes and give wrong
+    distances, and numpy cannot read a strided buffer."""
     if isinstance(value, (bytes, bytearray)) or (
-        isinstance(value, memoryview) and value.format == "B" and value.ndim == 1
+        isinstance(value, memoryview)
+        and value.format == "B"
+        and value.ndim == 1
+        and value.contiguous
     ):
         return
     raise TypeError(
-        f"{name} must be bytes, bytearray or a memoryview of unsigned bytes, "
-        f"got {type(value).__name__}"
+        f"{name} must be bytes, bytearray or a contiguous memoryview of "
+        f"unsigned bytes, got {type(value).__name__}"
     )
 
 

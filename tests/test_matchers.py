@@ -91,6 +91,12 @@ class TestOutcomeTypes:
         MatchQuery(bytearray(b"ba"), 0, 1.0, 0.1)
         MatchQuery(memoryview(b"ba"), 0, 1.0, 0.1)
 
+    def test_query_rejects_fractional_k(self):
+        for k in (1.5, 1.0, "1"):
+            with pytest.raises(TypeError, match="k must be an integer"):
+                MatchQuery(b"abcdefgh", k, 1.0, 0.1)
+        assert MatchQuery(b"abcdefgh", np.int64(1), 1.0, 0.1).k == 1
+
     @pytest.mark.parametrize("variant", ["auto", "existence", "count", "report"])
     def test_match_rejects_str_text(self, variant):
         with pytest.raises(TypeError, match="text must be bytes"):

@@ -220,12 +220,36 @@ class TestCursor:
         assert hexes(served) == hexes(reference_laplace(ref, b) for b in scales)
 
     def test_first_peek_crosses_the_scalar_head(self):
-        # A fresh source's first 8 units come one uniform at a time, the rest
-        # in doubling blocks; one peek across both equals 40 plain draws.
+        # A peek never takes the scalar head: a fresh source's buffer fills in
+        # doubling blocks (1, 1, 2, 4, ... units) from its first uniform on,
+        # and one peek across the head equals 40 plain draws.
         gen = np.random.Generator(np.random.PCG64(21))
         assert hexes(NoiseSource(21).units(40)) == hexes(
             reference_laplace(gen, 1.0) for _ in range(40)
         )
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 40])
+    def test_head_draws_around_a_peek(self, count, boundary):
+        # j head draws, a peek of which a prefix is served, then laplace on to
+        # 60 draws: head draws come from the buffer the peek filled while it
+        # lasts, and straight from one uniform once it runs dry.
+        for j in range(10):
+            zeros = [j + count // 2] if boundary else []  # inside the peek
+            for take in sorted({0, 1, count // 2, count}):
+                scales = mixed_scales(100 * j + count, 60)
+                src, _ = faked(13, zeros)
+                served = [src.laplace(b) for b in scales[:j]]
+                units = src.units(count)
+                served += [
+                    b * float(u) for b, u in zip(scales[j : j + take], units)
+                ]
+                src.skip(take)
+                served += [src.laplace(b) for b in scales[j + take :]]
+                ref = FakeGenerator(13, zeros)
+                assert hexes(served) == hexes(
+                    reference_laplace(ref, b) for b in scales
+                ), (j, take)
 
     def test_zero_mode_returns_zeros_and_consumes_nothing(self):
         src = NoiseSource(0, mode="zero")

@@ -277,6 +277,26 @@ class TestBytesLikeInputs:
             sliding_distances(wide, b"ab")
 
     @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("which", ["text", "pattern"])
+    def test_strided_memoryview_raises(self, size, which):
+        # One-dimensional unsigned bytes, but numpy cannot read a strided
+        # buffer, so both paths refuse it alike.
+        text, pattern = self.SMALL if size == "small" else self.LARGE
+        args = {"text": text, "pattern": pattern}
+        args[which] = memoryview(args[which] * 2)[::2]
+        for f in (sliding_distances, distance_array):
+            with pytest.raises(TypeError, match=f"{which} must be bytes"):
+                f(args["text"], args["pattern"])
+
+    @pytest.mark.parametrize("n", [4, 5000])
+    def test_hamming_distance_rejects_strided_memoryview(self, n):
+        strided = memoryview(b"ab" * n)[::2]
+        with pytest.raises(TypeError, match="a must be bytes"):
+            hamming_distance(strided, b"a" * n)
+        with pytest.raises(TypeError, match="b must be bytes"):
+            hamming_distance(b"a" * n, strided)
+
+    @pytest.mark.parametrize("size", ["small", "large"])
     def test_bytes_like_accepted(self, size):
         text, pattern = self.SMALL if size == "small" else self.LARGE
         expected = brute_sliding(text, pattern)

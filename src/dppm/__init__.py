@@ -37,13 +37,12 @@ from .periodicity import (
     shortest_close_period,
 )
 from .text import (
-    counting_cover,
     distance_chunks,
     exact_count,
     hamming_distance,
-    periodic_cover,
     sliding_distances,
     tile,
+    window_cover,
 )
 from .audit import (
     DpAuditReport,
@@ -74,7 +73,6 @@ __all__ = [
     "UtilityReport",
     "below_thresh",
     "count_nonperiodic",
-    "counting_cover",
     "derive_seed",
     "dispatch",
     "distance_chunks",
@@ -88,11 +86,11 @@ __all__ = [
     "min_period_distance",
     "packing_family_mismatch",
     "packing_family_planted",
-    "periodic_cover",
     "report_periodic",
     "run_utility_experiment",
     "shortest_close_period",
     "sliding_distances",
     "tile",
     "trivial_all",
+    "window_cover",
 ]

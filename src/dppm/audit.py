@@ -37,7 +37,7 @@ from .matchers import (
 )
 from .noise import MODES, NoiseSource, derive_seed
 from .periodicity import Regime, is_primitive, widest_close_period
-from .text import distance_array, hamming_distance, iter_sliding_distances, tile
+from .text import distance_array, hamming_distance, tile
 
 TEXT_ALPHABET = b"acgt"
 DISJOINT_ALPHABET = b"0123"
@@ -488,7 +488,7 @@ def _audit_auto(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
 def _audit_canary(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
     """Deliberately broken matcher: the exact first k-mismatch position with
     no noise. Exists so the audit's power can be demonstrated; it must fail."""
-    for i, d in enumerate(iter_sliding_distances(text, query.pattern)):
+    for i, d in enumerate(distance_array(text, query.pattern).tolist()):
         if d <= query.k:
             return ExistenceOutcome(found=True, witness=i)
     return ExistenceOutcome(found=False, witness=None)

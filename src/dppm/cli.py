@@ -88,19 +88,6 @@ def _emit(records: list[dict], fmt: str, out: Optional[str]) -> None:
     _write_text(buffer.getvalue(), out)
 
 
-def _emit_rows(rows: list[list], fmt: str, out: Optional[str]) -> None:
-    buffer = io.StringIO()
-    if fmt == "json-lines":
-        header = rows[0]
-        for row in rows[1:]:
-            buffer.write(json.dumps(dict(zip(header, row)), sort_keys=True))
-            buffer.write("\n")
-    else:
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(rows)
-    _write_text(buffer.getvalue(), out)
-
-
 def _write_text(payload: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -224,7 +211,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     mapping.pop("variant", None)
     cfg = TrialConfig.from_mapping(mapping)
     report = run_utility_experiment(cfg, variant)
-    _emit_rows(report.to_rows(), args.format, args.out)
+    rows = report.to_rows()
+    _emit([dict(zip(rows[0], r)) for r in rows[1:]], args.format, args.out)
     # Timing is informational only; keep it out of the deterministic output.
     print(
         f"bench: {cfg.trials} trials in {report.runtime_seconds:.2f}s, "

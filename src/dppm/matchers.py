@@ -29,9 +29,11 @@ Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
 distances read, in a `BudgetLedger`, and draws its noise at that slice; the
 kernel charges scans that start at consecutive positions as one run record.
-The ledger's cap check is the executable form of the composition argument
-(each position is covered by at most 3 or 2 windows, so slices sum to at most
-the query epsilon).
+The ledger's cap check is the executable form of the composition argument:
+`window_cover` gives each block of ``stride`` start positions one window, and
+a position lies in at most ``ceil((m - 1) / stride) + 1`` of them, 3 at the
+reporter's stride ``m // 2`` and 2 at the counter's stride ``m``, so slices
+sum to at most the query epsilon.
 """
 
 from __future__ import annotations
@@ -50,13 +52,7 @@ from .periodicity import (
     Regime,
     dispatch,
 )
-from .text import (
-    check_bytes,
-    counting_cover,
-    distance_array,
-    distance_chunks,
-    periodic_cover,
-)
+from .text import check_bytes, distance_array, distance_chunks, window_cover
 
 # Occurrence cap per window and unit of budget splitting in the non-periodic
 # counter: a window shorter than 2m holds at most this many occurrences per
@@ -267,7 +263,7 @@ def below_thresh(
     eps = ledger.epsilon / share
     t_scale, d_scale = 2.0 / eps, 4.0 / eps
     draw = src.laplace
-    chunks = iter(chunks)
+    chunks = filter(len, chunks)  # no scan starts on an empty chunk
     chunk: Sequence[int] = ()
     values: list[int] = []  # chunk as a list, for one-at-a-time reads
     base = at = end = 0  # sequence index of chunk[0]; read position; len(chunk)
@@ -481,15 +477,16 @@ def report_periodic(
 ) -> ReportOutcome:
     """Reporting variant for patterns close to a short primitive period.
 
-    Each window of the stride-``floor(m/2)`` cover is scanned forward and
+    Each window of ``window_cover(n, m, m // 2)`` is scanned forward and
     backward over its start positions' distances, each scan paying share 6
-    (epsilon/6); when both scans hit, the window contributes the arithmetic
+    (epsilon/6); a position lies in at most 3 windows, so the 6 slices sum to
+    epsilon. When both scans hit, the window contributes the arithmetic
     progression from the first hit to the last hit with step
-    ``candidate.length``. The windows'
-    start ranges are disjoint and increasing, so the positions come out sorted
-    and duplicate-free. The dispatcher is responsible for certifying the
-    period-length hypothesis; this function checks only structural validity
-    (``m >= 2`` and ``candidate.dist <= 2k``).
+    ``candidate.length``. The windows' blocks of starts are disjoint and
+    increasing, so the positions come out sorted and duplicate-free. The
+    dispatcher is responsible for certifying the period-length hypothesis;
+    this function checks only structural validity (``m >= 2`` and
+    ``candidate.dist <= 2k``).
     """
     _require_text(text, query.m)
     n, m = len(text), query.m
@@ -505,7 +502,7 @@ def report_periodic(
     ).threshold
     dist = distance_array(text, query.pattern)
     found: list[int] = []
-    for a, b in periodic_cover(n, m):
+    for a, b in window_cover(n, m, m // 2):
         starts = dist[a : b - m + 2]
         span = (a, b + 1)
         first = below_thresh((starts,), thresh, 6, src, ledger, span)
@@ -528,14 +525,14 @@ def count_nonperiodic(
 ) -> CountOutcome:
     """Counting variant for patterns with no short close period.
 
-    Each window of the stride-``m`` cover is scanned repeatedly over its start
-    positions' distances, each scan resuming one past the previous hit, until
-    a scan misses, the window's starts run out, or the per-window cap of
+    Each window of ``window_cover(n, m, m)`` is scanned repeatedly over its
+    start positions' distances, each scan resuming one past the previous hit,
+    until a scan misses, the window's starts run out, or the per-window cap of
     ``1152 * k`` is reached. Each scan pays share ``2 * 1152 * k``; one that
     resumes after the hit at ``h`` charges the text span from ``h + 1`` to the
-    window's end. The witness is
-    the first hit encountered. The final count is the clamped sum of
-    per-window counts.
+    window's end. A position lies in at most 2 windows, so the slices sum to
+    epsilon. The witness is the first hit encountered. The final count is the
+    clamped sum of per-window counts.
 
     ``effective_k`` substitutes a larger mismatch budget for ``k`` (small-k
     regime).
@@ -556,7 +553,7 @@ def count_nonperiodic(
     dist = distance_array(text, query.pattern)
     total = 0
     witness: Optional[int] = None
-    for a, b in counting_cover(n, m):
+    for a, b in window_cover(n, m, m):
         starts = dist[a : b - m + 2]
         hits = below_thresh((starts,), thresh, 2 * cap, src, ledger, (a, b + 1), cap)
         if hits and witness is None:

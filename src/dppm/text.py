@@ -1,9 +1,11 @@
 """Byte-string primitives: Hamming distances, the exact counting oracle, and the
-overlapping window covers used by the private matchers.
+overlapping window cover used by the private matchers.
 
-A cover is an ordered tuple of closed index intervals ``(a, b)`` covering
-``[0, n-1]`` such that every length-m interval lies in exactly one window,
-which is what lets per-window privacy losses compose to the query budget.
+A cover is an ordered tuple of closed index intervals ``(a, b)``, one for each
+block of ``stride`` consecutive start positions, reaching the end of the
+block's last length-m occurrence. Every occurrence lies in exactly one window
+and every position in at most ``ceil((m - 1) / stride) + 1`` windows, which is
+what lets per-window privacy losses compose to the query budget.
 
 Sliding distances come from one of three exact kernels, chosen by size: pure
 Python for tiny inputs, a compare of the ``rows x m`` window matrix for short
@@ -189,10 +191,10 @@ def _numpy_chunks(text: bytes, pattern: bytes, count: int) -> Iterator[np.ndarra
 
 
 def distance_array(text: bytes, pattern: bytes) -> np.ndarray:
-    """All distances of :func:`distance_chunks` as one numpy int64 array, from
-    one shifted-add pass over every start position when there are at least
-    ``_SHIFTED_ADD_ROWS`` of them and the input is past the pure-Python
-    cutoff.
+    """The distances of :func:`distance_chunks` as one numpy int64 array, from
+    one kernel over every start position: pure Python below
+    ``_NUMPY_CUTOFF`` byte comparisons, the window matrix below
+    ``_SHIFTED_ADD_ROWS`` start positions, the shifted add otherwise.
 
     Raises:
         TypeError: if the text or pattern is not bytes-like.
@@ -200,17 +202,15 @@ def distance_array(text: bytes, pattern: bytes) -> np.ndarray:
     """
     n, m = _lengths(text, pattern)
     count = n - m + 1
-    if count * m <= _NUMPY_CUTOFF or count < _SHIFTED_ADD_ROWS:
-        return np.concatenate(list(distance_chunks(text, pattern)))
+    if count * m <= _NUMPY_CUTOFF:
+        return np.array(
+            [sum(map(ne, text[i : i + m], pattern)) for i in range(count)], np.int64
+        )
+    tv = np.frombuffer(text, np.uint8)
     pv = np.frombuffer(pattern, np.uint8)
-    return _shifted_add(np.frombuffer(text, np.uint8), m, _symbol_offsets(pv), 0, count)
-
-
-def iter_sliding_distances(text: bytes, pattern: bytes) -> Iterator[int]:
-    """Lazily yield the Hamming distance of ``pattern`` at every start position,
-    as Python ints (see :func:`distance_chunks`)."""
-    for chunk in distance_chunks(text, pattern):
-        yield from chunk if isinstance(chunk, list) else chunk.tolist()
+    if count < _SHIFTED_ADD_ROWS:
+        return _window_compare(tv, pv, 0, count)
+    return _shifted_add(tv, m, _symbol_offsets(pv), 0, count)
 
 
 def sliding_distances(text: bytes, pattern: bytes) -> list[int]:
@@ -230,7 +230,7 @@ def exact_count(text: bytes, pattern: bytes, x: int) -> int:
     """Number of start positions whose window is within distance ``x``."""
     if not 0 <= x <= len(pattern):
         raise ValueError(f"distance threshold {x} outside [0, {len(pattern)}]")
-    return sum(1 for d in iter_sliding_distances(text, pattern) if d <= x)
+    return int(np.count_nonzero(distance_array(text, pattern) <= x))
 
 
 def tile(unit: bytes, length: int) -> bytes:
@@ -243,48 +243,28 @@ def tile(unit: bytes, length: int) -> bytes:
     return (unit * reps)[:length]
 
 
-def periodic_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Stride-``floor(m/2)`` cover used by the periodic-case reporter.
+def window_cover(n: int, m: int, stride: int) -> tuple[tuple[int, int], ...]:
+    """The closed windows ``(a, b)`` that split a length-``n`` text for a
+    length-``m`` pattern: one window for each block of ``stride`` consecutive
+    start positions, ``a = 0, stride, 2 * stride, ...`` up to ``n - m``,
+    reaching the end of the block's last occurrence,
+    ``b = min(a + stride + m - 1, n) - 1``.
 
-    Windows start at ``j * floor(m/2)`` and span ``floor(3m/2) - 1`` positions
-    (clipped to the text), followed by a tail window reaching ``n - 1``.
-    Consecutive windows overlap by ``m - 1``, so each pattern occurrence is
-    contained in exactly one window and each position in at most three.
-
-    Raises:
-        ValueError: if ``m > n`` or ``m < 2`` (stride would degenerate).
-    """
-    if m < 2:
-        raise ValueError(f"periodic cover needs m >= 2, got m={m}")
-    if m > n:
-        raise ValueError(f"pattern length {m} exceeds text length {n}")
-    stride = m // 2
-    length = (3 * m) // 2 - 1
-    tail_index = (n - m) // stride
-    windows = [
-        (j * stride, min(j * stride + length - 1, n - 1)) for j in range(tail_index)
-    ]
-    windows.append((tail_index * stride, n - 1))
-    return tuple(windows)
-
-
-def counting_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Stride-``m`` cover used by the non-periodic counter.
-
-    Windows span ``[j*m, (j+2)*m - 2]`` plus a tail reaching ``n - 1``; each
-    pattern occurrence is contained in exactly one window and each position in
-    at most two.
+    An occurrence lies wholly in a window exactly when it starts in the
+    window's block, so every occurrence lies in exactly one window, and every
+    window holds at least one start. A position lies in at most
+    ``ceil((m - 1) / stride) + 1`` windows: 3 at the reporter's stride
+    ``floor(m/2)``, 2 at the counter's stride ``m``.
 
     Raises:
-        ValueError: if ``m > n`` or ``m < 1``.
+        ValueError: if ``stride < 1``, ``m < 1`` or ``m > n``.
     """
+    if stride < 1:
+        raise ValueError(f"window cover needs stride >= 1, got stride={stride}")
     if m < 1:
         raise ValueError(f"window cover needs m >= 1, got m={m}")
     if m > n:
         raise ValueError(f"pattern length {m} exceeds text length {n}")
-    blocks = (n + 1) // m
-    windows = [(j * m, (j + 2) * m - 2) for j in range(blocks - 1)]
-    tail_start = (blocks - 1) * m
-    if tail_start <= n - 1:
-        windows.append((tail_start, n - 1))
-    return tuple(windows)
+    return tuple(
+        (a, min(a + stride + m - 1, n) - 1) for a in range(0, n - m + 1, stride)
+    )

@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own implementations so that the
 equivalence tests stay two-sided. ``ref_distances`` is the window-matrix
-distance kernel the library used before its shifted-add kernel; the reference
-scans at the end read their distances from it and reuse only the library's
-contract table, covers and dispatcher.
+distance kernel the library used before its shifted-add kernel;
+``periodic_cover`` and ``counting_cover`` are the two cover formulas the
+library used before its one ``window_cover`` rule. The reference scans at the
+end read their distances and windows from these and reuse only the library's
+contract table and dispatcher.
 """
 
 import math
@@ -16,7 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from dppm.matchers import WINDOW_OCCURRENCE_CAP, error_contract
 from dppm.periodicity import Regime, dispatch
-from dppm.text import counting_cover, periodic_cover
 
 
 def brute_hamming(a: bytes, b: bytes) -> int:
@@ -43,6 +44,35 @@ def ref_distances(text: bytes, pattern: bytes) -> np.ndarray:
         (sliding_window_view(tv[a : min(a + step, count) + m - 1], m) != pv).sum(axis=1)
         for a in range(0, count, step)
     ])
+
+
+def periodic_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Stride-``floor(m/2)`` cover of the periodic-case reporter: windows
+    start at ``j * floor(m/2)`` and span ``floor(3m/2) - 1`` positions
+    (clipped to the text), followed by a tail window reaching ``n - 1``."""
+    assert 2 <= m <= n
+    stride = m // 2
+    length = (3 * m) // 2 - 1
+    tail_index = (n - m) // stride
+    windows = [
+        (j * stride, min(j * stride + length - 1, n - 1)) for j in range(tail_index)
+    ]
+    windows.append((tail_index * stride, n - 1))
+    return tuple(windows)
+
+
+def counting_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Stride-``m`` cover of the non-periodic counter: windows span
+    ``[j*m, (j+2)*m - 2]`` plus a tail reaching ``n - 1``. When ``m >= 2``
+    divides ``n + 1`` the tail starts past ``n - m`` and holds no start
+    position."""
+    assert 1 <= m <= n
+    blocks = (n + 1) // m
+    windows = [(j * m, (j + 2) * m - 2) for j in range(blocks - 1)]
+    tail_start = (blocks - 1) * m
+    if tail_start <= n - 1:
+        windows.append((tail_start, n - 1))
+    return tuple(windows)
 
 
 def brute_first_at_most(text: bytes, pattern: bytes, thresh: float):
@@ -80,9 +110,9 @@ def draws(src, b: float, size: int) -> np.ndarray:
 #
 # The matchers' scans as they were written before the vectorized kernel: one
 # distance and one ``src.laplace`` draw at a time, one ledger span per scan.
-# Built only on ``src.laplace``, ``ref_distances`` and the library's contract
-# table and covers; the seed-for-seed oracle tests compare the kernel against
-# them.
+# Built only on ``src.laplace``, ``ref_distances``, the reference covers above
+# and the library's contract table; the seed-for-seed oracle tests compare the
+# kernel against them. A window with no start position starts no scan.
 
 
 class RefLedger:

@@ -30,7 +30,6 @@ from dppm.text import (
     distance_array,
     distance_chunks,
     exact_count,
-    periodic_cover,
     sliding_distances,
     tile,
 )
@@ -39,6 +38,7 @@ from conftest import (
     RefLedger,
     binary_strings,
     brute_first_at_most,
+    periodic_cover,
     ref_count_nonperiodic,
     ref_match,
     spent_by_position,
@@ -313,6 +313,22 @@ class TestBelowThresh:
         }
         # A zero-noise counter window with a cap of one hit stops there.
         assert below_thresh([distances], 0.0, 2, zero_src(), ledger, (0, 11)) == [0]
+
+    @pytest.mark.parametrize("chunks", [[[]], [np.array([], np.int64)]])
+    def test_no_scan_on_empty_distances(self, chunks):
+        src, ledger = NoiseSource(0), ledger_for(1.0)
+        assert below_thresh(chunks, 1.0, 1, src, ledger, (0, 1)) == []
+        assert ledger._runs == []
+        assert src.laplace(1.0) == NoiseSource(0).laplace(1.0)  # nothing drawn
+
+    def test_empty_chunk_between_is_skipped(self):
+        def run(chunks):
+            src, ledger = NoiseSource(2), ledger_for(1.0)
+            hits = below_thresh(chunks, 1.0, 1, src, ledger, (0, 3), 5)
+            return hits, ledger._runs, src.laplace(1.0)
+
+        assert run([[5, 5], [], [0]]) == run([[5, 5], [0]])
+        assert run([[5, 5], [], [0], []]) == run([[5, 5], [0]])
 
     def test_chunks_are_one_sequence(self):
         # Where the sequence is cut into chunks, and whether a chunk is a list
@@ -764,6 +780,48 @@ class TestSeedForSeedOracle:
         assert {"all-hit", "mixed", "all-miss", "zero"} <= shapes
         assert {("m", 1), ("m", 1024)} <= shapes
         assert set(Regime) <= shapes
+
+    def test_no_phantom_counting_window(self):
+        # m = 2 divides n + 1 = 4: no window without a start position is
+        # scanned, so no position pays more than the 2 * 1152 * k slices of
+        # its scans.
+        query = MatchQuery(b"ab", 1, 1.0, 0.1)
+        result = match_auto(b"aba", query, NoiseSource(0), "count")
+        assert result.ledger.max_spent == Fraction(1, 1152)
+        _, spent = ref_match(b"aba", query, NoiseSource(0), "count")
+        assert spent == Fraction(1, 1152)
+
+    @pytest.mark.parametrize("variant", ["auto", "existence", "count", "report"])
+    @pytest.mark.parametrize(
+        "pattern, n, k, epsilon",
+        [
+            (b"ab", 3, 1, 1.0),
+            (b"abc", 5, 2, 1.0),
+            (b"acgt", 7, 2, 1e3),
+            (b"acgtt", 9, 2, 300.0),
+            (b"acgtacgtac", 19, 2, 1.0),
+            (b"ab", 9, 1, 1e5),
+            (b"abca", 39, 2, 30.0),
+            (b"acgtta", 305, 2, 2e4),
+            (tile(b"ab", 64), 255, 1, 1e3),
+        ],
+    )
+    def test_match_auto_equals_reference_where_m_divides_n_plus_one(
+        self, pattern, n, k, epsilon, variant
+    ):
+        # The old counting cover ended in a window with no start position
+        # exactly here; at n = 2m - 1 its phantom scan raised max_spent.
+        assert (n + 1) % len(pattern) == 0
+        rng = random.Random(n)
+        text = bytearray(rng.choice(pattern) for _ in range(n))
+        text[n - len(pattern) :] = pattern  # an occurrence at the last start
+        text = bytes(text)
+        query = MatchQuery(pattern, k, epsilon, 0.1)
+        for seed in range(3):
+            expected, spent = ref_match(text, query, NoiseSource(seed), variant)
+            result = match_auto(text, query, NoiseSource(seed), variant=variant)
+            assert outcome_tuple(result.outcome) == expected, seed
+            assert result.ledger.max_spent == spent, seed
 
     @pytest.mark.parametrize("seed, epsilon", [(0, 1.0), (1, 10.0), (2, 3e4), (3, 1e5)])
     def test_per_window_cap(self, seed, epsilon):

@@ -9,20 +9,25 @@ from hypothesis import strategies as st
 
 import dppm.text as text_module
 from dppm.text import (
-    counting_cover,
     distance_array,
     distance_chunks,
     exact_count,
     hamming_distance,
-    iter_sliding_distances,
-    periodic_cover,
     sliding_distances,
     tile,
+    window_cover,
 )
 
-from conftest import binary_strings, brute_hamming, brute_sliding, ref_distances
+from conftest import (
+    binary_strings,
+    brute_sliding,
+    counting_cover,
+    periodic_cover,
+    ref_distances,
+)
 
-# Most windows any position may lie in, per cover.
+# Most windows any position may lie in, at the reporter's and the counter's
+# strides.
 PERIODIC_MULTIPLICITY = 3
 COUNTING_MULTIPLICITY = 2
 
@@ -128,9 +133,8 @@ class TestSlidingDistances:
 
     def test_lazy_iterator_matches_list(self):
         text, pattern = b"abracadabra", b"ab"
-        assert list(iter_sliding_distances(text, pattern)) == sliding_distances(
-            text, pattern
-        )
+        chunks = [d for chunk in distance_chunks(text, pattern) for d in chunk]
+        assert chunks == sliding_distances(text, pattern)
 
     @given(
         st.binary(min_size=1, max_size=60),
@@ -178,8 +182,8 @@ def random_text(rng: np.random.Generator, n: int, alphabet: str) -> bytes:
 
 class TestDistanceKernels:
     """``distance_array``, the concatenated ``distance_chunks`` and
-    ``iter_sliding_distances`` equal the window-matrix reference at every
-    kernel switch."""
+    ``sliding_distances`` equal the window-matrix reference at every kernel
+    switch."""
 
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 1024, 4096])
     @pytest.mark.parametrize("alphabet", ["acgt", "bytes"])
@@ -204,7 +208,7 @@ class TestDistanceKernels:
             assert np.array_equal(np.concatenate(chunks), expected), count
             if count * m > text_module._NUMPY_CUTOFF:
                 assert [len(c) for c in chunks] == chunk_rows(m, count), count
-            assert list(iter_sliding_distances(text, pattern)) == expected.tolist()
+            assert sliding_distances(text, pattern) == expected.tolist()
 
     def test_full_match_count_does_not_wrap(self):
         # 256 matches wrap an 8-bit counter to 0; every window of a constant
@@ -260,8 +264,6 @@ class TestBytesLikeInputs:
         for f in (sliding_distances, distance_array, distance_chunks):
             with pytest.raises(TypeError, match=f"{which} must be bytes"):
                 f(args["text"], args["pattern"])
-        with pytest.raises(TypeError, match=f"{which} must be bytes"):
-            list(iter_sliding_distances(args["text"], args["pattern"]))
         with pytest.raises(TypeError):
             exact_count(args["text"], args["pattern"], 0)
 
@@ -356,54 +358,97 @@ class TestTile:
 
 
 class TestPeriodicCover:
+    """``window_cover`` at the reporter's stride ``m // 2``."""
+
     def test_spec_example(self):
-        assert periodic_cover(10, 4) == ((0, 4), (2, 6), (4, 8), (6, 9))
+        assert window_cover(10, 4, 2) == ((0, 4), (2, 6), (4, 8), (6, 9))
 
     def test_degenerate_single_window(self):
-        assert periodic_cover(7, 7) == ((0, 6),)
+        assert window_cover(7, 7, 3) == ((0, 6),)
 
     def test_window_count_bound(self):
         # |family| <= 3n/m
-        assert len(periodic_cover(10, 4)) <= 3 * 10 / 4
+        assert len(window_cover(10, 4, 2)) <= 3 * 10 / 4
 
     def test_rejects_m_one(self):
-        with pytest.raises(ValueError, match="m >= 2"):
-            periodic_cover(5, 1)
+        with pytest.raises(ValueError, match="stride >= 1"):
+            window_cover(5, 1, 1 // 2)
 
     def test_rejects_m_greater_than_n(self):
         with pytest.raises(ValueError, match="exceeds"):
-            periodic_cover(3, 4)
+            window_cover(3, 4, 2)
 
 
 class TestCountingCover:
+    """``window_cover`` at the counter's stride ``m``."""
+
     def test_spec_example(self):
-        assert counting_cover(10, 4) == ((0, 6), (4, 9))
+        assert window_cover(10, 4, 4) == ((0, 6), (4, 9))
 
     def test_degenerate_single_window(self):
-        assert counting_cover(5, 5) == ((0, 4),)
+        assert window_cover(5, 5, 5) == ((0, 4),)
 
     def test_unit_pattern(self):
-        check_cover(counting_cover(4, 1), 4, 1, COUNTING_MULTIPLICITY)
+        check_cover(window_cover(4, 1, 1), 4, 1, COUNTING_MULTIPLICITY)
 
     def test_every_occurrence_in_exactly_one_window(self):
-        windows = counting_cover(10, 4)
+        windows = window_cover(10, 4, 4)
         for i in range(10 - 4 + 1):
             containing = [(a, b) for a, b in windows if a <= i and i + 3 <= b]
             assert len(containing) == 1
 
     def test_rejects_m_greater_than_n(self):
         with pytest.raises(ValueError, match="exceeds"):
-            counting_cover(3, 4)
+            window_cover(3, 4, 4)
+
+    def test_rejects_empty_pattern(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            window_cover(3, 0, 1)
+
+    def test_no_window_without_a_start(self):
+        # m >= 2 divides n + 1: the old counting formula ended in a tail
+        # window (8, 8) that holds no start position.
+        assert counting_cover(9, 2) == ((0, 2), (2, 4), (4, 6), (6, 8), (8, 8))
+        assert window_cover(9, 2, 2) == ((0, 2), (2, 4), (4, 6), (6, 8))
 
 
 class TestWindowFamilyInvariants:
     def test_exhaustive_sweep(self):
-        # Full structural check of both covers over every (n, m) at desk scale.
-        for n in range(2, 65):
-            for m in range(2, n + 1):
-                check_cover(periodic_cover(n, m), n, m, PERIODIC_MULTIPLICITY)
-                check_cover(counting_cover(n, m), n, m, COUNTING_MULTIPLICITY)
-            check_cover(counting_cover(n, 1), n, 1, COUNTING_MULTIPLICITY)
+        # Full structural check at the reporter's, the counter's and the
+        # unit stride over every (n, m) at desk scale.
+        for n in range(1, 65):
+            for m in range(1, n + 1):
+                for stride, multiplicity in (
+                    (m // 2, PERIODIC_MULTIPLICITY),
+                    (m, COUNTING_MULTIPLICITY),
+                    (1, m),
+                ):
+                    if stride >= 1:
+                        windows = window_cover(n, m, stride)
+                        check_cover(windows, n, m, multiplicity)
+                        assert all(a <= n - m for a, _ in windows)  # a start each
+
+    def test_equals_reference_covers(self):
+        # The one rule gives the two old formulas, less only the old
+        # counting tail that held no start position (a > n - m).
+        for n in range(1, 65):
+            for m in range(1, n + 1):
+                if m >= 2:
+                    assert window_cover(n, m, m // 2) == periodic_cover(n, m)
+                starts = tuple(w for w in counting_cover(n, m) if w[0] <= n - m)
+                assert window_cover(n, m, m) == starts
+
+    def test_multiplicity_formula(self):
+        # At every stride a position lies in at most ceil((m-1)/stride) + 1
+        # windows.
+        for n in range(1, 41):
+            for m in range(1, n + 1):
+                for stride in range(1, m + 1):
+                    covered = [0] * n
+                    for a, b in window_cover(n, m, stride):
+                        for p in range(a, b + 1):
+                            covered[p] += 1
+                    assert max(covered) <= -(-(m - 1) // stride) + 1
 
     def test_validate_rejects_gap(self):
         with pytest.raises(ValueError, match="cover"):

@@ -33,7 +33,6 @@ from .periodicity import (
     Regime,
     dispatch,
     is_primitive,
-    min_period_distance,
     shortest_close_period,
 )
 from .text import (
@@ -83,7 +82,6 @@ __all__ = [
     "hamming_distance",
     "is_primitive",
     "match_auto",
-    "min_period_distance",
     "packing_family_mismatch",
     "packing_family_planted",
     "report_periodic",

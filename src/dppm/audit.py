@@ -4,10 +4,13 @@ Three instruments:
 
 * utility experiments — run a matcher over generated instances with known
   exact answers and record how often the advertised error bounds are met;
-* frequency-ratio privacy audits — run a matcher many times on a pair of
-  close strings and look for an outcome category whose frequencies certify a
+* frequency-ratio privacy audits — run a mechanism many times on a pair of
+  close strings and look for an output label whose frequencies certify a
   ratio above ``e^(d*epsilon)`` (such a certificate refutes the privacy claim;
-  its absence proves nothing and is reported as "not refuted");
+  its absence proves nothing and is reported as "not refuted"). Each audited
+  mechanism is one ``AUDIT_MATCHERS`` entry ``(text, query, src) -> label``:
+  the CLI matchers label their outcome with :func:`outcome_label`, and a
+  broken mechanism such as the no-noise canary is one more entry;
 * packing families — the pairwise-distant string constructions showing that
   witness-returning private matchers need additive error that grows with the
   log of the number of plantable positions.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -181,33 +184,13 @@ class TrialConfig:
                 kwargs[key] = raw
             else:
                 raise ValueError(f"unknown config key {key!r}")
-        missing = {"n", "m", "k", "epsilon", "beta", "trials", "seed", "generator"} - set(
-            kwargs
-        )
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
         if missing:
             raise ValueError(f"config missing required keys: {sorted(missing)}")
         return cls(**kwargs)
 
 
 # --- utility experiments ------------------------------------------------------
-
-VARIANTS = ("existence", "count", "report")
-
-_COLUMNS = (
-    "trial",
-    "algorithm",
-    "found",
-    "count",
-    "reported",
-    "witness",
-    "witness_distance",
-    "bound",
-    "completeness_ok",
-    "soundness_ok",
-    "violated",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -227,10 +210,11 @@ class TrialRecord:
     error: str = ""
 
     def row(self) -> list:
-        def cell(v):
-            return "" if v is None else v
+        values = (getattr(self, c) for c in _COLUMNS)
+        return ["" if v is None else v for v in values]
 
-        return [cell(getattr(self, c)) for c in _COLUMNS]
+
+_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass
@@ -391,6 +375,7 @@ _TRIAL_RUNNERS = {
     "count": _run_count_trial,
     "report": _run_report_trial,
 }
+VARIANTS = tuple(_TRIAL_RUNNERS)
 
 
 def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
@@ -424,7 +409,10 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
 
 # --- differential privacy audit ----------------------------------------------
 
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.999) -> tuple[float, float]:
+CONFIDENCE = 0.999  # two-sided level of every audit's Clopper-Pearson intervals
+
+
+def clopper_pearson(successes: int, trials: int, confidence: float = CONFIDENCE) -> tuple[float, float]:
     """Exact (Clopper-Pearson) two-sided binomial confidence interval."""
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
@@ -440,69 +428,39 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.999) -> t
     return lo, hi
 
 
-def coarsen_existence(outcome: Outcome) -> str:
-    """NO, or the witness bucketed by value (capped at 16 categories)."""
-    assert isinstance(outcome, ExistenceOutcome)
-    if not outcome.found:
-        return "NO"
-    return f"w{min(outcome.witness, 14)}"
+def outcome_label(outcome: Outcome) -> str:
+    """The audit category of an outcome, at most 16 per outcome type.
 
-
-def coarsen_count(outcome: Outcome) -> str:
-    """Count value, clamped into 15 buckets."""
-    assert isinstance(outcome, CountOutcome)
-    return f"c{min(outcome.count, 14)}"
-
-
-def coarsen_report(outcome: Outcome) -> str:
-    """Stable hash of the reported position set into 16 buckets."""
+    Existence: ``NO``, or the witness as ``w0`` .. ``w14`` (capped at 14).
+    Count: ``c0`` .. ``c14`` (capped at 14). Report: a stable hash of the
+    reported position set, ``h0`` .. ``h15``.
+    """
+    if isinstance(outcome, ExistenceOutcome):
+        return f"w{min(outcome.witness, 14)}" if outcome.found else "NO"
+    if isinstance(outcome, CountOutcome):
+        return f"c{min(outcome.count, 14)}"
     assert isinstance(outcome, ReportOutcome)
     payload = ",".join(map(str, outcome.positions)).encode()
     return f"h{hashlib.blake2b(payload, digest_size=8).digest()[0] & 15}"
 
 
-def coarsen_by_type(outcome: Outcome) -> str:
-    if isinstance(outcome, ExistenceOutcome):
-        return coarsen_existence(outcome)
-    if isinstance(outcome, CountOutcome):
-        return coarsen_count(outcome)
-    return coarsen_report(outcome)
-
-
-def _audit_existence(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
-    return existence(text, query, src)
-
-
-def _audit_count(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
-    return match_auto(text, query, src, variant="count").outcome
-
-
-def _audit_report(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
-    return match_auto(text, query, src, variant="report").outcome
-
-
-def _audit_auto(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
-    return match_auto(text, query, src).outcome
-
-
-def _audit_canary(text: bytes, query: MatchQuery, src: NoiseSource) -> Outcome:
+def _canary(text: bytes, query: MatchQuery, src: NoiseSource) -> str:
     """Deliberately broken matcher: the exact first k-mismatch position with
     no noise. Exists so the audit's power can be demonstrated; it must fail."""
     for i, d in enumerate(distance_array(text, query.pattern).tolist()):
         if d <= query.k:
-            return ExistenceOutcome(found=True, witness=i)
-    return ExistenceOutcome(found=False, witness=None)
+            return outcome_label(ExistenceOutcome(found=True, witness=i))
+    return outcome_label(ExistenceOutcome(found=False, witness=None))
 
 
-AUDIT_MATCHERS: dict[
-    str,
-    tuple[Callable[[bytes, MatchQuery, NoiseSource], Outcome], Callable[[Outcome], str]],
-] = {
-    "existence": (_audit_existence, coarsen_existence),
-    "count": (_audit_count, coarsen_count),
-    "report": (_audit_report, coarsen_report),
-    "auto": (_audit_auto, coarsen_by_type),
-    "canary": (_audit_canary, coarsen_existence),
+# The audited mechanisms, (text, query, src) -> label. Entries read `existence`
+# and `match_auto` as module globals at call time, so patching those sees them.
+AUDIT_MATCHERS: dict[str, Callable[[bytes, MatchQuery, NoiseSource], str]] = {
+    "existence": lambda text, q, src: outcome_label(existence(text, q, src)),
+    "count": lambda text, q, src: outcome_label(match_auto(text, q, src, "count").outcome),
+    "report": lambda text, q, src: outcome_label(match_auto(text, q, src, "report").outcome),
+    "auto": lambda text, q, src: outcome_label(match_auto(text, q, src).outcome),
+    "canary": _canary,
 }
 
 
@@ -580,17 +538,15 @@ def dp_audit(
     *,
     seed: int = 0,
     group: bool = False,
-    confidence: float = 0.999,
 ) -> DpAuditReport:
-    """Frequency-ratio audit of ``matcher`` on a pair of close strings.
+    """Frequency-ratio audit of ``AUDIT_MATCHERS[matcher]`` on two close strings.
 
-    Runs the matcher ``trials`` times per string with independently derived
-    seeds, coarsens outcomes into at most 16 categories, and checks both
-    directions per category: the audit refutes privacy only when the lower
-    confidence bound of one string's frequency exceeds ``e^(d*epsilon)`` times
-    the upper confidence bound of the other's (Clopper-Pearson intervals at
-    ``confidence``). The test is symmetric in the two strings and
-    seed-reproducible.
+    Runs the mechanism ``trials`` times per string with independently derived
+    seeds, counts the labels it returns, and checks both directions per label:
+    the audit refutes privacy only when the lower confidence bound of one
+    string's frequency exceeds ``e^(d*epsilon)`` times the upper confidence
+    bound of the other's (Clopper-Pearson intervals at ``CONFIDENCE``). The
+    test is symmetric in the two strings and seed-reproducible.
 
     In strict mode the strings must be neighboring (Hamming distance 1;
     identical strings are also accepted as a degenerate sanity case). With
@@ -609,7 +565,7 @@ def dp_audit(
             f"strings at Hamming distance {distance} are not neighboring; "
             "pass group=True to audit at the group-privacy bound"
         )
-    run, coarsen = AUDIT_MATCHERS[matcher]
+    mechanism = AUDIT_MATCHERS[matcher]
     try:
         ratio_bound = math.exp(distance * query.epsilon)
     except OverflowError:
@@ -625,15 +581,15 @@ def dp_audit(
         lane_seed = derive_seed(seed, lane)
         for trial in range(trials):
             src = NoiseSource(derive_seed(lane_seed, trial))
-            label = coarsen(run(text, query, src))
+            label = mechanism(text, query, src)
             lane_counts[label] = lane_counts.get(label, 0) + 1
 
     categories = []
     refuted_any = False
     for label in sorted(set(counts[0]) | set(counts[1])):
         ca, cb = counts[0].get(label, 0), counts[1].get(label, 0)
-        lo_a, hi_a = clopper_pearson(ca, trials, confidence)
-        lo_b, hi_b = clopper_pearson(cb, trials, confidence)
+        lo_a, hi_a = clopper_pearson(ca, trials)
+        lo_b, hi_b = clopper_pearson(cb, trials)
         refuted = lo_a > ratio_bound * hi_b or lo_b > ratio_bound * hi_a
         refuted_any = refuted_any or refuted
         categories.append(
@@ -655,7 +611,7 @@ def dp_audit(
         distance=distance,
         epsilon=query.epsilon,
         ratio_bound=ratio_bound,
-        confidence=confidence,
+        confidence=CONFIDENCE,
         categories=tuple(categories),
         refuted=refuted_any,
     )

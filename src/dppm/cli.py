@@ -207,8 +207,8 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     mapping = _parse_config_file(args.config)
-    variant = args.variant or mapping.pop("variant", "existence")
-    mapping.pop("variant", None)
+    variant = mapping.pop("variant", "existence")
+    variant = args.variant or variant
     cfg = TrialConfig.from_mapping(mapping)
     report = run_utility_experiment(cfg, variant)
     rows = report.to_rows()

@@ -65,24 +65,6 @@ class DispatchDecision:
     small_k_cutoff: int
 
 
-def min_period_distance(pattern: bytes, period: int) -> int:
-    """Distance from ``pattern`` to the closest string of the given period.
-
-    Computed columnwise: for each residue class mod ``period`` the best symbol
-    is the column majority, so the minimum over all period-``period`` strings
-    is the sum of minority counts. Serves as the independent oracle for
-    :func:`shortest_close_period`.
-    """
-    m = len(pattern)
-    if not 1 <= period <= m:
-        raise ValueError(f"period {period} outside [1, {m}]")
-    total = 0
-    for r in range(period):
-        column = pattern[r::period]
-        total += len(column) - Counter(column).most_common(1)[0][1]
-    return total
-
-
 def is_primitive(seq: bytes) -> bool:
     """True iff ``seq`` is not a repetition of any shorter string."""
     n = len(seq)
@@ -137,8 +119,9 @@ def widest_close_period(pattern: bytes, k: int) -> Optional[PeriodicCandidate]:
     Period lengths up to ``m // (4k + 1)`` leave at least ``4k + 1`` full
     blocks. A root that verifies differs from at most ``2k`` of them, so it
     wins a strict majority of the blocks and no other root can verify: the
-    block vote then returns exactly the columnwise optimum (see
-    :func:`min_period_distance`). With fewer blocks two roots can tie.
+    block vote then returns exactly the columnwise optimum: the root of column
+    majorities, at the sum of the columns' minority counts. With fewer blocks
+    two roots can tie.
     """
     return shortest_close_period(pattern, k, len(pattern) // (4 * k + 1))
 

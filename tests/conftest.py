@@ -4,12 +4,14 @@ These deliberately avoid the library's own implementations so that the
 equivalence tests stay two-sided. ``ref_distances`` is the window-matrix
 distance kernel the library used before its shifted-add kernel;
 ``periodic_cover`` and ``counting_cover`` are the two cover formulas the
-library used before its one ``window_cover`` rule. The reference scans at the
+library used before its one ``window_cover`` rule; ``min_period_distance`` is
+the columnwise oracle for the close-period search. The reference scans at the
 end read their distances and windows from these and reuse only the library's
 contract table and dispatcher.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -73,6 +75,24 @@ def counting_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:
     if tail_start <= n - 1:
         windows.append((tail_start, n - 1))
     return tuple(windows)
+
+
+def min_period_distance(pattern: bytes, period: int) -> int:
+    """Distance from ``pattern`` to the closest string of the given period.
+
+    Computed columnwise: for each residue class mod ``period`` the best symbol
+    is the column majority, so the minimum over all period-``period`` strings
+    is the sum of minority counts. Serves as the independent oracle for
+    ``shortest_close_period``.
+    """
+    m = len(pattern)
+    if not 1 <= period <= m:
+        raise ValueError(f"period {period} outside [1, {m}]")
+    total = 0
+    for r in range(period):
+        column = pattern[r::period]
+        total += len(column) - Counter(column).most_common(1)[0][1]
+    return total
 
 
 def brute_first_at_most(text: bytes, pattern: bytes, thresh: float):

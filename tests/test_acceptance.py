@@ -33,7 +33,6 @@ from dppm.noise import NoiseSource, derive_seed
 from dppm.periodicity import (
     Regime,
     is_primitive,
-    min_period_distance,
     shortest_close_period,
     small_k_cutoff,
     widest_close_period,
@@ -41,7 +40,7 @@ from dppm.periodicity import (
 from dppm.text import distance_chunks, hamming_distance, tile
 from dppm.cli import EXIT_OK, main as cli_main
 
-from conftest import binary_strings, brute_first_at_most, draws
+from conftest import binary_strings, brute_first_at_most, draws, min_period_distance
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

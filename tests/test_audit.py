@@ -6,21 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppm.audit import (
+    AUDIT_MATCHERS,
     GENERATORS,
     TrialConfig,
     clopper_pearson,
-    coarsen_count,
-    coarsen_existence,
-    coarsen_report,
     dp_audit,
     gen_disjoint,
     gen_periodic,
     gen_planted,
+    outcome_label,
     packing_family_mismatch,
     packing_family_planted,
     run_utility_experiment,
 )
-from dppm.matchers import CountOutcome, ExistenceOutcome, MatchQuery, ReportOutcome
+from dppm.matchers import (
+    CountOutcome,
+    ExistenceOutcome,
+    MatchQuery,
+    ReportOutcome,
+    match_auto,
+)
+from dppm.noise import NoiseSource
 from dppm.text import hamming_distance, sliding_distances
 
 from conftest import brute_sliding
@@ -185,21 +191,67 @@ class TestClopperPearson:
             clopper_pearson(1, 10, 1.0)
 
 
-class TestCoarsening:
+class TestOutcomeLabel:
     def test_existence_categories(self):
-        assert coarsen_existence(ExistenceOutcome(False, None)) == "NO"
-        assert coarsen_existence(ExistenceOutcome(True, 3)) == "w3"
-        assert coarsen_existence(ExistenceOutcome(True, 99)) == "w14"
+        assert outcome_label(ExistenceOutcome(False, None)) == "NO"
+        assert outcome_label(ExistenceOutcome(True, 3)) == "w3"
+        assert outcome_label(ExistenceOutcome(True, 99)) == "w14"
 
     def test_count_categories(self):
-        assert coarsen_count(CountOutcome(0, None, 0)) == "c0"
-        assert coarsen_count(CountOutcome(500, 1, 500)) == "c14"
+        assert outcome_label(CountOutcome(0, None, 0)) == "c0"
+        assert outcome_label(CountOutcome(500, 1, 500)) == "c14"
 
     def test_report_hash_stable_and_bounded(self):
-        label = coarsen_report(ReportOutcome((1, 5, 9)))
-        assert label == coarsen_report(ReportOutcome((1, 5, 9)))
+        label = outcome_label(ReportOutcome((1, 5, 9)))
+        assert label == outcome_label(ReportOutcome((1, 5, 9)))
         assert label.startswith("h") and 0 <= int(label[1:]) < 16
-        assert coarsen_report(ReportOutcome(())) != ""
+        assert outcome_label(ReportOutcome(())) != ""
+
+
+# The documented label set of each outcome type, at most 16 labels each.
+LABELS = {
+    ExistenceOutcome: {"NO"} | {f"w{i}" for i in range(15)},
+    CountOutcome: {f"c{i}" for i in range(15)},
+    ReportOutcome: {f"h{i}" for i in range(16)},
+}
+# The outcome type of each audit-table entry; None: decided by dispatch.
+OUTCOME_TYPE = {
+    "existence": ExistenceOutcome,
+    "canary": ExistenceOutcome,
+    "count": CountOutcome,
+    "report": ReportOutcome,
+    "auto": None,
+}
+C7_PAIR = (b"ababab", b"abbbab")
+
+
+class TestAuditTable:
+    @pytest.mark.parametrize("name", sorted(AUDIT_MATCHERS))
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_labels_in_documented_set(self, name, k):
+        query = MatchQuery(b"ba", k, 1.0, 0.1)
+        for text in C7_PAIR:
+            outcome_type = OUTCOME_TYPE[name] or type(
+                match_auto(text, query, NoiseSource(0)).outcome
+            )
+            for seed in range(40):
+                label = AUDIT_MATCHERS[name](text, query, NoiseSource(seed))
+                assert type(label) is str
+                assert label in LABELS[outcome_type], (name, label)
+
+    def test_registered_noiseless_mechanism_refuted(self, monkeypatch):
+        def first_bb(text, query, src):
+            return str(text.find(b"bb"))
+
+        real = dict(AUDIT_MATCHERS)
+        monkeypatch.setitem(AUDIT_MATCHERS, "first-bb", first_bb)
+        query = MatchQuery(b"ba", 0, 1.0, 0.1)
+        report = dp_audit("first-bb", *C7_PAIR, query, trials=200, seed=1)
+        assert report.refuted
+        assert {c.label for c in report.categories} == {"-1", "1"}
+        assert report.to_records()[-1]["matcher"] == "first-bb"
+        assert all(AUDIT_MATCHERS[name] is mech for name, mech in real.items())
+        assert not dp_audit("existence", *C7_PAIR, query, trials=200, seed=1).refuted
 
 
 class TestDpAudit:

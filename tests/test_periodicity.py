@@ -8,14 +8,13 @@ from dppm.periodicity import (
     Regime,
     dispatch,
     is_primitive,
-    min_period_distance,
     periodic_scale,
     shortest_close_period,
     small_k_cutoff,
 )
 from dppm.text import hamming_distance, tile
 
-from conftest import binary_strings
+from conftest import binary_strings, min_period_distance
 
 
 class TestMinPeriodDistance:

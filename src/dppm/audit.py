@@ -22,7 +22,7 @@ import hashlib
 import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .matchers import (
     trivial_all,
 )
 from .noise import MODES, NoiseSource, derive_seed
-from .periodicity import Regime, is_primitive, widest_close_period
+from .periodicity import Regime, check_query, is_primitive, widest_close_period
 from .text import distance_array, hamming_distance, tile
 
 TEXT_ALPHABET = b"acgt"
@@ -141,14 +141,7 @@ class TrialConfig:
     target: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
-        if not 0 <= self.k <= self.m:
-            raise ValueError(f"k={self.k} outside [0, m={self.m}]")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        check_query(self.m, self.k, self.epsilon, self.beta, self.n)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
@@ -168,22 +161,19 @@ class TrialConfig:
     def target_probability(self) -> float:
         return self.target if self.target is not None else 1.0 - self.beta
 
-    _INT_KEYS = ("n", "m", "k", "trials", "seed", "period_length")
-    _FLOAT_KEYS = ("epsilon", "beta", "target")
-
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "TrialConfig":
-        """Build from a flat string mapping (the bench config file format)."""
+        """Build from a flat string mapping (the bench config file format),
+        converting each value by its field's annotated type."""
+        types = get_type_hints(cls)
         kwargs: dict = {}
         for key, raw in mapping.items():
-            if key in cls._INT_KEYS:
-                kwargs[key] = int(raw)
-            elif key in cls._FLOAT_KEYS:
-                kwargs[key] = float(raw)
-            elif key in ("generator", "noise"):
-                kwargs[key] = raw
-            else:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
+            kind = types[key]
+            if get_origin(kind) is Union:  # Optional[X]: convert to X
+                (kind,) = set(get_args(kind)) - {type(None)}
+            kwargs[key] = kind(raw)
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
         if missing:
             raise ValueError(f"config missing required keys: {sorted(missing)}")
@@ -280,89 +270,68 @@ class UtilityReport:
         return rows
 
 
-def _count_at_most(distances: np.ndarray, x: float) -> int:
-    return int((distances <= x).sum())
-
-
-def _run_existence_trial(
-    inst: Instance, cfg: TrialConfig, src: NoiseSource, trial: int
-) -> TrialRecord:
-    query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
-    result = match_auto(inst.text, query, src, variant="existence")
-    outcome = result.outcome
-    bound = result.contract.bound
-    d = distance_array(inst.text, inst.pattern)
-    oracle_exists = _count_at_most(d, cfg.k) > 0
-    completeness = outcome.found or not oracle_exists
-    wd = int(d[outcome.witness]) if outcome.found else None
-    soundness = wd is None or wd <= bound
-    return TrialRecord(
-        trial=trial,
-        algorithm="existence",
-        found=outcome.found,
-        witness=outcome.witness,
-        witness_distance=wd,
-        bound=bound,
-        completeness_ok=completeness,
-        soundness_ok=soundness,
-        violated=not (completeness and soundness),
-    )
-
-
-def _run_count_trial(
-    inst: Instance, cfg: TrialConfig, src: NoiseSource, trial: int
-) -> TrialRecord:
-    query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
-    m, k = cfg.m, cfg.k
-    result = match_auto(inst.text, query, src, variant="count")
-    count, witness = result.outcome.count, result.outcome.witness
-    x_hi = result.contract.bound
-    d = distance_array(inst.text, inst.pattern)
-    c_lo = _count_at_most(d, k)
-    c_hi = _count_at_most(d, min(math.floor(x_hi), m))
-    wd = int(d[witness]) if witness is not None else None
-    completeness = count >= c_lo
-    soundness = count <= c_hi and (wd is None or wd <= x_hi)
-    return TrialRecord(
-        trial=trial,
-        algorithm=result.regime.value,
-        count=count,
-        witness=witness,
-        witness_distance=wd,
-        bound=x_hi,
-        completeness_ok=completeness,
-        soundness_ok=soundness,
-        violated=not (completeness and soundness),
-    )
-
-
-def _run_report_trial(
-    inst: Instance, cfg: TrialConfig, src: NoiseSource, trial: int
-) -> TrialRecord:
-    query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
-    n, m, k = cfg.n, cfg.m, cfg.k
-    candidate = widest_close_period(inst.pattern, k)
-    if candidate is not None and m >= 2:
-        outcome = report_periodic(inst.text, query, candidate, src)
-        algorithm = Regime.PERIODIC_REPORTING.value
-        matcher = "report_periodic"
+def _run_report(
+    text: bytes, query: MatchQuery, src: NoiseSource
+) -> tuple[str, ReportOutcome, float]:
+    """The report variant's matcher, its regime tag and its contract bound:
+    periodic reporting whenever the pattern has a close period and m >= 2,
+    else the trivial reporter. Bypasses dispatch, which never picks reporting
+    at desk epsilon."""
+    candidate = widest_close_period(query.pattern, query.k)
+    if candidate is not None and query.m >= 2:
+        regime, matcher = Regime.PERIODIC_REPORTING, "report_periodic"
+        outcome = report_periodic(text, query, candidate, src)
     else:
-        outcome = trivial_all(inst.text, query)
-        algorithm = Regime.TRIVIAL_FALLBACK.value
-        matcher = "trivial_all"
-    bound = error_contract(matcher, n, m, k, cfg.epsilon, cfg.beta).bound
+        regime, matcher = Regime.TRIVIAL_FALLBACK, "trivial_all"
+        outcome = trivial_all(text, query)
+    contract = error_contract(
+        matcher, len(text), query.m, query.k, query.epsilon, query.beta
+    )
+    return regime.value, outcome, contract.bound
+
+
+def _run_trial(
+    inst: Instance, cfg: TrialConfig, variant: str, src: NoiseSource, trial: int
+) -> TrialRecord:
+    """Run one matcher of ``variant`` and judge it by the exact distances.
+
+    Sound: every returned position (the witness, or each reported position)
+    lies within the contract's bound, and a count is at most the number of
+    windows within it. Complete: no window within k is missed.
+    """
+    query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
+    if variant == "report":
+        algorithm, outcome, bound = _run_report(inst.text, query, src)
+    else:
+        result = match_auto(inst.text, query, src, variant)
+        outcome, bound = result.outcome, result.contract.bound
+        algorithm = variant if variant == "existence" else result.regime.value
     d = distance_array(inst.text, inst.pattern)
-    oracle = {int(i) for i in np.flatnonzero(d <= k)}
-    positions = set(outcome.positions)
-    completeness = oracle <= positions
-    worst = max((int(d[p]) for p in outcome.positions), default=None)
-    soundness = worst is None or worst <= bound
+    within_k = d <= cfg.k
+    found = count = reported = None
+    if isinstance(outcome, ReportOutcome):
+        returned, reported = outcome.positions, len(outcome.positions)
+        completeness = set(np.flatnonzero(within_k).tolist()) <= set(returned)
+    else:
+        returned = () if outcome.witness is None else (outcome.witness,)
+        if isinstance(outcome, ExistenceOutcome):
+            found = outcome.found
+            completeness = found or not within_k.any()
+        else:
+            count = outcome.count
+            completeness = count >= int(within_k.sum())
+    wd = int(d[list(returned)].max()) if returned else None
+    soundness = (wd is None or wd <= bound) and (
+        count is None or count <= int((d <= bound).sum())
+    )
     return TrialRecord(
         trial=trial,
         algorithm=algorithm,
-        reported=len(outcome.positions),
-        witness=outcome.positions[0] if outcome.positions else None,
-        witness_distance=worst,
+        found=found,
+        count=count,
+        reported=reported,
+        witness=returned[0] if returned else None,
+        witness_distance=wd,
         bound=bound,
         completeness_ok=completeness,
         soundness_ok=soundness,
@@ -370,21 +339,16 @@ def _run_report_trial(
     )
 
 
-_TRIAL_RUNNERS = {
-    "existence": _run_existence_trial,
-    "count": _run_count_trial,
-    "report": _run_report_trial,
-}
-VARIANTS = tuple(_TRIAL_RUNNERS)
+VARIANTS = ("existence", "count", "report")
 
 
 def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
     """Run ``cfg.trials`` seeded trials of the given variant and compare each
-    against the exact oracle. Generator or matcher failures are recorded on
-    the trial (as violated) rather than aborting the experiment."""
+    against the exact oracle. Parameter errors (``ValueError``) from the
+    generator or matcher are recorded on the trial (as violated) rather than
+    aborting the experiment; a privacy-cap failure is not caught."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    runner = _TRIAL_RUNNERS[variant]
     generate = GENERATORS[cfg.generator]
     report = UtilityReport(config=cfg, variant=variant)
     started = time.perf_counter()
@@ -399,8 +363,8 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
         src = NoiseSource(derive_seed(noise_seed, trial), mode=cfg.noise)
         try:
             inst = generate(cfg, instance_rng)
-            record = runner(inst, cfg, src, trial)
-        except (ValueError, RuntimeError) as exc:
+            record = _run_trial(inst, cfg, variant, src, trial)
+        except ValueError as exc:
             record = TrialRecord(trial=trial, violated=True, error=str(exc))
         report.records.append(record)
     report.runtime_seconds = time.perf_counter() - started
@@ -636,32 +600,14 @@ def _filler_symbol(pattern: bytes) -> int:
     raise ValueError("pattern uses all 256 byte values; no filler symbol available")
 
 
-def _block_count(pattern: bytes, n: int) -> int:
-    m = len(pattern)
-    if m < 1:
-        raise ValueError("pattern must be non-empty")
-    if n < m:
-        raise ValueError(f"n={n} is too short for pattern length {m}")
-    # A trailing remainder (when m does not divide n) is filled with the
-    # filler symbol and excluded from block indexing.
-    return n // m
-
-
 def packing_family_planted(pattern: bytes, n: int) -> PackingFamily:
     """One member per even block: the pattern planted in that block, filler
     elsewhere. Distinct members differ in exactly two blocks, so all pairwise
-    distances equal 2m."""
-    m = len(pattern)
-    filler = _filler_symbol(pattern)
-    blocks = _block_count(pattern, n)
-    members = []
-    positions = []
-    for j in range(0, blocks, 2):
-        member = bytearray([filler]) * n
-        member[j * m : (j + 1) * m] = pattern
-        members.append(bytes(member))
-        positions.append(j * m)
-    return PackingFamily(tuple(members), 2 * m, tuple(positions))
+    distances equal 2m. This is :func:`packing_family_mismatch` at k = 0 and
+    alpha = m - 1, whose far variant is all filler."""
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    return packing_family_mismatch(pattern, n, 0, len(pattern) - 1)
 
 
 def packing_family_mismatch(
@@ -678,8 +624,12 @@ def packing_family_mismatch(
         raise ValueError(
             f"need k + alpha + 1 <= m, got k={k}, alpha={alpha}, m={m}"
         )
+    if n < m:
+        raise ValueError(f"n={n} is too short for pattern length {m}")
     filler = _filler_symbol(pattern)
-    blocks = _block_count(pattern, n)
+    # A trailing remainder (when m does not divide n) is filled with the
+    # filler symbol and excluded from block indexing.
+    blocks = n // m
     near = bytes([filler]) * k + pattern[k:]
     far = bytes([filler]) * (k + alpha + 1) + pattern[k + alpha + 1 :]
     members = []

@@ -39,7 +39,6 @@ sum to at most the query epsilon.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -50,6 +49,7 @@ from .periodicity import (
     DispatchDecision,
     PeriodicCandidate,
     Regime,
+    check_query,
     dispatch,
 )
 from .text import check_bytes, distance_array, distance_chunks, window_cover
@@ -71,18 +71,7 @@ class MatchQuery:
 
     def __post_init__(self) -> None:
         check_bytes("pattern", self.pattern)
-        if len(self.pattern) < 1:
-            raise ValueError("pattern must be non-empty")
-        try:
-            operator.index(self.k)
-        except TypeError:
-            raise TypeError(f"k must be an integer, got {self.k!r}") from None
-        if not 0 <= self.k <= len(self.pattern):
-            raise ValueError(f"k={self.k} outside [0, m={len(self.pattern)}]")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        check_query(len(self.pattern), self.k, self.epsilon, self.beta)
 
     @property
     def m(self) -> int:

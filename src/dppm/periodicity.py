@@ -8,6 +8,7 @@ the private text, so it consumes no privacy budget.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -152,13 +153,20 @@ def small_k_cutoff(n: int, epsilon: float, beta: float) -> int:
     return _ceil_finite("small-k cutoff", value, epsilon, beta)
 
 
-def _validate_query_params(
-    m: int, k: int, n: int, epsilon: float, beta: float
+def check_query(
+    m: int, k: int, epsilon: float, beta: float, n: Optional[int] = None
 ) -> None:
+    """Raise unless the query is valid: a non-empty pattern no longer than the
+    text (when ``n`` is given), an integer ``k`` in ``[0, m]``, a positive
+    finite ``epsilon`` and ``beta`` in ``(0, 1)``."""
     if m < 1:
         raise ValueError("pattern must be non-empty")
-    if m > n:
+    if n is not None and m > n:
         raise ValueError(f"pattern length {m} exceeds text length {n}")
+    try:
+        operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
     if not 0 <= k <= m:
         raise ValueError(f"k={k} outside [0, m={m}]")
     if not (epsilon > 0 and math.isfinite(epsilon)):
@@ -187,7 +195,7 @@ def dispatch(
     cutoff is not finite.
     """
     m = len(pattern)
-    _validate_query_params(m, k, n, epsilon, beta)
+    check_query(m, k, epsilon, beta, n)
     scale = periodic_scale(k, n, epsilon, beta)
     cutoff = small_k_cutoff(n, epsilon, beta)
 

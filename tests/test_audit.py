@@ -20,6 +20,7 @@ from dppm.audit import (
     run_utility_experiment,
 )
 from dppm.matchers import (
+    BudgetLedger,
     CountOutcome,
     ExistenceOutcome,
     MatchQuery,
@@ -95,8 +96,13 @@ class TestTrialConfig:
             "trials": "10",
             "seed": "7",
             "generator": "planted-occurrence",
+            "period_length": "3",
+            "noise": "zero",
+            "target": "0.8",
         }
-        assert TrialConfig.from_mapping(mapping) == small_config()
+        assert TrialConfig.from_mapping(mapping) == small_config(
+            period_length=3, noise="zero", target=0.8
+        )
 
     def test_from_mapping_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -166,6 +172,16 @@ class TestUtilityExperiment:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             run_utility_experiment(small_config(), "guessing")
+
+    def test_privacy_cap_failure_aborts(self, monkeypatch):
+        # A cap failure is a broken matcher, not a bad instance: it must stop
+        # the experiment instead of becoming one violated row.
+        def overspent(ledger):
+            raise RuntimeError("privacy budget exceeded")
+
+        monkeypatch.setattr(BudgetLedger, "assert_within_cap", overspent)
+        with pytest.raises(RuntimeError, match="privacy budget exceeded"):
+            run_utility_experiment(small_config(trials=40), "existence")
 
 
 class TestClopperPearson:
@@ -386,6 +402,10 @@ class TestPackingFamilies:
         with pytest.raises(ValueError, match="filler"):
             packing_family_planted(bytes(range(256)), 512)
 
+    def test_planted_rejects_empty_pattern(self):
+        with pytest.raises(ValueError, match="pattern must be non-empty"):
+            packing_family_planted(b"", 4)
+
     def test_mismatch_parameter_validation(self):
         with pytest.raises(ValueError, match="k \\+ alpha"):
             packing_family_mismatch(b"abc", 9, 2, 1)
@@ -401,6 +421,7 @@ class TestPackingFamilies:
         pattern = bytes((i * 37 + 5) % 250 for i in range(m))
         n = m * blocks
         planted = packing_family_planted(pattern, n)
+        assert planted == packing_family_mismatch(pattern, n, 0, m - 1)
         for i in range(len(planted.members)):
             for j in range(i + 1, len(planted.members)):
                 assert (

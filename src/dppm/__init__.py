@@ -17,6 +17,7 @@ from .matchers import (
     ExistenceOutcome,
     MatchQuery,
     MatchResult,
+    PrivacyBudgetExceeded,
     ReportOutcome,
     below_thresh,
     count_nonperiodic,
@@ -66,6 +67,7 @@ __all__ = [
     "NoiseSource",
     "PackingFamily",
     "PeriodicCandidate",
+    "PrivacyBudgetExceeded",
     "Regime",
     "ReportOutcome",
     "TrialConfig",

@@ -505,12 +505,21 @@ def dp_audit(
 ) -> DpAuditReport:
     """Frequency-ratio audit of ``AUDIT_MATCHERS[matcher]`` on two close strings.
 
-    Runs the mechanism ``trials`` times per string with independently derived
-    seeds, counts the labels it returns, and checks both directions per label:
-    the audit refutes privacy only when the lower confidence bound of one
-    string's frequency exceeds ``e^(d*epsilon)`` times the upper confidence
-    bound of the other's (Clopper-Pearson intervals at ``CONFIDENCE``). The
-    test is symmetric in the two strings and seed-reproducible.
+    Runs the mechanism ``trials`` times per string, counts the labels it
+    returns, and checks both directions per label: the audit refutes privacy
+    only when the lower confidence bound of one string's frequency exceeds
+    ``e^(d*epsilon)`` times the upper confidence bound of the other's
+    (Clopper-Pearson intervals at ``CONFIDENCE``). The test is symmetric in
+    the two strings and seed-reproducible.
+
+    Each string is one lane with one noise stream,
+    ``NoiseSource(derive_seed(seed, lane))``, and its trials read that stream
+    in turn, each starting at the first draw the trial before did not serve.
+    The trials are still i.i.d.: a trial's label is a function of the draws
+    it served (the kernel serves every unit that decided a comparison, and a
+    unit it only peeked at decides nothing), and the served prefix is a
+    stopping time of an i.i.d. stream, so the draws after it are fresh i.i.d.
+    draws for the next trial.
 
     In strict mode the strings must be neighboring (Hamming distance 1;
     identical strings are also accepted as a degenerate sanity case). With
@@ -541,10 +550,8 @@ def dp_audit(
     counts: list[dict[str, int]] = [{}, {}]
     for lane, text in enumerate((text_a, text_b)):
         lane_counts = counts[lane]
-        # derive_seed(lane_seed, t) == derive_seed(seed, lane, t), one mix less.
-        lane_seed = derive_seed(seed, lane)
-        for trial in range(trials):
-            src = NoiseSource(derive_seed(lane_seed, trial))
+        src = NoiseSource(derive_seed(seed, lane))
+        for _ in range(trials):
             label = mechanism(text, query, src)
             lane_counts[label] = lane_counts.get(label, 0) + 1
 

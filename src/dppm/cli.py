@@ -7,10 +7,11 @@ Subcommands: ``match`` (run one private query against a text file),
 
 Texts are read as raw bytes; pattern literals are taken verbatim (``@path``
 reads the pattern from a file instead). Exit codes: 0 success, 2 invalid
-arguments, 3 I/O failure, 4 audit refuted. The root seed comes from
-``--seed`` or the ``DPPM_SEED`` environment variable; per-query sources are
-derived from it with a fixed hash, so equal invocations produce byte-identical
-output.
+arguments, 3 I/O failure, 4 audit refuted, 5 privacy guarantee failed (a
+query's ledger exceeded its epsilon cap; nothing is released). The root seed
+comes from ``--seed`` or the ``DPPM_SEED`` environment variable; per-query
+sources are derived from it with a fixed hash, so equal invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from .audit import (
     dp_audit,
     run_utility_experiment,
 )
-from .matchers import VARIANTS as MATCH_VARIANTS, MatchQuery, match_auto
+from .matchers import (
+    VARIANTS as MATCH_VARIANTS,
+    MatchQuery,
+    PrivacyBudgetExceeded,
+    match_auto,
+)
 from .noise import NoiseSource, derive_seed
 from .periodicity import dispatch, widest_close_period
 from . import __version__
@@ -39,6 +45,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_REFUTED = 4
+EXIT_PRIVACY = 5
 
 FORMATS = ("json-lines", "csv", "human")
 
@@ -257,6 +264,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"dppm: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except PrivacyBudgetExceeded as exc:
+        print(f"dppm: privacy guarantee failed: {exc}", file=sys.stderr)
+        return EXIT_PRIVACY
 
 
 if __name__ == "__main__":

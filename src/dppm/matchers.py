@@ -125,6 +125,11 @@ class ReportOutcome:
 Outcome = Union[ExistenceOutcome, CountOutcome, ReportOutcome]
 
 
+class PrivacyBudgetExceeded(RuntimeError):
+    """A query's scans charged some text position more than its epsilon: the
+    privacy guarantee failed, and the query's answer must not be released."""
+
+
 class BudgetLedger:
     """Per-position record of the privacy budget a query's scans consume.
 
@@ -201,7 +206,7 @@ class BudgetLedger:
     def assert_within_cap(self) -> None:
         units, denom = self._peak()
         if units > denom:
-            raise RuntimeError(
+            raise PrivacyBudgetExceeded(
                 f"privacy budget exceeded: a position pays {units}/{denom} of "
                 f"epsilon={self.epsilon!r}"
             )

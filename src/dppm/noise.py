@@ -8,14 +8,14 @@ tests).
 A source serves its draws from one numpy buffer of unit-Laplace values
 (scale 1), multiplied by each call's scale. While a source has drawn fewer
 than 8 units and nothing is buffered, ``laplace`` computes its draw directly
-from one uniform, so a source that makes only a few draws (an audit trial
-makes two) pays no vector set-up. Every refill of the buffer transforms one
-block of uniforms, as many as the source has drawn so far (so blocks double),
-at least 1 and at most 4096. A uniform on the interval boundary is skipped
-in-stream, exactly where a one-at-a-time sampler would redraw it. How the
-stream is cut into blocks never changes a value: every draw equals the
-one-uniform-at-a-time transform of the same uniform, in the same order, bit
-for bit.
+from one uniform, so a source that makes only a few draws (an existence scan
+that hits at once makes two) pays no vector set-up. Every refill of the
+buffer transforms one block of uniforms, as many as the source has drawn so
+far (so blocks double), at least 1 and at most 4096. A uniform on the
+interval boundary is skipped in-stream, exactly where a one-at-a-time sampler
+would redraw it. How the stream is cut into blocks never changes a value:
+every draw equals the one-uniform-at-a-time transform of the same uniform, in
+the same order, bit for bit.
 
 Vectorized consumers read the same stream through a cursor: ``units(count)``
 peeks at the next ``count`` unit values as an array without serving them, and
@@ -68,11 +68,11 @@ def derive_seed(root: int, *lanes: int) -> int:
 class NoiseSource:
     """Single-owner stream of Laplace draws rooted at a 64-bit seed.
 
-    Instances are mutable single-owner state: never draw from one source
-    concurrently. Independent sources (e.g. seeded via :func:`derive_seed`)
-    may be used in parallel freely. In ``standard`` mode equal seeds produce
-    identical draw sequences; ``zero`` mode returns 0 without consuming
-    randomness.
+    Instances are mutable single-owner state: one owner may draw from a
+    source across consecutive queries, but never concurrently. Independent
+    sources (e.g. seeded via :func:`derive_seed`) may be used in parallel
+    freely. In ``standard`` mode equal seeds produce identical draw sequences;
+    ``zero`` mode returns 0 without consuming randomness.
     """
 
     def __init__(self, seed: int, mode: str = "standard"):

@@ -269,6 +269,21 @@ class TestAuditTable:
         assert all(AUDIT_MATCHERS[name] is mech for name, mech in real.items())
         assert not dp_audit("existence", *C7_PAIR, query, trials=200, seed=1).refuted
 
+    def test_each_trial_reads_fresh_draws(self, monkeypatch):
+        # A lane that made its source from one seed for every trial would
+        # give 2000 equal signs.
+        def sign(text, query, src):
+            return "+" if src.laplace(1.0) > 0 else "-"
+
+        monkeypatch.setitem(AUDIT_MATCHERS, "sign", sign)
+        query = MatchQuery(b"ba", 0, 1.0, 0.1)
+        report = dp_audit("sign", b"ababab", b"ababab", query, trials=2000, seed=5)
+        assert not report.refuted
+        assert {c.label for c in report.categories} == {"+", "-"}
+        for c in report.categories:
+            assert 900 <= c.count_a <= 1100, c
+            assert 900 <= c.count_b <= 1100, c
+
 
 class TestDpAudit:
     def query(self, **overrides):

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import dppm
-from dppm.cli import EXIT_IO, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, main
+from dppm.cli import EXIT_IO, EXIT_OK, EXIT_PRIVACY, EXIT_REFUTED, EXIT_USAGE, main
+from dppm.matchers import BudgetLedger
 
 
 @pytest.fixture
@@ -96,6 +97,21 @@ class TestMatch:
         )
         assert code == EXIT_USAGE
         assert "k=7" in capsys.readouterr().err
+
+    def test_privacy_cap_failure_exits_5(self, corpus, capsys, monkeypatch):
+        # A ledger whose peak is twice the cap: the guarantee failed, so the
+        # run releases nothing and says so in one line.
+        monkeypatch.setattr(BudgetLedger, "_peak", lambda self: (2, 1))
+        code = run_cli(
+            ["match", "--variant", "existence", "--pattern", "abra", "--k", "1",
+             "--epsilon", "1", "--beta", "0.1", corpus]
+        )
+        assert code == EXIT_PRIVACY == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dppm: privacy guarantee failed: ")
+        assert "privacy budget exceeded" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_pattern_from_file(self, corpus, tmp_path, capsys):
         ppath = tmp_path / "pattern.bin"

@@ -10,10 +10,13 @@ must leave every entry byte-identical.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only for a
 change that is meant to alter seeded outputs, and say so in CHANGES.md.
+Naming sections (``python tests/test_golden.py dp_audit``) rewrites only
+their lines and keeps every other line byte for byte.
 """
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +186,16 @@ def test_matches_golden(golden, section):
 
 
 if __name__ == "__main__":
-    lines = [line for section in SECTIONS for line in section_lines(section)]
+    chosen = sys.argv[1:] or list(SECTIONS)
+    unknown = sorted(set(chosen) - set(SECTIONS))
+    if unknown:
+        sys.exit(f"unknown section(s) {unknown}; known: {list(SECTIONS)}")
+    kept = GOLDEN.read_text().splitlines() if sys.argv[1:] else []
+    lines = []
+    for section in SECTIONS:
+        if section in chosen:
+            lines += section_lines(section)
+        else:
+            lines += [line for line in kept if json.loads(line)["section"] == section]
     GOLDEN.write_text("\n".join(lines) + "\n")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {GOLDEN} ({', '.join(chosen)})")

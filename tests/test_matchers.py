@@ -781,6 +781,21 @@ class TestSeedForSeedOracle:
         assert {("m", 1), ("m", 1024)} <= shapes
         assert set(Regime) <= shapes
 
+    def test_consecutive_queries_share_one_stream(self):
+        # One source serves a run of queries, as an audit lane's does: a
+        # kernel that served one unit too many or too few at a streak or
+        # block boundary would shift every later query's draws.
+        rng = random.Random(20261019)
+        src, ref_src = NoiseSource(7), NoiseSource(7)
+        for i in range(200):
+            text, query, _, variant = self.random_query(rng)
+            expected, spent = ref_match(text, query, ref_src, variant)
+            result = match_auto(text, query, src, variant=variant)
+            assert outcome_tuple(result.outcome) == expected, (i, query, variant)
+            assert result.ledger.max_spent == spent, (i, query, variant)
+            # Both cursors stand at the same unserved draw.
+            assert src.units(1)[0] == ref_src.units(1)[0], (i, query, variant)
+
     def test_no_phantom_counting_window(self):
         # m = 2 divides n + 1 = 4: no window without a start position is
         # scanned, so no position pays more than the 2 * 1152 * k slices of

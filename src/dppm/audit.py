@@ -8,9 +8,12 @@ Three instruments:
   close strings and look for an output label whose frequencies certify a
   ratio above ``e^(d*epsilon)`` (such a certificate refutes the privacy claim;
   its absence proves nothing and is reported as "not refuted"). Each audited
-  mechanism is one ``AUDIT_MATCHERS`` entry ``(text, query, src) -> label``:
-  the CLI matchers label their outcome with :func:`outcome_label`, and a
-  broken mechanism such as the no-noise canary is one more entry;
+  mechanism is one ``AUDIT_MATCHERS`` entry ``(text, query) -> (src ->
+  label)``: the entry prepares what the fixed text and query decide and
+  never sees the noise source; the trial it returns runs the noisy rest. The
+  CLI matchers prepare a :func:`~dppm.matchers.plan` and label each run's
+  outcome with :func:`outcome_label`, and a broken mechanism such as the
+  no-noise canary is one more entry;
 * packing families — the pairwise-distant string constructions showing that
   witness-returning private matchers need additive error that grows with the
   log of the number of plantable positions.
@@ -33,8 +36,8 @@ from .matchers import (
     Outcome,
     ReportOutcome,
     error_contract,
-    existence,
     match_auto,
+    plan,
     report_periodic,
     trivial_all,
 )
@@ -408,22 +411,40 @@ def outcome_label(outcome: Outcome) -> str:
     return f"h{hashlib.blake2b(payload, digest_size=8).digest()[0] & 15}"
 
 
-def _canary(text: bytes, query: MatchQuery, src: NoiseSource) -> str:
+# An audited mechanism: prepare(text, query) -> trial, and trial(src) -> label.
+Trial = Callable[[NoiseSource], str]
+Mechanism = Callable[[bytes, MatchQuery], Trial]
+
+
+def _canary(text: bytes, query: MatchQuery) -> Trial:
     """Deliberately broken matcher: the exact first k-mismatch position with
-    no noise. Exists so the audit's power can be demonstrated; it must fail."""
-    for i, d in enumerate(distance_array(text, query.pattern).tolist()):
-        if d <= query.k:
-            return outcome_label(ExistenceOutcome(found=True, witness=i))
-    return outcome_label(ExistenceOutcome(found=False, witness=None))
+    no noise, found once. Exists so the audit's power can be demonstrated;
+    it must fail."""
+    hits = np.flatnonzero(distance_array(text, query.pattern) <= query.k)
+    witness = int(hits[0]) if len(hits) else None
+    label = outcome_label(ExistenceOutcome(found=witness is not None, witness=witness))
+    return lambda src: label
 
 
-# The audited mechanisms, (text, query, src) -> label. Entries read `existence`
-# and `match_auto` as module globals at call time, so patching those sees them.
-AUDIT_MATCHERS: dict[str, Callable[[bytes, MatchQuery, NoiseSource], str]] = {
-    "existence": lambda text, q, src: outcome_label(existence(text, q, src)),
-    "count": lambda text, q, src: outcome_label(match_auto(text, q, src, "count").outcome),
-    "report": lambda text, q, src: outcome_label(match_auto(text, q, src, "report").outcome),
-    "auto": lambda text, q, src: outcome_label(match_auto(text, q, src).outcome),
+def _labelled(variant: str) -> Mechanism:
+    """The audit entry of a ``match_auto`` variant: prepare its plan once,
+    and label each run's outcome."""
+
+    def prepare(text: bytes, query: MatchQuery) -> Trial:
+        outcome = plan(text, query, variant).outcome
+        return lambda src: outcome_label(outcome(src))
+
+    return prepare
+
+
+# The audited mechanisms: an entry prepares what the fixed text and query
+# decide, and the trial it returns runs the noisy rest on each source it is
+# given.
+AUDIT_MATCHERS: dict[str, Mechanism] = {
+    "existence": _labelled("existence"),
+    "count": _labelled("count"),
+    "report": _labelled("report"),
+    "auto": _labelled("auto"),
     "canary": _canary,
 }
 
@@ -505,11 +526,13 @@ def dp_audit(
 ) -> DpAuditReport:
     """Frequency-ratio audit of ``AUDIT_MATCHERS[matcher]`` on two close strings.
 
-    Runs the mechanism ``trials`` times per string, counts the labels it
-    returns, and checks both directions per label: the audit refutes privacy
-    only when the lower confidence bound of one string's frequency exceeds
-    ``e^(d*epsilon)`` times the upper confidence bound of the other's
-    (Clopper-Pearson intervals at ``CONFIDENCE``). The test is symmetric in
+    Calls the entry once per string, ``prepare(text, query)``, which never
+    sees the noise source, then calls the trial it returns ``trials`` times
+    on that string's source, counts the labels, and checks both directions
+    per label: the audit refutes privacy only when the lower confidence
+    bound of one string's frequency exceeds ``e^(d*epsilon)`` times the
+    upper confidence bound of the other's (Clopper-Pearson intervals at
+    ``CONFIDENCE``). The test is symmetric in
     the two strings and seed-reproducible.
 
     Each string is one lane with one noise stream,
@@ -538,7 +561,7 @@ def dp_audit(
             f"strings at Hamming distance {distance} are not neighboring; "
             "pass group=True to audit at the group-privacy bound"
         )
-    mechanism = AUDIT_MATCHERS[matcher]
+    prepare = AUDIT_MATCHERS[matcher]
     try:
         ratio_bound = math.exp(distance * query.epsilon)
     except OverflowError:
@@ -550,9 +573,10 @@ def dp_audit(
     counts: list[dict[str, int]] = [{}, {}]
     for lane, text in enumerate((text_a, text_b)):
         lane_counts = counts[lane]
+        trial = prepare(text, query)
         src = NoiseSource(derive_seed(seed, lane))
         for _ in range(trials):
-            label = mechanism(text, query, src)
+            label = trial(src)
             lane_counts[label] = lane_counts.get(label, 0) + 1
 
     categories = []

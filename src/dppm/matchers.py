@@ -25,6 +25,20 @@ kernel over them:
 Each matcher's calibrated threshold and error contract is one row of
 `CONTRACTS`, read through `error_contract`.
 
+Each matcher is two halves. The deterministic half validates the query,
+computes the contract once and the distances (and, for counting and
+reporting, the window cover); it never receives the `NoiseSource`, so it
+cannot draw. The noisy half is what depends on the draws: the scans over a
+ledger, the cap check and the outcome. `plan` composes dispatch with the
+selected matcher's deterministic half into a `QueryPlan`, whose ``run(src)``
+is the noisy half with a fresh `BudgetLedger` (``outcome(src)`` returns its
+outcome alone); `match_auto` is ``plan(...).run(src)``, and each public
+matcher is its own deterministic half followed by one run. A plan may run
+many times, each run reading the source's stream from its cursor, so runs
+on one source equal as many fresh calls seed for seed. Existence keeps its laziness across runs: its plan
+computes each distance chunk once, the first time a run reads it, and
+replays it to later runs.
+
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
 distances read, in a `BudgetLedger`, and draws its noise at that slice; the
@@ -39,10 +53,12 @@ sum to at most the query epsilon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .noise import NoiseSource
 from .periodicity import (
@@ -416,7 +432,12 @@ def error_contract(
     return row
 
 
-# --- matchers ---------------------------------------------------------------
+# --- matchers: the deterministic half, then the noisy half --------------------
+
+# The noisy half of one matcher on a fixed text and query: it runs the scans
+# on the given source and ledger, checks the cap and returns the outcome.
+Scan = Callable[[NoiseSource, BudgetLedger], Outcome]
+
 
 def _require_text(text: bytes, m: int) -> None:
     check_bytes("text", text)
@@ -438,6 +459,55 @@ def _query_ledger(query: MatchQuery, ledger: Optional[BudgetLedger]) -> BudgetLe
     return ledger
 
 
+class _Replay:
+    """The chunks of a lazy distance sequence, each computed once: every
+    iteration replays the chunks earlier ones pulled and extends them from
+    the one underlying iterator only when it reads further. Cached numpy
+    chunks are read-only. Iterations must not interleave."""
+
+    def __init__(self, chunks: Iterator[Sequence[int]]):
+        self._source: Optional[Iterator[Sequence[int]]] = chunks
+        self._cached: list[Sequence[int]] = []
+
+    def __iter__(self) -> Iterator[Sequence[int]]:
+        if self._source is None:  # every chunk is cached
+            return iter(self._cached)
+        return self._extend()
+
+    def _extend(self) -> Iterator[Sequence[int]]:
+        cached = self._cached
+        yield from cached
+        for chunk in self._source:
+            if isinstance(chunk, np.ndarray):
+                chunk.flags.writeable = False
+            cached.append(chunk)
+            yield chunk
+        self._source = None
+
+
+def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
+    dist = distance_array(text, pattern)
+    dist.flags.writeable = False
+    return dist
+
+
+def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
+    _require_text(text, query.m)
+    n = len(text)
+    contract = error_contract(
+        "existence", n, query.m, query.k, query.epsilon, query.beta
+    )
+    thresh = contract.threshold
+    chunks = _Replay(distance_chunks(text, query.pattern))
+
+    def scan(src: NoiseSource, ledger: BudgetLedger) -> ExistenceOutcome:
+        hits = below_thresh(chunks, thresh, 1, src, ledger, (0, n))
+        ledger.assert_within_cap()
+        return ExistenceOutcome(found=bool(hits), witness=hits[0] if hits else None)
+
+    return contract, scan
+
+
 def existence(
     text: bytes,
     query: MatchQuery,
@@ -450,16 +520,46 @@ def existence(
     ``existence`` contract: a true k-mismatch occurrence forces YES, and any
     returned witness is within the contract's ``bound``.
     """
+    _, scan = _prepare_existence(text, query)
+    return scan(src, _query_ledger(query, ledger))
+
+
+def _prepare_report(
+    text: bytes, query: MatchQuery, candidate: PeriodicCandidate
+) -> tuple[Contract, Scan]:
     _require_text(text, query.m)
-    ledger = _query_ledger(query, ledger)
     n, m = len(text), query.m
-    thresh = error_contract(
-        "existence", n, m, query.k, query.epsilon, query.beta
-    ).threshold
-    chunks = distance_chunks(text, query.pattern)
-    hits = below_thresh(chunks, thresh, 1, src, ledger, (0, n))
-    ledger.assert_within_cap()
-    return ExistenceOutcome(found=bool(hits), witness=hits[0] if hits else None)
+    if m < 2:
+        raise ValueError("periodic reporting needs m >= 2")
+    if candidate.dist > 2 * query.k:
+        raise ValueError(
+            f"candidate distance {candidate.dist} exceeds 2k = {2 * query.k}"
+        )
+    contract = error_contract(
+        "report_periodic", n, m, query.k, query.epsilon, query.beta
+    )
+    thresh, step = contract.threshold, candidate.length
+    dist = _frozen_distances(text, query.pattern)
+    # Per window: its first start, its span, and its starts' distances
+    # forward and backward, each as a one-chunk sequence.
+    windows = []
+    for a, b in window_cover(n, m, m // 2):
+        starts = dist[a : b - m + 2]
+        windows.append((a, (a, b + 1), (starts,), (starts[::-1],)))
+
+    def scan(src: NoiseSource, ledger: BudgetLedger) -> ReportOutcome:
+        found: list[int] = []
+        for a, span, forward, backward in windows:
+            first = below_thresh(forward, thresh, 6, src, ledger, span)
+            rev_hit = below_thresh(backward, thresh, 6, src, ledger, span)
+            if not (first and rev_hit):
+                continue
+            last = len(forward[0]) - 1 - rev_hit[0]
+            found.extend(range(a + first[0], a + last + 1, step))
+        ledger.assert_within_cap()
+        return ReportOutcome(tuple(found))
+
+    return contract, scan
 
 
 def report_periodic(
@@ -482,31 +582,43 @@ def report_periodic(
     this function checks only structural validity (``m >= 2`` and
     ``candidate.dist <= 2k``).
     """
+    _, scan = _prepare_report(text, query, candidate)
+    return scan(src, _query_ledger(query, ledger))
+
+
+def _prepare_count(
+    text: bytes, query: MatchQuery, k_eff: int
+) -> tuple[Contract, Scan]:
     _require_text(text, query.m)
-    n, m = len(text), query.m
-    if m < 2:
-        raise ValueError("periodic reporting needs m >= 2")
-    if candidate.dist > 2 * query.k:
+    if k_eff < 1:
         raise ValueError(
-            f"candidate distance {candidate.dist} exceeds 2k = {2 * query.k}"
+            "non-periodic counting needs k >= 1 (its budget split divides by k); "
+            "k = 0 queries belong to the existence or trivial paths"
         )
-    ledger = _query_ledger(query, ledger)
-    thresh = error_contract(
-        "report_periodic", n, m, query.k, query.epsilon, query.beta
-    ).threshold
-    dist = distance_array(text, query.pattern)
-    found: list[int] = []
-    for a, b in window_cover(n, m, m // 2):
-        starts = dist[a : b - m + 2]
-        span = (a, b + 1)
-        first = below_thresh((starts,), thresh, 6, src, ledger, span)
-        rev_hit = below_thresh((starts[::-1],), thresh, 6, src, ledger, span)
-        if not (first and rev_hit):
-            continue
-        last = len(starts) - 1 - rev_hit[0]
-        found.extend(range(a + first[0], a + last + 1, candidate.length))
-    ledger.assert_within_cap()
-    return ReportOutcome(tuple(found))
+    n, m = len(text), query.m
+    cap = WINDOW_OCCURRENCE_CAP * k_eff
+    contract = error_contract(
+        "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
+    )
+    thresh = contract.threshold
+    dist = _frozen_distances(text, query.pattern)
+    windows = [
+        (a, (a, b + 1), (dist[a : b - m + 2],)) for a, b in window_cover(n, m, m)
+    ]
+
+    def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
+        total = 0
+        witness: Optional[int] = None
+        for a, span, starts in windows:
+            hits = below_thresh(starts, thresh, 2 * cap, src, ledger, span, cap)
+            if hits and witness is None:
+                witness = a + hits[0]
+            total += len(hits)
+        count = min(max(total, 0), n - m + 1)
+        ledger.assert_within_cap()
+        return CountOutcome(count=count, witness=witness, raw_count=total)
+
+    return contract, scan
 
 
 def count_nonperiodic(
@@ -531,31 +643,9 @@ def count_nonperiodic(
     ``effective_k`` substitutes a larger mismatch budget for ``k`` (small-k
     regime).
     """
-    _require_text(text, query.m)
     k_eff = query.k if effective_k is None else effective_k
-    if k_eff < 1:
-        raise ValueError(
-            "non-periodic counting needs k >= 1 (its budget split divides by k); "
-            "k = 0 queries belong to the existence or trivial paths"
-        )
-    ledger = _query_ledger(query, ledger)
-    n, m = len(text), query.m
-    cap = WINDOW_OCCURRENCE_CAP * k_eff
-    thresh = error_contract(
-        "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
-    ).threshold
-    dist = distance_array(text, query.pattern)
-    total = 0
-    witness: Optional[int] = None
-    for a, b in window_cover(n, m, m):
-        starts = dist[a : b - m + 2]
-        hits = below_thresh((starts,), thresh, 2 * cap, src, ledger, (a, b + 1), cap)
-        if hits and witness is None:
-            witness = a + hits[0]
-        total += len(hits)
-    count = min(max(total, 0), n - m + 1)
-    ledger.assert_within_cap()
-    return CountOutcome(count=count, witness=witness, raw_count=total)
+    _, scan = _prepare_count(text, query, k_eff)
+    return scan(src, _query_ledger(query, ledger))
 
 
 def trivial_all(text: bytes, query: MatchQuery) -> ReportOutcome:
@@ -611,6 +701,80 @@ def _count_from_report(outcome: ReportOutcome) -> CountOutcome:
     return CountOutcome(count=len(positions), witness=witness, raw_count=len(positions))
 
 
+def _as_count(scan: Scan) -> Scan:
+    return lambda src, ledger: _count_from_report(scan(src, ledger))
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """The deterministic half of one query on one text: the dispatch, the
+    matcher that runs and its contract, and the distances that matcher
+    reads. ``run`` is the noisy half; each call starts a fresh ledger and
+    reads the source's stream from its cursor, so a plan may be run many
+    times, and runs on one source read consecutive draws."""
+
+    regime: Regime
+    decision: DispatchDecision
+    matcher: str
+    contract: Contract
+    epsilon: float
+    scan: Scan = field(repr=False)
+
+    def run(self, src: NoiseSource) -> MatchResult:
+        ledger = BudgetLedger(self.epsilon)
+        outcome = self.scan(src, ledger)
+        return MatchResult(self.regime, self.decision, outcome, ledger, self.contract)
+
+    def outcome(self, src: NoiseSource) -> Outcome:
+        """``run(src).outcome``, without building the `MatchResult`: an audit
+        trial needs only the outcome, and the record is a large share of a
+        tiny query's cost."""
+        return self.scan(src, BudgetLedger(self.epsilon))
+
+
+def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
+    """Validate the query, dispatch on the public pattern and prepare the
+    selected matcher: everything of :func:`match_auto` that does not depend
+    on the noise. It never sees a noise source, so it cannot draw."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _require_text(text, query.m)
+    decision = dispatch(query.pattern, query.k, len(text), query.epsilon, query.beta)
+    regime = decision.regime
+
+    if variant == "existence":
+        matcher = "existence"
+        contract, scan = _prepare_existence(text, query)
+    elif regime is Regime.PERIODIC_REPORTING:
+        assert decision.candidate is not None
+        matcher = "report_periodic"
+        contract, scan = _prepare_report(text, query, decision.candidate)
+        if variant == "count":
+            scan = _as_count(scan)
+    elif variant != "report" and regime in (
+        Regime.NON_PERIODIC_COUNTING,
+        Regime.SMALL_K_COUNTING,
+    ):
+        matcher = "count_nonperiodic"
+        contract, scan = _prepare_count(text, query, decision.effective_k)
+    else:
+        # The trivial regime, or a report request the counting regimes
+        # cannot serve.
+        regime = Regime.TRIVIAL_FALLBACK
+        matcher = "trivial_all"
+        report: Outcome = trivial_all(text, query)
+        if variant == "count":
+            report = _count_from_report(report)
+        contract = error_contract(
+            matcher, len(text), query.m, query.k, query.epsilon, query.beta
+        )
+
+        def scan(src: NoiseSource, ledger: BudgetLedger) -> Outcome:
+            return report  # draws nothing, charges nothing
+
+    return QueryPlan(regime, decision, matcher, contract, query.epsilon, scan)
+
+
 def match_auto(
     text: bytes,
     query: MatchQuery,
@@ -619,7 +783,7 @@ def match_auto(
 ) -> MatchResult:
     """Dispatch on the public pattern, run the selected matcher, and return
     the outcome together with the regime tag, the final budget ledger and the
-    contract of the matcher that ran.
+    contract of the matcher that ran: ``plan(text, query, variant).run(src)``.
 
     ``variant`` narrows the output type: ``existence`` always runs the
     existence scan (``regime`` still carries the dispatch tag); ``count``
@@ -628,36 +792,4 @@ def match_auto(
     reporting guarantee). With a fixed seed the result is a deterministic
     function of the inputs.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    _require_text(text, query.m)
-    n = len(text)
-    decision = dispatch(query.pattern, query.k, n, query.epsilon, query.beta)
-    ledger = BudgetLedger(query.epsilon)
-    regime = decision.regime
-    k_run = query.k
-
-    if variant == "existence":
-        matcher = "existence"
-        outcome: Outcome = existence(text, query, src, ledger)
-    elif regime is Regime.PERIODIC_REPORTING:
-        assert decision.candidate is not None
-        matcher = "report_periodic"
-        report = report_periodic(text, query, decision.candidate, src, ledger)
-        outcome = _count_from_report(report) if variant == "count" else report
-    elif variant != "report" and regime in (
-        Regime.NON_PERIODIC_COUNTING,
-        Regime.SMALL_K_COUNTING,
-    ):
-        matcher, k_run = "count_nonperiodic", decision.effective_k
-        outcome = count_nonperiodic(text, query, src, ledger, effective_k=k_run)
-    else:
-        # The trivial regime, or a report request the counting regimes
-        # cannot serve.
-        regime = Regime.TRIVIAL_FALLBACK
-        matcher = "trivial_all"
-        report = trivial_all(text, query)
-        outcome = _count_from_report(report) if variant == "count" else report
-
-    contract = error_contract(matcher, n, query.m, k_run, query.epsilon, query.beta)
-    return MatchResult(regime, decision, outcome, ledger, contract)
+    return plan(text, query, variant).run(src)

@@ -250,14 +250,16 @@ class TestAuditTable:
             outcome_type = OUTCOME_TYPE[name] or type(
                 match_auto(text, query, NoiseSource(0)).outcome
             )
+            trial = AUDIT_MATCHERS[name](text, query)
             for seed in range(40):
-                label = AUDIT_MATCHERS[name](text, query, NoiseSource(seed))
+                label = trial(NoiseSource(seed))
                 assert type(label) is str
                 assert label in LABELS[outcome_type], (name, label)
 
     def test_registered_noiseless_mechanism_refuted(self, monkeypatch):
-        def first_bb(text, query, src):
-            return str(text.find(b"bb"))
+        def first_bb(text, query):
+            label = str(text.find(b"bb"))
+            return lambda src: label
 
         real = dict(AUDIT_MATCHERS)
         monkeypatch.setitem(AUDIT_MATCHERS, "first-bb", first_bb)
@@ -272,8 +274,8 @@ class TestAuditTable:
     def test_each_trial_reads_fresh_draws(self, monkeypatch):
         # A lane that made its source from one seed for every trial would
         # give 2000 equal signs.
-        def sign(text, query, src):
-            return "+" if src.laplace(1.0) > 0 else "-"
+        def sign(text, query):
+            return lambda src: "+" if src.laplace(1.0) > 0 else "-"
 
         monkeypatch.setitem(AUDIT_MATCHERS, "sign", sign)
         query = MatchQuery(b"ba", 0, 1.0, 0.1)
@@ -283,6 +285,26 @@ class TestAuditTable:
         for c in report.categories:
             assert 900 <= c.count_a <= 1100, c
             assert 900 <= c.count_b <= 1100, c
+
+    def test_prepares_once_per_lane(self, monkeypatch):
+        # What the lane's fixed text and query decide is prepared once per
+        # lane; only the returned trial runs once per trial, and the
+        # prepare never sees a noise source.
+        calls = {"prepare": [], "trial": 0}
+
+        def two_level(text, query):
+            calls["prepare"].append(text)
+
+            def trial(src):
+                calls["trial"] += 1
+                return "+" if src.laplace(1.0) > 0 else "-"
+
+            return trial
+
+        monkeypatch.setitem(AUDIT_MATCHERS, "two-level", two_level)
+        query = MatchQuery(b"ba", 0, 1.0, 0.1)
+        dp_audit("two-level", *C7_PAIR, query, trials=300, seed=3)
+        assert calls == {"prepare": list(C7_PAIR), "trial": 600}
 
 
 class TestDpAudit:

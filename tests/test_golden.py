@@ -65,6 +65,19 @@ UTILITY_CASES = (
 
 AUDIT_TRIALS = 500
 
+
+def _random_bytes(rng: np.random.Generator, alphabet: bytes, length: int) -> bytes:
+    symbols = np.frombuffer(alphabet, np.uint8)
+    return symbols[rng.integers(0, len(symbols), size=length)].tobytes()
+
+
+_rng = np.random.Generator(np.random.PCG64(512))
+# Every window of _NOISY_A is at distance 512 from the pattern; _NOISY_B
+# changes one byte to a pattern symbol.
+_NOISY_PATTERN = _random_bytes(_rng, b"acgt", 512)
+_NOISY_A = _random_bytes(_rng, b"xyz", 1100)
+_NOISY_B = _NOISY_A[:550] + b"a" + _NOISY_A[551:]
+
 # (matchers, text_a, text_b, pattern, k, epsilon)
 AUDIT_CASES = (
     (("existence", "canary"), b"ababab", b"abbbab", b"ba", 0, 1.0),
@@ -78,6 +91,13 @@ AUDIT_CASES = (
         1,
         600.0,  # periodic regime; e^(epsilon) must stay finite
     ),
+    # Non-periodic counting whose threshold (449.9) sits among the distances
+    # (512 and 511), so the noise decides each count and the lines pin the
+    # audit's draws (c0 to c10 on both lanes). Epsilon must stay at most 709,
+    # or e^(epsilon) overflows; at such epsilon no desk-size periodic report
+    # case has noise that decides anything (its threshold is within 1 of k
+    # and its noise scale about 0.03), so there is no such case here.
+    (("count", "auto"), _NOISY_A, _NOISY_B, _NOISY_PATTERN, 1, 700.0),
 )
 
 

@@ -16,11 +16,13 @@ from dppm.matchers import (
     ExistenceOutcome,
     MatchQuery,
     ReportOutcome,
+    VARIANTS,
     below_thresh,
     count_nonperiodic,
     error_contract,
     existence,
     match_auto,
+    plan,
     report_periodic,
     trivial_all,
 )
@@ -795,6 +797,63 @@ class TestSeedForSeedOracle:
             assert result.ledger.max_spent == spent, (i, query, variant)
             # Both cursors stand at the same unserved draw.
             assert src.units(1)[0] == ref_src.units(1)[0], (i, query, variant)
+
+    def test_reused_plan_equals_fresh_calls(self):
+        # A plan prepared once and run four times (the last for its outcome
+        # alone) serves the same draws in the same order as four fresh
+        # match_auto calls on one source.
+        rng = random.Random(20261020)
+        src, fresh_src = NoiseSource(11), NoiseSource(11)
+        for i in range(200):
+            text, query, _, _ = self.random_query(rng)
+            for variant in VARIANTS:
+                prepared = plan(text, query, variant)
+                for run in range(3):
+                    got = prepared.run(src)
+                    want = match_auto(text, query, fresh_src, variant)
+                    step = (i, variant, run)
+                    assert got.regime == want.regime, step
+                    assert got.outcome == want.outcome, step
+                    assert got.ledger.max_spent == want.ledger.max_spent, step
+                want = match_auto(text, query, fresh_src, variant)
+                assert prepared.outcome(src) == want.outcome, (i, variant)
+
+    def test_existence_plan_computes_each_chunk_once(self, monkeypatch):
+        # Disjoint alphabets put every distance at m = 512, and the threshold
+        # sits 90 below it, so the witness varies from run to run (from 10
+        # to 896) and later runs read past the chunks earlier ones pulled.
+        rng = random.Random(5)
+        text = bytes(rng.choice(b"xyz") for _ in range(3000))
+        pattern = bytes(rng.choice(b"ab") for _ in range(512))
+        logs = math.log(len(text) - 512 + 1) + math.log(2.0 / 0.1)
+        query = MatchQuery(pattern, 0, 8.0 * logs / (512 - 90), 0.1)
+        assert error_contract(
+            "existence", len(text), 512, 0, query.epsilon, 0.1
+        ).threshold == pytest.approx(512 - 90)
+        fresh_src = NoiseSource(3)
+        expected = [match_auto(text, query, fresh_src, "existence") for _ in range(40)]
+        pulled = []
+
+        def counting(text, pattern):
+            for chunk in distance_chunks(text, pattern):
+                pulled.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(matchers, "distance_chunks", counting)
+        prepared, src = plan(text, query, "existence"), NoiseSource(3)
+        growth = []
+        for want in expected:
+            before = len(pulled)
+            got = prepared.run(src)
+            assert got.outcome == want.outcome
+            assert got.ledger.max_spent == want.ledger.max_spent
+            growth.append(len(pulled) - before)
+        assert len({want.outcome.witness for want in expected}) > 5
+        assert growth[0] and sum(1 for g in growth[1:] if g) >= 2
+        assert sum(map(len, pulled)) <= len(text) - 512 + 1  # each chunk once
+        assert all(isinstance(chunk, np.ndarray) for chunk in pulled)
+        with pytest.raises(ValueError):
+            pulled[0][0] = 0
 
     def test_no_phantom_counting_window(self):
         # m = 2 divides n + 1 = 4: no window without a start position is

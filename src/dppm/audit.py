@@ -30,6 +30,7 @@ from typing import Callable, Optional, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from .matchers import (
+    VARIANTS as MATCH_VARIANTS,
     CountOutcome,
     ExistenceOutcome,
     MatchQuery,
@@ -441,10 +442,7 @@ def _labelled(variant: str) -> Mechanism:
 # decide, and the trial it returns runs the noisy rest on each source it is
 # given.
 AUDIT_MATCHERS: dict[str, Mechanism] = {
-    "existence": _labelled("existence"),
-    "count": _labelled("count"),
-    "report": _labelled("report"),
-    "auto": _labelled("auto"),
+    **{variant: _labelled(variant) for variant in MATCH_VARIANTS},
     "canary": _canary,
 }
 

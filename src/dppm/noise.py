@@ -5,17 +5,16 @@ so a seed pins the entire draw sequence bit-for-bit across platforms. Two
 modes: ``standard`` (real noise) and ``zero`` (always 0, used by oracle
 tests).
 
-A source serves its draws from one numpy buffer of unit-Laplace values
-(scale 1), multiplied by each call's scale. While a source has drawn fewer
-than 8 units and nothing is buffered, ``laplace`` computes its draw directly
-from one uniform, so a source that makes only a few draws (an existence scan
-that hits at once makes two) pays no vector set-up. Every refill of the
-buffer transforms one block of uniforms, as many as the source has drawn so
-far (so blocks double), at least 1 and at most 4096. A uniform on the
-interval boundary is skipped in-stream, exactly where a one-at-a-time sampler
-would redraw it. How the stream is cut into blocks never changes a value:
-every draw equals the one-uniform-at-a-time transform of the same uniform, in
-the same order, bit for bit.
+A source serves every draw from one numpy buffer of unit-Laplace values
+(scale 1), multiplied by each call's scale. Every refill of the buffer
+transforms one block of uniforms, as many as the source has drawn so far (so
+blocks double), at least 32 and at most 4096. The floor is about what one
+noisy scan draws one at a time (its threshold and up to 32 distances), so a
+short scan on a fresh source costs one vector block. A uniform on the
+interval boundary is skipped in-stream, exactly where a one-at-a-time
+sampler would redraw it. How the stream is cut into blocks never changes a
+value: every draw equals the one-uniform-at-a-time transform of the same
+uniform, in the same order, bit for bit.
 
 Vectorized consumers read the same stream through a cursor: ``units(count)``
 peeks at the next ``count`` unit values as an array without serving them, and
@@ -35,9 +34,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Unit draws a source may compute one uniform at a time, and the largest
-# refill. Every source starts on the one shared (never written) empty buffer.
-_SCALAR_DRAWS = 8
+# The smallest and the largest refill. Every source starts on the one shared
+# (never written) empty buffer.
+_MIN_BLOCK = 32
 _MAX_BLOCK = 4096
 _EMPTY = np.empty(0)
 
@@ -100,24 +99,13 @@ class NoiseSource:
         (-1/2, 1/2) and return ``-b * sign(U) * ln(1 - 2|U|)``. A uniform
         landing exactly on the interval boundary is skipped, so the result is
         always finite; U = 0 maps to the median 0. The unit value
-        ``-sign(U) * ln(1 - 2|U|)`` comes from the source's buffer, or, for
-        one of a source's first 8 draws with nothing buffered, straight from
-        one uniform (see the module docstring). Negating and taking signs is
-        exact, so ``b`` times the unit rounds once, to the same double as the
-        formula above.
+        ``-sign(U) * ln(1 - 2|U|)`` is the next one in the source's buffer
+        (see the module docstring). Negating and taking signs is exact, so
+        ``b`` times the unit rounds once, to the same double as the formula
+        above.
         """
         if self.mode == "zero":
             return 0.0
-        if self._drawn < _SCALAR_DRAWS and self._next == len(self._units):
-            gen = self._generator()
-            u = gen.random() - 0.5
-            while u == -0.5:
-                u = gen.random() - 0.5
-            self._drawn += 1
-            # np.log1p, not math.log1p: math.log1p differs from the
-            # vectorized np.log1p in the last bit on some inputs.
-            log = float(np.log1p(-2.0 * abs(u)))
-            return b * (-log if u > 0.0 else log if u < 0.0 else 0.0)
         try:
             unit = self._units.item(self._next)
         except IndexError:
@@ -144,7 +132,7 @@ class NoiseSource:
     def _refill(self) -> None:
         """Append the next block of unit draws to the unserved buffer."""
         gen = self._generator()
-        size = max(1, min(self._drawn, _MAX_BLOCK))
+        size = max(_MIN_BLOCK, min(self._drawn, _MAX_BLOCK))
         units = ()
         while not len(units):  # every uniform was a boundary
             raw = gen.random(size)

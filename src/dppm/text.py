@@ -7,13 +7,16 @@ block's last length-m occurrence. Every occurrence lies in exactly one window
 and every position in at most ``ceil((m - 1) / stride) + 1`` windows, which is
 what lets per-window privacy losses compose to the query budget.
 
-Sliding distances come from one of three exact kernels, chosen by size: pure
-Python for tiny inputs, a compare of the ``rows x m`` window matrix for short
-runs of start positions, and a per-symbol shifted add otherwise. The shifted
-add compares the text span with each distinct pattern byte ``c`` once and adds
-the comparison, shifted by every offset ``j`` with ``pattern[j] == c``, into a
-match counter: m contiguous vector adds in place of a window matrix summed
-along its short axis. All three give the same integers.
+Sliding distances over any block of consecutive start positions come from
+one kernel rule with three exact kernels, chosen by the block's size: pure
+Python (returning a list) up to ``_NUMPY_CUTOFF`` byte comparisons, a compare
+of the ``rows x m`` window matrix below ``_SHIFTED_ADD_ROWS`` rows, and a
+per-symbol shifted add otherwise. The shifted add compares the text span with
+each distinct pattern byte ``c`` once and adds the comparison, shifted by
+every offset ``j`` with ``pattern[j] == c``, into a match counter: m
+contiguous vector adds in place of a window matrix summed along its short
+axis. All three give the same integers. ``distance_array`` applies the rule
+once to every start position, ``distance_chunks`` once to each chunk.
 
 Texts and patterns are bytes-like (``bytes``, ``bytearray`` or a
 one-dimensional unsigned-byte ``memoryview``); anything else raises
@@ -30,16 +33,19 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Below this many byte comparisons the pure-Python path beats numpy call
-# overhead (relevant for the audit harness, which runs millions of tiny scans).
+# Up to this many byte comparisons the pure-Python kernel beats numpy call
+# overhead, and its list is what the noisy scan reads: an array chunk pays a
+# tolist on every run of a prepared existence query that replays it. Numpy
+# chunks at every size cost the 6-byte audit trials about 8% of their
+# throughput.
 _NUMPY_CUTOFF = 4096
 
 # The window-matrix compare materializes at most this many comparisons (or one
-# window, when m is larger) at a time; it is also the size of the first numpy
-# chunk of distance_chunks.
+# window, when m is larger) at a time; it is also the size of the first chunk
+# of distance_chunks.
 _CHUNK_COMPARISONS = 65536
 
-# Numpy chunks double up to this many rows, which bounds a shifted-add chunk's
+# Chunks double up to this many rows, which bounds a shifted-add chunk's
 # working memory (counter, one symbol's comparison, int64 result: at most 17
 # bytes a row, about 1 MiB) plus its text span, whatever the text length.
 _MAX_CHUNK_ROWS = 1 << 16
@@ -80,11 +86,9 @@ def hamming_distance(a: bytes, b: bytes) -> int:
         raise ValueError(
             f"hamming_distance requires equal lengths, got {len(a)} and {len(b)}"
         )
-    if len(a) >= _NUMPY_CUTOFF:
-        return int(
-            np.count_nonzero(np.frombuffer(a, np.uint8) != np.frombuffer(b, np.uint8))
-        )
-    return sum(x != y for x, y in zip(a, b))
+    return int(
+        np.count_nonzero(np.frombuffer(a, np.uint8) != np.frombuffer(b, np.uint8))
+    )
 
 
 def _lengths(text: bytes, pattern: bytes) -> tuple[int, int]:
@@ -140,19 +144,40 @@ def _shifted_add(
     return np.subtract(m, matches, dtype=np.int64)
 
 
+def _distances(
+    text: bytes,
+    pattern: bytes,
+    start: int,
+    stop: int,
+    offsets: list[tuple[int, list[int]]],
+) -> Sequence[int]:
+    """Distances at start positions ``[start, stop)`` by the kernel rule: a
+    list from pure Python up to ``_NUMPY_CUTOFF`` byte comparisons, otherwise
+    a numpy int64 array from the window matrix below ``_SHIFTED_ADD_ROWS``
+    rows and from the shifted add above. ``offsets`` holds the pattern's
+    offset groups; the shifted add fills it when it is empty, so blocks of one
+    stream that share the list build the groups once."""
+    m = len(pattern)
+    rows = stop - start
+    if rows * m <= _NUMPY_CUTOFF:
+        return [sum(map(ne, text[i : i + m], pattern)) for i in range(start, stop)]
+    tv = np.frombuffer(text, np.uint8)
+    pv = np.frombuffer(pattern, np.uint8)
+    if rows < _SHIFTED_ADD_ROWS:
+        return _window_compare(tv, pv, start, stop)
+    if not offsets:
+        offsets += _symbol_offsets(pv)
+    return _shifted_add(tv, m, offsets, start, stop)
+
+
 def distance_chunks(text: bytes, pattern: bytes) -> Iterator[Sequence[int]]:
     """Lazily yield the Hamming distance of ``pattern`` at every start position,
-    in consecutive chunks.
-
-    Below ``_NUMPY_CUTOFF`` byte comparisons the chunks are lists computed in
-    pure Python, one distance first and then doubling, so a consumer that stops
-    at the first distance computes only that one. Otherwise they are numpy
-    int64 arrays, ``_CHUNK_COMPARISONS // m`` distances first and then
-    doubling up to ``_MAX_CHUNK_ROWS``; chunks shorter than
-    ``_SHIFTED_ADD_ROWS`` come from the window matrix, longer ones from the
-    shifted add, whose offset groups are built when the first such chunk
-    needs them. Either way a consumer that stops early computes at most about
-    twice what it read.
+    in consecutive chunks: ``_CHUNK_COMPARISONS // m`` rows first (at least
+    one), then doubling up to ``_MAX_CHUNK_ROWS``. Each chunk comes from the
+    kernel rule of :func:`_distances`, so it is a list when it is at most
+    ``_NUMPY_CUTOFF`` byte comparisons (a whole input that small is one list
+    chunk) and a numpy int64 array otherwise. A consumer that stops early
+    computes the first chunk, or at most about twice what it read.
 
     Raises:
         TypeError: if the text or pattern is not bytes-like.
@@ -160,57 +185,27 @@ def distance_chunks(text: bytes, pattern: bytes) -> Iterator[Sequence[int]]:
     """
     n, m = _lengths(text, pattern)
     count = n - m + 1
-    if count * m <= _NUMPY_CUTOFF:
-        return _python_chunks(text, pattern, count)
-    return _numpy_chunks(text, pattern, count)
-
-
-def _python_chunks(text: bytes, pattern: bytes, count: int) -> Iterator[list[int]]:
-    m = len(pattern)
-    start, stop = 0, 1
-    while start < count:
-        yield [sum(map(ne, text[i : i + m], pattern)) for i in range(start, stop)]
-        start, stop = stop, min(2 * stop, count)
-
-
-def _numpy_chunks(text: bytes, pattern: bytes, count: int) -> Iterator[np.ndarray]:
-    tv = np.frombuffer(text, np.uint8)
-    pv = np.frombuffer(pattern, np.uint8)
-    m = len(pv)
-    offsets = None
-    start, size = 0, max(1, _CHUNK_COMPARISONS // m)
-    while start < count:
-        stop = min(start + size, count)
-        if stop - start < _SHIFTED_ADD_ROWS:
-            yield _window_compare(tv, pv, start, stop)
-        else:
-            if offsets is None:
-                offsets = _symbol_offsets(pv)
-            yield _shifted_add(tv, m, offsets, start, stop)
-        start, size = stop, min(2 * size, _MAX_CHUNK_ROWS)
+    bounds, size = [0], max(1, _CHUNK_COMPARISONS // m)
+    while bounds[-1] < count:
+        bounds.append(min(bounds[-1] + size, count))
+        size = min(2 * size, _MAX_CHUNK_ROWS)
+    offsets: list[tuple[int, list[int]]] = []  # shared by every chunk
+    return (
+        _distances(text, pattern, a, b, offsets) for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def distance_array(text: bytes, pattern: bytes) -> np.ndarray:
-    """The distances of :func:`distance_chunks` as one numpy int64 array, from
-    one kernel over every start position: pure Python below
-    ``_NUMPY_CUTOFF`` byte comparisons, the window matrix below
-    ``_SHIFTED_ADD_ROWS`` start positions, the shifted add otherwise.
+    """The distances of :func:`distance_chunks` as one numpy int64 array,
+    from the kernel rule of :func:`_distances` applied once to every start
+    position.
 
     Raises:
         TypeError: if the text or pattern is not bytes-like.
         ValueError: if the pattern is empty or longer than the text.
     """
     n, m = _lengths(text, pattern)
-    count = n - m + 1
-    if count * m <= _NUMPY_CUTOFF:
-        return np.array(
-            [sum(map(ne, text[i : i + m], pattern)) for i in range(count)], np.int64
-        )
-    tv = np.frombuffer(text, np.uint8)
-    pv = np.frombuffer(pattern, np.uint8)
-    if count < _SHIFTED_ADD_ROWS:
-        return _window_compare(tv, pv, 0, count)
-    return _shifted_add(tv, m, _symbol_offsets(pv), 0, count)
+    return np.asarray(_distances(text, pattern, 0, n - m + 1, []), np.int64)
 
 
 def sliding_distances(text: bytes, pattern: bytes) -> list[int]:

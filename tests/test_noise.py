@@ -152,10 +152,10 @@ class TestBufferedStream:
     @pytest.mark.parametrize(
         "zeros",
         [
-            [3],  # scalar phase
-            [20],  # inside the second vector block (positions 16..31)
-            list(range(8, 16)),  # the whole first vector block
-            [3, 8, 9, 20, 40, 41],
+            [3],  # early in the first block (positions 0..31)
+            [20],  # late in the first block
+            list(range(8, 16)),  # a run of eight inside the first block
+            [3, 8, 9, 20, 40, 41],  # both blocks (the second is 32..63)
         ],
     )
     def test_boundary_uniforms_skipped_like_redraws(self, zeros):
@@ -165,13 +165,13 @@ class TestBufferedStream:
             reference_laplace(ref, 3.0) for _ in range(100)
         )
 
-    def test_small_source_draws_one_uniform_at_a_time(self):
-        # An audit trial makes two draws from a fresh source; a block
-        # request would cost more than the draws.
+    def test_fresh_source_fills_one_block_of_32(self):
+        # The first refill is one block of 32 uniforms, not one per draw.
         src, gen = faked(5)
-        for _ in range(8):
+        for _ in range(32):
             src.laplace(1.0)
-        assert gen.sized_calls == 0
+        assert gen.sized_calls == 1
+        assert gen.position == 32
 
     def test_vector_refills_double(self):
         src, gen = faked(5)
@@ -220,9 +220,9 @@ class TestCursor:
         assert hexes(served) == hexes(reference_laplace(ref, b) for b in scales)
 
     def test_first_peek_crosses_the_scalar_head(self):
-        # A peek never takes the scalar head: a fresh source's buffer fills in
-        # doubling blocks (1, 1, 2, 4, ... units) from its first uniform on,
-        # and one peek across the head equals 40 plain draws.
+        # A fresh source's peek fills the buffer in blocks of 32, 32, 64, ...
+        # units from its first uniform on, and one peek across the first
+        # block's end equals 40 plain draws.
         gen = np.random.Generator(np.random.PCG64(21))
         assert hexes(NoiseSource(21).units(40)) == hexes(
             reference_laplace(gen, 1.0) for _ in range(40)
@@ -231,9 +231,9 @@ class TestCursor:
     @pytest.mark.parametrize("boundary", [False, True])
     @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 40])
     def test_head_draws_around_a_peek(self, count, boundary):
-        # j head draws, a peek of which a prefix is served, then laplace on to
-        # 60 draws: head draws come from the buffer the peek filled while it
-        # lasts, and straight from one uniform once it runs dry.
+        # j plain draws, a peek of which a prefix is served, then laplace on
+        # to 60 draws: every draw comes from the one buffer, whichever call
+        # filled it, so the served draws are the plain stream.
         for j in range(10):
             zeros = [j + count // 2] if boundary else []  # inside the peek
             for take in sorted({0, 1, count // 2, count}):

@@ -149,8 +149,8 @@ class TestSlidingDistances:
 
 
 def chunk_rows(m: int, count: int) -> list[int]:
-    """The row counts of ``distance_chunks``' numpy chunks: the first chunk,
-    then doubling up to the cap."""
+    """The row counts of ``distance_chunks``' chunks: the first chunk, then
+    doubling up to the cap."""
     rows, size = [], max(1, text_module._CHUNK_COMPARISONS // m)
     while sum(rows) < count:
         rows.append(min(size, count - sum(rows)))
@@ -206,8 +206,7 @@ class TestDistanceKernels:
             assert np.array_equal(got, expected), count
             chunks = [np.asarray(c) for c in distance_chunks(text, pattern)]
             assert np.array_equal(np.concatenate(chunks), expected), count
-            if count * m > text_module._NUMPY_CUTOFF:
-                assert [len(c) for c in chunks] == chunk_rows(m, count), count
+            assert [len(c) for c in chunks] == chunk_rows(m, count), count
             assert sliding_distances(text, pattern) == expected.tolist()
 
     def test_full_match_count_does_not_wrap(self):
@@ -304,6 +303,8 @@ class TestBytesLikeInputs:
         expected = brute_sliding(text, pattern)
         assert sliding_distances(bytearray(text), memoryview(pattern)) == expected
         assert sliding_distances(memoryview(text), bytearray(pattern)) == expected
+        window = text[: len(pattern)]
+        assert hamming_distance(bytearray(window), memoryview(pattern)) == expected[0]
         if size == "small":
             assert expected == [2, 0, 2, 0, 2]
 

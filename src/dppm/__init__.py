@@ -46,12 +46,9 @@ from .text import (
 )
 from .audit import (
     DpAuditReport,
-    PackingFamily,
     TrialConfig,
     UtilityReport,
     dp_audit,
-    packing_family_mismatch,
-    packing_family_planted,
     run_utility_experiment,
 )
 
@@ -65,7 +62,6 @@ __all__ = [
     "MatchQuery",
     "MatchResult",
     "NoiseSource",
-    "PackingFamily",
     "PeriodicCandidate",
     "PrivacyBudgetExceeded",
     "Regime",
@@ -84,8 +80,6 @@ __all__ = [
     "hamming_distance",
     "is_primitive",
     "match_auto",
-    "packing_family_mismatch",
-    "packing_family_planted",
     "report_periodic",
     "run_utility_experiment",
     "shortest_close_period",

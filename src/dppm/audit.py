@@ -1,6 +1,6 @@
 """Empirical verification rig for the private matchers.
 
-Three instruments:
+Two instruments:
 
 * utility experiments — run a matcher over generated instances with known
   exact answers and record how often the advertised error bounds are met;
@@ -13,10 +13,7 @@ Three instruments:
   never sees the noise source; the trial it returns runs the noisy rest. The
   CLI matchers prepare a :func:`~dppm.matchers.plan` and label each run's
   outcome with :func:`outcome_label`, and a broken mechanism such as the
-  no-noise canary is one more entry;
-* packing families — the pairwise-distant string constructions showing that
-  witness-returning private matchers need additive error that grows with the
-  log of the number of plantable positions.
+  no-noise canary is one more entry.
 """
 
 from __future__ import annotations
@@ -31,19 +28,17 @@ import numpy as np
 
 from .matchers import (
     VARIANTS as MATCH_VARIANTS,
+    BudgetLedger,
     CountOutcome,
     ExistenceOutcome,
     MatchQuery,
     Outcome,
     ReportOutcome,
-    error_contract,
-    match_auto,
+    _prepare_reporter,
     plan,
-    report_periodic,
-    trivial_all,
 )
 from .noise import MODES, NoiseSource, derive_seed
-from .periodicity import Regime, check_query, is_primitive, widest_close_period
+from .periodicity import check_query, is_primitive, widest_close_period
 from .text import distance_array, hamming_distance, tile
 
 TEXT_ALPHABET = b"acgt"
@@ -274,30 +269,19 @@ class UtilityReport:
         return rows
 
 
-def _run_report(
-    text: bytes, query: MatchQuery, src: NoiseSource
-) -> tuple[str, ReportOutcome, float]:
-    """The report variant's matcher, its regime tag and its contract bound:
-    periodic reporting whenever the pattern has a close period and m >= 2,
-    else the trivial reporter. Bypasses dispatch, which never picks reporting
-    at desk epsilon."""
-    candidate = widest_close_period(query.pattern, query.k)
-    if candidate is not None and query.m >= 2:
-        regime, matcher = Regime.PERIODIC_REPORTING, "report_periodic"
-        outcome = report_periodic(text, query, candidate, src)
-    else:
-        regime, matcher = Regime.TRIVIAL_FALLBACK, "trivial_all"
-        outcome = trivial_all(text, query)
-    contract = error_contract(
-        matcher, len(text), query.m, query.k, query.epsilon, query.beta
-    )
-    return regime.value, outcome, contract.bound
-
-
 def _run_trial(
     inst: Instance, cfg: TrialConfig, variant: str, src: NoiseSource, trial: int
 ) -> TrialRecord:
-    """Run one matcher of ``variant`` and judge it by the exact distances.
+    """Prepare one matcher of ``variant`` once, run it on ``src``, and judge
+    it by the exact distances.
+
+    Existence and count prepare a :func:`~dppm.matchers.plan`. Report
+    prepares the reporter on the pattern's widest close period when m >= 2,
+    else the trivial reporter, without dispatch, which never picks reporting
+    at desk epsilon. The algorithm tag, the contract's bound and the noisy
+    half all come from that one preparation. The oracle computes its own
+    distances: it is the reference the matcher is judged by, so it must not
+    read the matcher's.
 
     Sound: every returned position (the witness, or each reported position)
     lies within the contract's bound, and a count is at most the number of
@@ -305,11 +289,14 @@ def _run_trial(
     """
     query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
     if variant == "report":
-        algorithm, outcome, bound = _run_report(inst.text, query, src)
+        wide = widest_close_period(query.pattern, query.k) if query.m >= 2 else None
+        regime, _, contract, scan = _prepare_reporter(inst.text, query, wide)
     else:
-        result = match_auto(inst.text, query, src, variant)
-        outcome, bound = result.outcome, result.contract.bound
-        algorithm = variant if variant == "existence" else result.regime.value
+        prepared = plan(inst.text, query, variant)
+        regime, contract, scan = prepared.regime, prepared.contract, prepared.scan
+    algorithm = variant if variant == "existence" else regime.value
+    outcome = scan(src, BudgetLedger(query.epsilon))
+    bound = contract.bound
     d = distance_array(inst.text, inst.pattern)
     within_k = d <= cfg.k
     found = count = reported = None
@@ -609,65 +596,3 @@ def dp_audit(
         refuted=refuted_any,
     )
 
-
-# --- packing families ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class PackingFamily:
-    """Pairwise-equidistant strings, each with one planted window."""
-
-    members: tuple[bytes, ...]
-    pairwise_distance: int
-    planted_positions: tuple[int, ...]
-
-
-def _filler_symbol(pattern: bytes) -> int:
-    used = set(pattern)
-    for symbol in range(256):
-        if symbol not in used:
-            return symbol
-    raise ValueError("pattern uses all 256 byte values; no filler symbol available")
-
-
-def packing_family_planted(pattern: bytes, n: int) -> PackingFamily:
-    """One member per even block: the pattern planted in that block, filler
-    elsewhere. Distinct members differ in exactly two blocks, so all pairwise
-    distances equal 2m. This is :func:`packing_family_mismatch` at k = 0 and
-    alpha = m - 1, whose far variant is all filler."""
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    return packing_family_mismatch(pattern, n, 0, len(pattern) - 1)
-
-
-def packing_family_mismatch(
-    pattern: bytes, n: int, k: int, alpha: int
-) -> PackingFamily:
-    """One member per even block: a k-mismatch variant of the pattern planted
-    in that block and a (k + alpha + 1)-mismatch variant in every other even
-    block. Distinct members differ in alpha + 1 positions of two blocks, so
-    all pairwise distances equal 2*alpha + 2."""
-    m = len(pattern)
-    if k < 0 or alpha < 0:
-        raise ValueError("k and alpha must be non-negative")
-    if k + alpha + 1 > m:
-        raise ValueError(
-            f"need k + alpha + 1 <= m, got k={k}, alpha={alpha}, m={m}"
-        )
-    if n < m:
-        raise ValueError(f"n={n} is too short for pattern length {m}")
-    filler = _filler_symbol(pattern)
-    # A trailing remainder (when m does not divide n) is filled with the
-    # filler symbol and excluded from block indexing.
-    blocks = n // m
-    near = bytes([filler]) * k + pattern[k:]
-    far = bytes([filler]) * (k + alpha + 1) + pattern[k + alpha + 1 :]
-    members = []
-    positions = []
-    for j in range(0, blocks, 2):
-        member = bytearray([filler]) * n
-        for i in range(0, blocks, 2):
-            member[i * m : (i + 1) * m] = far
-        member[j * m : (j + 1) * m] = near
-        members.append(bytes(member))
-        positions.append(j * m)
-    return PackingFamily(tuple(members), 2 * (alpha + 1), tuple(positions))

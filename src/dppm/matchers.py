@@ -25,19 +25,22 @@ kernel over them:
 Each matcher's calibrated threshold and error contract is one row of
 `CONTRACTS`, read through `error_contract`.
 
-Each matcher is two halves. The deterministic half validates the query,
-computes the contract once and the distances (and, for counting and
-reporting, the window cover); it never receives the `NoiseSource`, so it
-cannot draw. The noisy half is what depends on the draws: the scans over a
-ledger, the cap check and the outcome. `plan` composes dispatch with the
+Each matcher is two halves, the trivial reporter included. The
+deterministic half validates the query, computes the contract once and the
+distances (and, for counting and reporting, the window cover); it never
+receives the `NoiseSource`, so it cannot draw. The noisy half is what
+depends on the draws: the scans over a ledger, the cap check and the
+outcome (the trivial reporter's returns its fixed report). `_prepare_reporter`
+is the one choice between periodic reporting and the trivial reporter, for
+`plan` and the utility bench alike. `plan` composes dispatch with the
 selected matcher's deterministic half into a `QueryPlan`, whose ``run(src)``
 is the noisy half with a fresh `BudgetLedger` (``outcome(src)`` returns its
 outcome alone); `match_auto` is ``plan(...).run(src)``, and each public
 matcher is its own deterministic half followed by one run. A plan may run
 many times, each run reading the source's stream from its cursor, so runs
-on one source equal as many fresh calls seed for seed. Existence keeps its laziness across runs: its plan
-computes each distance chunk once, the first time a run reads it, and
-replays it to later runs.
+on one source equal as many fresh calls seed for seed. Existence keeps its
+laziness across runs: its plan computes each distance chunk once, the first
+time a run reads it, and replays it to later runs.
 
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
@@ -648,12 +651,33 @@ def count_nonperiodic(
     return scan(src, _query_ledger(query, ledger))
 
 
+def _prepare_trivial(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
+    _require_text(text, query.m)
+    contract = error_contract(
+        "trivial_all", len(text), query.m, query.k, query.epsilon, query.beta
+    )
+    report = ReportOutcome(tuple(range(len(text) - query.m + 1)))
+    return contract, lambda src, ledger: report  # draws nothing, charges nothing
+
+
 def trivial_all(text: bytes, query: MatchQuery) -> ReportOutcome:
     """Report every start position. Reads nothing but the lengths, so it is
     private for any epsilon, consumes no randomness, and charges no budget;
     every reported distance is trivially at most m."""
-    _require_text(text, query.m)
-    return ReportOutcome(tuple(range(len(text) - query.m + 1)))
+    _, scan = _prepare_trivial(text, query)
+    return scan(None, None)  # it reads neither the source nor a ledger
+
+
+def _prepare_reporter(
+    text: bytes, query: MatchQuery, candidate: Optional[PeriodicCandidate]
+) -> tuple[Regime, str, Contract, Scan]:
+    """The one report-or-trivial choice: periodic reporting on ``candidate``,
+    or the trivial reporter when there is none. Returns the regime tag, the
+    matcher that runs, its contract and its noisy half."""
+    if candidate is None:
+        return Regime.TRIVIAL_FALLBACK, "trivial_all", *_prepare_trivial(text, query)
+    contract, scan = _prepare_report(text, query, candidate)
+    return Regime.PERIODIC_REPORTING, "report_periodic", contract, scan
 
 
 # --- auto-dispatching front door --------------------------------------------
@@ -695,14 +719,15 @@ class MatchResult:
         return record
 
 
-def _count_from_report(outcome: ReportOutcome) -> CountOutcome:
-    positions = outcome.positions
-    witness = positions[0] if positions else None
-    return CountOutcome(count=len(positions), witness=witness, raw_count=len(positions))
-
-
 def _as_count(scan: Scan) -> Scan:
-    return lambda src, ledger: _count_from_report(scan(src, ledger))
+    """A reporter's noisy half that answers with the size of its report."""
+
+    def count(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
+        positions = scan(src, ledger).positions
+        size = len(positions)
+        return CountOutcome(size, positions[0] if positions else None, size)
+
+    return count
 
 
 @dataclass(frozen=True)
@@ -745,12 +770,6 @@ def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
     if variant == "existence":
         matcher = "existence"
         contract, scan = _prepare_existence(text, query)
-    elif regime is Regime.PERIODIC_REPORTING:
-        assert decision.candidate is not None
-        matcher = "report_periodic"
-        contract, scan = _prepare_report(text, query, decision.candidate)
-        if variant == "count":
-            scan = _as_count(scan)
     elif variant != "report" and regime in (
         Regime.NON_PERIODIC_COUNTING,
         Regime.SMALL_K_COUNTING,
@@ -758,20 +777,14 @@ def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
         matcher = "count_nonperiodic"
         contract, scan = _prepare_count(text, query, decision.effective_k)
     else:
-        # The trivial regime, or a report request the counting regimes
-        # cannot serve.
-        regime = Regime.TRIVIAL_FALLBACK
-        matcher = "trivial_all"
-        report: Outcome = trivial_all(text, query)
-        if variant == "count":
-            report = _count_from_report(report)
-        contract = error_contract(
-            matcher, len(text), query.m, query.k, query.epsilon, query.beta
+        # Dispatch sets a candidate only in the periodic regime; the trivial
+        # regime, and a report request the counting regimes cannot serve,
+        # get the trivial reporter.
+        regime, matcher, contract, scan = _prepare_reporter(
+            text, query, decision.candidate
         )
-
-        def scan(src: NoiseSource, ledger: BudgetLedger) -> Outcome:
-            return report  # draws nothing, charges nothing
-
+        if variant == "count":
+            scan = _as_count(scan)
     return QueryPlan(regime, decision, matcher, contract, query.epsilon, scan)
 
 

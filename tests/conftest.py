@@ -5,13 +5,15 @@ equivalence tests stay two-sided. ``ref_distances`` is the window-matrix
 distance kernel the library used before its shifted-add kernel;
 ``periodic_cover`` and ``counting_cover`` are the two cover formulas the
 library used before its one ``window_cover`` rule; ``min_period_distance`` is
-the columnwise oracle for the close-period search. The reference scans at the
-end read their distances and windows from these and reuse only the library's
-contract table and dispatcher.
+the columnwise oracle for the close-period search. The packing families are
+the lower bound's string constructions. The reference scans at the end read
+their distances and windows from these and reuse only the library's contract
+table and dispatcher.
 """
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -124,6 +126,73 @@ def binary_strings(length: int):
 def draws(src, b: float, size: int) -> np.ndarray:
     """``size`` successive ``src.laplace(b)`` draws as an array."""
     return np.array([src.laplace(b) for _ in range(size)])
+
+
+# --- packing families ---------------------------------------------------------
+#
+# The pairwise-equidistant string constructions behind the paper's
+# Omega(log(n) / epsilon) lower bound on the additive error of
+# witness-returning private matchers; C8 checks their distances.
+
+@dataclass(frozen=True)
+class PackingFamily:
+    """Pairwise-equidistant strings, each with one planted window."""
+
+    members: tuple[bytes, ...]
+    pairwise_distance: int
+    planted_positions: tuple[int, ...]
+
+
+def _filler_symbol(pattern: bytes) -> int:
+    used = set(pattern)
+    for symbol in range(256):
+        if symbol not in used:
+            return symbol
+    raise ValueError("pattern uses all 256 byte values; no filler symbol available")
+
+
+def packing_family_planted(pattern: bytes, n: int) -> PackingFamily:
+    """One member per even block: the pattern planted in that block, filler
+    elsewhere. Distinct members differ in exactly two blocks, so all pairwise
+    distances equal 2m. This is :func:`packing_family_mismatch` at k = 0 and
+    alpha = m - 1, whose far variant is all filler."""
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    return packing_family_mismatch(pattern, n, 0, len(pattern) - 1)
+
+
+def packing_family_mismatch(
+    pattern: bytes, n: int, k: int, alpha: int
+) -> PackingFamily:
+    """One member per even block: a k-mismatch variant of the pattern planted
+    in that block and a (k + alpha + 1)-mismatch variant in every other even
+    block. Distinct members differ in alpha + 1 positions of two blocks, so
+    all pairwise distances equal 2*alpha + 2."""
+    m = len(pattern)
+    if k < 0 or alpha < 0:
+        raise ValueError("k and alpha must be non-negative")
+    if k + alpha + 1 > m:
+        raise ValueError(
+            f"need k + alpha + 1 <= m, got k={k}, alpha={alpha}, m={m}"
+        )
+    if n < m:
+        raise ValueError(f"n={n} is too short for pattern length {m}")
+    filler = _filler_symbol(pattern)
+    # A trailing remainder (when m does not divide n) is filled with the
+    # filler symbol and excluded from block indexing.
+    blocks = n // m
+    near = bytes([filler]) * k + pattern[k:]
+    far = bytes([filler]) * (k + alpha + 1) + pattern[k + alpha + 1 :]
+    members = []
+    positions = []
+    for j in range(0, blocks, 2):
+        member = bytearray([filler]) * n
+        for i in range(0, blocks, 2):
+            member[i * m : (i + 1) * m] = far
+        member[j * m : (j + 1) * m] = near
+        members.append(bytes(member))
+        positions.append(j * m)
+    return PackingFamily(tuple(members), 2 * (alpha + 1), tuple(positions))
 
 
 # --- reference scans ---------------------------------------------------------

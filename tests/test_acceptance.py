@@ -15,8 +15,6 @@ from scipy import stats as scipy_stats
 from dppm.audit import (
     TrialConfig,
     dp_audit,
-    packing_family_mismatch,
-    packing_family_planted,
     run_utility_experiment,
 )
 from dppm.matchers import (
@@ -40,7 +38,14 @@ from dppm.periodicity import (
 from dppm.text import distance_chunks, hamming_distance, tile
 from dppm.cli import EXIT_OK, main as cli_main
 
-from conftest import binary_strings, brute_first_at_most, draws, min_period_distance
+from conftest import (
+    binary_strings,
+    brute_first_at_most,
+    draws,
+    min_period_distance,
+    packing_family_mismatch,
+    packing_family_planted,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

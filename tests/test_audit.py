@@ -15,10 +15,9 @@ from dppm.audit import (
     gen_periodic,
     gen_planted,
     outcome_label,
-    packing_family_mismatch,
-    packing_family_planted,
     run_utility_experiment,
 )
+from dppm import matchers
 from dppm.matchers import (
     BudgetLedger,
     CountOutcome,
@@ -30,7 +29,7 @@ from dppm.matchers import (
 from dppm.noise import NoiseSource
 from dppm.text import hamming_distance, sliding_distances
 
-from conftest import brute_sliding
+from conftest import brute_sliding, packing_family_mismatch, packing_family_planted
 
 
 def small_config(**overrides) -> TrialConfig:
@@ -148,13 +147,42 @@ class TestUtilityExperiment:
         assert all(r.count is not None for r in report.records)
         assert report.violation_count == 0
 
-    def test_report_variant_periodic_instances(self):
-        cfg = small_config(
-            n=512, m=32, k=2, trials=5, generator="periodic-with-corruptions"
-        )
+    @pytest.mark.parametrize(
+        "overrides, algorithm",
+        [
+            (
+                dict(n=512, m=32, k=2, generator="periodic-with-corruptions"),
+                "PeriodicReporting",
+            ),
+            (dict(generator="uniform-random"), "TrivialFallback"),
+            # widest_close_period finds period 1 here, but reporting needs m >= 2.
+            (dict(m=1, k=0, generator="uniform-random"), "TrivialFallback"),
+            # dispatch raises here (its period scale is not finite), so a
+            # report path through dispatch would record errors.
+            (dict(epsilon=1e-320, generator="uniform-random"), "TrivialFallback"),
+        ],
+        ids=["periodic", "no-close-period", "m1-k0", "eps-1e-320"],
+    )
+    def test_report_variant_reporter(self, overrides, algorithm):
+        cfg = small_config(trials=5, **overrides)
         report = run_utility_experiment(cfg, "report")
-        assert all(r.algorithm == "PeriodicReporting" for r in report.records)
+        assert [r.algorithm for r in report.records] == [algorithm] * 5
+        assert all(r.error == "" for r in report.records)
+        if algorithm == "TrivialFallback":
+            assert all(r.bound == cfg.m for r in report.records)
         assert report.violation_count == 0
+
+    def test_oracle_reads_its_own_distances(self, monkeypatch):
+        # The bench oracle is the reference a matcher is judged by: a matcher
+        # whose distances are all zero must be caught, not agreed with.
+        cfg = small_config(n=2000, m=16, k=2, epsilon=1e5, trials=4, noise="zero")
+        assert run_utility_experiment(cfg, "count").violation_count == 0
+
+        def zeros(text, pattern):
+            return np.zeros(len(text) - len(pattern) + 1, dtype=np.int64)
+
+        monkeypatch.setattr(matchers, "distance_array", zeros)
+        assert run_utility_experiment(cfg, "count").violation_count == 4
 
     def test_deterministic_rows(self):
         cfg = small_config(trials=6)

@@ -4,13 +4,14 @@ The primitive is a noisy threshold scan: a sparse-vector-style pass over a
 sequence of window distances that pays privacy once for the first distance
 whose noisy value falls below a noisy threshold. One kernel, `below_thresh`,
 runs every scan of every matcher: a single scan, or up to a cap of scans
-that each resume one past the previous hit. It compares a scan's first
-distances one at a time and the rest in numpy blocks, and it compares the
-first distances of a run of scans in one numpy operation once several scans
-in a row have hit at once; draws come from the `NoiseSource` stream in the
-order of a one-distance-at-a-time scan, so answers are the same seed for
-seed. Each matcher computes its distances once per query and runs the
-kernel over them:
+that each resume one past the previous hit, over one sequence of distances
+that it slices. It compares a scan's first distances one at a time and the
+rest in numpy blocks, and it compares the first distances of a run of scans
+in one numpy operation once several scans in a row have hit at once; draws
+come from the `NoiseSource` stream in the order of a one-distance-at-a-time
+scan, so answers are the same seed for seed. Each matcher computes its
+distances once per query and runs the kernel over them (counting and
+reporting over each window's slice of them):
 
 * `existence` — one lazy scan over the whole text; no multiplicative error.
 * `report_periodic` — for patterns close to a short primitive period, a
@@ -39,8 +40,10 @@ outcome alone); `match_auto` is ``plan(...).run(src)``, and each public
 matcher is its own deterministic half followed by one run. A plan may run
 many times, each run reading the source's stream from its cursor, so runs
 on one source equal as many fresh calls seed for seed. Existence keeps its
-laziness across runs: its plan computes each distance chunk once, the first
-time a run reads it, and replays it to later runs.
+laziness across runs: its plan holds one distance array, filled one
+`distance_chunks` chunk at a time when a scan first slices past what is
+filled, so each chunk is computed once and later runs read what earlier ones
+filled.
 
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
@@ -59,7 +62,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -232,16 +235,23 @@ class BudgetLedger:
 
 
 # A scan compares its first _HEAD distances one at a time, then blocks as long
-# as the distances it has examined so far (so blocks double) in numpy; a block
-# shorter than _HEAD is compared one distance at a time. Once _STREAK scans in
-# a row have hit at their first distance, the following scans are compared at
+# as the distances it has examined so far (so blocks double, up to _BLOCK) in
+# numpy; a block shorter than _HEAD is compared one distance at a time. The
+# head is listed once, _HEAD distances from where a scan starts, and the later
+# scans that start in its first half reuse the list (listing it for every
+# restart made a counting query a sixth slower). Once _STREAK scans in a
+# row have hit at their first distance, the following scans are compared at
 # their first distances all at once, up to the first that misses there.
+# Blocks stop doubling at _BLOCK: the noise source serves a larger peek by
+# concatenating its buffer once per refill, which made a 1e6-distance scan
+# half again slower.
 _HEAD = 32
 _STREAK = 6
+_BLOCK = 1 << 16
 
 
 def below_thresh(
-    chunks: Iterable[Sequence[int]],
+    dist: np.ndarray | _Lazy,
     thresh: float,
     share: int,
     src: NoiseSource,
@@ -254,15 +264,16 @@ def below_thresh(
     order. Scanning stops at a scan that misses or when the distances run out;
     no scan starts where no distance remains.
 
-    ``chunks`` is the distance sequence cut into consecutive chunks (lists or
-    numpy int arrays), read lazily, so a scan that hits early does not pull
-    the rest. Each scan pays ``share`` of the ledger's epsilon and runs at
-    ``eps = ledger.epsilon / share``: the threshold receives Lap(2/eps) noise
-    once, each examined distance receives fresh Lap(4/eps) noise, and the
-    comparison is a plain ``<=``. A scan that starts at index ``p`` is
-    charged, inside the kernel, to the text span ``(span[0] + p, span[1])``;
-    scans that start at consecutive indices are charged as one run record.
-    In zero-noise mode the first hit is exactly ``min{i : d_i <= thresh}``.
+    ``dist`` is one sequence whose slices are numpy int arrays: a numpy array,
+    or an existence plan's lazily filled one, which computes the distances
+    only as far as the scans slice. Each scan pays ``share`` of the ledger's
+    epsilon and runs at ``eps = ledger.epsilon / share``: the threshold
+    receives Lap(2/eps) noise once, each examined distance receives fresh
+    Lap(4/eps) noise, and the comparison is a plain ``<=``. A scan that starts
+    at index ``p`` is charged, inside the kernel, to the text span
+    ``(span[0] + p, span[1])``; scans that start at consecutive indices are
+    charged as one run record. In zero-noise mode the first hit is exactly
+    ``min{i : d_i <= thresh}``.
 
     Noise is served from the source's one stream in the order of scans that
     compare one distance at a time (threshold first, then one per examined
@@ -276,55 +287,47 @@ def below_thresh(
     eps = ledger.epsilon / share
     t_scale, d_scale = 2.0 / eps, 4.0 / eps
     draw = src.laplace
-    chunks = filter(len, chunks)  # no scan starts on an empty chunk
-    chunk: Sequence[int] = ()
-    values: list[int] = []  # chunk as a list, for one-at-a-time reads
-    base = at = end = 0  # sequence index of chunk[0]; read position; len(chunk)
+    end = len(dist)
+    at = 0
+    head_at, head = -_HEAD, []  # head lists dist[head_at : head_at + _HEAD]
     hits: list[int] = []
     # Scans started at consecutive indices from run_start, not yet charged;
     # every one but the last started has hit at its first distance.
     run_start = run = 0
-    while len(hits) < max_hits:
-        if at == end:
-            chunk = next(chunks, None)
-            if chunk is None:
-                break
-            base, at, end = base + end, 0, len(chunk)
-            values = chunk if isinstance(chunk, list) else chunk.tolist()
+    while at < end and len(hits) < max_hits:
         if not run:
-            run_start = base + at
+            run_start = at
         elif run >= _STREAK:
             # The scans from here on, each at its first distance with its own
             # threshold unit; the leading hits are served, and the first scan
             # that misses there is rerun below on the same units.
             r = min(end - at, max_hits - len(hits))
             u = src.units(2 * r)
-            ok = chunk[at : at + r] + d_scale * u[1::2] <= thresh + t_scale * u[::2]
+            ok = dist[at : at + r] + d_scale * u[1::2] <= thresh + t_scale * u[::2]
             j = int(ok.argmin())
             if ok[j]:
                 j = r
             src.skip(2 * j)
-            hits.extend(range(base + at, base + at + j))
+            hits.extend(range(at, at + j))
             at += j
             run += j
             if j == r:
                 continue
         run += 1
-        start = base + at
+        start = at
         noisy = thresh + draw(t_scale)
-        for i, d in enumerate(values[at : at + _HEAD]):
+        if at - head_at >= _HEAD // 2:
+            head_at, head = at, dist[at : at + _HEAD].tolist()
+        for i, d in enumerate(head[at - head_at :]):
             if d + draw(d_scale) <= noisy:
-                hit, at = start + i, at + i + 1
+                hit = at + i
                 break
         else:
-            head = min(_HEAD, end - at)
-            hit, chunk, values, base, at = _scan_on(
-                chunks, chunk, values, base, at + head, head, noisy, d_scale, src
-            )
+            hit = _scan_on(dist, head_at + len(head), end, noisy, d_scale, src)
             if hit is None:
                 break
-            end = len(chunk)
         hits.append(hit)
+        at = hit + 1
         if hit != start:  # the next scan does not start at start + 1
             ledger.charge_span(first + run_start, stop, share, run)
             run = 0
@@ -333,32 +336,26 @@ def below_thresh(
     return hits
 
 
-def _scan_on(chunks, chunk, values, base, at, examined, noisy, d_scale, src):
-    """The rest of a scan that has missed on its first ``examined``
-    distances: the sequence index of its hit (None when the distances run
-    out) and the read state ``(chunk, values, base, at)`` one past it."""
-    draw = src.laplace
-    while True:
-        if at == len(chunk):
-            chunk = next(chunks, None)
-            if chunk is None:
-                return None, (), [], base, at
-            base, at = base + at, 0
-            values = chunk if isinstance(chunk, list) else chunk.tolist()
-        size = min(max(_HEAD, examined), len(chunk) - at)
-        if examined < _HEAD or size < _HEAD:
-            for i, d in enumerate(values[at : at + size]):
-                if d + draw(d_scale) <= noisy:
-                    return base + at + i, chunk, values, base, at + i + 1
-        else:
-            ok = chunk[at : at + size] + d_scale * src.units(size) <= noisy
-            i = int(ok.argmax())
-            if ok[i]:
-                src.skip(i + 1)
-                return base + at + i, chunk, values, base, at + i + 1
-            src.skip(size)
+def _scan_on(dist, at, end, noisy, d_scale, src):
+    """The rest of a scan that has missed on every distance before index
+    ``at``: the index of its hit, or None when the distances run out at
+    ``end``."""
+    size = _HEAD
+    while end - at >= _HEAD:
+        size = min(size, end - at)
+        ok = dist[at : at + size] + d_scale * src.units(size) <= noisy
+        i = int(ok.argmax())
+        if ok[i]:
+            src.skip(i + 1)
+            return at + i
+        src.skip(size)
         at += size
-        examined += size
+        size = min(2 * size, _BLOCK)
+    draw = src.laplace
+    for i, d in enumerate(dist[at:end].tolist()):
+        if d + draw(d_scale) <= noisy:
+            return at + i
+    return None
 
 
 # --- error contracts ---------------------------------------------------------
@@ -462,30 +459,38 @@ def _query_ledger(query: MatchQuery, ledger: Optional[BudgetLedger]) -> BudgetLe
     return ledger
 
 
-class _Replay:
-    """The chunks of a lazy distance sequence, each computed once: every
-    iteration replays the chunks earlier ones pulled and extends them from
-    the one underlying iterator only when it reads further. Cached numpy
-    chunks are read-only. Iterations must not interleave."""
+class _Lazy:
+    """The distances at every start position, in one int64 array filled from
+    `distance_chunks`: the first slice that reaches past what is filled fills
+    it up to the end of the chunk that slice reaches into, so each chunk is
+    computed once. Every slice is a read-only view. ``sequence`` is what a
+    scan reads: the `_Lazy` itself until every chunk is in, then the whole
+    array, read-only, so later scans slice it without a Python call (which
+    cost a tiny audit trial about 9%)."""
 
-    def __init__(self, chunks: Iterator[Sequence[int]]):
-        self._source: Optional[Iterator[Sequence[int]]] = chunks
-        self._cached: list[Sequence[int]] = []
+    def __init__(self, text: bytes, pattern: bytes):
+        self._array = np.empty(len(text) - len(pattern) + 1, np.int64)
+        self._view = self._array.view()
+        self._view.flags.writeable = False
+        self._chunks = distance_chunks(text, pattern)
+        self._filled = 0
+        self.sequence: np.ndarray | _Lazy = self
 
-    def __iter__(self) -> Iterator[Sequence[int]]:
-        if self._source is None:  # every chunk is cached
-            return iter(self._cached)
-        return self._extend()
+    def __len__(self) -> int:
+        return len(self._array)
 
-    def _extend(self) -> Iterator[Sequence[int]]:
-        cached = self._cached
-        yield from cached
-        for chunk in self._source:
-            if isinstance(chunk, np.ndarray):
-                chunk.flags.writeable = False
-            cached.append(chunk)
-            yield chunk
-        self._source = None
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if key.stop > self._filled:
+            array = self._array
+            for chunk in self._chunks:
+                start = self._filled
+                self._filled += len(chunk)
+                array[start : self._filled] = chunk
+                if self._filled >= key.stop:
+                    break
+            if self._filled == len(array):
+                self.sequence = self._view
+        return self._view[key]
 
 
 def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
@@ -501,10 +506,10 @@ def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
         "existence", n, query.m, query.k, query.epsilon, query.beta
     )
     thresh = contract.threshold
-    chunks = _Replay(distance_chunks(text, query.pattern))
+    dist = _Lazy(text, query.pattern)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ExistenceOutcome:
-        hits = below_thresh(chunks, thresh, 1, src, ledger, (0, n))
+        hits = below_thresh(dist.sequence, thresh, 1, src, ledger, (0, n))
         ledger.assert_within_cap()
         return ExistenceOutcome(found=bool(hits), witness=hits[0] if hits else None)
 
@@ -544,11 +549,11 @@ def _prepare_report(
     thresh, step = contract.threshold, candidate.length
     dist = _frozen_distances(text, query.pattern)
     # Per window: its first start, its span, and its starts' distances
-    # forward and backward, each as a one-chunk sequence.
+    # forward and backward.
     windows = []
     for a, b in window_cover(n, m, m // 2):
         starts = dist[a : b - m + 2]
-        windows.append((a, (a, b + 1), (starts,), (starts[::-1],)))
+        windows.append((a, (a, b + 1), starts, starts[::-1]))
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ReportOutcome:
         found: list[int] = []
@@ -557,7 +562,7 @@ def _prepare_report(
             rev_hit = below_thresh(backward, thresh, 6, src, ledger, span)
             if not (first and rev_hit):
                 continue
-            last = len(forward[0]) - 1 - rev_hit[0]
+            last = len(forward) - 1 - rev_hit[0]
             found.extend(range(a + first[0], a + last + 1, step))
         ledger.assert_within_cap()
         return ReportOutcome(tuple(found))
@@ -606,7 +611,7 @@ def _prepare_count(
     thresh = contract.threshold
     dist = _frozen_distances(text, query.pattern)
     windows = [
-        (a, (a, b + 1), (dist[a : b - m + 2],)) for a, b in window_cover(n, m, m)
+        (a, (a, b + 1), dist[a : b - m + 2]) for a, b in window_cover(n, m, m)
     ]
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:

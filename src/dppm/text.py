@@ -34,10 +34,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # Up to this many byte comparisons the pure-Python kernel beats numpy call
-# overhead, and its list is what the noisy scan reads: an array chunk pays a
-# tolist on every run of a prepared existence query that replays it. Numpy
-# chunks at every size cost the 6-byte audit trials about 8% of their
-# throughput.
+# overhead. The scans read an int64 array either way (a prepared existence
+# query copies each chunk into its one array), so what it buys is cheaper
+# distances for tiny texts: numpy at every size cost the audit-existence
+# workload, which computes them once per audit lane, about 2% of its trials.
 _NUMPY_CUTOFF = 4096
 
 # The window-matrix compare materializes at most this many comparisons (or one

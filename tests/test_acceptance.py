@@ -35,7 +35,7 @@ from dppm.periodicity import (
     small_k_cutoff,
     widest_close_period,
 )
-from dppm.text import distance_chunks, hamming_distance, tile
+from dppm.text import distance_array, hamming_distance, tile
 from dppm.cli import EXIT_OK, main as cli_main
 
 from conftest import (
@@ -67,7 +67,7 @@ def test_c01_zero_noise_oracle_equivalence():
                 for pattern in binary_strings(m):
                     for thresh in range(m + 1):
                         got = below_thresh(
-                            distance_chunks(text, pattern),
+                            distance_array(text, pattern),
                             float(thresh),
                             1,
                             src,

@@ -234,7 +234,7 @@ def scan(text, pattern, thresh, share, src, ledger, base=0):
     """One scan of ``text`` as if it started at position ``base`` of a longer
     text: the index of its hit, or None."""
     hits = below_thresh(
-        distance_chunks(text, pattern), thresh, share, src, ledger,
+        distance_array(text, pattern), thresh, share, src, ledger,
         (base, base + len(text)),
     )
     return hits[0] if hits else None
@@ -281,9 +281,9 @@ class TestBelowThresh:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            below_thresh([[0]], 1.0, 0, zero_src(), ledger_for(1.0), (0, 1))
+            below_thresh(np.array([0]), 1.0, 0, zero_src(), ledger_for(1.0), (0, 1))
         with pytest.raises(ValueError):
-            below_thresh([[0]], 1.0, 1, zero_src(), ledger_for(1.0), (1, 1))
+            below_thresh(np.array([0]), 1.0, 1, zero_src(), ledger_for(1.0), (1, 1))
 
     def test_noise_scale_is_the_paid_slice(self):
         # The slice charged and the scale drawn at come from one share, on
@@ -294,7 +294,7 @@ class TestBelowThresh:
         src = FixedUnits()
         ledger = ledger_for(0.9)
         distances = np.array([0] * 12 + [10] * 20)
-        hits = below_thresh([distances], 20.0, 6, src, ledger, (0, 32), 100)
+        hits = below_thresh(distances, 20.0, 6, src, ledger, (0, 32), 100)
         assert hits == list(range(12))
         assert src.peeks > 0  # the first-distance batch ran
         slice_ = Fraction(0.9) / 6
@@ -306,50 +306,75 @@ class TestBelowThresh:
         # The counter's restarts: a scan that hits at index i is followed by
         # one that starts at i + 1 and is charged from there. After the hit
         # at the last index no distance remains, so no further scan starts.
-        distances = sliding_distances(b"abracadabra", b"abra")  # 0,4,3,3,3,3,4,0
+        distances = distance_array(b"abracadabra", b"abra")  # 0,4,3,3,3,3,4,0
         ledger = ledger_for(1.0)
-        hits = below_thresh([distances], 0.0, 2, zero_src(), ledger, (0, 11), 5)
+        hits = below_thresh(distances, 0.0, 2, zero_src(), ledger, (0, 11), 5)
         assert hits == [0, 7]
         assert spent_by_position(ledger) == {
             p: Fraction(1, 2) * min(p + 1, 2) for p in range(11)
         }
         # A zero-noise counter window with a cap of one hit stops there.
-        assert below_thresh([distances], 0.0, 2, zero_src(), ledger, (0, 11)) == [0]
+        assert below_thresh(distances, 0.0, 2, zero_src(), ledger, (0, 11)) == [0]
 
-    @pytest.mark.parametrize("chunks", [[[]], [np.array([], np.int64)]])
-    def test_no_scan_on_empty_distances(self, chunks):
+    def test_no_scan_on_empty_distances(self):
         src, ledger = NoiseSource(0), ledger_for(1.0)
-        assert below_thresh(chunks, 1.0, 1, src, ledger, (0, 1)) == []
+        assert below_thresh(np.array([], np.int64), 1.0, 1, src, ledger, (0, 1)) == []
         assert ledger._runs == []
         assert src.laplace(1.0) == NoiseSource(0).laplace(1.0)  # nothing drawn
 
-    def test_empty_chunk_between_is_skipped(self):
-        def run(chunks):
-            src, ledger = NoiseSource(2), ledger_for(1.0)
-            hits = below_thresh(chunks, 1.0, 1, src, ledger, (0, 3), 5)
+    @pytest.mark.parametrize("mode, thresh", [("zero", 0.5), ("standard", 3.0)])
+    def test_lazy_sequence_scans_as_the_array(self, mode, thresh):
+        # m = 256 cuts distance_chunks after rows 256, 768 and 1792. A run of
+        # 257 a's puts distance 0 just before and just after each cut, and the
+        # distances fall away from 256 around it, so counting scans hit and
+        # restart on both sides of every cut, and long scans cross the cuts
+        # in numpy blocks.
+        text = bytearray(b"b" * 4000)
+        for cut in (256, 768, 1792):
+            text[cut - 1 : cut + 256] = b"a" * 257
+        text, pattern = bytes(text), b"a" * 256
+        full = distance_array(text, pattern)
+        bounds = np.cumsum([len(c) for c in distance_chunks(text, pattern)])
+        assert bounds.tolist() == [256, 768, 1792, len(full)]
+
+        def run(dist, seed, max_hits):
+            src, ledger = NoiseSource(seed, mode), ledger_for(2.0)
+            hits = below_thresh(dist, thresh, 1, src, ledger, (0, 4000), max_hits)
             return hits, ledger._runs, src.laplace(1.0)
 
-        assert run([[5, 5], [], [0]]) == run([[5, 5], [0]])
-        assert run([[5, 5], [], [0], []]) == run([[5, 5], [0]])
+        # One _Lazy across runs that read further each time, filling it chunk
+        # by chunk, until a run reads to the end.
+        lazy, filled = matchers._Lazy(text, pattern), []
+        for seed, max_hits in enumerate([1, 2, 3, 4, 5, 6, 40, 40]):
+            got = run(lazy.sequence, seed, max_hits)
+            assert got == run(full, seed, max_hits), seed
+            filled.append(lazy._filled)
+        if mode == "zero":
+            assert got[0] == [255, 256, 767, 768, 1791, 1792]
+        assert len(set(filled)) >= 3 and filled[-1] == len(full)
+        assert lazy.sequence is not lazy and np.array_equal(lazy.sequence, full)
 
-    def test_chunks_are_one_sequence(self):
-        # Where the sequence is cut into chunks, and whether a chunk is a list
-        # or an array, changes nothing: long scans cross cuts in numpy blocks
-        # and first-distance batches stop at cuts.
-        distances = [5] * 50 + [0] * 20 + [5] * 40 + [0, 5] * 10
-        zeros = [i for i, d in enumerate(distances) if d == 0]
+    def test_head_is_listed_once(self):
+        # Only a scan's head is listed, never a block or the whole sequence,
+        # and scans that restart in the head's first half reuse its list.
+        lengths = []
 
-        def run(chunks):
-            return below_thresh(
-                chunks, 2.0, 1, NoiseSource(3), ledger_for(9.0), (0, 130), 100
-            )
+        class Listing(np.ndarray):
+            def tolist(self):
+                lengths.append(self.size)
+                return super().tolist()
 
-        assert run([np.array(distances)]) == zeros
-        for cuts in ([1, 30, 31, 55, 64, 120], [49, 50, 51, 69, 70], [3]):
-            bounds = [0, *cuts, len(distances)]
-            chunks = [distances[a:b] for a, b in zip(bounds, bounds[1:])]
-            assert run(chunks) == zeros
-            assert run([np.array(c) for c in chunks]) == zeros
+        rng = random.Random(4)
+        text = bytes(rng.choice(b"acgt") for _ in range(30000))
+        dist = distance_array(text, text[:256]).view(Listing)
+        hits = below_thresh(dist, -100.0, 1, NoiseSource(1), ledger_for(2.0), (0, 30000))
+        assert hits == [] and lengths and max(lengths) <= matchers._HEAD
+        assert sum(lengths) < 2 * matchers._HEAD  # the head and the tail
+        lengths.clear()
+        zeros = np.zeros(64, np.int64).view(Listing)
+        hits = below_thresh(zeros, 0.5, 2, zero_src(), ledger_for(1.0), (0, 127), 64)
+        assert hits == list(range(64))
+        assert lengths == [matchers._HEAD]
 
     def test_exhaustive_zero_noise_oracle(self):
         # Small version of the acceptance sweep: binary texts up to length 7.
@@ -839,7 +864,14 @@ class TestSeedForSeedOracle:
                 pulled.append(chunk)
                 yield chunk
 
+        received = []  # the distance sequence each run's scan reads
+
+        def recording(dist, *args):
+            received.append(dist)
+            return below_thresh(dist, *args)
+
         monkeypatch.setattr(matchers, "distance_chunks", counting)
+        monkeypatch.setattr(matchers, "below_thresh", recording)
         prepared, src = plan(text, query, "existence"), NoiseSource(3)
         growth = []
         for want in expected:
@@ -852,8 +884,19 @@ class TestSeedForSeedOracle:
         assert growth[0] and sum(1 for g in growth[1:] if g) >= 2
         assert sum(map(len, pulled)) <= len(text) - 512 + 1  # each chunk once
         assert all(isinstance(chunk, np.ndarray) for chunk in pulled)
+        # Until every chunk is in, the scan slices read-only partial views.
+        assert all(dist is received[0] for dist in received)
         with pytest.raises(ValueError):
-            pulled[0][0] = 0
+            received[0][0:1][0] = 0
+        # A noiseless run misses everywhere, so it reads to the end; later
+        # runs read the whole array itself, frozen once.
+        assert prepared.outcome(NoiseSource(0, "zero")).witness is None
+        assert sum(map(len, pulled)) == len(text) - 512 + 1
+        prepared.run(src)
+        prepared.run(src)
+        full = received[-1]
+        assert type(full) is np.ndarray and received[-2] is full
+        assert len(full) == len(text) - 512 + 1 and not full.flags.writeable
 
     def test_no_phantom_counting_window(self):
         # m = 2 divides n + 1 = 4: no window without a start position is

@@ -13,12 +13,15 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from dppm.audit import (
+    AUDIT_MATCHERS,
     TrialConfig,
     dp_audit,
+    outcome_label,
     run_utility_experiment,
 )
 from dppm.matchers import (
     BudgetLedger,
+    ExistenceOutcome,
     MatchQuery,
     below_thresh,
     count_nonperiodic,
@@ -258,6 +261,66 @@ def test_c07_dp_audit_positive_and_negative():
         ok,
         f"existence not refuted: {not genuine.refuted}, "
         f"canary refuted: {canary.refuted} ({trials} trials per string)",
+    )
+
+
+def certified_log_ratio(audit) -> float:
+    """The largest log frequency ratio the audit's confidence intervals
+    certify over any category, in either direction; 0 when none does."""
+    ratios = [0.0]
+    for c in audit.categories:
+        for (lo, _), (_, hi) in ((c.ci_a, c.ci_b), (c.ci_b, c.ci_a)):
+            if lo > 0.0:
+                ratios.append(math.log(lo / hi))
+    return max(ratios)
+
+
+def test_c07b_dp_audit_where_noise_decides(monkeypatch):
+    """On a neighboring pair where the noise decides the witness, the
+    existence matcher is not refuted and a mutant without threshold noise
+    is."""
+    # Every window of text_a is at distance 60 from the pattern; byte 13 of
+    # text_b lowers windows 0-13 to 59, at the threshold (59.02), so each
+    # comparison there is a coin flip decided by the noise (C7's every distance sits
+    # far below its threshold, so only its canary half can fail).
+    text_a = ((b"a" * 4 + b"b" * 60) * 3)[:143]
+    text_b = text_a[:13] + b"a" + text_a[14:]
+    query = MatchQuery(b"a" * 64, 0, 1.0, 0.1)
+    thresh = error_contract("existence", 143, 64, 0, 1.0, 0.1).threshold
+    assert 59 < thresh < 59.1 and hamming_distance(text_a, text_b) == 1
+    assert set(distance_array(text_a, query.pattern).tolist()) == {60}
+
+    def no_threshold_noise(text, query):
+        dist = distance_array(text, query.pattern).tolist()
+        scale = 4.0 / query.epsilon
+
+        def trial(src):
+            for i, d in enumerate(dist):
+                if d + src.laplace(scale) <= thresh:
+                    return outcome_label(ExistenceOutcome(True, i))
+            return outcome_label(ExistenceOutcome(False, None))
+
+        return trial
+
+    monkeypatch.setitem(AUDIT_MATCHERS, "no-threshold-noise", no_threshold_noise)
+    trials = 100_000
+    genuine = dp_audit("existence", text_a, text_b, query, trials=trials, seed=1)
+    mutant = dp_audit(
+        "no-threshold-noise", text_a, text_b, query, trials=trials, seed=1
+    )
+    eps_genuine, eps_mutant = map(certified_log_ratio, (genuine, mutant))
+    ok = (
+        not genuine.refuted
+        and 0.25 < eps_genuine < 1.0
+        and mutant.refuted
+        and eps_mutant > 1.0
+    )
+    report(
+        "C7b dp audit where the noise decides",
+        ok,
+        f"existence not refuted: {not genuine.refuted} (certified log ratio "
+        f"{eps_genuine:.2f}), no-threshold-noise mutant refuted: "
+        f"{mutant.refuted} ({eps_mutant:.2f}), eps = 1, {trials} trials per string",
     )
 
 

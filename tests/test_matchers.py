@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dppm.matchers as matchers
+import dppm.text as text_module
 from dppm.matchers import (
     BudgetLedger,
     CountOutcome,
@@ -324,22 +325,24 @@ class TestBelowThresh:
 
     @pytest.mark.parametrize("mode, thresh", [("zero", 0.5), ("standard", 3.0)])
     def test_lazy_sequence_scans_as_the_array(self, mode, thresh):
-        # m = 256 cuts distance_chunks after rows 256, 768 and 1792. A run of
-        # 257 a's puts distance 0 just before and just after each cut, and the
-        # distances fall away from 256 around it, so counting scans hit and
-        # restart on both sides of every cut, and long scans cross the cuts
-        # in numpy blocks.
-        text = bytearray(b"b" * 4000)
-        for cut in (256, 768, 1792):
+        # m = 256 cuts distance_chunks after rows 256, 768 and 33536 (two
+        # window-matrix chunks, then a shifted-add chunk of 2^15 rows, then
+        # the tail). A run of 257 a's puts distance 0 just before and just
+        # after each cut, and the distances fall away from 256 around it, so
+        # counting scans hit and restart on both sides of every cut, and long
+        # scans cross the cuts in numpy blocks.
+        n = 36000
+        text = bytearray(b"b" * n)
+        for cut in (256, 768, 33536):
             text[cut - 1 : cut + 256] = b"a" * 257
         text, pattern = bytes(text), b"a" * 256
         full = distance_array(text, pattern)
         bounds = np.cumsum([len(c) for c in distance_chunks(text, pattern)])
-        assert bounds.tolist() == [256, 768, 1792, len(full)]
+        assert bounds.tolist() == [256, 768, 33536, len(full)]
 
         def run(dist, seed, max_hits):
             src, ledger = NoiseSource(seed, mode), ledger_for(2.0)
-            hits = below_thresh(dist, thresh, 1, src, ledger, (0, 4000), max_hits)
+            hits = below_thresh(dist, thresh, 1, src, ledger, (0, n), max_hits)
             return hits, ledger._runs, src.laplace(1.0)
 
         # One _Lazy across runs that read further each time, filling it chunk
@@ -350,7 +353,7 @@ class TestBelowThresh:
             assert got == run(full, seed, max_hits), seed
             filled.append(lazy._filled)
         if mode == "zero":
-            assert got[0] == [255, 256, 767, 768, 1791, 1792]
+            assert got[0] == [255, 256, 767, 768, 33535, 33536]
         assert len(set(filled)) >= 3 and filled[-1] == len(full)
         assert lazy.sequence is not lazy and np.array_equal(lazy.sequence, full)
 
@@ -424,6 +427,34 @@ class TestExistence:
         query = MatchQuery(b"b" * m, 0, 1.0, 0.1)
         outcome = existence(b"a" * n, query, zero_src())
         assert not outcome.found and outcome.witness is None
+
+    def test_long_scan_makes_three_kernel_calls(self, monkeypatch):
+        # Random distances (about 192) sit far above the threshold (about
+        # 61), so the scan reads all 29,745 distances: two window-matrix
+        # chunks and one shifted-add chunk, not shifted-add chunks doubling
+        # from 1024 rows, each of which pays about m numpy calls.
+        calls = []
+
+        def counting(name, kernel):
+            def wrapped(*args):
+                out = kernel(*args)
+                calls.append((name, len(out)))
+                return out
+            return wrapped
+
+        for name in ("_window_compare", "_shifted_add"):
+            kernel = getattr(text_module, name)
+            monkeypatch.setattr(text_module, name, counting(name, kernel))
+        rng = random.Random(18)
+        text = bytes(rng.choice(b"acgt") for _ in range(30000))
+        pattern = bytes(rng.choice(b"acgt") for _ in range(256))
+        outcome = existence(text, MatchQuery(pattern, 8, 2.0, 0.1), NoiseSource(1))
+        assert not outcome.found
+        assert calls == [
+            ("_window_compare", 256),
+            ("_window_compare", 512),
+            ("_shifted_add", 28977),
+        ]
 
     def test_budget_charged_exactly_epsilon(self):
         ledger = ledger_for(0.7)
@@ -880,22 +911,28 @@ class TestSeedForSeedOracle:
             assert got.outcome == want.outcome
             assert got.ledger.max_spent == want.ledger.max_spent
             growth.append(len(pulled) - before)
+        grown = sum(1 for g in growth if g)
         assert len({want.outcome.witness for want in expected}) > 5
-        assert growth[0] and sum(1 for g in growth[1:] if g) >= 2
+        assert growth[0] and grown >= 3
         assert sum(map(len, pulled)) <= len(text) - 512 + 1  # each chunk once
         assert all(isinstance(chunk, np.ndarray) for chunk in pulled)
-        # Until every chunk is in, the scan slices read-only partial views.
-        assert all(dist is received[0] for dist in received)
-        with pytest.raises(ValueError):
-            received[0][0:1][0] = 0
-        # A noiseless run misses everywhere, so it reads to the end; later
-        # runs read the whole array itself, frozen once.
+        # A noiseless run misses everywhere, so it reads to the end, if the
+        # runs above have not; later runs read the whole array itself.
         assert prepared.outcome(NoiseSource(0, "zero")).witness is None
         assert sum(map(len, pulled)) == len(text) - 512 + 1
         prepared.run(src)
         prepared.run(src)
-        full = received[-1]
-        assert type(full) is np.ndarray and received[-2] is full
+        # Until every chunk is in, the scans slice read-only partial views of
+        # one sequence (at least the runs that pulled a chunk); from then on
+        # they read one whole array, frozen once.
+        lazy, full = received[0], received[-1]
+        partial = sum(1 for dist in received if dist is lazy)
+        assert partial >= grown
+        assert all(dist is lazy for dist in received[:partial])
+        assert all(dist is full for dist in received[partial:])
+        with pytest.raises(ValueError):
+            lazy[0:1][0] = 0
+        assert type(full) is np.ndarray and len(received) - partial >= 2
         assert len(full) == len(text) - 512 + 1 and not full.flags.writeable
 
     def test_no_phantom_counting_window(self):

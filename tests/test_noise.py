@@ -220,12 +220,30 @@ class TestCursor:
         assert hexes(served) == hexes(reference_laplace(ref, b) for b in scales)
 
     def test_first_peek_crosses_the_scalar_head(self):
-        # A fresh source's peek fills the buffer in blocks of 32, 32, 64, ...
-        # units from its first uniform on, and one peek across the first
-        # block's end equals 40 plain draws.
+        # A fresh source's peek of 40 units, longer than the first block of
+        # 32, fills the buffer from its first uniform on and equals 40 plain
+        # draws.
         gen = np.random.Generator(np.random.PCG64(21))
         assert hexes(NoiseSource(21).units(40)) == hexes(
             reference_laplace(gen, 1.0) for _ in range(40)
+        )
+
+    @pytest.mark.parametrize("plain", [0, 5])
+    def test_long_peek_refills_once(self, plain):
+        # A peek past the buffer draws its whole shortfall in one block,
+        # rather than 4096 units at a time with the unserved buffer copied
+        # on each refill, and serves the same stream.
+        src, gen = faked(8)
+        served = [src.laplace(1.0) for _ in range(plain)]
+        calls = gen.sized_calls
+        units = src.units(20_000)
+        assert gen.sized_calls == calls + 1
+        served += units.tolist()
+        src.skip(20_000)
+        served.append(src.laplace(1.0))
+        ref = np.random.Generator(np.random.PCG64(8))
+        assert hexes(served) == hexes(
+            reference_laplace(ref, 1.0) for _ in range(plain + 20_001)
         )
 
     @pytest.mark.parametrize("boundary", [False, True])

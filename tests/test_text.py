@@ -150,27 +150,33 @@ class TestSlidingDistances:
 
 def chunk_rows(m: int, count: int) -> list[int]:
     """The row counts of ``distance_chunks``' chunks: the first chunk, then
-    doubling up to the cap."""
+    doubling while below the shifted-add switch, then at least
+    ``_SHIFTED_ADD_CHUNK_ROWS`` rows, never more than the cap; the last chunk
+    holds what remains."""
+    switch = text_module._SHIFTED_ADD_ROWS
+    floor = text_module._SHIFTED_ADD_CHUNK_ROWS
+    cap = text_module._MAX_CHUNK_ROWS
     rows, size = [], max(1, text_module._CHUNK_COMPARISONS // m)
     while sum(rows) < count:
         rows.append(min(size, count - sum(rows)))
-        size = min(2 * size, text_module._MAX_CHUNK_ROWS)
+        size = 2 * size if 2 * size < switch else min(max(2 * size, floor), cap)
     return rows
 
 
 def edge_counts(m: int) -> list[int]:
     """Start-position counts just below, at and above the window-matrix /
-    shifted-add switch, in ``distance_array`` and in ``distance_chunks``."""
+    shifted-add switch: as a whole input, as the tail after the doubling
+    window-matrix chunks, and as the tail after the first shifted-add chunk
+    (two shifted-add chunks in a row), which also gets a one-row tail."""
     switch = text_module._SHIFTED_ADD_ROWS
     first = max(1, text_module._CHUNK_COMPARISONS // m)
-    before = 0  # rows of the chunks shorter than the switch
-    size = first
-    while size < switch:
-        before, size = before + size, 2 * size
-    counts = {1, switch - 1, switch, switch + 1, first - 1, first, first + 1}
-    counts |= {before + switch - 1, before + switch, before + switch + 1}
-    counts |= {before + size + 1}  # a one-row tail after a shifted-add chunk
-    counts |= {before + 3 * size - 1, before + 3 * size, before + 3 * size + 1}
+    rows = chunk_rows(m, 10**7)
+    added = next(i for i, r in enumerate(rows) if r >= switch)
+    before = sum(rows[:added])
+    after = before + rows[added]
+    counts = {1, first - 1, first, first + 1, after + 1}
+    for at in (0, before, after):
+        counts |= {at + switch - 1, at + switch, at + switch + 1}
     return sorted(c for c in counts if c >= 1)
 
 
@@ -208,6 +214,33 @@ class TestDistanceKernels:
             assert np.array_equal(np.concatenate(chunks), expected), count
             assert [len(c) for c in chunks] == chunk_rows(m, count), count
             assert sliding_distances(text, pattern) == expected.tolist()
+
+    def test_chunk_schedule(self, monkeypatch):
+        # A shifted-add chunk makes about m numpy calls whatever its length,
+        # so after the first chunk none is shorter than 2^15 rows unless it
+        # is the last; window-matrix chunks still double from the first.
+        # Only the chunk bounds are read, so the kernel is stubbed out.
+        monkeypatch.setattr(
+            text_module, "_distances", lambda text, pattern, a, b, offsets: range(a, b)
+        )
+
+        def schedule(m: int, count: int) -> list[int]:
+            return [len(c) for c in distance_chunks(bytes(count + m - 1), bytes(m))]
+
+        assert schedule(256, 29745) == [256, 512, 28977]  # three chunks, not seven
+        assert schedule(64, 10**5) == [1024, 32768, 65536, 672]
+        assert schedule(4096, 1200) == [16, 32, 64, 128, 256, 512, 192]
+        switch = text_module._SHIFTED_ADD_ROWS
+        for m in (1, 2, 63, 64, 65, 93, 255, 256, 1024, 4096, 65536):
+            rows = schedule(m, 10**6)
+            assert rows == chunk_rows(m, 10**6)
+            assert rows[0] == max(1, text_module._CHUNK_COMPARISONS // m)
+            assert max(rows) <= text_module._MAX_CHUNK_ROWS
+            for before, size in zip(rows, rows[1:-1]):
+                if size < switch:
+                    assert size == 2 * before
+                else:
+                    assert size >= text_module._SHIFTED_ADD_CHUNK_ROWS
 
     def test_full_match_count_does_not_wrap(self):
         # 256 matches wrap an 8-bit counter to 0; every window of a constant

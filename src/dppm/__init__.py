@@ -37,7 +37,6 @@ from .periodicity import (
     shortest_close_period,
 )
 from .text import (
-    distance_chunks,
     exact_count,
     hamming_distance,
     sliding_distances,
@@ -72,7 +71,6 @@ __all__ = [
     "count_nonperiodic",
     "derive_seed",
     "dispatch",
-    "distance_chunks",
     "dp_audit",
     "error_contract",
     "exact_count",

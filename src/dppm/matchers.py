@@ -40,10 +40,10 @@ outcome alone); `match_auto` is ``plan(...).run(src)``, and each public
 matcher is its own deterministic half followed by one run. A plan may run
 many times, each run reading the source's stream from its cursor, so runs
 on one source equal as many fresh calls seed for seed. Existence keeps its
-laziness across runs: its plan holds one distance array, filled one
-`distance_chunks` chunk at a time when a scan first slices past what is
-filled, so each chunk is computed once and later runs read what earlier ones
-filled.
+laziness across runs: its plan holds one `text.LazyDistances`, an array that
+the text module's fill rule fills in place one chunk at a time when a scan
+first slices past what is filled, so each chunk is computed once and later
+runs read what earlier ones filled.
 
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
@@ -74,7 +74,7 @@ from .periodicity import (
     check_query,
     dispatch,
 )
-from .text import check_bytes, distance_array, distance_chunks, window_cover
+from .text import LazyDistances, check_bytes, distance_array, window_cover
 
 # Occurrence cap per window and unit of budget splitting in the non-periodic
 # counter: a window shorter than 2m holds at most this many occurrences per
@@ -252,7 +252,7 @@ _BLOCK = 1 << 16
 
 
 def below_thresh(
-    dist: np.ndarray | _Lazy,
+    dist: np.ndarray | LazyDistances,
     thresh: float,
     share: int,
     src: NoiseSource,
@@ -266,7 +266,7 @@ def below_thresh(
     no scan starts where no distance remains.
 
     ``dist`` is one sequence whose slices are numpy int arrays: a numpy array,
-    or an existence plan's lazily filled one, which computes the distances
+    or an existence plan's `LazyDistances`, which computes the distances
     only as far as the scans slice. Each scan pays ``share`` of the ledger's
     epsilon and runs at ``eps = ledger.epsilon / share``: the threshold
     receives Lap(2/eps) noise once, each examined distance receives fresh
@@ -460,42 +460,6 @@ def _query_ledger(query: MatchQuery, ledger: Optional[BudgetLedger]) -> BudgetLe
     return ledger
 
 
-class _Lazy:
-    """The distances at every start position, in one int64 array filled from
-    `distance_chunks`: the first slice that reaches past what is filled fills
-    it up to the end of the chunk that slice reaches into, so each chunk is
-    computed once. The chunks start small, so an early hit computes little,
-    and grow to at least 2^15 rows, so a scan over the whole text fills the
-    array in a few kernel calls. Every slice is a read-only view.
-    ``sequence`` is what a scan reads: the `_Lazy` itself until every chunk
-    is in, then the whole array, read-only, so later scans slice it without
-    a Python call (which cost a tiny audit trial about 9%)."""
-
-    def __init__(self, text: bytes, pattern: bytes):
-        self._array = np.empty(len(text) - len(pattern) + 1, np.int64)
-        self._view = self._array.view()
-        self._view.flags.writeable = False
-        self._chunks = distance_chunks(text, pattern)
-        self._filled = 0
-        self.sequence: np.ndarray | _Lazy = self
-
-    def __len__(self) -> int:
-        return len(self._array)
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        if key.stop > self._filled:
-            array = self._array
-            for chunk in self._chunks:
-                start = self._filled
-                self._filled += len(chunk)
-                array[start : self._filled] = chunk
-                if self._filled >= key.stop:
-                    break
-            if self._filled == len(array):
-                self.sequence = self._view
-        return self._view[key]
-
-
 def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
     dist = distance_array(text, pattern)
     dist.flags.writeable = False
@@ -509,7 +473,7 @@ def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
         "existence", n, query.m, query.k, query.epsilon, query.beta
     )
     thresh = contract.threshold
-    dist = _Lazy(text, query.pattern)
+    dist = LazyDistances(text, query.pattern)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ExistenceOutcome:
         hits = below_thresh(dist.sequence, thresh, 1, src, ledger, (0, n))
@@ -652,9 +616,12 @@ def count_nonperiodic(
     clamped sum of per-window counts.
 
     ``effective_k`` substitutes a larger mismatch budget for ``k`` (small-k
-    regime).
+    regime). A smaller one raises ValueError: its lower threshold would miss
+    true occurrences.
     """
     k_eff = query.k if effective_k is None else effective_k
+    if k_eff < query.k:
+        raise ValueError(f"effective_k {k_eff} is below the query's k = {query.k}")
     _, scan = _prepare_count(text, query, k_eff)
     return scan(src, _query_ledger(query, ledger))
 

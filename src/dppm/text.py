@@ -8,49 +8,51 @@ and every position in at most ``ceil((m - 1) / stride) + 1`` windows, which is
 what lets per-window privacy losses compose to the query budget.
 
 Sliding distances over any block of consecutive start positions come from
-one kernel rule with three exact kernels, chosen by the block's size: pure
-Python (returning a list) up to ``_NUMPY_CUTOFF`` byte comparisons, a compare
-of the ``rows x m`` window matrix below ``_SHIFTED_ADD_ROWS`` rows, and a
+one in-place fill rule, ``_fill``, which writes them into a caller's int64
+array with one of three exact kernels, chosen by the block's size: pure
+Python up to ``_NUMPY_CUTOFF`` byte comparisons, a compare of the
+``rows x m`` window matrix below ``_SHIFTED_ADD_ROWS`` rows, and a
 per-symbol shifted add otherwise. The shifted add compares the text span with
 each distinct pattern byte ``c`` once and adds the comparison, shifted by
 every offset ``j`` with ``pattern[j] == c``, into a match counter: m
 contiguous vector adds in place of a window matrix summed along its short
 axis. All three give the same integers. ``distance_array`` applies the rule
-once to every start position, ``distance_chunks`` once to each chunk: a
-small first chunk, window-matrix chunks that double, then shifted-add chunks
-of at least ``_SHIFTED_ADD_CHUNK_ROWS`` rows, since the shifted add's cost is
-mostly its per-call overhead until a chunk is that long.
+once to every start position. ``LazyDistances``, the lazy array an existence
+query scans, applies it once to each chunk of its own array: a small first
+chunk, window-matrix chunks that double, then shifted-add chunks of at least
+``_SHIFTED_ADD_CHUNK_ROWS`` rows, since the shifted add's cost is mostly its
+per-call overhead until a chunk is that long.
 
 Texts and patterns are bytes-like (``bytes``, ``bytearray`` or a
 one-dimensional unsigned-byte ``memoryview``); anything else raises
-``TypeError``. The alphabet is the full byte range. All functions here are
-pure and deterministic, so they double as the non-private reference oracles
-for the randomized matchers.
+``TypeError``. The alphabet is the full byte range. Every distance here is
+exact and deterministic, so these primitives double as the non-private
+reference oracles for the randomized matchers.
 """
 
 from __future__ import annotations
 
 from operator import ne
-from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # Up to this many byte comparisons the pure-Python kernel beats numpy call
-# overhead. The scans read an int64 array either way (a prepared existence
-# query copies each chunk into its one array), so what it buys is cheaper
-# distances for tiny texts: numpy at every size cost the audit-existence
-# workload, which computes them once per audit lane, about 2% of its trials.
+# overhead. The scans read an int64 array either way (every kernel writes in
+# place into the caller's int64 array), so what it buys is cheaper distances
+# for tiny texts: numpy at every size cost the audit-existence workload, which
+# computes them once per audit lane, about 2% of its trials.
 _NUMPY_CUTOFF = 4096
 
 # The window-matrix compare materializes at most this many comparisons (or one
 # window, when m is larger) at a time; it is also the size of the first chunk
-# of distance_chunks.
+# of LazyDistances.
 _CHUNK_COMPARISONS = 65536
 
-# No chunk has more than this many rows, which bounds a shifted-add chunk's
-# working memory (counter, one symbol's comparison, int64 result: at most 17
-# bytes a row, about 1 MiB) plus its text span, whatever the text length.
+# No chunk of LazyDistances has more than this many rows, which bounds a
+# shifted-add chunk's working memory (counter and one symbol's comparison: at
+# most 9 bytes a row, about 0.6 MiB) plus its text span, whatever the text
+# length.
 _MAX_CHUNK_ROWS = 1 << 16
 
 # Below this many rows the window-matrix compare beats the shifted add, which
@@ -126,105 +128,110 @@ def _symbol_offsets(pv: np.ndarray) -> list[tuple[int, list[int]]]:
 
 
 def _window_compare(
-    tv: np.ndarray, pv: np.ndarray, start: int, stop: int
-) -> np.ndarray:
-    """Distances at start positions ``[start, stop)`` from the window matrix,
-    at most ``_CHUNK_COMPARISONS`` comparisons (or one window) at a time."""
-    m = len(pv)
+    tv: np.ndarray, pv: np.ndarray, start: int, out: np.ndarray
+) -> None:
+    """Write the distances at start positions ``start, start + 1, ...`` into
+    ``out`` from the window matrix, at most ``_CHUNK_COMPARISONS`` comparisons
+    (or one window) at a time."""
+    m, rows = len(pv), len(out)
     step = max(1, _CHUNK_COMPARISONS // m)
-    return np.concatenate([
-        (sliding_window_view(tv[a : min(a + step, stop) + m - 1], m) != pv).sum(axis=1)
-        for a in range(start, stop, step)
-    ])
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        windows = sliding_window_view(tv[start + a : start + b + m - 1], m)
+        np.sum(windows != pv, axis=1, out=out[a:b])
 
 
-def _shifted_add(
-    tv: np.ndarray, m: int, offsets: list[tuple[int, list[int]]], start: int, stop: int
-) -> np.ndarray:
-    """Distances at start positions ``[start, stop)``: ``m`` minus the matches
-    counted by one vector add per pattern offset. The counter is the narrowest
-    unsigned type that holds m."""
-    rows = stop - start
-    span = tv[start : stop + m - 1]
+def _shifted_add(tv: np.ndarray, pv: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Write the distances at start positions ``start, start + 1, ...`` into
+    ``out``: ``m`` minus the matches counted by one vector add per pattern
+    offset. The counter is the narrowest unsigned type that holds m."""
+    m, rows = len(pv), len(out)
+    span = tv[start : start + rows + m - 1]
     dtype = np.uint8 if m < 1 << 8 else np.uint16 if m < 1 << 16 else np.uint32
     matches = np.zeros(rows, dtype)
     add = np.add  # out passed positionally: on short chunks call overhead dominates
-    for c, at in offsets:
+    for c, at in _symbol_offsets(pv):
         eq = (span == c).astype(dtype)
         for j in at:
             add(matches, eq[j : j + rows], matches)
-    return np.subtract(m, matches, dtype=np.int64)
+    np.subtract(m, matches, out=out)
 
 
-def _distances(
-    text: bytes,
-    pattern: bytes,
-    start: int,
-    stop: int,
-    offsets: list[tuple[int, list[int]]],
-) -> Sequence[int]:
-    """Distances at start positions ``[start, stop)`` by the kernel rule: a
-    list from pure Python up to ``_NUMPY_CUTOFF`` byte comparisons, otherwise
-    a numpy int64 array from the window matrix below ``_SHIFTED_ADD_ROWS``
-    rows and from the shifted add above. ``offsets`` holds the pattern's
-    offset groups; the shifted add fills it when it is empty, so blocks of one
-    stream that share the list build the groups once."""
-    m = len(pattern)
-    rows = stop - start
+def _fill(text: bytes, pattern: bytes, start: int, out: np.ndarray) -> None:
+    """Write the distances at start positions ``start, start + 1, ...`` into
+    the int64 array ``out``, one per entry, by the kernel rule: pure Python up
+    to ``_NUMPY_CUTOFF`` byte comparisons, otherwise the window matrix below
+    ``_SHIFTED_ADD_ROWS`` rows and the shifted add above."""
+    m, rows = len(pattern), len(out)
     if rows * m <= _NUMPY_CUTOFF:
-        return [sum(map(ne, text[i : i + m], pattern)) for i in range(start, stop)]
-    tv = np.frombuffer(text, np.uint8)
-    pv = np.frombuffer(pattern, np.uint8)
-    if rows < _SHIFTED_ADD_ROWS:
-        return _window_compare(tv, pv, start, stop)
-    if not offsets:
-        offsets += _symbol_offsets(pv)
-    return _shifted_add(tv, m, offsets, start, stop)
-
-
-def distance_chunks(text: bytes, pattern: bytes) -> Iterator[Sequence[int]]:
-    """Lazily yield the Hamming distance of ``pattern`` at every start position,
-    in consecutive chunks: ``_CHUNK_COMPARISONS // m`` rows first (at least
-    one), then doubling while a chunk stays below ``_SHIFTED_ADD_ROWS`` (a
-    window-matrix chunk); a longer chunk has at least
-    ``_SHIFTED_ADD_CHUNK_ROWS`` rows, so the shifted add's per-call overhead
-    is paid on few chunks. No chunk exceeds ``_MAX_CHUNK_ROWS`` rows, and the
-    last holds what remains. Each chunk comes from the kernel rule of
-    :func:`_distances`, so it is a list when it is at most ``_NUMPY_CUTOFF``
-    byte comparisons (a whole input that small is one list chunk) and a numpy
-    int64 array otherwise. A consumer that stops early computes the first
-    chunk, or at most twice what it read or ``_MAX_CHUNK_ROWS`` rows past
-    it, whichever is more.
-
-    Raises:
-        TypeError: if the text or pattern is not bytes-like.
-        ValueError: if the pattern is empty or longer than the text.
-    """
-    n, m = _lengths(text, pattern)
-    count = n - m + 1
-    bounds, size = [0], max(1, _CHUNK_COMPARISONS // m)
-    while bounds[-1] < count:
-        bounds.append(min(bounds[-1] + size, count))
-        size *= 2
-        if size >= _SHIFTED_ADD_ROWS:
-            size = min(max(size, _SHIFTED_ADD_CHUNK_ROWS), _MAX_CHUNK_ROWS)
-    offsets: list[tuple[int, list[int]]] = []  # shared by every chunk
-    return (
-        _distances(text, pattern, a, b, offsets) for a, b in zip(bounds, bounds[1:])
-    )
+        stop = start + rows
+        out[:] = [sum(map(ne, text[i : i + m], pattern)) for i in range(start, stop)]
+        return
+    kernel = _window_compare if rows < _SHIFTED_ADD_ROWS else _shifted_add
+    kernel(np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), start, out)
 
 
 def distance_array(text: bytes, pattern: bytes) -> np.ndarray:
-    """The distances of :func:`distance_chunks` as one numpy int64 array,
-    from the kernel rule of :func:`_distances` applied once to every start
-    position.
+    """The Hamming distance of ``pattern`` at every start position, as one
+    numpy int64 array filled by one application of the kernel rule.
 
     Raises:
         TypeError: if the text or pattern is not bytes-like.
         ValueError: if the pattern is empty or longer than the text.
     """
     n, m = _lengths(text, pattern)
-    return np.asarray(_distances(text, pattern, 0, n - m + 1, []), np.int64)
+    out = np.empty(n - m + 1, np.int64)
+    _fill(text, pattern, 0, out)
+    return out
+
+
+class LazyDistances:
+    """The distances of :func:`distance_array`, in one int64 array that the
+    kernel rule fills chunk by chunk, in place: the first slice that reaches
+    past what is filled fills it up to the end of the chunk that slice
+    reaches into, so each chunk is computed once. The first chunk has
+    ``_CHUNK_COMPARISONS // m`` rows (at least one), so an early hit computes
+    little; chunks then double while below ``_SHIFTED_ADD_ROWS`` rows (a
+    window-matrix chunk), and a longer chunk has at least
+    ``_SHIFTED_ADD_CHUNK_ROWS`` rows, so a scan over the whole text pays the
+    shifted add's per-call overhead on few chunks. No chunk exceeds
+    ``_MAX_CHUNK_ROWS`` rows, and the last holds what remains. Every slice is
+    a read-only view. ``sequence`` is what a scan reads: the object itself
+    until every chunk is in, then the whole array, read-only, so later scans
+    slice it without a Python call (which cost a tiny audit trial about 9%).
+
+    Raises:
+        TypeError: if the text or pattern is not bytes-like.
+        ValueError: if the pattern is empty or longer than the text.
+    """
+
+    def __init__(self, text: bytes, pattern: bytes):
+        n, m = _lengths(text, pattern)
+        self._text, self._pattern = text, pattern
+        self._array = np.empty(n - m + 1, np.int64)
+        self._view = self._array.view()
+        self._view.flags.writeable = False
+        self._filled = 0
+        self._size = max(1, _CHUNK_COMPARISONS // m)  # rows of the next chunk
+        self.sequence: np.ndarray | LazyDistances = self
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if key.stop > self._filled:
+            array = self._array
+            while self._filled < min(key.stop, len(array)):
+                start = self._filled
+                self._filled = min(start + self._size, len(array))
+                _fill(self._text, self._pattern, start, array[start : self._filled])
+                size = 2 * self._size
+                if size >= _SHIFTED_ADD_ROWS:
+                    size = min(max(size, _SHIFTED_ADD_CHUNK_ROWS), _MAX_CHUNK_ROWS)
+                self._size = size
+            if self._filled == len(array):
+                self.sequence = self._view
+        return self._view[key]
 
 
 def sliding_distances(text: bytes, pattern: bytes) -> list[int]:

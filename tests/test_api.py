@@ -22,7 +22,6 @@ PUBLIC = [
     "count_nonperiodic",
     "derive_seed",
     "dispatch",
-    "distance_chunks",
     "dp_audit",
     "error_contract",
     "exact_count",

@@ -24,10 +24,11 @@ from dppm.matchers import (
     ExistenceOutcome,
     MatchQuery,
     ReportOutcome,
+    below_thresh,
     match_auto,
 )
 from dppm.noise import NoiseSource
-from dppm.text import hamming_distance, sliding_distances
+from dppm.text import distance_array, hamming_distance, sliding_distances
 
 from conftest import brute_sliding, packing_family_mismatch, packing_family_planted
 
@@ -298,6 +299,59 @@ class TestAuditTable:
         assert report.to_records()[-1]["matcher"] == "first-bb"
         assert all(AUDIT_MATCHERS[name] is mech for name, mech in real.items())
         assert not dp_audit("existence", *C7_PAIR, query, trials=200, seed=1).refuted
+
+    @pytest.mark.parametrize(
+        "control, text_a, text_b, pattern, thresh, trials",
+        [
+            # Distances [0, 1] vs [1, 0]; the label is the hit index.
+            ("no-query-noise", b"abb", b"aab", b"ab", 0.5, 50_000),
+            # Distances twelve 0s vs twelve 1s; the label is hit or miss.
+            ("no-threshold-noise", b"a" * 23, b"a" * 11 + b"b" + b"a" * 11,
+             b"a" * 12, 0.0, 100_000),
+        ],
+    )
+    def test_kernel_controls(
+        self, monkeypatch, control, text_a, text_b, pattern, thresh, trials
+    ):
+        # Two sparse-vector failures of Lyu, Su & Li (VLDB 2017) as scans
+        # over a neighbouring pair at a fixed threshold: the kernel
+        # (`below_thresh`, share 1) is not refuted, and the same scan without
+        # its distance noise or without its threshold noise is.
+        def label(hits):
+            if control == "no-query-noise":
+                return str(hits[0]) if hits else "miss"
+            return "hit" if hits else "miss"
+
+        def kernel(text, query):
+            dist = distance_array(text, query.pattern)
+
+            def trial(src):
+                ledger = BudgetLedger(query.epsilon)
+                return label(below_thresh(dist, thresh, 1, src, ledger, (0, len(text))))
+
+            return trial
+
+        def broken(text, query):
+            dist = distance_array(text, query.pattern).tolist()
+            t_scale, d_scale = 2.0 / query.epsilon, 4.0 / query.epsilon
+
+            def trial(src):
+                if control == "no-query-noise":
+                    t = thresh + src.laplace(t_scale)
+                    return label([i for i, d in enumerate(dist) if d <= t][:1])
+                for i, d in enumerate(dist):
+                    if d + src.laplace(d_scale) <= thresh:
+                        return label([i])
+                return label([])
+
+            return trial
+
+        monkeypatch.setitem(AUDIT_MATCHERS, "kernel", kernel)
+        monkeypatch.setitem(AUDIT_MATCHERS, control, broken)
+        query = MatchQuery(pattern, 0, 1.0, 0.1)
+        real = dp_audit("kernel", text_a, text_b, query, trials=trials, seed=1)
+        assert not real.refuted
+        assert dp_audit(control, text_a, text_b, query, trials=trials, seed=1).refuted
 
     def test_each_trial_reads_fresh_draws(self, monkeypatch):
         # A lane that made its source from one seed for every trial would

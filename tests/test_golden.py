@@ -53,6 +53,11 @@ UTILITY_CASES = (
     # Every distance is m = 8 and the threshold is about 7.6, so each scan
     # runs through many comparisons close to the threshold.
     ("existence", "disjoint-alphabet", 2000, 8, 4, 23.5, 20, "standard"),
+    # Every distance is 256 and the threshold (about 250.8) is about 9.5
+    # distance noise scales below it, so witnesses fall all along the text and
+    # two of the eight scans miss: the lazy distances are read past their
+    # cuts at 256, 768 and 33,536 rows.
+    ("existence", "disjoint-alphabet", 36000, 256, 236, 7.3, 8, "standard"),
     ("existence", "planted-occurrence", 500, 8, 1, 1.0, 4, "standard"),
     ("count", "periodic-with-corruptions", 2000, 256, 2, 1e3, 3, "standard"),
     ("count", "periodic-with-corruptions", 2000, 256, 1, 50.0, 2, "standard"),

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from dppm.matchers import (
 from dppm.noise import NoiseSource
 from dppm.periodicity import PeriodicCandidate, Regime
 from dppm.text import (
+    LazyDistances,
     distance_array,
-    distance_chunks,
     exact_count,
     sliding_distances,
     tile,
@@ -42,6 +43,7 @@ from conftest import (
     binary_strings,
     brute_first_at_most,
     periodic_cover,
+    recording_fill,
     ref_count_nonperiodic,
     ref_match,
     spent_by_position,
@@ -324,8 +326,8 @@ class TestBelowThresh:
         assert src.laplace(1.0) == NoiseSource(0).laplace(1.0)  # nothing drawn
 
     @pytest.mark.parametrize("mode, thresh", [("zero", 0.5), ("standard", 3.0)])
-    def test_lazy_sequence_scans_as_the_array(self, mode, thresh):
-        # m = 256 cuts distance_chunks after rows 256, 768 and 33536 (two
+    def test_lazy_sequence_scans_as_the_array(self, mode, thresh, monkeypatch):
+        # m = 256 cuts LazyDistances after rows 256, 768 and 33536 (two
         # window-matrix chunks, then a shifted-add chunk of 2^15 rows, then
         # the tail). A run of 257 a's puts distance 0 just before and just
         # after each cut, and the distances fall away from 256 around it, so
@@ -337,21 +339,21 @@ class TestBelowThresh:
             text[cut - 1 : cut + 256] = b"a" * 257
         text, pattern = bytes(text), b"a" * 256
         full = distance_array(text, pattern)
-        bounds = np.cumsum([len(c) for c in distance_chunks(text, pattern)])
-        assert bounds.tolist() == [256, 768, 33536, len(full)]
+        fills = recording_fill(monkeypatch)
 
         def run(dist, seed, max_hits):
             src, ledger = NoiseSource(seed, mode), ledger_for(2.0)
             hits = below_thresh(dist, thresh, 1, src, ledger, (0, n), max_hits)
             return hits, ledger._runs, src.laplace(1.0)
 
-        # One _Lazy across runs that read further each time, filling it chunk
-        # by chunk, until a run reads to the end.
-        lazy, filled = matchers._Lazy(text, pattern), []
+        # One LazyDistances across runs that read further each time, filling
+        # it chunk by chunk, until a run reads to the end.
+        lazy, filled = LazyDistances(text, pattern), []
         for seed, max_hits in enumerate([1, 2, 3, 4, 5, 6, 40, 40]):
             got = run(lazy.sequence, seed, max_hits)
             assert got == run(full, seed, max_hits), seed
             filled.append(lazy._filled)
+        assert [start + rows for start, rows in fills] == [256, 768, 33536, len(full)]
         if mode == "zero":
             assert got[0] == [255, 256, 767, 768, 33535, 33536]
         assert len(set(filled)) >= 3 and filled[-1] == len(full)
@@ -436,10 +438,9 @@ class TestExistence:
         calls = []
 
         def counting(name, kernel):
-            def wrapped(*args):
-                out = kernel(*args)
+            def wrapped(tv, pv, start, out):
                 calls.append((name, len(out)))
-                return out
+                kernel(tv, pv, start, out)
             return wrapped
 
         for name in ("_window_compare", "_shifted_add"):
@@ -581,6 +582,15 @@ class TestCountSmallK:
         outcome = count_nonperiodic(text, query, zero_src(), effective_k=cutoff)
         assert outcome.count >= exact_count(text, pattern, query.k)
         assert outcome.count <= exact_count(text, pattern, min(cutoff, len(pattern)))
+
+    def test_effective_k_below_k_rejected(self):
+        # One window at distance k = 3: a budget of 1 would lower the
+        # threshold below it and count 0 in place of 1.
+        text, query = b"abbb" + b"c" * 8, MatchQuery(b"aaaa", 3, 1e9, 0.1)
+        assert count_nonperiodic(text, query, zero_src()).count == 1
+        assert count_nonperiodic(text, query, zero_src(), effective_k=3).count == 1
+        with pytest.raises(ValueError, match="effective_k 1 is below"):
+            count_nonperiodic(text, query, zero_src(), effective_k=1)
 
 
 class TestDistancesOncePerQuery:
@@ -888,20 +898,13 @@ class TestSeedForSeedOracle:
         ).threshold == pytest.approx(512 - 90)
         fresh_src = NoiseSource(3)
         expected = [match_auto(text, query, fresh_src, "existence") for _ in range(40)]
-        pulled = []
-
-        def counting(text, pattern):
-            for chunk in distance_chunks(text, pattern):
-                pulled.append(chunk)
-                yield chunk
-
         received = []  # the distance sequence each run's scan reads
 
         def recording(dist, *args):
             received.append(dist)
             return below_thresh(dist, *args)
 
-        monkeypatch.setattr(matchers, "distance_chunks", counting)
+        pulled = recording_fill(monkeypatch)  # (start, rows) of every chunk
         monkeypatch.setattr(matchers, "below_thresh", recording)
         prepared, src = plan(text, query, "existence"), NoiseSource(3)
         growth = []
@@ -914,12 +917,13 @@ class TestSeedForSeedOracle:
         grown = sum(1 for g in growth if g)
         assert len({want.outcome.witness for want in expected}) > 5
         assert growth[0] and grown >= 3
-        assert sum(map(len, pulled)) <= len(text) - 512 + 1  # each chunk once
-        assert all(isinstance(chunk, np.ndarray) for chunk in pulled)
+        # Each chunk once: the chunks follow one another from row 0.
+        starts = [start for start, _ in pulled]
+        assert starts == [0, *accumulate(rows for _, rows in pulled[:-1])]
         # A noiseless run misses everywhere, so it reads to the end, if the
         # runs above have not; later runs read the whole array itself.
         assert prepared.outcome(NoiseSource(0, "zero")).witness is None
-        assert sum(map(len, pulled)) == len(text) - 512 + 1
+        assert sum(rows for _, rows in pulled) == len(text) - 512 + 1
         prepared.run(src)
         prepared.run(src)
         # Until every chunk is in, the scans slice read-only partial views of

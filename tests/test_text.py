@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import dppm.text as text_module
 from dppm.text import (
+    LazyDistances,
     distance_array,
-    distance_chunks,
     exact_count,
     hamming_distance,
     sliding_distances,
@@ -23,6 +23,7 @@ from conftest import (
     brute_sliding,
     counting_cover,
     periodic_cover,
+    recording_fill,
     ref_distances,
 )
 
@@ -131,10 +132,10 @@ class TestSlidingDistances:
         pattern = tile(b"abc", 40)
         assert sliding_distances(text, pattern) == brute_sliding(text, pattern)
 
-    def test_lazy_iterator_matches_list(self):
+    def test_lazy_array_matches_list(self):
         text, pattern = b"abracadabra", b"ab"
-        chunks = [d for chunk in distance_chunks(text, pattern) for d in chunk]
-        assert chunks == sliding_distances(text, pattern)
+        lazy = LazyDistances(text, pattern)
+        assert lazy[0 : len(lazy)].tolist() == sliding_distances(text, pattern)
 
     @given(
         st.binary(min_size=1, max_size=60),
@@ -149,7 +150,7 @@ class TestSlidingDistances:
 
 
 def chunk_rows(m: int, count: int) -> list[int]:
-    """The row counts of ``distance_chunks``' chunks: the first chunk, then
+    """The row counts of ``LazyDistances``' chunks: the first chunk, then
     doubling while below the shifted-add switch, then at least
     ``_SHIFTED_ADD_CHUNK_ROWS`` rows, never more than the cap; the last chunk
     holds what remains."""
@@ -187,13 +188,13 @@ def random_text(rng: np.random.Generator, n: int, alphabet: str) -> bytes:
 
 
 class TestDistanceKernels:
-    """``distance_array``, the concatenated ``distance_chunks`` and
+    """``distance_array``, ``LazyDistances`` filled chunk by chunk and
     ``sliding_distances`` equal the window-matrix reference at every kernel
     switch."""
 
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 1024, 4096])
     @pytest.mark.parametrize("alphabet", ["acgt", "bytes"])
-    def test_agree_with_reference(self, m, alphabet):
+    def test_agree_with_reference(self, m, alphabet, monkeypatch):
         rng = np.random.default_rng(m)
         for count in edge_counts(m):
             n = count + m - 1
@@ -210,22 +211,27 @@ class TestDistanceKernels:
             got = distance_array(text, pattern)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected), count
-            chunks = [np.asarray(c) for c in distance_chunks(text, pattern)]
-            assert np.array_equal(np.concatenate(chunks), expected), count
-            assert [len(c) for c in chunks] == chunk_rows(m, count), count
+            with monkeypatch.context() as patch:
+                calls = recording_fill(patch)
+                lazy = LazyDistances(text, pattern)[0:count]
+            assert np.array_equal(lazy, expected), count
+            assert [rows for _, rows in calls] == chunk_rows(m, count), count
             assert sliding_distances(text, pattern) == expected.tolist()
 
     def test_chunk_schedule(self, monkeypatch):
         # A shifted-add chunk makes about m numpy calls whatever its length,
         # so after the first chunk none is shorter than 2^15 rows unless it
         # is the last; window-matrix chunks still double from the first.
-        # Only the chunk bounds are read, so the kernel is stubbed out.
-        monkeypatch.setattr(
-            text_module, "_distances", lambda text, pattern, a, b, offsets: range(a, b)
-        )
+        # Only the chunk bounds are read, so no distance is computed.
+        calls = recording_fill(monkeypatch, compute=False)
 
         def schedule(m: int, count: int) -> list[int]:
-            return [len(c) for c in distance_chunks(bytes(count + m - 1), bytes(m))]
+            calls.clear()
+            LazyDistances(bytes(count + m - 1), bytes(m))[0:count]
+            starts = [start for start, _ in calls]
+            rows = [rows for _, rows in calls]
+            assert starts == [0, *np.cumsum(rows[:-1]).tolist()]  # consecutive
+            return rows
 
         assert schedule(256, 29745) == [256, 512, 28977]  # three chunks, not seven
         assert schedule(64, 10**5) == [1024, 32768, 65536, 672]
@@ -256,10 +262,9 @@ class TestDistanceKernels:
         computed = []
 
         def counting(kernel):
-            def wrapped(*args):
-                out = kernel(*args)
+            def wrapped(tv, pv, start, out):
                 computed.append(len(out))
-                return out
+                kernel(tv, pv, start, out)
             return wrapped
 
         for name in ("_window_compare", "_shifted_add"):
@@ -270,14 +275,19 @@ class TestDistanceKernels:
         text = random_text(rng, 10**6, "acgt")
         for m in (64, 256, 4096):
             computed.clear()
-            first = next(distance_chunks(text, text[:m]))
-            assert computed == [len(first)]
-            assert first[0] == 0
+            lazy = LazyDistances(text, text[:m])
+            assert lazy[0:1].tolist() == [0]
+            assert computed == [max(1, text_module._CHUNK_COMPARISONS // m)]
+            assert lazy.sequence is lazy
         computed.clear()
-        chunks = [len(c) for c in distance_chunks(text, text[:64])]
-        assert computed == chunks
-        assert sum(chunks) == 10**6 - 63
-        assert max(chunks) == text_module._MAX_CHUNK_ROWS
+        lazy = LazyDistances(text, text[:64])
+        lazy[0 : len(lazy)]
+        assert computed == chunk_rows(64, 10**6 - 63)
+        assert max(computed) == text_module._MAX_CHUNK_ROWS
+        assert type(lazy.sequence) is np.ndarray
+        computed.clear()
+        lazy[len(lazy) - 1 : len(lazy)]  # each chunk once
+        assert computed == []
 
 
 class TestBytesLikeInputs:
@@ -293,7 +303,7 @@ class TestBytesLikeInputs:
         text, pattern = self.SMALL if size == "small" else self.LARGE
         args = {"text": text, "pattern": pattern}
         args[which] = args[which].decode()
-        for f in (sliding_distances, distance_array, distance_chunks):
+        for f in (sliding_distances, distance_array, LazyDistances):
             with pytest.raises(TypeError, match=f"{which} must be bytes"):
                 f(args["text"], args["pattern"])
         with pytest.raises(TypeError):

@@ -3,15 +3,17 @@
 The primitive is a noisy threshold scan: a sparse-vector-style pass over a
 sequence of window distances that pays privacy once for the first distance
 whose noisy value falls below a noisy threshold. One kernel, `below_thresh`,
-runs every scan of every matcher: a single scan, or up to a cap of scans
-that each resume one past the previous hit, over one sequence of distances
-that it slices. It compares a scan's first distances one at a time and the
-rest in numpy blocks, and it compares the first distances of a run of scans
-in one numpy operation once several scans in a row have hit at once; draws
-come from the `NoiseSource` stream in the order of a one-distance-at-a-time
-scan, so answers are the same seed for seed. Each matcher computes its
-distances once per query and runs the kernel over them (counting and
-reporting over each window's slice of them):
+runs every scan of every matcher over one sequence of distances that it
+slices, window by window: in each window a single scan, or up to a cap of
+scans that each resume one past the previous hit. It compares a scan's first
+distances one at a time and the rest in numpy blocks, and it compares the
+first distances of a run of scans in one numpy operation once several scans
+in a row have hit at once, running on across window boundaries; draws come
+from the `NoiseSource` stream in the order of a one-distance-at-a-time scan,
+so answers are the same seed for seed. Each matcher computes its distances
+once per query and runs the kernel over them: existence in one window over
+the whole text, counting in one call over all its windows, and reporting in
+one call per window and direction:
 
 * `existence` — one lazy scan over the whole text; no multiplicative error.
 * `report_periodic` — for patterns close to a short primitive period, a
@@ -27,11 +29,11 @@ Each matcher's calibrated threshold and error contract is one row of
 `CONTRACTS`, read through `error_contract`.
 
 Each matcher is two halves, the trivial reporter included. The
-deterministic half validates the query, computes the contract once and the
-distances (and, for counting and reporting, the window cover); it never
-receives the `NoiseSource`, so it cannot draw. The noisy half is what
-depends on the draws: the scans over a ledger, the cap check and the
-outcome (the trivial reporter's returns its fixed report). `_prepare_reporter`
+deterministic half validates the query, computes the contract once, the
+distances and the windows its scans read; it never receives the
+`NoiseSource`, so it cannot draw. The noisy half is what depends on the
+draws: the scans over a ledger, the cap check and the outcome (the trivial
+reporter's returns its fixed report). `_prepare_reporter`
 is the one choice between periodic reporting and the trivial reporter, for
 `plan` and the utility bench alike. `plan` composes dispatch with the
 selected matcher's deterministic half into a `QueryPlan`, whose ``run(src)``
@@ -48,7 +50,8 @@ runs read what earlier ones filled.
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
 distances read, in a `BudgetLedger`, and draws its noise at that slice; the
-kernel charges scans that start at consecutive positions as one run record.
+kernel charges a window's scans that start at consecutive positions as one
+run record.
 The ledger's cap check is the executable form of the composition argument:
 `window_cover` gives each block of ``stride`` start positions one window, and
 a position lies in at most ``ceil((m - 1) / stride) + 1`` of them, 3 at the
@@ -59,9 +62,11 @@ sum to at most the query epsilon.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -241,7 +246,14 @@ class BudgetLedger:
 # scans that start in its first half reuse the list (listing it for every
 # restart made a counting query a sixth slower). Once _STREAK scans in a
 # row have hit at their first distance, the following scans are compared at
-# their first distances all at once, up to the first that misses there.
+# their first distances all at once, up to the first that misses there. The
+# streak carries from one window into the next, so such a batch covers at
+# least the rest of its window and runs on through the following windows
+# that fit the cap, while it is no longer than the streak: running on up to
+# _BLOCK instead made counting at n = 1e6, m = 64, k = 3, eps = 3e4 (where
+# the threshold sits among the distances) 1.2x slower. A count-desk query
+# (n = 2500, m = 64, k = 3, eps = 1) takes the same time within 3% at
+# _STREAK = 1, 3 or 6; at 1, counting at eps = 3e4 was 1.3x slower.
 # Blocks stop doubling at _BLOCK, so a block's float64 temporaries (512 KiB
 # each) stay about the size of a core's L2 cache: with no cap, a prepared
 # existence run over 1e6 filled distances (m = 256) took 13.5-15.5 ms against
@@ -257,13 +269,16 @@ def below_thresh(
     share: int,
     src: NoiseSource,
     ledger: BudgetLedger,
-    span: tuple[int, int],
+    windows: tuple[tuple[int, int, tuple[int, int]], ...],
     max_hits: int = 1,
-) -> list[int]:
-    """Noisy threshold scans over a sequence of distances: up to ``max_hits``
-    scans, each resuming one past the previous hit. Returns the hit indices in
-    order. Scanning stops at a scan that misses or when the distances run out;
-    no scan starts where no distance remains.
+) -> tuple[int, Optional[int]]:
+    """Noisy threshold scans over the windows of one sequence of distances,
+    in order: in each window ``(lo, hi, span)``, up to ``max_hits`` scans
+    over ``dist[lo:hi]``, each resuming one past the previous hit. A window's
+    scanning stops at a scan that misses or when its distances run out; no
+    scan starts where no distance remains. Returns the number of hits and
+    the index of the first hit (None when no scan hits). The windows come in
+    increasing order and do not overlap.
 
     ``dist`` is one sequence whose slices are numpy int arrays: a numpy array,
     or an existence plan's `LazyDistances`, which computes the distances
@@ -271,70 +286,102 @@ def below_thresh(
     epsilon and runs at ``eps = ledger.epsilon / share``: the threshold
     receives Lap(2/eps) noise once, each examined distance receives fresh
     Lap(4/eps) noise, and the comparison is a plain ``<=``. A scan that starts
-    at index ``p`` is charged, inside the kernel, to the text span
-    ``(span[0] + p, span[1])``; scans that start at consecutive indices are
-    charged as one run record. In zero-noise mode the first hit is exactly
-    ``min{i : d_i <= thresh}``.
+    at index ``p`` of window ``(lo, hi, span)`` is charged, inside the
+    kernel, to the text span ``(span[0] + p - lo, span[1])``; a window's
+    scans that start at consecutive indices are charged as one run record.
+    In zero-noise mode a window's first hit is exactly
+    ``min{lo <= i < hi : d_i <= thresh}``.
 
     Noise is served from the source's one stream in the order of scans that
     compare one distance at a time (threshold first, then one per examined
     distance), whether the kernel compares distances singly, in numpy blocks,
-    or several scans' first distances at once; results are the same seed for
-    seed.
+    or several scans' first distances at once, within a window or across
+    windows; results are the same seed for seed.
     """
     if not (isinstance(share, int) and share > 0):
         raise ValueError(f"share must be a positive int, got {share!r}")
-    first, stop = span
     eps = ledger.epsilon / share
     t_scale, d_scale = 2.0 / eps, 4.0 / eps
     draw = src.laplace
-    end = len(dist)
-    at = 0
+    hits, first_hit = 0, None
+    streak = 0  # scans in a row that have hit at their first distance
     head_at, head = -_HEAD, []  # head lists dist[head_at : head_at + _HEAD]
-    hits: list[int] = []
-    # Scans started at consecutive indices from run_start, not yet charged;
-    # every one but the last started has hit at its first distance.
-    run_start = run = 0
-    while at < end and len(hits) < max_hits:
-        if not run:
-            run_start = at
-        elif run >= _STREAK:
-            # The scans from here on, each at its first distance with its own
-            # threshold unit; the leading hits are served, and the first scan
-            # that misses there is rerun below on the same units.
-            r = min(end - at, max_hits - len(hits))
-            u = src.units(2 * r)
-            ok = dist[at : at + r] + d_scale * u[1::2] <= thresh + t_scale * u[::2]
-            j = int(ok.argmin())
-            if ok[j]:
-                j = r
-            src.skip(2 * j)
-            hits.extend(range(at, at + j))
-            at += j
-            run += j
-            if j == r:
-                continue
-        run += 1
-        start = at
-        noisy = thresh + draw(t_scale)
-        if at - head_at >= _HEAD // 2:
-            head_at, head = at, dist[at : at + _HEAD].tolist()
-        for i, d in enumerate(head[at - head_at :]):
-            if d + draw(d_scale) <= noisy:
-                hit = at + i
-                break
+    at = 0
+    for lo, hi, (first, stop) in windows:
+        # Scans started at consecutive indices from run_start, not yet
+        # charged; every one but the last started has hit at its first
+        # distance. A batch that ran on into this window hit at every start
+        # before at.
+        if at > lo:
+            run_start = lo
+            run = got = min(at, hi) - lo
         else:
-            hit = _scan_on(dist, head_at + len(head), end, noisy, d_scale, src)
-            if hit is None:
-                break
-        hits.append(hit)
-        at = hit + 1
-        if hit != start:  # the next scan does not start at start + 1
-            ledger.charge_span(first + run_start, stop, share, run)
-            run = 0
-    if run:
-        ledger.charge_span(first + run_start, stop, share, run)
-    return hits
+            at = lo
+            run = got = 0
+        while at < hi and got < max_hits:
+            if not run:
+                run_start = at
+            if streak >= _STREAK:
+                # The scans from here on, each at its first distance with its
+                # own threshold unit; the leading hits are served, and the
+                # first scan that misses there is rerun below on the same
+                # units (or in its own window, when the batch ran on).
+                r = min(hi - at, max_hits - got)
+                if r == hi - at < streak:
+                    r = _run_on(windows, hi, at + streak, max_hits) - at
+                r = min(r, _BLOCK)
+                u = src.units(2 * r)
+                ok = dist[at : at + r] + d_scale * u[1::2] <= thresh + t_scale * u[::2]
+                j = int(ok.argmin())
+                if ok[j]:
+                    j = r
+                src.skip(2 * j)
+                here = min(j, hi - at)
+                got += here
+                run += here
+                at += j
+                streak = streak + j if j == r else 0
+                if j == r or at >= hi:
+                    continue
+            run += 1
+            start = at
+            noisy = thresh + draw(t_scale)
+            if at - head_at >= _HEAD // 2:
+                head_at, head = at, dist[at : at + _HEAD].tolist()
+            for i, d in enumerate(head[at - head_at : hi - head_at]):
+                if d + draw(d_scale) <= noisy:
+                    hit = at + i
+                    break
+            else:
+                hit = _scan_on(dist, head_at + len(head), hi, noisy, d_scale, src)
+                if hit is None:
+                    streak = 0
+                    break
+            if first_hit is None:
+                first_hit = hit
+            got += 1
+            at = hit + 1
+            if hit == start:
+                streak += 1
+            else:  # the next scan does not start at start + 1
+                ledger.charge_span(first + run_start - lo, stop, share, run)
+                run = streak = 0
+        if run:
+            ledger.charge_span(first + run_start - lo, stop, share, run)
+        hits += got
+    return hits, first_hit
+
+
+def _run_on(windows, end, limit, max_hits):
+    """How far a first-distance batch that reaches ``end``, the end of a
+    window, may run: through the following windows that each start where the
+    last ended and hold at most ``max_hits`` starts, up to index ``limit``."""
+    for w in range(bisect_left(windows, end, key=itemgetter(0)), len(windows)):
+        lo, hi, _ = windows[w]
+        if end >= limit or lo != end or hi - lo > max_hits:
+            break
+        end = hi
+    return min(end, limit)
 
 
 def _scan_on(dist, at, end, noisy, d_scale, src):
@@ -474,11 +521,12 @@ def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
     )
     thresh = contract.threshold
     dist = LazyDistances(text, query.pattern)
+    whole = ((0, len(dist), (0, n)),)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ExistenceOutcome:
-        hits = below_thresh(dist.sequence, thresh, 1, src, ledger, (0, n))
+        _, hit = below_thresh(dist.sequence, thresh, 1, src, ledger, whole)
         ledger.assert_within_cap()
-        return ExistenceOutcome(found=bool(hits), witness=hits[0] if hits else None)
+        return ExistenceOutcome(found=hit is not None, witness=hit)
 
     return contract, scan
 
@@ -515,22 +563,22 @@ def _prepare_report(
     )
     thresh, step = contract.threshold, candidate.length
     dist = _frozen_distances(text, query.pattern)
-    # Per window: its first start, its span, and its starts' distances
-    # forward and backward.
+    # Per window: its first start, its starts' distances forward and
+    # backward, and the one window both scans read.
     windows = []
     for a, b in window_cover(n, m, m // 2):
         starts = dist[a : b - m + 2]
-        windows.append((a, (a, b + 1), starts, starts[::-1]))
+        windows.append((a, starts, starts[::-1], ((0, len(starts), (a, b + 1)),)))
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ReportOutcome:
         found: list[int] = []
-        for a, span, forward, backward in windows:
-            first = below_thresh(forward, thresh, 6, src, ledger, span)
-            rev_hit = below_thresh(backward, thresh, 6, src, ledger, span)
-            if not (first and rev_hit):
+        for a, forward, backward, window in windows:
+            _, first = below_thresh(forward, thresh, 6, src, ledger, window)
+            _, rev_hit = below_thresh(backward, thresh, 6, src, ledger, window)
+            if first is None or rev_hit is None:
                 continue
-            last = len(forward) - 1 - rev_hit[0]
-            found.extend(range(a + first[0], a + last + 1, step))
+            last = len(forward) - 1 - rev_hit
+            found.extend(range(a + first, a + last + 1, step))
         ledger.assert_within_cap()
         return ReportOutcome(tuple(found))
 
@@ -577,18 +625,11 @@ def _prepare_count(
     )
     thresh = contract.threshold
     dist = _frozen_distances(text, query.pattern)
-    windows = [
-        (a, (a, b + 1), dist[a : b - m + 2]) for a, b in window_cover(n, m, m)
-    ]
+    # A window's starts are the indices of their distances.
+    windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in window_cover(n, m, m))
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
-        total = 0
-        witness: Optional[int] = None
-        for a, span, starts in windows:
-            hits = below_thresh(starts, thresh, 2 * cap, src, ledger, span, cap)
-            if hits and witness is None:
-                witness = a + hits[0]
-            total += len(hits)
+        total, witness = below_thresh(dist, thresh, 2 * cap, src, ledger, windows, cap)
         count = min(max(total, 0), n - m + 1)
         ledger.assert_within_cap()
         return CountOutcome(count=count, witness=witness, raw_count=total)

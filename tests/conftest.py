@@ -238,6 +238,21 @@ class RefLedger:
         units = max(accumulate(deltas[p] for p in sorted(deltas)), default=0)
         return Fraction(self.epsilon) * units / denom
 
+    def run_records(self) -> list[tuple[int, int, int, int]]:
+        """The spans as ``BudgetLedger`` run records ``(start, runs, stop,
+        share)``: a scan that starts one past the previous scan's start, in
+        the same window (same stop), follows a hit at that scan's first
+        distance, and the kernel charges the two in one record."""
+        records: list[tuple[int, int, int, int]] = []
+        for start, stop, share in self.spans:
+            if records:
+                first, runs, last_stop, last_share = records[-1]
+                if (start, stop, share) == (first + runs, last_stop, last_share):
+                    records[-1] = (first, runs + 1, stop, share)
+                    continue
+            records.append((start, 1, stop, share))
+        return records
+
 
 def ref_below_thresh(distances, thresh, share, src, ledger, span):
     """One scan: the index of the first hit, or None. Reads only the

@@ -75,10 +75,10 @@ def test_c01_zero_noise_oracle_equivalence():
                             1,
                             src,
                             BudgetLedger(1.0),
-                            (0, n),
+                            ((0, n - m + 1, (0, n)),),
                         )
                         expected = brute_first_at_most(text, pattern, thresh)
-                        assert got == ([] if expected is None else [expected]), (
+                        assert got == (expected is not None, expected), (
                             text, pattern, thresh,
                         )
                         checked += 1

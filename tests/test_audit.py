@@ -317,17 +317,19 @@ class TestAuditTable:
         # over a neighbouring pair at a fixed threshold: the kernel
         # (`below_thresh`, share 1) is not refuted, and the same scan without
         # its distance noise or without its threshold noise is.
-        def label(hits):
-            if control == "no-query-noise":
-                return str(hits[0]) if hits else "miss"
-            return "hit" if hits else "miss"
+        def label(hit):
+            if hit is None:
+                return "miss"
+            return str(hit) if control == "no-query-noise" else "hit"
 
         def kernel(text, query):
             dist = distance_array(text, query.pattern)
+            window = ((0, len(dist), (0, len(text))),)
 
             def trial(src):
                 ledger = BudgetLedger(query.epsilon)
-                return label(below_thresh(dist, thresh, 1, src, ledger, (0, len(text))))
+                _, hit = below_thresh(dist, thresh, 1, src, ledger, window)
+                return label(hit)
 
             return trial
 
@@ -338,11 +340,11 @@ class TestAuditTable:
             def trial(src):
                 if control == "no-query-noise":
                     t = thresh + src.laplace(t_scale)
-                    return label([i for i, d in enumerate(dist) if d <= t][:1])
+                    return label(next((i for i, d in enumerate(dist) if d <= t), None))
                 for i, d in enumerate(dist):
                     if d + src.laplace(d_scale) <= thresh:
-                        return label([i])
-                return label([])
+                        return label(i)
+                return label(None)
 
             return trial
 

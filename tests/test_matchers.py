@@ -36,6 +36,7 @@ from dppm.text import (
     exact_count,
     sliding_distances,
     tile,
+    window_cover,
 )
 
 from conftest import (
@@ -233,14 +234,21 @@ class TestBudgetLedger:
             ledger.assert_within_cap()
 
 
+def whole(dist, base=0, n=None):
+    """The one window over all of ``dist``, charged as a length-``n`` text
+    that starts at position ``base`` of a longer one."""
+    n = len(dist) if n is None else n
+    return ((0, len(dist), (base, base + n)),)
+
+
 def scan(text, pattern, thresh, share, src, ledger, base=0):
     """One scan of ``text`` as if it started at position ``base`` of a longer
     text: the index of its hit, or None."""
-    hits = below_thresh(
-        distance_array(text, pattern), thresh, share, src, ledger,
-        (base, base + len(text)),
+    dist = distance_array(text, pattern)
+    _, hit = below_thresh(
+        dist, thresh, share, src, ledger, whole(dist, base, len(text))
     )
-    return hits[0] if hits else None
+    return hit
 
 
 class FixedUnits(NoiseSource):
@@ -284,9 +292,11 @@ class TestBelowThresh:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            below_thresh(np.array([0]), 1.0, 0, zero_src(), ledger_for(1.0), (0, 1))
+            below_thresh(np.array([0]), 1.0, 0, zero_src(), ledger_for(1.0), whole([0]))
         with pytest.raises(ValueError):
-            below_thresh(np.array([0]), 1.0, 1, zero_src(), ledger_for(1.0), (1, 1))
+            below_thresh(
+                np.array([0]), 1.0, 1, zero_src(), ledger_for(1.0), ((0, 1, (1, 1)),)
+            )
 
     def test_noise_scale_is_the_paid_slice(self):
         # The slice charged and the scale drawn at come from one share, on
@@ -297,8 +307,10 @@ class TestBelowThresh:
         src = FixedUnits()
         ledger = ledger_for(0.9)
         distances = np.array([0] * 12 + [10] * 20)
-        hits = below_thresh(distances, 20.0, 6, src, ledger, (0, 32), 100)
-        assert hits == list(range(12))
+        hits = below_thresh(distances, 20.0, 6, src, ledger, whole(distances), 100)
+        # Twelve scans hit at their first distance; the thirteenth misses.
+        assert hits == (12, 0)
+        assert ledger._runs == [(0, 13, 32, 6)]
         assert src.peeks > 0  # the first-distance batch ran
         slice_ = Fraction(0.9) / 6
         assert spent_by_position(ledger) == {
@@ -307,21 +319,34 @@ class TestBelowThresh:
 
     def test_resumes_one_past_the_hit(self):
         # The counter's restarts: a scan that hits at index i is followed by
-        # one that starts at i + 1 and is charged from there. After the hit
-        # at the last index no distance remains, so no further scan starts.
-        distances = distance_array(b"abracadabra", b"abra")  # 0,4,3,3,3,3,4,0
+        # one that starts at i + 1 and is charged from there. The scans
+        # start at 0 (hit at 0), 1 (hit at 7) and 8 (a miss).
+        distances = distance_array(b"abracadabracad", b"abra")  # 0,4,3,3,3,3,4,0,4,3,3
+        window = whole(distances, 0, 14)
         ledger = ledger_for(1.0)
-        hits = below_thresh(distances, 0.0, 2, zero_src(), ledger, (0, 11), 5)
-        assert hits == [0, 7]
+        hits = below_thresh(distances, 0.0, 2, zero_src(), ledger, window, 5)
+        assert hits == (2, 0)
+        assert ledger._runs == [(0, 2, 14, 2), (8, 1, 14, 2)]
         assert spent_by_position(ledger) == {
-            p: Fraction(1, 2) * min(p + 1, 2) for p in range(11)
+            p: Fraction(1, 2) * (min(p + 1, 2) + (p >= 8)) for p in range(14)
         }
+        # On b"abracadabra", after the hit at the last index no distance
+        # remains, so no further scan starts.
+        ledger = ledger_for(1.0)
+        short = distances[:8]
+        assert below_thresh(
+            short, 0.0, 2, zero_src(), ledger, whole(short, 0, 11), 5
+        ) == (2, 0)
+        assert ledger._runs == [(0, 2, 11, 2)]
         # A zero-noise counter window with a cap of one hit stops there.
-        assert below_thresh(distances, 0.0, 2, zero_src(), ledger, (0, 11)) == [0]
+        ledger = ledger_for(1.0)
+        assert below_thresh(distances, 0.0, 2, zero_src(), ledger, window) == (1, 0)
+        assert ledger._runs == [(0, 1, 14, 2)]
 
     def test_no_scan_on_empty_distances(self):
         src, ledger = NoiseSource(0), ledger_for(1.0)
-        assert below_thresh(np.array([], np.int64), 1.0, 1, src, ledger, (0, 1)) == []
+        empty = np.array([], np.int64)
+        assert below_thresh(empty, 1.0, 1, src, ledger, ((0, 0, (0, 1)),)) == (0, None)
         assert ledger._runs == []
         assert src.laplace(1.0) == NoiseSource(0).laplace(1.0)  # nothing drawn
 
@@ -339,11 +364,12 @@ class TestBelowThresh:
             text[cut - 1 : cut + 256] = b"a" * 257
         text, pattern = bytes(text), b"a" * 256
         full = distance_array(text, pattern)
+        window = whole(full, 0, n)
         fills = recording_fill(monkeypatch)
 
         def run(dist, seed, max_hits):
             src, ledger = NoiseSource(seed, mode), ledger_for(2.0)
-            hits = below_thresh(dist, thresh, 1, src, ledger, (0, n), max_hits)
+            hits = below_thresh(dist, thresh, 1, src, ledger, window, max_hits)
             return hits, ledger._runs, src.laplace(1.0)
 
         # One LazyDistances across runs that read further each time, filling
@@ -355,7 +381,12 @@ class TestBelowThresh:
             filled.append(lazy._filled)
         assert [start + rows for start, rows in fills] == [256, 768, 33536, len(full)]
         if mode == "zero":
-            assert got[0] == [255, 256, 767, 768, 33535, 33536]
+            # Hits at 255, 256, 767, 768, 33535 and 33536: the scans start
+            # at 0, then at 256 and 257, 768 and 769, and 33536 and 33537
+            # (the last one misses).
+            assert got[:2] == ((6, 255), [
+                (0, 1, n, 1), (256, 2, n, 1), (768, 2, n, 1), (33536, 2, n, 1)
+            ])
         assert len(set(filled)) >= 3 and filled[-1] == len(full)
         assert lazy.sequence is not lazy and np.array_equal(lazy.sequence, full)
 
@@ -372,13 +403,16 @@ class TestBelowThresh:
         rng = random.Random(4)
         text = bytes(rng.choice(b"acgt") for _ in range(30000))
         dist = distance_array(text, text[:256]).view(Listing)
-        hits = below_thresh(dist, -100.0, 1, NoiseSource(1), ledger_for(2.0), (0, 30000))
-        assert hits == [] and lengths and max(lengths) <= matchers._HEAD
+        hits = below_thresh(
+            dist, -100.0, 1, NoiseSource(1), ledger_for(2.0), whole(dist, 0, 30000)
+        )
+        assert hits == (0, None) and lengths and max(lengths) <= matchers._HEAD
         assert sum(lengths) < 2 * matchers._HEAD  # the head and the tail
         lengths.clear()
         zeros = np.zeros(64, np.int64).view(Listing)
-        hits = below_thresh(zeros, 0.5, 2, zero_src(), ledger_for(1.0), (0, 127), 64)
-        assert hits == list(range(64))
+        ledger = ledger_for(1.0)
+        hits = below_thresh(zeros, 0.5, 2, zero_src(), ledger, whole(zeros, 0, 127), 64)
+        assert hits == (64, 0) and ledger._runs == [(0, 64, 127, 2)]
         assert lengths == [matchers._HEAD]
 
     def test_exhaustive_zero_noise_oracle(self):
@@ -899,9 +933,11 @@ class TestSeedForSeedOracle:
         fresh_src = NoiseSource(3)
         expected = [match_auto(text, query, fresh_src, "existence") for _ in range(40)]
         received = []  # the distance sequence each run's scan reads
+        windows = []  # and the windows it scans
 
         def recording(dist, *args):
             received.append(dist)
+            windows.append(args[4])
             return below_thresh(dist, *args)
 
         pulled = recording_fill(monkeypatch)  # (start, rows) of every chunk
@@ -938,6 +974,9 @@ class TestSeedForSeedOracle:
             lazy[0:1][0] = 0
         assert type(full) is np.ndarray and len(received) - partial >= 2
         assert len(full) == len(text) - 512 + 1 and not full.flags.writeable
+        # Every run scans the one window over the whole text, built once.
+        assert windows[0] == ((0, len(full), (0, len(text))),)
+        assert all(window is windows[0] for window in windows)
 
     def test_no_phantom_counting_window(self):
         # m = 2 divides n + 1 = 4: no window without a start position is
@@ -989,11 +1028,145 @@ class TestSeedForSeedOracle:
         text = bytes(rng.choice(b"acgt") for _ in range(5000))
         pattern = bytes(rng.choice(b"acgt") for _ in range(2000))
         query = MatchQuery(pattern, 1, epsilon, 0.1)
-        ledger = BudgetLedger(epsilon)
-        outcome = count_nonperiodic(text, query, NoiseSource(seed), ledger)
-        ref_ledger = RefLedger(epsilon)
-        expected = ref_count_nonperiodic(text, query, NoiseSource(seed), ref_ledger, 1)
-        assert outcome_tuple(outcome) == expected
-        assert ledger.max_spent == ref_ledger.max_spent
+        outcome, _ = counts_as_reference(text, query, 1, NoiseSource(seed))
         if epsilon == 1.0:
             assert outcome.raw_count == 1152 + (5000 - 2000 + 1 - 2000)
+
+
+class PeekLog(NoiseSource):
+    """A real source that logs the length of every ``units`` peek."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.peeks = []
+
+    def units(self, count):
+        self.peeks.append(count)
+        return super().units(count)
+
+
+def counts_as_reference(text, query, k_eff, src):
+    """Count on ``src`` and with the one-at-a-time reference counter on a
+    fresh source of the same seed: the same outcome, the same ledger run
+    records and the same next draw. Returns the outcome and the records."""
+    ledger = BudgetLedger(query.epsilon)
+    outcome = count_nonperiodic(text, query, src, ledger, effective_k=k_eff)
+    ref_src, ref_ledger = NoiseSource(src.seed), RefLedger(query.epsilon)
+    expected = ref_count_nonperiodic(text, query, ref_src, ref_ledger, k_eff)
+    assert outcome_tuple(outcome) == expected
+    assert ledger._runs == ref_ledger.run_records()
+    assert src.laplace(1.0) == ref_src.laplace(1.0)
+    return outcome, ledger._runs
+
+
+class TestBatchAcrossWindows:
+    """Once enough scans in a row have hit at their first distance, the
+    counter's first-distance batch runs on across window boundaries. Each
+    case matches the one-at-a-time reference counter seed for seed."""
+
+    @staticmethod
+    def sharp_query(pattern, n, k):
+        # The threshold is k + 1/2, about 30 distance-noise scales above k:
+        # a distance of at most k hits at once, and one above k misses.
+        offset = error_contract("count_nonperiodic", n, len(pattern), k, 1.0, 0.1)
+        return MatchQuery(pattern, k, (offset.threshold - k) / 0.5, 0.1)
+
+    def test_batch_ends_on_a_window_boundary(self):
+        # Every distance is 0, so after six scans one at a time every batch
+        # hits throughout, each peek serving two units a scan; with m = 8,
+        # some batch ends where a window begins.
+        n, m = 60, 8
+        query = self.sharp_query(b"a" * m, n, 1)
+        src = PeekLog(3)
+        outcome, runs = counts_as_reference(b"a" * n, query, 1, src)
+        assert outcome.raw_count == n - m + 1
+        scans = accumulate((u // 2 for u in src.peeks), initial=matchers._STREAK)
+        ends = list(scans)[1:]
+        assert any(end % m == 0 for end in ends[:-1]), ends
+        assert ends[-1] == n - m + 1
+        share = 2 * 1152
+        assert runs == [
+            (a, min(a + m, n - m + 1) - a, b + 1, share)
+            for a, b in window_cover(n, m, m)
+        ]
+
+    def test_miss_at_the_next_window_first_start(self):
+        # The distance is the number of b's in a window: 0 up to start 6, 1 at
+        # 7, 2 from 8 to 14 and 1 at 15. The batch from start 6 runs into
+        # window 1 and misses at its first start, 8; that scan runs one
+        # distance at a time in window 1, hits at 15 and stops at its end.
+        text = b"a" * 14 + b"bb" + b"a" * 18
+        query = self.sharp_query(b"a" * 8, len(text), 1)
+        src = PeekLog(0)
+        outcome, runs = counts_as_reference(text, query, 1, src)
+        assert src.peeks[0] // 2 > 8 - matchers._STREAK  # past window 0's end
+        share = 2 * 1152
+        assert runs[:3] == [(0, 8, 15, share), (8, 1, 23, share), (16, 8, 31, share)]
+        assert (outcome.raw_count, outcome.witness) == (len(text) - 8 + 1 - 7, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [4999, 5000])
+    def test_where_the_noise_decides(self, n, seed):
+        # About 11.5 b's in a window of 64 against a threshold of 13.9: the
+        # noise decides many scans, batches cross windows and miss in them,
+        # and (seed 1) one misses at the next window's first start.
+        rng = random.Random(seed)
+        text = bytes(b"b"[0] if rng.random() < 0.18 else b"a"[0] for _ in range(n))
+        query = MatchQuery(b"a" * 64, 3, 1e5, 0.1)
+        outcome, _ = counts_as_reference(text, query, 3, NoiseSource(seed))
+        assert 0 < outcome.raw_count < n - 64 + 1
+
+    def test_batches_keep_each_window_cap(self):
+        # Every distance is 0 and the noise negligible, so each window's
+        # scans hit at once up to its cap of 50. Long streaks meet a short
+        # window followed by one longer than the cap, which a batch must not
+        # run into, and a window the cap cuts, where a batch must stop at
+        # the cap.
+        bounds = [(0, 50), (50, 100), (100, 110), (110, 300), (300, 340),
+                  (340, 380), (380, 480)]
+        windows = tuple((lo, hi, (lo, hi + 7)) for lo, hi in bounds)
+        src, ledger = PeekLog(1), BudgetLedger(1e9)
+        hits = [min(hi - lo, 50) for lo, hi in bounds]
+        scans = sum(hits)
+        dist = np.zeros(480, np.int64)
+        assert below_thresh(dist, 0.5, 1, src, ledger, windows, 50) == (scans, 0)
+        assert ledger._runs == [(lo, h, hi + 7, 1) for (lo, hi), h in zip(bounds, hits)]
+        assert len(src.peeks) < len(bounds)  # batches ran, some across windows
+        ref = NoiseSource(1)
+        ref.units(2 * scans)
+        ref.skip(2 * scans)
+        assert src.laplace(1.0) == ref.laplace(1.0)
+
+    def test_batch_reaches_the_block_cap(self):
+        # A desk query (m = 64, k = 3, eps = 1: every scan hits at once) long
+        # enough that the batches, doubling with the streak, outgrow _BLOCK.
+        rng = random.Random(6)
+        n = 3 * matchers._BLOCK + 200
+        text = bytes(rng.choice(b"acgt") for _ in range(n))
+        query = MatchQuery(bytes(rng.choice(b"acgt") for _ in range(64)), 3, 1.0, 0.1)
+        src = PeekLog(6)
+        outcome, runs = counts_as_reference(text, query, 3, src)
+        assert outcome.raw_count == n - 64 + 1
+        assert len(runs) == len(window_cover(n, 64, 64))
+        assert max(src.peeks) == 2 * matchers._BLOCK
+
+    def test_one_kernel_call_per_counting_query(self, monkeypatch):
+        # The count-desk query: 2437 scans over 39 windows, each hitting at
+        # its first distance, are one kernel call, and past the first few
+        # scans the batches double with the streak: O(log n) peeks.
+        calls = []
+
+        def recording(*args):
+            calls.append(args[5])
+            return below_thresh(*args)
+
+        monkeypatch.setattr(matchers, "below_thresh", recording)
+        rng = random.Random(2)
+        text = bytes(rng.choice(b"acgt") for _ in range(2500))
+        query = MatchQuery(bytes(rng.choice(b"acgt") for _ in range(64)), 3, 1.0, 0.1)
+        prepared = plan(text, query, "count")
+        assert prepared.matcher == "count_nonperiodic"
+        src = PeekLog(1)
+        assert prepared.run(src).outcome.raw_count == 2437
+        assert len(calls) == 1 and len(calls[0]) == 39
+        assert len(src.peeks) <= math.log2(2437)

@@ -39,7 +39,9 @@ is the one choice between periodic reporting and the trivial reporter, for
 selected matcher's deterministic half into a `QueryPlan`, whose ``run(src)``
 is the noisy half with a fresh `BudgetLedger` (``outcome(src)`` returns its
 outcome alone); `match_auto` is ``plan(...).run(src)``, and each public
-matcher is its own deterministic half followed by one run. A plan may run
+matcher is its own deterministic half followed by one run on a fresh
+`BudgetLedger` at the query's epsilon, so the matchers take no ledger and
+every scan's noise scale comes from the query. A plan may run
 many times, each run reading the source's stream from its cursor, so runs
 on one source equal as many fresh calls seed for seed. Existence keeps its
 laziness across runs: its plan holds one `text.LazyDistances`, an array that
@@ -483,7 +485,9 @@ def error_contract(
 # --- matchers: the deterministic half, then the noisy half --------------------
 
 # The noisy half of one matcher on a fixed text and query: it runs the scans
-# on the given source and ledger, checks the cap and returns the outcome.
+# on the given source and ledger, checks the cap and returns the outcome. Only
+# the code that runs it creates the ledger, always fresh and at the query's
+# epsilon, which sets every scan's noise scale.
 Scan = Callable[[NoiseSource, BudgetLedger], Outcome]
 
 
@@ -493,18 +497,6 @@ def _require_text(text: bytes, m: int) -> None:
         raise ValueError("private input text must be non-empty")
     if m > len(text):
         raise ValueError(f"pattern length {m} exceeds text length {len(text)}")
-
-
-def _query_ledger(query: MatchQuery, ledger: Optional[BudgetLedger]) -> BudgetLedger:
-    """``ledger``, checked to hold the query's epsilon, or a fresh one."""
-    if ledger is None:
-        return BudgetLedger(query.epsilon)
-    if ledger.epsilon != query.epsilon:
-        raise ValueError(
-            f"ledger epsilon {ledger.epsilon!r} differs from query epsilon "
-            f"{query.epsilon!r}"
-        )
-    return ledger
 
 
 def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
@@ -531,12 +523,7 @@ def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
     return contract, scan
 
 
-def existence(
-    text: bytes,
-    query: MatchQuery,
-    src: NoiseSource,
-    ledger: Optional[BudgetLedger] = None,
-) -> ExistenceOutcome:
+def existence(text: bytes, query: MatchQuery, src: NoiseSource) -> ExistenceOutcome:
     """Existence variant: one threshold scan over the whole text.
 
     With probability at least 1 - beta the answer is one-sided within the
@@ -544,7 +531,7 @@ def existence(
     returned witness is within the contract's ``bound``.
     """
     _, scan = _prepare_existence(text, query)
-    return scan(src, _query_ledger(query, ledger))
+    return scan(src, BudgetLedger(query.epsilon))
 
 
 def _prepare_report(
@@ -590,7 +577,6 @@ def report_periodic(
     query: MatchQuery,
     candidate: PeriodicCandidate,
     src: NoiseSource,
-    ledger: Optional[BudgetLedger] = None,
 ) -> ReportOutcome:
     """Reporting variant for patterns close to a short primitive period.
 
@@ -606,7 +592,7 @@ def report_periodic(
     ``candidate.dist <= 2k``).
     """
     _, scan = _prepare_report(text, query, candidate)
-    return scan(src, _query_ledger(query, ledger))
+    return scan(src, BudgetLedger(query.epsilon))
 
 
 def _prepare_count(
@@ -618,6 +604,8 @@ def _prepare_count(
             "non-periodic counting needs k >= 1 (its budget split divides by k); "
             "k = 0 queries belong to the existence or trivial paths"
         )
+    if k_eff < query.k:
+        raise ValueError(f"effective_k {k_eff} is below the query's k = {query.k}")
     n, m = len(text), query.m
     cap = WINDOW_OCCURRENCE_CAP * k_eff
     contract = error_contract(
@@ -641,7 +629,6 @@ def count_nonperiodic(
     text: bytes,
     query: MatchQuery,
     src: NoiseSource,
-    ledger: Optional[BudgetLedger] = None,
     *,
     effective_k: Optional[int] = None,
 ) -> CountOutcome:
@@ -661,10 +648,8 @@ def count_nonperiodic(
     true occurrences.
     """
     k_eff = query.k if effective_k is None else effective_k
-    if k_eff < query.k:
-        raise ValueError(f"effective_k {k_eff} is below the query's k = {query.k}")
     _, scan = _prepare_count(text, query, k_eff)
-    return scan(src, _query_ledger(query, ledger))
+    return scan(src, BudgetLedger(query.epsilon))
 
 
 def _prepare_trivial(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:

@@ -23,11 +23,11 @@ from dppm.matchers import (
     BudgetLedger,
     ExistenceOutcome,
     MatchQuery,
+    _prepare_count,
+    _prepare_existence,
+    _prepare_report,
     below_thresh,
-    count_nonperiodic,
     error_contract,
-    existence,
-    report_periodic,
     trivial_all,
 )
 from dppm.noise import NoiseSource, derive_seed
@@ -113,6 +113,36 @@ def test_c02_existence_utility():
     )
 
 
+def test_c02b_existence_utility_binding():
+    """Where the bound is below m: YES and witnesses in bound in >= 1 - beta."""
+    cfg = TrialConfig(
+        n=5000,
+        m=256,
+        k=8,
+        epsilon=1.0,
+        beta=0.1,
+        trials=200,
+        seed=0,
+        generator="planted-occurrence",
+    )
+    bound = error_contract(
+        "existence", cfg.n, cfg.m, cfg.k, cfg.epsilon, cfg.beta
+    ).bound
+    assert bound < cfg.m, f"contract vacuous: bound {bound:.1f} >= m"
+    result = run_utility_experiment(cfg, "existence")
+    yes = sum(1 for r in result.records if r.found)
+    need = cfg.trials * (1 - cfg.beta) - three_sigma_slack(cfg.beta, cfg.trials)
+    allowed = cfg.beta * cfg.trials + three_sigma_slack(cfg.beta, cfg.trials)
+    violations = result.violation_count
+    ok = yes >= need and violations <= allowed
+    report(
+        "C2b existence utility, binding bound",
+        ok,
+        f"YES {yes}/200 (need >={need:.1f}), witness bound {bound:.1f} < m, "
+        f"violations {violations} (allowed {allowed:.1f})",
+    )
+
+
 def test_c03_periodic_reporting_sandwich():
     """Corrupted periodic text: complete and sound in >= 81 of 100 trials."""
     cfg = TrialConfig(
@@ -142,6 +172,38 @@ def test_c03_periodic_reporting_sandwich():
     )
 
 
+def test_c03b_periodic_reporting_binding():
+    """Where the bound is below m: complete and sound in >= 1 - beta."""
+    cfg = TrialConfig(
+        n=8192,
+        m=2048,
+        k=2,
+        epsilon=40.0,
+        beta=0.1,
+        trials=100,
+        seed=0,
+        generator="periodic-with-corruptions",
+        period_length=2,
+    )
+    bound = error_contract(
+        "report_periodic", cfg.n, cfg.m, cfg.k, cfg.epsilon, cfg.beta
+    ).bound
+    assert bound < cfg.m, f"contract vacuous: bound {bound:.1f} >= m"
+    result = run_utility_experiment(cfg, "report")
+    assert all(r.algorithm == Regime.PERIODIC_REPORTING.value for r in result.records)
+    good = sum(
+        1 for r in result.records if r.completeness_ok and r.soundness_ok
+    )
+    need = cfg.trials * (1 - cfg.beta) - three_sigma_slack(cfg.beta, cfg.trials)
+    ok = good >= need
+    report(
+        "C3b periodic reporting, binding bound",
+        ok,
+        f"{good}/100 trials complete+sound (need >={need:.1f}), "
+        f"distance bound {bound:.1f} < m",
+    )
+
+
 def test_c04_non_periodic_counting_sandwich():
     """Random 4-symbol text: count sandwiched by the oracle in >= 81 trials."""
     cfg = TrialConfig(
@@ -168,6 +230,37 @@ def test_c04_non_periodic_counting_sandwich():
     )
 
 
+def test_c04b_non_periodic_counting_binding():
+    """Where the bound is below m: count sandwiched in >= 1 - beta."""
+    cfg = TrialConfig(
+        n=4096,
+        m=64,
+        k=1,
+        epsilon=2e4,
+        beta=0.1,
+        trials=100,
+        seed=0,
+        generator="uniform-random",
+    )
+    bound = error_contract(
+        "count_nonperiodic", cfg.n, cfg.m, cfg.k, cfg.epsilon, cfg.beta
+    ).bound
+    assert bound < cfg.m, f"contract vacuous: bound {bound:.1f} >= m"
+    result = run_utility_experiment(cfg, "count")
+    assert all(
+        r.algorithm == Regime.NON_PERIODIC_COUNTING.value for r in result.records
+    ), "every trial must be certified for the non-periodic regime"
+    good = sum(1 for r in result.records if r.completeness_ok and r.soundness_ok)
+    need = cfg.trials * (1 - cfg.beta) - three_sigma_slack(cfg.beta, cfg.trials)
+    ok = good >= need
+    report(
+        "C4b non-periodic counting, binding bound",
+        ok,
+        f"{good}/100 trials inside sandwich (need >={need:.1f}), "
+        f"distance bound {bound:.1f} < m",
+    )
+
+
 def test_c05_budget_ledger():
     """50 random instances per matcher: per-position spend <= query epsilon."""
     tolerance = Fraction(1, 10**9)
@@ -190,7 +283,7 @@ def test_c05_budget_ledger():
         pattern = rng.integers(97, 101, size=m).astype(np.uint8).tobytes()
         query = MatchQuery(pattern, 1, epsilon, 0.1)
         ledger = BudgetLedger(epsilon)
-        existence(text, query, src, ledger)
+        _prepare_existence(text, query)[1](src, ledger)
         check("existence", ledger, epsilon)
 
         # periodic reporting
@@ -200,19 +293,19 @@ def test_c05_budget_ledger():
         pquery = MatchQuery(tile(root, m2), 1, epsilon, 0.1)
         cand = shortest_close_period(pquery.pattern, 1, 2)
         ledger = BudgetLedger(epsilon)
-        report_periodic(ptext, pquery, cand, src, ledger)
+        _prepare_report(ptext, pquery, cand)[1](src, ledger)
         check("report_periodic", ledger, epsilon)
 
         # non-periodic counting
         ledger = BudgetLedger(epsilon)
-        count_nonperiodic(text, query, src, ledger)
+        _prepare_count(text, query, query.k)[1](src, ledger)
         check("count_nonperiodic", ledger, epsilon)
 
         # small-k counting
         cutoff = small_k_cutoff(n, epsilon, 0.1)
         if cutoff > 1:
             ledger = BudgetLedger(epsilon)
-            count_nonperiodic(text, query, src, ledger, effective_k=cutoff)
+            _prepare_count(text, query, cutoff)[1](src, ledger)
             check("count_nonperiodic at the small-k cutoff", ledger, epsilon)
 
         # trivial fallback consumes nothing

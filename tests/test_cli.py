@@ -461,12 +461,13 @@ def child_env() -> dict[str, str]:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, corpus):
+    @pytest.mark.parametrize("module", ["dppm.cli", "dppm"])
+    def test_module_invocation(self, corpus, module):
         result = subprocess.run(
             [
                 sys.executable,
                 "-m",
-                "dppm.cli",
+                module,
                 "match",
                 "--variant",
                 "existence",

@@ -494,7 +494,7 @@ class TestExistence:
     def test_budget_charged_exactly_epsilon(self):
         ledger = ledger_for(0.7)
         query = MatchQuery(b"ab", 1, 0.7, 0.1)
-        existence(b"abab", query, NoiseSource(3), ledger)
+        matchers._prepare_existence(b"abab", query)[1](NoiseSource(3), ledger)
         assert set(spent_by_position(ledger).values()) == {Fraction(0.7)}
         assert ledger.max_spent == Fraction(0.7)
 
@@ -545,7 +545,8 @@ class TestReportPeriodic:
         pattern = tile(b"ab", 8)
         query = MatchQuery(pattern, 1, 0.9, 0.1)
         ledger = ledger_for(0.9)
-        report_periodic(text, query, PeriodicCandidate(2, b"ab", 0), NoiseSource(1), ledger)
+        _, scan = matchers._prepare_report(text, query, PeriodicCandidate(2, b"ab", 0))
+        scan(NoiseSource(1), ledger)
         # Interior positions sit in 3 windows at 2 scans of epsilon/6 each,
         # so the exact rational maximum is the full query budget.
         assert ledger.max_spent == Fraction(0.9)
@@ -555,7 +556,7 @@ class TestReportPeriodic:
         query = MatchQuery(tile(b"ab", 8), 1, 0.9, 0.1)
         ledger = ledger_for(0.9)
         candidate = PeriodicCandidate(2, b"ab", 0)
-        report_periodic(text, query, candidate, NoiseSource(1), ledger)
+        matchers._prepare_report(text, query, candidate)[1](NoiseSource(1), ledger)
         expected: dict[int, Fraction] = {}
         for a, b in periodic_cover(len(text), query.m):
             for p in range(a, b + 1):
@@ -603,7 +604,7 @@ class TestCountNonPeriodic:
     def test_budget_within_cap(self):
         query = MatchQuery(b"ab", 2, 1.3, 0.1)
         ledger = ledger_for(1.3)
-        count_nonperiodic(tile(b"ab", 50), query, NoiseSource(9), ledger)
+        matchers._prepare_count(tile(b"ab", 50), query, 2)[1](NoiseSource(9), ledger)
         assert ledger.max_spent <= Fraction(1.3)
 
 
@@ -625,6 +626,8 @@ class TestCountSmallK:
         assert count_nonperiodic(text, query, zero_src(), effective_k=3).count == 1
         with pytest.raises(ValueError, match="effective_k 1 is below"):
             count_nonperiodic(text, query, zero_src(), effective_k=1)
+        with pytest.raises(ValueError, match="effective_k 1 is below"):
+            matchers._prepare_count(text, query, 1)
 
 
 class TestDistancesOncePerQuery:
@@ -649,29 +652,6 @@ class TestDistancesOncePerQuery:
         text = tile(b"ab", 50)
         count_nonperiodic(text, MatchQuery(b"ab", 2, 1.3, 0.1), NoiseSource(9))
         assert calls == [(text, b"ab")]
-
-
-class TestQueryLedger:
-    """A passed ledger sets every scan's noise scale, so it must hold the
-    query's epsilon."""
-
-    QUERY = MatchQuery(tile(b"ab", 4), 1, 0.9, 0.1)
-    RUNS = {
-        "existence": lambda q, led: existence(tile(b"ab", 20), q, zero_src(), led),
-        "report_periodic": lambda q, led: report_periodic(
-            tile(b"ab", 20), q, PeriodicCandidate(2, b"ab", 0), zero_src(), led
-        ),
-        "count_nonperiodic": lambda q, led: count_nonperiodic(
-            tile(b"ab", 20), q, zero_src(), led
-        ),
-    }
-
-    @pytest.mark.parametrize("matcher", sorted(RUNS))
-    def test_mismatched_epsilon_rejected(self, matcher):
-        ledger = BudgetLedger(2 * self.QUERY.epsilon)
-        with pytest.raises(ValueError, match="ledger epsilon"):
-            self.RUNS[matcher](self.QUERY, ledger)
-        assert ledger.max_spent == 0
 
 
 class TestOneCapCheckPerQuery:
@@ -1050,7 +1030,7 @@ def counts_as_reference(text, query, k_eff, src):
     fresh source of the same seed: the same outcome, the same ledger run
     records and the same next draw. Returns the outcome and the records."""
     ledger = BudgetLedger(query.epsilon)
-    outcome = count_nonperiodic(text, query, src, ledger, effective_k=k_eff)
+    outcome = matchers._prepare_count(text, query, k_eff)[1](src, ledger)
     ref_src, ref_ledger = NoiseSource(src.seed), RefLedger(query.epsilon)
     expected = ref_count_nonperiodic(text, query, ref_src, ref_ledger, k_eff)
     assert outcome_tuple(outcome) == expected

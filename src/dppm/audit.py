@@ -34,6 +34,7 @@ from .matchers import (
     MatchQuery,
     Outcome,
     ReportOutcome,
+    Scan,
     _prepare_reporter,
     plan,
 )
@@ -269,23 +270,16 @@ class UtilityReport:
         return rows
 
 
-def _run_trial(
-    inst: Instance, cfg: TrialConfig, variant: str, src: NoiseSource, trial: int
-) -> TrialRecord:
-    """Prepare one matcher of ``variant`` once, run it on ``src``, and judge
-    it by the exact distances.
+def _prepare_trial(
+    inst: Instance, cfg: TrialConfig, variant: str
+) -> tuple[str, float, Scan]:
+    """Prepare one matcher of ``variant`` once: its algorithm tag, its
+    contract's bound and its noisy half, all from that one preparation.
 
     Existence and count prepare a :func:`~dppm.matchers.plan`. Report
     prepares the reporter on the pattern's widest close period when m >= 2,
     else the trivial reporter, without dispatch, which never picks reporting
-    at desk epsilon. The algorithm tag, the contract's bound and the noisy
-    half all come from that one preparation. The oracle computes its own
-    distances: it is the reference the matcher is judged by, so it must not
-    read the matcher's.
-
-    Sound: every returned position (the witness, or each reported position)
-    lies within the contract's bound, and a count is at most the number of
-    windows within it. Complete: no window within k is missed.
+    at desk epsilon.
     """
     query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
     if variant == "report":
@@ -295,8 +289,21 @@ def _run_trial(
         prepared = plan(inst.text, query, variant)
         regime, contract, scan = prepared.regime, prepared.contract, prepared.scan
     algorithm = variant if variant == "existence" else regime.value
-    outcome = scan(src, BudgetLedger(query.epsilon))
-    bound = contract.bound
+    return algorithm, contract.bound, scan
+
+
+def _judge_trial(
+    inst: Instance, cfg: TrialConfig, trial: int, algorithm: str, bound: float,
+    outcome: Outcome,
+) -> TrialRecord:
+    """Judge one matcher outcome by the exact distances. The oracle computes
+    its own distances: it is the reference the matcher is judged by, so it
+    must not read the matcher's.
+
+    Sound: every returned position (the witness, or each reported position)
+    lies within the contract's bound, and a count is at most the number of
+    windows within it. Complete: no window within k is missed.
+    """
     d = distance_array(inst.text, inst.pattern)
     within_k = d <= cfg.k
     found = count = reported = None
@@ -336,8 +343,10 @@ VARIANTS = ("existence", "count", "report")
 def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
     """Run ``cfg.trials`` seeded trials of the given variant and compare each
     against the exact oracle. Parameter errors (``ValueError``) from the
-    generator or matcher are recorded on the trial (as violated) rather than
-    aborting the experiment; a privacy-cap failure is not caught."""
+    generator or the matcher's preparation are recorded on the trial (as
+    violated) rather than aborting the experiment; nothing the noisy half
+    raises is caught, so a privacy-cap failure or a broken outcome invariant
+    stops the experiment."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     generate = GENERATORS[cfg.generator]
@@ -354,9 +363,12 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
         src = NoiseSource(derive_seed(noise_seed, trial), mode=cfg.noise)
         try:
             inst = generate(cfg, instance_rng)
-            record = _run_trial(inst, cfg, variant, src, trial)
+            algorithm, bound, scan = _prepare_trial(inst, cfg, variant)
         except ValueError as exc:
             record = TrialRecord(trial=trial, violated=True, error=str(exc))
+        else:
+            outcome = scan(src, BudgetLedger(cfg.epsilon))
+            record = _judge_trial(inst, cfg, trial, algorithm, bound, outcome)
         report.records.append(record)
     report.runtime_seconds = time.perf_counter() - started
     return report

@@ -6,7 +6,9 @@ whose noisy value falls below a noisy threshold. One kernel, `below_thresh`,
 runs every scan of every matcher over one sequence of distances that it
 slices, window by window: in each window a single scan, or up to a cap of
 scans that each resume one past the previous hit. It compares a scan's first
-distances one at a time and the rest in numpy blocks, and it compares the
+distances one at a time and the rest in numpy blocks, serving unpeeked the
+draws of distances too far above the noisy threshold for any draw to matter
+(the sampler's units are bounded by `noise.UNIT_BOUND`), and it compares the
 first distances of a run of scans in one numpy operation once several scans
 in a row have hit at once, running on across window boundaries; draws come
 from the `NoiseSource` stream in the order of a one-distance-at-a-time scan,
@@ -73,7 +75,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .noise import NoiseSource
+from .noise import UNIT_BOUND, NoiseSource
 from .periodicity import (
     DispatchDecision,
     PeriodicCandidate,
@@ -298,7 +300,10 @@ def below_thresh(
     compare one distance at a time (threshold first, then one per examined
     distance), whether the kernel compares distances singly, in numpy blocks,
     or several scans' first distances at once, within a window or across
-    windows; results are the same seed for seed.
+    windows; results are the same seed for seed. Past a scan's head, the
+    draws of a block's distances before its first with
+    ``d - UNIT_BOUND * 4/eps <= noisy threshold`` are served unpeeked: no
+    draw could turn them into a hit, so they are never transformed.
     """
     if not (isinstance(share, int) and share > 0):
         raise ValueError(f"share must be a positive int, got {share!r}")
@@ -389,16 +394,29 @@ def _run_on(windows, end, limit, max_hits):
 def _scan_on(dist, at, end, noisy, d_scale, src):
     """The rest of a scan that has missed on every distance before index
     ``at``: the index of its hit, or None when the distances run out at
-    ``end``."""
+    ``end``.
+
+    Every unit lies within ``UNIT_BOUND`` of 0, and float multiply and add
+    round monotonically, so a distance ``d`` with
+    ``d - UNIT_BOUND * d_scale > noisy`` misses whatever its draw. A block's
+    draws up to its first distance that might hit are served unpeeked (never
+    transformed); from there on the block is compared as drawn."""
     size = _HEAD
     while end - at >= _HEAD:
         size = min(size, end - at)
-        ok = dist[at : at + size] + d_scale * src.units(size) <= noisy
-        i = int(ok.argmax())
-        if ok[i]:
-            src.skip(i + 1)
-            return at + i
-        src.skip(size)
+        block = dist[at : at + size]
+        hope = block - UNIT_BOUND * d_scale <= noisy
+        h = int(hope.argmax())
+        if not hope[h]:  # the whole block misses
+            h = size
+        src.skip(h)
+        if h < size:
+            ok = block[h:] + d_scale * src.units(size - h) <= noisy
+            i = int(ok.argmax())
+            if ok[i]:
+                src.skip(i + 1)
+                return at + h + i
+            src.skip(size - h)
         at += size
         size = min(2 * size, _BLOCK)
     draw = src.laplace

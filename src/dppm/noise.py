@@ -7,21 +7,32 @@ tests).
 
 A source serves every draw from one numpy buffer of unit-Laplace values
 (scale 1), multiplied by each call's scale. Every refill of the buffer
-transforms one block of uniforms, as many as the source has drawn so far (so
-blocks double), at least 32 and at most 4096, or more when a peek needs more:
-a peek past the buffer refills the whole shortfall in one block. The floor is
-about what one noisy scan draws one at a time (its threshold and up to 32
-distances), so a short scan on a fresh source costs one vector block. A
-uniform on the interval boundary is skipped in-stream, exactly where a
-one-at-a-time sampler would redraw it. How the stream is cut into blocks
-never changes a value: every draw equals the one-uniform-at-a-time transform
-of the same uniform, in the same order, bit for bit.
+transforms one block of uniforms, as many as the source has transformed so
+far (so blocks double), at least 32 and at most 4096, or more when a peek
+needs more: a peek past the buffer refills the whole shortfall in one block.
+The floor is about what one noisy scan draws one at a time (its threshold
+and up to 32 distances), so a short scan on a fresh source costs one vector
+block. A uniform on the interval boundary is skipped in-stream, exactly
+where a one-at-a-time sampler would redraw it. How the stream is cut into
+blocks never changes a value: every draw equals the one-uniform-at-a-time
+transform of the same uniform, in the same order, bit for bit.
 
 Vectorized consumers read the same stream through a cursor: ``units(count)``
 peeks at the next ``count`` unit values as an array without serving them, and
-``skip(count)`` serves that many of them. Scaling a peeked unit by ``b`` gives
-the value ``laplace(b)`` would have returned for it, so any interleaving of
-``laplace`` with peeks and skips serves one stream.
+``skip(count)`` serves the next ``count`` draws, peeked at or not. Scaling a
+peeked unit by ``b`` gives the value ``laplace(b)`` would have returned for
+it, so any interleaving of ``laplace`` with peeks and skips serves one stream.
+A skip that runs past the buffer draws the rest as raw uniforms, dropping
+boundary uniforms in-stream as a refill does, and never transforms them: a
+consumer that knows no value can matter pays only the generator for them.
+
+Every unit lies within ``UNIT_BOUND`` of 0. A uniform is a multiple of
+2**-53 and the boundary 0.0 is skipped, so ``1 - 2|U| >= 2**-52`` and
+``|unit| <= 52 ln 2``, about 36.0437. This is the bounded range of a
+floating-point sampler that Mironov studied ("On Significance of the Least
+Significant Bits for Differential Privacy", CCS 2012); the scan kernel uses
+it to skip distances that no draw can bring below a noisy threshold, which
+changes no answer.
 
 Caveat: floating-point Laplace samplers are known to leak information through
 the binary representation of their outputs in adversarial settings. Hardening
@@ -40,6 +51,11 @@ _MASK64 = (1 << 64) - 1
 _MIN_BLOCK = 32
 _MAX_BLOCK = 4096
 _EMPTY = np.empty(0)
+
+# An upper bound on |unit| for every unit a source serves: 52 ln 2 =
+# 36.04365338911715 is the unit of the extreme uniforms 2**-53 and
+# 1 - 2**-53, rounded up with room to spare for log1p's last bit.
+UNIT_BOUND = 36.05
 
 MODES = ("standard", "zero")
 
@@ -86,7 +102,7 @@ class NoiseSource:
         # valid.
         self._units = _EMPTY
         self._next = 0
-        self._drawn = 0  # unit draws made from the generator so far
+        self._drawn = 0  # unit draws transformed so far (not skipped raw)
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
@@ -126,9 +142,19 @@ class NoiseSource:
         return self._units[self._next : self._next + count]
 
     def skip(self, count: int) -> None:
-        """Serve ``count`` unit draws that :meth:`units` has peeked at."""
-        if self.mode != "zero":
+        """Serve the next ``count`` unit draws, peeked at by :meth:`units` or
+        not. Past the buffer it draws raw uniforms, drops boundary ones
+        in-stream as :meth:`_refill` does, and transforms none of them."""
+        if self.mode == "zero":
+            return
+        short = count - len(self._units) + self._next
+        if short <= 0:
             self._next += count
+            return
+        self._units, self._next = _EMPTY, 0
+        gen = self._generator()
+        while short > 0:
+            short -= np.count_nonzero(gen.random(short))  # 0.0: the boundary
 
     def _refill(self, short: int) -> None:
         """Append the next block of unit draws to the unserved buffer, from at

@@ -212,6 +212,27 @@ class TestUtilityExperiment:
         with pytest.raises(RuntimeError, match="privacy budget exceeded"):
             run_utility_experiment(small_config(trials=40), "existence")
 
+    def test_broken_outcome_invariant_aborts(self, monkeypatch):
+        # A counter that counts hits with no witness builds an invalid
+        # CountOutcome. That ValueError comes from the noisy half, so it is a
+        # broken matcher too, not a parameter error on one row.
+        cfg = small_config(n=2000, m=16, k=2, epsilon=1e5, trials=4)
+        assert run_utility_experiment(cfg, "count").violation_count == 0
+        monkeypatch.setattr(matchers, "below_thresh", lambda *args: (3, None))
+        with pytest.raises(ValueError, match="positive count requires a witness"):
+            run_utility_experiment(cfg, "count")
+
+    def test_preparation_error_is_a_row(self):
+        # Dispatch refuses this epsilon while the matcher is prepared, before
+        # any noise is drawn: a parameter error, recorded on each trial.
+        cfg = small_config(epsilon=1e-320, generator="uniform-random", trials=3)
+        for variant in ("existence", "count"):
+            report = run_utility_experiment(cfg, variant)
+            assert [(r.violated, r.algorithm) for r in report.records] == [
+                (True, "")
+            ] * 3
+            assert all(r.error for r in report.records)
+
 
 class TestClopperPearson:
     def test_boundaries(self):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dppm.matchers as matchers
+import dppm.noise as noise_module
 import dppm.text as text_module
 from dppm.matchers import (
     BudgetLedger,
@@ -28,7 +29,7 @@ from dppm.matchers import (
     report_periodic,
     trivial_all,
 )
-from dppm.noise import NoiseSource
+from dppm.noise import UNIT_BOUND, NoiseSource
 from dppm.periodicity import PeriodicCandidate, Regime
 from dppm.text import (
     LazyDistances,
@@ -45,6 +46,7 @@ from conftest import (
     brute_first_at_most,
     periodic_cover,
     recording_fill,
+    ref_below_thresh,
     ref_count_nonperiodic,
     ref_match,
     spent_by_position,
@@ -437,6 +439,111 @@ class TestBelowThresh:
         one = scan(*args, NoiseSource(5), ledger_for(1.0))
         two = scan(*args, NoiseSource(5), ledger_for(1.0))
         assert one == two
+
+
+def scans_as_reference(dist, thresh, epsilon, src, ref_src):
+    """One scan over all of ``dist`` on ``src``, and with the one-at-a-time
+    reference scan on ``ref_src``, a source of the same stream: the same
+    hit, the same ledger run records and the same next draw. Returns the
+    hit."""
+    ledger, ref_ledger = BudgetLedger(epsilon), RefLedger(epsilon)
+    hit = ref_below_thresh(dist.tolist(), thresh, 1, ref_src, ref_ledger, (0, len(dist)))
+    got = below_thresh(dist, thresh, 1, src, ledger, whole(dist))
+    assert got == (int(hit is not None), hit)
+    assert ledger._runs == ref_ledger.run_records()
+    assert src.laplace(1.0) == ref_src.laplace(1.0)
+    return hit
+
+
+class Uniforms:
+    """A generator whose uniforms are all 0.5 (unit 0) but at chosen
+    positions of the stream."""
+
+    def __init__(self, chosen):
+        self.chosen, self.position = chosen, 0
+
+    def random(self, size):
+        out = np.full(size, 0.5)
+        for p, u in self.chosen.items():
+            if self.position <= p < self.position + size:
+                out[p - self.position] = u
+        self.position += size
+        return out
+
+
+def uniform_source(chosen) -> NoiseSource:
+    src = NoiseSource(0)
+    src._gen = Uniforms(chosen)
+    return src
+
+
+class TestPrunedScan:
+    """Past its head a scan serves the draws of distances that no draw can
+    bring below the noisy threshold unpeeked, and compares the rest of a
+    block from its first distance that might hit. At eps = 1 a distance of
+    200 is far past the bound (200 - 4 * UNIT_BOUND > 55) and a distance of
+    0 hits about half the time, so each case below meets hits and misses."""
+
+    @pytest.mark.parametrize(
+        "n, candidates",
+        [
+            (1000, [32]),  # the first index past the head
+            (1000, [128]),  # the first index of a block
+            (1000, [255]),  # the last index of a block
+            (1000, [255, 256]),  # either side of a block boundary
+            (1000, [999]),  # end - 1, the last index of the last block
+            (1040, [1039]),  # end - 1, in the tail past the last block
+            (1000, [300, 301, 302, 700]),  # a run, then a lone one
+        ],
+    )
+    def test_lone_candidates_scan_as_the_reference(self, n, candidates):
+        dist = np.full(n, 200, np.int64)
+        dist[candidates] = 0
+        hits = [
+            scans_as_reference(dist, 0.0, 1.0, NoiseSource(seed), NoiseSource(seed))
+            for seed in range(40)
+        ]
+        assert set(hits) == {None, *candidates}
+
+    def test_distance_at_the_bound_is_compared(self, monkeypatch):
+        # With the bound tightened to the largest unit there is, 52 ln 2, a
+        # distance d with d - bound * d_scale == noisy hits on the one draw
+        # that reaches the bound, so the kernel must compare it, not prune
+        # it. eps = 4 gives d_scale = 1, and every unit but that draw is 0.
+        bound = -uniform_source({0: 2.0**-53}).laplace(1.0)
+        assert abs(bound) <= UNIT_BOUND
+        monkeypatch.setattr(matchers, "UNIT_BOUND", bound)
+        dist = np.full(100, 1000, np.int64)
+        dist[40] = 100
+        thresh = 100 - bound * 1.0  # noisy == thresh: its unit is 0
+        assert dist[40] - bound * 1.0 == thresh
+        chosen = {1 + 40: 2.0**-53}  # draw 0 is the threshold's
+        hit = scans_as_reference(
+            dist, thresh, 4.0, uniform_source(chosen), uniform_source(chosen)
+        )
+        assert hit == 40
+
+    def test_hopeless_scan_transforms_only_its_head(self, monkeypatch):
+        # 30,000 distances that no draw can bring below the threshold: the
+        # threshold and head draws are transformed, and at most one more
+        # block, while the rest are served as raw uniforms.
+        transformed = []
+        refill = NoiseSource._refill
+
+        def spy(src, short):
+            left = len(src._units) - src._next
+            refill(src, short)
+            transformed.append(len(src._units) - left)
+
+        dist = np.full(30_000, 200, np.int64)
+        src, ledger = NoiseSource(3), ledger_for(1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(NoiseSource, "_refill", spy)
+            assert below_thresh(dist, 0.0, 1, src, ledger, whole(dist)) == (0, None)
+        assert sum(transformed) <= 2 * matchers._HEAD + noise_module._MAX_BLOCK
+        ref_src, ref_ledger = NoiseSource(3), RefLedger(1.0)
+        assert ref_below_thresh(dist, 0.0, 1, ref_src, ref_ledger, (0, 30_000)) is None
+        assert src.laplace(1.0) == ref_src.laplace(1.0)
 
 
 class TestExistence:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dppm.noise import NoiseSource, derive_seed, splitmix64
+from dppm.noise import UNIT_BOUND, NoiseSource, derive_seed, splitmix64
 
 from conftest import draws
 
@@ -62,8 +62,16 @@ def mixed_scales(seed: int, count: int) -> list[float]:
     return [float(x) for x in rng.choice([2.0, 4.0], count) / eps]
 
 
-def hexes(values) -> list[str]:
-    return [float(v).hex() for v in values]
+def hexes(values) -> list:
+    """Each value's exact hex form; None stays None (a draw never looked at)."""
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def reference_stream(gen, scales, served) -> list:
+    """The reference sampler's draws at ``scales``, with None wherever
+    ``served`` has None: those draws are made but never looked at."""
+    ref = [reference_laplace(gen, b) for b in scales]
+    return [None if s is None else r for s, r in zip(served, ref)]
 
 
 class TestSeedDerivation:
@@ -187,17 +195,25 @@ class TestCursor:
     @staticmethod
     def interleaved(src, seed, total):
         """Serve ``total`` draws from ``src`` by a seeded mix of ``laplace``
-        calls and peeks of 1 to 6000 units of which a prefix is served,
-        each draw at its own scale; return the served draws and scales."""
+        calls, peeks of 1 to 6000 units of which a prefix is served, and
+        skips of 1 to 9000 draws never peeked at (many run past the buffer),
+        each draw at its own scale; return the served draws, None for each
+        skipped unpeeked, and their scales."""
         rng = np.random.default_rng([seed, 99])
         served, scales = [], []
         while len(served) < total:
             b = float(10.0 ** rng.uniform(-3, 3))
-            if rng.random() < 0.5:
+            op = rng.random()
+            if op < 0.4:
                 served.append(src.laplace(b))
                 scales.append(b)
                 continue
-            count = int(rng.choice([1, 3, 8, 9, 40, 4096, 4097, 6000]))
+            count = int(rng.choice([1, 3, 8, 9, 40, 4096, 4097, 6000, 9000]))
+            if op < 0.6:
+                served.extend([None] * count)
+                scales.extend([b] * count)
+                src.skip(count)
+                continue
             units = src.units(count)
             assert src.units(count).tolist() == units.tolist()  # a peek serves nothing
             take = int(rng.integers(0, count + 1))
@@ -210,14 +226,40 @@ class TestCursor:
     def test_interleaving_serves_the_plain_stream(self, seed):
         served, scales = self.interleaved(NoiseSource(seed), seed, 20_000)
         gen = np.random.Generator(np.random.PCG64(seed))
-        assert hexes(served) == hexes(reference_laplace(gen, b) for b in scales)
+        assert hexes(served) == hexes(reference_stream(gen, scales, served))
 
-    @pytest.mark.parametrize("zeros", [[3], [20], list(range(8, 16)), [4100, 4101]])
+    # Seed 5's mix of 20,000 draws reads uniforms 9,001 to 22,105 in three
+    # unpeeked skips past the buffer, so the last case's boundary uniforms are
+    # dropped inside a skip that draws them raw.
+    @pytest.mark.parametrize(
+        "zeros",
+        [[3], [20], list(range(8, 16)), [4100, 4101], [9500, 9501, 15_000]],
+    )
     def test_interleaving_skips_boundaries_like_redraws(self, zeros):
         src, _ = faked(11, zeros)
-        served, scales = self.interleaved(src, 5, 9000)
+        served, scales = self.interleaved(src, 5, 20_000)
         ref = FakeGenerator(11, zeros)
-        assert hexes(served) == hexes(reference_laplace(ref, b) for b in scales)
+        assert hexes(served) == hexes(reference_stream(ref, scales, served))
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_skip_past_the_buffer_transforms_nothing(self, boundary):
+        # Three draws fill a buffer of 32; a skip of 5000 serves what is left
+        # of it and draws the rest as raw uniforms, transforming none, so the
+        # next 32 draws refill one block of 32. Boundary uniforms, in the
+        # first block and inside the skip past it, are dropped where a redraw
+        # would drop them.
+        zeros = [10, 100, 101, 4000] if boundary else []
+        src, gen = faked(17, zeros)
+        served = [src.laplace(2.0) for _ in range(3)]
+        refills = []
+        fill = src._refill
+        src._refill = lambda short: (refills.append(short), fill(short))
+        src.skip(5000)
+        served += [None] * 5000 + [src.laplace(2.0) for _ in range(32)]
+        assert len(refills) == 1 and src._drawn <= 2 * 32  # two blocks
+        ref = FakeGenerator(17, zeros)
+        scales = [2.0] * len(served)
+        assert hexes(served) == hexes(reference_stream(ref, scales, served))
 
     def test_first_peek_crosses_the_scalar_head(self):
         # A fresh source's peek of 40 units, longer than the first block of
@@ -275,6 +317,22 @@ class TestCursor:
         src.skip(7)
         assert src.laplace(3.0) == 0.0
         assert src._gen is None and src._next == 0 and src._drawn == 0
+
+
+class TestUnitBound:
+    def test_extreme_uniforms_stay_within_the_bound(self):
+        # The smallest uniform a source serves, 2**-53, and the largest,
+        # 1 - 2**-53, give the units of largest magnitude, -/+ 52 ln 2.
+        # UNIT_BOUND holds both with less than 0.01 to spare.
+        class Extremes:
+            def random(self, size):
+                return np.resize([2.0**-53, 1.0 - 2.0**-53], size)
+
+        src = NoiseSource(0)
+        src._gen = Extremes()
+        units = [src.laplace(1.0) for _ in range(4)] + src.units(100).tolist()
+        assert units[:2] == pytest.approx([-52 * math.log(2), 52 * math.log(2)])
+        assert max(map(abs, units)) <= UNIT_BOUND < max(map(abs, units)) + 0.01
 
 
 class TestSampleLaplace:

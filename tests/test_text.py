@@ -258,6 +258,25 @@ class TestDistanceKernels:
                 other = (b"\x01" if byte == b"\x00" else b"\xfe") * m
                 assert (distance_array(text, other) == m).all()
 
+    @pytest.mark.parametrize("m", [255, 256, 65535, 65536])
+    def test_window_compare_sum_does_not_wrap(self, m):
+        # The window matrix sums each row in a 16-bit counter below m = 2^16
+        # and a 32-bit one from there on: m mismatches wrap a 16-bit counter
+        # to 0 at m = 65536.
+        rows = 20  # above the pure-Python cutoff, below the shifted add
+        assert rows * m > text_module._NUMPY_CUTOFF
+        assert rows < text_module._SHIFTED_ADD_ROWS
+        for byte in (b"a", b"b"):  # all-match, then all-mismatch windows
+            text, pattern = byte * (m + rows - 1), b"a" * m
+            expected = ref_distances(text, pattern)
+            assert expected.tolist() == [0 if byte == b"a" else m] * rows
+            out = np.empty(rows, np.int64)
+            text_module._window_compare(
+                np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), 0, out
+            )
+            assert np.array_equal(out, expected)
+            assert np.array_equal(distance_array(text, pattern), expected)
+
     def test_first_chunk_computes_only_itself(self, monkeypatch):
         computed = []
 

@@ -11,17 +11,19 @@ Sliding distances over any block of consecutive start positions come from
 one in-place fill rule, ``_fill``, which writes them into a caller's int64
 array with one of three exact kernels, chosen by the block's size: pure
 Python up to ``_NUMPY_CUTOFF`` byte comparisons, a compare of the
-``rows x m`` window matrix below ``_SHIFTED_ADD_ROWS`` rows, and a
-per-symbol shifted add otherwise. The shifted add compares the text span with
-each distinct pattern byte ``c`` once and adds the comparison, shifted by
-every offset ``j`` with ``pattern[j] == c``, into a match counter: m
-contiguous vector adds in place of a window matrix summed along its short
-axis. All three give the same integers. ``distance_array`` applies the rule
-once to every start position. ``LazyDistances``, the lazy array an existence
-query scans, applies it once to each chunk of its own array: a small first
-chunk, window-matrix chunks that double, then shifted-add chunks of at least
-``_SHIFTED_ADD_CHUNK_ROWS`` rows, since the shifted add's cost is mostly its
-per-call overhead until a chunk is that long.
+``rows x m`` window matrix below ``_SHIFTED_ADD_ROWS`` rows, and a shifted
+add otherwise. The shifted add compares the text span with pattern bytes and
+adds each comparison, shifted by a pattern offset, into a one-byte match
+counter: contiguous vector adds in place of a window matrix summed along its
+short axis. A byte pair ``(pattern[j], pattern[j + 1])`` at an even offset
+that recurs in the pattern is compared once as a pair and counted by one add
+per occurrence, so a pattern over few letters takes about m/2 adds, and one
+whose pairs are all distinct takes m. All three kernels give the same
+integers. ``distance_array`` applies the rule once to every start position.
+``LazyDistances``, the lazy array an existence query scans, applies it once
+to each chunk of its own array: a small first chunk, window-matrix chunks
+that double, then shifted-add chunks of at least ``_SHIFTED_ADD_CHUNK_ROWS``
+rows, since short shifted-add chunks pay mostly per-call overhead.
 
 Texts and patterns are bytes-like (``bytes``, ``bytearray`` or a
 one-dimensional unsigned-byte ``memoryview``); anything else raises
@@ -50,20 +52,27 @@ _NUMPY_CUTOFF = 4096
 _CHUNK_COMPARISONS = 65536
 
 # No chunk of LazyDistances has more than this many rows, which bounds a
-# shifted-add chunk's working memory (counter and one symbol's comparison: at
-# most 9 bytes a row, about 0.6 MiB) plus its text span, whatever the text
-# length.
+# shifted-add chunk's working memory plus its text span, whatever the text
+# length: a one-byte counter, one pair sum and up to two comparisons made
+# afresh, one byte a row each, plus at most _COMPARISON_BYTES of kept
+# comparisons, under 0.5 MiB in all.
 _MAX_CHUNK_ROWS = 1 << 16
 
+# The shifted add keeps at most this many bytes of byte comparisons (one byte
+# a position of its text span) for reuse: all four of a four-letter pattern
+# over a span of up to 32 KiB, while a pattern of many distinct bytes cannot
+# make a chunk hold one comparison per byte.
+_COMPARISON_BYTES = 1 << 17
+
 # Below this many rows the window-matrix compare beats the shifted add, which
-# makes one numpy call per pattern position.
+# makes one numpy call per pattern position or recurring pair.
 _SHIFTED_ADD_ROWS = 1024
 
 # A shifted-add chunk after the first has at least this many rows (unless it
-# is the last). The shifted add makes about m + (distinct pattern bytes) numpy
-# calls whatever its length, so short chunks are mostly call overhead: at
-# m = 256 a chunk of 1024 / 4096 / 16384 / 32768 / 65536 rows took
-# 0.11 / 0.13 / 0.23 / 0.36 / 0.62 ms (2-vCPU AMD EPYC, numpy 2.4).
+# is the last). The shifted add makes m/2 to m numpy calls whatever its
+# length, so short chunks are mostly call overhead: at m = 256 over a random
+# four-letter text a chunk of 1024 / 4096 / 16384 / 32768 / 65536 rows took
+# 0.08 / 0.09 / 0.12 / 0.17 / 0.29 ms (2-vCPU AMD EPYC, numpy 2.4).
 # Doubling from 1024 rows would make five such chunks of a 3e4-row scan;
 # this makes one.
 _SHIFTED_ADD_CHUNK_ROWS = 1 << 15
@@ -117,16 +126,6 @@ def _lengths(text: bytes, pattern: bytes) -> tuple[int, int]:
     return n, m
 
 
-def _symbol_offsets(pv: np.ndarray) -> list[tuple[int, list[int]]]:
-    """The pattern's offsets grouped by byte: ``[(c, [j, ...]), ...]`` with
-    ``pv[j] == c``."""
-    order = np.argsort(pv, kind="stable")
-    symbols = pv[order]
-    bounds = [0, *(np.flatnonzero(np.diff(symbols)) + 1).tolist(), len(pv)]
-    order, symbols = order.tolist(), symbols.tolist()
-    return [(symbols[a], order[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
 def _window_compare(
     tv: np.ndarray, pv: np.ndarray, start: int, out: np.ndarray
 ) -> None:
@@ -146,18 +145,61 @@ def _window_compare(
 
 def _shifted_add(tv: np.ndarray, pv: np.ndarray, start: int, out: np.ndarray) -> None:
     """Write the distances at start positions ``start, start + 1, ...`` into
-    ``out``: ``m`` minus the matches counted by one vector add per pattern
-    offset. The counter is the narrowest unsigned type that holds m."""
+    ``out``: ``m`` minus the matches counted by vector adds of shifted
+    comparisons (bool arrays read as uint8). The offset pairs ``(j, j + 1)``,
+    ``j`` even, are grouped by their bytes ``(a, b)``. A pair that recurs is
+    counted by one add per occurrence of ``(span == a)[:-1] + (span == b)[1:]``
+    (built once, values 0 to 2); every other offset ``j``, an odd m's last
+    among them, by one add of ``span == pattern[j]``, grouped by byte. The
+    counter is uint8 and is subtracted from ``out``, which starts at m, before
+    an add could wrap it. A byte's comparison is kept for reuse while the kept
+    ones fit in ``_COMPARISON_BYTES``, and made again when used otherwise."""
     m, rows = len(pv), len(out)
     span = tv[start : start + rows + m - 1]
-    dtype = np.uint8 if m < 1 << 8 else np.uint16 if m < 1 << 16 else np.uint32
-    matches = np.zeros(rows, dtype)
-    add = np.add  # out passed positionally: on short chunks call overhead dominates
-    for c, at in _symbol_offsets(pv):
-        eq = (span == c).astype(dtype)
-        for j in at:
-            add(matches, eq[j : j + rows], matches)
-    np.subtract(m, matches, out=out)
+    p = pv.tobytes()
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for j, key in zip(range(0, m - 1, 2), zip(p[0::2], p[1::2])):
+        pairs.setdefault(key, []).append(j)
+    singles: dict[int, list[int]] = {p[-1]: [m - 1]} if m % 2 else {}
+    kept: dict[int, np.ndarray] = {}
+    budget = _COMPARISON_BYTES
+
+    def compare(c: int) -> np.ndarray:
+        nonlocal budget
+        eq = kept.get(c)
+        if eq is None:
+            eq = np.equal(span, c).view(np.uint8)
+            if eq.nbytes <= budget:
+                kept[c], budget = eq, budget - eq.nbytes
+        return eq
+
+    counter = np.zeros(rows, np.uint8)
+    room = 255  # what the counter can still take without wrapping
+    out.fill(m)
+    # out passed positionally: on short chunks call overhead dominates
+    add, subtract = np.add, np.subtract
+
+    def count(values: np.ndarray, offsets: list[int], most: int) -> None:
+        nonlocal room
+        for j in offsets:
+            if room < most:
+                subtract(out, counter, out)
+                counter.fill(0)
+                room = 255
+            add(counter, values[j : j + rows], counter)
+            room -= most
+
+    pair = None  # one buffer for every recurring pair
+    for (a, b), at in pairs.items():
+        if len(at) > 1:
+            pair = add(compare(a)[:-1], compare(b)[1:], out=pair)
+            count(pair, at, 2)
+        else:
+            singles.setdefault(a, []).append(at[0])
+            singles.setdefault(b, []).append(at[0] + 1)
+    for c, at in singles.items():
+        count(compare(c), at, 1)
+    subtract(out, counter, out)
 
 
 def _fill(text: bytes, pattern: bytes, start: int, out: np.ndarray) -> None:
@@ -222,9 +264,11 @@ class LazyDistances:
         return len(self._array)
 
     def __getitem__(self, key: slice) -> np.ndarray:
-        if key.stop > self._filled:
+        rows = range(*key.indices(len(self._array)))
+        reach = max(rows[0], rows[-1]) + 1 if rows else 0  # one past the last row read
+        if reach > self._filled:
             array = self._array
-            while self._filled < min(key.stop, len(array)):
+            while self._filled < reach:
                 start = self._filled
                 self._filled = min(start + self._size, len(array))
                 _fill(self._text, self._pattern, start, array[start : self._filled])

@@ -1,6 +1,7 @@
 """Tests for the string primitives and window covers."""
 
 import array
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,14 +250,16 @@ class TestDistanceKernels:
                     assert size >= text_module._SHIFTED_ADD_CHUNK_ROWS
 
     def test_full_match_count_does_not_wrap(self):
-        # 256 matches wrap an 8-bit counter to 0; every window of a constant
-        # text matches a constant pattern of that length.
-        for m in (255, 256, 257):
+        # Every window of a constant text matches a constant pattern of that
+        # length: m matches, which wrap the uint8 counter unless it is
+        # emptied in time (every 127 pair adds, or 255 single ones).
+        for m in (254, 255, 256, 257, 510, 511, 512, 513):
             for byte in (b"\x00", b"\xff"):
                 text, pattern = byte * (m + 2000), byte * m
                 assert not distance_array(text, pattern).any()
-                other = (b"\x01" if byte == b"\x00" else b"\xfe") * m
-                assert (distance_array(text, other) == m).all()
+                other = b"\x01" if byte == b"\x00" else b"\xfe"
+                assert (distance_array(text, other * m) == m).all()
+                assert (distance_array(text, byte * (m - 1) + other) == 1).all()
 
     @pytest.mark.parametrize("m", [255, 256, 65535, 65536])
     def test_window_compare_sum_does_not_wrap(self, m):
@@ -276,6 +279,122 @@ class TestDistanceKernels:
             )
             assert np.array_equal(out, expected)
             assert np.array_equal(distance_array(text, pattern), expected)
+
+    @staticmethod
+    def shifted(text: bytes, pattern: bytes) -> np.ndarray:
+        """The shifted add alone over every start position."""
+        out = np.empty(len(text) - len(pattern) + 1, np.int64)
+        text_module._shifted_add(
+            np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), 0, out
+        )
+        return out
+
+    def check_shifted(self, text: bytes, pattern: bytes) -> None:
+        expected = ref_distances(text, pattern)
+        assert np.array_equal(self.shifted(text, pattern), expected)
+        if len(expected) >= text_module._SHIFTED_ADD_ROWS:
+            assert np.array_equal(distance_array(text, pattern), expected)
+
+    @pytest.mark.parametrize("m", [2, 3, 509, 510, 600, 1024])
+    def test_one_pair_key(self, m):
+        # A one-byte pattern has one pair key, added m // 2 times at weight 2:
+        # the uint8 counter must be flushed every 127 adds.
+        rng = np.random.default_rng(m)
+        text = bytearray(random_text(rng, m + 2000, "acgt"))
+        text[500 : 500 + m] = b"a" * m
+        self.check_shifted(bytes(text), b"a" * m)
+
+    @pytest.mark.parametrize("m", [2, 255, 256, 257, 512])
+    def test_every_pair_distinct(self, m):
+        # Pairs (0, 1), (2, 3), ... never recur, so every offset is added on
+        # its own.
+        pattern = (bytes(range(256)) + bytes(range(255, -1, -1)))[:m]
+        rng = np.random.default_rng(m)
+        text = bytearray(random_text(rng, m + 3000, "bytes"))
+        text[1000 : 1000 + m] = pattern
+        self.check_shifted(bytes(text), pattern)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 63, 255, 257, 1023])
+    def test_odd_length(self, m):
+        # The last offset pairs with nothing and is added on its own.
+        rng = np.random.default_rng(m)
+        for alphabet in ("acgt", "bytes"):
+            text = random_text(rng, m + 2000, alphabet)
+            self.check_shifted(text, text[:m])
+            self.check_shifted(text, text[7 : 7 + m - 1] + b"z")
+
+    def test_recurring_and_single_pairs(self):
+        # "ab" recurs (one pair sum added many times); "cd", "xy" and "\x00\xff"
+        # occur once (their offsets are added on their own, with the
+        # recurring pairs' bytes); the odd tail is a byte of a recurring pair.
+        pattern = b"ab" * 150 + b"cd" + b"ab" * 3 + b"xy\x00\xff" + b"ba" * 2 + b"a"
+        symbols = np.frombuffer(b"abcdxy\x00\xff", np.uint8)
+        rng = np.random.default_rng(3)
+        text = bytearray(symbols[rng.integers(0, 8, 5000)])
+        for at in (0, 2000, len(text) - len(pattern)):
+            text[at : at + len(pattern)] = pattern
+        self.check_shifted(bytes(text), pattern)
+
+    def test_extreme_bytes(self):
+        rng = np.random.default_rng(5)
+        symbols = np.frombuffer(b"\x00\xff", np.uint8)
+        text = symbols[rng.integers(0, 2, 4000)].tobytes()
+        for m in (1, 2, 255, 256, 511):
+            self.check_shifted(text, text[100 : 100 + m])
+            self.check_shifted(text, b"\xff\x00" * (m // 2) + b"\x00" * (m % 2))
+
+    @given(
+        st.sampled_from([1, 2, 4, 256]),
+        st.integers(min_value=1, max_value=700),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_add_property(self, sigma, m, rows, seed):
+        rng = np.random.default_rng(seed)
+        symbols = rng.choice(256, sigma, replace=False).astype(np.uint8)
+        text = symbols[rng.integers(0, sigma, m + rows - 1)].tobytes()
+        unit = symbols[rng.integers(0, sigma, int(rng.integers(1, 9)))].tobytes()
+        for pattern in (text[-m:], (unit * m)[:m]):  # an occurrence; few pairs
+            expected = ref_distances(text, pattern)
+            assert np.array_equal(self.shifted(text, pattern), expected)
+
+    def test_working_memory_is_bounded(self):
+        # Each byte of this m = 1024 pattern is in a recurring pair, so a
+        # kernel that kept every comparison would hold 256 of them (about
+        # 17 MiB over the largest chunk). The kept ones are capped at
+        # _COMPARISON_BYTES; the uint16-counter kernel this one replaced
+        # peaked at about 500 KiB here.
+        pattern = bytes(b for c in range(256) for b in (c, c ^ 0x55)) * 2
+        rows = text_module._MAX_CHUNK_ROWS
+        rng = np.random.default_rng(0)
+        tv = rng.integers(0, 256, rows + len(pattern) - 1, dtype=np.uint8)
+        out = np.empty(rows, np.int64)
+        tracemalloc.start()
+        try:
+            text_module._shifted_add(tv, np.frombuffer(pattern, np.uint8), 0, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
+        expected = ref_distances(tv[: 3000 + len(pattern) - 1].tobytes(), pattern)
+        assert np.array_equal(out[:3000], expected)
+
+    def test_lazy_slice_bounds_are_normalized(self):
+        # A negative or omitted stop reads up to where it resolves to, so it
+        # fills at least that far first.
+        rng = np.random.default_rng(9)
+        text = random_text(rng, 200_000, "acgt")
+        pattern = text[:64]
+        expected = ref_distances(text, pattern)
+        assert np.array_equal(LazyDistances(text, pattern)[10:-1], expected[10:-1])
+        assert np.array_equal(LazyDistances(text, pattern)[0:], expected)
+        assert np.array_equal(LazyDistances(text, pattern)[-5:], expected[-5:])
+        assert np.array_equal(LazyDistances(text, pattern)[:100], expected[:100])
+        assert np.array_equal(LazyDistances(text, pattern)[::-1], expected[::-1])
+        lazy = LazyDistances(text, pattern)
+        assert np.array_equal(lazy[50:-199_000], expected[50:-199_000])
+        assert lazy[5:5].size == 0 and lazy[-1:0].size == 0
 
     def test_first_chunk_computes_only_itself(self, monkeypatch):
         computed = []

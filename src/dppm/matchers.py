@@ -13,11 +13,11 @@ first distances of a run of scans in one numpy operation once several scans
 in a row have hit at once, running on across window boundaries; draws come
 from the `NoiseSource` stream in the order of a one-distance-at-a-time scan,
 so answers are the same seed for seed. Each matcher computes its distances
-once per query and runs the kernel over them: existence in one window over
-the whole text, counting in one call over all its windows, and reporting in
-one call per window and direction:
+once per query, into one frozen `distance_array`, and runs the kernel over
+them: existence in one window over the whole text, counting in one call over
+all its windows, and reporting in one call per window and direction:
 
-* `existence` — one lazy scan over the whole text; no multiplicative error.
+* `existence` — one scan over the whole text; no multiplicative error.
 * `report_periodic` — for patterns close to a short primitive period, a
   forward and a backward scan over each window's distances locate the
   arithmetic progression of occurrences.
@@ -43,13 +43,10 @@ is the noisy half with a fresh `BudgetLedger` (``outcome(src)`` returns its
 outcome alone); `match_auto` is ``plan(...).run(src)``, and each public
 matcher is its own deterministic half followed by one run on a fresh
 `BudgetLedger` at the query's epsilon, so the matchers take no ledger and
-every scan's noise scale comes from the query. A plan may run
-many times, each run reading the source's stream from its cursor, so runs
-on one source equal as many fresh calls seed for seed. Existence keeps its
-laziness across runs: its plan holds one `text.LazyDistances`, an array that
-the text module's fill rule fills in place one chunk at a time when a scan
-first slices past what is filled, so each chunk is computed once and later
-runs read what earlier ones filled.
+every scan's noise scale comes from the query. A plan may run many times,
+each run reading the source's stream from its cursor and the distances its
+deterministic half computed, so runs on one source equal as many fresh calls
+seed for seed.
 
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
@@ -70,7 +67,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -83,7 +80,7 @@ from .periodicity import (
     check_query,
     dispatch,
 )
-from .text import LazyDistances, check_bytes, distance_array, window_cover
+from .text import check_bytes, distance_array, window_cover
 
 # Occurrence cap per window and unit of budget splitting in the non-periodic
 # counter: a window shorter than 2m holds at most this many occurrences per
@@ -268,7 +265,7 @@ _BLOCK = 1 << 16
 
 
 def below_thresh(
-    dist: np.ndarray | LazyDistances,
+    dist: np.ndarray,
     thresh: float,
     share: int,
     src: NoiseSource,
@@ -284,15 +281,15 @@ def below_thresh(
     the index of the first hit (None when no scan hits). The windows come in
     increasing order and do not overlap.
 
-    ``dist`` is one sequence whose slices are numpy int arrays: a numpy array,
-    or an existence plan's `LazyDistances`, which computes the distances
-    only as far as the scans slice. Each scan pays ``share`` of the ledger's
-    epsilon and runs at ``eps = ledger.epsilon / share``: the threshold
-    receives Lap(2/eps) noise once, each examined distance receives fresh
-    Lap(4/eps) noise, and the comparison is a plain ``<=``. A scan that starts
-    at index ``p`` of window ``(lo, hi, span)`` is charged, inside the
-    kernel, to the text span ``(span[0] + p - lo, span[1])``; a window's
-    scans that start at consecutive indices are charged as one run record.
+    ``dist`` is one numpy int array (each matcher passes the array it froze
+    at prepare time, or a view of it). Each scan pays ``share`` of the
+    ledger's epsilon and runs at ``eps = ledger.epsilon / share``: the
+    threshold receives Lap(2/eps) noise once, each examined distance
+    receives fresh Lap(4/eps) noise, and the comparison is a plain ``<=``.
+    A scan that starts at index ``p`` of window ``(lo, hi, span)`` is
+    charged, inside the kernel, to the text span
+    ``(span[0] + p - lo, span[1])``; a window's scans that start at
+    consecutive indices are charged as one run record.
     In zero-noise mode a window's first hit is exactly
     ``min{lo <= i < hi : d_i <= thresh}``.
 
@@ -487,10 +484,21 @@ def error_contract(
     """The contract of ``matcher`` on a length-``n`` text, where ``k`` is the
     mismatch budget the matcher runs at.
 
-    Raises ValueError when epsilon or beta is so small that the threshold or
+    Raises ValueError for an unknown matcher or a query `check_query`
+    refuses, except that ``count_nonperiodic`` takes any ``k >= 1``: the
+    small-k regime evaluates its row at a cutoff that can exceed m. Raises
+    ValueError too when epsilon or beta is so small that the threshold or
     bound is not a finite float: a scan against an infinite threshold would
     compare ``inf - inf`` and answer at random.
     """
+    if matcher not in CONTRACTS:
+        raise ValueError(
+            f"matcher must be one of {tuple(CONTRACTS)}, got {matcher!r}"
+        )
+    counting = matcher == "count_nonperiodic"
+    check_query(m, min(index(k), m) if counting else k, epsilon, beta, n)
+    if counting and k < 1:
+        raise ValueError(f"count_nonperiodic needs k >= 1, got k={k}")
     row = CONTRACTS[matcher](n, m, k, epsilon, beta)
     if not (math.isfinite(row.threshold) and math.isfinite(row.bound)):
         raise ValueError(
@@ -530,11 +538,11 @@ def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
         "existence", n, query.m, query.k, query.epsilon, query.beta
     )
     thresh = contract.threshold
-    dist = LazyDistances(text, query.pattern)
+    dist = _frozen_distances(text, query.pattern)
     whole = ((0, len(dist), (0, n)),)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ExistenceOutcome:
-        _, hit = below_thresh(dist.sequence, thresh, 1, src, ledger, whole)
+        _, hit = below_thresh(dist, thresh, 1, src, ledger, whole)
         ledger.assert_within_cap()
         return ExistenceOutcome(found=hit is not None, witness=hit)
 

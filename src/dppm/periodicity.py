@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .text import hamming_distance, tile
+from .text import check_bytes, hamming_distance, tile
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ class DispatchDecision:
 
 def is_primitive(seq: bytes) -> bool:
     """True iff ``seq`` is not a repetition of any shorter string."""
-    n = len(seq)
+    check_bytes("seq", seq)
+    seq, n = bytes(seq), len(seq)
     if n < 1:
         raise ValueError("primitivity is undefined for the empty string")
     for d in range(1, n // 2 + 1):
@@ -92,7 +93,8 @@ def shortest_close_period(
 
     Returns None when no period length in ``[1, max_period]`` qualifies.
     """
-    m = len(pattern)
+    check_bytes("pattern", pattern)
+    pattern, m = bytes(pattern), len(pattern)
     if k < 0:
         raise ValueError("k must be non-negative")
     if max_period < 0 or max_period > m:
@@ -192,8 +194,9 @@ def dispatch(
 
     Deterministic: consumes no randomness. Raises ValueError on invalid
     parameters, including epsilon or beta so small that the period scale or
-    cutoff is not finite.
+    cutoff is not finite, and TypeError when the pattern is not bytes-like.
     """
+    check_bytes("pattern", pattern)
     m = len(pattern)
     check_query(m, k, epsilon, beta, n)
     scale = periodic_scale(k, n, epsilon, beta)

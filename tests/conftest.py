@@ -20,7 +20,6 @@ from itertools import accumulate, product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-import dppm.text as text_module
 from dppm.matchers import WINDOW_OCCURRENCE_CAP, error_contract
 from dppm.periodicity import Regime, dispatch
 
@@ -49,21 +48,6 @@ def ref_distances(text: bytes, pattern: bytes) -> np.ndarray:
         (sliding_window_view(tv[a : min(a + step, count) + m - 1], m) != pv).sum(axis=1)
         for a in range(0, count, step)
     ])
-
-
-def recording_fill(monkeypatch, compute: bool = True) -> list[tuple[int, int]]:
-    """Record each call of the library's distance fill rule as
-    ``(start, rows)``; with ``compute`` false the distances are not
-    computed, so only the chunk bounds count."""
-    calls, fill = [], text_module._fill
-
-    def recording(text, pattern, start, out):
-        calls.append((start, len(out)))
-        if compute:
-            fill(text, pattern, start, out)
-
-    monkeypatch.setattr(text_module, "_fill", recording)
-    return calls
 
 
 def periodic_cover(n: int, m: int) -> tuple[tuple[int, int], ...]:

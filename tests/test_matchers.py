@@ -32,7 +32,6 @@ from dppm.matchers import (
 from dppm.noise import UNIT_BOUND, NoiseSource
 from dppm.periodicity import PeriodicCandidate, Regime
 from dppm.text import (
-    LazyDistances,
     distance_array,
     exact_count,
     sliding_distances,
@@ -45,7 +44,6 @@ from conftest import (
     binary_strings,
     brute_first_at_most,
     periodic_cover,
-    recording_fill,
     ref_below_thresh,
     ref_count_nonperiodic,
     ref_match,
@@ -352,45 +350,25 @@ class TestBelowThresh:
         assert ledger._runs == []
         assert src.laplace(1.0) == NoiseSource(0).laplace(1.0)  # nothing drawn
 
-    @pytest.mark.parametrize("mode, thresh", [("zero", 0.5), ("standard", 3.0)])
-    def test_lazy_sequence_scans_as_the_array(self, mode, thresh, monkeypatch):
-        # m = 256 cuts LazyDistances after rows 256, 768 and 33536 (two
-        # window-matrix chunks, then a shifted-add chunk of 2^15 rows, then
-        # the tail). A run of 257 a's puts distance 0 just before and just
-        # after each cut, and the distances fall away from 256 around it, so
-        # counting scans hit and restart on both sides of every cut, and long
-        # scans cross the cuts in numpy blocks.
+    def test_zero_noise_restarts_along_a_long_array(self):
+        # A run of 257 a's puts distance 0 at two neighbouring starts, and the
+        # distances fall away from 256 around it, so noiseless counting scans
+        # hit and restart there, and long scans between runs read numpy
+        # blocks.
         n = 36000
         text = bytearray(b"b" * n)
-        for cut in (256, 768, 33536):
-            text[cut - 1 : cut + 256] = b"a" * 257
-        text, pattern = bytes(text), b"a" * 256
-        full = distance_array(text, pattern)
-        window = whole(full, 0, n)
-        fills = recording_fill(monkeypatch)
-
-        def run(dist, seed, max_hits):
-            src, ledger = NoiseSource(seed, mode), ledger_for(2.0)
-            hits = below_thresh(dist, thresh, 1, src, ledger, window, max_hits)
-            return hits, ledger._runs, src.laplace(1.0)
-
-        # One LazyDistances across runs that read further each time, filling
-        # it chunk by chunk, until a run reads to the end.
-        lazy, filled = LazyDistances(text, pattern), []
-        for seed, max_hits in enumerate([1, 2, 3, 4, 5, 6, 40, 40]):
-            got = run(lazy.sequence, seed, max_hits)
-            assert got == run(full, seed, max_hits), seed
-            filled.append(lazy._filled)
-        assert [start + rows for start, rows in fills] == [256, 768, 33536, len(full)]
-        if mode == "zero":
-            # Hits at 255, 256, 767, 768, 33535 and 33536: the scans start
-            # at 0, then at 256 and 257, 768 and 769, and 33536 and 33537
-            # (the last one misses).
-            assert got[:2] == ((6, 255), [
-                (0, 1, n, 1), (256, 2, n, 1), (768, 2, n, 1), (33536, 2, n, 1)
-            ])
-        assert len(set(filled)) >= 3 and filled[-1] == len(full)
-        assert lazy.sequence is not lazy and np.array_equal(lazy.sequence, full)
+        for at in (256, 768, 33536):
+            text[at - 1 : at + 256] = b"a" * 257
+        dist = distance_array(bytes(text), b"a" * 256)
+        ledger = ledger_for(2.0)
+        hits = below_thresh(dist, 0.5, 1, zero_src(), ledger, whole(dist, 0, n), 40)
+        # Hits at 255, 256, 767, 768, 33535 and 33536: the scans start at 0,
+        # then at 256 and 257, 768 and 769, and 33536 and 33537 (the last one
+        # misses).
+        assert hits == (6, 255)
+        assert ledger._runs == [
+            (0, 1, n, 1), (256, 2, n, 1), (768, 2, n, 1), (33536, 2, n, 1)
+        ]
 
     def test_head_is_listed_once(self):
         # Only a scan's head is listed, never a block or the whole sequence,
@@ -571,17 +549,16 @@ class TestExistence:
         outcome = existence(b"a" * n, query, zero_src())
         assert not outcome.found and outcome.witness is None
 
-    def test_long_scan_makes_three_kernel_calls(self, monkeypatch):
+    def test_long_scan_makes_one_kernel_call(self, monkeypatch):
         # Random distances (about 192) sit far above the threshold (about
-        # 61), so the scan reads all 29,745 distances: two window-matrix
-        # chunks and one shifted-add chunk, not shifted-add chunks doubling
-        # from 1024 rows, each of which pays about m numpy calls.
+        # 61), so the scan reads all 29,745 distances, which one shifted add
+        # computed when the query was prepared.
         calls = []
 
         def counting(name, kernel):
-            def wrapped(tv, pv, start, out):
+            def wrapped(tv, pv, out):
                 calls.append((name, len(out)))
-                kernel(tv, pv, start, out)
+                kernel(tv, pv, out)
             return wrapped
 
         for name in ("_window_compare", "_shifted_add"):
@@ -592,11 +569,7 @@ class TestExistence:
         pattern = bytes(rng.choice(b"acgt") for _ in range(256))
         outcome = existence(text, MatchQuery(pattern, 8, 2.0, 0.1), NoiseSource(1))
         assert not outcome.found
-        assert calls == [
-            ("_window_compare", 256),
-            ("_window_compare", 512),
-            ("_shifted_add", 28977),
-        ]
+        assert calls == [("_shifted_add", 29745)]
 
     def test_budget_charged_exactly_epsilon(self):
         ledger = ledger_for(0.7)
@@ -613,6 +586,41 @@ class TestExistence:
         for seed in range(4):
             with pytest.raises(ValueError, match="not finite"):
                 existence(b"abab", query, NoiseSource(seed))
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "matcher, n, m, k, epsilon, beta, message",
+        [
+            ("count_nonperiodic", 5, 10, 1, 1.0, 0.1, "exceeds text length"),
+            ("existence", 100, 10, 11, 1.0, 0.1, "outside"),
+            ("report_periodic", 100, 10, -1, 1.0, 0.1, "outside"),
+            ("count_nonperiodic", 100, 10, 0, 1.0, 0.1, "k >= 1"),
+            ("trivial_all", 100, 0, 0, 1.0, 0.1, "non-empty"),
+            ("existence", 100, 10, 1, 1.0, 1.5, "beta"),
+            ("existence", 100, 10, 1, 1.0, 0.0, "beta"),
+            ("trivial_all", 100, 10, 1, 1.0, 1.0, "beta"),
+            ("report_periodic", 100, 10, 1, 0.0, 0.1, "epsilon"),
+            ("existence", 100, 10, 1, math.inf, 0.1, "epsilon"),
+            ("counting", 100, 10, 1, 1.0, 0.1, "matcher must be one of"),
+        ],
+    )
+    def test_impossible_query_rejected(self, matcher, n, m, k, epsilon, beta, message):
+        with pytest.raises(ValueError, match=message):
+            error_contract(matcher, n, m, k, epsilon, beta)
+
+    def test_counting_k_may_exceed_m(self):
+        # The small-k regime evaluates the counting row at its cutoff.
+        cutoff = 50
+        contract = error_contract("count_nonperiodic", 100, 10, cutoff, 1.0, 0.1)
+        assert contract.threshold > cutoff > 10
+
+    @pytest.mark.parametrize("matcher", ["count_nonperiodic", "existence"])
+    @pytest.mark.parametrize("k", [9.5, 12.5, "3"])
+    def test_non_integer_k_rejected(self, matcher, k):
+        # Also above m, where the counting row takes any integer k.
+        with pytest.raises(TypeError):
+            error_contract(matcher, 100, 10, k, 1.0, 0.1)
 
 
 class TestReportPeriodic:
@@ -748,6 +756,11 @@ class TestDistancesOncePerQuery:
 
         monkeypatch.setattr(matchers, "distance_array", counting)
         return calls
+
+    def test_existence(self, calls):
+        text = tile(b"ab", 50)
+        existence(text, MatchQuery(b"ab", 1, 1.3, 0.1), NoiseSource(9))
+        assert calls == [(text, b"ab")]
 
     def test_report_periodic(self, calls):
         text, pattern = tile(b"ab", 101), tile(b"ab", 8)
@@ -1005,10 +1018,10 @@ class TestSeedForSeedOracle:
                 want = match_auto(text, query, fresh_src, variant)
                 assert prepared.outcome(src) == want.outcome, (i, variant)
 
-    def test_existence_plan_computes_each_chunk_once(self, monkeypatch):
+    def test_existence_plan_fills_once(self, monkeypatch):
         # Disjoint alphabets put every distance at m = 512, and the threshold
         # sits 90 below it, so the witness varies from run to run (from 10
-        # to 896) and later runs read past the chunks earlier ones pulled.
+        # to 896), and every run reads the distances filled at prepare time.
         rng = random.Random(5)
         text = bytes(rng.choice(b"xyz") for _ in range(3000))
         pattern = bytes(rng.choice(b"ab") for _ in range(512))
@@ -1019,49 +1032,38 @@ class TestSeedForSeedOracle:
         ).threshold == pytest.approx(512 - 90)
         fresh_src = NoiseSource(3)
         expected = [match_auto(text, query, fresh_src, "existence") for _ in range(40)]
+        fills = []  # the (text, pattern) of every distance fill
         received = []  # the distance sequence each run's scan reads
         windows = []  # and the windows it scans
+
+        def filling(text, pattern):
+            fills.append((text, pattern))
+            return distance_array(text, pattern)
 
         def recording(dist, *args):
             received.append(dist)
             windows.append(args[4])
             return below_thresh(dist, *args)
 
-        pulled = recording_fill(monkeypatch)  # (start, rows) of every chunk
+        monkeypatch.setattr(matchers, "distance_array", filling)
         monkeypatch.setattr(matchers, "below_thresh", recording)
         prepared, src = plan(text, query, "existence"), NoiseSource(3)
-        growth = []
+        assert fills == [(text, pattern)]  # one fill, at prepare time
         for want in expected:
-            before = len(pulled)
             got = prepared.run(src)
             assert got.outcome == want.outcome
             assert got.ledger.max_spent == want.ledger.max_spent
-            growth.append(len(pulled) - before)
-        grown = sum(1 for g in growth if g)
         assert len({want.outcome.witness for want in expected}) > 5
-        assert growth[0] and grown >= 3
-        # Each chunk once: the chunks follow one another from row 0.
-        starts = [start for start, _ in pulled]
-        assert starts == [0, *accumulate(rows for _, rows in pulled[:-1])]
-        # A noiseless run misses everywhere, so it reads to the end, if the
-        # runs above have not; later runs read the whole array itself.
         assert prepared.outcome(NoiseSource(0, "zero")).witness is None
-        assert sum(rows for _, rows in pulled) == len(text) - 512 + 1
-        prepared.run(src)
-        prepared.run(src)
-        # Until every chunk is in, the scans slice read-only partial views of
-        # one sequence (at least the runs that pulled a chunk); from then on
-        # they read one whole array, frozen once.
-        lazy, full = received[0], received[-1]
-        partial = sum(1 for dist in received if dist is lazy)
-        assert partial >= grown
-        assert all(dist is lazy for dist in received[:partial])
-        assert all(dist is full for dist in received[partial:])
+        assert len(fills) == 1  # none during the runs
+        # Every run reads one whole array, frozen once, and scans the one
+        # window over the whole text, built once.
+        full = received[0]
+        assert len(received) == 41 and all(dist is full for dist in received)
+        assert type(full) is np.ndarray and not full.flags.writeable
+        assert len(full) == len(text) - 512 + 1
         with pytest.raises(ValueError):
-            lazy[0:1][0] = 0
-        assert type(full) is np.ndarray and len(received) - partial >= 2
-        assert len(full) == len(text) - 512 + 1 and not full.flags.writeable
-        # Every run scans the one window over the whole text, built once.
+            full[0] = 0
         assert windows[0] == ((0, len(full), (0, len(text))),)
         assert all(window is windows[0] for window in windows)
 

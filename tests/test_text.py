@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import dppm.text as text_module
 from dppm.text import (
-    LazyDistances,
     distance_array,
     exact_count,
     hamming_distance,
@@ -19,12 +18,13 @@ from dppm.text import (
     window_cover,
 )
 
+from dppm.periodicity import dispatch, is_primitive, shortest_close_period
+
 from conftest import (
     binary_strings,
     brute_sliding,
     counting_cover,
     periodic_cover,
-    recording_fill,
     ref_distances,
 )
 
@@ -133,11 +133,6 @@ class TestSlidingDistances:
         pattern = tile(b"abc", 40)
         assert sliding_distances(text, pattern) == brute_sliding(text, pattern)
 
-    def test_lazy_array_matches_list(self):
-        text, pattern = b"abracadabra", b"ab"
-        lazy = LazyDistances(text, pattern)
-        assert lazy[0 : len(lazy)].tolist() == sliding_distances(text, pattern)
-
     @given(
         st.binary(min_size=1, max_size=60),
         st.integers(min_value=1, max_value=8),
@@ -150,35 +145,19 @@ class TestSlidingDistances:
         assert sliding_distances(text, pattern) == brute_sliding(text, pattern)
 
 
-def chunk_rows(m: int, count: int) -> list[int]:
-    """The row counts of ``LazyDistances``' chunks: the first chunk, then
-    doubling while below the shifted-add switch, then at least
-    ``_SHIFTED_ADD_CHUNK_ROWS`` rows, never more than the cap; the last chunk
-    holds what remains."""
-    switch = text_module._SHIFTED_ADD_ROWS
-    floor = text_module._SHIFTED_ADD_CHUNK_ROWS
-    cap = text_module._MAX_CHUNK_ROWS
-    rows, size = [], max(1, text_module._CHUNK_COMPARISONS // m)
-    while sum(rows) < count:
-        rows.append(min(size, count - sum(rows)))
-        size = 2 * size if 2 * size < switch else min(max(2 * size, floor), cap)
-    return rows
-
-
 def edge_counts(m: int) -> list[int]:
-    """Start-position counts just below, at and above the window-matrix /
-    shifted-add switch: as a whole input, as the tail after the doubling
-    window-matrix chunks, and as the tail after the first shifted-add chunk
-    (two shifted-add chunks in a row), which also gets a one-row tail."""
+    """Start-position counts just below, at and above each kernel switch (the
+    pure-Python cutoff, one window-matrix step, the shifted add) and around
+    the span of 32 KiB past which the four comparisons of a four-letter
+    pattern no longer all fit in ``_COMPARISON_BYTES``, so some are made
+    again; 1792 and 34560 are shifted-add row counts either side of it."""
+    cutoff = text_module._NUMPY_CUTOFF // m
+    step = max(1, text_module._CHUNK_COMPARISONS // m)
     switch = text_module._SHIFTED_ADD_ROWS
-    first = max(1, text_module._CHUNK_COMPARISONS // m)
-    rows = chunk_rows(m, 10**7)
-    added = next(i for i, r in enumerate(rows) if r >= switch)
-    before = sum(rows[:added])
-    after = before + rows[added]
-    counts = {1, first - 1, first, first + 1, after + 1}
-    for at in (0, before, after):
-        counts |= {at + switch - 1, at + switch, at + switch + 1}
+    kept = text_module._COMPARISON_BYTES // 4 - m + 1  # rows of a 32 KiB span
+    counts = {1, 2 * step + 1}
+    for at in (cutoff, step, switch, 1792, kept, 34560):
+        counts |= {at - 1, at, at + 1}
     return sorted(c for c in counts if c >= 1)
 
 
@@ -189,13 +168,12 @@ def random_text(rng: np.random.Generator, n: int, alphabet: str) -> bytes:
 
 
 class TestDistanceKernels:
-    """``distance_array``, ``LazyDistances`` filled chunk by chunk and
-    ``sliding_distances`` equal the window-matrix reference at every kernel
-    switch."""
+    """``distance_array`` and ``sliding_distances`` equal the window-matrix
+    reference at every kernel switch."""
 
     @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 1024, 4096])
     @pytest.mark.parametrize("alphabet", ["acgt", "bytes"])
-    def test_agree_with_reference(self, m, alphabet, monkeypatch):
+    def test_agree_with_reference(self, m, alphabet):
         rng = np.random.default_rng(m)
         for count in edge_counts(m):
             n = count + m - 1
@@ -212,42 +190,7 @@ class TestDistanceKernels:
             got = distance_array(text, pattern)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected), count
-            with monkeypatch.context() as patch:
-                calls = recording_fill(patch)
-                lazy = LazyDistances(text, pattern)[0:count]
-            assert np.array_equal(lazy, expected), count
-            assert [rows for _, rows in calls] == chunk_rows(m, count), count
             assert sliding_distances(text, pattern) == expected.tolist()
-
-    def test_chunk_schedule(self, monkeypatch):
-        # A shifted-add chunk makes about m numpy calls whatever its length,
-        # so after the first chunk none is shorter than 2^15 rows unless it
-        # is the last; window-matrix chunks still double from the first.
-        # Only the chunk bounds are read, so no distance is computed.
-        calls = recording_fill(monkeypatch, compute=False)
-
-        def schedule(m: int, count: int) -> list[int]:
-            calls.clear()
-            LazyDistances(bytes(count + m - 1), bytes(m))[0:count]
-            starts = [start for start, _ in calls]
-            rows = [rows for _, rows in calls]
-            assert starts == [0, *np.cumsum(rows[:-1]).tolist()]  # consecutive
-            return rows
-
-        assert schedule(256, 29745) == [256, 512, 28977]  # three chunks, not seven
-        assert schedule(64, 10**5) == [1024, 32768, 65536, 672]
-        assert schedule(4096, 1200) == [16, 32, 64, 128, 256, 512, 192]
-        switch = text_module._SHIFTED_ADD_ROWS
-        for m in (1, 2, 63, 64, 65, 93, 255, 256, 1024, 4096, 65536):
-            rows = schedule(m, 10**6)
-            assert rows == chunk_rows(m, 10**6)
-            assert rows[0] == max(1, text_module._CHUNK_COMPARISONS // m)
-            assert max(rows) <= text_module._MAX_CHUNK_ROWS
-            for before, size in zip(rows, rows[1:-1]):
-                if size < switch:
-                    assert size == 2 * before
-                else:
-                    assert size >= text_module._SHIFTED_ADD_CHUNK_ROWS
 
     def test_full_match_count_does_not_wrap(self):
         # Every window of a constant text matches a constant pattern of that
@@ -275,7 +218,7 @@ class TestDistanceKernels:
             assert expected.tolist() == [0 if byte == b"a" else m] * rows
             out = np.empty(rows, np.int64)
             text_module._window_compare(
-                np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), 0, out
+                np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), out
             )
             assert np.array_equal(out, expected)
             assert np.array_equal(distance_array(text, pattern), expected)
@@ -285,7 +228,7 @@ class TestDistanceKernels:
         """The shifted add alone over every start position."""
         out = np.empty(len(text) - len(pattern) + 1, np.int64)
         text_module._shifted_add(
-            np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), 0, out
+            np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), out
         )
         return out
 
@@ -362,70 +305,23 @@ class TestDistanceKernels:
     def test_working_memory_is_bounded(self):
         # Each byte of this m = 1024 pattern is in a recurring pair, so a
         # kernel that kept every comparison would hold 256 of them (about
-        # 17 MiB over the largest chunk). The kept ones are capped at
+        # 17 MiB over 2^16 rows). The kept ones are capped at
         # _COMPARISON_BYTES; the uint16-counter kernel this one replaced
         # peaked at about 500 KiB here.
         pattern = bytes(b for c in range(256) for b in (c, c ^ 0x55)) * 2
-        rows = text_module._MAX_CHUNK_ROWS
+        rows = 1 << 16
         rng = np.random.default_rng(0)
         tv = rng.integers(0, 256, rows + len(pattern) - 1, dtype=np.uint8)
         out = np.empty(rows, np.int64)
         tracemalloc.start()
         try:
-            text_module._shifted_add(tv, np.frombuffer(pattern, np.uint8), 0, out)
+            text_module._shifted_add(tv, np.frombuffer(pattern, np.uint8), out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 512 * 1024
         expected = ref_distances(tv[: 3000 + len(pattern) - 1].tobytes(), pattern)
         assert np.array_equal(out[:3000], expected)
-
-    def test_lazy_slice_bounds_are_normalized(self):
-        # A negative or omitted stop reads up to where it resolves to, so it
-        # fills at least that far first.
-        rng = np.random.default_rng(9)
-        text = random_text(rng, 200_000, "acgt")
-        pattern = text[:64]
-        expected = ref_distances(text, pattern)
-        assert np.array_equal(LazyDistances(text, pattern)[10:-1], expected[10:-1])
-        assert np.array_equal(LazyDistances(text, pattern)[0:], expected)
-        assert np.array_equal(LazyDistances(text, pattern)[-5:], expected[-5:])
-        assert np.array_equal(LazyDistances(text, pattern)[:100], expected[:100])
-        assert np.array_equal(LazyDistances(text, pattern)[::-1], expected[::-1])
-        lazy = LazyDistances(text, pattern)
-        assert np.array_equal(lazy[50:-199_000], expected[50:-199_000])
-        assert lazy[5:5].size == 0 and lazy[-1:0].size == 0
-
-    def test_first_chunk_computes_only_itself(self, monkeypatch):
-        computed = []
-
-        def counting(kernel):
-            def wrapped(tv, pv, start, out):
-                computed.append(len(out))
-                kernel(tv, pv, start, out)
-            return wrapped
-
-        for name in ("_window_compare", "_shifted_add"):
-            monkeypatch.setattr(
-                text_module, name, counting(getattr(text_module, name))
-            )
-        rng = np.random.default_rng(7)
-        text = random_text(rng, 10**6, "acgt")
-        for m in (64, 256, 4096):
-            computed.clear()
-            lazy = LazyDistances(text, text[:m])
-            assert lazy[0:1].tolist() == [0]
-            assert computed == [max(1, text_module._CHUNK_COMPARISONS // m)]
-            assert lazy.sequence is lazy
-        computed.clear()
-        lazy = LazyDistances(text, text[:64])
-        lazy[0 : len(lazy)]
-        assert computed == chunk_rows(64, 10**6 - 63)
-        assert max(computed) == text_module._MAX_CHUNK_ROWS
-        assert type(lazy.sequence) is np.ndarray
-        computed.clear()
-        lazy[len(lazy) - 1 : len(lazy)]  # each chunk once
-        assert computed == []
 
 
 class TestBytesLikeInputs:
@@ -441,11 +337,36 @@ class TestBytesLikeInputs:
         text, pattern = self.SMALL if size == "small" else self.LARGE
         args = {"text": text, "pattern": pattern}
         args[which] = args[which].decode()
-        for f in (sliding_distances, distance_array, LazyDistances):
+        for f in (sliding_distances, distance_array):
             with pytest.raises(TypeError, match=f"{which} must be bytes"):
                 f(args["text"], args["pattern"])
         with pytest.raises(TypeError):
             exact_count(args["text"], args["pattern"], 0)
+
+    @pytest.mark.parametrize("kind", ["str", "strided"])
+    def test_pattern_preprocessing_refuses(self, kind):
+        # A str pattern used to take the counting regime, and a str unit
+        # tiled into a str.
+        def bad(value: bytes):
+            return value.decode() if kind == "str" else memoryview(value * 2)[::2]
+
+        with pytest.raises(TypeError, match="pattern must be bytes"):
+            dispatch(bad(b"abcd" * 20), 1, 1000, 1.0, 0.1)
+        with pytest.raises(TypeError, match="pattern must be bytes"):
+            shortest_close_period(bad(b"abab"), 0, 2)
+        with pytest.raises(TypeError, match="seq must be bytes"):
+            is_primitive(bad(b"ab"))
+        with pytest.raises(TypeError, match="unit must be bytes"):
+            tile(bad(b"ab"), 5)
+        # A contiguous memoryview is read as bytes, a close period's search
+        # included.
+        assert tile(memoryview(b"ab"), 5) == b"ababa"
+        assert is_primitive(memoryview(b"aba"))
+        periodic = b"ab" * 128
+        assert dispatch(memoryview(periodic), 1, 1000, 1.0, 0.1) == dispatch(
+            periodic, 1, 1000, 1.0, 0.1
+        )
+        assert shortest_close_period(memoryview(periodic), 1, 2).root == b"ab"
 
     def test_hamming_distance_rejects_str(self):
         with pytest.raises(TypeError, match="a must be bytes"):

@@ -6,11 +6,12 @@ whose noisy value falls below a noisy threshold. One kernel, `below_thresh`,
 runs every scan of every matcher over one sequence of distances that it
 slices, window by window: in each window a single scan, or up to a cap of
 scans that each resume one past the previous hit. It compares a scan's first
-distances one at a time and the rest in numpy blocks, serving unpeeked the
-draws of distances too far above the noisy threshold for any draw to matter
-(the sampler's units are bounded by `noise.UNIT_BOUND`), and it compares the
-first distances of a run of scans in one numpy operation once several scans
-in a row have hit at once, running on across window boundaries; draws come
+distances one at a time and the rest in numpy blocks. Between blocks it jumps,
+by one integer compare, over distances too far above the noisy threshold for
+any draw to matter (the sampler's units are bounded by `noise.UNIT_BOUND`),
+serving their draws unpeeked in one skip. It compares the first distances of
+a run of scans in one numpy operation once several scans in a row have hit
+at once, running on across window boundaries; draws come
 from the `NoiseSource` stream in the order of a one-distance-at-a-time scan,
 so answers are the same seed for seed. Each matcher computes its distances
 once per query, into one frozen `distance_array`, and runs the kernel over
@@ -258,7 +259,9 @@ class BudgetLedger:
 # Blocks stop doubling at _BLOCK, so a block's float64 temporaries (512 KiB
 # each) stay about the size of a core's L2 cache: with no cap, a prepared
 # existence run over 1e6 filled distances (m = 256) took 13.5-15.5 ms against
-# 5.1-6.9 ms (2-vCPU AMD EPYC, 1 MiB L2 a core).
+# 5.1-6.9 ms (2-vCPU AMD EPYC, 1 MiB L2 a core). A jump over distances that
+# no draw can bring to a hit reads at most _BLOCK of them too, into one bool
+# compare against an integer bound.
 _HEAD = 32
 _STREAK = 6
 _BLOCK = 1 << 16
@@ -298,9 +301,11 @@ def below_thresh(
     distance), whether the kernel compares distances singly, in numpy blocks,
     or several scans' first distances at once, within a window or across
     windows; results are the same seed for seed. Past a scan's head, the
-    draws of a block's distances before its first with
-    ``d - UNIT_BOUND * 4/eps <= noisy threshold`` are served unpeeked: no
-    draw could turn them into a hit, so they are never transformed.
+    kernel jumps to the next distance ``d`` with
+    ``d - UNIT_BOUND * 4/eps <= noisy threshold`` (by one integer compare
+    against a bound that is never tighter than that test) and serves the
+    draws of the distances it jumps over unpeeked, in one skip: no draw
+    could turn them into a hit, so they are never transformed.
     """
     if not (isinstance(share, int) and share > 0):
         raise ValueError(f"share must be a positive int, got {share!r}")
@@ -395,25 +400,37 @@ def _scan_on(dist, at, end, noisy, d_scale, src):
 
     Every unit lies within ``UNIT_BOUND`` of 0, and float multiply and add
     round monotonically, so a distance ``d`` with
-    ``d - UNIT_BOUND * d_scale > noisy`` misses whatever its draw. A block's
-    draws up to its first distance that might hit are served unpeeked (never
-    transformed); from there on the block is compared as drawn."""
+    ``d - UNIT_BOUND * d_scale > noisy`` misses whatever its draw; so does
+    every integer above ``lim``. Each round jumps to the next distance at
+    most ``lim``, found by one integer compare of up to ``_BLOCK`` distances
+    that stops at ``end``, serves the draws it jumped over unpeeked (never
+    transformed) in one skip, and compares a block from there as drawn."""
+    # lim is never below the largest integer d whose float test
+    # d - UNIT_BOUND * d_scale <= noisy can pass: such a d - bound rounds to
+    # at most noisy, so it is below noisy's successor, and top lies above
+    # the bound plus that successor. A top that is not finite prunes
+    # nothing.
+    top = math.nextafter(
+        UNIT_BOUND * d_scale + math.nextafter(noisy, math.inf), math.inf
+    )
+    lim = math.floor(top) if math.isfinite(top) else math.inf
     size = _HEAD
     while end - at >= _HEAD:
-        size = min(size, end - at)
-        block = dist[at : at + size]
-        hope = block - UNIT_BOUND * d_scale <= noisy
+        hope = dist[at : min(at + _BLOCK, end)] <= lim
         h = int(hope.argmax())
-        if not hope[h]:  # the whole block misses
-            h = size
+        if not hope[h]:
+            h = len(hope)
         src.skip(h)
-        if h < size:
-            ok = block[h:] + d_scale * src.units(size - h) <= noisy
-            i = int(ok.argmax())
-            if ok[i]:
-                src.skip(i + 1)
-                return at + h + i
-            src.skip(size - h)
+        at += h
+        if end - at < _HEAD:
+            break
+        size = min(size, end - at)
+        ok = dist[at : at + size] + d_scale * src.units(size) <= noisy
+        i = int(ok.argmax())
+        if ok[i]:
+            src.skip(i + 1)
+            return at + i
+        src.skip(size)
         at += size
         size = min(2 * size, _BLOCK)
     draw = src.laplace

@@ -128,11 +128,13 @@ def _shifted_add(tv: np.ndarray, pv: np.ndarray, out: np.ndarray) -> None:
     counted by one add per occurrence of ``(span == a)[:-1] + (span == b)[1:]``
     (built once, values 0 to 2); every other offset ``j``, an odd m's last
     among them, by one add of ``span == pattern[j]``, grouped by byte. The
-    counter is uint8 and is subtracted from ``out``, which starts at m, before
-    an add could wrap it. A byte's comparison is kept for reuse while the kept
-    ones fit in ``_COMPARISON_BYTES``, and made again when used otherwise. So
-    beside ``out`` it holds about 4 bytes a row (the counter, one pair sum and
-    up to two comparisons made afresh) plus the kept comparisons."""
+    counter is uint8 and is flushed into a uint16 match total (uint32 from
+    m = 2**16 on) before an add could wrap it; ``out`` is written once, as
+    m minus that total, with no int64 pass before it. A byte's comparison is
+    kept for reuse while the kept ones fit in ``_COMPARISON_BYTES``, and made
+    again when used otherwise. So beside ``out`` it holds about 6 bytes a row
+    (the counter, the total, one pair sum and up to two comparisons made
+    afresh) plus the kept comparisons."""
     m, rows = len(pv), len(out)
     span = tv[: rows + m - 1]
     p = pv.tobytes()
@@ -154,15 +156,18 @@ def _shifted_add(tv: np.ndarray, pv: np.ndarray, out: np.ndarray) -> None:
 
     counter = np.zeros(rows, np.uint8)
     room = 255  # what the counter can still take without wrapping
-    out.fill(m)
+    matches = None  # the flushed total, made at the first flush
     # out passed positionally: on short texts call overhead dominates
-    add, subtract = np.add, np.subtract
+    add = np.add
 
     def count(values: np.ndarray, offsets: list[int], most: int) -> None:
-        nonlocal room
+        nonlocal room, matches
         for j in offsets:
             if room < most:
-                subtract(out, counter, out)
+                if matches is None:
+                    matches = counter.astype(np.uint16 if m < 1 << 16 else np.uint32)
+                else:
+                    add(matches, counter, matches)
                 counter.fill(0)
                 room = 255
             add(counter, values[j : j + rows], counter)
@@ -178,7 +183,9 @@ def _shifted_add(tv: np.ndarray, pv: np.ndarray, out: np.ndarray) -> None:
             singles.setdefault(b, []).append(at[0] + 1)
     for c, at in singles.items():
         count(compare(c), at, 1)
-    subtract(out, counter, out)
+    # Never flushed, the counter holds every match, and m < 256.
+    total = counter if matches is None else add(matches, counter, matches)
+    np.subtract(m, total, out)
 
 
 def distance_array(text: bytes, pattern: bytes) -> np.ndarray:

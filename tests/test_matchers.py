@@ -455,23 +455,62 @@ def uniform_source(chosen) -> NoiseSource:
     return src
 
 
+def windows_as_reference(dist, thresh, epsilon, windows, max_hits, src, ref_src):
+    """``below_thresh`` over ``windows`` on ``src``, and the one-at-a-time
+    reference scans on ``ref_src``, a source of the same stream: the same
+    hits, first hit, ledger run records and next draw. Returns the hit
+    count and the first hit."""
+    values, ref_ledger = dist.tolist(), RefLedger(epsilon)
+    hits, first_hit = 0, None
+    for lo, hi, (first, stop) in windows:
+        at, got = lo, 0
+        while at < hi and got < max_hits:
+            span = (first + at - lo, stop)
+            local = ref_below_thresh(values[at:hi], thresh, 1, ref_src, ref_ledger, span)
+            if local is None:
+                break
+            at += local + 1
+            got += 1
+            first_hit = at - 1 if first_hit is None else first_hit
+        hits += got
+    ledger = BudgetLedger(epsilon)
+    got = below_thresh(dist, thresh, 1, src, ledger, windows, max_hits)
+    assert got == (hits, first_hit)
+    assert ledger._runs == ref_ledger.run_records()
+    assert src.laplace(1.0) == ref_src.laplace(1.0)
+    return got
+
+
 class TestPrunedScan:
-    """Past its head a scan serves the draws of distances that no draw can
-    bring below the noisy threshold unpeeked, and compares the rest of a
-    block from its first distance that might hit. At eps = 1 a distance of
+    """Past its head a scan jumps over the distances that no draw can bring
+    below the noisy threshold, serving their draws unpeeked, and compares a
+    block from the next distance that might hit. At eps = 1 a distance of
     200 is far past the bound (200 - 4 * UNIT_BOUND > 55) and a distance of
     0 hits about half the time, so each case below meets hits and misses."""
 
     @pytest.mark.parametrize(
         "n, candidates",
         [
-            (1000, [32]),  # the first index past the head
-            (1000, [128]),  # the first index of a block
-            (1000, [255]),  # the last index of a block
-            (1000, [255, 256]),  # either side of a block boundary
-            (1000, [999]),  # end - 1, the last index of the last block
-            (1040, [1039]),  # end - 1, in the tail past the last block
-            (1000, [300, 301, 302, 700]),  # a run, then a lone one
+            (1000, [32]),  # the first index past the head: no jump
+            (1000, [128]),  # where a jump lands
+            (1000, [255]),
+            (1000, [255, 256]),  # the block after a jump holds both
+            # A jump that ends inside the final tail of fewer than _HEAD
+            # distances, or just before it.
+            (1000, [999]),
+            (1040, [1039]),
+            (1000, [300, 301, 302, 700]),  # a run, then a second jump
+            (1000, [995]),
+            (1000, [1000 - matchers._HEAD]),
+            (1000, [1000 - matchers._HEAD - 1]),
+            # The first jump starts at index _HEAD and compares _BLOCK
+            # distances: the last of them, the first of the next jump, the
+            # second.
+            *(
+                (matchers._HEAD + matchers._BLOCK + 40, [jump + d])
+                for jump in [matchers._HEAD + matchers._BLOCK]
+                for d in (-1, 0, 1)
+            ),
         ],
     )
     def test_lone_candidates_scan_as_the_reference(self, n, candidates):
@@ -482,6 +521,88 @@ class TestPrunedScan:
             for seed in range(40)
         ]
         assert set(hits) == {None, *candidates}
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_jump_stops_at_the_window_end(self, offset):
+        # Counting windows of 100 starts, hopeless but for one distance at
+        # offset -1, 0 or 1 from the first window's end, hi = 100. A search
+        # that ran past hi would serve draws of the next window's distances
+        # in this window's scan; the reference reads hi - lo draws at most.
+        dist = np.full(400, 200, np.int64)
+        dist[100 + offset] = 0
+        windows = tuple((a, a + 100, (a, a + 163)) for a in range(0, 400, 100))
+        seen = {
+            windows_as_reference(
+                dist, 0.0, 1.0, windows, 5, NoiseSource(seed), NoiseSource(seed)
+            )
+            for seed in range(40)
+        }
+        assert seen == {(0, None), (1, 100 + offset)}
+
+    def test_reversed_view(self):
+        # A reporting window's backward scan reads a negative-stride view.
+        base = np.full(3000, 200, np.int64)
+        base[[20, 1500, 1501, 2960]] = 0
+        dist = base[10:2990][::-1]
+        assert dist.strides[0] < 0
+        hits = {
+            scans_as_reference(dist, 0.0, 1.0, NoiseSource(seed), NoiseSource(seed))
+            for seed in range(40)
+        }
+        assert hits == {None, 29, 1488, 1489, 2969}
+
+    @pytest.mark.parametrize("thresh", [-1e20, -1e21])
+    def test_tiny_epsilon_bound_past_int64(self, thresh):
+        # At eps = 1e-18 the draws' reach, UNIT_BOUND * 4e18, is past the
+        # int64 range. At thresh -1e20 a noisy threshold plus that reach is
+        # above it and every distance might hit, so none is pruned; at
+        # -1e21 it is below it and every distance is pruned. No scan hits
+        # (a hit needs a unit below -24), and neither raises.
+        transformed = []
+        refill = NoiseSource._refill
+
+        def spy(src, short):
+            left = len(src._units) - src._next
+            refill(src, short)
+            transformed.append(len(src._units) - left)
+
+        dist = np.arange(5000, dtype=np.int64) % 300
+        for seed in range(4):
+            transformed.clear()
+            src = NoiseSource(seed)
+            src._refill = lambda short, src=src: spy(src, short)
+            hit = scans_as_reference(dist, thresh, 1e-18, src, NoiseSource(seed))
+            assert hit is None
+            if thresh == -1e20:
+                assert sum(transformed) >= len(dist)
+            else:  # the threshold and head, then the next draw's block
+                assert sum(transformed) <= 4 * matchers._HEAD
+
+    def test_infinite_reach(self):
+        # At eps = 1e-307 the draws' reach overflows to inf, and so does a
+        # draw past about 4.5 units (numpy warns of that overflow): every
+        # distance might hit, nothing is pruned and the bound raises nothing.
+        with np.errstate(over="ignore"):
+            hits = [
+                scans_as_reference(
+                    np.zeros(2000, np.int64), -1.5e308, 1e-307,
+                    NoiseSource(seed), NoiseSource(seed),
+                )
+                for seed in range(40)
+            ]
+        assert any(hit is None or hit > matchers._HEAD for hit in hits)
+
+    def test_huge_epsilon(self):
+        # At eps = 1e12 the draws reach about 1.4e-10: a distance of 50
+        # against the threshold 50 hits on about half the draws, 51 never.
+        rng = np.random.default_rng(5)
+        for seed in range(40):
+            dist = rng.choice([50, 51, 51, 51, 60, 300], 3000).astype(np.int64)
+            dist[:100] = 51
+            hit = scans_as_reference(
+                dist, 50.0, 1e12, NoiseSource(seed), NoiseSource(seed)
+            )
+            assert hit is None or dist[hit] == 50
 
     def test_distance_at_the_bound_is_compared(self, monkeypatch):
         # With the bound tightened to the largest unit there is, 52 ln 2, a

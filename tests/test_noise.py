@@ -1,12 +1,14 @@
 """Tests for the seeded Laplace noise source."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import dppm.noise as noise_module
 from dppm.noise import UNIT_BOUND, NoiseSource, derive_seed, splitmix64
 
 from conftest import draws
@@ -26,18 +28,23 @@ def reference_laplace(gen: np.random.Generator, b: float) -> float:
 
 class FakeGenerator:
     """PCG64 stream whose uniforms at chosen positions are replaced by 0.0
-    (the boundary U = -1/2); counts the calls that ask for a block."""
+    (the boundary U = -1/2); records the size of each call that asks for a
+    block."""
 
     def __init__(self, seed: int, zeros=()):
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self._zeros = set(zeros)
         self.position = 0
-        self.sized_calls = 0
+        self.sizes = []
+
+    @property
+    def sized_calls(self) -> int:
+        return len(self.sizes)
 
     def random(self, size=None):
         if size is None:
             return float(self._block(1)[0])
-        self.sized_calls += 1
+        self.sizes.append(size)
         return self._block(size)
 
     def _block(self, size):
@@ -260,6 +267,70 @@ class TestCursor:
         ref = FakeGenerator(17, zeros)
         scales = [2.0] * len(served)
         assert hexes(served) == hexes(reference_stream(ref, scales, served))
+
+    # The skip below draws 3 * 4096 + 100 raw uniforms past a buffer of 32,
+    # in blocks of 4096, 4096, 4096 and 100: a boundary uniform in the second
+    # block, in the last, or in both makes it draw one more per boundary.
+    @pytest.mark.parametrize(
+        "zeros, last",
+        [
+            ([], [100]),
+            ([32 + 4096 + 7], [101]),
+            ([32 + 3 * 4096 + 99], [100, 1]),
+            ([32 + 4096, 32 + 3 * 4096 + 50], [101, 1]),
+        ],
+    )
+    def test_raw_skip_drops_boundaries_block_by_block(self, zeros, last):
+        src, gen = faked(19, zeros)
+        served = [src.laplace(1.0)]
+        before = len(gen.sizes)
+        src.skip(31 + 3 * 4096 + 100)
+        assert gen.sizes[before:] == [4096, 4096, 4096] + last
+        assert gen.position == 32 + 3 * 4096 + 100 + len(zeros)
+        served += [None] * (31 + 3 * 4096 + 100)
+        served += [src.laplace(1.0) for _ in range(40)]
+        ref = FakeGenerator(19, zeros)
+        scales = [1.0] * len(served)
+        assert hexes(served) == hexes(reference_stream(ref, scales, served))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_raw_skip_of_a_full_block(self, extra):
+        # A fresh source skips _MAX_BLOCK (+ 1) draws, all raw: one block
+        # of _MAX_BLOCK (and one of 1), then serves the plain stream.
+        count = noise_module._MAX_BLOCK + extra
+        src, gen = faked(23)
+        src.skip(count)
+        assert gen.sizes == [noise_module._MAX_BLOCK] + [1] * extra
+        served = [None] * count + [src.laplace(3.0) for _ in range(50)]
+        ref = FakeGenerator(23)
+        assert hexes(served) == hexes(reference_stream(ref, [3.0] * len(served), served))
+
+    def test_long_skip_holds_one_block(self):
+        src = NoiseSource(29)
+        src.laplace(1.0)
+        tracemalloc.start()
+        try:
+            src.skip(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 1024  # one raw draw of it all took 8 MB
+        ref = np.random.Generator(np.random.PCG64(29))
+        assert ref.random(10**6 + 1).all()  # no boundary uniform at this seed
+        assert src.laplace(1.0) == reference_laplace(ref, 1.0)
+
+    @pytest.mark.parametrize("mode", ["standard", "zero"])
+    def test_negative_count_raises(self, mode):
+        # skip(-2) used to move the cursor back and serve two draws again.
+        src = NoiseSource(31, mode)
+        first = [src.laplace(1.0) for _ in range(5)]
+        with pytest.raises(ValueError, match="non-negative"):
+            src.skip(-2)
+        with pytest.raises(ValueError, match="non-negative"):
+            src.units(-1)
+        after = [src.laplace(1.0) for _ in range(5)]
+        plain = NoiseSource(31, mode)
+        assert first + after == [plain.laplace(1.0) for _ in range(10)]
 
     def test_first_peek_crosses_the_scalar_head(self):
         # A fresh source's peek of 40 units, longer than the first block of

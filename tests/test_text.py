@@ -223,6 +223,19 @@ class TestDistanceKernels:
             assert np.array_equal(out, expected)
             assert np.array_equal(distance_array(text, pattern), expected)
 
+    @pytest.mark.parametrize("m", [65535, 65536])
+    def test_shifted_add_total_does_not_wrap(self, m):
+        # The shifted add flushes its one-byte counter into a 16-bit total
+        # below m = 2^16 and a 32-bit one from there on: m matches wrap a
+        # 16-bit total to 0 at m = 65536.
+        rows = 1024
+        assert rows >= text_module._SHIFTED_ADD_ROWS
+        for byte in (b"a", b"b"):  # all-match, then all-mismatch windows
+            text, pattern = byte * (m + rows - 1), b"a" * m
+            expected = [0 if byte == b"a" else m] * rows
+            assert self.shifted(text, pattern).tolist() == expected
+            assert distance_array(text, pattern).tolist() == expected
+
     @staticmethod
     def shifted(text: bytes, pattern: bytes) -> np.ndarray:
         """The shifted add alone over every start position."""

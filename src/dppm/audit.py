@@ -38,7 +38,7 @@ from .matchers import (
     _prepare_reporter,
     plan,
 )
-from .noise import MODES, NoiseSource, derive_seed
+from .noise import MODES, NoiseSource, check_seed, derive_seed
 from .periodicity import check_query, is_primitive, widest_close_period
 from .text import distance_array, hamming_distance, tile
 
@@ -144,8 +144,7 @@ class TrialConfig:
         check_query(self.m, self.k, self.epsilon, self.beta, self.n)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        check_seed(self.seed)
         if self.generator not in GENERATORS:
             raise ValueError(
                 f"unknown generator {self.generator!r}; known: {sorted(GENERATORS)}"

@@ -6,38 +6,34 @@ modes: ``standard`` (real noise) and ``zero`` (always 0, used by oracle
 tests).
 
 A source serves every draw from one numpy buffer of unit-Laplace values
-(scale 1), multiplied by each call's scale. Every refill of the buffer
-transforms one block of uniforms, as many as the source has transformed so
-far (so blocks double), at least 32 and at most 4096, or more when a peek
-needs more: a peek past the buffer refills the whole shortfall in one block.
-The floor is about what one noisy scan draws one at a time (its threshold
-and up to 32 distances), so a short scan on a fresh source costs one vector
-block. A uniform on the interval boundary is skipped in-stream, exactly
-where a one-at-a-time sampler would redraw it. How the stream is cut into
-blocks never changes a value: every draw equals the one-uniform-at-a-time
-transform of the same uniform, in the same order, bit for bit.
+(scale 1), multiplied by each call's scale. A refill transforms one block of
+uniforms: as many as the source has transformed so far (so blocks double),
+at least 32 (about what one noisy scan draws one at a time, its threshold
+and up to 32 distances) and at most 4096, or the whole shortfall of a longer
+peek. A uniform on the interval boundary is clamped to the smallest positive
+uniform, 2**-53, so every draw consumes exactly one generator output. How
+the stream is cut into blocks never changes a value: every draw equals the
+one-uniform-at-a-time transform of the same uniform, in the same order, bit
+for bit.
 
 Vectorized consumers read the same stream through a cursor: ``units(count)``
 peeks at the next ``count`` unit values as an array without serving them, and
 ``skip(count)`` serves the next ``count`` draws, peeked at or not. Scaling a
 peeked unit by ``b`` gives the value ``laplace(b)`` would have returned for
 it, so any interleaving of ``laplace`` with peeks and skips serves one stream.
-A skip that runs past the buffer draws the rest as raw uniforms, dropping
-boundary uniforms in-stream as a refill does, and never transforms them: a
-consumer that knows no value can matter pays only the generator for them. It
-draws them in blocks of at most ``_MAX_BLOCK``, so a long skip holds one
-cache-sized block at a time (one raw draw of a whole 30,000-draw skip made an
-existence query slower end to end), and counts a block's boundary uniforms
-only when its minimum is 0.0. A negative count raises ``ValueError``: it
-would move the cursor back and serve draws again.
+A skip past the buffer jumps the generator over the rest with PCG64's
+``advance`` (Brown's arbitrary-stride LCG jump, 1994), in O(log count), and
+never draws them. A negative count raises ``ValueError``: it would move the
+cursor back and serve draws again.
 
-Every unit lies within ``UNIT_BOUND`` of 0. A uniform is a multiple of
-2**-53 and the boundary 0.0 is skipped, so ``1 - 2|U| >= 2**-52`` and
-``|unit| <= 52 ln 2``, about 36.0437. This is the bounded range of a
-floating-point sampler that Mironov studied ("On Significance of the Least
-Significant Bits for Differential Privacy", CCS 2012); the scan kernel uses
-it to skip distances that no draw can bring below a noisy threshold, which
-changes no answer.
+Every unit lies within ``UNIT_BOUND`` of 0: a uniform is a nonzero multiple
+of 2**-53, so ``1 - 2|U| >= 2**-52`` and ``|unit| <= 52 ln 2``, about
+36.0437. This is the bounded range of a floating-point sampler that Mironov
+studied ("On Significance of the Least Significant Bits for Differential
+Privacy", CCS 2012), whose deviations from the real Laplace law dwarf the
+2**-53 of mass the clamp moves; the scan kernel uses the bound to skip
+distances that no draw can bring below a noisy threshold, which changes no
+answer.
 
 Caveat: floating-point Laplace samplers are known to leak information through
 the binary representation of their outputs in adversarial settings. Hardening
@@ -51,8 +47,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# The smallest refill, and the largest unless a peek needs more. Every
-# source starts on the one shared (never written) empty buffer.
+# The smallest refill, and the largest unless a peek needs more (a skip
+# never draws). Every source starts on the one shared (never written) empty
+# buffer.
 _MIN_BLOCK = 32
 _MAX_BLOCK = 4096
 _EMPTY = np.empty(0)
@@ -73,14 +70,22 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def check_seed(seed: int) -> int:
+    """``seed``, if it lies in [0, 2**64): a root seed outside that range
+    would silently run as the one it equals modulo 2**64."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def derive_seed(root: int, *lanes: int) -> int:
-    """Derive a sub-seed by mixing lane indices into ``root``.
+    """Derive a sub-seed by mixing lane indices into ``root`` (in [0, 2**64)).
 
     The derivation is a fixed splitmix64 chain, documented so that seeds are
     reproducible across releases: each lane is mixed as
     ``state = splitmix64(state ^ splitmix64(lane))``.
     """
-    state = root & _MASK64
+    state = check_seed(root)
     for lane in lanes:
         state = splitmix64(state ^ splitmix64(lane & _MASK64))
     return state
@@ -113,7 +118,7 @@ class NoiseSource:
         # valid.
         self._units = _EMPTY
         self._next = 0
-        self._drawn = 0  # unit draws transformed so far (not skipped raw)
+        self._drawn = 0  # unit draws transformed so far (not skipped)
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
@@ -125,12 +130,12 @@ class NoiseSource:
 
         Inverse-CDF transform: draw U uniform on the open interval
         (-1/2, 1/2) and return ``-b * sign(U) * ln(1 - 2|U|)``. A uniform
-        landing exactly on the interval boundary is skipped, so the result is
-        always finite; U = 0 maps to the median 0. The unit value
-        ``-sign(U) * ln(1 - 2|U|)`` is the next one in the source's buffer
-        (see the module docstring). Negating and taking signs is exact, so
-        ``b`` times the unit rounds once, to the same double as the formula
-        above.
+        landing exactly on the interval boundary is clamped to the nearest
+        one inside it, so the result is always finite; U = 0 maps to the
+        median 0. The unit value ``-sign(U) * ln(1 - 2|U|)`` is the next one
+        in the source's buffer (see the module docstring). Negating and
+        taking signs is exact, so ``b`` times the unit rounds once, to the
+        same double as the formula above.
         """
         if self.mode == "zero":
             return 0.0
@@ -155,9 +160,8 @@ class NoiseSource:
 
     def skip(self, count: int) -> None:
         """Serve the next ``count`` unit draws, peeked at by :meth:`units` or
-        not. Past the buffer it draws raw uniforms, at most ``_MAX_BLOCK`` at
-        a time, drops boundary ones in-stream as :meth:`_refill` does, and
-        transforms none of them."""
+        not. Past the buffer it advances the generator by one output per
+        draw and transforms none of them."""
         _check_count(count)
         if self.mode == "zero":
             return
@@ -166,32 +170,24 @@ class NoiseSource:
             self._next += count
             return
         self._units, self._next = _EMPTY, 0
-        gen = self._generator()
-        while short > 0:
-            u = gen.random(min(short, _MAX_BLOCK))
-            # 0.0 is the boundary, so rare that a block's min (0.9 us for
-            # 4096 uniforms) stands in for a count of nonzeros (1.5 us).
-            short -= len(u) if u.min() > 0.0 else np.count_nonzero(u)
+        self._generator().bit_generator.advance(short)
 
     def _refill(self, short: int) -> None:
-        """Append the next block of unit draws to the unserved buffer, from at
-        least ``short`` uniforms, so a peek of any length copies the unserved
-        buffer once (boundary uniforms aside)."""
-        gen = self._generator()
+        """Append the next block of unit draws to the unserved buffer, at
+        least ``short`` of them, so a peek of any length copies the unserved
+        buffer once."""
         size = max(short, _MIN_BLOCK, min(self._drawn, _MAX_BLOCK))
-        u = ()
-        while not len(u):  # every uniform was a boundary
-            u = gen.random(size)
-            if not u.all():
-                u = u[u != 0.0]  # raw 0.0 is U = -1/2, the boundary
-        self._drawn += len(u)
+        u = self._generator().random(size)
+        if not u.all():
+            u[u == 0.0] = 2.0**-53  # raw 0.0 is U = -1/2, the boundary
+        self._drawn += size
         # The unserved units (a peek reached past the buffer), then the new
         # ones, -sign(U) * log1p(-2|U|), computed in place behind them. The
         # log is never positive, so the unit is the log with U's sign, which
         # copysign writes in place (bit for bit, signed zeros too) with no
         # temporary.
         left = len(self._units) - self._next
-        units = np.empty(left + len(u))
+        units = np.empty(left + size)
         units[:left] = self._units[self._next :]
         new = units[left:]
         u -= 0.5

@@ -122,6 +122,14 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             small_config(noise="loud")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+    def test_seed_must_fit_64_bits(self, seed):
+        if seed == 2**64 - 1:
+            assert small_config(seed=seed).seed == seed
+        else:
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                small_config(seed=seed)
+
     def test_target_defaults_to_guarantee_level(self):
         assert small_config().target_probability == pytest.approx(0.9)
         assert small_config(target=0.7).target_probability == 0.7
@@ -445,6 +453,16 @@ class TestDpAudit:
             dp_audit(
                 "existence", b"ababab", b"abbbab", self.query(epsilon=1000.0), trials=10
             )
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+    def test_seed_must_fit_64_bits(self, seed):
+        # 2**64 used to run as seed 0, and -1 as 2**64 - 1.
+        args = ("existence", b"ababab", b"abbbab", self.query())
+        if seed == 2**64 - 1:
+            assert dp_audit(*args, trials=50, seed=seed).seed == seed
+        else:
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                dp_audit(*args, trials=50, seed=seed)
 
     def test_seed_reproducible(self):
         args = ("existence", b"ababab", b"abbbab", self.query())

@@ -452,6 +452,40 @@ class TestDpAudit:
         assert code == EXIT_USAGE
 
 
+class TestSeedRange:
+    """A root seed outside [0, 2**64) exits 2 from every surface that takes
+    one: it used to run as the seed it equals modulo 2**64 while the record
+    printed it as given."""
+
+    def args(self, tmp_path, command):
+        a = tmp_path / "a.txt"
+        a.write_bytes(b"ababab")
+        query = ["--pattern", "ba", "--k", "0", "--epsilon", "1", "--beta", "0.1"]
+        if command == "match":
+            return ["match", *query, a]
+        b = tmp_path / "b.txt"
+        b.write_bytes(b"abbbab")
+        return ["dp-audit", *query, "--neighbor", b, "--trials", "50", a]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["match", "dp-audit"])
+    def test_seed_must_fit_64_bits(
+        self, tmp_path, capsys, monkeypatch, command, via, seed
+    ):
+        args = self.args(tmp_path, command)
+        if via == "flag":
+            args[1:1] = ["--seed", seed]
+        else:
+            monkeypatch.setenv("DPPM_SEED", str(seed))
+        code = run_cli(args)
+        if seed == 2**64 - 1:
+            assert code == EXIT_OK
+            assert json.loads(capsys.readouterr().out.splitlines()[-1])["seed"] == seed
+        else:
+            assert_one_line_usage_error(code, capsys)
+
+
 def child_env() -> dict[str, str]:
     """Environment for a child interpreter that imports this checkout's dppm,
     installed or not."""

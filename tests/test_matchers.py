@@ -625,7 +625,7 @@ class TestPrunedScan:
     def test_hopeless_scan_transforms_only_its_head(self, monkeypatch):
         # 30,000 distances that no draw can bring below the threshold: the
         # threshold and head draws are transformed, and at most one more
-        # block, while the rest are served as raw uniforms.
+        # block, while the rest are skipped by jumping the generator.
         transformed = []
         refill = NoiseSource._refill
 

@@ -18,33 +18,32 @@ _U64 = st.integers(0, 2**64 - 1)
 
 def reference_laplace(gen: np.random.Generator, b: float) -> float:
     """The one-uniform-at-a-time sampler the buffered stream must reproduce:
-    a uniform on the boundary is redrawn."""
-    u = gen.random() - 0.5
-    while u == -0.5:
-        u = gen.random() - 0.5
+    a uniform on the boundary is clamped to the smallest positive one."""
+    u = max(gen.random(), 2.0**-53) - 0.5
     sign = (u > 0.0) - (u < 0.0)
     return -b * sign * float(np.log1p(-2.0 * abs(u)))
 
 
 class FakeGenerator:
     """PCG64 stream whose uniforms at chosen positions are replaced by 0.0
-    (the boundary U = -1/2); records the size of each call that asks for a
-    block."""
+    (the boundary U = -1/2); records the size of each call (None for one
+    uniform). ``bit_generator.advance`` jumps the stream as PCG64's does."""
 
     def __init__(self, seed: int, zeros=()):
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self._zeros = set(zeros)
         self.position = 0
         self.sizes = []
+        self.bit_generator = self
 
-    @property
-    def sized_calls(self) -> int:
-        return len(self.sizes)
+    def advance(self, delta):
+        self._gen.bit_generator.advance(delta)
+        self.position += delta
 
     def random(self, size=None):
+        self.sizes.append(size)
         if size is None:
             return float(self._block(1)[0])
-        self.sizes.append(size)
         return self._block(size)
 
     def _block(self, size):
@@ -99,6 +98,12 @@ class TestSeedDerivation:
         assert derive_seed(0) == 0
         assert derive_seed(0, 0) == 12035550249420947055
         assert derive_seed(12345, 6, 7) == 3387611404008632545
+
+    @pytest.mark.parametrize("root", [-1, 2**64])
+    def test_root_outside_64_bits_raises(self, root):
+        # The root used to be masked, so 2**64 derived seed 0's sub-seeds.
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            derive_seed(root, 0)
 
     @given(_U64, _U64, _U64)
     @example(0, 0, 0)
@@ -173,7 +178,7 @@ class TestBufferedStream:
             [3, 8, 9, 20, 40, 41],  # both blocks (the second is 32..63)
         ],
     )
-    def test_boundary_uniforms_skipped_like_redraws(self, zeros):
+    def test_boundary_uniforms_clamped_like_the_reference(self, zeros):
         src, _ = faked(11, zeros)
         ref = FakeGenerator(11, zeros)
         assert hexes(src.laplace(3.0) for _ in range(100)) == hexes(
@@ -185,14 +190,14 @@ class TestBufferedStream:
         src, gen = faked(5)
         for _ in range(32):
             src.laplace(1.0)
-        assert gen.sized_calls == 1
+        assert len(gen.sizes) == 1
         assert gen.position == 32
 
     def test_vector_refills_double(self):
         src, gen = faked(5)
         for _ in range(5000):
             src.laplace(1.0)
-        assert 1 <= gen.sized_calls <= math.log2(5000 / 8) + 1
+        assert 1 <= len(gen.sizes) <= math.log2(5000 / 8) + 1
 
 
 class TestCursor:
@@ -235,14 +240,14 @@ class TestCursor:
         gen = np.random.Generator(np.random.PCG64(seed))
         assert hexes(served) == hexes(reference_stream(gen, scales, served))
 
-    # Seed 5's mix of 20,000 draws reads uniforms 9,001 to 22,105 in three
-    # unpeeked skips past the buffer, so the last case's boundary uniforms are
-    # dropped inside a skip that draws them raw.
+    # Seed 5's mix of 20,000 draws jumps over uniforms 9,001 to 22,105 in
+    # three unpeeked skips past the buffer, so the last case's boundary
+    # uniforms lie inside skips that never draw them.
     @pytest.mark.parametrize(
         "zeros",
         [[3], [20], list(range(8, 16)), [4100, 4101], [9500, 9501, 15_000]],
     )
-    def test_interleaving_skips_boundaries_like_redraws(self, zeros):
+    def test_interleaving_clamps_boundaries_like_the_reference(self, zeros):
         src, _ = faked(11, zeros)
         served, scales = self.interleaved(src, 5, 20_000)
         ref = FakeGenerator(11, zeros)
@@ -251,10 +256,10 @@ class TestCursor:
     @pytest.mark.parametrize("boundary", [False, True])
     def test_skip_past_the_buffer_transforms_nothing(self, boundary):
         # Three draws fill a buffer of 32; a skip of 5000 serves what is left
-        # of it and draws the rest as raw uniforms, transforming none, so the
-        # next 32 draws refill one block of 32. Boundary uniforms, in the
-        # first block and inside the skip past it, are dropped where a redraw
-        # would drop them.
+        # of it and jumps the generator over the rest, transforming none, so
+        # the next 32 draws refill one block of 32. A boundary uniform in the
+        # first block is clamped, as the reference clamps it; those inside
+        # the skip are never drawn.
         zeros = [10, 100, 101, 4000] if boundary else []
         src, gen = faked(17, zeros)
         served = [src.laplace(2.0) for _ in range(3)]
@@ -268,25 +273,26 @@ class TestCursor:
         scales = [2.0] * len(served)
         assert hexes(served) == hexes(reference_stream(ref, scales, served))
 
-    # The skip below draws 3 * 4096 + 100 raw uniforms past a buffer of 32,
-    # in blocks of 4096, 4096, 4096 and 100: a boundary uniform in the second
-    # block, in the last, or in both makes it draw one more per boundary.
+    # The skip below serves 31 + 3 * 4096 + 100 draws, all but 31 of them
+    # past a buffer of 32, over boundary uniforms or none: whatever lies
+    # inside it, it jumps the generator by exactly its shortfall and draws
+    # nothing.
     @pytest.mark.parametrize(
-        "zeros, last",
+        "zeros",
         [
-            ([], [100]),
-            ([32 + 4096 + 7], [101]),
-            ([32 + 3 * 4096 + 99], [100, 1]),
-            ([32 + 4096, 32 + 3 * 4096 + 50], [101, 1]),
+            [],
+            [32 + 4096 + 7],
+            [32 + 3 * 4096 + 99],
+            [32 + 4096, 32 + 3 * 4096 + 50],
         ],
     )
-    def test_raw_skip_drops_boundaries_block_by_block(self, zeros, last):
+    def test_raw_skip_advances_by_its_shortfall(self, zeros):
         src, gen = faked(19, zeros)
         served = [src.laplace(1.0)]
         before = len(gen.sizes)
         src.skip(31 + 3 * 4096 + 100)
-        assert gen.sizes[before:] == [4096, 4096, 4096] + last
-        assert gen.position == 32 + 3 * 4096 + 100 + len(zeros)
+        assert gen.sizes[before:] == []
+        assert gen.position == 32 + 3 * 4096 + 100
         served += [None] * (31 + 3 * 4096 + 100)
         served += [src.laplace(1.0) for _ in range(40)]
         ref = FakeGenerator(19, zeros)
@@ -295,15 +301,28 @@ class TestCursor:
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_raw_skip_of_a_full_block(self, extra):
-        # A fresh source skips _MAX_BLOCK (+ 1) draws, all raw: one block
-        # of _MAX_BLOCK (and one of 1), then serves the plain stream.
+        # A fresh source skips _MAX_BLOCK (+ 1) draws, two of them boundary
+        # uniforms, in one jump that draws nothing, then serves the plain
+        # stream.
         count = noise_module._MAX_BLOCK + extra
-        src, gen = faked(23)
+        zeros = [7, count - 1]
+        src, gen = faked(23, zeros)
         src.skip(count)
-        assert gen.sizes == [noise_module._MAX_BLOCK] + [1] * extra
+        assert gen.sizes == [] and gen.position == count
         served = [None] * count + [src.laplace(3.0) for _ in range(50)]
-        ref = FakeGenerator(23)
+        ref = FakeGenerator(23, zeros)
         assert hexes(served) == hexes(reference_stream(ref, [3.0] * len(served), served))
+
+    @pytest.mark.parametrize("delta", [0, 1, 4095, 4096, 30_001, 10**6])
+    def test_pcg64_advance_jumps_one_output_per_uniform(self, delta):
+        # skip rests on this numpy property: Generator.random consumes one
+        # PCG64 output per double, so advance(delta) lands where
+        # random(delta) does.
+        jumped = np.random.Generator(np.random.PCG64(37))
+        jumped.bit_generator.advance(delta)
+        drawn = np.random.Generator(np.random.PCG64(37))
+        drawn.random(delta)
+        assert jumped.random(5).tolist() == drawn.random(5).tolist()
 
     def test_long_skip_holds_one_block(self):
         src = NoiseSource(29)
@@ -348,9 +367,9 @@ class TestCursor:
         # on each refill, and serves the same stream.
         src, gen = faked(8)
         served = [src.laplace(1.0) for _ in range(plain)]
-        calls = gen.sized_calls
+        calls = len(gen.sizes)
         units = src.units(20_000)
-        assert gen.sized_calls == calls + 1
+        assert len(gen.sizes) == calls + 1
         served += units.tolist()
         src.skip(20_000)
         served.append(src.laplace(1.0))
@@ -404,6 +423,19 @@ class TestUnitBound:
         units = [src.laplace(1.0) for _ in range(4)] + src.units(100).tolist()
         assert units[:2] == pytest.approx([-52 * math.log(2), 52 * math.log(2)])
         assert max(map(abs, units)) <= UNIT_BOUND < max(map(abs, units)) + 0.01
+
+    def test_boundary_uniform_is_served_as_the_smallest(self):
+        # A raw 0.0 (U = -1/2) inside a refill block is served as the unit of
+        # 2**-53, -52 ln 2, within the bound; the units around it are the
+        # plain stream's.
+        src, gen = faked(41, [5])
+        units = src.units(40).tolist()
+        assert gen.sizes == [40]
+        assert units[5] == float(np.log1p(-2.0 * (0.5 - 2.0**-53)))
+        assert units[5] == pytest.approx(-52 * math.log(2))
+        assert abs(units[5]) <= UNIT_BOUND
+        plain = NoiseSource(41).units(40).tolist()
+        assert units[:5] + units[6:] == plain[:5] + plain[6:]
 
 
 class TestSampleLaplace:

@@ -20,12 +20,8 @@ from .matchers import (
     PrivacyBudgetExceeded,
     ReportOutcome,
     below_thresh,
-    count_nonperiodic,
     error_contract,
-    existence,
     match_auto,
-    report_periodic,
-    trivial_all,
 )
 from .noise import NoiseSource, derive_seed
 from .periodicity import (
@@ -68,21 +64,17 @@ __all__ = [
     "TrialConfig",
     "UtilityReport",
     "below_thresh",
-    "count_nonperiodic",
     "derive_seed",
     "dispatch",
     "dp_audit",
     "error_contract",
     "exact_count",
-    "existence",
     "hamming_distance",
     "is_primitive",
     "match_auto",
-    "report_periodic",
     "run_utility_experiment",
     "shortest_close_period",
     "sliding_distances",
     "tile",
-    "trivial_all",
     "window_cover",
 ]

@@ -336,7 +336,7 @@ def _judge_trial(
     )
 
 
-VARIANTS = ("existence", "count", "report")
+VARIANTS = tuple(v for v in MATCH_VARIANTS if v != "auto")  # the narrowing ones
 
 
 def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
@@ -551,6 +551,7 @@ def dp_audit(
         raise ValueError("audited strings must have equal length")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    seed = check_seed(seed)  # the report carries it as a plain int
     distance = hamming_distance(text_a, text_b)
     if not group and distance > 1:
         raise ValueError(

@@ -16,7 +16,8 @@ from the `NoiseSource` stream in the order of a one-distance-at-a-time scan,
 so answers are the same seed for seed. Each matcher computes its distances
 once per query, into one frozen `distance_array`, and runs the kernel over
 them: existence in one window over the whole text, counting in one call over
-all its windows, and reporting in one call per window and direction:
+all its windows, and reporting in one call per window and direction. The
+matchers, by the names `QueryPlan.matcher` and `CONTRACTS` give them:
 
 * `existence` — one scan over the whole text; no multiplicative error.
 * `report_periodic` — for patterns close to a short primitive period, a
@@ -36,18 +37,17 @@ deterministic half validates the query, computes the contract once, the
 distances and the windows its scans read; it never receives the
 `NoiseSource`, so it cannot draw. The noisy half is what depends on the
 draws: the scans over a ledger, the cap check and the outcome (the trivial
-reporter's returns its fixed report). `_prepare_reporter`
-is the one choice between periodic reporting and the trivial reporter, for
-`plan` and the utility bench alike. `plan` composes dispatch with the
-selected matcher's deterministic half into a `QueryPlan`, whose ``run(src)``
-is the noisy half with a fresh `BudgetLedger` (``outcome(src)`` returns its
-outcome alone); `match_auto` is ``plan(...).run(src)``, and each public
-matcher is its own deterministic half followed by one run on a fresh
-`BudgetLedger` at the query's epsilon, so the matchers take no ledger and
-every scan's noise scale comes from the query. A plan may run many times,
-each run reading the source's stream from its cursor and the distances its
-deterministic half computed, so runs on one source equal as many fresh calls
-seed for seed.
+reporter's returns its fixed report). `_prepare_reporter` is the one choice
+between periodic reporting and the trivial reporter, for `plan` and the
+utility bench alike. `plan` composes dispatch with the selected matcher's
+deterministic half into a `QueryPlan`, whose ``run(src)`` is the noisy half
+with a fresh `BudgetLedger` at the query's epsilon (``outcome(src)`` returns
+its outcome alone), so no matcher takes a ledger and every scan's noise
+scale comes from the query; `match_auto` is ``plan(...).run(src)``. No
+matcher is exported by name: `QueryPlan.matcher` names the one that ran. A
+plan may run many times, each run reading the source's stream from its
+cursor and the distances its deterministic half computed, so runs on one
+source equal as many fresh calls seed for seed.
 
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
@@ -549,6 +549,9 @@ def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
 
 
 def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
+    """Existence: one scan of share 1 over the whole text. With probability
+    at least 1 - beta a true k-mismatch occurrence forces YES, and the
+    witness, the scan's hit, lies within the contract's ``bound``."""
     _require_text(text, query.m)
     n = len(text)
     contract = error_contract(
@@ -566,20 +569,15 @@ def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
     return contract, scan
 
 
-def existence(text: bytes, query: MatchQuery, src: NoiseSource) -> ExistenceOutcome:
-    """Existence variant: one threshold scan over the whole text.
-
-    With probability at least 1 - beta the answer is one-sided within the
-    ``existence`` contract: a true k-mismatch occurrence forces YES, and any
-    returned witness is within the contract's ``bound``.
-    """
-    _, scan = _prepare_existence(text, query)
-    return scan(src, BudgetLedger(query.epsilon))
-
-
 def _prepare_report(
     text: bytes, query: MatchQuery, candidate: PeriodicCandidate
 ) -> tuple[Contract, Scan]:
+    """Periodic reporting: each window of ``window_cover(n, m, m // 2)`` is
+    scanned forward and backward over its starts' distances at share 6 (a
+    position lies in at most 3 windows); when both scans hit, it reports the
+    progression from the first hit to the last with step
+    ``candidate.length``. Dispatch certifies the period; this checks only
+    ``m >= 2`` and ``candidate.dist <= 2k``."""
     _require_text(text, query.m)
     n, m = len(text), query.m
     if m < 2:
@@ -615,32 +613,16 @@ def _prepare_report(
     return contract, scan
 
 
-def report_periodic(
-    text: bytes,
-    query: MatchQuery,
-    candidate: PeriodicCandidate,
-    src: NoiseSource,
-) -> ReportOutcome:
-    """Reporting variant for patterns close to a short primitive period.
-
-    Each window of ``window_cover(n, m, m // 2)`` is scanned forward and
-    backward over its start positions' distances, each scan paying share 6
-    (epsilon/6); a position lies in at most 3 windows, so the 6 slices sum to
-    epsilon. When both scans hit, the window contributes the arithmetic
-    progression from the first hit to the last hit with step
-    ``candidate.length``. The windows' blocks of starts are disjoint and
-    increasing, so the positions come out sorted and duplicate-free. The
-    dispatcher is responsible for certifying the period-length hypothesis;
-    this function checks only structural validity (``m >= 2`` and
-    ``candidate.dist <= 2k``).
-    """
-    _, scan = _prepare_report(text, query, candidate)
-    return scan(src, BudgetLedger(query.epsilon))
-
-
 def _prepare_count(
     text: bytes, query: MatchQuery, k_eff: int
 ) -> tuple[Contract, Scan]:
+    """Non-periodic counting at mismatch budget ``k_eff`` (above the query's
+    k in the small-k regime; below it, its lower threshold would miss true
+    occurrences, so it raises ValueError). Each window of ``window_cover(n,
+    m, m)`` is scanned until a scan misses, its starts run out or it has
+    ``1152 * k_eff`` hits; each scan pays share ``2 * 1152 * k_eff`` (a
+    position lies in at most 2 windows), the witness is the first hit, and
+    the count is the clamped sum of per-window hits."""
     _require_text(text, query.m)
     if k_eff < 1:
         raise ValueError(
@@ -668,48 +650,16 @@ def _prepare_count(
     return contract, scan
 
 
-def count_nonperiodic(
-    text: bytes,
-    query: MatchQuery,
-    src: NoiseSource,
-    *,
-    effective_k: Optional[int] = None,
-) -> CountOutcome:
-    """Counting variant for patterns with no short close period.
-
-    Each window of ``window_cover(n, m, m)`` is scanned repeatedly over its
-    start positions' distances, each scan resuming one past the previous hit,
-    until a scan misses, the window's starts run out, or the per-window cap of
-    ``1152 * k`` is reached. Each scan pays share ``2 * 1152 * k``; one that
-    resumes after the hit at ``h`` charges the text span from ``h + 1`` to the
-    window's end. A position lies in at most 2 windows, so the slices sum to
-    epsilon. The witness is the first hit encountered. The final count is the
-    clamped sum of per-window counts.
-
-    ``effective_k`` substitutes a larger mismatch budget for ``k`` (small-k
-    regime). A smaller one raises ValueError: its lower threshold would miss
-    true occurrences.
-    """
-    k_eff = query.k if effective_k is None else effective_k
-    _, scan = _prepare_count(text, query, k_eff)
-    return scan(src, BudgetLedger(query.epsilon))
-
-
 def _prepare_trivial(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
+    """The trivial reporter: every start position. It reads only the
+    lengths, so its noisy half reads neither the source nor the ledger: it
+    draws nothing, charges nothing, and is private at any epsilon."""
     _require_text(text, query.m)
     contract = error_contract(
         "trivial_all", len(text), query.m, query.k, query.epsilon, query.beta
     )
     report = ReportOutcome(tuple(range(len(text) - query.m + 1)))
-    return contract, lambda src, ledger: report  # draws nothing, charges nothing
-
-
-def trivial_all(text: bytes, query: MatchQuery) -> ReportOutcome:
-    """Report every start position. Reads nothing but the lengths, so it is
-    private for any epsilon, consumes no randomness, and charges no budget;
-    every reported distance is trivially at most m."""
-    _, scan = _prepare_trivial(text, query)
-    return scan(None, None)  # it reads neither the source nor a ledger
+    return contract, lambda src, ledger: report
 
 
 def _prepare_reporter(

@@ -43,6 +43,8 @@ of scope here; the privacy analysis treats noise as real-valued.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -71,8 +73,10 @@ def splitmix64(x: int) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """``seed``, if it lies in [0, 2**64): a root seed outside that range
-    would silently run as the one it equals modulo 2**64."""
+    """``seed`` as a Python int, if it is an integer in [0, 2**64): a root
+    seed outside that range would silently run as the one it equals modulo
+    2**64, and a numpy integer would overflow or warn in 64-bit mixing."""
+    seed = index(seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return seed
@@ -87,7 +91,7 @@ def derive_seed(root: int, *lanes: int) -> int:
     """
     state = check_seed(root)
     for lane in lanes:
-        state = splitmix64(state ^ splitmix64(lane & _MASK64))
+        state = splitmix64(state ^ splitmix64(index(lane) & _MASK64))
     return state
 
 
@@ -110,7 +114,7 @@ class NoiseSource:
     def __init__(self, seed: int, mode: str = "standard"):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self.seed = seed & _MASK64
+        self.seed = check_seed(seed)
         self.mode = mode
         self._gen: np.random.Generator | None = None
         # Buffered unit draws in one numpy array, _units[_next:] not yet

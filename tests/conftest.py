@@ -20,7 +20,7 @@ from itertools import accumulate, product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dppm.matchers import WINDOW_OCCURRENCE_CAP, error_contract
+from dppm.matchers import WINDOW_OCCURRENCE_CAP, BudgetLedger, error_contract
 from dppm.periodicity import Regime, dispatch
 
 
@@ -126,6 +126,14 @@ def binary_strings(length: int):
 def draws(src, b: float, size: int) -> np.ndarray:
     """``size`` successive ``src.laplace(b)`` draws as an array."""
     return np.array([src.laplace(b) for _ in range(size)])
+
+
+def run_half(prepared, src, epsilon: float):
+    """Run a matcher's private half, the ``(contract, scan)`` pair a
+    ``_prepare_*`` function returns, on ``src`` and a fresh ledger at
+    ``epsilon``, as `plan` does: the outcome and the ledger."""
+    ledger = BudgetLedger(epsilon)
+    return prepared[1](src, ledger), ledger
 
 
 # --- packing families ---------------------------------------------------------

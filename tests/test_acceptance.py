@@ -26,9 +26,9 @@ from dppm.matchers import (
     _prepare_count,
     _prepare_existence,
     _prepare_report,
+    _prepare_trivial,
     below_thresh,
     error_contract,
-    trivial_all,
 )
 from dppm.noise import NoiseSource, derive_seed
 from dppm.periodicity import (
@@ -48,6 +48,7 @@ from conftest import (
     min_period_distance,
     packing_family_mismatch,
     packing_family_planted,
+    run_half,
 )
 
 
@@ -282,8 +283,7 @@ def test_c05_budget_ledger():
         text = rng.integers(97, 101, size=n).astype(np.uint8).tobytes()
         pattern = rng.integers(97, 101, size=m).astype(np.uint8).tobytes()
         query = MatchQuery(pattern, 1, epsilon, 0.1)
-        ledger = BudgetLedger(epsilon)
-        _prepare_existence(text, query)[1](src, ledger)
+        _, ledger = run_half(_prepare_existence(text, query), src, epsilon)
         check("existence", ledger, epsilon)
 
         # periodic reporting
@@ -292,24 +292,22 @@ def test_c05_budget_ledger():
         ptext = tile(root, n)
         pquery = MatchQuery(tile(root, m2), 1, epsilon, 0.1)
         cand = shortest_close_period(pquery.pattern, 1, 2)
-        ledger = BudgetLedger(epsilon)
-        _prepare_report(ptext, pquery, cand)[1](src, ledger)
+        _, ledger = run_half(_prepare_report(ptext, pquery, cand), src, epsilon)
         check("report_periodic", ledger, epsilon)
 
         # non-periodic counting
-        ledger = BudgetLedger(epsilon)
-        _prepare_count(text, query, query.k)[1](src, ledger)
+        _, ledger = run_half(_prepare_count(text, query, query.k), src, epsilon)
         check("count_nonperiodic", ledger, epsilon)
 
         # small-k counting
         cutoff = small_k_cutoff(n, epsilon, 0.1)
         if cutoff > 1:
-            ledger = BudgetLedger(epsilon)
-            _prepare_count(text, query, cutoff)[1](src, ledger)
+            _, ledger = run_half(_prepare_count(text, query, cutoff), src, epsilon)
             check("count_nonperiodic at the small-k cutoff", ledger, epsilon)
 
         # trivial fallback consumes nothing
-        trivial_all(text, query)
+        _, ledger = run_half(_prepare_trivial(text, query), src, epsilon)
+        assert ledger.max_spent == 0
 
     detail = ", ".join(f"{k} slack {float(-v):.2e}" for k, v in sorted(worst.items()))
     report("C5 budget ledger", True, detail)

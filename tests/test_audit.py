@@ -464,6 +464,13 @@ class TestDpAudit:
             with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
                 dp_audit(*args, trials=50, seed=seed)
 
+    def test_numpy_seed_runs_as_its_int(self):
+        # An np.int64 root used to overflow in the seed mixing.
+        args = ("existence", b"ababab", b"abbbab", self.query())
+        report = dp_audit(*args, trials=50, seed=np.int64(3))
+        assert type(report.seed) is int
+        assert report == dp_audit(*args, trials=50, seed=3)
+
     def test_seed_reproducible(self):
         args = ("existence", b"ababab", b"abbbab", self.query())
         one = dp_audit(*args, trials=500, seed=9)

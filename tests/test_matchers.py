@@ -21,13 +21,9 @@ from dppm.matchers import (
     ReportOutcome,
     VARIANTS,
     below_thresh,
-    count_nonperiodic,
     error_contract,
-    existence,
     match_auto,
     plan,
-    report_periodic,
-    trivial_all,
 )
 from dppm.noise import UNIT_BOUND, NoiseSource
 from dppm.periodicity import PeriodicCandidate, Regime
@@ -47,6 +43,7 @@ from conftest import (
     ref_below_thresh,
     ref_count_nonperiodic,
     ref_match,
+    run_half,
     spent_by_position,
 )
 
@@ -648,7 +645,7 @@ class TestPrunedScan:
 class TestExistence:
     def test_exact_occurrence_found(self):
         query = MatchQuery(b"abra", 0, 1.0, 0.1)
-        outcome = existence(b"abracadabra", query, zero_src())
+        outcome = plan(b"abracadabra", query, "existence").outcome(zero_src())
         assert outcome.found and outcome.witness == 0
         assert outcome.answer == "YES"
 
@@ -659,7 +656,7 @@ class TestExistence:
         thresh = error_contract("existence", n, m, 0, 1.0, 0.1).threshold
         assert thresh >= m
         query = MatchQuery(b"bbbb", 0, 1.0, 0.1)
-        outcome = existence(b"a" * n, query, zero_src())
+        outcome = plan(b"a" * n, query, "existence").outcome(zero_src())
         assert outcome.found
 
     def test_large_text_disjoint_alphabet_says_no(self):
@@ -667,7 +664,7 @@ class TestExistence:
         thresh = error_contract("existence", n, m, 0, 1.0, 0.1).threshold
         assert thresh < m
         query = MatchQuery(b"b" * m, 0, 1.0, 0.1)
-        outcome = existence(b"a" * n, query, zero_src())
+        outcome = plan(b"a" * n, query, "existence").outcome(zero_src())
         assert not outcome.found and outcome.witness is None
 
     def test_long_scan_makes_one_kernel_call(self, monkeypatch):
@@ -688,25 +685,27 @@ class TestExistence:
         rng = random.Random(18)
         text = bytes(rng.choice(b"acgt") for _ in range(30000))
         pattern = bytes(rng.choice(b"acgt") for _ in range(256))
-        outcome = existence(text, MatchQuery(pattern, 8, 2.0, 0.1), NoiseSource(1))
+        query = MatchQuery(pattern, 8, 2.0, 0.1)
+        outcome = plan(text, query, "existence").outcome(NoiseSource(1))
         assert not outcome.found
         assert calls == [("_shifted_add", 29745)]
 
     def test_budget_charged_exactly_epsilon(self):
-        ledger = ledger_for(0.7)
         query = MatchQuery(b"ab", 1, 0.7, 0.1)
-        matchers._prepare_existence(b"abab", query)[1](NoiseSource(3), ledger)
+        prepared = matchers._prepare_existence(b"abab", query)
+        _, ledger = run_half(prepared, NoiseSource(3), 0.7)
         assert set(spent_by_position(ledger).values()) == {Fraction(0.7)}
         assert ledger.max_spent == Fraction(0.7)
 
     @pytest.mark.parametrize("epsilon, beta", [(1e-310, 0.1), (1.0, 1e-320)])
     def test_overflowing_threshold_rejected(self, epsilon, beta):
         # An infinite threshold would meet infinite noise (inf - inf = nan)
-        # and answer NO despite the exact match.
+        # and answer NO despite the exact match. The deterministic half
+        # refuses it, so no seed can run (dispatch refuses it first, on its
+        # period scale).
         query = MatchQuery(b"ab", 0, epsilon, beta)
-        for seed in range(4):
-            with pytest.raises(ValueError, match="not finite"):
-                existence(b"abab", query, NoiseSource(seed))
+        with pytest.raises(ValueError, match="not finite"):
+            matchers._prepare_existence(b"abab", query)
 
 
 class TestErrorContract:
@@ -750,7 +749,8 @@ class TestReportPeriodic:
         pattern = tile(b"ab", 8)
         query = MatchQuery(pattern, 0, 1.0, 0.1)
         candidate = PeriodicCandidate(2, b"ab", 0)
-        outcome = report_periodic(text, query, candidate, zero_src())
+        prepared = matchers._prepare_report(text, query, candidate)
+        outcome, _ = run_half(prepared, zero_src(), query.epsilon)
         assert outcome.positions == tuple(range(0, 33, 2))
         assert set(outcome.positions) == {
             i for i, d in enumerate(sliding_distances(text, pattern)) if d <= 0
@@ -762,27 +762,27 @@ class TestReportPeriodic:
         pattern = b"bb" * 4
         query = MatchQuery(pattern, 0, SHARP_EPSILON, 0.1)
         candidate = PeriodicCandidate(2, b"bb", 0)
-        outcome = report_periodic(text, query, candidate, zero_src())
+        prepared = matchers._prepare_report(text, query, candidate)
+        outcome, _ = run_half(prepared, zero_src(), query.epsilon)
         assert outcome.positions == ()
 
     def test_candidate_distance_validated(self):
         query = MatchQuery(tile(b"ab", 8), 0, 1.0, 0.1)
         bad = PeriodicCandidate(2, b"ab", 3)
         with pytest.raises(ValueError, match="candidate distance"):
-            report_periodic(tile(b"ab", 16), query, bad, zero_src())
+            matchers._prepare_report(tile(b"ab", 16), query, bad)
 
     def test_requires_m_at_least_two(self):
         query = MatchQuery(b"a", 0, 1.0, 0.1)
         with pytest.raises(ValueError, match="m >= 2"):
-            report_periodic(b"aaaa", query, PeriodicCandidate(1, b"a", 0), zero_src())
+            matchers._prepare_report(b"aaaa", query, PeriodicCandidate(1, b"a", 0))
 
     def test_budget_within_cap(self):
         text = tile(b"ab", 101)
         pattern = tile(b"ab", 8)
         query = MatchQuery(pattern, 1, 0.9, 0.1)
-        ledger = ledger_for(0.9)
-        _, scan = matchers._prepare_report(text, query, PeriodicCandidate(2, b"ab", 0))
-        scan(NoiseSource(1), ledger)
+        prepared = matchers._prepare_report(text, query, PeriodicCandidate(2, b"ab", 0))
+        _, ledger = run_half(prepared, NoiseSource(1), 0.9)
         # Interior positions sit in 3 windows at 2 scans of epsilon/6 each,
         # so the exact rational maximum is the full query budget.
         assert ledger.max_spent == Fraction(0.9)
@@ -790,9 +790,9 @@ class TestReportPeriodic:
     def test_charges_every_window_position_twice(self):
         text = tile(b"ab", 101)
         query = MatchQuery(tile(b"ab", 8), 1, 0.9, 0.1)
-        ledger = ledger_for(0.9)
         candidate = PeriodicCandidate(2, b"ab", 0)
-        matchers._prepare_report(text, query, candidate)[1](NoiseSource(1), ledger)
+        prepared = matchers._prepare_report(text, query, candidate)
+        _, ledger = run_half(prepared, NoiseSource(1), 0.9)
         expected: dict[int, Fraction] = {}
         for a, b in periodic_cover(len(text), query.m):
             for p in range(a, b + 1):
@@ -803,44 +803,46 @@ class TestReportPeriodic:
 class TestCountNonPeriodic:
     def test_zero_noise_counts_exact(self):
         query = MatchQuery(b"abra", 1, SHARP_EPSILON, 0.1)
-        outcome = count_nonperiodic(b"abracadabra", query, zero_src())
+        outcome = plan(b"abracadabra", query, "count").outcome(zero_src())
         assert outcome.count == 2
         assert outcome.witness in (0, 7)
 
     def test_zero_noise_disjoint_alphabet(self):
         query = MatchQuery(b"bbbb", 1, SHARP_EPSILON, 0.1)
-        outcome = count_nonperiodic(b"a" * 40, query, zero_src())
+        outcome = plan(b"a" * 40, query, "count").outcome(zero_src())
         assert outcome.count == 0
         assert outcome.witness is None
         assert outcome.raw_count == 0
 
     def test_window_cap_reached(self):
         # A single window with more qualifying starts than the cap: the
-        # window must contribute exactly 1152 * k.
+        # window must contribute exactly 1152 * k. (Dispatch would report
+        # this periodic pattern.)
         m = 1200
         text = b"a" * (2 * m - 1)
         query = MatchQuery(b"a" * m, 1, SHARP_EPSILON, 0.1)
-        outcome = count_nonperiodic(text, query, zero_src())
+        prepared = matchers._prepare_count(text, query, query.k)
+        outcome, _ = run_half(prepared, zero_src(), query.epsilon)
         assert outcome.count == 1152
 
     def test_rejects_k_zero(self):
         query = MatchQuery(b"abra", 0, 1.0, 0.1)
         with pytest.raises(ValueError, match="k >= 1"):
-            count_nonperiodic(b"abracadabra", query, zero_src())
+            matchers._prepare_count(b"abracadabra", query, query.k)
 
     def test_count_clamped_to_window_count(self):
         # Real thresholds at tiny n are astronomically permissive, so every
         # start in every window hits; the clamp keeps the public contract.
         text = tile(b"ab", 64)
         query = MatchQuery(b"ab", 1, 1.0, 0.1)
-        outcome = count_nonperiodic(text, query, NoiseSource(4))
+        outcome = plan(text, query, "count").outcome(NoiseSource(4))
         assert 0 <= outcome.count <= len(text) - 2 + 1
         assert outcome.raw_count >= outcome.count
 
     def test_budget_within_cap(self):
         query = MatchQuery(b"ab", 2, 1.3, 0.1)
-        ledger = ledger_for(1.3)
-        matchers._prepare_count(tile(b"ab", 50), query, 2)[1](NoiseSource(9), ledger)
+        prepared = matchers._prepare_count(tile(b"ab", 50), query, 2)
+        _, ledger = run_half(prepared, NoiseSource(9), 1.3)
         assert ledger.max_spent <= Fraction(1.3)
 
 
@@ -850,7 +852,8 @@ class TestCountSmallK:
         pattern = tile(b"ab", 6)
         query = MatchQuery(pattern, 1, SHARP_EPSILON, 0.1)
         cutoff = 3
-        outcome = count_nonperiodic(text, query, zero_src(), effective_k=cutoff)
+        prepared = matchers._prepare_count(text, query, cutoff)
+        outcome, _ = run_half(prepared, zero_src(), query.epsilon)
         assert outcome.count >= exact_count(text, pattern, query.k)
         assert outcome.count <= exact_count(text, pattern, min(cutoff, len(pattern)))
 
@@ -858,10 +861,9 @@ class TestCountSmallK:
         # One window at distance k = 3: a budget of 1 would lower the
         # threshold below it and count 0 in place of 1.
         text, query = b"abbb" + b"c" * 8, MatchQuery(b"aaaa", 3, 1e9, 0.1)
-        assert count_nonperiodic(text, query, zero_src()).count == 1
-        assert count_nonperiodic(text, query, zero_src(), effective_k=3).count == 1
-        with pytest.raises(ValueError, match="effective_k 1 is below"):
-            count_nonperiodic(text, query, zero_src(), effective_k=1)
+        assert plan(text, query, "count").outcome(zero_src()).count == 1
+        prepared = matchers._prepare_count(text, query, 3)
+        assert run_half(prepared, zero_src(), query.epsilon)[0].count == 1
         with pytest.raises(ValueError, match="effective_k 1 is below"):
             matchers._prepare_count(text, query, 1)
 
@@ -880,18 +882,19 @@ class TestDistancesOncePerQuery:
 
     def test_existence(self, calls):
         text = tile(b"ab", 50)
-        existence(text, MatchQuery(b"ab", 1, 1.3, 0.1), NoiseSource(9))
+        plan(text, MatchQuery(b"ab", 1, 1.3, 0.1), "existence").outcome(NoiseSource(9))
         assert calls == [(text, b"ab")]
 
     def test_report_periodic(self, calls):
         text, pattern = tile(b"ab", 101), tile(b"ab", 8)
         query = MatchQuery(pattern, 1, 0.9, 0.1)
-        report_periodic(text, query, PeriodicCandidate(2, b"ab", 0), NoiseSource(1))
+        prepared = matchers._prepare_report(text, query, PeriodicCandidate(2, b"ab", 0))
+        run_half(prepared, NoiseSource(1), query.epsilon)
         assert calls == [(text, pattern)]
 
     def test_count_nonperiodic(self, calls):
         text = tile(b"ab", 50)
-        count_nonperiodic(text, MatchQuery(b"ab", 2, 1.3, 0.1), NoiseSource(9))
+        plan(text, MatchQuery(b"ab", 2, 1.3, 0.1), "count").outcome(NoiseSource(9))
         assert calls == [(text, b"ab")]
 
 
@@ -931,11 +934,16 @@ class TestOneCapCheckPerQuery:
 class TestTrivialAll:
     def test_all_positions(self):
         query = MatchQuery(b"abcd", 1, 1.0, 0.1)
-        assert trivial_all(b"0123456789", query).positions == tuple(range(7))
+        outcome, ledger = run_half(
+            matchers._prepare_trivial(b"0123456789", query), None, query.epsilon
+        )
+        assert outcome.positions == tuple(range(7))
+        assert ledger.max_spent == 0
 
     def test_single_position(self):
         query = MatchQuery(b"abcd", 1, 1.0, 0.1)
-        assert trivial_all(b"wxyz", query).positions == (0,)
+        prepared = matchers._prepare_trivial(b"wxyz", query)
+        assert run_half(prepared, None, query.epsilon)[0].positions == (0,)
 
 
 class TestMatchAuto:
@@ -1259,8 +1267,8 @@ def counts_as_reference(text, query, k_eff, src):
     """Count on ``src`` and with the one-at-a-time reference counter on a
     fresh source of the same seed: the same outcome, the same ledger run
     records and the same next draw. Returns the outcome and the records."""
-    ledger = BudgetLedger(query.epsilon)
-    outcome = matchers._prepare_count(text, query, k_eff)[1](src, ledger)
+    prepared = matchers._prepare_count(text, query, k_eff)
+    outcome, ledger = run_half(prepared, src, query.epsilon)
     ref_src, ref_ledger = NoiseSource(src.seed), RefLedger(query.epsilon)
     expected = ref_count_nonperiodic(text, query, ref_src, ref_ledger, k_eff)
     assert outcome_tuple(outcome) == expected

@@ -101,9 +101,27 @@ class TestSeedDerivation:
 
     @pytest.mark.parametrize("root", [-1, 2**64])
     def test_root_outside_64_bits_raises(self, root):
-        # The root used to be masked, so 2**64 derived seed 0's sub-seeds.
-        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
-            derive_seed(root, 0)
+        # The root used to be masked, so 2**64 derived seed 0's sub-seeds
+        # and drew seed 0's stream.
+        for use in (lambda root: derive_seed(root, 0), NoiseSource):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                use(root)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1, 2**63, 2**64 - 1])
+    def test_numpy_integer_seeds_equal_python_ints(self, seed):
+        # An np.int64 overflowed in the 64-bit mixing, and an np.uint64
+        # warned there; each is now the Python int it equals.
+        kinds = [np.uint64] + [np.int64] * (seed < 2**63)
+        for kind in kinds:
+            assert derive_seed(kind(seed), kind(1), 2) == derive_seed(seed, 1, 2)
+            src = NoiseSource(kind(seed))
+            assert type(src.seed) is int and src.seed == seed
+            assert src.laplace(1.0) == NoiseSource(seed).laplace(1.0)
+
+    def test_non_integer_seed_raises(self):
+        for use in (derive_seed, NoiseSource):
+            with pytest.raises(TypeError):
+                use(1.5)
 
     @given(_U64, _U64, _U64)
     @example(0, 0, 0)

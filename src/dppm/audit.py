@@ -8,12 +8,14 @@ Two instruments:
   close strings and look for an output label whose frequencies certify a
   ratio above ``e^(d*epsilon)`` (such a certificate refutes the privacy claim;
   its absence proves nothing and is reported as "not refuted"). Each audited
-  mechanism is one ``AUDIT_MATCHERS`` entry ``(text, query) -> (src ->
-  label)``: the entry prepares what the fixed text and query decide and
-  never sees the noise source; the trial it returns runs the noisy rest. The
-  CLI matchers prepare a :func:`~dppm.matchers.plan` and label each run's
-  outcome with :func:`outcome_label`, and a broken mechanism such as the
-  no-noise canary is one more entry.
+  mechanism is one ``AUDIT_MATCHERS`` entry ``(text, query) -> (src, trials)
+  -> {label: count}``: the entry prepares what the fixed text and query
+  decide and never sees the noise source; the lane it returns runs all of a
+  string's trials on that string's source and counts their labels. The CLI
+  matchers prepare a :func:`~dppm.matchers.plan`, tally its outcomes with
+  ``QueryPlan.tally`` (one vectorized pass over peeked draws for existence)
+  and label each distinct outcome once with :func:`outcome_label`; a broken
+  mechanism such as the no-noise canary is one more entry.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
+from operator import index
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -141,6 +145,14 @@ class TrialConfig:
     target: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Each count as a plain int: a float or a numpy integer would fail,
+        # or leak into the report, far from the field that caused it.
+        for name in ("n", "m", "trials", "period_length"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         check_query(self.m, self.k, self.epsilon, self.beta, self.n)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -410,35 +422,43 @@ def outcome_label(outcome: Outcome) -> str:
     return f"h{hashlib.blake2b(payload, digest_size=8).digest()[0] & 15}"
 
 
-# An audited mechanism: prepare(text, query) -> trial, and trial(src) -> label.
-Trial = Callable[[NoiseSource], str]
-Mechanism = Callable[[bytes, MatchQuery], Trial]
+# An audited mechanism: prepare(text, query) -> lane, and lane(src, trials)
+# -> {label: count}, the labels of ``trials`` consecutive trials on ``src``.
+Lane = Callable[[NoiseSource, int], dict[str, int]]
+Mechanism = Callable[[bytes, MatchQuery], Lane]
 
 
-def _canary(text: bytes, query: MatchQuery) -> Trial:
+def _canary(text: bytes, query: MatchQuery) -> Lane:
     """Deliberately broken matcher: the exact first k-mismatch position with
     no noise, found once. Exists so the audit's power can be demonstrated;
     it must fail."""
     hits = np.flatnonzero(distance_array(text, query.pattern) <= query.k)
     witness = int(hits[0]) if len(hits) else None
     label = outcome_label(ExistenceOutcome(found=witness is not None, witness=witness))
-    return lambda src: label
+    return lambda src, trials: {label: trials}
 
 
 def _labelled(variant: str) -> Mechanism:
     """The audit entry of a ``match_auto`` variant: prepare its plan once,
-    and label each run's outcome."""
+    tally a lane's outcomes, and label each distinct outcome once."""
 
-    def prepare(text: bytes, query: MatchQuery) -> Trial:
-        outcome = plan(text, query, variant).outcome
-        return lambda src: outcome_label(outcome(src))
+    def prepare(text: bytes, query: MatchQuery) -> Lane:
+        tally = plan(text, query, variant).tally
+
+        def lane(src: NoiseSource, trials: int) -> dict[str, int]:
+            labels: Counter[str] = Counter()
+            for outcome, count in tally(src, trials).items():
+                labels[outcome_label(outcome)] += count
+            return labels
+
+        return lane
 
     return prepare
 
 
 # The audited mechanisms: an entry prepares what the fixed text and query
-# decide, and the trial it returns runs the noisy rest on each source it is
-# given.
+# decide, and the lane it returns runs the noisy rest, all of a string's
+# trials on the source it is given.
 AUDIT_MATCHERS: dict[str, Mechanism] = {
     **{variant: _labelled(variant) for variant in MATCH_VARIANTS},
     "canary": _canary,
@@ -523,13 +543,14 @@ def dp_audit(
     """Frequency-ratio audit of ``AUDIT_MATCHERS[matcher]`` on two close strings.
 
     Calls the entry once per string, ``prepare(text, query)``, which never
-    sees the noise source, then calls the trial it returns ``trials`` times
-    on that string's source, counts the labels, and checks both directions
-    per label: the audit refutes privacy only when the lower confidence
-    bound of one string's frequency exceeds ``e^(d*epsilon)`` times the
-    upper confidence bound of the other's (Clopper-Pearson intervals at
-    ``CONFIDENCE``). The test is symmetric in
-    the two strings and seed-reproducible.
+    sees the noise source, then calls the lane it returns once,
+    ``lane(src, trials)``, on that string's source for the label counts of
+    ``trials`` trials (a lane whose counts do not sum to ``trials`` raises
+    RuntimeError), and checks both directions per label: the audit refutes
+    privacy only when the lower confidence bound of one string's frequency
+    exceeds ``e^(d*epsilon)`` times the upper confidence bound of the
+    other's (Clopper-Pearson intervals at ``CONFIDENCE``). The test is
+    symmetric in the two strings and seed-reproducible.
 
     Each string is one lane with one noise stream,
     ``NoiseSource(derive_seed(seed, lane))``, and its trials read that stream
@@ -549,9 +570,10 @@ def dp_audit(
         raise ValueError(f"unknown matcher {matcher!r}; known: {sorted(AUDIT_MATCHERS)}")
     if len(text_a) != len(text_b):
         raise ValueError("audited strings must have equal length")
+    trials = index(trials)  # the report carries trials and seed as plain ints
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    seed = check_seed(seed)  # the report carries it as a plain int
+    seed = check_seed(seed)
     distance = hamming_distance(text_a, text_b)
     if not group and distance > 1:
         raise ValueError(
@@ -567,14 +589,16 @@ def dp_audit(
             f"epsilon={query.epsilon!r}"
         ) from None
 
-    counts: list[dict[str, int]] = [{}, {}]
+    counts: list[dict[str, int]] = []
     for lane, text in enumerate((text_a, text_b)):
-        lane_counts = counts[lane]
-        trial = prepare(text, query)
-        src = NoiseSource(derive_seed(seed, lane))
-        for _ in range(trials):
-            label = trial(src)
-            lane_counts[label] = lane_counts.get(label, 0) + 1
+        run = prepare(text, query)
+        lane_counts = run(NoiseSource(derive_seed(seed, lane)), trials)
+        if sum(lane_counts.values()) != trials:
+            raise RuntimeError(
+                f"audit lane {lane} of {matcher!r} counted "
+                f"{sum(lane_counts.values())} trials, expected {trials}"
+            )
+        counts.append(lane_counts)
 
     categories = []
     refuted_any = False

@@ -47,7 +47,10 @@ scale comes from the query; `match_auto` is ``plan(...).run(src)``. No
 matcher is exported by name: `QueryPlan.matcher` names the one that ran. A
 plan may run many times, each run reading the source's stream from its
 cursor and the distances its deterministic half computed, so runs on one
-source equal as many fresh calls seed for seed.
+source equal as many fresh calls seed for seed. ``tally(src, runs)`` counts
+the outcomes of consecutive runs; an existence plan decides them together in
+`_first_hits`, which compares every start of a peeked block of draws with its
+first distances in one numpy pass and follows the chain of starts.
 
 Every scan pays an integer share of the query epsilon (1 for existence, 6 for
 periodic reporting, 2 * 1152 * k for counting) on the span of text its
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -72,6 +76,7 @@ from operator import index, itemgetter
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .noise import UNIT_BOUND, NoiseSource
 from .periodicity import (
@@ -265,6 +270,12 @@ class BudgetLedger:
 _HEAD = 32
 _STREAK = 6
 _BLOCK = 1 << 16
+# `_first_hits` decides a block of existence scans at once while at most one
+# scan in _RUN_ON has run on past its head, and runs scans one at a time
+# otherwise: over a long text a scan that runs on leaves its block, so a
+# block would decide about _RUN_ON scans, and one costs about 30 us to set up
+# where a single scan over the C7 audit text takes about 2 us.
+_RUN_ON = 16
 
 
 def below_thresh(
@@ -440,6 +451,86 @@ def _scan_on(dist, at, end, noisy, d_scale, src):
     return None
 
 
+def _first_hits(dist, thresh, eps, src, runs):
+    """``runs`` existence scans, one after another on ``src``, each the
+    `below_thresh` scan at ``eps`` over one window of all of ``dist``: how
+    many first hit at each index, the scans that missed counted at index
+    ``len(dist)``. The source's cursor moves as those scans would move it.
+
+    A scan is a function of the draws it serves: its threshold unit, then one
+    unit per distance up to its hit. So every offset of a peeked block is
+    compared as a scan's start, its threshold unit against its first
+    ``W = min(len(dist), _HEAD)`` distances, in one numpy pass. A scan that
+    starts at offset p and hits at index h < W has served 2 + h draws, so the
+    next one starts at p + 2 + h; the kernel follows that chain from offset
+    0. A scan that misses its whole head runs on through `_scan_on` from
+    index W, exactly as `below_thresh` runs it, and the chain goes on from
+    where that scan ended, in the same block. The block's draws are served
+    with one skip; a chain that leaves the block peeks the next one. While
+    more than one scan in _RUN_ON has run on, scans run one at a time through
+    `below_thresh`, on a ledger of their own.
+    """
+    size = len(dist)
+    width = min(size, _HEAD)
+    head = dist[:width]
+    t_scale, d_scale = 2.0 / eps, 4.0 / eps
+    whole = ((0, size, (0, size)),)
+    blocks = []  # the first hits of the scans each block decided
+    single = []  # and of the scans decided one at a time or run on
+    ran_on = 0  # scans that missed their head
+    per_scan = 2  # draws a scan served in the last block, rounded up
+    left = runs
+    while left:
+        if _RUN_ON * ran_on > runs - left:
+            _, at = below_thresh(dist, thresh, 1, src, BudgetLedger(eps), whole)
+            single.append(size if at is None else at)
+            ran_on += at is None or at >= width
+            left -= 1
+            continue
+        # Starts in this block: enough for the scans left at the last
+        # block's rate, within a _BLOCK of compared distances.
+        starts = min(per_scan * left, _BLOCK // (width + 1))
+        before = left
+        u = src.units(starts + width)
+        # Row p: the noise of the scan that starts at offset p, on its
+        # distances (units p + 1 .. p + W) and on its threshold (unit p).
+        noise = sliding_window_view(d_scale * u[1:], width)
+        ok = head + noise <= (thresh + t_scale * u[:starts])[:, None]
+        first = ok.argmax(axis=1)
+        offsets = np.arange(starts)
+        hit = ok[offsets, first]
+        # Where the scan that starts at each offset ends, or -1 where it
+        # misses its head and runs on.
+        ends = np.where(hit, first + 2, width + 1) + offsets
+        if width < size:
+            ends[~hit] = -1
+        ends = ends.tolist()
+        chain = []  # the starts the block decided
+        p = served = 0
+        while left and p < starts:
+            left -= 1
+            end = ends[p]
+            if end >= 0:
+                chain.append(p)
+                p = end
+                continue
+            src.skip(p + 1 + width - served)
+            noisy = thresh + t_scale * u.item(p)
+            at = _scan_on(dist, width, size, noisy, d_scale, src)
+            if at is None:
+                at, p = size, p + 1 + size
+            else:
+                p += 2 + at
+            single.append(at)
+            ran_on += 1
+            served = p
+        src.skip(p - served)
+        blocks.append(np.where(hit, first, size)[chain])
+        per_scan = max(2, -(-p // (before - left)))
+    single = np.array(single, dtype=np.intp)
+    return np.bincount(np.concatenate([*blocks, single]), minlength=size + 1)
+
+
 # --- error contracts ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -532,6 +623,9 @@ def error_contract(
 # the code that runs it creates the ledger, always fresh and at the query's
 # epsilon, which sets every scan's noise scale.
 Scan = Callable[[NoiseSource, BudgetLedger], Outcome]
+# The noisy half run ``runs`` times in a row on one source, over one ledger
+# that stands for every run's: how often each outcome came out.
+Batch = Callable[[NoiseSource, BudgetLedger, int], "Counter[Outcome]"]
 
 
 def _require_text(text: bytes, m: int) -> None:
@@ -548,10 +642,13 @@ def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
     return dist
 
 
-def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
+def _prepare_existence(
+    text: bytes, query: MatchQuery
+) -> tuple[Contract, Scan, Batch]:
     """Existence: one scan of share 1 over the whole text. With probability
     at least 1 - beta a true k-mismatch occurrence forces YES, and the
-    witness, the scan's hit, lies within the contract's ``bound``."""
+    witness, the scan's hit, lies within the contract's ``bound``. The batch
+    serves many runs at once through `_first_hits`."""
     _require_text(text, query.m)
     n = len(text)
     contract = error_contract(
@@ -566,7 +663,20 @@ def _prepare_existence(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
         ledger.assert_within_cap()
         return ExistenceOutcome(found=hit is not None, witness=hit)
 
-    return contract, scan
+    def batch(src: NoiseSource, ledger: BudgetLedger, runs: int) -> Counter:
+        counts = _first_hits(dist, thresh, ledger.epsilon, src, runs)
+        # Every run's ledger holds the same one record, (0, n, share 1, one
+        # run), whatever the noise: one scan starts at the window's first
+        # index, hit or miss. So one charge and one check stand for all runs.
+        ledger.charge_span(0, n, 1)
+        ledger.assert_within_cap()
+        miss = len(dist)
+        return Counter({
+            ExistenceOutcome(i < miss, i if i < miss else None): counts.item(i)
+            for i in np.flatnonzero(counts).tolist()
+        })
+
+    return contract, scan, batch
 
 
 def _prepare_report(
@@ -730,7 +840,8 @@ class QueryPlan:
     matcher that runs and its contract, and the distances that matcher
     reads. ``run`` is the noisy half; each call starts a fresh ledger and
     reads the source's stream from its cursor, so a plan may be run many
-    times, and runs on one source read consecutive draws."""
+    times, and runs on one source read consecutive draws. ``batch`` serves
+    many runs at once where the matcher has one (existence), for `tally`."""
 
     regime: Regime
     decision: DispatchDecision
@@ -738,6 +849,7 @@ class QueryPlan:
     contract: Contract
     epsilon: float
     scan: Scan = field(repr=False)
+    batch: Optional[Batch] = field(default=None, repr=False)
 
     def run(self, src: NoiseSource) -> MatchResult:
         ledger = BudgetLedger(self.epsilon)
@@ -745,10 +857,22 @@ class QueryPlan:
         return MatchResult(self.regime, self.decision, outcome, ledger, self.contract)
 
     def outcome(self, src: NoiseSource) -> Outcome:
-        """``run(src).outcome``, without building the `MatchResult`: an audit
-        trial needs only the outcome, and the record is a large share of a
-        tiny query's cost."""
+        """``run(src).outcome``, without building the `MatchResult`."""
         return self.scan(src, BudgetLedger(self.epsilon))
+
+    def tally(self, src: NoiseSource, runs: int) -> Counter[Outcome]:
+        """How often each outcome comes out of ``runs`` consecutive runs on
+        ``src``: ``Counter(self.outcome(src) for _ in range(runs))`` seed
+        for seed, leaving the source's cursor where those runs leave it. An
+        existence plan serves the runs in a vectorized pass over peeked
+        draws, its ledger charged and checked once; every other plan runs
+        ``outcome`` ``runs`` times."""
+        runs = index(runs)
+        if runs < 0:
+            raise ValueError(f"runs must be non-negative, got {runs}")
+        if self.batch is None:
+            return Counter(self.outcome(src) for _ in range(runs))
+        return self.batch(src, BudgetLedger(self.epsilon), runs)
 
 
 def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
@@ -761,9 +885,10 @@ def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
     decision = dispatch(query.pattern, query.k, len(text), query.epsilon, query.beta)
     regime = decision.regime
 
+    batch = None
     if variant == "existence":
         matcher = "existence"
-        contract, scan = _prepare_existence(text, query)
+        contract, scan, batch = _prepare_existence(text, query)
     elif variant != "report" and regime in (
         Regime.NON_PERIODIC_COUNTING,
         Regime.SMALL_K_COUNTING,
@@ -779,7 +904,7 @@ def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
         )
         if variant == "count":
             scan = _as_count(scan)
-    return QueryPlan(regime, decision, matcher, contract, query.epsilon, scan)
+    return QueryPlan(regime, decision, matcher, contract, query.epsilon, scan, batch)
 
 
 def match_auto(

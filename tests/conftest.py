@@ -136,6 +136,19 @@ def run_half(prepared, src, epsilon: float):
     return prepared[1](src, ledger), ledger
 
 
+def per_trial(mechanism):
+    """An audit mechanism written one trial at a time, ``(text, query) ->
+    (src -> label)``, lifted to the ``AUDIT_MATCHERS`` form ``(text, query)
+    -> (src, trials) -> {label: count}``: its lane runs the trial once per
+    trial on the lane's source and counts the labels."""
+
+    def prepare(text, query):
+        trial = mechanism(text, query)
+        return lambda src, trials: Counter(trial(src) for _ in range(trials))
+
+    return prepare
+
+
 # --- packing families ---------------------------------------------------------
 #
 # The pairwise-equidistant string constructions behind the paper's

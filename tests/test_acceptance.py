@@ -48,6 +48,7 @@ from conftest import (
     min_period_distance,
     packing_family_mismatch,
     packing_family_planted,
+    per_trial,
     run_half,
 )
 
@@ -393,7 +394,9 @@ def test_c07b_dp_audit_where_noise_decides(monkeypatch):
 
         return trial
 
-    monkeypatch.setitem(AUDIT_MATCHERS, "no-threshold-noise", no_threshold_noise)
+    monkeypatch.setitem(
+        AUDIT_MATCHERS, "no-threshold-noise", per_trial(no_threshold_noise)
+    )
     trials = 100_000
     genuine = dp_audit("existence", text_a, text_b, query, trials=trials, seed=1)
     mutant = dp_audit(

@@ -1,5 +1,8 @@
 """Tests for the utility experiments, privacy audit, and packing families."""
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from dppm.audit import (
 )
 from dppm import matchers
 from dppm.matchers import (
+    VARIANTS as MATCH_VARIANTS,
     BudgetLedger,
     CountOutcome,
     ExistenceOutcome,
@@ -30,7 +34,12 @@ from dppm.matchers import (
 from dppm.noise import NoiseSource
 from dppm.text import distance_array, hamming_distance, sliding_distances
 
-from conftest import brute_sliding, packing_family_mismatch, packing_family_planted
+from conftest import (
+    brute_sliding,
+    packing_family_mismatch,
+    packing_family_planted,
+    per_trial,
+)
 
 
 def small_config(**overrides) -> TrialConfig:
@@ -129,6 +138,23 @@ class TestTrialConfig:
         else:
             with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
                 small_config(seed=seed)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 20.0), ("m", 4.0), ("trials", 2.5), ("period_length", 2.5)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # n=20.0 and m=4.0 used to fail inside a generator, and
+        # period_length=2.5 inside rng.integers.
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            small_config(**{field: value})
+
+    def test_counts_are_plain_ints(self):
+        cfg = small_config(n=np.int64(300), m=np.int16(16), trials=True,
+                           period_length=np.uint8(3))
+        assert (cfg.n, cfg.m, cfg.trials, cfg.period_length) == (300, 16, 1, 3)
+        assert {type(v) for v in (cfg.n, cfg.m, cfg.trials, cfg.period_length)} == {int}
+        assert cfg == small_config(trials=1, period_length=3)
 
     def test_target_defaults_to_guarantee_level(self):
         assert small_config().target_probability == pytest.approx(0.9)
@@ -308,11 +334,14 @@ class TestAuditTable:
             outcome_type = OUTCOME_TYPE[name] or type(
                 match_auto(text, query, NoiseSource(0)).outcome
             )
-            trial = AUDIT_MATCHERS[name](text, query)
+            lane = AUDIT_MATCHERS[name](text, query)
             for seed in range(40):
-                label = trial(NoiseSource(seed))
-                assert type(label) is str
+                (label, count), = lane(NoiseSource(seed), 1).items()
+                assert type(label) is str and count == 1
                 assert label in LABELS[outcome_type], (name, label)
+            counts = lane(NoiseSource(40), 300)
+            assert sum(counts.values()) == 300
+            assert set(counts) <= LABELS[outcome_type], (name, counts)
 
     def test_registered_noiseless_mechanism_refuted(self, monkeypatch):
         def first_bb(text, query):
@@ -320,7 +349,7 @@ class TestAuditTable:
             return lambda src: label
 
         real = dict(AUDIT_MATCHERS)
-        monkeypatch.setitem(AUDIT_MATCHERS, "first-bb", first_bb)
+        monkeypatch.setitem(AUDIT_MATCHERS, "first-bb", per_trial(first_bb))
         query = MatchQuery(b"ba", 0, 1.0, 0.1)
         report = dp_audit("first-bb", *C7_PAIR, query, trials=200, seed=1)
         assert report.refuted
@@ -377,8 +406,8 @@ class TestAuditTable:
 
             return trial
 
-        monkeypatch.setitem(AUDIT_MATCHERS, "kernel", kernel)
-        monkeypatch.setitem(AUDIT_MATCHERS, control, broken)
+        monkeypatch.setitem(AUDIT_MATCHERS, "kernel", per_trial(kernel))
+        monkeypatch.setitem(AUDIT_MATCHERS, control, per_trial(broken))
         query = MatchQuery(pattern, 0, 1.0, 0.1)
         real = dp_audit("kernel", text_a, text_b, query, trials=trials, seed=1)
         assert not real.refuted
@@ -390,7 +419,7 @@ class TestAuditTable:
         def sign(text, query):
             return lambda src: "+" if src.laplace(1.0) > 0 else "-"
 
-        monkeypatch.setitem(AUDIT_MATCHERS, "sign", sign)
+        monkeypatch.setitem(AUDIT_MATCHERS, "sign", per_trial(sign))
         query = MatchQuery(b"ba", 0, 1.0, 0.1)
         report = dp_audit("sign", b"ababab", b"ababab", query, trials=2000, seed=5)
         assert not report.refuted
@@ -401,7 +430,7 @@ class TestAuditTable:
 
     def test_prepares_once_per_lane(self, monkeypatch):
         # What the lane's fixed text and query decide is prepared once per
-        # lane; only the returned trial runs once per trial, and the
+        # lane; only the trial inside the lane runs once per trial, and the
         # prepare never sees a noise source.
         calls = {"prepare": [], "trial": 0}
 
@@ -414,10 +443,37 @@ class TestAuditTable:
 
             return trial
 
-        monkeypatch.setitem(AUDIT_MATCHERS, "two-level", two_level)
+        monkeypatch.setitem(AUDIT_MATCHERS, "two-level", per_trial(two_level))
         query = MatchQuery(b"ba", 0, 1.0, 0.1)
         dp_audit("two-level", *C7_PAIR, query, trials=300, seed=3)
         assert calls == {"prepare": list(C7_PAIR), "trial": 600}
+
+    @pytest.mark.parametrize("short", [-1, 1])
+    def test_lane_that_miscounts_raises(self, monkeypatch, short):
+        # A lane that loses or invents a trial would skew every frequency.
+        def miscount(text, query):
+            return lambda src, trials: {"+": trials - short}
+
+        monkeypatch.setitem(AUDIT_MATCHERS, "miscount", miscount)
+        query = MatchQuery(b"ba", 0, 1.0, 0.1)
+        with pytest.raises(RuntimeError, match="counted .* trials, expected 300"):
+            dp_audit("miscount", *C7_PAIR, query, trials=300, seed=3)
+
+    def test_lane_tallies_the_plan(self):
+        # An audit lane labels each distinct outcome of the plan's tally
+        # once: the same counts as labelling every outcome of a per-run loop.
+        # At epsilon 20 the existence threshold (1.84) sits among the
+        # distances (0 to 2), so the noise decides the witness.
+        query = MatchQuery(b"ba", 0, 20.0, 0.1)
+        for variant in MATCH_VARIANTS:
+            for text in C7_PAIR:
+                outcome = matchers.plan(text, query, variant).outcome
+                src = NoiseSource(8)
+                want = Counter(outcome_label(outcome(src)) for _ in range(500))
+                got = AUDIT_MATCHERS[variant](text, query)(NoiseSource(8), 500)
+                assert got == want, variant
+                if variant == "existence":
+                    assert len(got) >= 2, got
 
 
 class TestDpAudit:
@@ -470,6 +526,29 @@ class TestDpAudit:
         report = dp_audit(*args, trials=50, seed=np.int64(3))
         assert type(report.seed) is int
         assert report == dp_audit(*args, trials=50, seed=3)
+
+    def test_numpy_trials_run_as_their_int(self):
+        # An np.int64 trial count used to reach the report, whose records
+        # json could not serialize.
+        args = ("existence", b"ababab", b"abbbab", self.query())
+        report = dp_audit(*args, trials=np.int64(3), seed=1)
+        assert type(report.trials) is int
+        assert report == dp_audit(*args, trials=3, seed=1)
+        json.dumps(report.to_records())
+
+    def test_bool_trials_run_as_one(self):
+        args = ("existence", b"ababab", b"abbbab", self.query())
+        report = dp_audit(*args, trials=True, seed=1)
+        assert type(report.trials) is int
+        assert report == dp_audit(*args, trials=1, seed=1)
+
+    def test_fractional_trials_refused_before_any_lane(self, monkeypatch):
+        def never(text, query):
+            raise AssertionError("a lane was prepared")
+
+        monkeypatch.setitem(AUDIT_MATCHERS, "never", never)
+        with pytest.raises(TypeError):
+            dp_audit("never", b"ababab", b"abbbab", self.query(), trials=2.5)
 
     def test_seed_reproducible(self):
         args = ("existence", b"ababab", b"abbbab", self.query())

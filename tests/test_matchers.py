@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -42,6 +43,7 @@ from conftest import (
     periodic_cover,
     ref_below_thresh,
     ref_count_nonperiodic,
+    ref_existence,
     ref_match,
     run_half,
     spent_by_position,
@@ -1388,3 +1390,132 @@ class TestBatchAcrossWindows:
         assert prepared.run(src).outcome.raw_count == 2437
         assert len(calls) == 1 and len(calls[0]) == 39
         assert len(src.peeks) <= math.log2(2437)
+
+
+class TestTally:
+    """``QueryPlan.tally(src, runs)`` counts the outcomes of ``runs``
+    consecutive runs on ``src``. An existence plan decides them in one
+    vectorized pass over peeked draws, every other plan in a loop; both
+    must equal that loop seed for seed and leave the same next draw."""
+
+    @given(
+        variant=st.sampled_from(["existence", "count", "report"]),
+        size=st.sampled_from([1, 2, 31, 32, 33, 80]),
+        m=st.integers(1, 6),
+        data=st.data(),
+        above=st.floats(0.05, 7.0),
+        runs=st.sampled_from([0, 1, 2, 7, 300]),
+        seed=st.integers(0, 2**64 - 1),
+        mode=st.sampled_from(["standard", "standard", "zero"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_outcome_loop(self, variant, size, m, data, above, runs, seed, mode):
+        # The existence threshold sits ``above`` over k, among the binary
+        # texts' distances, so the noise decides where a scan hits, whether
+        # it runs on past its head (size 33 and 80) and whether it misses.
+        k = data.draw(st.integers(0, m - 1))
+        text = data.draw(st.binary(min_size=size + m - 1, max_size=size + m - 1))
+        text = bytes(b"ab"[c & 1] for c in text)
+        pattern = data.draw(st.binary(min_size=m, max_size=m))
+        pattern = bytes(b"ab"[c & 1] for c in pattern)
+        logs = math.log(size) + math.log(2.0 / 0.1)
+        query = MatchQuery(pattern, k, 8.0 * logs / above, 0.1)
+        prepared = plan(text, query, variant)
+        assert (prepared.batch is not None) == (variant == "existence")
+        src, loop_src = NoiseSource(seed, mode), NoiseSource(seed, mode)
+        got = prepared.tally(src, runs)
+        want = Counter(prepared.outcome(loop_src) for _ in range(runs))
+        assert got == want
+        assert sum(got.values()) == runs
+        assert src.laplace(1.0) == loop_src.laplace(1.0)
+
+    def c7b_plan(self, text_b):
+        # Acceptance C7b's pair: every distance of text_a is 60, text_b
+        # lowers its first 14 to 59, and the threshold is 59.02, so a scan
+        # often misses its 32-distance head and runs on.
+        text_a = ((b"a" * 4 + b"b" * 60) * 3)[:143]
+        text = text_a[:13] + b"a" + text_a[14:] if text_b else text_a
+        return text, MatchQuery(b"a" * 64, 0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("text_b", [False, True])
+    def test_matches_the_reference_scan(self, text_b):
+        # Against the one-distance-at-a-time reference: 3000 runs, some of
+        # which hit past the head and some of which miss.
+        text, query = self.c7b_plan(text_b)
+        src, ref_src = NoiseSource(21), NoiseSource(21)
+        got = plan(text, query, "existence").tally(src, 3000)
+        want = Counter()
+        for _ in range(3000):
+            _, found, hit = ref_existence(text, query, ref_src, RefLedger(1.0))
+            want[ExistenceOutcome(found, hit)] += 1
+        assert got == want
+        assert src.laplace(1.0) == ref_src.laplace(1.0)
+        ran_on = [o for o in got if not o.found or o.witness >= matchers._HEAD]
+        assert ran_on and ExistenceOutcome(False, None) in got
+
+    def test_ledger_checked_once_per_existence_tally(self, monkeypatch):
+        # Every existence run's ledger is the one record (0, n, share 1,
+        # one run); a count plan checks each run's own ledger.
+        checked = []
+        real = BudgetLedger.assert_within_cap
+
+        def check(ledger):
+            checked.append(list(ledger._runs))
+            real(ledger)
+
+        monkeypatch.setattr(BudgetLedger, "assert_within_cap", check)
+        text, query = self.c7b_plan(True)
+        plan(text, query, "existence").tally(NoiseSource(2), 500)
+        assert checked == [[(0, 1, len(text), 1)]]  # (start, runs, stop, share)
+        checked.clear()
+        plan(b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count").tally(NoiseSource(2), 5)
+        assert len(checked) == 5
+
+    def test_cap_failure_raises(self, monkeypatch):
+        def overspent(ledger):
+            raise matchers.PrivacyBudgetExceeded("privacy budget exceeded")
+
+        monkeypatch.setattr(BudgetLedger, "assert_within_cap", overspent)
+        text, query = self.c7b_plan(False)
+        with pytest.raises(matchers.PrivacyBudgetExceeded):
+            plan(text, query, "existence").tally(NoiseSource(2), 10)
+
+    @pytest.mark.parametrize("runs, error", [(-1, ValueError), (2.5, TypeError)])
+    def test_runs_must_be_a_count(self, runs, error):
+        prepared = plan(b"ababab", MatchQuery(b"ba", 0, 1.0, 0.1), "existence")
+        with pytest.raises(error):
+            prepared.tally(NoiseSource(0), runs)
+
+    def test_scans_that_run_on_go_one_at_a_time(self, monkeypatch):
+        # Every distance is 512 and the threshold 90 below it, so nearly
+        # every scan runs past its head and far out of a block (witnesses
+        # from 10 to 896): after the first block, scans run one at a time
+        # through the kernel.
+        rng = random.Random(5)
+        text = bytes(rng.choice(b"xyz") for _ in range(3000))
+        pattern = bytes(rng.choice(b"ab") for _ in range(512))
+        logs = math.log(len(text) - 512 + 1) + math.log(2.0 / 0.1)
+        query = MatchQuery(pattern, 0, 8.0 * logs / (512 - 90), 0.1)
+        prepared = plan(text, query, "existence")
+        src, loop_src = NoiseSource(3), NoiseSource(3)
+        want = Counter(prepared.outcome(loop_src) for _ in range(200))
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return below_thresh(*args)
+
+        monkeypatch.setattr(matchers, "below_thresh", recording)
+        assert prepared.tally(src, 200) == want
+        assert src.laplace(1.0) == loop_src.laplace(1.0)
+        assert 150 < len(calls) < 200
+        assert len(want) > 100
+
+    def test_long_runs_span_blocks(self):
+        # 20,000 runs need more draws than one peeked block holds.
+        text, query = self.c7b_plan(True)
+        prepared = plan(text, query, "existence")
+        src, loop_src = NoiseSource(4), NoiseSource(4)
+        got = prepared.tally(src, 20_000)
+        assert got == Counter(prepared.outcome(loop_src) for _ in range(20_000))
+        assert src.laplace(1.0) == loop_src.laplace(1.0)

@@ -33,6 +33,7 @@ import numpy as np
 from .matchers import (
     VARIANTS as MATCH_VARIANTS,
     BudgetLedger,
+    Contract,
     CountOutcome,
     ExistenceOutcome,
     MatchQuery,
@@ -147,7 +148,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         # Each count as a plain int: a float or a numpy integer would fail,
         # or leak into the report, far from the field that caused it.
-        for name in ("n", "m", "trials", "period_length"):
+        for name in ("n", "m", "k", "trials", "period_length"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, index(value))
@@ -283,9 +284,9 @@ class UtilityReport:
 
 def _prepare_trial(
     inst: Instance, cfg: TrialConfig, variant: str
-) -> tuple[str, float, Scan]:
+) -> tuple[str, Contract, Scan]:
     """Prepare one matcher of ``variant`` once: its algorithm tag, its
-    contract's bound and its noisy half, all from that one preparation.
+    contract and its noisy half, all from that one preparation.
 
     Existence and count prepare a :func:`~dppm.matchers.plan`. Report
     prepares the reporter on the pattern's widest close period when m >= 2,
@@ -300,7 +301,7 @@ def _prepare_trial(
         prepared = plan(inst.text, query, variant)
         regime, contract, scan = prepared.regime, prepared.contract, prepared.scan
     algorithm = variant if variant == "existence" else regime.value
-    return algorithm, contract.bound, scan
+    return algorithm, contract, scan
 
 
 def _judge_trial(
@@ -374,12 +375,12 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
         src = NoiseSource(derive_seed(noise_seed, trial), mode=cfg.noise)
         try:
             inst = generate(cfg, instance_rng)
-            algorithm, bound, scan = _prepare_trial(inst, cfg, variant)
+            algorithm, contract, scan = _prepare_trial(inst, cfg, variant)
         except ValueError as exc:
             record = TrialRecord(trial=trial, violated=True, error=str(exc))
         else:
-            outcome = scan(src, BudgetLedger(cfg.epsilon))
-            record = _judge_trial(inst, cfg, trial, algorithm, bound, outcome)
+            outcome = scan(src, BudgetLedger(cfg.epsilon, contract.share))
+            record = _judge_trial(inst, cfg, trial, algorithm, contract.bound, outcome)
         report.records.append(record)
     report.runtime_seconds = time.perf_counter() - started
     return report

@@ -29,8 +29,8 @@ matchers, by the names `QueryPlan.matcher` and `CONTRACTS` give them:
   substituted for ``k``.
 * `trivial_all` — emits every position; private for free, additive error m.
 
-Each matcher's calibrated threshold and error contract is one row of
-`CONTRACTS`, read through `error_contract`.
+Each matcher's calibrated threshold, error contract and budget share is one
+row of `CONTRACTS`, read through `error_contract`.
 
 Each matcher is two halves, the trivial reporter included. The
 deterministic half validates the query, computes the contract once, the
@@ -41,27 +41,29 @@ reporter's returns its fixed report). `_prepare_reporter` is the one choice
 between periodic reporting and the trivial reporter, for `plan` and the
 utility bench alike. `plan` composes dispatch with the selected matcher's
 deterministic half into a `QueryPlan`, whose ``run(src)`` is the noisy half
-with a fresh `BudgetLedger` at the query's epsilon (``outcome(src)`` returns
-its outcome alone), so no matcher takes a ledger and every scan's noise
-scale comes from the query; `match_auto` is ``plan(...).run(src)``. No
-matcher is exported by name: `QueryPlan.matcher` names the one that ran. A
-plan may run many times, each run reading the source's stream from its
-cursor and the distances its deterministic half computed, so runs on one
-source equal as many fresh calls seed for seed. ``tally(src, runs)`` counts
-the outcomes of consecutive runs; an existence plan decides them together in
-`_first_hits`, which compares every start of a peeked block of draws with its
-first distances in one numpy pass and follows the chain of starts.
+with a fresh `BudgetLedger` at the query's epsilon and the contract's share
+(``outcome(src)`` returns its outcome alone), so no matcher takes a ledger
+and every scan's noise scale comes from the query and its contract;
+`match_auto` is ``plan(...).run(src)``. No matcher is exported by name:
+`QueryPlan.matcher` names the one that ran. A plan may run many times, each
+run reading the source's stream from its cursor and the distances its
+deterministic half computed, so runs on one source equal as many fresh calls
+seed for seed. ``tally(src, runs)`` counts the outcomes of consecutive runs;
+an existence plan decides them together in `_first_hits`, which compares
+every start of a peeked block of draws with its first distances in one numpy
+pass and follows the chain of starts.
 
-Every scan pays an integer share of the query epsilon (1 for existence, 6 for
-periodic reporting, 2 * 1152 * k for counting) on the span of text its
-distances read, in a `BudgetLedger`, and draws its noise at that slice; the
-kernel charges a window's scans that start at consecutive positions as one
-run record.
-The ledger's cap check is the executable form of the composition argument:
-`window_cover` gives each block of ``stride`` start positions one window, and
-a position lies in at most ``ceil((m - 1) / stride) + 1`` of them, 3 at the
-reporter's stride ``m // 2`` and 2 at the counter's stride ``m``, so slices
-sum to at most the query epsilon.
+Every scan of a query pays the same integer share of the query epsilon, the
+``share`` of its matcher's `CONTRACTS` row, on the span of text its distances
+read, in a `BudgetLedger` built for that share, and draws its noise at that
+slice; the kernel charges a window's scans that start at consecutive
+positions as one run record. The ledger's cap check is the executable form of
+the composition argument: it counts the scans covering each position against
+the share. `window_cover` gives each block of ``stride`` start positions one
+window, and a position lies in at most ``ceil((m - 1) / stride) + 1`` of
+them, 3 at the reporter's stride ``m // 2`` (two scans each) and 2 at the
+counter's stride ``m`` (up to 1152 * k scans each), so slices sum to at most
+the query epsilon.
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import index, itemgetter
+from operator import index, itemgetter, lt
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -106,6 +107,9 @@ class MatchQuery:
     def __post_init__(self) -> None:
         check_bytes("pattern", self.pattern)
         check_query(len(self.pattern), self.k, self.epsilon, self.beta)
+        # Plain numbers from here on, whatever numeric types the caller used.
+        for name, plain in (("k", index), ("epsilon", float), ("beta", float)):
+            object.__setattr__(self, name, plain(getattr(self, name)))
 
     @property
     def m(self) -> int:
@@ -152,7 +156,7 @@ class ReportOutcome:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if list(self.positions) != sorted(set(self.positions)):
+        if not all(map(lt, self.positions, self.positions[1:])):
             raise ValueError("positions must be sorted and duplicate-free")
 
 
@@ -165,84 +169,67 @@ class PrivacyBudgetExceeded(RuntimeError):
 
 
 class BudgetLedger:
-    """Per-position record of the privacy budget a query's scans consume.
+    """Per-position record of the privacy budget one query's scans consume.
 
-    A charge of integer ``share`` costs ``epsilon / share`` on each position
-    of its half-open span ``[start, stop)``. A run of ``runs`` charges on
-    ``[start, stop)``, ``[start + 1, stop)``, ..., ``[start + runs - 1, stop)``
-    (consecutive scans that each hit at their first distance) is kept as one
-    record. The peak sweep counts in integer units of
-    ``epsilon / lcm(shares)``, so the cap check is exact.
+    Every scan pays the query contract's integer ``share``: it costs
+    ``epsilon / share`` on each position of its half-open span
+    ``[start, stop)``. A run of ``runs`` charges on ``[start, stop)``, ...,
+    ``[start + runs - 1, stop)`` (consecutive scans that each hit at their
+    first distance) is kept as one record ``(start, runs, stop)``. The cap
+    check counts the scans covering a position against ``share``: exact.
     """
 
-    def __init__(self, epsilon: float):
+    def __init__(self, epsilon: float, share: int):
         if not (epsilon > 0 and math.isfinite(epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-        self.epsilon = epsilon
-        self._runs: list[tuple[int, int, int, int]] = []  # (start, runs, stop, share)
-
-    def charge_span(self, start: int, stop: int, share: int, runs: int = 1) -> None:
-        """Charge ``runs`` scans of integer ``share``, starting at ``start``,
-        ``start + 1``, ..., each on the span from its start to ``stop``."""
-        if not (isinstance(runs, int) and 0 < runs <= stop - start):
-            raise ValueError(
-                f"empty charge span: {runs!r} run(s) from [{start}, {stop})"
-            )
         if not (isinstance(share, int) and share > 0):
             raise ValueError(f"share must be a positive int, got {share!r}")
-        self._runs.append((start, runs, stop, share))
+        self.epsilon = float(epsilon)
+        self.share = share
+        self._runs: list[tuple[int, int, int]] = []  # (start, runs, stop)
 
-    def _peak(self) -> tuple[int, int]:
-        """Largest per-position spend as ``units`` of ``epsilon / denom``.
+    def charge_span(self, start: int, stop: int, runs: int = 1) -> None:
+        """Charge ``runs`` scans, starting at text positions ``start``,
+        ``start + 1``, ..., each on the span from its start to ``stop``."""
+        if not (isinstance(runs, int) and 0 <= start and 0 < runs <= stop - start):
+            raise ValueError(
+                f"bad charge span: {runs!r} run(s) from [{start}, {stop})"
+            )
+        self._runs.append((start, runs, stop))
 
-        Along the text the spend jumps up at each record's start, climbs
-        through the starts of its run (slope 1 per charge) and drops at its
-        stop. It never falls between drops, so the peak is at ``p - 1`` for
-        some ``p`` where it drops: the jumps before ``p`` (one C-level
-        prefix sum) plus the runs' climb up to ``p - 1`` (a sweep over the
-        few slope changes).
+    def _peak(self) -> int:
+        """The largest number of scans whose spans cover one position.
+
+        Along the text the cover rises by one at each scan's start (a run
+        climbs one a position) and drops at a stop, so it peaks at ``p - 1``
+        for some event position ``p``: one pass over the sorted events
+        (position, change of cover, change of climb). Moving on from a
+        position adds the climb to the cover, so a climb ends with -1.
         """
-        if len(self._runs) == 1:  # one scan or run (every existence query)
-            _, runs, _, share = self._runs[0]
-            return runs, share
-        denom = math.lcm(*{share for *_, share in self._runs})
-        jumps: dict[int, int] = {}
-        slopes: dict[int, int] = {}
-        for start, runs, stop, share in self._runs:
-            units = denom // share
-            jumps[start] = jumps.get(start, 0) + units
-            jumps[stop] = jumps.get(stop, 0) - units * runs
-            if runs > 1:
-                slopes[start + 1] = slopes.get(start + 1, 0) + units
-                slopes[start + runs] = slopes.get(start + runs, 0) - units
-        positions = sorted(jumps)
-        before = accumulate((jumps[p] for p in positions), initial=0)
-        events = sorted(slopes.items())
-        peak = climb = slope = at = k = 0  # climb up to position at
-        for p, level in zip(positions, before):
-            if jumps[p] >= 0:
-                continue
-            while k < len(events) and events[k][0] < p:
-                pos, change = events[k]
-                climb += slope * (pos - at) + change
-                slope += change
-                at = pos
-                k += 1
-            peak = max(peak, level + climb + slope * (p - 1 - at))
-        return peak, denom
+        events = []
+        for start, runs, stop in self._runs:
+            events += (start, 1, 1), (start + runs, -1, -1), (stop, -runs, 0)
+        peak = cover = climb = at = 0  # the cover at position at
+        for p, step, turn in sorted(events):
+            if p > at:
+                peak = max(peak, cover + climb * (p - 1 - at))
+                cover += climb * (p - at)
+                at = p
+            cover += step
+            climb += turn
+        return peak
 
     @property
     def max_spent(self) -> Fraction:
         """Largest accumulated charge over all positions, as an exact rational."""
-        units, denom = self._peak()
-        return Fraction(self.epsilon) * units / denom
+        return Fraction(self.epsilon) * self._peak() / self.share
 
     def assert_within_cap(self) -> None:
-        units, denom = self._peak()
-        if units > denom:
+        peak = self._peak()
+        if peak > self.share:
             raise PrivacyBudgetExceeded(
-                f"privacy budget exceeded: a position pays {units}/{denom} of "
-                f"epsilon={self.epsilon!r}"
+                f"privacy budget exceeded: a position pays {peak}/{self.share} "
+                f"of epsilon={self.epsilon!r}"
             )
 
 
@@ -281,7 +268,6 @@ _RUN_ON = 16
 def below_thresh(
     dist: np.ndarray,
     thresh: float,
-    share: int,
     src: NoiseSource,
     ledger: BudgetLedger,
     windows: tuple[tuple[int, int, tuple[int, int]], ...],
@@ -296,8 +282,8 @@ def below_thresh(
     increasing order and do not overlap.
 
     ``dist`` is one numpy int array (each matcher passes the array it froze
-    at prepare time, or a view of it). Each scan pays ``share`` of the
-    ledger's epsilon and runs at ``eps = ledger.epsilon / share``: the
+    at prepare time, or a view of it). Each scan pays the ledger's share of
+    its epsilon and runs at ``eps = ledger.epsilon / ledger.share``: the
     threshold receives Lap(2/eps) noise once, each examined distance
     receives fresh Lap(4/eps) noise, and the comparison is a plain ``<=``.
     A scan that starts at index ``p`` of window ``(lo, hi, span)`` is
@@ -318,9 +304,7 @@ def below_thresh(
     draws of the distances it jumps over unpeeked, in one skip: no draw
     could turn them into a hit, so they are never transformed.
     """
-    if not (isinstance(share, int) and share > 0):
-        raise ValueError(f"share must be a positive int, got {share!r}")
-    eps = ledger.epsilon / share
+    eps = ledger.epsilon / ledger.share
     t_scale, d_scale = 2.0 / eps, 4.0 / eps
     draw = src.laplace
     hits, first_hit = 0, None
@@ -384,10 +368,10 @@ def below_thresh(
             if hit == start:
                 streak += 1
             else:  # the next scan does not start at start + 1
-                ledger.charge_span(first + run_start - lo, stop, share, run)
+                ledger.charge_span(first + run_start - lo, stop, run)
                 run = streak = 0
         if run:
-            ledger.charge_span(first + run_start - lo, stop, share, run)
+            ledger.charge_span(first + run_start - lo, stop, run)
         hits += got
     return hits, first_hit
 
@@ -451,9 +435,9 @@ def _scan_on(dist, at, end, noisy, d_scale, src):
     return None
 
 
-def _first_hits(dist, thresh, eps, src, runs):
+def _first_hits(dist, thresh, src, ledger, runs):
     """``runs`` existence scans, one after another on ``src``, each the
-    `below_thresh` scan at ``eps`` over one window of all of ``dist``: how
+    `below_thresh` scan at ``ledger``'s slice over one window of ``dist``: how
     many first hit at each index, the scans that missed counted at index
     ``len(dist)``. The source's cursor moves as those scans would move it.
 
@@ -468,11 +452,12 @@ def _first_hits(dist, thresh, eps, src, runs):
     where that scan ended, in the same block. The block's draws are served
     with one skip; a chain that leaves the block peeks the next one. While
     more than one scan in _RUN_ON has run on, scans run one at a time through
-    `below_thresh`, on a ledger of their own.
+    `below_thresh`, each on a fresh ledger like ``ledger`` (never charged).
     """
     size = len(dist)
     width = min(size, _HEAD)
     head = dist[:width]
+    eps = ledger.epsilon / ledger.share
     t_scale, d_scale = 2.0 / eps, 4.0 / eps
     whole = ((0, size, (0, size)),)
     blocks = []  # the first hits of the scans each block decided
@@ -482,7 +467,8 @@ def _first_hits(dist, thresh, eps, src, runs):
     left = runs
     while left:
         if _RUN_ON * ran_on > runs - left:
-            _, at = below_thresh(dist, thresh, 1, src, BudgetLedger(eps), whole)
+            fresh = BudgetLedger(ledger.epsilon, ledger.share)
+            _, at = below_thresh(dist, thresh, src, fresh, whole)
             single.append(size if at is None else at)
             ran_on += at is None or at >= width
             left -= 1
@@ -535,24 +521,26 @@ def _first_hits(dist, thresh, eps, src, runs):
 
 @dataclass(frozen=True)
 class Contract:
-    """Calibrated scan threshold and error contract of one matcher.
+    """Scan threshold, error contract and budget share of one matcher.
 
     ``threshold`` is what the matcher's noisy scans compare against. With
     probability at least 1 - beta, no window within distance k of the pattern
     is missed, and every window the matcher returns (or counts) lies within
-    distance ``bound = (1 + gamma) * k + alpha``.
+    distance ``bound = (1 + gamma) * k + alpha``. Each scan pays ``epsilon /
+    share``, and at most ``share`` scans may read one position (`BudgetLedger`).
     """
 
     threshold: float
     gamma: float
     alpha: float
     bound: float
+    share: int
 
 
 def _existence_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contract:
     logs = math.log(n - m + 1) + math.log(2.0 / beta)
     alpha = 16.0 / epsilon * logs
-    return Contract(k + 8.0 / epsilon * logs, 0.0, alpha, k + alpha)
+    return Contract(k + 8.0 / epsilon * logs, 0.0, alpha, k + alpha, 1)
 
 
 def _periodic_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contract:
@@ -561,19 +549,21 @@ def _periodic_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contra
     )
     gamma = 7.0
     alpha = 576.0 / epsilon * math.log(6.0 * n / beta)
-    return Contract(threshold, gamma, alpha, (1 + gamma) * k + alpha)
+    # A position lies in at most 3 windows, each scanned forward and back.
+    return Contract(threshold, gamma, alpha, (1 + gamma) * k + alpha, 6)
 
 
 def _nonperiodic_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contract:
-    cap = WINDOW_OCCURRENCE_CAP * k
+    cap = WINDOW_OCCURRENCE_CAP * k  # scans a window; a position is in 2 windows
     logs = math.log(m) + math.log(2.0 * (n / m) * cap / beta)
     gamma = 32.0 * WINDOW_OCCURRENCE_CAP / epsilon * logs
-    return Contract(k + 16.0 * cap / epsilon * logs, gamma, 0.0, (1 + gamma) * k)
+    threshold = k + 16.0 * cap / epsilon * logs
+    return Contract(threshold, gamma, 0.0, (1 + gamma) * k, 2 * cap)
 
 
 def _trivial_row(n: int, m: int, k: int, epsilon: float, beta: float) -> Contract:
     # Every window is returned, as a noiseless scan at threshold m would.
-    return Contract(float(m), 0.0, float(m), float(m))
+    return Contract(float(m), 0.0, float(m), float(m), 1)
 
 
 # Keyed by the matcher that runs. The small-k regime is the
@@ -607,7 +597,7 @@ def error_contract(
     check_query(m, min(index(k), m) if counting else k, epsilon, beta, n)
     if counting and k < 1:
         raise ValueError(f"count_nonperiodic needs k >= 1, got k={k}")
-    row = CONTRACTS[matcher](n, m, k, epsilon, beta)
+    row = CONTRACTS[matcher](n, m, index(k), epsilon, beta)  # an int share
     if not (math.isfinite(row.threshold) and math.isfinite(row.bound)):
         raise ValueError(
             f"{matcher} threshold {row.threshold} or bound {row.bound} is not "
@@ -620,8 +610,8 @@ def error_contract(
 
 # The noisy half of one matcher on a fixed text and query: it runs the scans
 # on the given source and ledger, checks the cap and returns the outcome. Only
-# the code that runs it creates the ledger, always fresh and at the query's
-# epsilon, which sets every scan's noise scale.
+# the code that runs it creates the ledger, always fresh, at the query's
+# epsilon and the contract's share, which set every scan's noise scale.
 Scan = Callable[[NoiseSource, BudgetLedger], Outcome]
 # The noisy half run ``runs`` times in a row on one source, over one ledger
 # that stands for every run's: how often each outcome came out.
@@ -645,7 +635,7 @@ def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
 def _prepare_existence(
     text: bytes, query: MatchQuery
 ) -> tuple[Contract, Scan, Batch]:
-    """Existence: one scan of share 1 over the whole text. With probability
+    """Existence: one scan over the whole text. With probability
     at least 1 - beta a true k-mismatch occurrence forces YES, and the
     witness, the scan's hit, lies within the contract's ``bound``. The batch
     serves many runs at once through `_first_hits`."""
@@ -659,16 +649,16 @@ def _prepare_existence(
     whole = ((0, len(dist), (0, n)),)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ExistenceOutcome:
-        _, hit = below_thresh(dist, thresh, 1, src, ledger, whole)
+        _, hit = below_thresh(dist, thresh, src, ledger, whole)
         ledger.assert_within_cap()
         return ExistenceOutcome(found=hit is not None, witness=hit)
 
     def batch(src: NoiseSource, ledger: BudgetLedger, runs: int) -> Counter:
-        counts = _first_hits(dist, thresh, ledger.epsilon, src, runs)
-        # Every run's ledger holds the same one record, (0, n, share 1, one
-        # run), whatever the noise: one scan starts at the window's first
-        # index, hit or miss. So one charge and one check stand for all runs.
-        ledger.charge_span(0, n, 1)
+        counts = _first_hits(dist, thresh, src, ledger, runs)
+        # Every run's ledger holds the same one record, (0, 1, n), whatever
+        # the noise: one scan starts at the window's first index, hit or
+        # miss. So one charge and one check stand for all runs.
+        ledger.charge_span(0, n)
         ledger.assert_within_cap()
         miss = len(dist)
         return Counter({
@@ -683,8 +673,8 @@ def _prepare_report(
     text: bytes, query: MatchQuery, candidate: PeriodicCandidate
 ) -> tuple[Contract, Scan]:
     """Periodic reporting: each window of ``window_cover(n, m, m // 2)`` is
-    scanned forward and backward over its starts' distances at share 6 (a
-    position lies in at most 3 windows); when both scans hit, it reports the
+    scanned forward and backward over its starts' distances; when both scans
+    hit, it reports the
     progression from the first hit to the last with step
     ``candidate.length``. Dispatch certifies the period; this checks only
     ``m >= 2`` and ``candidate.dist <= 2k``."""
@@ -711,8 +701,8 @@ def _prepare_report(
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ReportOutcome:
         found: list[int] = []
         for a, forward, backward, window in windows:
-            _, first = below_thresh(forward, thresh, 6, src, ledger, window)
-            _, rev_hit = below_thresh(backward, thresh, 6, src, ledger, window)
+            _, first = below_thresh(forward, thresh, src, ledger, window)
+            _, rev_hit = below_thresh(backward, thresh, src, ledger, window)
             if first is None or rev_hit is None:
                 continue
             last = len(forward) - 1 - rev_hit
@@ -730,9 +720,8 @@ def _prepare_count(
     k in the small-k regime; below it, its lower threshold would miss true
     occurrences, so it raises ValueError). Each window of ``window_cover(n,
     m, m)`` is scanned until a scan misses, its starts run out or it has
-    ``1152 * k_eff`` hits; each scan pays share ``2 * 1152 * k_eff`` (a
-    position lies in at most 2 windows), the witness is the first hit, and
-    the count is the clamped sum of per-window hits."""
+    ``1152 * k_eff`` hits; the witness is the first hit, and the count is
+    the clamped sum of per-window hits."""
     _require_text(text, query.m)
     if k_eff < 1:
         raise ValueError(
@@ -752,7 +741,7 @@ def _prepare_count(
     windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in window_cover(n, m, m))
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
-        total, witness = below_thresh(dist, thresh, 2 * cap, src, ledger, windows, cap)
+        total, witness = below_thresh(dist, thresh, src, ledger, windows, cap)
         count = min(max(total, 0), n - m + 1)
         ledger.assert_within_cap()
         return CountOutcome(count=count, witness=witness, raw_count=total)
@@ -838,10 +827,10 @@ def _as_count(scan: Scan) -> Scan:
 class QueryPlan:
     """The deterministic half of one query on one text: the dispatch, the
     matcher that runs and its contract, and the distances that matcher
-    reads. ``run`` is the noisy half; each call starts a fresh ledger and
-    reads the source's stream from its cursor, so a plan may be run many
-    times, and runs on one source read consecutive draws. ``batch`` serves
-    many runs at once where the matcher has one (existence), for `tally`."""
+    reads. ``run`` is the noisy half; each call starts a fresh ledger for the
+    contract's share and reads the source's stream from its cursor, so runs
+    on one source read consecutive draws. ``batch`` serves many runs at once
+    where the matcher has one (existence), for `tally`."""
 
     regime: Regime
     decision: DispatchDecision
@@ -852,13 +841,13 @@ class QueryPlan:
     batch: Optional[Batch] = field(default=None, repr=False)
 
     def run(self, src: NoiseSource) -> MatchResult:
-        ledger = BudgetLedger(self.epsilon)
+        ledger = BudgetLedger(self.epsilon, self.contract.share)
         outcome = self.scan(src, ledger)
         return MatchResult(self.regime, self.decision, outcome, ledger, self.contract)
 
     def outcome(self, src: NoiseSource) -> Outcome:
         """``run(src).outcome``, without building the `MatchResult`."""
-        return self.scan(src, BudgetLedger(self.epsilon))
+        return self.scan(src, BudgetLedger(self.epsilon, self.contract.share))
 
     def tally(self, src: NoiseSource, runs: int) -> Counter[Outcome]:
         """How often each outcome comes out of ``runs`` consecutive runs on
@@ -872,7 +861,7 @@ class QueryPlan:
             raise ValueError(f"runs must be non-negative, got {runs}")
         if self.batch is None:
             return Counter(self.outcome(src) for _ in range(runs))
-        return self.batch(src, BudgetLedger(self.epsilon), runs)
+        return self.batch(src, BudgetLedger(self.epsilon, self.contract.share), runs)
 
 
 def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:

@@ -106,12 +106,12 @@ def brute_first_at_most(text: bytes, pattern: bytes, thresh: float):
 
 def spent_by_position(ledger) -> dict[int, Fraction]:
     """Fold a BudgetLedger's run records into position -> accumulated epsilon,
-    in exact ``Fraction`` arithmetic. A record ``(start, runs, stop, share)``
-    is ``runs`` charges on the spans ``[start + t, stop)``, each costing
-    ``epsilon / share`` on every position of its span."""
+    in exact ``Fraction`` arithmetic. A record ``(start, runs, stop)`` is
+    ``runs`` charges on the spans ``[start + t, stop)``, each costing
+    ``epsilon / ledger.share`` on every position of its span."""
     out: dict[int, Fraction] = {}
-    for start, runs, stop, share in ledger._runs:
-        eps = Fraction(ledger.epsilon) / share
+    eps = Fraction(ledger.epsilon) / ledger.share
+    for start, runs, stop in ledger._runs:
         for first in range(start, start + runs):
             for p in range(first, stop):
                 out[p] = out.get(p, Fraction(0)) + eps
@@ -131,8 +131,9 @@ def draws(src, b: float, size: int) -> np.ndarray:
 def run_half(prepared, src, epsilon: float):
     """Run a matcher's private half, the ``(contract, scan)`` pair a
     ``_prepare_*`` function returns, on ``src`` and a fresh ledger at
-    ``epsilon``, as `plan` does: the outcome and the ledger."""
-    ledger = BudgetLedger(epsilon)
+    ``epsilon`` and the contract's share, as `plan` does: the outcome and the
+    ledger."""
+    ledger = BudgetLedger(epsilon, prepared[0].share)
     return prepared[1](src, ledger), ledger
 
 
@@ -243,20 +244,31 @@ class RefLedger:
         units = max(accumulate(deltas[p] for p in sorted(deltas)), default=0)
         return Fraction(self.epsilon) * units / denom
 
-    def run_records(self) -> list[tuple[int, int, int, int]]:
-        """The spans as ``BudgetLedger`` run records ``(start, runs, stop,
-        share)``: a scan that starts one past the previous scan's start, in
-        the same window (same stop), follows a hit at that scan's first
-        distance, and the kernel charges the two in one record."""
-        records: list[tuple[int, int, int, int]] = []
-        for start, stop, share in self.spans:
+    def shares(self) -> set[int]:
+        """The shares the spans paid: one value for any one query."""
+        return {share for _, _, share in self.spans}
+
+    def run_records(self) -> list[tuple[int, int, int]]:
+        """The spans as ``BudgetLedger`` run records ``(start, runs, stop)``,
+        their share left to `shares`: a scan that starts one past the
+        previous scan's start, in the same window (same stop), follows a hit
+        at that scan's first distance, and the kernel charges the two in one
+        record."""
+        records: list[tuple[int, int, int]] = []
+        for start, stop, _ in self.spans:
             if records:
-                first, runs, last_stop, last_share = records[-1]
-                if (start, stop, share) == (first + runs, last_stop, last_share):
-                    records[-1] = (first, runs + 1, stop, share)
+                first, runs, last_stop = records[-1]
+                if (start, stop) == (first + runs, last_stop):
+                    records[-1] = (first, runs + 1, stop)
                     continue
-            records.append((start, 1, stop, share))
+            records.append((start, 1, stop))
         return records
+
+    def assert_matches(self, ledger) -> None:
+        """``ledger`` holds this ledger's charges: the same run records, at
+        the one share this ledger's scans paid."""
+        assert ledger._runs == self.run_records()
+        assert self.shares() <= {ledger.share}
 
 
 def ref_below_thresh(distances, thresh, share, src, ledger, span):

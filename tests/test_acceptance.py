@@ -74,9 +74,8 @@ def test_c01_zero_noise_oracle_equivalence():
                         got = below_thresh(
                             distance_array(text, pattern),
                             float(thresh),
-                            1,
                             src,
-                            BudgetLedger(1.0),
+                            BudgetLedger(1.0, 1),
                             ((0, n - m + 1, (0, n)),),
                         )
                         expected = brute_first_at_most(text, pattern, thresh)

@@ -156,6 +156,15 @@ class TestTrialConfig:
         assert {type(v) for v in (cfg.n, cfg.m, cfg.trials, cfg.period_length)} == {int}
         assert cfg == small_config(trials=1, period_length=3)
 
+    def test_numpy_k_runs_the_counter(self):
+        # A numpy k used to reach the counter's share, 2 * 1152 * k, and stop
+        # the experiment.
+        cfg = small_config(k=np.int64(1), trials=2, generator="uniform-random")
+        assert type(cfg.k) is int
+        report = run_utility_experiment(cfg, "count")
+        assert [r.algorithm for r in report.records] == ["NonPeriodicCounting"] * 2
+        assert all(r.error == "" for r in report.records)
+
     def test_target_defaults_to_guarantee_level(self):
         assert small_config().target_probability == pytest.approx(0.9)
         assert small_config(target=0.7).target_probability == 0.7
@@ -373,8 +382,8 @@ class TestAuditTable:
     ):
         # Two sparse-vector failures of Lyu, Su & Li (VLDB 2017) as scans
         # over a neighbouring pair at a fixed threshold: the kernel
-        # (`below_thresh`, share 1) is not refuted, and the same scan without
-        # its distance noise or without its threshold noise is.
+        # (`below_thresh` on a share-1 ledger) is not refuted, and the same
+        # scan without its distance noise or without its threshold noise is.
         def label(hit):
             if hit is None:
                 return "miss"
@@ -385,8 +394,8 @@ class TestAuditTable:
             window = ((0, len(dist), (0, len(text))),)
 
             def trial(src):
-                ledger = BudgetLedger(query.epsilon)
-                _, hit = below_thresh(dist, thresh, 1, src, ledger, window)
+                ledger = BudgetLedger(query.epsilon, 1)
+                _, hit = below_thresh(dist, thresh, src, ledger, window)
                 return label(hit)
 
             return trial

@@ -101,7 +101,7 @@ class TestMatch:
     def test_privacy_cap_failure_exits_5(self, corpus, capsys, monkeypatch):
         # A ledger whose peak is twice the cap: the guarantee failed, so the
         # run releases nothing and says so in one line.
-        monkeypatch.setattr(BudgetLedger, "_peak", lambda self: (2, 1))
+        monkeypatch.setattr(BudgetLedger, "_peak", lambda self: 2 * self.share)
         code = run_cli(
             ["match", "--variant", "existence", "--pattern", "abra", "--k", "1",
              "--epsilon", "1", "--beta", "0.1", corpus]

@@ -1,5 +1,6 @@
 """Tests for the private matchers and the budget ledger."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -27,7 +28,7 @@ from dppm.matchers import (
     plan,
 )
 from dppm.noise import UNIT_BOUND, NoiseSource
-from dppm.periodicity import PeriodicCandidate, Regime
+from dppm.periodicity import PeriodicCandidate, Regime, small_k_cutoff
 from dppm.text import (
     distance_array,
     exact_count,
@@ -45,6 +46,7 @@ from conftest import (
     ref_count_nonperiodic,
     ref_existence,
     ref_match,
+    ref_report_periodic,
     run_half,
     spent_by_position,
 )
@@ -54,8 +56,8 @@ def zero_src() -> NoiseSource:
     return NoiseSource(0, mode="zero")
 
 
-def ledger_for(epsilon: float) -> BudgetLedger:
-    return BudgetLedger(epsilon)
+def ledger_for(epsilon: float, share: int = 1) -> BudgetLedger:
+    return BudgetLedger(epsilon, share)
 
 
 # At this epsilon every contract threshold is k plus less than 1e-6, so a
@@ -75,10 +77,11 @@ class TestOutcomeTypes:
             CountOutcome(count=2, witness=None, raw_count=2)
 
     def test_report_positions_sorted_unique(self):
-        with pytest.raises(ValueError):
-            ReportOutcome((3, 1))
-        with pytest.raises(ValueError):
-            ReportOutcome((1, 1))
+        for positions in [(3, 1), (1, 1), (0, 2, 2, 5), (0, 4, 3, 9), (7, 8, 0)]:
+            with pytest.raises(ValueError):
+                ReportOutcome(positions)
+        for positions in [(), (4,), (0, 1, 5, 9)]:
+            assert ReportOutcome(positions).positions == positions
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -108,12 +111,46 @@ class TestOutcomeTypes:
             match_auto("ababab", MatchQuery(b"ba", 1, 1.0, 0.1), zero_src(), variant)
 
 
+class TestQueryNumbers:
+    """A query stores plain numbers, whatever numeric types it was given."""
+
+    def test_numpy_k_runs_the_counter(self):
+        # A numpy k used to reach the counter's share, 2 * 1152 * k.
+        query = MatchQuery(b"ab", np.int64(1), 1.0, 0.1)
+        assert type(query.k) is int
+        result = match_auto(b"abab" * 10, query, NoiseSource(1))
+        assert result.regime is Regime.NON_PERIODIC_COUNTING
+        assert type(result.ledger.share) is int and result.ledger.share == 2304
+        assert result.to_record(query) == match_auto(
+            b"abab" * 10, MatchQuery(b"ab", 1, 1.0, 0.1), NoiseSource(1)
+        ).to_record(query)
+
+    def test_bool_k_and_epsilon_print_as_numbers(self):
+        query = MatchQuery(b"abra", True, True, 0.1)
+        result = match_auto(b"abracadabra", query, NoiseSource(1), "existence")
+        record = json.dumps(result.to_record(query))
+        assert '"k": 1,' in record and '"epsilon": 1.0,' in record
+
+    def test_float32_epsilon_gives_an_exact_budget(self):
+        # Fraction refused a numpy float in max_spent.
+        query = MatchQuery(b"abra", 1, np.float32(1.0), 0.1)
+        assert type(query.epsilon) is float
+        result = match_auto(b"abracadabra", query, NoiseSource(1), "existence")
+        assert result.to_record(query)["budget_max"] == 1.0
+
+    def test_float32_beta_serialises(self):
+        query = MatchQuery(b"abra", 1, 1.0, np.float32(0.1))
+        assert type(query.beta) is float
+        result = match_auto(b"abracadabra", query, NoiseSource(1), "existence")
+        assert json.loads(json.dumps(result.to_record(query)))["beta"] == query.beta
+
+
 class TestBudgetLedger:
     def test_exact_accumulation(self):
-        ledger = BudgetLedger(1.0)
-        ledger.charge_span(0, 10, 3)
-        ledger.charge_span(5, 15, 3)
-        ledger.charge_span(5, 10, 3)
+        ledger = BudgetLedger(1.0, 3)
+        ledger.charge_span(0, 10)
+        ledger.charge_span(5, 15)
+        ledger.charge_span(5, 10)
         assert ledger.max_spent == Fraction(1)
         spent = spent_by_position(ledger)
         assert spent[0] == Fraction(1, 3)
@@ -122,60 +159,60 @@ class TestBudgetLedger:
         ledger.assert_within_cap()
 
     def test_cap_violation_detected(self):
-        ledger = BudgetLedger(1.0)
-        ledger.charge_span(0, 4, 1)
-        ledger.charge_span(2, 6, 2)
+        # Three scans of share 2 cover position 3.
+        ledger = BudgetLedger(1.0, 2)
+        ledger.charge_span(0, 4)
+        ledger.charge_span(2, 6)
+        ledger.assert_within_cap()
+        ledger.charge_span(3, 5)
         with pytest.raises(RuntimeError, match="budget"):
             ledger.assert_within_cap()
 
     def test_per_position_matches_spans(self):
-        ledger = BudgetLedger(1.0)
-        ledger.charge_span(1, 3, 2)
+        ledger = BudgetLedger(1.0, 2)
+        ledger.charge_span(1, 3)
         assert spent_by_position(ledger) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError):
-            BudgetLedger(1.0).charge_span(3, 3, 1)
+            BudgetLedger(1.0, 1).charge_span(3, 3)
 
     @pytest.mark.parametrize("share", [0, -1, 1.5, Fraction(1, 2)])
     def test_share_must_be_positive_int(self, share):
         with pytest.raises(ValueError, match="share"):
-            BudgetLedger(1.0).charge_span(0, 1, share)
+            BudgetLedger(1.0, share)
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
     def test_epsilon_must_be_positive_finite(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
-            BudgetLedger(epsilon)
+            BudgetLedger(epsilon, 1)
 
     def test_shares_summing_to_epsilon_pass_exactly(self):
-        # 1/2 + 1/3 + 1/6 of a non-dyadic epsilon is exactly epsilon; one
-        # more counting-sized slice on the same position is over the cap.
-        ledger = BudgetLedger(0.7)
-        for share in (2, 3, 6):
-            ledger.charge_span(4, 9, share)
+        # Six slices of 1/6 of a non-dyadic epsilon on one position are
+        # exactly epsilon; one more slice on the same position is over the
+        # cap.
+        ledger = BudgetLedger(0.7, 6)
+        for start in range(4, 10):
+            ledger.charge_span(start, 10)
         assert ledger.max_spent == Fraction(0.7)
         ledger.assert_within_cap()
-        ledger.charge_span(8, 9, 6912)
-        assert ledger.max_spent == Fraction(0.7) * 6913 / 6912
+        ledger.charge_span(9, 10)
+        assert ledger.max_spent == Fraction(0.7) * 7 / 6
         with pytest.raises(RuntimeError, match="budget"):
             ledger.assert_within_cap()
 
     @given(
         epsilon=st.floats(min_value=1e-3, max_value=1e6),
+        share=st.sampled_from([1, 2, 3, 6, 2304, 6912]),
         charges=st.lists(
-            st.tuples(
-                st.integers(0, 30),
-                st.integers(1, 12),
-                st.sampled_from([1, 2, 3, 6, 2304, 6912]),
-            ),
-            max_size=12,
+            st.tuples(st.integers(0, 30), st.integers(1, 12)), max_size=12
         ),
     )
     @settings(max_examples=200)
-    def test_integer_sweep_matches_fraction_reference(self, epsilon, charges):
-        ledger = BudgetLedger(epsilon)
-        for start, length, share in charges:
-            ledger.charge_span(start, start + length, share)
+    def test_integer_sweep_matches_fraction_reference(self, epsilon, share, charges):
+        ledger = BudgetLedger(epsilon, share)
+        for start, length in charges:
+            ledger.charge_span(start, start + length)
         peak = max(spent_by_position(ledger).values(), default=Fraction(0))
         assert ledger.max_spent == peak
         if peak > Fraction(epsilon):
@@ -187,43 +224,40 @@ class TestBudgetLedger:
 
     @pytest.mark.parametrize(
         "start, stop, share, runs",
-        [(0, 5, 1, 0), (0, 5, 1, -2), (0, 5, 1, 1.0), (2, 5, 1, 4), (0, 5, 1.5, 3)],
+        [(0, 5, 1, 0), (0, 5, 1, -2), (0, 5, 1, 1.0), (2, 5, 1, 4), (0, 5, 1.5, 3),
+         (-1, 5, 1, 1)],
         ids=["zero-runs", "negative-runs", "float-runs", "stop-before-last-start",
-             "float-share"],
+             "float-share", "negative-start"],
     )
     def test_run_record_validated(self, start, stop, share, runs):
         with pytest.raises(ValueError):
-            BudgetLedger(1.0).charge_span(start, stop, share, runs)
+            BudgetLedger(1.0, share).charge_span(start, stop, runs)
 
     def test_run_record_is_its_charges(self):
         # A run of 3 from 2 to 6 is the charges [2, 6), [3, 6) and [4, 6).
-        run, spans = BudgetLedger(1.0), BudgetLedger(1.0)
-        run.charge_span(2, 6, 4, runs=3)
+        run, spans = BudgetLedger(1.0, 4), BudgetLedger(1.0, 4)
+        run.charge_span(2, 6, runs=3)
         for start in (2, 3, 4):
-            spans.charge_span(start, 6, 4)
+            spans.charge_span(start, 6)
         assert spent_by_position(run) == spent_by_position(spans)
         assert run.max_spent == spans.max_spent == Fraction(3, 4)
 
     @given(
         epsilon=st.floats(min_value=1e-3, max_value=1e6),
+        share=st.sampled_from([1, 2, 3, 6, 2304, 6912]),
         records=st.lists(
-            st.tuples(
-                st.integers(0, 30),
-                st.integers(1, 6),
-                st.integers(0, 8),
-                st.sampled_from([1, 2, 3, 6, 2304, 6912]),
-            ),
+            st.tuples(st.integers(0, 30), st.integers(1, 6), st.integers(0, 8)),
             max_size=10,
         ),
     )
     @settings(max_examples=300)
-    def test_run_sweep_matches_fraction_fold(self, epsilon, records):
-        # Mixed run records and single charges: the slope sweep's peak is the
-        # per-position maximum of the brute-force Fraction fold, and the cap
-        # check fails exactly when some position pays more than epsilon.
-        ledger = BudgetLedger(epsilon)
-        for start, runs, tail, share in records:
-            ledger.charge_span(start, start + runs + tail, share, runs)
+    def test_run_sweep_matches_fraction_fold(self, epsilon, share, records):
+        # Run records and single charges at one share: the sweep's peak is
+        # the per-position maximum of the brute-force Fraction fold, and the
+        # cap check fails exactly when some position pays more than epsilon.
+        ledger = BudgetLedger(epsilon, share)
+        for start, runs, tail in records:
+            ledger.charge_span(start, start + runs + tail, runs)
         peak = max(spent_by_position(ledger).values(), default=Fraction(0))
         assert ledger.max_spent == peak
         if peak > Fraction(epsilon):
@@ -231,6 +265,27 @@ class TestBudgetLedger:
                 ledger.assert_within_cap()
         else:
             ledger.assert_within_cap()
+
+    def test_peak_counts_the_scans_covering_a_position(self):
+        # Random single-share ledgers: runs longer than one, overlapping
+        # records charged out of order, stops drawn from a few shared values,
+        # and the empty ledger. The one-pass peak is the most scans covering
+        # one position, as the Fraction fold counts them.
+        rng = random.Random(29)
+        for trial in range(400):
+            share = rng.choice([1, 2, 6, 2304])
+            ledger = BudgetLedger(0.3, share)
+            stops = [rng.randint(4, 24) for _ in range(3)]
+            for _ in range(rng.randint(0, 8)):
+                stop = rng.choice(stops)
+                start = rng.randint(0, stop - 1)
+                ledger.charge_span(start, stop, rng.randint(1, stop - start))
+            spent = max(spent_by_position(ledger).values(), default=0)
+            assert spent == Fraction(0.3) / share * ledger._peak()
+            assert (ledger._peak() > share) == (spent > Fraction(0.3))
+        empty = BudgetLedger(0.3, 6)
+        assert empty._peak() == 0 and empty.max_spent == 0
+        empty.assert_within_cap()
 
 
 def whole(dist, base=0, n=None):
@@ -240,13 +295,11 @@ def whole(dist, base=0, n=None):
     return ((0, len(dist), (base, base + n)),)
 
 
-def scan(text, pattern, thresh, share, src, ledger, base=0):
+def scan(text, pattern, thresh, src, ledger, base=0):
     """One scan of ``text`` as if it started at position ``base`` of a longer
     text: the index of its hit, or None."""
     dist = distance_array(text, pattern)
-    _, hit = below_thresh(
-        dist, thresh, share, src, ledger, whole(dist, base, len(text))
-    )
+    _, hit = below_thresh(dist, thresh, src, ledger, whole(dist, base, len(text)))
     return hit
 
 
@@ -272,29 +325,29 @@ class FixedUnits(NoiseSource):
 
 class TestBelowThresh:
     def test_zero_noise_first_hit(self):
-        hit = scan(b"abracadabra", b"abra", 1.0, 1, zero_src(), ledger_for(1.0))
+        hit = scan(b"abracadabra", b"abra", 1.0, zero_src(), ledger_for(1.0))
         assert hit == 0
 
     def test_zero_noise_suffix(self):
         # d-sequence of the suffix is (4, 3, 3, 3, 3, 4, 0).
-        hit = scan(b"bracadabra", b"abra", 2.5, 1, zero_src(), ledger_for(1.0))
+        hit = scan(b"bracadabra", b"abra", 2.5, zero_src(), ledger_for(1.0))
         assert hit == 6
 
     def test_zero_noise_no_hit(self):
-        hit = scan(b"aaaa", b"bb", 1.0, 1, zero_src(), ledger_for(1.0))
+        hit = scan(b"aaaa", b"bb", 1.0, zero_src(), ledger_for(1.0))
         assert hit is None
 
     def test_charges_whole_text(self):
         ledger = ledger_for(1.0)
-        scan(b"aaaa", b"bb", 1.0, 1, zero_src(), ledger, base=10)
+        scan(b"aaaa", b"bb", 1.0, zero_src(), ledger, base=10)
         assert spent_by_position(ledger) == {p: Fraction(1) for p in range(10, 14)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            below_thresh(np.array([0]), 1.0, 0, zero_src(), ledger_for(1.0), whole([0]))
+            below_thresh(np.array([0]), 1.0, zero_src(), ledger_for(1.0, 0), whole([0]))
         with pytest.raises(ValueError):
             below_thresh(
-                np.array([0]), 1.0, 1, zero_src(), ledger_for(1.0), ((0, 1, (1, 1)),)
+                np.array([0]), 1.0, zero_src(), ledger_for(1.0), ((0, 1, (1, 1)),)
             )
 
     def test_noise_scale_is_the_paid_slice(self):
@@ -304,12 +357,12 @@ class TestBelowThresh:
         # d <= 20 - 2/eps: at the paid slice (eps = 0.9/6, 2/eps = 13.3)
         # distance 0 hits and 10 misses; at the query's 0.9 both would hit.
         src = FixedUnits()
-        ledger = ledger_for(0.9)
+        ledger = ledger_for(0.9, 6)
         distances = np.array([0] * 12 + [10] * 20)
-        hits = below_thresh(distances, 20.0, 6, src, ledger, whole(distances), 100)
+        hits = below_thresh(distances, 20.0, src, ledger, whole(distances), 100)
         # Twelve scans hit at their first distance; the thirteenth misses.
         assert hits == (12, 0)
-        assert ledger._runs == [(0, 13, 32, 6)]
+        assert ledger._runs == [(0, 13, 32)]
         assert src.peeks > 0  # the first-distance batch ran
         slice_ = Fraction(0.9) / 6
         assert spent_by_position(ledger) == {
@@ -322,30 +375,30 @@ class TestBelowThresh:
         # start at 0 (hit at 0), 1 (hit at 7) and 8 (a miss).
         distances = distance_array(b"abracadabracad", b"abra")  # 0,4,3,3,3,3,4,0,4,3,3
         window = whole(distances, 0, 14)
-        ledger = ledger_for(1.0)
-        hits = below_thresh(distances, 0.0, 2, zero_src(), ledger, window, 5)
+        ledger = ledger_for(1.0, 2)
+        hits = below_thresh(distances, 0.0, zero_src(), ledger, window, 5)
         assert hits == (2, 0)
-        assert ledger._runs == [(0, 2, 14, 2), (8, 1, 14, 2)]
+        assert ledger._runs == [(0, 2, 14), (8, 1, 14)]
         assert spent_by_position(ledger) == {
             p: Fraction(1, 2) * (min(p + 1, 2) + (p >= 8)) for p in range(14)
         }
         # On b"abracadabra", after the hit at the last index no distance
         # remains, so no further scan starts.
-        ledger = ledger_for(1.0)
+        ledger = ledger_for(1.0, 2)
         short = distances[:8]
         assert below_thresh(
-            short, 0.0, 2, zero_src(), ledger, whole(short, 0, 11), 5
+            short, 0.0, zero_src(), ledger, whole(short, 0, 11), 5
         ) == (2, 0)
-        assert ledger._runs == [(0, 2, 11, 2)]
+        assert ledger._runs == [(0, 2, 11)]
         # A zero-noise counter window with a cap of one hit stops there.
-        ledger = ledger_for(1.0)
-        assert below_thresh(distances, 0.0, 2, zero_src(), ledger, window) == (1, 0)
-        assert ledger._runs == [(0, 1, 14, 2)]
+        ledger = ledger_for(1.0, 2)
+        assert below_thresh(distances, 0.0, zero_src(), ledger, window) == (1, 0)
+        assert ledger._runs == [(0, 1, 14)]
 
     def test_no_scan_on_empty_distances(self):
         src, ledger = NoiseSource(0), ledger_for(1.0)
         empty = np.array([], np.int64)
-        assert below_thresh(empty, 1.0, 1, src, ledger, ((0, 0, (0, 1)),)) == (0, None)
+        assert below_thresh(empty, 1.0, src, ledger, ((0, 0, (0, 1)),)) == (0, None)
         assert ledger._runs == []
         assert src.laplace(1.0) == NoiseSource(0).laplace(1.0)  # nothing drawn
 
@@ -360,13 +413,13 @@ class TestBelowThresh:
             text[at - 1 : at + 256] = b"a" * 257
         dist = distance_array(bytes(text), b"a" * 256)
         ledger = ledger_for(2.0)
-        hits = below_thresh(dist, 0.5, 1, zero_src(), ledger, whole(dist, 0, n), 40)
+        hits = below_thresh(dist, 0.5, zero_src(), ledger, whole(dist, 0, n), 40)
         # Hits at 255, 256, 767, 768, 33535 and 33536: the scans start at 0,
         # then at 256 and 257, 768 and 769, and 33536 and 33537 (the last one
         # misses).
         assert hits == (6, 255)
         assert ledger._runs == [
-            (0, 1, n, 1), (256, 2, n, 1), (768, 2, n, 1), (33536, 2, n, 1)
+            (0, 1, n), (256, 2, n), (768, 2, n), (33536, 2, n)
         ]
 
     def test_head_is_listed_once(self):
@@ -383,15 +436,15 @@ class TestBelowThresh:
         text = bytes(rng.choice(b"acgt") for _ in range(30000))
         dist = distance_array(text, text[:256]).view(Listing)
         hits = below_thresh(
-            dist, -100.0, 1, NoiseSource(1), ledger_for(2.0), whole(dist, 0, 30000)
+            dist, -100.0, NoiseSource(1), ledger_for(2.0), whole(dist, 0, 30000)
         )
         assert hits == (0, None) and lengths and max(lengths) <= matchers._HEAD
         assert sum(lengths) < 2 * matchers._HEAD  # the head and the tail
         lengths.clear()
         zeros = np.zeros(64, np.int64).view(Listing)
-        ledger = ledger_for(1.0)
-        hits = below_thresh(zeros, 0.5, 2, zero_src(), ledger, whole(zeros, 0, 127), 64)
-        assert hits == (64, 0) and ledger._runs == [(0, 64, 127, 2)]
+        ledger = ledger_for(1.0, 2)
+        hits = below_thresh(zeros, 0.5, zero_src(), ledger, whole(zeros, 0, 127), 64)
+        assert hits == (64, 0) and ledger._runs == [(0, 64, 127)]
         assert lengths == [matchers._HEAD]
 
     def test_exhaustive_zero_noise_oracle(self):
@@ -405,14 +458,13 @@ class TestBelowThresh:
                                 text,
                                 pattern,
                                 float(thresh),
-                                1,
                                 zero_src(),
                                 ledger_for(1.0),
                             )
                             assert got == brute_first_at_most(text, pattern, thresh)
 
     def test_noisy_run_is_seed_deterministic(self):
-        args = (b"abracadabra", b"abra", 2.0, 1)
+        args = (b"abracadabra", b"abra", 2.0)
         one = scan(*args, NoiseSource(5), ledger_for(1.0))
         two = scan(*args, NoiseSource(5), ledger_for(1.0))
         assert one == two
@@ -423,11 +475,11 @@ def scans_as_reference(dist, thresh, epsilon, src, ref_src):
     reference scan on ``ref_src``, a source of the same stream: the same
     hit, the same ledger run records and the same next draw. Returns the
     hit."""
-    ledger, ref_ledger = BudgetLedger(epsilon), RefLedger(epsilon)
+    ledger, ref_ledger = BudgetLedger(epsilon, 1), RefLedger(epsilon)
     hit = ref_below_thresh(dist.tolist(), thresh, 1, ref_src, ref_ledger, (0, len(dist)))
-    got = below_thresh(dist, thresh, 1, src, ledger, whole(dist))
+    got = below_thresh(dist, thresh, src, ledger, whole(dist))
     assert got == (int(hit is not None), hit)
-    assert ledger._runs == ref_ledger.run_records()
+    ref_ledger.assert_matches(ledger)
     assert src.laplace(1.0) == ref_src.laplace(1.0)
     return hit
 
@@ -472,10 +524,10 @@ def windows_as_reference(dist, thresh, epsilon, windows, max_hits, src, ref_src)
             got += 1
             first_hit = at - 1 if first_hit is None else first_hit
         hits += got
-    ledger = BudgetLedger(epsilon)
-    got = below_thresh(dist, thresh, 1, src, ledger, windows, max_hits)
+    ledger = BudgetLedger(epsilon, 1)
+    got = below_thresh(dist, thresh, src, ledger, windows, max_hits)
     assert got == (hits, first_hit)
-    assert ledger._runs == ref_ledger.run_records()
+    ref_ledger.assert_matches(ledger)
     assert src.laplace(1.0) == ref_src.laplace(1.0)
     return got
 
@@ -637,7 +689,7 @@ class TestPrunedScan:
         src, ledger = NoiseSource(3), ledger_for(1.0)
         with monkeypatch.context() as patch:
             patch.setattr(NoiseSource, "_refill", spy)
-            assert below_thresh(dist, 0.0, 1, src, ledger, whole(dist)) == (0, None)
+            assert below_thresh(dist, 0.0, src, ledger, whole(dist)) == (0, None)
         assert sum(transformed) <= 2 * matchers._HEAD + noise_module._MAX_BLOCK
         ref_src, ref_ledger = NoiseSource(3), RefLedger(1.0)
         assert ref_below_thresh(dist, 0.0, 1, ref_src, ref_ledger, (0, 30_000)) is None
@@ -736,6 +788,33 @@ class TestErrorContract:
         cutoff = 50
         contract = error_contract("count_nonperiodic", 100, 10, cutoff, 1.0, 0.1)
         assert contract.threshold > cutoff > 10
+
+    @pytest.mark.parametrize("epsilon", [0.5, 3.0])
+    @pytest.mark.parametrize("n, m", [(64, 8), (300, 16)])
+    def test_share_is_what_the_reference_scans_pay(self, n, m, epsilon):
+        # Each row's share is the one conftest's one-at-a-time reference
+        # scans pay: existence, periodic reporting, and counting at k = 1,
+        # 2, the small-k cutoff and a k above m.
+        def row(matcher, k):
+            return error_contract(matcher, n, m, k, epsilon, 0.1).share
+
+        rng = random.Random(n + m)
+        text = bytes(rng.choice(b"ab") for _ in range(n))
+        query = MatchQuery(text[:m], 1, epsilon, 0.1)
+        ledger = RefLedger(epsilon)
+        ref_existence(text, query, NoiseSource(3), ledger)
+        assert ledger.shares() == {row("existence", 1)}
+        periodic = MatchQuery(tile(b"ab", m), 1, epsilon, 0.1)
+        candidate = PeriodicCandidate(2, b"ab", 0)
+        ledger = RefLedger(epsilon)
+        ref_report_periodic(tile(b"ab", n), periodic, candidate, NoiseSource(3), ledger)
+        assert ledger.shares() == {row("report_periodic", 1)}
+        for k in (1, 2, small_k_cutoff(n, epsilon, 0.1), m + 3):
+            ledger = RefLedger(epsilon)
+            ref_count_nonperiodic(text, query, NoiseSource(3), ledger, k)
+            assert ledger.shares() == {row("count_nonperiodic", k)}
+        # The trivial reporter scans nothing; its ledger holds no record.
+        assert row("trivial_all", 1) == 1
 
     @pytest.mark.parametrize("matcher", ["count_nonperiodic", "existence"])
     @pytest.mark.parametrize("k", [9.5, 12.5, "3"])
@@ -1030,6 +1109,41 @@ class TestMatchAuto:
         assert reported.regime is Regime.TRIVIAL_FALLBACK
         assert reported.contract.bound == 256.0
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "text, query, regime",
+        [
+            (tile(b"ab", 100), MatchQuery(tile(b"ab", 64), 1, 1000.0, 0.1),
+             Regime.PERIODIC_REPORTING),
+            (b"abab" * 10, MatchQuery(b"ab", 1, 1.0, 0.1), Regime.NON_PERIODIC_COUNTING),
+            (tile(b"ab", 400), MatchQuery(tile(b"ab", 256), 1, 50.0, 0.1),
+             Regime.SMALL_K_COUNTING),
+            (b"abcdefghij", MatchQuery(b"a", 1, 1.0, 0.1), Regime.TRIVIAL_FALLBACK),
+        ],
+        ids=["periodic", "non-periodic", "small-k", "trivial"],
+    )
+    def test_ledger_share_is_the_contract_share(
+        self, monkeypatch, text, query, regime, variant
+    ):
+        # A run's ledger, and the one a tally checks, are built for the
+        # share of the contract of the matcher that runs.
+        prepared = plan(text, query, variant)
+        assert plan(text, query).regime is regime
+        result = prepared.run(NoiseSource(4))
+        assert result.ledger.share == prepared.contract.share
+        assert result.contract is prepared.contract
+        checked = []
+        check = BudgetLedger.assert_within_cap
+
+        def recording(ledger):
+            checked.append(ledger.share)
+            check(ledger)
+
+        monkeypatch.setattr(BudgetLedger, "assert_within_cap", recording)
+        prepared.tally(NoiseSource(4), 3)
+        assert set(checked) <= {prepared.contract.share}
+        assert bool(checked) == (prepared.matcher != "trivial_all")
+
     def test_invalid_variant(self):
         query = MatchQuery(b"ab", 1, 1.0, 0.1)
         with pytest.raises(ValueError, match="variant"):
@@ -1173,7 +1287,7 @@ class TestSeedForSeedOracle:
 
         def recording(dist, *args):
             received.append(dist)
-            windows.append(args[4])
+            windows.append(args[3])
             return below_thresh(dist, *args)
 
         monkeypatch.setattr(matchers, "distance_array", filling)
@@ -1274,7 +1388,7 @@ def counts_as_reference(text, query, k_eff, src):
     ref_src, ref_ledger = NoiseSource(src.seed), RefLedger(query.epsilon)
     expected = ref_count_nonperiodic(text, query, ref_src, ref_ledger, k_eff)
     assert outcome_tuple(outcome) == expected
-    assert ledger._runs == ref_ledger.run_records()
+    ref_ledger.assert_matches(ledger)
     assert src.laplace(1.0) == ref_src.laplace(1.0)
     return outcome, ledger._runs
 
@@ -1304,10 +1418,8 @@ class TestBatchAcrossWindows:
         ends = list(scans)[1:]
         assert any(end % m == 0 for end in ends[:-1]), ends
         assert ends[-1] == n - m + 1
-        share = 2 * 1152
         assert runs == [
-            (a, min(a + m, n - m + 1) - a, b + 1, share)
-            for a, b in window_cover(n, m, m)
+            (a, min(a + m, n - m + 1) - a, b + 1) for a, b in window_cover(n, m, m)
         ]
 
     def test_miss_at_the_next_window_first_start(self):
@@ -1320,8 +1432,7 @@ class TestBatchAcrossWindows:
         src = PeekLog(0)
         outcome, runs = counts_as_reference(text, query, 1, src)
         assert src.peeks[0] // 2 > 8 - matchers._STREAK  # past window 0's end
-        share = 2 * 1152
-        assert runs[:3] == [(0, 8, 15, share), (8, 1, 23, share), (16, 8, 31, share)]
+        assert runs[:3] == [(0, 8, 15), (8, 1, 23), (16, 8, 31)]
         assert (outcome.raw_count, outcome.witness) == (len(text) - 8 + 1 - 7, 0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1345,12 +1456,12 @@ class TestBatchAcrossWindows:
         bounds = [(0, 50), (50, 100), (100, 110), (110, 300), (300, 340),
                   (340, 380), (380, 480)]
         windows = tuple((lo, hi, (lo, hi + 7)) for lo, hi in bounds)
-        src, ledger = PeekLog(1), BudgetLedger(1e9)
+        src, ledger = PeekLog(1), BudgetLedger(1e9, 1)
         hits = [min(hi - lo, 50) for lo, hi in bounds]
         scans = sum(hits)
         dist = np.zeros(480, np.int64)
-        assert below_thresh(dist, 0.5, 1, src, ledger, windows, 50) == (scans, 0)
-        assert ledger._runs == [(lo, h, hi + 7, 1) for (lo, hi), h in zip(bounds, hits)]
+        assert below_thresh(dist, 0.5, src, ledger, windows, 50) == (scans, 0)
+        assert ledger._runs == [(lo, h, hi + 7) for (lo, hi), h in zip(bounds, hits)]
         assert len(src.peeks) < len(bounds)  # batches ran, some across windows
         ref = NoiseSource(1)
         ref.units(2 * scans)
@@ -1377,7 +1488,7 @@ class TestBatchAcrossWindows:
         calls = []
 
         def recording(*args):
-            calls.append(args[5])
+            calls.append(args[4])
             return below_thresh(*args)
 
         monkeypatch.setattr(matchers, "below_thresh", recording)
@@ -1454,19 +1565,19 @@ class TestTally:
         assert ran_on and ExistenceOutcome(False, None) in got
 
     def test_ledger_checked_once_per_existence_tally(self, monkeypatch):
-        # Every existence run's ledger is the one record (0, n, share 1,
-        # one run); a count plan checks each run's own ledger.
+        # Every existence run's ledger is the one record (0, one run, n) at
+        # share 1; a count plan checks each run's own ledger.
         checked = []
         real = BudgetLedger.assert_within_cap
 
         def check(ledger):
-            checked.append(list(ledger._runs))
+            checked.append((ledger.share, list(ledger._runs)))
             real(ledger)
 
         monkeypatch.setattr(BudgetLedger, "assert_within_cap", check)
         text, query = self.c7b_plan(True)
         plan(text, query, "existence").tally(NoiseSource(2), 500)
-        assert checked == [[(0, 1, len(text), 1)]]  # (start, runs, stop, share)
+        assert checked == [(1, [(0, 1, len(text))])]  # (start, runs, stop)
         checked.clear()
         plan(b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count").tally(NoiseSource(2), 5)
         assert len(checked) == 5

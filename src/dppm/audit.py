@@ -155,9 +155,13 @@ class TrialConfig:
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
         check_query(self.m, self.k, self.epsilon, self.beta, self.n)
+        # Plain numbers, as MatchQuery stores them: a numpy float or integer
+        # would reach the report and break its JSON.
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "beta", float(self.beta))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.generator not in GENERATORS:
             raise ValueError(
                 f"unknown generator {self.generator!r}; known: {sorted(GENERATORS)}"
@@ -166,8 +170,10 @@ class TrialConfig:
             raise ValueError("period_length must be at least 1")
         if self.noise not in MODES:
             raise ValueError(f"noise must be one of {MODES}, got {self.noise!r}")
-        if self.target is not None and not 0 < self.target < 1:
-            raise ValueError(f"target must lie in (0, 1), got {self.target}")
+        if self.target is not None:
+            if not 0 < self.target < 1:
+                raise ValueError(f"target must lie in (0, 1), got {self.target}")
+            object.__setattr__(self, "target", float(self.target))
 
     @property
     def target_probability(self) -> float:

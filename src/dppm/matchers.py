@@ -50,8 +50,9 @@ run reading the source's stream from its cursor and the distances its
 deterministic half computed, so runs on one source equal as many fresh calls
 seed for seed. ``tally(src, runs)`` counts the outcomes of consecutive runs;
 an existence plan decides them together in `_first_hits`, which compares
-every start of a peeked block of draws with its first distances in one numpy
-pass and follows the chain of starts.
+every start of a peeked block of draws with its first distances in one
+strided numpy compare, then walks the chain of starts and counts each scan's
+first hit as it goes.
 
 Every scan of a query pays the same integer share of the query epsilon, the
 ``share`` of its matcher's `CONTRACTS` row, on the span of text its distances
@@ -77,7 +78,6 @@ from operator import index, itemgetter, lt
 from typing import Callable, Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .noise import UNIT_BOUND, NoiseSource
 from .periodicity import (
@@ -260,7 +260,7 @@ _BLOCK = 1 << 16
 # `_first_hits` decides a block of existence scans at once while at most one
 # scan in _RUN_ON has run on past its head, and runs scans one at a time
 # otherwise: over a long text a scan that runs on leaves its block, so a
-# block would decide about _RUN_ON scans, and one costs about 30 us to set up
+# block would decide about _RUN_ON scans, and one costs about 15 us to set up
 # where a single scan over the C7 audit text takes about 2 us.
 _RUN_ON = 16
 
@@ -437,31 +437,36 @@ def _scan_on(dist, at, end, noisy, d_scale, src):
 
 def _first_hits(dist, thresh, src, ledger, runs):
     """``runs`` existence scans, one after another on ``src``, each the
-    `below_thresh` scan at ``ledger``'s slice over one window of ``dist``: how
-    many first hit at each index, the scans that missed counted at index
-    ``len(dist)``. The source's cursor moves as those scans would move it.
+    `below_thresh` scan at ``ledger``'s slice over one window of ``dist``: a
+    Counter of how many scans first hit at each index, the scans that missed
+    counted at index ``len(dist)``. The source's cursor moves as those scans
+    would move it.
 
     A scan is a function of the draws it serves: its threshold unit, then one
     unit per distance up to its hit. So every offset of a peeked block is
     compared as a scan's start, its threshold unit against its first
-    ``W = min(len(dist), _HEAD)`` distances, in one numpy pass. A scan that
-    starts at offset p and hits at index h < W has served 2 + h draws, so the
-    next one starts at p + 2 + h; the kernel follows that chain from offset
-    0. A scan that misses its whole head runs on through `_scan_on` from
-    index W, exactly as `below_thresh` runs it, and the chain goes on from
-    where that scan ended, in the same block. The block's draws are served
-    with one skip; a chain that leaves the block peeks the next one. While
-    more than one scan in _RUN_ON has run on, scans run one at a time through
-    `below_thresh`, each on a fresh ledger like ``ledger`` (never charged).
+    ``W = min(len(dist), _HEAD)`` distances, in one compare over a strided view
+    of the block's noise into a bool array: the first true column of row p is
+    where the scan at offset p hits, or column W, always true, where it misses
+    its head. A scan that starts at offset p and hits at index h < W has
+    served 2 + h draws, so the next one starts at p + 2 + h; the walk follows
+    that chain from offset 0 and counts each scan's first hit as it goes, into
+    a list of W + 1 slots. A scan that misses its whole head runs on through
+    `_scan_on` from index W, exactly as `below_thresh` runs it, is counted
+    apart, and the chain goes on from where that scan ended, in the same
+    block. The block's draws are served with one skip; a chain that leaves the
+    block peeks the next one. While more than one scan in _RUN_ON has run on,
+    scans run one at a time through `below_thresh`, each on a fresh ledger
+    like ``ledger`` (never charged).
     """
     size = len(dist)
     width = min(size, _HEAD)
-    head = dist[:width]
+    head = dist[:width, None]
     eps = ledger.epsilon / ledger.share
     t_scale, d_scale = 2.0 / eps, 4.0 / eps
     whole = ((0, size, (0, size)),)
-    blocks = []  # the first hits of the scans each block decided
-    single = []  # and of the scans decided one at a time or run on
+    counts = [0] * (width + 1)  # scans by first hit in the head (W: a miss)
+    hits = Counter()  # and the scans that ran on or ran one at a time
     ran_on = 0  # scans that missed their head
     per_scan = 2  # draws a scan served in the last block, rounded up
     left = runs
@@ -469,7 +474,7 @@ def _first_hits(dist, thresh, src, ledger, runs):
         if _RUN_ON * ran_on > runs - left:
             fresh = BudgetLedger(ledger.epsilon, ledger.share)
             _, at = below_thresh(dist, thresh, src, fresh, whole)
-            single.append(size if at is None else at)
+            hits[size if at is None else at] += 1
             ran_on += at is None or at >= width
             left -= 1
             continue
@@ -478,43 +483,36 @@ def _first_hits(dist, thresh, src, ledger, runs):
         starts = min(per_scan * left, _BLOCK // (width + 1))
         before = left
         u = src.units(starts + width)
-        # Row p: the noise of the scan that starts at offset p, on its
-        # distances (units p + 1 .. p + W) and on its threshold (unit p).
-        noise = sliding_window_view(d_scale * u[1:], width)
-        ok = head + noise <= (thresh + t_scale * u[:starts])[:, None]
-        first = ok.argmax(axis=1)
-        offsets = np.arange(starts)
-        hit = ok[offsets, first]
-        # Where the scan that starts at each offset ends, or -1 where it
-        # misses its head and runs on.
-        ends = np.where(hit, first + 2, width + 1) + offsets
-        if width < size:
-            ends[~hit] = -1
-        ends = ends.tolist()
-        chain = []  # the starts the block decided
+        # Column p: the noise of the scan that starts at offset p on its
+        # distances (units p + 1 .. p + W), against its threshold (unit p).
+        # The compare runs along the starts, in long numpy inner loops, and
+        # writes row p of ok, whose last column, W, stays true.
+        scaled = d_scale * u[1:]
+        noise = np.ndarray((width, starts), float, scaled, 0, scaled.strides * 2)
+        ok = np.ones((starts, width + 1), bool)
+        noisy = thresh + t_scale * u[:starts]
+        np.less_equal(head + noise, noisy, out=ok[:, :width].T)
+        first = ok.argmax(axis=1).tolist()
         p = served = 0
         while left and p < starts:
             left -= 1
-            end = ends[p]
-            if end >= 0:
-                chain.append(p)
-                p = end
-                continue
-            src.skip(p + 1 + width - served)
-            noisy = thresh + t_scale * u.item(p)
-            at = _scan_on(dist, width, size, noisy, d_scale, src)
-            if at is None:
-                at, p = size, p + 1 + size
-            else:
+            at = first[p]
+            if at < width:  # it hit in its head
+                counts[at] += 1
                 p += 2 + at
-            single.append(at)
-            ran_on += 1
-            served = p
+            elif width == size:  # it missed the whole text
+                counts[size] += 1
+                p += 1 + size
+            else:  # it missed its head: run it on
+                src.skip(p + 1 + width - served)
+                hit = _scan_on(dist, width, size, noisy.item(p), d_scale, src)
+                hits[size if hit is None else hit] += 1
+                p = served = p + 1 + size if hit is None else p + 2 + hit
+                ran_on += 1
         src.skip(p - served)
-        blocks.append(np.where(hit, first, size)[chain])
         per_scan = max(2, -(-p // (before - left)))
-    single = np.array(single, dtype=np.intp)
-    return np.bincount(np.concatenate([*blocks, single]), minlength=size + 1)
+    hits.update({i: count for i, count in enumerate(counts) if count})
+    return hits
 
 
 # --- error contracts ---------------------------------------------------------
@@ -662,8 +660,8 @@ def _prepare_existence(
         ledger.assert_within_cap()
         miss = len(dist)
         return Counter({
-            ExistenceOutcome(i < miss, i if i < miss else None): counts.item(i)
-            for i in np.flatnonzero(counts).tolist()
+            ExistenceOutcome(i < miss, i if i < miss else None): count
+            for i, count in counts.items()
         })
 
     return contract, scan, batch

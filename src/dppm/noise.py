@@ -83,7 +83,8 @@ def check_seed(seed: int) -> int:
 
 
 def derive_seed(root: int, *lanes: int) -> int:
-    """Derive a sub-seed by mixing lane indices into ``root`` (in [0, 2**64)).
+    """Derive a sub-seed by mixing lane indices into ``root``, each of them
+    checked by `check_seed` to lie in [0, 2**64).
 
     The derivation is a fixed splitmix64 chain, documented so that seeds are
     reproducible across releases: each lane is mixed as
@@ -91,7 +92,7 @@ def derive_seed(root: int, *lanes: int) -> int:
     """
     state = check_seed(root)
     for lane in lanes:
-        state = splitmix64(state ^ splitmix64(index(lane) & _MASK64))
+        state = splitmix64(state ^ splitmix64(check_seed(lane)))
     return state
 
 

@@ -1,5 +1,6 @@
 """Tests for the utility experiments, privacy audit, and packing families."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -164,6 +165,19 @@ class TestTrialConfig:
         report = run_utility_experiment(cfg, "count")
         assert [r.algorithm for r in report.records] == ["NonPeriodicCounting"] * 2
         assert all(r.error == "" for r in report.records)
+
+    def test_numpy_numbers_are_stored_plain(self):
+        # A float32 epsilon or beta and a uint64 seed used to be kept, so the
+        # config's JSON failed.
+        cfg = TrialConfig(n=300, m=16, k=1, epsilon=np.float32(1.0),
+                          beta=np.float32(0.1), trials=3, seed=np.uint64(7),
+                          generator="planted-occurrence")
+        assert (type(cfg.epsilon), type(cfg.beta), type(cfg.seed)) == (float, float, int)
+        assert (cfg.epsilon, cfg.beta, cfg.seed) == (1.0, float(np.float32(0.1)), 7)
+        assert cfg.target is None
+        json.dumps(dataclasses.asdict(cfg))
+        with_target = dataclasses.replace(cfg, target=np.float32(0.5))
+        assert type(with_target.target) is float and with_target.target == 0.5
 
     def test_target_defaults_to_guarantee_level(self):
         assert small_config().target_probability == pytest.approx(0.9)

@@ -1622,6 +1622,26 @@ class TestTally:
         assert 150 < len(calls) < 200
         assert len(want) > 100
 
+    @pytest.mark.parametrize("text", [b"ababab", b"abbbab"])
+    def test_c7_lane_peeks_one_block(self, text, monkeypatch):
+        # An audit lane at C7's size decides its 250 runs from one peeked
+        # block of two draws a run (nearly every scan hits at its first
+        # distance) and the head's five.
+        prepared = plan(text, MatchQuery(b"ba", 0, 1.0, 0.1), "existence")
+        src, loop_src = NoiseSource(11), NoiseSource(11)
+        want = Counter(prepared.outcome(loop_src) for _ in range(250))
+        peeks = []
+        real = NoiseSource.units
+
+        def units(source, count):
+            peeks.append(count)
+            return real(source, count)
+
+        monkeypatch.setattr(NoiseSource, "units", units)
+        assert prepared.tally(src, 250) == want
+        assert peeks == [2 * 250 + 5]
+        assert src.laplace(1.0) == loop_src.laplace(1.0)
+
     def test_long_runs_span_blocks(self):
         # 20,000 runs need more draws than one peeked block holds.
         text, query = self.c7b_plan(True)

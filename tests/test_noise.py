@@ -107,6 +107,14 @@ class TestSeedDerivation:
             with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
                 use(root)
 
+    @pytest.mark.parametrize("lane", [-1, 2**64])
+    def test_lane_outside_64_bits_raises(self, lane):
+        # Each lane used to be masked, so lane -1 derived lane 2**64 - 1's
+        # seed and lane 2**64 lane 0's.
+        for lanes in ((lane,), (0, lane), (lane, 0)):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                derive_seed(7, *lanes)
+
     @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1, 2**63, 2**64 - 1])
     def test_numpy_integer_seeds_equal_python_ints(self, seed):
         # An np.int64 overflowed in the 64-bit mixing, and an np.uint64

@@ -13,8 +13,9 @@ Two instruments:
   decide and never sees the noise source; the lane it returns runs all of a
   string's trials on that string's source and counts their labels. The CLI
   matchers prepare a :func:`~dppm.matchers.plan`, tally its outcomes with
-  ``QueryPlan.tally`` (one vectorized pass over peeked draws for existence)
-  and label each distinct outcome once with :func:`outcome_label`; a broken
+  ``QueryPlan.tally`` (in a batch for existence, counting and the trivial
+  reporter, one run at a time for periodic reporting) and label each
+  distinct outcome once with :func:`outcome_label`; a broken
   mechanism such as the no-noise canary is one more entry.
 """
 
@@ -302,7 +303,7 @@ def _prepare_trial(
     query = MatchQuery(inst.pattern, cfg.k, cfg.epsilon, cfg.beta)
     if variant == "report":
         wide = widest_close_period(query.pattern, query.k) if query.m >= 2 else None
-        regime, _, contract, scan = _prepare_reporter(inst.text, query, wide)
+        regime, _, contract, scan, _ = _prepare_reporter(inst.text, query, wide)
     else:
         prepared = plan(inst.text, query, variant)
         regime, contract, scan = prepared.regime, prepared.contract, prepared.scan

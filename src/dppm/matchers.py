@@ -11,7 +11,8 @@ by one integer compare, over distances too far above the noisy threshold for
 any draw to matter (the sampler's units are bounded by `noise.UNIT_BOUND`),
 serving their draws unpeeked in one skip. It compares the first distances of
 a run of scans in one numpy operation once several scans in a row have hit
-at once, running on across window boundaries; draws come
+at once, running on across window boundaries (a counting run in which every
+scan hits at once never reaches the kernel: see ``tally`` below); draws come
 from the `NoiseSource` stream in the order of a one-distance-at-a-time scan,
 so answers are the same seed for seed. Each matcher computes its distances
 once per query, into one frozen `distance_array`, and runs the kernel over
@@ -49,10 +50,17 @@ and every scan's noise scale comes from the query and its contract;
 run reading the source's stream from its cursor and the distances its
 deterministic half computed, so runs on one source equal as many fresh calls
 seed for seed. ``tally(src, runs)`` counts the outcomes of consecutive runs;
-an existence plan decides them together in `_first_hits`, which compares
-every start of a peeked block of draws with its first distances in one
-strided numpy compare, then walks the chain of starts and counts each scan's
-first hit as it goes.
+existence, counting and the trivial reporter decide them in a batch, and
+periodic reporting runs them one by one. An existence plan decides them
+together in `_first_hits`, which compares every start of a peeked block of
+draws with its first distances in one strided numpy compare, then walks the
+chain of starts and counts each scan's first hit as it goes. A counting plan
+knows, at prepare time, its uniform run, in which every scan hits at its
+first distance: its chain of first distances, its ledger records and its
+outcome are fixed. A run compares the chain with one peek of the next draws
+and runs the kernel only when some scan misses there; a tally compares a
+block of runs at once, and counts the uniform ones in one step. The trivial
+reporter draws nothing, so its tally is its one outcome, ``runs`` times.
 
 Every scan of a query pays the same integer share of the query epsilon, the
 ``share`` of its matcher's `CONTRACTS` row, on the span of text its distances
@@ -243,11 +251,15 @@ class BudgetLedger:
 # their first distances all at once, up to the first that misses there. The
 # streak carries from one window into the next, so such a batch covers at
 # least the rest of its window and runs on through the following windows
-# that fit the cap, while it is no longer than the streak: running on up to
-# _BLOCK instead made counting at n = 1e6, m = 64, k = 3, eps = 3e4 (where
-# the threshold sits among the distances) 1.2x slower. A count-desk query
-# (n = 2500, m = 64, k = 3, eps = 1) takes the same time within 3% at
-# _STREAK = 1, 3 or 6; at 1, counting at eps = 3e4 was 1.3x slower.
+# that fit the cap, while it is no longer than the streak. A counting run in
+# which every scan hits at once is decided before the kernel runs (see
+# `_prepare_count`), so these batches serve runs where some scan misses,
+# where the threshold sits among the distances: there, letting a batch that
+# reaches its window's end run on up to _BLOCK scans made counting at
+# n = 1e6, m = 64, k = 3, eps = 3e4 3x slower (1.43-2.08 s against
+# 3.96-5.05 s a run, 4 seeds, 2-vCPU Intel Xeon with AVX-512; units peeked
+# a run 0.59 million against 1.13 billion, since nearly every such batch
+# misses early and its draws are peeked again).
 # Blocks stop doubling at _BLOCK, so a block's float64 temporaries (512 KiB
 # each) stay about the size of a core's L2 cache: with no cap, a prepared
 # existence run over 1e6 filled distances (m = 256) took 13.5-15.5 ms against
@@ -261,8 +273,20 @@ _BLOCK = 1 << 16
 # scan in _RUN_ON has run on past its head, and runs scans one at a time
 # otherwise: over a long text a scan that runs on leaves its block, so a
 # block would decide about _RUN_ON scans, and one costs about 15 us to set up
-# where a single scan over the C7 audit text takes about 2 us.
+# where a single scan over the C7 audit text takes about 2 us. A counting
+# tally compares blocks of runs by the same rule, counting the runs that are
+# not uniform (each ends its block) in place of scans that run on.
 _RUN_ON = 16
+# A lone counting run with more than _TRY scans compares its first _TRY
+# scans before peeking at the draws of the rest: where the noise decides, one
+# of them nearly always misses, and the kernel skips most of the rest
+# untransformed. On the 2-vCPU Xeon, in paired runs against the kernel alone
+# at m = 64, k = 3, eps = 3e4: peeking at all 59937 scans' draws at once made
+# counting at n = 60000 4% slower, and with _TRY at _HEAD a count-desk run
+# was 1.9x faster where it is 2.1x; at n = 3000 (2937 scans, all peeked at
+# once) counting was 3% faster, since the kernel then reads its draws from
+# the peeked block.
+_TRY = 1 << 12
 
 
 def below_thresh(
@@ -713,13 +737,16 @@ def _prepare_report(
 
 def _prepare_count(
     text: bytes, query: MatchQuery, k_eff: int
-) -> tuple[Contract, Scan]:
+) -> tuple[Contract, Scan, Batch]:
     """Non-periodic counting at mismatch budget ``k_eff`` (above the query's
     k in the small-k regime; below it, its lower threshold would miss true
     occurrences, so it raises ValueError). Each window of ``window_cover(n,
     m, m)`` is scanned until a scan misses, its starts run out or it has
     ``1152 * k_eff`` hits; the witness is the first hit, and the count is
-    the clamped sum of per-window hits."""
+    the clamped sum of per-window hits. The batch tallies consecutive runs:
+    it compares blocks of runs with the uniform run (see the comment in the
+    body) in one numpy operation, and counts each run that is not uniform
+    through the kernel."""
     _require_text(text, query.m)
     if k_eff < 1:
         raise ValueError(
@@ -737,17 +764,104 @@ def _prepare_count(
     dist = _frozen_distances(text, query.pattern)
     # A window's starts are the indices of their distances.
     windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in window_cover(n, m, m))
+    # The uniform run, in which every scan hits at its first distance: the
+    # chain of its S scans' first distances (each window's starts up to the
+    # cap, in window order; all of them, unless the cap cuts a window), its
+    # ledger charges, one run record a window, and its outcome. It is tried
+    # only while S <= _BLOCK, and a block of uniform runs holds at most
+    # _BLOCK scans.
+    charges = tuple((lo, stop, min(hi - lo, cap)) for lo, hi, (_, stop) in windows)
+    size = sum(runs for _, _, runs in charges)
+    per_block = _BLOCK // size
+    chain = dist
+    if per_block and size < len(dist):
+        chain = np.concatenate([dist[lo : lo + runs] for lo, _, runs in charges])
+    uniform = CountOutcome(size, 0, size)
 
-    def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
+    def at_once(scans: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
+        """Whether each scan, given its first distance, hits there on the
+        units ``u`` peeked for it: a threshold unit at each even offset and
+        a distance unit after it, the streak batch's compare."""
+        return scans + 4.0 / eps * u[..., 1::2] <= thresh + 2.0 / eps * u[..., ::2]
+
+    def uniform_runs(src: NoiseSource, ledger: BudgetLedger, runs: int) -> int:
+        """How many of the next ``runs`` runs, in a row, are uniform: their
+        draws are served, the rest peeked at only. A lone run with more than
+        _TRY scans compares its first _TRY first (see _TRY)."""
+        eps = ledger.epsilon / ledger.share
+        if runs == 1 and size > _TRY:
+            if not at_once(chain[:_TRY], src.units(2 * _TRY), eps).all():
+                return 0
+        u = src.units(2 * size * runs).reshape(runs, 2 * size)
+        whole = at_once(chain, u, eps).all(axis=1)
+        j = int(whole.argmin())
+        if whole[j]:
+            j = runs
+        src.skip(2 * size * j)
+        return j
+
+    def charge_uniform(ledger: BudgetLedger) -> None:
+        for charge in charges:
+            ledger.charge_span(*charge)
+        ledger.assert_within_cap()
+
+    def counted(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
         total, witness = below_thresh(dist, thresh, src, ledger, windows, cap)
         count = min(max(total, 0), n - m + 1)
         ledger.assert_within_cap()
         return CountOutcome(count=count, witness=witness, raw_count=total)
 
-    return contract, scan
+    def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
+        if per_block and uniform_runs(src, ledger, 1):
+            charge_uniform(ledger)
+            return uniform
+        return counted(src, ledger)
+
+    def batch(src: NoiseSource, ledger: BudgetLedger, runs: int) -> Counter:
+        # Blocks of runs are compared at once while at most one run in
+        # _RUN_ON has not been uniform, each block up to twice the mean
+        # stretch of uniform runs between them (a run that is not uniform
+        # ends its block and costs a compare); otherwise runs go one at a
+        # time through the kernel, as in `_first_hits`. A run that is not
+        # compared uniform is counted on a fresh ledger like ``ledger``.
+        others = []  # the outcomes of the runs counted through the kernel
+        uniforms = 0  # runs compared uniform
+        odd = 0  # runs whose count is not the uniform run's
+        left = runs
+        while left:
+            done = runs - left
+            if per_block and _RUN_ON * odd <= done:
+                block = min(left, per_block, 2 * done // odd if odd else left)
+                j = uniform_runs(src, ledger, block)
+                uniforms += j
+                left -= j
+                if j == block:
+                    continue
+            outcome = counted(src, BudgetLedger(ledger.epsilon, ledger.share))
+            others.append(outcome)
+            odd += outcome.raw_count != size
+            left -= 1
+        counts = Counter(others)
+        # Every uniform run's ledger holds the same records: one charge and
+        # one check stand for all of them.
+        if uniforms:
+            charge_uniform(ledger)
+            counts[uniform] += uniforms
+        return counts
+
+    return contract, scan, batch
 
 
-def _prepare_trivial(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
+def _fixed(outcome: Outcome) -> tuple[Scan, Batch]:
+    """The noisy half of a matcher that draws nothing and charges nothing,
+    and its batch: every run answers ``outcome``."""
+    return (
+        lambda src, ledger: outcome,
+        lambda src, ledger, runs: Counter({outcome: runs} if runs else {}),
+    )
+
+
+def _prepare_trivial(text: bytes, query: MatchQuery) -> tuple[Contract, Scan, Batch]:
     """The trivial reporter: every start position. It reads only the
     lengths, so its noisy half reads neither the source nor the ledger: it
     draws nothing, charges nothing, and is private at any epsilon."""
@@ -755,20 +869,20 @@ def _prepare_trivial(text: bytes, query: MatchQuery) -> tuple[Contract, Scan]:
     contract = error_contract(
         "trivial_all", len(text), query.m, query.k, query.epsilon, query.beta
     )
-    report = ReportOutcome(tuple(range(len(text) - query.m + 1)))
-    return contract, lambda src, ledger: report
+    return contract, *_fixed(ReportOutcome(tuple(range(len(text) - query.m + 1))))
 
 
 def _prepare_reporter(
     text: bytes, query: MatchQuery, candidate: Optional[PeriodicCandidate]
-) -> tuple[Regime, str, Contract, Scan]:
+) -> tuple[Regime, str, Contract, Scan, Optional[Batch]]:
     """The one report-or-trivial choice: periodic reporting on ``candidate``,
     or the trivial reporter when there is none. Returns the regime tag, the
-    matcher that runs, its contract and its noisy half."""
+    matcher that runs, its contract, its noisy half and its batch (the
+    trivial reporter's; periodic reporting has none)."""
     if candidate is None:
         return Regime.TRIVIAL_FALLBACK, "trivial_all", *_prepare_trivial(text, query)
     contract, scan = _prepare_report(text, query, candidate)
-    return Regime.PERIODIC_REPORTING, "report_periodic", contract, scan
+    return Regime.PERIODIC_REPORTING, "report_periodic", contract, scan, None
 
 
 # --- auto-dispatching front door --------------------------------------------
@@ -828,7 +942,8 @@ class QueryPlan:
     reads. ``run`` is the noisy half; each call starts a fresh ledger for the
     contract's share and reads the source's stream from its cursor, so runs
     on one source read consecutive draws. ``batch`` serves many runs at once
-    where the matcher has one (existence), for `tally`."""
+    where the matcher has one (existence, counting and the trivial reporter;
+    not periodic reporting), for `tally`."""
 
     regime: Regime
     decision: DispatchDecision
@@ -852,8 +967,12 @@ class QueryPlan:
         ``src``: ``Counter(self.outcome(src) for _ in range(runs))`` seed
         for seed, leaving the source's cursor where those runs leave it. An
         existence plan serves the runs in a vectorized pass over peeked
-        draws, its ledger charged and checked once; every other plan runs
-        ``outcome`` ``runs`` times."""
+        draws, its ledger charged and checked once. A counting plan compares
+        blocks of runs with its uniform run (every scan hits at its first
+        distance), whose records it charges and checks once, and runs the
+        others one by one. The trivial reporter's plan draws nothing and
+        counts its one outcome. A periodic reporting plan runs ``outcome``
+        ``runs`` times."""
         runs = index(runs)
         if runs < 0:
             raise ValueError(f"runs must be non-negative, got {runs}")
@@ -881,16 +1000,19 @@ def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
         Regime.SMALL_K_COUNTING,
     ):
         matcher = "count_nonperiodic"
-        contract, scan = _prepare_count(text, query, decision.effective_k)
+        contract, scan, batch = _prepare_count(text, query, decision.effective_k)
     else:
         # Dispatch sets a candidate only in the periodic regime; the trivial
         # regime, and a report request the counting regimes cannot serve,
         # get the trivial reporter.
-        regime, matcher, contract, scan = _prepare_reporter(
+        regime, matcher, contract, scan, batch = _prepare_reporter(
             text, query, decision.candidate
         )
         if variant == "count":
             scan = _as_count(scan)
+            if matcher == "trivial_all":
+                # It reads neither source nor ledger: its count is fixed too.
+                scan, batch = _fixed(scan(None, None))
     return QueryPlan(regime, decision, matcher, contract, query.epsilon, scan, batch)
 
 

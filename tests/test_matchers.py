@@ -41,6 +41,7 @@ from conftest import (
     RefLedger,
     binary_strings,
     brute_first_at_most,
+    counting_cover,
     periodic_cover,
     ref_below_thresh,
     ref_count_nonperiodic,
@@ -1393,10 +1394,37 @@ def counts_as_reference(text, query, k_eff, src):
     return outcome, ledger._runs
 
 
+def kernel_as_reference(text, query, k_eff, src):
+    """`below_thresh` called directly over the counter's windows on ``src``
+    (so its first-distance batches run even where a counting run would be
+    decided in one compare), and the one-at-a-time reference counter on a
+    fresh source of the same seed: the same hits and first hit, the same
+    ledger run records and the same next draw. Returns the hits, the first
+    hit and the records."""
+    n, m = len(text), query.m
+    cap = matchers.WINDOW_OCCURRENCE_CAP * k_eff
+    contract = error_contract(
+        "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
+    )
+    windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in counting_cover(n, m))
+    ledger = BudgetLedger(query.epsilon, contract.share)
+    hits, first = below_thresh(
+        distance_array(text, query.pattern), contract.threshold, src, ledger, windows, cap
+    )
+    ref_src, ref_ledger = NoiseSource(src.seed), RefLedger(query.epsilon)
+    _, _, witness, total = ref_count_nonperiodic(text, query, ref_src, ref_ledger, k_eff)
+    assert (hits, first) == (total, witness)
+    ref_ledger.assert_matches(ledger)
+    assert src.laplace(1.0) == ref_src.laplace(1.0)
+    return hits, first, ledger._runs
+
+
 class TestBatchAcrossWindows:
     """Once enough scans in a row have hit at their first distance, the
-    counter's first-distance batch runs on across window boundaries. Each
-    case matches the one-at-a-time reference counter seed for seed."""
+    kernel's first-distance batch runs on across window boundaries. Each
+    case matches the one-at-a-time reference counter seed for seed. A
+    counting run in which every scan hits at once is decided in one compare
+    before the kernel runs, so these cases call the kernel directly."""
 
     @staticmethod
     def sharp_query(pattern, n, k):
@@ -1412,8 +1440,8 @@ class TestBatchAcrossWindows:
         n, m = 60, 8
         query = self.sharp_query(b"a" * m, n, 1)
         src = PeekLog(3)
-        outcome, runs = counts_as_reference(b"a" * n, query, 1, src)
-        assert outcome.raw_count == n - m + 1
+        hits, _, runs = kernel_as_reference(b"a" * n, query, 1, src)
+        assert hits == n - m + 1
         scans = accumulate((u // 2 for u in src.peeks), initial=matchers._STREAK)
         ends = list(scans)[1:]
         assert any(end % m == 0 for end in ends[:-1]), ends
@@ -1421,6 +1449,11 @@ class TestBatchAcrossWindows:
         assert runs == [
             (a, min(a + m, n - m + 1) - a, b + 1) for a, b in window_cover(n, m, m)
         ]
+        # A counting run decides it all in one peek of two units a scan.
+        src = PeekLog(3)
+        outcome, _ = counts_as_reference(b"a" * n, query, 1, src)
+        assert outcome.raw_count == n - m + 1
+        assert src.peeks == [2 * (n - m + 1)]
 
     def test_miss_at_the_next_window_first_start(self):
         # The distance is the number of b's in a window: 0 up to start 6, 1 at
@@ -1430,10 +1463,16 @@ class TestBatchAcrossWindows:
         text = b"a" * 14 + b"bb" + b"a" * 18
         query = self.sharp_query(b"a" * 8, len(text), 1)
         src = PeekLog(0)
-        outcome, runs = counts_as_reference(text, query, 1, src)
+        hits, first, runs = kernel_as_reference(text, query, 1, src)
         assert src.peeks[0] // 2 > 8 - matchers._STREAK  # past window 0's end
         assert runs[:3] == [(0, 8, 15), (8, 1, 23), (16, 8, 31)]
-        assert (outcome.raw_count, outcome.witness) == (len(text) - 8 + 1 - 7, 0)
+        assert (hits, first) == (len(text) - 8 + 1 - 7, 0)
+        # A counting run tries the one compare, which fails, and then runs
+        # the kernel from the same cursor.
+        src = PeekLog(0)
+        outcome, _ = counts_as_reference(text, query, 1, src)
+        assert (outcome.raw_count, outcome.witness) == (hits, first)
+        assert src.peeks[0] == 2 * (len(text) - 8 + 1)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n", [4999, 5000])
@@ -1481,10 +1520,11 @@ class TestBatchAcrossWindows:
         assert len(runs) == len(window_cover(n, 64, 64))
         assert max(src.peeks) == 2 * matchers._BLOCK
 
-    def test_one_kernel_call_per_counting_query(self, monkeypatch):
+    def test_count_desk_run_peeks_once(self, monkeypatch):
         # The count-desk query: 2437 scans over 39 windows, each hitting at
-        # its first distance, are one kernel call, and past the first few
-        # scans the batches double with the streak: O(log n) peeks.
+        # its first distance. A run compares them all in one peek and never
+        # calls the kernel; the kernel, called directly, takes them in
+        # batches that double with the streak: O(log n) peeks.
         calls = []
 
         def recording(*args):
@@ -1498,16 +1538,130 @@ class TestBatchAcrossWindows:
         prepared = plan(text, query, "count")
         assert prepared.matcher == "count_nonperiodic"
         src = PeekLog(1)
-        assert prepared.run(src).outcome.raw_count == 2437
-        assert len(calls) == 1 and len(calls[0]) == 39
+        result = prepared.run(src)
+        assert result.outcome == CountOutcome(2437, 0, 2437)
+        assert calls == [] and src.peeks == [2 * 2437]
+        assert len(result.ledger._runs) == 39
+        src = PeekLog(1)
+        assert kernel_as_reference(text, query, 3, src)[0] == 2437
         assert len(src.peeks) <= math.log2(2437)
+
+
+def tallies_as_reference(text, query, k_eff, seed, runs):
+    """``runs`` counting runs on one source, as consecutive runs and as one
+    batch, against as many one-at-a-time reference counts on a source of the
+    same seed: the same outcomes, the same run records and the same next
+    draw. The batch's ledger holds the uniform run's records (every scan hit
+    at its first distance) once, or nothing when no run was uniform or the
+    uniform run is longer than a block (then every run is counted on a
+    ledger of its own). Returns the tally."""
+    prepared = matchers._prepare_count(text, query, k_eff)
+    n, m = len(text), query.m
+    cap = matchers.WINDOW_OCCURRENCE_CAP * k_eff
+    uniform = [
+        (a, min(b - m + 2 - a, cap), b + 1)
+        for a, b in counting_cover(n, m)
+        if b - m + 2 > a
+    ]
+    size = sum(scans for _, scans, _ in uniform)
+    src, ref_src = NoiseSource(seed), NoiseSource(seed)
+    want, any_uniform = Counter(), False
+    for _ in range(runs):
+        ref_ledger = RefLedger(query.epsilon)
+        _, count, witness, raw = ref_count_nonperiodic(
+            text, query, ref_src, ref_ledger, k_eff
+        )
+        outcome, ledger = run_half(prepared, src, query.epsilon)
+        assert outcome == CountOutcome(count, witness, raw)
+        ref_ledger.assert_matches(ledger)
+        want[outcome] += 1
+        any_uniform |= raw == size and ref_ledger.run_records() == uniform
+    tally_src = NoiseSource(seed)
+    ledger = BudgetLedger(query.epsilon, prepared[0].share)
+    assert prepared[2](tally_src, ledger, runs) == want
+    batched = any_uniform and size <= matchers._BLOCK
+    assert ledger._runs == (uniform if batched else [])
+    assert tally_src.laplace(1.0) == src.laplace(1.0) == ref_src.laplace(1.0)
+    return want
+
+
+class TestCountTally:
+    """A counting plan's batch, and its runs one at a time, against the
+    one-at-a-time reference counter: uniform runs, runs the noise decides,
+    a mixture, windows the cap cuts, and a uniform run longer than a
+    block, which is never tried in one compare."""
+
+    @pytest.mark.parametrize("n", [2500, 6000])
+    def test_uniform_runs(self, n):
+        # The count-desk query (n = 2500: every one of 2437 scans hits at
+        # once), and one whose lone runs compare their first _TRY scans
+        # before the rest.
+        rng = random.Random(2)
+        text = bytes(rng.choice(b"acgt") for _ in range(n))
+        query = MatchQuery(bytes(rng.choice(b"acgt") for _ in range(64)), 3, 1.0, 0.1)
+        got = tallies_as_reference(text, query, 3, 8, 40)
+        assert got == Counter({CountOutcome(n - 63, 0, n - 63): 40})
+
+    def test_miss_past_the_first_try(self):
+        # Every scan hits at once up to start 5000, where two b's make the
+        # distance 2 against a threshold of 1.5: a lone run's first _TRY
+        # scans all hit, and the whole chain's compare misses.
+        text = b"a" * 5000 + b"bb" + b"a" * 20
+        query = TestBatchAcrossWindows.sharp_query(b"a" * 8, len(text), 1)
+        assert matchers._TRY < 5000 - 8
+        got = tallies_as_reference(text, query, 1, 5, 3)
+        assert all(outcome.raw_count < len(text) - 8 + 1 for outcome in got)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n", [4999, 5000])
+    def test_where_the_noise_decides(self, n, seed):
+        # The texts of TestBatchAcrossWindows: no run is uniform, so after
+        # the first the runs are counted one at a time.
+        rng = random.Random(seed)
+        text = bytes(b"b"[0] if rng.random() < 0.18 else b"a"[0] for _ in range(n))
+        query = MatchQuery(b"a" * 64, 3, 1e5, 0.1)
+        got = tallies_as_reference(text, query, 3, seed, 6)
+        assert all(0 < outcome.raw_count < n - 64 + 1 for outcome in got)
+
+    @pytest.mark.parametrize("epsilon", [6e4, 7e4])
+    def test_uniform_and_not_mixed(self, epsilon):
+        # Distances 0, 4, 0, 4, 0 against a threshold near 4: about 1 run in
+        # 70 (eps = 6e4) or 1 in 4 (7e4) is not uniform, so blocks end early
+        # and shrink (6e4) or give way to runs one at a time (7e4).
+        query = MatchQuery(b"abab", 1, epsilon, 0.1)
+        got = tallies_as_reference(b"abababab", query, 1, 3, 2000)
+        uniform = CountOutcome(5, 0, 5)
+        assert 0 < got[uniform] < 2000
+
+    @pytest.mark.parametrize("epsilon", [1.0, 3e4])
+    def test_windows_the_cap_cuts(self, epsilon):
+        # m = 2000 > 1152 k: a uniform run stops each window at the cap.
+        rng = random.Random(4)
+        text = bytes(rng.choice(b"acgt") for _ in range(5000))
+        query = MatchQuery(bytes(rng.choice(b"acgt") for _ in range(2000)), 1, epsilon, 0.1)
+        got = tallies_as_reference(text, query, 1, 4, 4)
+        if epsilon == 1.0:
+            size = 1152 + (5000 - 2000 + 1 - 2000)
+            assert got == Counter({CountOutcome(size, 0, size): 4})
+
+    def test_chain_longer_than_a_block(self):
+        # 200 more scans than a block holds: every run goes to the kernel.
+        rng = random.Random(9)
+        n = matchers._BLOCK + 200 + 63
+        text = bytes(rng.choice(b"acgt") for _ in range(n))
+        query = MatchQuery(bytes(rng.choice(b"acgt") for _ in range(64)), 3, 1.0, 0.1)
+        size = matchers._BLOCK + 200
+        got = tallies_as_reference(text, query, 3, 9, 2)
+        assert got == Counter({CountOutcome(size, 0, size): 2})
 
 
 class TestTally:
     """``QueryPlan.tally(src, runs)`` counts the outcomes of ``runs``
     consecutive runs on ``src``. An existence plan decides them in one
-    vectorized pass over peeked draws, every other plan in a loop; both
-    must equal that loop seed for seed and leave the same next draw."""
+    vectorized pass over peeked draws, a counting plan compares blocks of
+    runs in which every scan hits at once, the trivial reporter counts its
+    one outcome, and periodic reporting loops; each must equal that loop
+    seed for seed and leave the same next draw."""
 
     @given(
         variant=st.sampled_from(["existence", "count", "report"]),
@@ -1532,7 +1686,7 @@ class TestTally:
         logs = math.log(size) + math.log(2.0 / 0.1)
         query = MatchQuery(pattern, k, 8.0 * logs / above, 0.1)
         prepared = plan(text, query, variant)
-        assert (prepared.batch is not None) == (variant == "existence")
+        assert (prepared.batch is None) == (prepared.matcher == "report_periodic")
         src, loop_src = NoiseSource(seed, mode), NoiseSource(seed, mode)
         got = prepared.tally(src, runs)
         want = Counter(prepared.outcome(loop_src) for _ in range(runs))
@@ -1578,9 +1732,62 @@ class TestTally:
         text, query = self.c7b_plan(True)
         plan(text, query, "existence").tally(NoiseSource(2), 500)
         assert checked == [(1, [(0, 1, len(text))])]  # (start, runs, stop)
-        checked.clear()
-        plan(b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count").tally(NoiseSource(2), 5)
-        assert len(checked) == 5
+
+    def test_uniform_count_runs_checked_once(self, monkeypatch):
+        # Every uniform counting run's ledger holds the same records, one a
+        # window: a tally charges and checks them once.
+        checked = []
+        real = BudgetLedger.assert_within_cap
+
+        def check(ledger):
+            checked.append((ledger.share, list(ledger._runs)))
+            real(ledger)
+
+        monkeypatch.setattr(BudgetLedger, "assert_within_cap", check)
+        prepared = plan(b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count")
+        assert prepared.tally(NoiseSource(2), 5) == Counter({CountOutcome(7, 0, 7): 5})
+        assert checked == [(2304, [(0, 2, 3), (2, 2, 5), (4, 2, 7), (6, 1, 8)])]
+
+    @given(
+        size=st.sampled_from([1, 2, 5, 33, 80]),
+        m=st.integers(1, 6),
+        data=st.data(),
+        above=st.floats(0.5, 3.5),
+        runs=st.sampled_from([0, 1, 2, 7, 300]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_count_equals_outcome_loop(self, size, m, data, above, runs, seed):
+        # The counting threshold sits ``above`` over k, among the binary
+        # texts' distances, so the noise may decide whether a scan hits at
+        # its first distance, and runs are uniform or not.
+        k = data.draw(st.integers(1, m))
+        text = data.draw(st.binary(min_size=size + m - 1, max_size=size + m - 1))
+        text = bytes(b"ab"[c & 1] for c in text)
+        pattern = data.draw(st.binary(min_size=m, max_size=m))
+        pattern = bytes(b"ab"[c & 1] for c in pattern)
+        n, cap = len(text), matchers.WINDOW_OCCURRENCE_CAP * k
+        logs = math.log(m) + math.log(2.0 * (n / m) * cap / 0.1)
+        query = MatchQuery(pattern, k, 16.0 * cap * logs / above, 0.1)
+        prepared = plan(text, query, "count")
+        src, loop_src = NoiseSource(seed), NoiseSource(seed)
+        got = prepared.tally(src, runs)
+        assert got == Counter(prepared.outcome(loop_src) for _ in range(runs))
+        assert sum(got.values()) == runs
+        assert src.laplace(1.0) == loop_src.laplace(1.0)
+
+    @pytest.mark.parametrize("variant", ["report", "count"])
+    @pytest.mark.parametrize("runs", [0, 1, 250])
+    def test_trivial_tally_draws_nothing(self, variant, runs):
+        # The trivial reporter, and its count form, answer one fixed outcome.
+        prepared = plan(b"abcdef", MatchQuery(b"a", 1, 1.0, 0.1), variant)
+        assert prepared.matcher == "trivial_all"
+        src = NoiseSource(5)
+        got = prepared.tally(src, runs)
+        outcome = prepared.outcome(NoiseSource(0))
+        assert got == Counter({outcome: runs} if runs else {})
+        assert list(got.values()) == ([runs] if runs else [])
+        assert src.laplace(1.0) == NoiseSource(5).laplace(1.0)
 
     def test_cap_failure_raises(self, monkeypatch):
         def overspent(ledger):

@@ -377,6 +377,23 @@ class TestCursor:
         plain = NoiseSource(31, mode)
         assert first + after == [plain.laplace(1.0) for _ in range(10)]
 
+    @pytest.mark.parametrize("mode", ["standard", "zero"])
+    def test_count_must_be_an_integer(self, mode):
+        # skip(1.5) inside the buffer used to leave the cursor at 1.5, and
+        # the next laplace raised TypeError far from the cause; units(2.5)
+        # raised an opaque slice error.
+        src = NoiseSource(31, mode)
+        first = src.laplace(1.0)
+        for bad in (1.5, 2.0, "2", None):
+            with pytest.raises(TypeError):
+                src.skip(bad)
+            with pytest.raises(TypeError):
+                src.units(bad)
+        src.skip(np.int64(2))
+        assert len(src.units(np.uint8(3))) == 3
+        plain = NoiseSource(31, mode)
+        assert [first, src.laplace(1.0)] == [plain.laplace(1.0) for _ in range(4)][::3]
+
     def test_first_peek_crosses_the_scalar_head(self):
         # A fresh source's peek of 40 units, longer than the first block of
         # 32, fills the buffer from its first uniform on and equals 40 plain

@@ -18,10 +18,11 @@ from .matchers import (
     MatchQuery,
     MatchResult,
     PrivacyBudgetExceeded,
+    QueryPlan,
     ReportOutcome,
-    below_thresh,
     error_contract,
     match_auto,
+    plan,
 )
 from .noise import NoiseSource, derive_seed
 from .periodicity import (
@@ -59,11 +60,11 @@ __all__ = [
     "NoiseSource",
     "PeriodicCandidate",
     "PrivacyBudgetExceeded",
+    "QueryPlan",
     "Regime",
     "ReportOutcome",
     "TrialConfig",
     "UtilityReport",
-    "below_thresh",
     "derive_seed",
     "dispatch",
     "dp_audit",
@@ -72,6 +73,7 @@ __all__ = [
     "hamming_distance",
     "is_primitive",
     "match_auto",
+    "plan",
     "run_utility_experiment",
     "shortest_close_period",
     "sliding_distances",

@@ -26,7 +26,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
-from operator import index
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -44,9 +43,9 @@ from .matchers import (
     _prepare_reporter,
     plan,
 )
-from .noise import MODES, NoiseSource, check_seed, derive_seed
+from .noise import MAX_SEED, MODES, NoiseSource, derive_seed
 from .periodicity import check_query, is_primitive, widest_close_period
-from .text import distance_array, hamming_distance, tile
+from .text import check_int, check_real, distance_array, hamming_distance, tile
 
 TEXT_ALPHABET = b"acgt"
 DISJOINT_ALPHABET = b"0123"
@@ -147,34 +146,27 @@ class TrialConfig:
     target: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # Each count as a plain int: a float or a numpy integer would fail,
-        # or leak into the report, far from the field that caused it.
-        for name in ("n", "m", "k", "trials", "period_length"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        check_query(self.m, self.k, self.epsilon, self.beta, self.n)
-        # Plain numbers, as MatchQuery stores them: a numpy float or integer
-        # would reach the report and break its JSON.
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "beta", float(self.beta))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        # Plain numbers, as MatchQuery stores them: a float count or a numpy
+        # number would fail far from the field that caused it, or reach the
+        # report and break its JSON.
+        n, m = check_int("n", self.n), check_int("m", self.m)
+        k, epsilon, beta = check_query(m, self.k, self.epsilon, self.beta, n)
+        plain = dict(
+            n=n, m=m, k=k, epsilon=epsilon, beta=beta,
+            trials=check_int("trials", self.trials, 1),
+            seed=check_int("seed", self.seed, 0, MAX_SEED),
+            period_length=check_int("period_length", self.period_length, 1),
+        )
+        if self.target is not None:
+            plain["target"] = check_real("target", self.target, 0.0, 1.0)
+        for name, value in plain.items():
+            object.__setattr__(self, name, value)
         if self.generator not in GENERATORS:
             raise ValueError(
                 f"unknown generator {self.generator!r}; known: {sorted(GENERATORS)}"
             )
-        if self.period_length < 1:
-            raise ValueError("period_length must be at least 1")
         if self.noise not in MODES:
             raise ValueError(f"noise must be one of {MODES}, got {self.noise!r}")
-        if self.target is not None:
-            if not 0 < self.target < 1:
-                raise ValueError(f"target must lie in (0, 1), got {self.target}")
-            object.__setattr__(self, "target", float(self.target))
 
     @property
     def target_probability(self) -> float:
@@ -578,10 +570,9 @@ def dp_audit(
         raise ValueError(f"unknown matcher {matcher!r}; known: {sorted(AUDIT_MATCHERS)}")
     if len(text_a) != len(text_b):
         raise ValueError("audited strings must have equal length")
-    trials = index(trials)  # the report carries trials and seed as plain ints
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    seed = check_seed(seed)
+    # The report carries trials and seed as plain ints.
+    trials = check_int("trials", trials, 1)
+    seed = check_int("seed", seed, 0, MAX_SEED)
     distance = hamming_distance(text_a, text_b)
     if not group and distance > 1:
         raise ValueError(

@@ -82,12 +82,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import index, itemgetter, lt
+from operator import itemgetter, lt
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .noise import UNIT_BOUND, NoiseSource
+from .noise import MAX_SEED, UNIT_BOUND, NoiseSource
 from .periodicity import (
     DispatchDecision,
     PeriodicCandidate,
@@ -95,7 +95,7 @@ from .periodicity import (
     check_query,
     dispatch,
 )
-from .text import check_bytes, distance_array, window_cover
+from .text import check_bytes, check_int, check_real, distance_array, window_cover
 
 # Occurrence cap per window and unit of budget splitting in the non-periodic
 # counter: a window shorter than 2m holds at most this many occurrences per
@@ -114,10 +114,10 @@ class MatchQuery:
 
     def __post_init__(self) -> None:
         check_bytes("pattern", self.pattern)
-        check_query(len(self.pattern), self.k, self.epsilon, self.beta)
         # Plain numbers from here on, whatever numeric types the caller used.
-        for name, plain in (("k", index), ("epsilon", float), ("beta", float)):
-            object.__setattr__(self, name, plain(getattr(self, name)))
+        plain = check_query(len(self.pattern), self.k, self.epsilon, self.beta)
+        for name, value in zip(("k", "epsilon", "beta"), plain):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -188,22 +188,16 @@ class BudgetLedger:
     """
 
     def __init__(self, epsilon: float, share: int):
-        if not (epsilon > 0 and math.isfinite(epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-        if not (isinstance(share, int) and share > 0):
-            raise ValueError(f"share must be a positive int, got {share!r}")
-        self.epsilon = float(epsilon)
-        self.share = share
+        self.epsilon = check_real("epsilon", epsilon)
+        self.share = check_int("share", share, 1)
         self._runs: list[tuple[int, int, int]] = []  # (start, runs, stop)
 
     def charge_span(self, start: int, stop: int, runs: int = 1) -> None:
         """Charge ``runs`` scans, starting at text positions ``start``,
-        ``start + 1``, ..., each on the span from its start to ``stop``."""
-        if not (isinstance(runs, int) and 0 <= start and 0 < runs <= stop - start):
-            raise ValueError(
-                f"bad charge span: {runs!r} run(s) from [{start}, {stop})"
-            )
-        self._runs.append((start, runs, stop))
+        ``start + 1``, ..., each on the span from its start to ``stop``; the
+        last starts before ``stop``."""
+        start, runs = check_int("start", start), check_int("runs", runs, 1)
+        self._runs.append((start, runs, check_int("stop", stop, start + runs)))
 
     def _peak(self) -> int:
         """The largest number of scans whose spans cover one position.
@@ -607,6 +601,7 @@ def error_contract(
     Raises ValueError for an unknown matcher or a query `check_query`
     refuses, except that ``count_nonperiodic`` takes any ``k >= 1``: the
     small-k regime evaluates its row at a cutoff that can exceed m. Raises
+    TypeError when ``n``, ``m`` or ``k`` is not an integer. Raises
     ValueError too when epsilon or beta is so small that the threshold or
     bound is not a finite float: a scan against an infinite threshold would
     compare ``inf - inf`` and answer at random.
@@ -615,11 +610,13 @@ def error_contract(
         raise ValueError(
             f"matcher must be one of {tuple(CONTRACTS)}, got {matcher!r}"
         )
-    counting = matcher == "count_nonperiodic"
-    check_query(m, min(index(k), m) if counting else k, epsilon, beta, n)
-    if counting and k < 1:
-        raise ValueError(f"count_nonperiodic needs k >= 1, got k={k}")
-    row = CONTRACTS[matcher](n, m, index(k), epsilon, beta)  # an int share
+    n, m = check_int("n", n), check_int("m", m)
+    if matcher == "count_nonperiodic":  # any k >= 1, even above m
+        k = check_int("k", k, 1)
+        _, epsilon, beta = check_query(m, 0, epsilon, beta, n)  # k checked
+    else:
+        k, epsilon, beta = check_query(m, k, epsilon, beta, n)
+    row = CONTRACTS[matcher](n, m, k, epsilon, beta)
     if not (math.isfinite(row.threshold) and math.isfinite(row.bound)):
         raise ValueError(
             f"{matcher} threshold {row.threshold} or bound {row.bound} is not "
@@ -902,7 +899,9 @@ class MatchResult:
     contract: Contract
 
     def to_record(self, query: MatchQuery, seed: Optional[int] = None) -> dict:
-        """Flat serializable record; the field set is the CLI wire contract."""
+        """Flat serializable record; the field set is the CLI wire contract.
+        ``seed``, the root seed the caller derived the source from, is
+        echoed as a plain int."""
         record: dict = {"regime": self.regime.value}
         outcome = self.outcome
         if isinstance(outcome, ExistenceOutcome):
@@ -918,7 +917,7 @@ class MatchResult:
             epsilon=query.epsilon,
             beta=query.beta,
             k=query.k,
-            seed=seed,
+            seed=None if seed is None else check_int("seed", seed, 0, MAX_SEED),
             budget_max=float(self.ledger.max_spent),
         )
         return record
@@ -973,9 +972,7 @@ class QueryPlan:
         others one by one. The trivial reporter's plan draws nothing and
         counts its one outcome. A periodic reporting plan runs ``outcome``
         ``runs`` times."""
-        runs = index(runs)
-        if runs < 0:
-            raise ValueError(f"runs must be non-negative, got {runs}")
+        runs = check_int("runs", runs)
         if self.batch is None:
             return Counter(self.outcome(src) for _ in range(runs))
         return self.batch(src, BudgetLedger(self.epsilon, self.contract.share), runs)

@@ -27,8 +27,9 @@ peeked unit by ``b`` gives the value ``laplace(b)`` would have returned for
 it, so any interleaving of ``laplace`` with peeks and skips serves one stream.
 A skip past the buffer jumps the generator over the rest with PCG64's
 ``advance`` (Brown's arbitrary-stride LCG jump, 1994), in O(log count), and
-never draws them. A negative count raises ``ValueError``: it would move the
-cursor back and serve draws again.
+never draws them. A negative count would move the cursor back and serve
+draws again, and a fractional one leave it between draws: each raises (see
+`text.check_int`).
 
 Every unit lies within ``UNIT_BOUND`` of 0: a uniform is a nonzero multiple
 of 2**-53, so ``1 - 2|U| >= 2**-52`` and ``|unit| <= 52 ln 2``, about
@@ -47,11 +48,12 @@ of scope here; the privacy analysis treats noise as real-valued.
 
 from __future__ import annotations
 
-from operator import index
-
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .text import check_int, check_real
+
+# The largest seed, root or lane, and the 64-bit wrap of the seed mixing.
+MAX_SEED = (1 << 64) - 1
 
 # The smallest refill, and the largest unless a peek needs more (a skip
 # never draws). Every source starts on the one shared (never written) empty
@@ -70,44 +72,25 @@ MODES = ("standard", "zero")
 
 def splitmix64(x: int) -> int:
     """One step of the splitmix64 mixer (fixed constants, 64-bit wrap)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def check_seed(seed: int) -> int:
-    """``seed`` as a Python int, if it is an integer in [0, 2**64): a root
-    seed outside that range would silently run as the one it equals modulo
-    2**64, and a numpy integer would overflow or warn in 64-bit mixing."""
-    seed = index(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
+    x = (x + 0x9E3779B97F4A7C15) & MAX_SEED
+    z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & MAX_SEED
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MAX_SEED
+    return (z ^ (z >> 31)) & MAX_SEED
 
 
 def derive_seed(root: int, *lanes: int) -> int:
     """Derive a sub-seed by mixing lane indices into ``root``, each of them
-    checked by `check_seed` to lie in [0, 2**64).
+    an integer in [0, 2**64): one outside would silently run as the one it
+    equals modulo 2**64.
 
     The derivation is a fixed splitmix64 chain, documented so that seeds are
     reproducible across releases: each lane is mixed as
     ``state = splitmix64(state ^ splitmix64(lane))``.
     """
-    state = check_seed(root)
+    state = check_int("seed", root, 0, MAX_SEED)
     for lane in lanes:
-        state = splitmix64(state ^ splitmix64(check_seed(lane)))
+        state = splitmix64(state ^ splitmix64(check_int("lane", lane, 0, MAX_SEED)))
     return state
-
-
-def _check_count(count: int) -> int:
-    """``count`` as a Python int, if it is a non-negative integer: a negative
-    count would move the cursor back and serve draws again, and a fractional
-    one would leave the cursor between draws."""
-    count = index(count)
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return count
 
 
 class NoiseSource:
@@ -123,7 +106,7 @@ class NoiseSource:
     def __init__(self, seed: int, mode: str = "standard"):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        self.seed = check_seed(seed)
+        self.seed = check_int("seed", seed, 0, MAX_SEED)
         self.mode = mode
         self._gen: np.random.Generator | None = None
         # Buffered unit draws in one numpy array, _units[_next:] not yet
@@ -148,8 +131,9 @@ class NoiseSource:
         median 0. The unit value ``-sign(U) * ln(1 - 2|U|)`` is the next one
         in the source's buffer (see the module docstring). Negating and
         taking signs is exact, so ``b`` times the unit rounds once, to the
-        same double as the formula above.
+        same double as the formula above. ``b`` must be positive and finite.
         """
+        b = check_real("b", b)
         if self.mode == "zero":
             return 0.0
         try:
@@ -164,7 +148,7 @@ class NoiseSource:
         """The next ``count`` unit draws, without serving them (zeros in zero
         mode). The array is a view of the buffer and must not be written;
         serve what was used with :meth:`skip`."""
-        count = _check_count(count)
+        count = check_int("count", count)
         if self.mode == "zero":
             return np.zeros(count)
         while (short := count - len(self._units) + self._next) > 0:
@@ -175,7 +159,7 @@ class NoiseSource:
         """Serve the next ``count`` unit draws, peeked at by :meth:`units` or
         not. Past the buffer it advances the generator by one output per
         draw and transforms none of them."""
-        count = _check_count(count)
+        count = check_int("count", count)
         if self.mode == "zero":
             return
         short = count - len(self._units) + self._next

@@ -8,13 +8,12 @@ the private text, so it consumes no privacy budget.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .text import check_bytes, hamming_distance, tile
+from .text import check_bytes, check_int, check_real, hamming_distance, tile
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,8 @@ def shortest_close_period(
     """
     check_bytes("pattern", pattern)
     pattern, m = bytes(pattern), len(pattern)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if max_period < 0 or max_period > m:
-        raise ValueError(f"max_period {max_period} outside [0, {m}]")
+    k = check_int("k", k)
+    max_period = check_int("max_period", max_period, 0, m)
     for q in range(1, max_period + 1):
         blocks = m // q
         votes = Counter(pattern[i * q : (i + 1) * q] for i in range(blocks))
@@ -157,24 +154,17 @@ def small_k_cutoff(n: int, epsilon: float, beta: float) -> int:
 
 def check_query(
     m: int, k: int, epsilon: float, beta: float, n: Optional[int] = None
-) -> None:
-    """Raise unless the query is valid: a non-empty pattern no longer than the
-    text (when ``n`` is given), an integer ``k`` in ``[0, m]``, a positive
-    finite ``epsilon`` and ``beta`` in ``(0, 1)``."""
+) -> tuple[int, float, float]:
+    """The plain ``(k, epsilon, beta)`` of a valid query: a non-empty pattern
+    of ``m`` bytes no longer than the text (when its length ``n`` is given),
+    an integer ``k`` in ``[0, m]``, a positive finite ``epsilon`` and
+    ``beta`` in ``(0, 1)``. The lengths are plain ints already."""
     if m < 1:
         raise ValueError("pattern must be non-empty")
     if n is not None and m > n:
         raise ValueError(f"pattern length {m} exceeds text length {n}")
-    try:
-        operator.index(k)
-    except TypeError:
-        raise TypeError(f"k must be an integer, got {k!r}") from None
-    if not 0 <= k <= m:
-        raise ValueError(f"k={k} outside [0, m={m}]")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    k = check_int("k", k, 0, m)
+    return k, check_real("epsilon", epsilon), check_real("beta", beta, 0.0, 1.0)
 
 
 def dispatch(
@@ -194,11 +184,12 @@ def dispatch(
 
     Deterministic: consumes no randomness. Raises ValueError on invalid
     parameters, including epsilon or beta so small that the period scale or
-    cutoff is not finite, and TypeError when the pattern is not bytes-like.
+    cutoff is not finite, and TypeError when the pattern is not bytes-like or
+    ``k`` or ``n`` is not an integer.
     """
     check_bytes("pattern", pattern)
-    m = len(pattern)
-    check_query(m, k, epsilon, beta, n)
+    m, n = len(pattern), check_int("n", n)
+    k, epsilon, beta = check_query(m, k, epsilon, beta, n)
     scale = periodic_scale(k, n, epsilon, beta)
     cutoff = small_k_cutoff(n, epsilon, beta)
 

@@ -26,11 +26,17 @@ one-dimensional unsigned-byte ``memoryview``); anything else raises
 ``TypeError``. The alphabet is the full byte range. Every distance here is
 exact and deterministic, so these primitives double as the non-private
 reference oracles for the randomized matchers.
+
+Every number a public entry point takes passes `check_int` or `check_real`
+once, and is stored and used as the plain Python number it returns.
 """
 
 from __future__ import annotations
 
-from operator import ne
+import math
+import sys
+from numbers import Real
+from operator import index, ne
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,6 +79,34 @@ def check_bytes(name: str, value) -> None:
         f"{name} must be bytes, bytearray or a contiguous memoryview of "
         f"unsigned bytes, got {type(value).__name__}"
     )
+
+
+def check_int(name: str, value, lo: int = 0, hi: int = sys.maxsize) -> int:
+    """``value`` as a plain int, read through `operator.index` (so a bool or
+    a numpy integer counts, and a float raises ``TypeError``), if it lies in
+    ``[lo, hi]``; else ``ValueError``. A count or a length defaults to
+    ``[0, sys.maxsize]``, the longest sequence Python can hold."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
+    return value
+
+
+def check_real(name: str, value, lo: float = 0.0, hi: float = math.inf) -> float:
+    """``value`` as a plain float, if it is a `numbers.Real` (so a bool, an
+    int or a numpy number counts, and a string raises ``TypeError``) in the
+    open interval ``(lo, hi)``; else ``ValueError``, so nan and infinities
+    never pass."""
+    if type(value) is not float:
+        if not isinstance(value, Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not lo < value < hi:
+        raise ValueError(f"{name}={value} outside ({lo}, {hi})")
+    return value
 
 
 def hamming_distance(a: bytes, b: bytes) -> int:
@@ -224,8 +258,7 @@ def sliding_distances(text: bytes, pattern: bytes) -> list[int]:
 
 def exact_count(text: bytes, pattern: bytes, x: int) -> int:
     """Number of start positions whose window is within distance ``x``."""
-    if not 0 <= x <= len(pattern):
-        raise ValueError(f"distance threshold {x} outside [0, {len(pattern)}]")
+    x = check_int("x", x, 0, len(pattern))
     return int(np.count_nonzero(distance_array(text, pattern) <= x))
 
 
@@ -234,8 +267,7 @@ def tile(unit: bytes, length: int) -> bytes:
     check_bytes("unit", unit)
     if len(unit) < 1:
         raise ValueError("unit must be non-empty")
-    if length < 0:
-        raise ValueError("length must be non-negative")
+    length = check_int("length", length)
     reps = -(-length // len(unit))
     return (bytes(unit) * reps)[:length]
 
@@ -254,12 +286,12 @@ def window_cover(n: int, m: int, stride: int) -> tuple[tuple[int, int], ...]:
     ``floor(m/2)``, 2 at the counter's stride ``m``.
 
     Raises:
+        TypeError: if a length is not an integer.
         ValueError: if ``stride < 1``, ``m < 1`` or ``m > n``.
     """
-    if stride < 1:
-        raise ValueError(f"window cover needs stride >= 1, got stride={stride}")
-    if m < 1:
-        raise ValueError(f"window cover needs m >= 1, got m={m}")
+    stride = check_int("stride", stride, 1)
+    m = check_int("m", m, 1)
+    n = check_int("n", n)
     if m > n:
         raise ValueError(f"pattern length {m} exceeds text length {n}")
     return tuple(

@@ -17,11 +17,11 @@ PUBLIC = [
     "NoiseSource",
     "PeriodicCandidate",
     "PrivacyBudgetExceeded",
+    "QueryPlan",
     "Regime",
     "ReportOutcome",
     "TrialConfig",
     "UtilityReport",
-    "below_thresh",
     "derive_seed",
     "dispatch",
     "dp_audit",
@@ -30,6 +30,7 @@ PUBLIC = [
     "hamming_distance",
     "is_primitive",
     "match_auto",
+    "plan",
     "run_utility_experiment",
     "shortest_close_period",
     "sliding_distances",

@@ -104,7 +104,7 @@ class TestSeedDerivation:
         # The root used to be masked, so 2**64 derived seed 0's sub-seeds
         # and drew seed 0's stream.
         for use in (lambda root: derive_seed(root, 0), NoiseSource):
-            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            with pytest.raises(ValueError, match=rf"outside \[0, {2**64 - 1}\]"):
                 use(root)
 
     @pytest.mark.parametrize("lane", [-1, 2**64])
@@ -112,7 +112,7 @@ class TestSeedDerivation:
         # Each lane used to be masked, so lane -1 derived lane 2**64 - 1's
         # seed and lane 2**64 lane 0's.
         for lanes in ((lane,), (0, lane), (lane, 0)):
-            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            with pytest.raises(ValueError, match=rf"outside \[0, {2**64 - 1}\]"):
                 derive_seed(7, *lanes)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1, 2**63, 2**64 - 1])
@@ -369,9 +369,9 @@ class TestCursor:
         # skip(-2) used to move the cursor back and serve two draws again.
         src = NoiseSource(31, mode)
         first = [src.laplace(1.0) for _ in range(5)]
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"count=-2 outside \[0, "):
             src.skip(-2)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"count=-1 outside \[0, "):
             src.units(-1)
         after = [src.laplace(1.0) for _ in range(5)]
         plain = NoiseSource(31, mode)

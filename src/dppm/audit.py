@@ -392,10 +392,9 @@ CONFIDENCE = 0.999  # two-sided level of every audit's Clopper-Pearson intervals
 
 def clopper_pearson(successes: int, trials: int, confidence: float = CONFIDENCE) -> tuple[float, float]:
     """Exact (Clopper-Pearson) two-sided binomial confidence interval."""
-    if not 0 <= successes <= trials or trials < 1:
-        raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    trials = check_int("trials", trials, 1)
+    successes = check_int("successes", successes, 0, trials)
+    confidence = check_real("confidence", confidence, 0.0, 1.0)
     # Imported here, not at module top: scipy.special is most of a cold
     # `import dppm`, and only this function needs it.
     from scipy.special import betaincinv

@@ -9,16 +9,13 @@ scans that each resume one past the previous hit. It compares a scan's first
 distances one at a time and the rest in numpy blocks. Between blocks it jumps,
 by one integer compare, over distances too far above the noisy threshold for
 any draw to matter (the sampler's units are bounded by `noise.UNIT_BOUND`),
-serving their draws unpeeked in one skip. It compares the first distances of
-a run of scans in one numpy operation once several scans in a row have hit
-at once, running on across window boundaries (a counting run in which every
-scan hits at once never reaches the kernel: see ``tally`` below); draws come
-from the `NoiseSource` stream in the order of a one-distance-at-a-time scan,
-so answers are the same seed for seed. Each matcher computes its distances
-once per query, into one frozen `distance_array`, and runs the kernel over
-them: existence in one window over the whole text, counting in one call over
-all its windows, and reporting in one call per window and direction. The
-matchers, by the names `QueryPlan.matcher` and `CONTRACTS` give them:
+serving their draws unpeeked in one skip. Draws come from the `NoiseSource`
+stream in the order of a one-distance-at-a-time scan, so answers are the
+same seed for seed. Each matcher computes its distances once per query, into
+one frozen `distance_array`, and runs the kernel over them: existence in one
+window over the whole text, counting in one call over all its windows, and
+reporting in one call per window and direction. The matchers, by the names
+`QueryPlan.matcher` and `CONTRACTS` give them:
 
 * `existence` — one scan over the whole text; no multiplicative error.
 * `report_periodic` — for patterns close to a short primitive period, a
@@ -57,10 +54,12 @@ draws with its first distances in one strided numpy compare, then walks the
 chain of starts and counts each scan's first hit as it goes. A counting plan
 knows, at prepare time, its uniform run, in which every scan hits at its
 first distance: its chain of first distances, its ledger records and its
-outcome are fixed. A run compares the chain with one peek of the next draws
+outcome are fixed. A run compares the chain with a peek of the next draws
 and runs the kernel only when some scan misses there; a tally compares a
-block of runs at once, and counts the uniform ones in one step. The trivial
-reporter draws nothing, so its tally is its one outcome, ``runs`` times.
+block of runs at once, and counts the uniform ones in one step. This compare
+is the only place where the first distances of many counting scans are
+compared at once: the kernel runs one scan at a time. The trivial reporter
+draws nothing, so its tally is its one outcome, ``runs`` times.
 
 Every scan of a query pays the same integer share of the query epsilon, the
 ``share`` of its matcher's `CONTRACTS` row, on the span of text its distances
@@ -78,11 +77,10 @@ the query epsilon.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, lt
+from operator import lt
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -240,28 +238,17 @@ class BudgetLedger:
 # numpy; a block shorter than _HEAD is compared one distance at a time. The
 # head is listed once, _HEAD distances from where a scan starts, and the later
 # scans that start in its first half reuse the list (listing it for every
-# restart made a counting query a sixth slower). Once _STREAK scans in a
-# row have hit at their first distance, the following scans are compared at
-# their first distances all at once, up to the first that misses there. The
-# streak carries from one window into the next, so such a batch covers at
-# least the rest of its window and runs on through the following windows
-# that fit the cap, while it is no longer than the streak. A counting run in
-# which every scan hits at once is decided before the kernel runs (see
-# `_prepare_count`), so these batches serve runs where some scan misses,
-# where the threshold sits among the distances: there, letting a batch that
-# reaches its window's end run on up to _BLOCK scans made counting at
-# n = 1e6, m = 64, k = 3, eps = 3e4 3x slower (1.43-2.08 s against
-# 3.96-5.05 s a run, 4 seeds, 2-vCPU Intel Xeon with AVX-512; units peeked
-# a run 0.59 million against 1.13 billion, since nearly every such batch
-# misses early and its draws are peeked again).
+# restart made a counting query a sixth slower). The kernel runs one scan at a
+# time; the first distances of many scans are compared at once only by a
+# counting run, before the kernel runs (see `_prepare_count`).
 # Blocks stop doubling at _BLOCK, so a block's float64 temporaries (512 KiB
 # each) stay about the size of a core's L2 cache: with no cap, a prepared
 # existence run over 1e6 filled distances (m = 256) took 13.5-15.5 ms against
 # 5.1-6.9 ms (2-vCPU AMD EPYC, 1 MiB L2 a core). A jump over distances that
 # no draw can bring to a hit reads at most _BLOCK of them too, into one bool
-# compare against an integer bound.
+# compare against an integer bound, and a counting run compares its chain of
+# first distances in chunks of _BLOCK scans.
 _HEAD = 32
-_STREAK = 6
 _BLOCK = 1 << 16
 # `_first_hits` decides a block of existence scans at once while at most one
 # scan in _RUN_ON has run on past its head, and runs scans one at a time
@@ -274,12 +261,12 @@ _RUN_ON = 16
 # A lone counting run with more than _TRY scans compares its first _TRY
 # scans before peeking at the draws of the rest: where the noise decides, one
 # of them nearly always misses, and the kernel skips most of the rest
-# untransformed. On the 2-vCPU Xeon, in paired runs against the kernel alone
-# at m = 64, k = 3, eps = 3e4: peeking at all 59937 scans' draws at once made
-# counting at n = 60000 4% slower, and with _TRY at _HEAD a count-desk run
-# was 1.9x faster where it is 2.1x; at n = 3000 (2937 scans, all peeked at
-# once) counting was 3% faster, since the kernel then reads its draws from
-# the peeked block.
+# untransformed. On a 2-vCPU Intel Xeon with AVX-512, in paired runs against
+# the kernel alone at m = 64, k = 3, eps = 3e4: peeking at all 59937 scans'
+# draws at once made counting at n = 60000 4% slower, and with _TRY at _HEAD
+# a count-desk run was 1.9x faster where it is 2.1x; at n = 3000 (2937 scans,
+# all peeked at once) counting was 3% faster, since the kernel then reads its
+# draws from the peeked block.
 _TRY = 1 << 12
 
 
@@ -313,9 +300,8 @@ def below_thresh(
 
     Noise is served from the source's one stream in the order of scans that
     compare one distance at a time (threshold first, then one per examined
-    distance), whether the kernel compares distances singly, in numpy blocks,
-    or several scans' first distances at once, within a window or across
-    windows; results are the same seed for seed. Past a scan's head, the
+    distance), whether the kernel compares distances singly or in numpy
+    blocks; results are the same seed for seed. Past a scan's head, the
     kernel jumps to the next distance ``d`` with
     ``d - UNIT_BOUND * 4/eps <= noisy threshold`` (by one integer compare
     against a bound that is never tighter than that test) and serves the
@@ -326,45 +312,15 @@ def below_thresh(
     t_scale, d_scale = 2.0 / eps, 4.0 / eps
     draw = src.laplace
     hits, first_hit = 0, None
-    streak = 0  # scans in a row that have hit at their first distance
     head_at, head = -_HEAD, []  # head lists dist[head_at : head_at + _HEAD]
-    at = 0
     for lo, hi, (first, stop) in windows:
         # Scans started at consecutive indices from run_start, not yet
         # charged; every one but the last started has hit at its first
-        # distance. A batch that ran on into this window hit at every start
-        # before at.
-        if at > lo:
-            run_start = lo
-            run = got = min(at, hi) - lo
-        else:
-            at = lo
-            run = got = 0
+        # distance.
+        at, got, run = lo, 0, 0
         while at < hi and got < max_hits:
             if not run:
                 run_start = at
-            if streak >= _STREAK:
-                # The scans from here on, each at its first distance with its
-                # own threshold unit; the leading hits are served, and the
-                # first scan that misses there is rerun below on the same
-                # units (or in its own window, when the batch ran on).
-                r = min(hi - at, max_hits - got)
-                if r == hi - at < streak:
-                    r = _run_on(windows, hi, at + streak, max_hits) - at
-                r = min(r, _BLOCK)
-                u = src.units(2 * r)
-                ok = dist[at : at + r] + d_scale * u[1::2] <= thresh + t_scale * u[::2]
-                j = int(ok.argmin())
-                if ok[j]:
-                    j = r
-                src.skip(2 * j)
-                here = min(j, hi - at)
-                got += here
-                run += here
-                at += j
-                streak = streak + j if j == r else 0
-                if j == r or at >= hi:
-                    continue
             run += 1
             start = at
             noisy = thresh + draw(t_scale)
@@ -377,33 +333,18 @@ def below_thresh(
             else:
                 hit = _scan_on(dist, head_at + len(head), hi, noisy, d_scale, src)
                 if hit is None:
-                    streak = 0
                     break
             if first_hit is None:
                 first_hit = hit
             got += 1
             at = hit + 1
-            if hit == start:
-                streak += 1
-            else:  # the next scan does not start at start + 1
+            if hit != start:  # the next scan does not start at start + 1
                 ledger.charge_span(first + run_start - lo, stop, run)
-                run = streak = 0
+                run = 0
         if run:
             ledger.charge_span(first + run_start - lo, stop, run)
         hits += got
     return hits, first_hit
-
-
-def _run_on(windows, end, limit, max_hits):
-    """How far a first-distance batch that reaches ``end``, the end of a
-    window, may run: through the following windows that each start where the
-    last ended and hold at most ``max_hits`` starts, up to index ``limit``."""
-    for w in range(bisect_left(windows, end, key=itemgetter(0)), len(windows)):
-        lo, hi, _ = windows[w]
-        if end >= limit or lo != end or hi - lo > max_hits:
-            break
-        end = hi
-    return min(end, limit)
 
 
 def _scan_on(dist, at, end, noisy, d_scale, src):
@@ -761,34 +702,45 @@ def _prepare_count(
     dist = _frozen_distances(text, query.pattern)
     # A window's starts are the indices of their distances.
     windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in window_cover(n, m, m))
-    # The uniform run, in which every scan hits at its first distance: the
-    # chain of its S scans' first distances (each window's starts up to the
-    # cap, in window order; all of them, unless the cap cuts a window), its
-    # ledger charges, one run record a window, and its outcome. It is tried
-    # only while S <= _BLOCK, and a block of uniform runs holds at most
-    # _BLOCK scans.
-    charges = tuple((lo, stop, min(hi - lo, cap)) for lo, hi, (_, stop) in windows)
-    size = sum(runs for _, _, runs in charges)
-    per_block = _BLOCK // size
+    # The uniform run, in which every scan hits at its first distance: its
+    # ledger records, one run a window (each window's starts up to the cap),
+    # checked once here; the chain of its S scans' first distances, in window
+    # order (all of them, unless the cap cuts a window); and its outcome. A
+    # block of uniform runs holds at most _BLOCK scans, or one run.
+    book = BudgetLedger(query.epsilon, contract.share)
+    for lo, hi, (_, stop) in windows:
+        book.charge_span(lo, stop, min(hi - lo, cap))
+    records = book._runs
+    size = sum(runs for _, runs, _ in records)
+    per_block = max(1, _BLOCK // size)
     chain = dist
-    if per_block and size < len(dist):
-        chain = np.concatenate([dist[lo : lo + runs] for lo, _, runs in charges])
+    if size < len(dist):
+        chain = np.concatenate([dist[lo : lo + runs] for lo, runs, _ in records])
     uniform = CountOutcome(size, 0, size)
 
     def at_once(scans: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
         """Whether each scan, given its first distance, hits there on the
         units ``u`` peeked for it: a threshold unit at each even offset and
-        a distance unit after it, the streak batch's compare."""
+        a distance unit after it."""
         return scans + 4.0 / eps * u[..., 1::2] <= thresh + 2.0 / eps * u[..., ::2]
 
     def uniform_runs(src: NoiseSource, ledger: BudgetLedger, runs: int) -> int:
         """How many of the next ``runs`` runs, in a row, are uniform: their
         draws are served, the rest peeked at only. A lone run with more than
-        _TRY scans compares its first _TRY first (see _TRY)."""
+        _TRY scans compares its first _TRY first (see _TRY), then peeks at
+        the rest once and compares it in chunks of _BLOCK scans."""
         eps = ledger.epsilon / ledger.share
-        if runs == 1 and size > _TRY:
-            if not at_once(chain[:_TRY], src.units(2 * _TRY), eps).all():
+        if runs == 1:
+            tried = _TRY if size > _TRY else 0
+            if tried and not at_once(chain[:_TRY], src.units(2 * _TRY), eps).all():
                 return 0
+            u = src.units(2 * size)
+            for c in range(tried, size, _BLOCK):
+                chunk = u[2 * c : 2 * (c + _BLOCK)]
+                if not at_once(chain[c : c + _BLOCK], chunk, eps).all():
+                    return 0
+            src.skip(2 * size)
+            return 1
         u = src.units(2 * size * runs).reshape(runs, 2 * size)
         whole = at_once(chain, u, eps).all(axis=1)
         j = int(whole.argmin())
@@ -798,8 +750,7 @@ def _prepare_count(
         return j
 
     def charge_uniform(ledger: BudgetLedger) -> None:
-        for charge in charges:
-            ledger.charge_span(*charge)
+        ledger._runs += records
         ledger.assert_within_cap()
 
     def counted(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
@@ -809,7 +760,7 @@ def _prepare_count(
         return CountOutcome(count=count, witness=witness, raw_count=total)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
-        if per_block and uniform_runs(src, ledger, 1):
+        if uniform_runs(src, ledger, 1):
             charge_uniform(ledger)
             return uniform
         return counted(src, ledger)
@@ -827,7 +778,7 @@ def _prepare_count(
         left = runs
         while left:
             done = runs - left
-            if per_block and _RUN_ON * odd <= done:
+            if _RUN_ON * odd <= done:
                 block = min(left, per_block, 2 * done // odd if odd else left)
                 j = uniform_runs(src, ledger, block)
                 uniforms += j

@@ -5,7 +5,6 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -309,18 +308,15 @@ def scan(text, pattern, thresh, src, ledger, base=0):
 
 class FixedUnits(NoiseSource):
     """A source whose every unit draw is 1.0, through ``laplace`` and through
-    the cursor alike; it counts the peeks so a test can tell the batched
-    path ran."""
+    the cursor alike."""
 
     def __init__(self):
         super().__init__(0)
-        self.peeks = 0
 
     def laplace(self, b):
         return b * 1.0
 
     def units(self, count):
-        self.peeks += 1
         return np.ones(count)
 
     def skip(self, count):
@@ -355,23 +351,56 @@ class TestBelowThresh:
             )
 
     def test_noise_scale_is_the_paid_slice(self):
-        # The slice charged and the scale drawn at come from one share, on
-        # the one-at-a-time path and on the batched path alike. With every
+        # The slice charged and the scale drawn at come from one share, in
+        # the kernel and in every compare of many scans at once. With every
         # unit at 1.0 a comparison is d + 4/eps <= 20 + 2/eps, i.e.
         # d <= 20 - 2/eps: at the paid slice (eps = 0.9/6, 2/eps = 13.3)
         # distance 0 hits and 10 misses; at the query's 0.9 both would hit.
-        src = FixedUnits()
         ledger = ledger_for(0.9, 6)
         distances = np.array([0] * 12 + [10] * 20)
-        hits = below_thresh(distances, 20.0, src, ledger, whole(distances), 100)
+        hits = below_thresh(distances, 20.0, FixedUnits(), ledger, whole(distances), 100)
         # Twelve scans hit at their first distance; the thirteenth misses.
         assert hits == (12, 0)
         assert ledger._runs == [(0, 13, 32)]
-        assert src.peeks > 0  # the first-distance batch ran
         slice_ = Fraction(0.9) / 6
         assert spent_by_position(ledger) == {
             p: slice_ * min(p + 1, 13) for p in range(32)
         }
+        # An existence tally's compare: every scan misses 10 and hits at 0.
+        counts = matchers._first_hits(
+            np.array([10, 0]), 20.0, FixedUnits(), ledger_for(0.9, 6), 5
+        )
+        assert counts == Counter({1: 5})
+        # A counting run's compares. Counting a^8 at k = 1 on a text of a's
+        # with two b's, the threshold is 1 + c/eps; at eps = c - share, with
+        # every unit at 1.0, a scan at the paid slice (eps / share) hits at a
+        # first distance of 1 and misses at 2 (both b's in its window),
+        # while at the query's eps it would hit at both, and the run would
+        # be uniform.
+        share = 2 * matchers.WINDOW_OCCURRENCE_CAP
+
+        def count_plan(before, after):
+            text = b"a" * before + b"bb" + b"a" * after
+            n = len(text)
+            c = error_contract("count_nonperiodic", n, 8, 1, 1.0, 0.1).threshold - 1
+            query = MatchQuery(b"a" * 8, 1, c - share, 0.1)
+            _, scan, batch = matchers._prepare_count(text, query, 1)
+            return query.epsilon, scan, batch, CountOutcome(n - 7, 0, n - 7)
+
+        # A lone run of at most _TRY scans, one that misses in its first
+        # _TRY, and one that misses in its second chunk of _BLOCK scans.
+        for before, after in [
+            (40, 40),
+            (100, matchers._TRY + 100),
+            (matchers._TRY + matchers._BLOCK + 50, 50),
+        ]:
+            epsilon, scan, _, uniform = count_plan(before, after)
+            assert scan(FixedUnits(), BudgetLedger(epsilon * share, share)) == uniform
+            assert scan(FixedUnits(), BudgetLedger(epsilon, share)) != uniform
+        # A tally's block of runs.
+        epsilon, _, batch, uniform = count_plan(40, 40)
+        tally = batch(FixedUnits(), BudgetLedger(epsilon, share), 3)
+        assert uniform not in tally and sum(tally.values()) == 3
 
     def test_resumes_one_past_the_hit(self):
         # The counter's restarts: a scan that hits at index i is followed by
@@ -449,7 +478,9 @@ class TestBelowThresh:
         ledger = ledger_for(1.0, 2)
         hits = below_thresh(zeros, 0.5, zero_src(), ledger, whole(zeros, 0, 127), 64)
         assert hits == (64, 0) and ledger._runs == [(0, 64, 127)]
-        assert lengths == [matchers._HEAD]
+        # 64 scans, each hitting at its first distance: a list serves the
+        # _HEAD // 2 scans that start in its first half.
+        assert lengths == [matchers._HEAD] * 3 + [matchers._HEAD // 2]
 
     def test_exhaustive_zero_noise_oracle(self):
         # Small version of the acceptance sweep: binary texts up to length 7.
@@ -1234,8 +1265,8 @@ class TestSeedForSeedOracle:
 
     def test_consecutive_queries_share_one_stream(self):
         # One source serves a run of queries, as an audit lane's does: a
-        # kernel that served one unit too many or too few at a streak or
-        # block boundary would shift every later query's draws.
+        # kernel that served one unit too many or too few at a block
+        # boundary would shift every later query's draws.
         rng = random.Random(20261019)
         src, ref_src = NoiseSource(7), NoiseSource(7)
         for i in range(200):
@@ -1399,11 +1430,10 @@ def counts_as_reference(text, query, k_eff, src):
 
 def kernel_as_reference(text, query, k_eff, src):
     """`below_thresh` called directly over the counter's windows on ``src``
-    (so its first-distance batches run even where a counting run would be
-    decided in one compare), and the one-at-a-time reference counter on a
-    fresh source of the same seed: the same hits and first hit, the same
-    ledger run records and the same next draw. Returns the hits, the first
-    hit and the records."""
+    (so it runs even where a counting run would be decided in one compare),
+    and the one-at-a-time reference counter on a fresh source of the same
+    seed: the same hits and first hit, the same ledger run records and the
+    same next draw. Returns the hits, the first hit and the records."""
     n, m = len(text), query.m
     cap = matchers.WINDOW_OCCURRENCE_CAP * k_eff
     contract = error_contract(
@@ -1423,11 +1453,10 @@ def kernel_as_reference(text, query, k_eff, src):
 
 
 class TestBatchAcrossWindows:
-    """Once enough scans in a row have hit at their first distance, the
-    kernel's first-distance batch runs on across window boundaries. Each
-    case matches the one-at-a-time reference counter seed for seed. A
-    counting run in which every scan hits at once is decided in one compare
-    before the kernel runs, so these cases call the kernel directly."""
+    """Counting scans across window boundaries: a counting run compares the
+    first distances of all its windows' scans in one batch, and the kernel,
+    called directly, runs them one at a time. Each case matches the
+    one-at-a-time reference counter seed for seed."""
 
     @staticmethod
     def sharp_query(pattern, n, k):
@@ -1437,18 +1466,15 @@ class TestBatchAcrossWindows:
         return MatchQuery(pattern, k, (offset.threshold - k) / 0.5, 0.1)
 
     def test_batch_ends_on_a_window_boundary(self):
-        # Every distance is 0, so after six scans one at a time every batch
-        # hits throughout, each peek serving two units a scan; with m = 8,
-        # some batch ends where a window begins.
+        # Every distance is 0, so every scan hits at its first distance: the
+        # kernel runs them one at a time, peeking at nothing, and charges
+        # each window's scans as one run record.
         n, m = 60, 8
         query = self.sharp_query(b"a" * m, n, 1)
         src = PeekLog(3)
         hits, _, runs = kernel_as_reference(b"a" * n, query, 1, src)
         assert hits == n - m + 1
-        scans = accumulate((u // 2 for u in src.peeks), initial=matchers._STREAK)
-        ends = list(scans)[1:]
-        assert any(end % m == 0 for end in ends[:-1]), ends
-        assert ends[-1] == n - m + 1
+        assert src.peeks == []
         assert runs == [
             (a, min(a + m, n - m + 1) - a, b + 1) for a, b in window_cover(n, m, m)
         ]
@@ -1460,14 +1486,12 @@ class TestBatchAcrossWindows:
 
     def test_miss_at_the_next_window_first_start(self):
         # The distance is the number of b's in a window: 0 up to start 6, 1 at
-        # 7, 2 from 8 to 14 and 1 at 15. The batch from start 6 runs into
-        # window 1 and misses at its first start, 8; that scan runs one
-        # distance at a time in window 1, hits at 15 and stops at its end.
+        # 7, 2 from 8 to 14 and 1 at 15. Window 0's scans all hit at once;
+        # window 1's first scan misses at its first start, 8, runs one
+        # distance at a time, hits at 15 and stops at the window's end.
         text = b"a" * 14 + b"bb" + b"a" * 18
         query = self.sharp_query(b"a" * 8, len(text), 1)
-        src = PeekLog(0)
-        hits, first, runs = kernel_as_reference(text, query, 1, src)
-        assert src.peeks[0] // 2 > 8 - matchers._STREAK  # past window 0's end
+        hits, first, runs = kernel_as_reference(text, query, 1, NoiseSource(0))
         assert runs[:3] == [(0, 8, 15), (8, 1, 23), (16, 8, 31)]
         assert (hits, first) == (len(text) - 8 + 1 - 7, 0)
         # A counting run tries the one compare, which fails, and then runs
@@ -1481,8 +1505,8 @@ class TestBatchAcrossWindows:
     @pytest.mark.parametrize("n", [4999, 5000])
     def test_where_the_noise_decides(self, n, seed):
         # About 11.5 b's in a window of 64 against a threshold of 13.9: the
-        # noise decides many scans, batches cross windows and miss in them,
-        # and (seed 1) one misses at the next window's first start.
+        # noise decides many scans, and (seed 1) one misses at the next
+        # window's first start.
         rng = random.Random(seed)
         text = bytes(b"b"[0] if rng.random() < 0.18 else b"a"[0] for _ in range(n))
         query = MatchQuery(b"a" * 64, 3, 1e5, 0.1)
@@ -1491,28 +1515,28 @@ class TestBatchAcrossWindows:
 
     def test_batches_keep_each_window_cap(self):
         # Every distance is 0 and the noise negligible, so each window's
-        # scans hit at once up to its cap of 50. Long streaks meet a short
-        # window followed by one longer than the cap, which a batch must not
-        # run into, and a window the cap cuts, where a batch must stop at
-        # the cap.
+        # scans hit at once up to its cap of 50: a short window followed by
+        # one longer than the cap, and a window the cap cuts, where its
+        # scans must stop.
         bounds = [(0, 50), (50, 100), (100, 110), (110, 300), (300, 340),
                   (340, 380), (380, 480)]
         windows = tuple((lo, hi, (lo, hi + 7)) for lo, hi in bounds)
-        src, ledger = PeekLog(1), BudgetLedger(1e9, 1)
+        src, ledger = NoiseSource(1), BudgetLedger(1e9, 1)
         hits = [min(hi - lo, 50) for lo, hi in bounds]
         scans = sum(hits)
         dist = np.zeros(480, np.int64)
         assert below_thresh(dist, 0.5, src, ledger, windows, 50) == (scans, 0)
         assert ledger._runs == [(lo, h, hi + 7) for (lo, hi), h in zip(bounds, hits)]
-        assert len(src.peeks) < len(bounds)  # batches ran, some across windows
         ref = NoiseSource(1)
         ref.units(2 * scans)
         ref.skip(2 * scans)
         assert src.laplace(1.0) == ref.laplace(1.0)
 
     def test_batch_reaches_the_block_cap(self):
-        # A desk query (m = 64, k = 3, eps = 1: every scan hits at once) long
-        # enough that the batches, doubling with the streak, outgrow _BLOCK.
+        # A desk query (m = 64, k = 3, eps = 1: every scan hits at once)
+        # whose chain of first distances is longer than three blocks: a run
+        # compares its first _TRY scans, then peeks at all its draws once and
+        # compares the rest in chunks of _BLOCK scans.
         rng = random.Random(6)
         n = 3 * matchers._BLOCK + 200
         text = bytes(rng.choice(b"acgt") for _ in range(n))
@@ -1521,13 +1545,13 @@ class TestBatchAcrossWindows:
         outcome, runs = counts_as_reference(text, query, 3, src)
         assert outcome.raw_count == n - 64 + 1
         assert len(runs) == len(window_cover(n, 64, 64))
-        assert max(src.peeks) == 2 * matchers._BLOCK
+        assert src.peeks == [2 * matchers._TRY, 2 * (n - 64 + 1)]
 
     def test_count_desk_run_peeks_once(self, monkeypatch):
         # The count-desk query: 2437 scans over 39 windows, each hitting at
         # its first distance. A run compares them all in one peek and never
-        # calls the kernel; the kernel, called directly, takes them in
-        # batches that double with the streak: O(log n) peeks.
+        # calls the kernel; the kernel, called directly, runs them one at a
+        # time and peeks at nothing.
         calls = []
 
         def recording(*args):
@@ -1547,7 +1571,7 @@ class TestBatchAcrossWindows:
         assert len(result.ledger._runs) == 39
         src = PeekLog(1)
         assert kernel_as_reference(text, query, 3, src)[0] == 2437
-        assert len(src.peeks) <= math.log2(2437)
+        assert src.peeks == []
 
 
 def tallies_as_reference(text, query, k_eff, seed, runs):
@@ -1555,9 +1579,8 @@ def tallies_as_reference(text, query, k_eff, seed, runs):
     batch, against as many one-at-a-time reference counts on a source of the
     same seed: the same outcomes, the same run records and the same next
     draw. The batch's ledger holds the uniform run's records (every scan hit
-    at its first distance) once, or nothing when no run was uniform or the
-    uniform run is longer than a block (then every run is counted on a
-    ledger of its own). Returns the tally."""
+    at its first distance) once, or nothing when no run was uniform (then
+    every run is counted on a ledger of its own). Returns the tally."""
     prepared = matchers._prepare_count(text, query, k_eff)
     n, m = len(text), query.m
     cap = matchers.WINDOW_OCCURRENCE_CAP * k_eff
@@ -1582,8 +1605,7 @@ def tallies_as_reference(text, query, k_eff, seed, runs):
     tally_src = NoiseSource(seed)
     ledger = BudgetLedger(query.epsilon, prepared[0].share)
     assert prepared[2](tally_src, ledger, runs) == want
-    batched = any_uniform and size <= matchers._BLOCK
-    assert ledger._runs == (uniform if batched else [])
+    assert ledger._runs == (uniform if any_uniform else [])
     assert tally_src.laplace(1.0) == src.laplace(1.0) == ref_src.laplace(1.0)
     return want
 
@@ -1591,8 +1613,8 @@ def tallies_as_reference(text, query, k_eff, seed, runs):
 class TestCountTally:
     """A counting plan's batch, and its runs one at a time, against the
     one-at-a-time reference counter: uniform runs, runs the noise decides,
-    a mixture, windows the cap cuts, and a uniform run longer than a
-    block, which is never tried in one compare."""
+    a mixture, windows the cap cuts, and runs longer than a block, which a
+    lone run's compare takes in chunks."""
 
     @pytest.mark.parametrize("n", [2500, 6000])
     def test_uniform_runs(self, n):
@@ -1647,8 +1669,39 @@ class TestCountTally:
             size = 1152 + (5000 - 2000 + 1 - 2000)
             assert got == Counter({CountOutcome(size, 0, size): 4})
 
+    @pytest.mark.parametrize(
+        "miss",
+        [
+            matchers._TRY - 1,  # the last scan of a lone run's first _TRY
+            matchers._TRY,  # the first scan of its first chunk
+            matchers._BLOCK - 1,
+            matchers._BLOCK,
+            matchers._TRY + matchers._BLOCK - 1,  # its first chunk's last scan
+            matchers._TRY + matchers._BLOCK,  # its second chunk's first scan
+        ],
+    )
+    def test_first_miss_at_a_chunk_edge(self, miss):
+        # _TRY + _BLOCK + 200 scans of a^8, each of which hits at once but
+        # scan ``miss``, the one whose window holds both b's.
+        size = matchers._TRY + matchers._BLOCK + 200
+        text = b"a" * miss + b"b" + b"a" * 6 + b"b" + b"a" * (size - miss - 1)
+        query = TestBatchAcrossWindows.sharp_query(b"a" * 8, len(text), 1)
+        outcome, _ = counts_as_reference(text, query, 1, NoiseSource(miss))
+        assert outcome.raw_count < size
+
+    def test_long_run_with_a_few_misses(self):
+        # About 2e4 scans of a^8, three of whose windows hold two b's far
+        # past the first _TRY: every run goes to the kernel.
+        text = bytearray(b"a" * 20_007)
+        for at in (5_000, 12_000, 19_000):
+            text[at : at + 2] = b"bb"
+        query = TestBatchAcrossWindows.sharp_query(b"a" * 8, len(text), 1)
+        got = tallies_as_reference(bytes(text), query, 1, 12, 2)
+        assert all(outcome.raw_count < 20_000 for outcome in got)
+
     def test_chain_longer_than_a_block(self):
-        # 200 more scans than a block holds: every run goes to the kernel.
+        # 200 more scans than a block holds: a block of runs holds one run,
+        # which is compared uniform at once.
         rng = random.Random(9)
         n = matchers._BLOCK + 200 + 63
         text = bytes(rng.choice(b"acgt") for _ in range(n))

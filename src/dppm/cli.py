@@ -50,14 +50,6 @@ EXIT_PRIVACY = 5
 FORMATS = ("json-lines", "csv", "human")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("DPPM_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"DPPM_SEED must be an integer, got {raw!r}") from exc
-
-
 def _read_file(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
@@ -114,6 +106,19 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, required=True, help="failure probability")
 
 
+def _query_and_seed(args: argparse.Namespace) -> tuple[MatchQuery, int]:
+    """The query that ``--pattern``, ``--k``, ``--epsilon`` and ``--beta``
+    give, and the root seed: ``--seed``, else ``DPPM_SEED``, else 0."""
+    query = MatchQuery(_pattern_bytes(args.pattern), args.k, args.epsilon, args.beta)
+    if args.seed is not None:
+        return query, args.seed
+    raw = os.environ.get("DPPM_SEED", "0")
+    try:
+        return query, int(raw)
+    except ValueError as exc:
+        raise ValueError(f"DPPM_SEED must be an integer, got {raw!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dppm",
@@ -163,13 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    query = MatchQuery(
-        pattern=_pattern_bytes(args.pattern),
-        k=args.k,
-        epsilon=args.epsilon,
-        beta=args.beta,
-    )
-    seed = args.seed if args.seed is not None else _default_seed()
+    query, seed = _query_and_seed(args)
     text = _read_file(args.text)
     src = NoiseSource(
         derive_seed(seed, 0), mode="zero" if args.zero_noise else "standard"
@@ -231,13 +230,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_dp_audit(args: argparse.Namespace) -> int:
-    query = MatchQuery(
-        pattern=_pattern_bytes(args.pattern),
-        k=args.k,
-        epsilon=args.epsilon,
-        beta=args.beta,
-    )
-    seed = args.seed if args.seed is not None else _default_seed()
+    query, seed = _query_and_seed(args)
     text_a = _read_file(args.text)
     text_b = _read_file(args.neighbor)
     report = dp_audit(

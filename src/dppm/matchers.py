@@ -54,12 +54,14 @@ draws with its first distances in one strided numpy compare, then walks the
 chain of starts and counts each scan's first hit as it goes. A counting plan
 knows, at prepare time, its uniform run, in which every scan hits at its
 first distance: its chain of first distances, its ledger records and its
-outcome are fixed. A run compares the chain with a peek of the next draws
-and runs the kernel only when some scan misses there; a tally compares a
-block of runs at once, and counts the uniform ones in one step. This compare
-is the only place where the first distances of many counting scans are
-compared at once: the kernel runs one scan at a time. The trivial reporter
-draws nothing, so its tally is its one outcome, ``runs`` times.
+outcome are fixed. One compare serves a lone run and a tally's block of runs
+alike: it peeks at the runs' draws once, compares them with the chain in
+chunks of `_BLOCK` scans, and serves the draws of the uniform runs before
+the first run in which some scan misses there; the kernel counts that run.
+A tally counts the uniform runs in one step. This compare is the only place
+where the first distances of many counting scans are compared at once: the
+kernel runs one scan at a time. The trivial reporter draws nothing, so its
+tally is its one outcome, ``runs`` times.
 
 Every scan of a query pays the same integer share of the query epsilon, the
 ``share`` of its matcher's `CONTRACTS` row, on the span of text its distances
@@ -240,14 +242,15 @@ class BudgetLedger:
 # scans that start in its first half reuse the list (listing it for every
 # restart made a counting query a sixth slower). The kernel runs one scan at a
 # time; the first distances of many scans are compared at once only by a
-# counting run, before the kernel runs (see `_prepare_count`).
+# counting plan's uniform compare, before the kernel runs (see
+# `_prepare_count`).
 # Blocks stop doubling at _BLOCK, so a block's float64 temporaries (512 KiB
 # each) stay about the size of a core's L2 cache: with no cap, a prepared
 # existence run over 1e6 filled distances (m = 256) took 13.5-15.5 ms against
 # 5.1-6.9 ms (2-vCPU AMD EPYC, 1 MiB L2 a core). A jump over distances that
 # no draw can bring to a hit reads at most _BLOCK of them too, into one bool
-# compare against an integer bound, and a counting run compares its chain of
-# first distances in chunks of _BLOCK scans.
+# compare against an integer bound, and a counting plan compares its chain of
+# first distances in chunks of _BLOCK scans, for one run or a block of runs.
 _HEAD = 32
 _BLOCK = 1 << 16
 # `_first_hits` decides a block of existence scans at once while at most one
@@ -258,16 +261,14 @@ _BLOCK = 1 << 16
 # tally compares blocks of runs by the same rule, counting the runs that are
 # not uniform (each ends its block) in place of scans that run on.
 _RUN_ON = 16
-# A lone counting run with more than _TRY scans compares its first _TRY
-# scans before peeking at the draws of the rest: where the noise decides, one
-# of them nearly always misses, and the kernel skips most of the rest
-# untransformed. On a 2-vCPU Intel Xeon with AVX-512, in paired runs against
-# the kernel alone at m = 64, k = 3, eps = 3e4: peeking at all 59937 scans'
-# draws at once made counting at n = 60000 4% slower, and with _TRY at _HEAD
-# a count-desk run was 1.9x faster where it is 2.1x; at n = 3000 (2937 scans,
-# all peeked at once) counting was 3% faster, since the kernel then reads its
-# draws from the peeked block.
-_TRY = 1 << 12
+
+
+def _scales(ledger: BudgetLedger) -> tuple[float, float]:
+    """The noise scales of a scan that pays ``ledger``'s slice, ``eps =
+    epsilon / share``: Lap(2/eps) on its threshold, Lap(4/eps) on each
+    distance. Every compare of a scan draws at these scales."""
+    eps = ledger.epsilon / ledger.share
+    return 2.0 / eps, 4.0 / eps
 
 
 def below_thresh(
@@ -308,8 +309,7 @@ def below_thresh(
     draws of the distances it jumps over unpeeked, in one skip: no draw
     could turn them into a hit, so they are never transformed.
     """
-    eps = ledger.epsilon / ledger.share
-    t_scale, d_scale = 2.0 / eps, 4.0 / eps
+    t_scale, d_scale = _scales(ledger)
     draw = src.laplace
     hits, first_hit = 0, None
     head_at, head = -_HEAD, []  # head lists dist[head_at : head_at + _HEAD]
@@ -421,8 +421,7 @@ def _first_hits(dist, thresh, src, ledger, runs):
     size = len(dist)
     width = min(size, _HEAD)
     head = dist[:width, None]
-    eps = ledger.epsilon / ledger.share
-    t_scale, d_scale = 2.0 / eps, 4.0 / eps
+    t_scale, d_scale = _scales(ledger)
     whole = ((0, size, (0, size)),)
     counts = [0] * (width + 1)  # scans by first hit in the head (W: a miss)
     hits = Counter()  # and the scans that ran on or ran one at a time
@@ -681,10 +680,10 @@ def _prepare_count(
     occurrences, so it raises ValueError). Each window of ``window_cover(n,
     m, m)`` is scanned until a scan misses, its starts run out or it has
     ``1152 * k_eff`` hits; the witness is the first hit, and the count is
-    the clamped sum of per-window hits. The batch tallies consecutive runs:
-    it compares blocks of runs with the uniform run (see the comment in the
-    body) in one numpy operation, and counts each run that is not uniform
-    through the kernel."""
+    the clamped sum of per-window hits. A run, or a tally's block of runs,
+    is first compared with the uniform run (see the comment in the body):
+    one peek of two units a scan, compared in chunks of _BLOCK scans. Each
+    run that is not uniform is counted through the kernel."""
     _require_text(text, query.m)
     if k_eff < 1:
         raise ValueError(
@@ -703,14 +702,11 @@ def _prepare_count(
     # A window's starts are the indices of their distances.
     windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in window_cover(n, m, m))
     # The uniform run, in which every scan hits at its first distance: its
-    # ledger records, one run a window (each window's starts up to the cap),
-    # checked once here; the chain of its S scans' first distances, in window
-    # order (all of them, unless the cap cuts a window); and its outcome. A
-    # block of uniform runs holds at most _BLOCK scans, or one run.
-    book = BudgetLedger(query.epsilon, contract.share)
-    for lo, hi, (_, stop) in windows:
-        book.charge_span(lo, stop, min(hi - lo, cap))
-    records = book._runs
+    # ledger records, one run a window (each window's starts up to the cap);
+    # the chain of its S scans' first distances, in window order (all of
+    # them, unless the cap cuts a window); and its outcome. A tally's block
+    # of uniform runs holds at most _BLOCK scans, or one run.
+    records = [(lo, min(hi - lo, cap), stop) for lo, hi, (_, stop) in windows]
     size = sum(runs for _, runs, _ in records)
     per_block = max(1, _BLOCK // size)
     chain = dist
@@ -718,34 +714,22 @@ def _prepare_count(
         chain = np.concatenate([dist[lo : lo + runs] for lo, runs, _ in records])
     uniform = CountOutcome(size, 0, size)
 
-    def at_once(scans: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
-        """Whether each scan, given its first distance, hits there on the
-        units ``u`` peeked for it: a threshold unit at each even offset and
-        a distance unit after it."""
-        return scans + 4.0 / eps * u[..., 1::2] <= thresh + 2.0 / eps * u[..., ::2]
-
     def uniform_runs(src: NoiseSource, ledger: BudgetLedger, runs: int) -> int:
         """How many of the next ``runs`` runs, in a row, are uniform: their
-        draws are served, the rest peeked at only. A lone run with more than
-        _TRY scans compares its first _TRY first (see _TRY), then peeks at
-        the rest once and compares it in chunks of _BLOCK scans."""
-        eps = ledger.epsilon / ledger.share
-        if runs == 1:
-            tried = _TRY if size > _TRY else 0
-            if tried and not at_once(chain[:_TRY], src.units(2 * _TRY), eps).all():
-                return 0
-            u = src.units(2 * size)
-            for c in range(tried, size, _BLOCK):
-                chunk = u[2 * c : 2 * (c + _BLOCK)]
-                if not at_once(chain[c : c + _BLOCK], chunk, eps).all():
-                    return 0
-            src.skip(2 * size)
-            return 1
+        draws are served, the rest peeked at only. The runs' units are
+        peeked at once, a row of 2S a run (a threshold unit, then a distance
+        unit, a scan), and compared with the chain in chunks of _BLOCK
+        scans; each chunk compares only the runs uniform so far."""
+        t_scale, d_scale = _scales(ledger)
         u = src.units(2 * size * runs).reshape(runs, 2 * size)
-        whole = at_once(chain, u, eps).all(axis=1)
-        j = int(whole.argmin())
-        if whole[j]:
-            j = runs
+        j = runs
+        for c in range(0, size, _BLOCK):
+            chunk = u[:j, 2 * c : 2 * (c + _BLOCK)]
+            noisy = thresh + t_scale * chunk[:, ::2]
+            hit = chain[c : c + _BLOCK] + d_scale * chunk[:, 1::2] <= noisy
+            whole = hit.all(axis=1)
+            if not whole.all():
+                j = int(whole.argmin())
         src.skip(2 * size * j)
         return j
 
@@ -772,8 +756,7 @@ def _prepare_count(
         # ends its block and costs a compare); otherwise runs go one at a
         # time through the kernel, as in `_first_hits`. A run that is not
         # compared uniform is counted on a fresh ledger like ``ledger``.
-        others = []  # the outcomes of the runs counted through the kernel
-        uniforms = 0  # runs compared uniform
+        counts = Counter()
         odd = 0  # runs whose count is not the uniform run's
         left = runs
         while left:
@@ -781,21 +764,19 @@ def _prepare_count(
             if _RUN_ON * odd <= done:
                 block = min(left, per_block, 2 * done // odd if odd else left)
                 j = uniform_runs(src, ledger, block)
-                uniforms += j
+                counts[uniform] += j
                 left -= j
                 if j == block:
                     continue
             outcome = counted(src, BudgetLedger(ledger.epsilon, ledger.share))
-            others.append(outcome)
+            counts[outcome] += 1
             odd += outcome.raw_count != size
             left -= 1
-        counts = Counter(others)
         # Every uniform run's ledger holds the same records: one charge and
         # one check stand for all of them.
-        if uniforms:
+        if counts[uniform]:
             charge_uniform(ledger)
-            counts[uniform] += uniforms
-        return counts
+        return +counts  # without a uniform count of 0
 
     return contract, scan, batch
 

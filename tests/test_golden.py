@@ -1,9 +1,10 @@
 """Seeded golden outputs: the regression oracle for refactors.
 
 ``golden_outputs.jsonl`` pins, over a fixed grid of instances and seeds, what
-``match_auto`` returns under every variant (regime, outcome, exact ledger
-peak and the CLI record bytes), the utility-experiment rows, and the DP-audit
-records of every audit matcher. The grid covers all four regimes and includes
+``match_auto`` returns (regime, outcome, exact ledger peak and the CLI record
+bytes) under every variant, and under the count variant on long counting
+instances; the utility-experiment rows; and the DP-audit records of every
+audit matcher. The grid covers all four regimes and includes
 high-epsilon cases whose thresholds lie below m, so a changed threshold or
 bound changes an entry. A refactor that promises equal outputs seed for seed
 must leave every entry byte-identical.
@@ -47,6 +48,15 @@ MATCH_CASES = (
     ("uniform-random", 40, 1, 1, 10.0, 1),  # trivial (m = 1)
 )
 
+# Non-periodic counting cases run under the count variant only, so no line
+# pins a long list of positions: 69,937 scans a run, more than 2**16, so a
+# uniform run (every scan hits at its first distance) is compared in chunks.
+# At epsilon 1 every run is uniform; at 3e4 the noise decides.
+COUNT_CASES = (
+    ("uniform-random", 70000, 64, 3, 1.0, 0),
+    ("uniform-random", 70000, 64, 3, 3e4, 0),
+)
+
 # (variant, generator, n, m, k, epsilon, trials, noise)
 UTILITY_CASES = (
     ("existence", "planted-occurrence", 2000, 16, 2, 100.0, 6, "standard"),
@@ -81,6 +91,10 @@ _rng = np.random.Generator(np.random.PCG64(512))
 _NOISY_PATTERN = _random_bytes(_rng, b"acgt", 512)
 _NOISY_A = _random_bytes(_rng, b"xyz", 1100)
 _NOISY_B = _NOISY_A[:550] + b"a" + _NOISY_A[551:]
+# Every window of _MIXED_A is at distance about 384 from the pattern;
+# _MIXED_B changes one byte that all 89 windows read.
+_MIXED_A = _random_bytes(_rng, b"acgt", 600)
+_MIXED_B = _MIXED_A[:300] + b"x" + _MIXED_A[301:]
 
 # (matchers, text_a, text_b, pattern, k, epsilon)
 AUDIT_CASES = (
@@ -102,6 +116,11 @@ AUDIT_CASES = (
     # case has noise that decides anything (its threshold is within 1 of k
     # and its noise scale about 0.03), so there is no such case here.
     (("count", "auto"), _NOISY_A, _NOISY_B, _NOISY_PATTERN, 1, 700.0),
+    # Non-periodic counting whose threshold (497.8) lies a few noise scales
+    # above the distances: 3 to 4 runs in 100 have a scan that misses its
+    # first distance, so a lane compares blocks of uniform runs at once and
+    # counts the other runs through the kernel.
+    (("count",), _MIXED_A, _MIXED_B, _NOISY_PATTERN, 1, 610.0),
 )
 
 
@@ -121,11 +140,13 @@ def _instance(generator, n, m, corruptions, seed):
 
 def match_records() -> list:
     out = []
-    for generator, n, m, k, epsilon, corruptions in MATCH_CASES:
+    cases = [(case, VARIANTS) for case in MATCH_CASES]
+    cases += [(case, ("count",)) for case in COUNT_CASES]
+    for (generator, n, m, k, epsilon, corruptions), variants in cases:
         for seed in SEEDS:
             inst = _instance(generator, n, m, corruptions, seed)
             query = MatchQuery(inst.pattern, k, epsilon, BETA)
-            for variant in VARIANTS:
+            for variant in variants:
                 result = match_auto(inst.text, query, NoiseSource(seed), variant)
                 out.append(
                     {

@@ -387,12 +387,12 @@ class TestBelowThresh:
             _, scan, batch = matchers._prepare_count(text, query, 1)
             return query.epsilon, scan, batch, CountOutcome(n - 7, 0, n - 7)
 
-        # A lone run of at most _TRY scans, one that misses in its first
-        # _TRY, and one that misses in its second chunk of _BLOCK scans.
+        # A lone run of one chunk, and lone runs of two chunks of _BLOCK
+        # scans that miss in the first and in the second chunk.
         for before, after in [
             (40, 40),
-            (100, matchers._TRY + 100),
-            (matchers._TRY + matchers._BLOCK + 50, 50),
+            (100, matchers._BLOCK + 100),
+            (matchers._BLOCK + 50, 50),
         ]:
             epsilon, scan, _, uniform = count_plan(before, after)
             assert scan(FixedUnits(), BudgetLedger(epsilon * share, share)) == uniform
@@ -1535,8 +1535,8 @@ class TestBatchAcrossWindows:
     def test_batch_reaches_the_block_cap(self):
         # A desk query (m = 64, k = 3, eps = 1: every scan hits at once)
         # whose chain of first distances is longer than three blocks: a run
-        # compares its first _TRY scans, then peeks at all its draws once and
-        # compares the rest in chunks of _BLOCK scans.
+        # peeks at all its draws once and compares them in chunks of _BLOCK
+        # scans.
         rng = random.Random(6)
         n = 3 * matchers._BLOCK + 200
         text = bytes(rng.choice(b"acgt") for _ in range(n))
@@ -1545,7 +1545,7 @@ class TestBatchAcrossWindows:
         outcome, runs = counts_as_reference(text, query, 3, src)
         assert outcome.raw_count == n - 64 + 1
         assert len(runs) == len(window_cover(n, 64, 64))
-        assert src.peeks == [2 * matchers._TRY, 2 * (n - 64 + 1)]
+        assert src.peeks == [2 * (n - 64 + 1)]
 
     def test_count_desk_run_peeks_once(self, monkeypatch):
         # The count-desk query: 2437 scans over 39 windows, each hitting at
@@ -1619,21 +1619,19 @@ class TestCountTally:
     @pytest.mark.parametrize("n", [2500, 6000])
     def test_uniform_runs(self, n):
         # The count-desk query (n = 2500: every one of 2437 scans hits at
-        # once), and one whose lone runs compare their first _TRY scans
-        # before the rest.
+        # once), and one of 5937 scans.
         rng = random.Random(2)
         text = bytes(rng.choice(b"acgt") for _ in range(n))
         query = MatchQuery(bytes(rng.choice(b"acgt") for _ in range(64)), 3, 1.0, 0.1)
         got = tallies_as_reference(text, query, 3, 8, 40)
         assert got == Counter({CountOutcome(n - 63, 0, n - 63): 40})
 
-    def test_miss_past_the_first_try(self):
+    def test_miss_deep_in_the_chain(self):
         # Every scan hits at once up to start 5000, where two b's make the
-        # distance 2 against a threshold of 1.5: a lone run's first _TRY
-        # scans all hit, and the whole chain's compare misses.
+        # distance 2 against a threshold of 1.5: the chain's compare misses
+        # there, after 4993 scans that hit.
         text = b"a" * 5000 + b"bb" + b"a" * 20
         query = TestBatchAcrossWindows.sharp_query(b"a" * 8, len(text), 1)
-        assert matchers._TRY < 5000 - 8
         got = tallies_as_reference(text, query, 1, 5, 3)
         assert all(outcome.raw_count < len(text) - 8 + 1 for outcome in got)
 
@@ -1658,6 +1656,20 @@ class TestCountTally:
         uniform = CountOutcome(5, 0, 5)
         assert 0 < got[uniform] < 2000
 
+    def test_block_whose_last_run_misses(self):
+        # The distances of test_uniform_and_not_mixed at eps = 6e4: on seed
+        # 3, runs 0 to 29 are uniform and run 30 is not. A tally of 31 runs
+        # compares them in one block and one peek, serves the draws of its
+        # first 30 runs (j = block - 1) and counts run 30 through the kernel
+        # from there.
+        query = MatchQuery(b"abab", 1, 6e4, 0.1)
+        got = tallies_as_reference(b"abababab", query, 1, 3, 31)
+        assert got[CountOutcome(5, 0, 5)] == 30 and sum(got.values()) == 31
+        contract, _, batch = matchers._prepare_count(b"abababab", query, 1)
+        src = PeekLog(3)
+        assert batch(src, BudgetLedger(query.epsilon, contract.share), 31) == got
+        assert src.peeks == [2 * 5 * 31]
+
     @pytest.mark.parametrize("epsilon", [1.0, 3e4])
     def test_windows_the_cap_cuts(self, epsilon):
         # m = 2000 > 1152 k: a uniform run stops each window at the cap.
@@ -1672,26 +1684,26 @@ class TestCountTally:
     @pytest.mark.parametrize(
         "miss",
         [
-            matchers._TRY - 1,  # the last scan of a lone run's first _TRY
-            matchers._TRY,  # the first scan of its first chunk
-            matchers._BLOCK - 1,
-            matchers._BLOCK,
-            matchers._TRY + matchers._BLOCK - 1,  # its first chunk's last scan
-            matchers._TRY + matchers._BLOCK,  # its second chunk's first scan
+            0,  # the first scan of a lone run's first chunk
+            matchers._BLOCK - 1,  # its first chunk's last scan
+            matchers._BLOCK,  # its second chunk's first scan
+            2 * matchers._BLOCK - 1,  # its second chunk's last scan
+            2 * matchers._BLOCK,  # its third chunk's first scan
+            2 * matchers._BLOCK + 199,  # the run's last scan
         ],
     )
     def test_first_miss_at_a_chunk_edge(self, miss):
-        # _TRY + _BLOCK + 200 scans of a^8, each of which hits at once but
+        # 2 * _BLOCK + 200 scans of a^8, each of which hits at once but
         # scan ``miss``, the one whose window holds both b's.
-        size = matchers._TRY + matchers._BLOCK + 200
+        size = 2 * matchers._BLOCK + 200
         text = b"a" * miss + b"b" + b"a" * 6 + b"b" + b"a" * (size - miss - 1)
         query = TestBatchAcrossWindows.sharp_query(b"a" * 8, len(text), 1)
         outcome, _ = counts_as_reference(text, query, 1, NoiseSource(miss))
         assert outcome.raw_count < size
 
     def test_long_run_with_a_few_misses(self):
-        # About 2e4 scans of a^8, three of whose windows hold two b's far
-        # past the first _TRY: every run goes to the kernel.
+        # About 2e4 scans of a^8, three of whose windows hold two b's, the
+        # first past scan 4000: every run goes to the kernel.
         text = bytearray(b"a" * 20_007)
         for at in (5_000, 12_000, 19_000):
             text[at : at + 2] = b"bb"

@@ -63,7 +63,8 @@ def _pattern_bytes(arg: str) -> bytes:
 
 
 def _emit(records: list[dict], fmt: str, out: Optional[str]) -> None:
-    """Write records as json-lines, CSV, or human-readable text."""
+    """Write records as json-lines, CSV, or human-readable text, to ``out``
+    or, when it is None, to stdout."""
     buffer = io.StringIO()
     if fmt == "json-lines":
         for record in records:
@@ -84,15 +85,11 @@ def _emit(records: list[dict], fmt: str, out: Optional[str]) -> None:
             for key, value in record.items():
                 buffer.write(f"{key}: {value}\n")
             buffer.write("\n")
-    _write_text(buffer.getvalue(), out)
-
-
-def _write_text(payload: str, out: Optional[str]) -> None:
     if out is None:
-        sys.stdout.write(payload)
+        sys.stdout.write(buffer.getvalue())
     else:
         with open(out, "w", newline="\n") as handle:
-            handle.write(payload)
+            handle.write(buffer.getvalue())
 
 
 def _add_query_arguments(parser: argparse.ArgumentParser) -> None:

@@ -287,8 +287,9 @@ def below_thresh(
     the index of the first hit (None when no scan hits). The windows come in
     increasing order and do not overlap.
 
-    ``dist`` is one numpy int array (each matcher passes the array it froze
-    at prepare time, or a view of it). Each scan pays the ledger's share of
+    ``dist`` is one numpy integer array (each matcher passes the uint16 or
+    uint32 array of `distance_array` it froze at prepare time, or a view of
+    it). Each scan pays the ledger's share of
     its epsilon and runs at ``eps = ledger.epsilon / ledger.share``: the
     threshold receives Lap(2/eps) noise once, each examined distance
     receives fresh Lap(4/eps) noise, and the comparison is a plain ``<=``.
@@ -368,6 +369,9 @@ def _scan_on(dist, at, end, noisy, d_scale, src):
         UNIT_BOUND * d_scale + math.nextafter(noisy, math.inf), math.inf
     )
     lim = math.floor(top) if math.isfinite(top) else math.inf
+    # dist is uint16 or uint32, and lim may lie outside its range (below 0,
+    # or past 2**64). NumPy 2 (the floor) compares an array with a Python
+    # int or float exactly, whatever its size, so no clamp is needed.
     size = _HEAD
     while end - at >= _HEAD:
         hope = dist[at : min(at + _BLOCK, end)] <= lim

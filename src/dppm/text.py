@@ -8,8 +8,9 @@ and every position in at most ``ceil((m - 1) / stride) + 1`` windows, which is
 what lets per-window privacy losses compose to the query budget.
 
 Sliding distances come from ``distance_array``, which writes the distance
-at every start position into one int64 array with one of three exact
-kernels, chosen by the text's size: pure Python up to ``_NUMPY_CUTOFF`` byte
+at every start position into one uint16 array (uint32 from m = 2**16 on),
+the dtype its kernels count in, with one of three exact kernels, chosen by
+the text's size: pure Python up to ``_NUMPY_CUTOFF`` byte
 comparisons, a compare of the ``rows x m`` window matrix below
 ``_SHIFTED_ADD_ROWS`` rows, and a shifted add otherwise. The shifted add
 compares the text with pattern bytes and adds each comparison, shifted by a
@@ -42,10 +43,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # Up to this many byte comparisons the pure-Python kernel beats numpy call
-# overhead. The scans read an int64 array either way (every kernel writes
-# into one), so what it buys is cheaper distances for tiny texts: numpy at
-# every size cost the audit-existence workload, which computes them once per
-# audit lane, about 2% of its trials.
+# overhead. The scans read the same array either way (every kernel writes
+# into the one ``distance_array`` allocates), so what it buys is cheaper
+# distances for tiny texts: numpy at every size cost the audit-existence
+# workload, which computes them once per audit lane, about 2% of its trials.
 _NUMPY_CUTOFF = 4096
 
 # The window-matrix compare materializes at most this many comparisons (or one
@@ -127,31 +128,18 @@ def hamming_distance(a: bytes, b: bytes) -> int:
     )
 
 
-def _lengths(text: bytes, pattern: bytes) -> tuple[int, int]:
-    """``(n, m)`` after checking the inputs' types and lengths."""
-    check_bytes("text", text)
-    check_bytes("pattern", pattern)
-    n, m = len(text), len(pattern)
-    if m < 1:
-        raise ValueError("pattern must be non-empty")
-    if m > n:
-        raise ValueError(f"pattern length {m} exceeds text length {n}")
-    return n, m
-
-
 def _window_compare(tv: np.ndarray, pv: np.ndarray, out: np.ndarray) -> None:
     """Write the distances at start positions ``0, 1, ...`` into ``out`` from
     the window matrix, at most ``_CHUNK_COMPARISONS`` comparisons (or one
-    window) at a time. Each row sums in uint16 (uint32 from m = 2**16 on),
-    not int64: at m = 256 that halved the sum's time."""
+    window) at a time. Each row sums straight into ``out``, in its dtype: at
+    m = 256 a 16-bit sum took half the time of a 64-bit one."""
     m, rows = len(pv), len(out)
     step = max(1, _CHUNK_COMPARISONS // m)
-    dtype = np.uint16 if m < 1 << 16 else np.uint32
     for a in range(0, rows, step):
         b = min(a + step, rows)
         windows = sliding_window_view(tv[a : b + m - 1], m)
         unequal = (windows != pv).view(np.uint8)
-        np.add.reduce(unequal, axis=1, dtype=dtype, out=out[a:b])
+        np.add.reduce(unequal, axis=1, out=out[a:b])
 
 
 def _shifted_add(tv: np.ndarray, pv: np.ndarray, out: np.ndarray) -> None:
@@ -162,13 +150,12 @@ def _shifted_add(tv: np.ndarray, pv: np.ndarray, out: np.ndarray) -> None:
     counted by one add per occurrence of ``(span == a)[:-1] + (span == b)[1:]``
     (built once, values 0 to 2); every other offset ``j``, an odd m's last
     among them, by one add of ``span == pattern[j]``, grouped by byte. The
-    counter is uint8 and is flushed into a uint16 match total (uint32 from
-    m = 2**16 on) before an add could wrap it; ``out`` is written once, as
-    m minus that total, with no int64 pass before it. A byte's comparison is
-    kept for reuse while the kept ones fit in ``_COMPARISON_BYTES``, and made
-    again when used otherwise. So beside ``out`` it holds about 6 bytes a row
-    (the counter, the total, one pair sum and up to two comparisons made
-    afresh) plus the kept comparisons."""
+    counter is uint8; ``out`` starts at m and the counter is subtracted from
+    it, in ``out``'s dtype, before an add could wrap the counter, and once
+    at the end. A byte's comparison is kept for reuse while the kept ones
+    fit in ``_COMPARISON_BYTES``, and made again when used otherwise. So
+    beside ``out`` it holds about 4 bytes a row (the counter, one pair sum
+    and up to two comparisons made afresh) plus the kept comparisons."""
     m, rows = len(pv), len(out)
     span = tv[: rows + m - 1]
     p = pv.tobytes()
@@ -188,20 +175,17 @@ def _shifted_add(tv: np.ndarray, pv: np.ndarray, out: np.ndarray) -> None:
                 kept[c], budget = eq, budget - eq.nbytes
         return eq
 
+    out.fill(m)
     counter = np.zeros(rows, np.uint8)
     room = 255  # what the counter can still take without wrapping
-    matches = None  # the flushed total, made at the first flush
     # out passed positionally: on short texts call overhead dominates
     add = np.add
 
     def count(values: np.ndarray, offsets: list[int], most: int) -> None:
-        nonlocal room, matches
+        nonlocal room
         for j in offsets:
             if room < most:
-                if matches is None:
-                    matches = counter.astype(np.uint16 if m < 1 << 16 else np.uint32)
-                else:
-                    add(matches, counter, matches)
+                np.subtract(out, counter, out)
                 counter.fill(0)
                 room = 255
             add(counter, values[j : j + rows], counter)
@@ -217,14 +201,13 @@ def _shifted_add(tv: np.ndarray, pv: np.ndarray, out: np.ndarray) -> None:
             singles.setdefault(b, []).append(at[0] + 1)
     for c, at in singles.items():
         count(compare(c), at, 1)
-    # Never flushed, the counter holds every match, and m < 256.
-    total = counter if matches is None else add(matches, counter, matches)
-    np.subtract(m, total, out)
+    np.subtract(out, counter, out)
 
 
 def distance_array(text: bytes, pattern: bytes) -> np.ndarray:
     """The Hamming distance of ``pattern`` at every start position, as one
-    numpy int64 array, by the kernel rule: pure Python up to
+    numpy array of uint16 below m = 2**16 and of uint32 from there, which the
+    kernel writes in place, by the kernel rule: pure Python up to
     ``_NUMPY_CUTOFF`` byte comparisons, otherwise the window matrix below
     ``_SHIFTED_ADD_ROWS`` rows and the shifted add above.
 
@@ -232,9 +215,15 @@ def distance_array(text: bytes, pattern: bytes) -> np.ndarray:
         TypeError: if the text or pattern is not bytes-like.
         ValueError: if the pattern is empty or longer than the text.
     """
-    n, m = _lengths(text, pattern)
+    check_bytes("text", text)
+    check_bytes("pattern", pattern)
+    n, m = len(text), len(pattern)
+    if m < 1:
+        raise ValueError("pattern must be non-empty")
+    if m > n:
+        raise ValueError(f"pattern length {m} exceeds text length {n}")
     rows = n - m + 1
-    out = np.empty(rows, np.int64)
+    out = np.empty(rows, np.uint16 if m < 1 << 16 else np.uint32)
     if rows * m <= _NUMPY_CUTOFF:
         out[:] = [sum(map(ne, text[i : i + m], pattern)) for i in range(rows)]
     else:

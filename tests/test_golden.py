@@ -2,9 +2,9 @@
 
 ``golden_outputs.jsonl`` pins, over a fixed grid of instances and seeds, what
 ``match_auto`` returns (regime, outcome, exact ledger peak and the CLI record
-bytes) under every variant, and under the count variant on long counting
-instances; the utility-experiment rows; and the DP-audit records of every
-audit matcher. The grid covers all four regimes and includes
+bytes) under every variant, under the count variant on long counting
+instances and under the existence variant on long existence instances; the
+utility-experiment rows; and the DP-audit records of every audit matcher. The grid covers all four regimes and includes
 high-epsilon cases whose thresholds lie below m, so a changed threshold or
 bound changes an entry. A refactor that promises equal outputs seed for seed
 must leave every entry byte-identical.
@@ -55,6 +55,21 @@ MATCH_CASES = (
 COUNT_CASES = (
     ("uniform-random", 70000, 64, 3, 1.0, 0),
     ("uniform-random", 70000, 64, 3, 3e4, 0),
+    # Every distance is m = 2**16 + 1, past the uint16 range, and the
+    # threshold (about 65536.8) lies within a few noise scales below it: the
+    # noise decides each scan, and the runs count about 1450 hits.
+    ("disjoint-alphabet", 70000, 65537, 65407, 3e8, 0),
+)
+
+# Existence cases run under the existence variant only. At n = 2 * 10**5 the
+# distances lie from about 160 up, the threshold about 160.3: the noise
+# decides which of the few windows near it is the witness, and the scan
+# jumps over the 86% of distances that lie past its bound. At m = 2**16 + 1
+# the threshold (65407) is below every distance, 65537, and the scan prunes
+# each one.
+EXIST_CASES = (
+    ("uniform-random", 200000, 256, 140, 6.0, 0),
+    ("disjoint-alphabet", 70000, 65537, 65407, 3e8, 0),
 )
 
 # (variant, generator, n, m, k, epsilon, trials, noise)
@@ -142,6 +157,7 @@ def match_records() -> list:
     out = []
     cases = [(case, VARIANTS) for case in MATCH_CASES]
     cases += [(case, ("count",)) for case in COUNT_CASES]
+    cases += [(case, ("existence",)) for case in EXIST_CASES]
     for (generator, n, m, k, epsilon, corruptions), variants in cases:
         for seed in SEEDS:
             inst = _instance(generator, n, m, corruptions, seed)

@@ -567,12 +567,17 @@ def windows_as_reference(dist, thresh, epsilon, windows, max_hits, src, ref_src)
     return got
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint32])
 class TestPrunedScan:
     """Past its head a scan jumps over the distances that no draw can bring
     below the noisy threshold, serving their draws unpeeked, and compares a
     block from the next distance that might hit. At eps = 1 a distance of
     200 is far past the bound (200 - 4 * UNIT_BOUND > 55) and a distance of
-    0 hits about half the time, so each case below meets hits and misses."""
+    0 hits about half the time, so each case below meets hits and misses.
+
+    Each case runs on int64 distances and on the uint16 and uint32 ones that
+    ``distance_array`` returns, whose compare with the integer bound must be
+    exact even where the bound lies outside the dtype's range."""
 
     @pytest.mark.parametrize(
         "n, candidates",
@@ -599,8 +604,8 @@ class TestPrunedScan:
             ),
         ],
     )
-    def test_lone_candidates_scan_as_the_reference(self, n, candidates):
-        dist = np.full(n, 200, np.int64)
+    def test_lone_candidates_scan_as_the_reference(self, dtype, n, candidates):
+        dist = np.full(n, 200, dtype)
         dist[candidates] = 0
         hits = [
             scans_as_reference(dist, 0.0, 1.0, NoiseSource(seed), NoiseSource(seed))
@@ -609,12 +614,12 @@ class TestPrunedScan:
         assert set(hits) == {None, *candidates}
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_jump_stops_at_the_window_end(self, offset):
+    def test_jump_stops_at_the_window_end(self, dtype, offset):
         # Counting windows of 100 starts, hopeless but for one distance at
         # offset -1, 0 or 1 from the first window's end, hi = 100. A search
         # that ran past hi would serve draws of the next window's distances
         # in this window's scan; the reference reads hi - lo draws at most.
-        dist = np.full(400, 200, np.int64)
+        dist = np.full(400, 200, dtype)
         dist[100 + offset] = 0
         windows = tuple((a, a + 100, (a, a + 163)) for a in range(0, 400, 100))
         seen = {
@@ -625,9 +630,9 @@ class TestPrunedScan:
         }
         assert seen == {(0, None), (1, 100 + offset)}
 
-    def test_reversed_view(self):
+    def test_reversed_view(self, dtype):
         # A reporting window's backward scan reads a negative-stride view.
-        base = np.full(3000, 200, np.int64)
+        base = np.full(3000, 200, dtype)
         base[[20, 1500, 1501, 2960]] = 0
         dist = base[10:2990][::-1]
         assert dist.strides[0] < 0
@@ -638,7 +643,7 @@ class TestPrunedScan:
         assert hits == {None, 29, 1488, 1489, 2969}
 
     @pytest.mark.parametrize("thresh", [-1e20, -1e21])
-    def test_tiny_epsilon_bound_past_int64(self, thresh):
+    def test_tiny_epsilon_bound_past_int64(self, dtype, thresh):
         # At eps = 1e-18 the draws' reach, UNIT_BOUND * 4e18, is past the
         # int64 range. At thresh -1e20 a noisy threshold plus that reach is
         # above it and every distance might hit, so none is pruned; at
@@ -652,7 +657,7 @@ class TestPrunedScan:
             refill(src, short)
             transformed.append(len(src._units) - left)
 
-        dist = np.arange(5000, dtype=np.int64) % 300
+        dist = (np.arange(5000) % 300).astype(dtype)
         for seed in range(4):
             transformed.clear()
             src = NoiseSource(seed)
@@ -664,33 +669,47 @@ class TestPrunedScan:
             else:  # the threshold and head, then the next draw's block
                 assert sum(transformed) <= 4 * matchers._HEAD
 
-    def test_infinite_reach(self):
+    def test_bound_past_the_uint16_range(self, dtype):
+        # At eps = 4 (distance noise scale 1) the bound lies about 36 above
+        # the noisy threshold, 65,520: above 65,535, the uint16 maximum, so
+        # no distance is pruned. The distances of 65,519 each hit about half
+        # the time, and those of 65,535 never do. (The tiny-epsilon cases
+        # put the bound past 2**64 and below 0.)
+        dist = np.full(3000, 65_535, dtype)
+        dist[[100, 2000]] = 65_519
+        hits = {
+            scans_as_reference(dist, 65_520.0, 4.0, NoiseSource(seed), NoiseSource(seed))
+            for seed in range(40)
+        }
+        assert hits == {None, 100, 2000}
+
+    def test_infinite_reach(self, dtype):
         # At eps = 1e-307 the draws' reach overflows to inf, and so does a
         # draw past about 4.5 units (numpy warns of that overflow): every
         # distance might hit, nothing is pruned and the bound raises nothing.
         with np.errstate(over="ignore"):
             hits = [
                 scans_as_reference(
-                    np.zeros(2000, np.int64), -1.5e308, 1e-307,
+                    np.zeros(2000, dtype), -1.5e308, 1e-307,
                     NoiseSource(seed), NoiseSource(seed),
                 )
                 for seed in range(40)
             ]
         assert any(hit is None or hit > matchers._HEAD for hit in hits)
 
-    def test_huge_epsilon(self):
+    def test_huge_epsilon(self, dtype):
         # At eps = 1e12 the draws reach about 1.4e-10: a distance of 50
         # against the threshold 50 hits on about half the draws, 51 never.
         rng = np.random.default_rng(5)
         for seed in range(40):
-            dist = rng.choice([50, 51, 51, 51, 60, 300], 3000).astype(np.int64)
+            dist = rng.choice([50, 51, 51, 51, 60, 300], 3000).astype(dtype)
             dist[:100] = 51
             hit = scans_as_reference(
                 dist, 50.0, 1e12, NoiseSource(seed), NoiseSource(seed)
             )
             assert hit is None or dist[hit] == 50
 
-    def test_distance_at_the_bound_is_compared(self, monkeypatch):
+    def test_distance_at_the_bound_is_compared(self, dtype, monkeypatch):
         # With the bound tightened to the largest unit there is, 52 ln 2, a
         # distance d with d - bound * d_scale == noisy hits on the one draw
         # that reaches the bound, so the kernel must compare it, not prune
@@ -698,7 +717,7 @@ class TestPrunedScan:
         bound = -uniform_source({0: 2.0**-53}).laplace(1.0)
         assert abs(bound) <= UNIT_BOUND
         monkeypatch.setattr(matchers, "UNIT_BOUND", bound)
-        dist = np.full(100, 1000, np.int64)
+        dist = np.full(100, 1000, dtype)
         dist[40] = 100
         thresh = 100 - bound * 1.0  # noisy == thresh: its unit is 0
         assert dist[40] - bound * 1.0 == thresh
@@ -708,7 +727,7 @@ class TestPrunedScan:
         )
         assert hit == 40
 
-    def test_hopeless_scan_transforms_only_its_head(self, monkeypatch):
+    def test_hopeless_scan_transforms_only_its_head(self, dtype, monkeypatch):
         # 30,000 distances that no draw can bring below the threshold: the
         # threshold and head draws are transformed, and at most one more
         # block, while the rest are skipped by jumping the generator.
@@ -720,7 +739,7 @@ class TestPrunedScan:
             refill(src, short)
             transformed.append(len(src._units) - left)
 
-        dist = np.full(30_000, 200, np.int64)
+        dist = np.full(30_000, 200, dtype)
         src, ledger = NoiseSource(3), ledger_for(1.0)
         with monkeypatch.context() as patch:
             patch.setattr(NoiseSource, "_refill", spy)

@@ -161,6 +161,13 @@ def edge_counts(m: int) -> list[int]:
     return sorted(c for c in counts if c >= 1)
 
 
+def counting_dtype(m: int) -> type:
+    """The dtype of ``distance_array``'s result, which its kernels count in:
+    uint16 below m = 2**16, where a distance fits in it, and uint32 from
+    there."""
+    return np.uint16 if m < 1 << 16 else np.uint32
+
+
 def random_text(rng: np.random.Generator, n: int, alphabet: str) -> bytes:
     if alphabet == "acgt":
         return np.frombuffer(b"acgt", np.uint8)[rng.integers(0, 4, n)].tobytes()
@@ -188,7 +195,7 @@ class TestDistanceKernels:
             expected = ref_distances(text, pattern)
             assert expected[-1] == 0
             got = distance_array(text, pattern)
-            assert got.dtype == expected.dtype
+            assert got.dtype == counting_dtype(m)
             assert np.array_equal(got, expected), count
             assert sliding_distances(text, pattern) == expected.tolist()
 
@@ -206,9 +213,9 @@ class TestDistanceKernels:
 
     @pytest.mark.parametrize("m", [255, 256, 65535, 65536])
     def test_window_compare_sum_does_not_wrap(self, m):
-        # The window matrix sums each row in a 16-bit counter below m = 2^16
-        # and a 32-bit one from there on: m mismatches wrap a 16-bit counter
-        # to 0 at m = 65536.
+        # The window matrix sums each row in out's dtype, 16 bits below
+        # m = 2^16 and 32 from there on: m mismatches wrap a 16-bit sum to 0
+        # at m = 65536.
         rows = 20  # above the pure-Python cutoff, below the shifted add
         assert rows * m > text_module._NUMPY_CUTOFF
         assert rows < text_module._SHIFTED_ADD_ROWS
@@ -216,30 +223,35 @@ class TestDistanceKernels:
             text, pattern = byte * (m + rows - 1), b"a" * m
             expected = ref_distances(text, pattern)
             assert expected.tolist() == [0 if byte == b"a" else m] * rows
-            out = np.empty(rows, np.int64)
+            out = np.empty(rows, counting_dtype(m))
             text_module._window_compare(
                 np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), out
             )
             assert np.array_equal(out, expected)
-            assert np.array_equal(distance_array(text, pattern), expected)
+            got = distance_array(text, pattern)
+            assert got.dtype == counting_dtype(m)
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("m", [65535, 65536])
     def test_shifted_add_total_does_not_wrap(self, m):
-        # The shifted add flushes its one-byte counter into a 16-bit total
-        # below m = 2^16 and a 32-bit one from there on: m matches wrap a
-        # 16-bit total to 0 at m = 65536.
+        # The shifted add subtracts its one-byte counter from out, which
+        # starts at m, in out's dtype: 16 bits below m = 2^16 and 32 from
+        # there on, where m itself no longer fits in 16 bits.
         rows = 1024
         assert rows >= text_module._SHIFTED_ADD_ROWS
         for byte in (b"a", b"b"):  # all-match, then all-mismatch windows
             text, pattern = byte * (m + rows - 1), b"a" * m
             expected = [0 if byte == b"a" else m] * rows
             assert self.shifted(text, pattern).tolist() == expected
-            assert distance_array(text, pattern).tolist() == expected
+            got = distance_array(text, pattern)
+            assert got.dtype == counting_dtype(m)
+            assert got.tolist() == expected
 
     @staticmethod
     def shifted(text: bytes, pattern: bytes) -> np.ndarray:
-        """The shifted add alone over every start position."""
-        out = np.empty(len(text) - len(pattern) + 1, np.int64)
+        """The shifted add alone over every start position, into an array of
+        the dtype ``distance_array`` allocates."""
+        out = np.empty(len(text) - len(pattern) + 1, counting_dtype(len(pattern)))
         text_module._shifted_add(
             np.frombuffer(text, np.uint8), np.frombuffer(pattern, np.uint8), out
         )
@@ -325,7 +337,7 @@ class TestDistanceKernels:
         rows = 1 << 16
         rng = np.random.default_rng(0)
         tv = rng.integers(0, 256, rows + len(pattern) - 1, dtype=np.uint8)
-        out = np.empty(rows, np.int64)
+        out = np.empty(rows, counting_dtype(len(pattern)))
         tracemalloc.start()
         try:
             text_module._shifted_add(tv, np.frombuffer(pattern, np.uint8), out)

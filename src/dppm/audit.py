@@ -355,9 +355,9 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
     """Run ``cfg.trials`` seeded trials of the given variant and compare each
     against the exact oracle. Parameter errors (``ValueError``) from the
     generator or the matcher's preparation are recorded on the trial (as
-    violated) rather than aborting the experiment; nothing the noisy half
-    raises is caught, so a privacy-cap failure or a broken outcome invariant
-    stops the experiment."""
+    violated) rather than aborting the experiment; a privacy-cap failure
+    (raised while preparing, or by a counting run) and anything the noisy
+    half raises, such as a broken outcome invariant, stop the experiment."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     generate = GENERATORS[cfg.generator]

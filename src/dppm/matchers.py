@@ -32,9 +32,9 @@ row of `CONTRACTS`, read through `error_contract`.
 
 Each matcher is two halves, the trivial reporter included. The
 deterministic half validates the query, computes the contract once, the
-distances and the windows its scans read; it never receives the
-`NoiseSource`, so it cannot draw. The noisy half is what depends on the
-draws: the scans over a ledger, the cap check and the outcome (the trivial
+distances and the windows its scans read, and certifies the cap; it never
+receives the `NoiseSource`, so it cannot draw. The noisy half is what
+depends on the draws: the scans over a ledger and the outcome (the trivial
 reporter's returns its fixed report). `_prepare_reporter` is the one choice
 between periodic reporting and the trivial reporter, for `plan` and the
 utility bench alike. `plan` composes dispatch with the selected matcher's
@@ -69,11 +69,13 @@ read, in a `BudgetLedger` built for that share, and draws its noise at that
 slice; the kernel charges a window's scans that start at consecutive
 positions as one run record. The ledger's cap check is the executable form of
 the composition argument: it counts the scans covering each position against
-the share. `window_cover` gives each block of ``stride`` start positions one
-window, and a position lies in at most ``ceil((m - 1) / stride) + 1`` of
-them, 3 at the reporter's stride ``m // 2`` (two scans each) and 2 at the
-counter's stride ``m`` (up to 1152 * k scans each), so slices sum to at most
-the query epsilon.
+the share. Records the plan fixes bound every run's, so `_certified` checks
+them once, and only a counting run that is not uniform checks its own.
+`window_cover` gives each block of ``stride`` start positions one window,
+and a position lies in at most ``ceil((m - 1) / stride) + 1`` of them, 3
+at the reporter's stride ``m // 2`` (two scans each) and 2 at the counter's
+stride ``m`` (up to 1152 * k scans each), so slices sum to at most the query
+epsilon.
 """
 
 from __future__ import annotations
@@ -240,10 +242,7 @@ class BudgetLedger:
 # numpy; a block shorter than _HEAD is compared one distance at a time. The
 # head is listed once, _HEAD distances from where a scan starts, and the later
 # scans that start in its first half reuse the list (listing it for every
-# restart made a counting query a sixth slower). The kernel runs one scan at a
-# time; the first distances of many scans are compared at once only by a
-# counting plan's uniform compare, before the kernel runs (see
-# `_prepare_count`).
+# restart made a counting query a sixth slower).
 # Blocks stop doubling at _BLOCK, so a block's float64 temporaries (512 KiB
 # each) stay about the size of a core's L2 cache: with no cap, a prepared
 # existence run over 1e6 filled distances (m = 256) took 13.5-15.5 ms against
@@ -289,16 +288,14 @@ def below_thresh(
 
     ``dist`` is one numpy integer array (each matcher passes the uint16 or
     uint32 array of `distance_array` it froze at prepare time, or a view of
-    it). Each scan pays the ledger's share of
-    its epsilon and runs at ``eps = ledger.epsilon / ledger.share``: the
-    threshold receives Lap(2/eps) noise once, each examined distance
-    receives fresh Lap(4/eps) noise, and the comparison is a plain ``<=``.
-    A scan that starts at index ``p`` of window ``(lo, hi, span)`` is
-    charged, inside the kernel, to the text span
-    ``(span[0] + p - lo, span[1])``; a window's scans that start at
-    consecutive indices are charged as one run record.
-    In zero-noise mode a window's first hit is exactly
-    ``min{lo <= i < hi : d_i <= thresh}``.
+    it). Each scan pays the ledger's share of its epsilon and runs at
+    ``eps = ledger.epsilon / ledger.share``: the threshold receives
+    Lap(2/eps) noise once, each examined distance receives fresh Lap(4/eps)
+    noise, and the comparison is a plain ``<=``. A scan that starts at index
+    ``p`` of window ``(lo, hi, span)`` is charged, inside the kernel, to the
+    text span ``(span[0] + p - lo, span[1])``; a window's scans that start
+    at consecutive indices are charged as one run record. In zero-noise mode
+    a window's first hit is exactly ``min{lo <= i < hi : d_i <= thresh}``.
 
     Noise is served from the source's one stream in the order of scans that
     compare one distance at a time (threshold first, then one per examined
@@ -419,8 +416,8 @@ def _first_hits(dist, thresh, src, ledger, runs):
     apart, and the chain goes on from where that scan ended, in the same
     block. The block's draws are served with one skip; a chain that leaves the
     block peeks the next one. While more than one scan in _RUN_ON has run on,
-    scans run one at a time through `below_thresh`, each on a fresh ledger
-    like ``ledger`` (never charged).
+    scans run one at a time through `below_thresh`, each charging the
+    certified ``(0, 1, n)`` to a fresh ledger like ``ledger``, unread.
     """
     size = len(dist)
     width = min(size, _HEAD)
@@ -572,13 +569,13 @@ def error_contract(
 # --- matchers: the deterministic half, then the noisy half --------------------
 
 # The noisy half of one matcher on a fixed text and query: it runs the scans
-# on the given source and ledger, checks the cap and returns the outcome. Only
-# the code that runs it creates the ledger, always fresh, at the query's
-# epsilon and the contract's share, which set every scan's noise scale.
+# on the given source and ledger and returns the outcome. Only the code that
+# runs it creates the ledger, always fresh, at the query's epsilon and the
+# contract's share, which set every scan's noise scale.
 Scan = Callable[[NoiseSource, BudgetLedger], Outcome]
-# The noisy half run ``runs`` times in a row on one source, over one ledger
-# that stands for every run's: how often each outcome came out.
-Batch = Callable[[NoiseSource, BudgetLedger, int], "Counter[Outcome]"]
+# The noisy half run ``runs`` times in a row on one source, charging no
+# ledger: how often each outcome came out.
+Batch = Callable[[NoiseSource, int], "Counter[Outcome]"]
 
 
 def _require_text(text: bytes, m: int) -> None:
@@ -593,6 +590,16 @@ def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
     dist = distance_array(text, pattern)
     dist.flags.writeable = False
     return dist
+
+
+def _certified(epsilon: float, share: int, records: list) -> BudgetLedger:
+    """The ledger of ``records``, which cover each position at least as
+    often as any run's, its cap checked once: the check certifies every run
+    before any draw."""
+    ledger = BudgetLedger(epsilon, share)
+    ledger._runs += records
+    ledger.assert_within_cap()
+    return ledger
 
 
 def _prepare_existence(
@@ -610,19 +617,15 @@ def _prepare_existence(
     thresh = contract.threshold
     dist = _frozen_distances(text, query.pattern)
     whole = ((0, len(dist), (0, n)),)
+    # Every run's one scan starts at index 0, hit or miss.
+    paid = _certified(query.epsilon, contract.share, [(0, 1, n)])
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ExistenceOutcome:
         _, hit = below_thresh(dist, thresh, src, ledger, whole)
-        ledger.assert_within_cap()
         return ExistenceOutcome(found=hit is not None, witness=hit)
 
-    def batch(src: NoiseSource, ledger: BudgetLedger, runs: int) -> Counter:
-        counts = _first_hits(dist, thresh, src, ledger, runs)
-        # Every run's ledger holds the same one record, (0, 1, n), whatever
-        # the noise: one scan starts at the window's first index, hit or
-        # miss. So one charge and one check stand for all runs.
-        ledger.charge_span(0, n)
-        ledger.assert_within_cap()
+    def batch(src: NoiseSource, runs: int) -> Counter:
+        counts = _first_hits(dist, thresh, src, paid, runs)
         miss = len(dist)
         return Counter({
             ExistenceOutcome(i < miss, i if i < miss else None): count
@@ -637,8 +640,7 @@ def _prepare_report(
 ) -> tuple[Contract, Scan]:
     """Periodic reporting: each window of ``window_cover(n, m, m // 2)`` is
     scanned forward and backward over its starts' distances; when both scans
-    hit, it reports the
-    progression from the first hit to the last with step
+    hit, it reports the progression from the first hit to the last with step
     ``candidate.length``. Dispatch certifies the period; this checks only
     ``m >= 2`` and ``candidate.dist <= 2k``."""
     _require_text(text, query.m)
@@ -655,11 +657,14 @@ def _prepare_report(
     thresh, step = contract.threshold, candidate.length
     dist = _frozen_distances(text, query.pattern)
     # Per window: its first start, its starts' distances forward and
-    # backward, and the one window both scans read.
-    windows = []
+    # backward, and the one window both scans read. Each scan starts at its
+    # window's first index, hit or miss.
+    windows, records = [], []
     for a, b in window_cover(n, m, m // 2):
         starts = dist[a : b - m + 2]
         windows.append((a, starts, starts[::-1], ((0, len(starts), (a, b + 1)),)))
+        records += [(a, 1, b + 1)] * 2
+    _certified(query.epsilon, contract.share, records)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> ReportOutcome:
         found: list[int] = []
@@ -670,7 +675,6 @@ def _prepare_report(
                 continue
             last = len(forward) - 1 - rev_hit
             found.extend(range(a + first, a + last + 1, step))
-        ledger.assert_within_cap()
         return ReportOutcome(tuple(found))
 
     return contract, scan
@@ -687,7 +691,7 @@ def _prepare_count(
     the clamped sum of per-window hits. A run, or a tally's block of runs,
     is first compared with the uniform run (see the comment in the body):
     one peek of two units a scan, compared in chunks of _BLOCK scans. Each
-    run that is not uniform is counted through the kernel."""
+    run that is not uniform is counted through the kernel and checked."""
     _require_text(text, query.m)
     if k_eff < 1:
         raise ValueError(
@@ -717,14 +721,18 @@ def _prepare_count(
     if size < len(dist):
         chain = np.concatenate([dist[lo : lo + runs] for lo, runs, _ in records])
     uniform = CountOutcome(size, 0, size)
+    # No run covers a position more often than the uniform run: a window's
+    # i-th scan starts at index lo + i - 1 or later, a window starts at most
+    # min(hi - lo, cap) scans, and every scan ends at its window's stop.
+    paid = _certified(query.epsilon, contract.share, records)
+    t_scale, d_scale = _scales(paid)
 
-    def uniform_runs(src: NoiseSource, ledger: BudgetLedger, runs: int) -> int:
+    def uniform_runs(src: NoiseSource, runs: int) -> int:
         """How many of the next ``runs`` runs, in a row, are uniform: their
         draws are served, the rest peeked at only. The runs' units are
         peeked at once, a row of 2S a run (a threshold unit, then a distance
         unit, a scan), and compared with the chain in chunks of _BLOCK
         scans; each chunk compares only the runs uniform so far."""
-        t_scale, d_scale = _scales(ledger)
         u = src.units(2 * size * runs).reshape(runs, 2 * size)
         j = runs
         for c in range(0, size, _BLOCK):
@@ -737,10 +745,6 @@ def _prepare_count(
         src.skip(2 * size * j)
         return j
 
-    def charge_uniform(ledger: BudgetLedger) -> None:
-        ledger._runs += records
-        ledger.assert_within_cap()
-
     def counted(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
         total, witness = below_thresh(dist, thresh, src, ledger, windows, cap)
         count = min(max(total, 0), n - m + 1)
@@ -748,18 +752,17 @@ def _prepare_count(
         return CountOutcome(count=count, witness=witness, raw_count=total)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
-        if uniform_runs(src, ledger, 1):
-            charge_uniform(ledger)
+        if uniform_runs(src, 1):
+            ledger._runs += records
             return uniform
         return counted(src, ledger)
 
-    def batch(src: NoiseSource, ledger: BudgetLedger, runs: int) -> Counter:
+    def batch(src: NoiseSource, runs: int) -> Counter:
         # Blocks of runs are compared at once while at most one run in
         # _RUN_ON has not been uniform, each block up to twice the mean
         # stretch of uniform runs between them (a run that is not uniform
         # ends its block and costs a compare); otherwise runs go one at a
-        # time through the kernel, as in `_first_hits`. A run that is not
-        # compared uniform is counted on a fresh ledger like ``ledger``.
+        # time through the kernel, as in `_first_hits`.
         counts = Counter()
         odd = 0  # runs whose count is not the uniform run's
         left = runs
@@ -767,19 +770,15 @@ def _prepare_count(
             done = runs - left
             if _RUN_ON * odd <= done:
                 block = min(left, per_block, 2 * done // odd if odd else left)
-                j = uniform_runs(src, ledger, block)
+                j = uniform_runs(src, block)
                 counts[uniform] += j
                 left -= j
                 if j == block:
                     continue
-            outcome = counted(src, BudgetLedger(ledger.epsilon, ledger.share))
+            outcome = counted(src, BudgetLedger(paid.epsilon, paid.share))
             counts[outcome] += 1
             odd += outcome.raw_count != size
             left -= 1
-        # Every uniform run's ledger holds the same records: one charge and
-        # one check stand for all of them.
-        if counts[uniform]:
-            charge_uniform(ledger)
         return +counts  # without a uniform count of 0
 
     return contract, scan, batch
@@ -790,7 +789,7 @@ def _fixed(outcome: Outcome) -> tuple[Scan, Batch]:
     and its batch: every run answers ``outcome``."""
     return (
         lambda src, ledger: outcome,
-        lambda src, ledger, runs: Counter({outcome: runs} if runs else {}),
+        lambda src, runs: Counter({outcome: runs} if runs else {}),
     )
 
 
@@ -902,22 +901,23 @@ class QueryPlan:
         ``src``: ``Counter(self.outcome(src) for _ in range(runs))`` seed
         for seed, leaving the source's cursor where those runs leave it. An
         existence plan serves the runs in a vectorized pass over peeked
-        draws, its ledger charged and checked once. A counting plan compares
-        blocks of runs with its uniform run (every scan hits at its first
-        distance), whose records it charges and checks once, and runs the
-        others one by one. The trivial reporter's plan draws nothing and
-        counts its one outcome. A periodic reporting plan runs ``outcome``
-        ``runs`` times."""
+        draws. A counting plan compares blocks of runs with its uniform run
+        (every scan hits at its first distance) and runs the others one by
+        one, each checking a ledger of its own; `plan` certified the rest.
+        The trivial reporter's plan draws nothing and counts its one
+        outcome. A periodic reporting plan runs ``outcome`` ``runs`` times."""
         runs = check_int("runs", runs)
         if self.batch is None:
             return Counter(self.outcome(src) for _ in range(runs))
-        return self.batch(src, BudgetLedger(self.epsilon, self.contract.share), runs)
+        return self.batch(src, runs)
 
 
 def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
     """Validate the query, dispatch on the public pattern and prepare the
     selected matcher: everything of :func:`match_auto` that does not depend
-    on the noise. It never sees a noise source, so it cannot draw."""
+    on the noise. It never sees a noise source, so it cannot draw. Raises
+    `PrivacyBudgetExceeded` when the records that bound every run's
+    overspend."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     _require_text(text, query.m)

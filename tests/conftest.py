@@ -13,14 +13,16 @@ table and dispatcher.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, product
 
 import numpy as np
+import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dppm.matchers import WINDOW_OCCURRENCE_CAP, BudgetLedger, error_contract
+from dppm.matchers import CONTRACTS, WINDOW_OCCURRENCE_CAP, BudgetLedger, error_contract
 from dppm.periodicity import Regime, dispatch
 
 
@@ -116,6 +118,34 @@ def spent_by_position(ledger) -> dict[int, Fraction]:
             for p in range(first, stop):
                 out[p] = out.get(p, Fraction(0)) + eps
     return out
+
+
+@contextmanager
+def cap_checks():
+    """Inside the block, record every ledger whose cap is checked, in order;
+    each check still runs."""
+    checked = []
+    check = BudgetLedger.assert_within_cap
+
+    def recording(ledger):
+        checked.append(ledger)
+        check(ledger)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BudgetLedger, "assert_within_cap", recording)
+        yield checked
+
+
+def lower_share(monkeypatch, matcher: str) -> None:
+    """Break ``matcher``'s `CONTRACTS` row: its share one less than its
+    scans can cover a position with where the cap binds."""
+    row = CONTRACTS[matcher]
+
+    def lowered(*args):
+        contract = row(*args)
+        return replace(contract, share=contract.share - 1)
+
+    monkeypatch.setitem(CONTRACTS, matcher, lowered)
 
 
 def binary_strings(length: int):

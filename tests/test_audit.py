@@ -37,6 +37,7 @@ from dppm.text import distance_array, hamming_distance, sliding_distances
 
 from conftest import (
     brute_sliding,
+    lower_share,
     packing_family_mismatch,
     packing_family_planted,
     per_trial,
@@ -268,6 +269,28 @@ class TestUtilityExperiment:
         monkeypatch.setattr(BudgetLedger, "assert_within_cap", overspent)
         with pytest.raises(RuntimeError, match="privacy budget exceeded"):
             run_utility_experiment(small_config(trials=40), "existence")
+
+    def test_overspending_reporter_refused_before_any_scan(self, monkeypatch):
+        # The report route prepares the reporter without dispatch. A periodic
+        # row whose share is one too small (a position lies in 3 windows,
+        # each scanned forward and back) is refused while it is prepared,
+        # and stops the experiment before any scan runs.
+        cfg = small_config(
+            trials=3, n=512, m=32, k=2, generator="periodic-with-corruptions"
+        )
+        report = run_utility_experiment(cfg, "report")
+        assert [r.algorithm for r in report.records] == ["PeriodicReporting"] * 3
+        lower_share(monkeypatch, "report_periodic")
+        scans = []
+
+        def recording(*args):
+            scans.append(args)
+            return below_thresh(*args)
+
+        monkeypatch.setattr(matchers, "below_thresh", recording)
+        with pytest.raises(matchers.PrivacyBudgetExceeded):
+            run_utility_experiment(cfg, "report")
+        assert scans == []
 
     def test_broken_outcome_invariant_aborts(self, monkeypatch):
         # A counter that counts hits with no witness builds an invalid

@@ -40,7 +40,9 @@ from conftest import (
     RefLedger,
     binary_strings,
     brute_first_at_most,
+    cap_checks,
     counting_cover,
+    lower_share,
     periodic_cover,
     ref_below_thresh,
     ref_count_nonperiodic,
@@ -371,21 +373,25 @@ class TestBelowThresh:
             np.array([10, 0]), 20.0, FixedUnits(), ledger_for(0.9, 6), 5
         )
         assert counts == Counter({1: 5})
-        # A counting run's compares. Counting a^8 at k = 1 on a text of a's
-        # with two b's, the threshold is 1 + c/eps; at eps = c - share, with
-        # every unit at 1.0, a scan at the paid slice (eps / share) hits at a
-        # first distance of 1 and misses at 2 (both b's in its window),
-        # while at the query's eps it would hit at both, and the run would
-        # be uniform.
+        # A counting run's compares, which draw at the scales of the ledger
+        # the plan certified. Counting a^8 at k = 1 on a text of a's with
+        # two b's, the threshold is 1 + c/eps; at eps = c - share, with every
+        # unit at 1.0, a scan at the paid slice (eps / share) hits at a first
+        # distance of 1 and misses at 2 (both b's in its window), while at
+        # the query's eps it would hit at both, and the run would be uniform.
         share = 2 * matchers.WINDOW_OCCURRENCE_CAP
 
         def count_plan(before, after):
             text = b"a" * before + b"bb" + b"a" * after
             n = len(text)
             c = error_contract("count_nonperiodic", n, 8, 1, 1.0, 0.1).threshold - 1
-            query = MatchQuery(b"a" * 8, 1, c - share, 0.1)
-            _, scan, batch = matchers._prepare_count(text, query, 1)
-            return query.epsilon, scan, batch, CountOutcome(n - 7, 0, n - 7)
+            eps = c - share
+            contract, scan, batch = matchers._prepare_count(
+                text, MatchQuery(b"a" * 8, 1, eps, 0.1), 1
+            )
+            assert 2 + 4 / eps <= contract.threshold + 2 / eps  # at the query's eps
+            assert not 2 + 4 * share / eps <= contract.threshold + 2 * share / eps
+            return eps, scan, batch, CountOutcome(n - 7, 0, n - 7)
 
         # A lone run of one chunk, and lone runs of two chunks of _BLOCK
         # scans that miss in the first and in the second chunk.
@@ -395,11 +401,10 @@ class TestBelowThresh:
             (matchers._BLOCK + 50, 50),
         ]:
             epsilon, scan, _, uniform = count_plan(before, after)
-            assert scan(FixedUnits(), BudgetLedger(epsilon * share, share)) == uniform
             assert scan(FixedUnits(), BudgetLedger(epsilon, share)) != uniform
         # A tally's block of runs.
-        epsilon, _, batch, uniform = count_plan(40, 40)
-        tally = batch(FixedUnits(), BudgetLedger(epsilon, share), 3)
+        _, _, batch, uniform = count_plan(40, 40)
+        tally = batch(FixedUnits(), 3)
         assert uniform not in tally and sum(tally.values()) == 3
 
     def test_resumes_one_past_the_hit(self):
@@ -505,17 +510,27 @@ class TestBelowThresh:
         assert one == two
 
 
-def scans_as_reference(dist, thresh, epsilon, src, ref_src):
-    """One scan over all of ``dist`` on ``src``, and with the one-at-a-time
-    reference scan on ``ref_src``, a source of the same stream: the same
+# Every pruned-scan case runs on int64 distances and on the uint16 and uint32
+# ones that ``distance_array`` returns.
+DTYPES = (np.int64, np.uint16, np.uint32)
+
+
+def scans_as_reference(dist, thresh, epsilon, source, view=lambda d: d):
+    """One scan over all of ``view(dist)``: the one-at-a-time reference scan
+    once, on ``source()``, then the kernel on ``dist`` copied to each of
+    ``DTYPES``, each on a fresh ``source()`` of the same stream: the same
     hit, the same ledger run records and the same next draw. Returns the
     hit."""
-    ledger, ref_ledger = BudgetLedger(epsilon, 1), RefLedger(epsilon)
-    hit = ref_below_thresh(dist.tolist(), thresh, 1, ref_src, ref_ledger, (0, len(dist)))
-    got = below_thresh(dist, thresh, src, ledger, whole(dist))
-    assert got == (int(hit is not None), hit)
-    ref_ledger.assert_matches(ledger)
-    assert src.laplace(1.0) == ref_src.laplace(1.0)
+    values, ref_src, ref_ledger = view(dist).tolist(), source(), RefLedger(epsilon)
+    hit = ref_below_thresh(values, thresh, 1, ref_src, ref_ledger, (0, len(values)))
+    after = ref_src.laplace(1.0)
+    for dtype in DTYPES:
+        scanned = view(dist.astype(dtype))
+        src, ledger = source(), BudgetLedger(epsilon, 1)
+        got = below_thresh(scanned, thresh, src, ledger, whole(scanned))
+        assert got == (int(hit is not None), hit), dtype
+        ref_ledger.assert_matches(ledger)
+        assert src.laplace(1.0) == after, dtype
     return hit
 
 
@@ -541,12 +556,12 @@ def uniform_source(chosen) -> NoiseSource:
     return src
 
 
-def windows_as_reference(dist, thresh, epsilon, windows, max_hits, src, ref_src):
-    """``below_thresh`` over ``windows`` on ``src``, and the one-at-a-time
-    reference scans on ``ref_src``, a source of the same stream: the same
-    hits, first hit, ledger run records and next draw. Returns the hit
-    count and the first hit."""
-    values, ref_ledger = dist.tolist(), RefLedger(epsilon)
+def windows_as_reference(dist, thresh, epsilon, windows, max_hits, seed):
+    """The one-at-a-time reference scans over ``windows`` once, then
+    ``below_thresh`` on ``dist`` copied to each of ``DTYPES``, each on a
+    fresh source of ``seed``: the same hits, first hit, ledger run records
+    and next draw. Returns the hit count and the first hit."""
+    values, ref_src, ref_ledger = dist.tolist(), NoiseSource(seed), RefLedger(epsilon)
     hits, first_hit = 0, None
     for lo, hi, (first, stop) in windows:
         at, got = lo, 0
@@ -559,15 +574,16 @@ def windows_as_reference(dist, thresh, epsilon, windows, max_hits, src, ref_src)
             got += 1
             first_hit = at - 1 if first_hit is None else first_hit
         hits += got
-    ledger = BudgetLedger(epsilon, 1)
-    got = below_thresh(dist, thresh, src, ledger, windows, max_hits)
-    assert got == (hits, first_hit)
-    ref_ledger.assert_matches(ledger)
-    assert src.laplace(1.0) == ref_src.laplace(1.0)
-    return got
+    after = ref_src.laplace(1.0)
+    for dtype in DTYPES:
+        src, ledger = NoiseSource(seed), BudgetLedger(epsilon, 1)
+        got = below_thresh(dist.astype(dtype), thresh, src, ledger, windows, max_hits)
+        assert got == (hits, first_hit), dtype
+        ref_ledger.assert_matches(ledger)
+        assert src.laplace(1.0) == after, dtype
+    return hits, first_hit
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint32])
 class TestPrunedScan:
     """Past its head a scan jumps over the distances that no draw can bring
     below the noisy threshold, serving their draws unpeeked, and compares a
@@ -575,7 +591,8 @@ class TestPrunedScan:
     200 is far past the bound (200 - 4 * UNIT_BOUND > 55) and a distance of
     0 hits about half the time, so each case below meets hits and misses.
 
-    Each case runs on int64 distances and on the uint16 and uint32 ones that
+    Each case runs the pure-Python reference once a seed, and the kernel on
+    int64 distances and on the uint16 and uint32 ones that
     ``distance_array`` returns, whose compare with the integer bound must be
     exact even where the bound lies outside the dtype's range."""
 
@@ -604,112 +621,116 @@ class TestPrunedScan:
             ),
         ],
     )
-    def test_lone_candidates_scan_as_the_reference(self, dtype, n, candidates):
-        dist = np.full(n, 200, dtype)
+    def test_lone_candidates_scan_as_the_reference(self, n, candidates):
+        dist = np.full(n, 200)
         dist[candidates] = 0
         hits = [
-            scans_as_reference(dist, 0.0, 1.0, NoiseSource(seed), NoiseSource(seed))
+            scans_as_reference(dist, 0.0, 1.0, lambda: NoiseSource(seed))
             for seed in range(40)
         ]
         assert set(hits) == {None, *candidates}
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_jump_stops_at_the_window_end(self, dtype, offset):
+    def test_jump_stops_at_the_window_end(self, offset):
         # Counting windows of 100 starts, hopeless but for one distance at
         # offset -1, 0 or 1 from the first window's end, hi = 100. A search
         # that ran past hi would serve draws of the next window's distances
         # in this window's scan; the reference reads hi - lo draws at most.
-        dist = np.full(400, 200, dtype)
+        dist = np.full(400, 200)
         dist[100 + offset] = 0
         windows = tuple((a, a + 100, (a, a + 163)) for a in range(0, 400, 100))
         seen = {
-            windows_as_reference(
-                dist, 0.0, 1.0, windows, 5, NoiseSource(seed), NoiseSource(seed)
-            )
+            windows_as_reference(dist, 0.0, 1.0, windows, 5, seed)
             for seed in range(40)
         }
         assert seen == {(0, None), (1, 100 + offset)}
 
-    def test_reversed_view(self, dtype):
+    def test_reversed_view(self):
         # A reporting window's backward scan reads a negative-stride view.
-        base = np.full(3000, 200, dtype)
+        base = np.full(3000, 200)
         base[[20, 1500, 1501, 2960]] = 0
-        dist = base[10:2990][::-1]
-        assert dist.strides[0] < 0
+
+        def view(dist):
+            backward = dist[10:2990][::-1]
+            assert backward.strides[0] < 0
+            return backward
+
         hits = {
-            scans_as_reference(dist, 0.0, 1.0, NoiseSource(seed), NoiseSource(seed))
+            scans_as_reference(base, 0.0, 1.0, lambda: NoiseSource(seed), view)
             for seed in range(40)
         }
         assert hits == {None, 29, 1488, 1489, 2969}
 
     @pytest.mark.parametrize("thresh", [-1e20, -1e21])
-    def test_tiny_epsilon_bound_past_int64(self, dtype, thresh):
+    def test_tiny_epsilon_bound_past_int64(self, thresh):
         # At eps = 1e-18 the draws' reach, UNIT_BOUND * 4e18, is past the
         # int64 range. At thresh -1e20 a noisy threshold plus that reach is
         # above it and every distance might hit, so none is pruned; at
         # -1e21 it is below it and every distance is pruned. No scan hits
         # (a hit needs a unit below -24), and neither raises.
-        transformed = []
         refill = NoiseSource._refill
-
-        def spy(src, short):
-            left = len(src._units) - src._next
-            refill(src, short)
-            transformed.append(len(src._units) - left)
-
-        dist = (np.arange(5000) % 300).astype(dtype)
+        dist = np.arange(5000) % 300
         for seed in range(4):
-            transformed.clear()
-            src = NoiseSource(seed)
-            src._refill = lambda short, src=src: spy(src, short)
-            hit = scans_as_reference(dist, thresh, 1e-18, src, NoiseSource(seed))
-            assert hit is None
-            if thresh == -1e20:
-                assert sum(transformed) >= len(dist)
-            else:  # the threshold and head, then the next draw's block
-                assert sum(transformed) <= 4 * matchers._HEAD
+            made = []  # each source and the units its refills transformed
 
-    def test_bound_past_the_uint16_range(self, dtype):
+            def source():
+                src, transformed = NoiseSource(seed), []
+
+                def spy(short):
+                    left = len(src._units) - src._next
+                    refill(src, short)
+                    transformed.append(len(src._units) - left)
+
+                src._refill = spy
+                made.append(transformed)
+                return src
+
+            assert scans_as_reference(dist, thresh, 1e-18, source) is None
+            for transformed in made[1:]:  # the kernel's, on each dtype
+                if thresh == -1e20:
+                    assert sum(transformed) >= len(dist)
+                else:  # the threshold and head, then the next draw's block
+                    assert sum(transformed) <= 4 * matchers._HEAD
+
+    def test_bound_past_the_uint16_range(self):
         # At eps = 4 (distance noise scale 1) the bound lies about 36 above
         # the noisy threshold, 65,520: above 65,535, the uint16 maximum, so
         # no distance is pruned. The distances of 65,519 each hit about half
         # the time, and those of 65,535 never do. (The tiny-epsilon cases
         # put the bound past 2**64 and below 0.)
-        dist = np.full(3000, 65_535, dtype)
+        dist = np.full(3000, 65_535)
         dist[[100, 2000]] = 65_519
         hits = {
-            scans_as_reference(dist, 65_520.0, 4.0, NoiseSource(seed), NoiseSource(seed))
+            scans_as_reference(dist, 65_520.0, 4.0, lambda: NoiseSource(seed))
             for seed in range(40)
         }
         assert hits == {None, 100, 2000}
 
-    def test_infinite_reach(self, dtype):
+    def test_infinite_reach(self):
         # At eps = 1e-307 the draws' reach overflows to inf, and so does a
         # draw past about 4.5 units (numpy warns of that overflow): every
         # distance might hit, nothing is pruned and the bound raises nothing.
         with np.errstate(over="ignore"):
             hits = [
                 scans_as_reference(
-                    np.zeros(2000, dtype), -1.5e308, 1e-307,
-                    NoiseSource(seed), NoiseSource(seed),
+                    np.zeros(2000, np.int64), -1.5e308, 1e-307,
+                    lambda: NoiseSource(seed),
                 )
                 for seed in range(40)
             ]
         assert any(hit is None or hit > matchers._HEAD for hit in hits)
 
-    def test_huge_epsilon(self, dtype):
+    def test_huge_epsilon(self):
         # At eps = 1e12 the draws reach about 1.4e-10: a distance of 50
         # against the threshold 50 hits on about half the draws, 51 never.
         rng = np.random.default_rng(5)
         for seed in range(40):
-            dist = rng.choice([50, 51, 51, 51, 60, 300], 3000).astype(dtype)
+            dist = rng.choice([50, 51, 51, 51, 60, 300], 3000)
             dist[:100] = 51
-            hit = scans_as_reference(
-                dist, 50.0, 1e12, NoiseSource(seed), NoiseSource(seed)
-            )
+            hit = scans_as_reference(dist, 50.0, 1e12, lambda: NoiseSource(seed))
             assert hit is None or dist[hit] == 50
 
-    def test_distance_at_the_bound_is_compared(self, dtype, monkeypatch):
+    def test_distance_at_the_bound_is_compared(self, monkeypatch):
         # With the bound tightened to the largest unit there is, 52 ln 2, a
         # distance d with d - bound * d_scale == noisy hits on the one draw
         # that reaches the bound, so the kernel must compare it, not prune
@@ -717,21 +738,22 @@ class TestPrunedScan:
         bound = -uniform_source({0: 2.0**-53}).laplace(1.0)
         assert abs(bound) <= UNIT_BOUND
         monkeypatch.setattr(matchers, "UNIT_BOUND", bound)
-        dist = np.full(100, 1000, dtype)
+        dist = np.full(100, 1000)
         dist[40] = 100
         thresh = 100 - bound * 1.0  # noisy == thresh: its unit is 0
         assert dist[40] - bound * 1.0 == thresh
         chosen = {1 + 40: 2.0**-53}  # draw 0 is the threshold's
-        hit = scans_as_reference(
-            dist, thresh, 4.0, uniform_source(chosen), uniform_source(chosen)
-        )
+        hit = scans_as_reference(dist, thresh, 4.0, lambda: uniform_source(chosen))
         assert hit == 40
 
-    def test_hopeless_scan_transforms_only_its_head(self, dtype, monkeypatch):
+    def test_hopeless_scan_transforms_only_its_head(self, monkeypatch):
         # 30,000 distances that no draw can bring below the threshold: the
         # threshold and head draws are transformed, and at most one more
         # block, while the rest are skipped by jumping the generator.
-        transformed = []
+        ref_src, ref_ledger = NoiseSource(3), RefLedger(1.0)
+        hopeless = [200] * 30_000
+        assert ref_below_thresh(hopeless, 0.0, 1, ref_src, ref_ledger, (0, 30_000)) is None
+        after = ref_src.laplace(1.0)
         refill = NoiseSource._refill
 
         def spy(src, short):
@@ -739,15 +761,16 @@ class TestPrunedScan:
             refill(src, short)
             transformed.append(len(src._units) - left)
 
-        dist = np.full(30_000, 200, dtype)
-        src, ledger = NoiseSource(3), ledger_for(1.0)
-        with monkeypatch.context() as patch:
-            patch.setattr(NoiseSource, "_refill", spy)
-            assert below_thresh(dist, 0.0, src, ledger, whole(dist)) == (0, None)
-        assert sum(transformed) <= 2 * matchers._HEAD + noise_module._MAX_BLOCK
-        ref_src, ref_ledger = NoiseSource(3), RefLedger(1.0)
-        assert ref_below_thresh(dist, 0.0, 1, ref_src, ref_ledger, (0, 30_000)) is None
-        assert src.laplace(1.0) == ref_src.laplace(1.0)
+        for dtype in DTYPES:
+            transformed = []
+            dist = np.full(30_000, 200, dtype)
+            src, ledger = NoiseSource(3), ledger_for(1.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(NoiseSource, "_refill", spy)
+                assert below_thresh(dist, 0.0, src, ledger, whole(dist)) == (0, None)
+            assert sum(transformed) <= 2 * matchers._HEAD + noise_module._MAX_BLOCK
+            ref_ledger.assert_matches(ledger)
+            assert src.laplace(1.0) == after
 
 
 class TestExistence:
@@ -1033,18 +1056,27 @@ class TestDistancesOncePerQuery:
         assert calls == [(text, b"ab")]
 
 
+def noise_decided_count(n):
+    """A counting plan over ``n`` random binary bytes whose threshold, at
+    k = 2, sits among the distances (4 to 13, m = 16): the noise decides
+    its scans, and no run is uniform."""
+    rng = random.Random(3)
+    text = bytes(rng.choice(b"ab") for _ in range(n))
+    pattern = bytes(rng.choice(b"ab") for _ in range(16))
+    cap = matchers.WINDOW_OCCURRENCE_CAP * 2
+    logs = math.log(16) + math.log(2.0 * (n / 16) * cap / 0.1)
+    return plan(text, MatchQuery(pattern, 2, 16.0 * cap * logs / 3.0, 0.1), "count")
+
+
 class TestOneCapCheckPerQuery:
+    """A scanning plan checks the cap once, while it is prepared, on the
+    records that bound every run's; only a counting run that the noise
+    decides checks its own ledger."""
+
     @pytest.fixture
-    def checked(self, monkeypatch):
-        checked = []
-        check = BudgetLedger.assert_within_cap
-
-        def counting(ledger):
-            checked.append(ledger)
-            check(ledger)
-
-        monkeypatch.setattr(BudgetLedger, "assert_within_cap", counting)
-        return checked
+    def checked(self):
+        with cap_checks() as checked:
+            yield checked
 
     @pytest.mark.parametrize(
         "text, query, variant",
@@ -1055,15 +1087,117 @@ class TestOneCapCheckPerQuery:
         ],
         ids=["existence", "report_periodic", "count_nonperiodic"],
     )
-    def test_scanning_matcher_checks_once(self, checked, text, query, variant):
-        result = match_auto(text, query, NoiseSource(2), variant=variant)
-        assert checked == [result.ledger]
+    def test_scanning_plan_checks_once(self, checked, text, query, variant):
+        # The checked records are the ones a run charges: the one existence
+        # scan, both scans of every reporting window, the uniform count.
+        prepared = plan(text, query, variant)
+        [paid] = checked
+        result = prepared.run(NoiseSource(2))
+        prepared.tally(NoiseSource(2), 5)
+        assert checked == [paid]
+        assert (paid.epsilon, paid.share) == (query.epsilon, prepared.contract.share)
+        assert paid._runs == result.ledger._runs
 
     def test_trivial_path_checks_nothing(self, checked):
         query = MatchQuery(b"a", 1, 1.0, 0.1)
         result = match_auto(b"abcdefghij", query, NoiseSource(2))
         assert result.regime is Regime.TRIVIAL_FALLBACK
         assert checked == []
+
+    def test_count_the_noise_decides_checks_each_run(self, checked, monkeypatch):
+        # Through run and through tally, each run's own ledger is checked,
+        # and a check that finds it overspent raises.
+        prepared = noise_decided_count(400)
+        [paid] = checked
+        result = prepared.run(NoiseSource(1))
+        assert result.outcome.raw_count < 385
+        assert checked == [paid, result.ledger]
+        del checked[:]
+        prepared.tally(NoiseSource(1), 3)
+        assert len(checked) == 3
+        assert checked[0]._runs == result.ledger._runs
+        assert all(ledger._runs != paid._runs for ledger in checked)
+        monkeypatch.setattr(BudgetLedger, "_peak", lambda ledger: ledger.share + 1)
+        with pytest.raises(matchers.PrivacyBudgetExceeded):
+            prepared.run(NoiseSource(1))
+        with pytest.raises(matchers.PrivacyBudgetExceeded):
+            prepared.tally(NoiseSource(1), 3)
+
+
+class TestRefusedAtPlanTime:
+    """Where the cap binds, a `CONTRACTS` row whose share is one too small is
+    refused while the query is prepared, before the source serves or peeks a
+    draw."""
+
+    @staticmethod
+    def periodic():
+        # Both scans of 3 windows cover the middle positions: 6 = the share.
+        return tile(b"ab", 400), MatchQuery(tile(b"ab", 128), 2, 600.0, 0.1)
+
+    @staticmethod
+    def counting():
+        # m = 2000 > 1152 k: each of 2 windows starts 1152 scans that cover
+        # position 3151, 2304 = the share.
+        rng = random.Random(4)
+        text = bytes(rng.choice(b"acgt") for _ in range(6000))
+        pattern = bytes(rng.choice(b"acgt") for _ in range(2000))
+        return text, MatchQuery(pattern, 1, 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "case, matcher",
+        [(periodic, "report_periodic"), (counting, "count_nonperiodic")],
+        ids=["periodic", "counting"],
+    )
+    def test_lowered_share_draws_nothing(self, monkeypatch, case, matcher):
+        text, query = case()
+        assert plan(text, query).matcher == matcher
+        result = match_auto(text, query, NoiseSource(7))
+        assert result.to_record(query)["budget_max"] == query.epsilon
+        lower_share(monkeypatch, matcher)
+        with pytest.raises(matchers.PrivacyBudgetExceeded):
+            plan(text, query)
+        src = PeekLog(7)
+        with pytest.raises(matchers.PrivacyBudgetExceeded):
+            match_auto(text, query, src)
+        assert src.peeks == []
+        assert src.laplace(1.0) == NoiseSource(7).laplace(1.0)
+
+
+class TestNoRunOutspendsTheUniformRecords:
+    """The certificate a counting plan checks: no run, whatever the noise,
+    covers a position with more scans than the uniform run's records."""
+
+    @given(
+        size=st.integers(1, 60),
+        m=st.integers(1, 6),
+        cap=st.sampled_from([1, 2, 3, matchers.WINDOW_OCCURRENCE_CAP]),
+        data=st.data(),
+        above=st.floats(0.5, 3.5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cover_is_bounded(self, size, m, cap, data, above, seed):
+        # Binary texts, a window cap that may cut windows, and a threshold
+        # ``above`` over k, among the distances: the noise decides where
+        # scans hit, so runs start their scans at many different places.
+        k = data.draw(st.integers(1, m))
+        text = data.draw(st.binary(min_size=size + m - 1, max_size=size + m - 1))
+        text = bytes(b"ab"[c & 1] for c in text)
+        pattern = data.draw(st.binary(min_size=m, max_size=m))
+        pattern = bytes(b"ab"[c & 1] for c in pattern)
+        n, scans = len(text), cap * k
+        logs = math.log(m) + math.log(2.0 * (n / m) * scans / 0.1)
+        query = MatchQuery(pattern, k, 16.0 * scans * logs / above, 0.1)
+        with pytest.MonkeyPatch.context() as patch, cap_checks() as checked:
+            patch.setattr(matchers, "WINDOW_OCCURRENCE_CAP", cap)
+            prepared = matchers._prepare_count(text, query, k)
+        [paid] = checked
+        bound = spent_by_position(paid)
+        src = NoiseSource(seed)
+        for _ in range(4):
+            _, ledger = run_half(prepared, src, query.epsilon)
+            spent = spent_by_position(ledger)
+            assert all(spent[p] <= bound.get(p, 0) for p in spent)
 
 
 class TestTrivialAll:
@@ -1176,27 +1310,20 @@ class TestMatchAuto:
         ],
         ids=["periodic", "non-periodic", "small-k", "trivial"],
     )
-    def test_ledger_share_is_the_contract_share(
-        self, monkeypatch, text, query, regime, variant
-    ):
-        # A run's ledger, and the one a tally checks, are built for the
-        # share of the contract of the matcher that runs.
-        prepared = plan(text, query, variant)
+    def test_ledger_share_is_the_contract_share(self, text, query, regime, variant):
+        # A run's ledger, the one its plan checks and any a tally checks
+        # are built for the share of the contract of the matcher that runs.
+        with cap_checks() as checked:
+            prepared = plan(text, query, variant)
+            shares = [ledger.share for ledger in checked]
+            scans = prepared.matcher != "trivial_all"
+            assert shares == [prepared.contract.share] * scans
+            result = prepared.run(NoiseSource(4))
+            prepared.tally(NoiseSource(4), 3)
         assert plan(text, query).regime is regime
-        result = prepared.run(NoiseSource(4))
         assert result.ledger.share == prepared.contract.share
         assert result.contract is prepared.contract
-        checked = []
-        check = BudgetLedger.assert_within_cap
-
-        def recording(ledger):
-            checked.append(ledger.share)
-            check(ledger)
-
-        monkeypatch.setattr(BudgetLedger, "assert_within_cap", recording)
-        prepared.tally(NoiseSource(4), 3)
-        assert set(checked) <= {prepared.contract.share}
-        assert bool(checked) == (prepared.matcher != "trivial_all")
+        assert {ledger.share for ledger in checked} <= {prepared.contract.share}
 
     def test_invalid_variant(self):
         query = MatchQuery(b"ab", 1, 1.0, 0.1)
@@ -1597,10 +1724,13 @@ def tallies_as_reference(text, query, k_eff, seed, runs):
     """``runs`` counting runs on one source, as consecutive runs and as one
     batch, against as many one-at-a-time reference counts on a source of the
     same seed: the same outcomes, the same run records and the same next
-    draw. The batch's ledger holds the uniform run's records (every scan hit
-    at its first distance) once, or nothing when no run was uniform (then
-    every run is counted on a ledger of its own). Returns the tally."""
-    prepared = matchers._prepare_count(text, query, k_eff)
+    draw. The plan checks the uniform run's records (every scan hit at its
+    first distance) once. The batch charges no ledger for the runs its
+    compare finds uniform, and checks the ledger of each run it counts
+    through the kernel, every run that is not uniform among them, which
+    holds that run's records. Returns the tally."""
+    with cap_checks() as checked:
+        prepared = matchers._prepare_count(text, query, k_eff)
     n, m = len(text), query.m
     cap = matchers.WINDOW_OCCURRENCE_CAP * k_eff
     uniform = [
@@ -1608,9 +1738,11 @@ def tallies_as_reference(text, query, k_eff, seed, runs):
         for a, b in counting_cover(n, m)
         if b - m + 2 > a
     ]
-    size = sum(scans for _, scans, _ in uniform)
+    assert [(paid.share, paid._runs) for paid in checked] == [
+        (prepared[0].share, uniform)
+    ]
     src, ref_src = NoiseSource(seed), NoiseSource(seed)
-    want, any_uniform = Counter(), False
+    want, odd = Counter(), []
     for _ in range(runs):
         ref_ledger = RefLedger(query.epsilon)
         _, count, witness, raw = ref_count_nonperiodic(
@@ -1620,11 +1752,14 @@ def tallies_as_reference(text, query, k_eff, seed, runs):
         assert outcome == CountOutcome(count, witness, raw)
         ref_ledger.assert_matches(ledger)
         want[outcome] += 1
-        any_uniform |= raw == size and ref_ledger.run_records() == uniform
+        if ref_ledger.run_records() != uniform:
+            odd.append(ref_ledger.run_records())
     tally_src = NoiseSource(seed)
-    ledger = BudgetLedger(query.epsilon, prepared[0].share)
-    assert prepared[2](tally_src, ledger, runs) == want
-    assert ledger._runs == (uniform if any_uniform else [])
+    with cap_checks() as checked:
+        assert prepared[2](tally_src, runs) == want
+    assert [ledger._runs for ledger in checked if ledger._runs != uniform] == odd
+    assert len(checked) <= runs
+    assert {ledger.share for ledger in checked} <= {prepared[0].share}
     assert tally_src.laplace(1.0) == src.laplace(1.0) == ref_src.laplace(1.0)
     return want
 
@@ -1684,9 +1819,9 @@ class TestCountTally:
         query = MatchQuery(b"abab", 1, 6e4, 0.1)
         got = tallies_as_reference(b"abababab", query, 1, 3, 31)
         assert got[CountOutcome(5, 0, 5)] == 30 and sum(got.values()) == 31
-        contract, _, batch = matchers._prepare_count(b"abababab", query, 1)
+        _, _, batch = matchers._prepare_count(b"abababab", query, 1)
         src = PeekLog(3)
-        assert batch(src, BudgetLedger(query.epsilon, contract.share), 31) == got
+        assert batch(src, 31) == got
         assert src.peeks == [2 * 5 * 31]
 
     @pytest.mark.parametrize("epsilon", [1.0, 3e4])
@@ -1805,35 +1940,24 @@ class TestTally:
         ran_on = [o for o in got if not o.found or o.witness >= matchers._HEAD]
         assert ran_on and ExistenceOutcome(False, None) in got
 
-    def test_ledger_checked_once_per_existence_tally(self, monkeypatch):
+    def test_existence_ledger_checked_once_per_plan(self):
         # Every existence run's ledger is the one record (0, one run, n) at
-        # share 1; a count plan checks each run's own ledger.
-        checked = []
-        real = BudgetLedger.assert_within_cap
-
-        def check(ledger):
-            checked.append((ledger.share, list(ledger._runs)))
-            real(ledger)
-
-        monkeypatch.setattr(BudgetLedger, "assert_within_cap", check)
+        # share 1: the plan checks it once, and a tally checks nothing.
         text, query = self.c7b_plan(True)
-        plan(text, query, "existence").tally(NoiseSource(2), 500)
-        assert checked == [(1, [(0, 1, len(text))])]  # (start, runs, stop)
+        with cap_checks() as checked:
+            plan(text, query, "existence").tally(NoiseSource(2), 500)
+        records = [(ledger.share, ledger._runs) for ledger in checked]
+        assert records == [(1, [(0, 1, len(text))])]  # (start, runs, stop)
 
-    def test_uniform_count_runs_checked_once(self, monkeypatch):
+    def test_uniform_count_records_checked_once_per_plan(self):
         # Every uniform counting run's ledger holds the same records, one a
-        # window: a tally charges and checks them once.
-        checked = []
-        real = BudgetLedger.assert_within_cap
-
-        def check(ledger):
-            checked.append((ledger.share, list(ledger._runs)))
-            real(ledger)
-
-        monkeypatch.setattr(BudgetLedger, "assert_within_cap", check)
-        prepared = plan(b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count")
-        assert prepared.tally(NoiseSource(2), 5) == Counter({CountOutcome(7, 0, 7): 5})
-        assert checked == [(2304, [(0, 2, 3), (2, 2, 5), (4, 2, 7), (6, 1, 8)])]
+        # window: the plan checks them once, and a tally checks nothing.
+        with cap_checks() as checked:
+            prepared = plan(b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count")
+            tallied = prepared.tally(NoiseSource(2), 5)
+        assert tallied == Counter({CountOutcome(7, 0, 7): 5})
+        records = [(ledger.share, ledger._runs) for ledger in checked]
+        assert records == [(2304, [(0, 2, 3), (2, 2, 5), (4, 2, 7), (6, 1, 8)])]
 
     @given(
         size=st.sampled_from([1, 2, 5, 33, 80]),

@@ -1,5 +1,6 @@
 """Tests for the private matchers and the budget ledger."""
 
+import hashlib
 import json
 import math
 import random
@@ -514,23 +515,39 @@ class TestBelowThresh:
 # ones that ``distance_array`` returns.
 DTYPES = (np.int64, np.uint16, np.uint32)
 
+# The reference scans already run, by the distances they read, their
+# parameters and the stream their source draws: the dtype cases of one
+# scan share one reference run.
+_REFERENCE_RUNS = {}
 
-def scans_as_reference(dist, thresh, epsilon, source, view=lambda d: d):
-    """One scan over all of ``view(dist)``: the one-at-a-time reference scan
-    once, on ``source()``, then the kernel on ``dist`` copied to each of
-    ``DTYPES``, each on a fresh ``source()`` of the same stream: the same
-    hit, the same ledger run records and the same next draw. Returns the
-    hit."""
-    values, ref_src, ref_ledger = view(dist).tolist(), source(), RefLedger(epsilon)
-    hit = ref_below_thresh(values, thresh, 1, ref_src, ref_ledger, (0, len(values)))
-    after = ref_src.laplace(1.0)
-    for dtype in DTYPES:
-        scanned = view(dist.astype(dtype))
-        src, ledger = source(), BudgetLedger(epsilon, 1)
-        got = below_thresh(scanned, thresh, src, ledger, whole(scanned))
-        assert got == (int(hit is not None), hit), dtype
-        ref_ledger.assert_matches(ledger)
-        assert src.laplace(1.0) == after, dtype
+
+def reference_run(key, values, run):
+    """``run()`` once per ``key`` and the digest of ``values``; a repeat
+    returns the first result."""
+    key = (hashlib.sha256(np.ascontiguousarray(values).tobytes()).digest(), *key)
+    if key not in _REFERENCE_RUNS:
+        _REFERENCE_RUNS[key] = run()
+    return _REFERENCE_RUNS[key]
+
+
+def scans_as_reference(dist, thresh, epsilon, source, stream, dtype, view=lambda d: d):
+    """One scan over all of ``view(dist)`` copied to ``dtype`` on
+    ``source()``, and the one-at-a-time reference scan on a source of the
+    same stream, named by ``stream``: the same hit, the same ledger run
+    records and the same next draw. Returns the hit."""
+
+    def reference():
+        values, ref_src, ref_ledger = view(dist).tolist(), source(), RefLedger(epsilon)
+        hit = ref_below_thresh(values, thresh, 1, ref_src, ref_ledger, (0, len(values)))
+        return hit, ref_ledger, ref_src.laplace(1.0)
+
+    hit, ref_ledger, after = reference_run((thresh, epsilon, stream), view(dist), reference)
+    scanned = view(dist.astype(dtype))
+    src, ledger = source(), BudgetLedger(epsilon, 1)
+    got = below_thresh(scanned, thresh, src, ledger, whole(scanned))
+    assert got == (int(hit is not None), hit)
+    ref_ledger.assert_matches(ledger)
+    assert src.laplace(1.0) == after
     return hit
 
 
@@ -556,34 +573,39 @@ def uniform_source(chosen) -> NoiseSource:
     return src
 
 
-def windows_as_reference(dist, thresh, epsilon, windows, max_hits, seed):
-    """The one-at-a-time reference scans over ``windows`` once, then
-    ``below_thresh`` on ``dist`` copied to each of ``DTYPES``, each on a
-    fresh source of ``seed``: the same hits, first hit, ledger run records
-    and next draw. Returns the hit count and the first hit."""
-    values, ref_src, ref_ledger = dist.tolist(), NoiseSource(seed), RefLedger(epsilon)
-    hits, first_hit = 0, None
-    for lo, hi, (first, stop) in windows:
-        at, got = lo, 0
-        while at < hi and got < max_hits:
-            span = (first + at - lo, stop)
-            local = ref_below_thresh(values[at:hi], thresh, 1, ref_src, ref_ledger, span)
-            if local is None:
-                break
-            at += local + 1
-            got += 1
-            first_hit = at - 1 if first_hit is None else first_hit
-        hits += got
-    after = ref_src.laplace(1.0)
-    for dtype in DTYPES:
-        src, ledger = NoiseSource(seed), BudgetLedger(epsilon, 1)
-        got = below_thresh(dist.astype(dtype), thresh, src, ledger, windows, max_hits)
-        assert got == (hits, first_hit), dtype
-        ref_ledger.assert_matches(ledger)
-        assert src.laplace(1.0) == after, dtype
-    return hits, first_hit
+def windows_as_reference(dist, thresh, epsilon, windows, max_hits, seed, dtype):
+    """``below_thresh`` over ``windows`` on ``dist`` copied to ``dtype``, and
+    the one-at-a-time reference scans, each on a source of ``seed``: the
+    same hits, first hit, ledger run records and next draw. Returns the hit
+    count and the first hit."""
+
+    def reference():
+        values, ref_src, ref_ledger = dist.tolist(), NoiseSource(seed), RefLedger(epsilon)
+        hits, first_hit = 0, None
+        for lo, hi, (first, stop) in windows:
+            at, got = lo, 0
+            while at < hi and got < max_hits:
+                span = (first + at - lo, stop)
+                local = ref_below_thresh(values[at:hi], thresh, 1, ref_src, ref_ledger, span)
+                if local is None:
+                    break
+                at += local + 1
+                got += 1
+                first_hit = at - 1 if first_hit is None else first_hit
+            hits += got
+        return (hits, first_hit), ref_ledger, ref_src.laplace(1.0)
+
+    key = (thresh, epsilon, windows, max_hits, seed)
+    want, ref_ledger, after = reference_run(key, dist, reference)
+    src, ledger = NoiseSource(seed), BudgetLedger(epsilon, 1)
+    got = below_thresh(dist.astype(dtype), thresh, src, ledger, windows, max_hits)
+    assert got == want
+    ref_ledger.assert_matches(ledger)
+    assert src.laplace(1.0) == after
+    return got
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 class TestPrunedScan:
     """Past its head a scan jumps over the distances that no draw can bring
     below the noisy threshold, serving their draws unpeeked, and compares a
@@ -591,10 +613,10 @@ class TestPrunedScan:
     200 is far past the bound (200 - 4 * UNIT_BOUND > 55) and a distance of
     0 hits about half the time, so each case below meets hits and misses.
 
-    Each case runs the pure-Python reference once a seed, and the kernel on
-    int64 distances and on the uint16 and uint32 ones that
-    ``distance_array`` returns, whose compare with the integer bound must be
-    exact even where the bound lies outside the dtype's range."""
+    Each case runs the kernel on int64 distances and on the uint16 and
+    uint32 ones that ``distance_array`` returns, whose compare with the
+    integer bound must be exact even where the bound lies outside the
+    dtype's range. The three share one pure-Python reference run a seed."""
 
     @pytest.mark.parametrize(
         "n, candidates",
@@ -621,17 +643,17 @@ class TestPrunedScan:
             ),
         ],
     )
-    def test_lone_candidates_scan_as_the_reference(self, n, candidates):
+    def test_lone_candidates_scan_as_the_reference(self, dtype, n, candidates):
         dist = np.full(n, 200)
         dist[candidates] = 0
         hits = [
-            scans_as_reference(dist, 0.0, 1.0, lambda: NoiseSource(seed))
+            scans_as_reference(dist, 0.0, 1.0, lambda: NoiseSource(seed), seed, dtype)
             for seed in range(40)
         ]
         assert set(hits) == {None, *candidates}
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_jump_stops_at_the_window_end(self, offset):
+    def test_jump_stops_at_the_window_end(self, dtype, offset):
         # Counting windows of 100 starts, hopeless but for one distance at
         # offset -1, 0 or 1 from the first window's end, hi = 100. A search
         # that ran past hi would serve draws of the next window's distances
@@ -640,12 +662,12 @@ class TestPrunedScan:
         dist[100 + offset] = 0
         windows = tuple((a, a + 100, (a, a + 163)) for a in range(0, 400, 100))
         seen = {
-            windows_as_reference(dist, 0.0, 1.0, windows, 5, seed)
+            windows_as_reference(dist, 0.0, 1.0, windows, 5, seed, dtype)
             for seed in range(40)
         }
         assert seen == {(0, None), (1, 100 + offset)}
 
-    def test_reversed_view(self):
+    def test_reversed_view(self, dtype):
         # A reporting window's backward scan reads a negative-stride view.
         base = np.full(3000, 200)
         base[[20, 1500, 1501, 2960]] = 0
@@ -656,13 +678,13 @@ class TestPrunedScan:
             return backward
 
         hits = {
-            scans_as_reference(base, 0.0, 1.0, lambda: NoiseSource(seed), view)
+            scans_as_reference(base, 0.0, 1.0, lambda: NoiseSource(seed), seed, dtype, view)
             for seed in range(40)
         }
         assert hits == {None, 29, 1488, 1489, 2969}
 
     @pytest.mark.parametrize("thresh", [-1e20, -1e21])
-    def test_tiny_epsilon_bound_past_int64(self, thresh):
+    def test_tiny_epsilon_bound_past_int64(self, dtype, thresh):
         # At eps = 1e-18 the draws' reach, UNIT_BOUND * 4e18, is past the
         # int64 range. At thresh -1e20 a noisy threshold plus that reach is
         # above it and every distance might hit, so none is pruned; at
@@ -671,7 +693,7 @@ class TestPrunedScan:
         refill = NoiseSource._refill
         dist = np.arange(5000) % 300
         for seed in range(4):
-            made = []  # each source and the units its refills transformed
+            made = []  # the units each source's refills transformed
 
             def source():
                 src, transformed = NoiseSource(seed), []
@@ -685,14 +707,14 @@ class TestPrunedScan:
                 made.append(transformed)
                 return src
 
-            assert scans_as_reference(dist, thresh, 1e-18, source) is None
-            for transformed in made[1:]:  # the kernel's, on each dtype
-                if thresh == -1e20:
-                    assert sum(transformed) >= len(dist)
-                else:  # the threshold and head, then the next draw's block
-                    assert sum(transformed) <= 4 * matchers._HEAD
+            assert scans_as_reference(dist, thresh, 1e-18, source, seed, dtype) is None
+            transformed = made[-1]  # the kernel's source is the last made
+            if thresh == -1e20:
+                assert sum(transformed) >= len(dist)
+            else:  # the threshold and head, then the next draw's block
+                assert sum(transformed) <= 4 * matchers._HEAD
 
-    def test_bound_past_the_uint16_range(self):
+    def test_bound_past_the_uint16_range(self, dtype):
         # At eps = 4 (distance noise scale 1) the bound lies about 36 above
         # the noisy threshold, 65,520: above 65,535, the uint16 maximum, so
         # no distance is pruned. The distances of 65,519 each hit about half
@@ -701,12 +723,14 @@ class TestPrunedScan:
         dist = np.full(3000, 65_535)
         dist[[100, 2000]] = 65_519
         hits = {
-            scans_as_reference(dist, 65_520.0, 4.0, lambda: NoiseSource(seed))
+            scans_as_reference(
+                dist, 65_520.0, 4.0, lambda: NoiseSource(seed), seed, dtype
+            )
             for seed in range(40)
         }
         assert hits == {None, 100, 2000}
 
-    def test_infinite_reach(self):
+    def test_infinite_reach(self, dtype):
         # At eps = 1e-307 the draws' reach overflows to inf, and so does a
         # draw past about 4.5 units (numpy warns of that overflow): every
         # distance might hit, nothing is pruned and the bound raises nothing.
@@ -714,23 +738,25 @@ class TestPrunedScan:
             hits = [
                 scans_as_reference(
                     np.zeros(2000, np.int64), -1.5e308, 1e-307,
-                    lambda: NoiseSource(seed),
+                    lambda: NoiseSource(seed), seed, dtype,
                 )
                 for seed in range(40)
             ]
         assert any(hit is None or hit > matchers._HEAD for hit in hits)
 
-    def test_huge_epsilon(self):
+    def test_huge_epsilon(self, dtype):
         # At eps = 1e12 the draws reach about 1.4e-10: a distance of 50
         # against the threshold 50 hits on about half the draws, 51 never.
         rng = np.random.default_rng(5)
         for seed in range(40):
             dist = rng.choice([50, 51, 51, 51, 60, 300], 3000)
             dist[:100] = 51
-            hit = scans_as_reference(dist, 50.0, 1e12, lambda: NoiseSource(seed))
+            hit = scans_as_reference(
+                dist, 50.0, 1e12, lambda: NoiseSource(seed), seed, dtype
+            )
             assert hit is None or dist[hit] == 50
 
-    def test_distance_at_the_bound_is_compared(self, monkeypatch):
+    def test_distance_at_the_bound_is_compared(self, dtype, monkeypatch):
         # With the bound tightened to the largest unit there is, 52 ln 2, a
         # distance d with d - bound * d_scale == noisy hits on the one draw
         # that reaches the bound, so the kernel must compare it, not prune
@@ -743,17 +769,17 @@ class TestPrunedScan:
         thresh = 100 - bound * 1.0  # noisy == thresh: its unit is 0
         assert dist[40] - bound * 1.0 == thresh
         chosen = {1 + 40: 2.0**-53}  # draw 0 is the threshold's
-        hit = scans_as_reference(dist, thresh, 4.0, lambda: uniform_source(chosen))
+        stream = ("uniform", tuple(chosen.items()))
+        hit = scans_as_reference(
+            dist, thresh, 4.0, lambda: uniform_source(chosen), stream, dtype
+        )
         assert hit == 40
 
-    def test_hopeless_scan_transforms_only_its_head(self, monkeypatch):
+    def test_hopeless_scan_transforms_only_its_head(self, dtype, monkeypatch):
         # 30,000 distances that no draw can bring below the threshold: the
         # threshold and head draws are transformed, and at most one more
         # block, while the rest are skipped by jumping the generator.
-        ref_src, ref_ledger = NoiseSource(3), RefLedger(1.0)
-        hopeless = [200] * 30_000
-        assert ref_below_thresh(hopeless, 0.0, 1, ref_src, ref_ledger, (0, 30_000)) is None
-        after = ref_src.laplace(1.0)
+        transformed = []
         refill = NoiseSource._refill
 
         def spy(src, short):
@@ -761,16 +787,16 @@ class TestPrunedScan:
             refill(src, short)
             transformed.append(len(src._units) - left)
 
-        for dtype in DTYPES:
-            transformed = []
-            dist = np.full(30_000, 200, dtype)
-            src, ledger = NoiseSource(3), ledger_for(1.0)
-            with monkeypatch.context() as patch:
-                patch.setattr(NoiseSource, "_refill", spy)
-                assert below_thresh(dist, 0.0, src, ledger, whole(dist)) == (0, None)
-            assert sum(transformed) <= 2 * matchers._HEAD + noise_module._MAX_BLOCK
-            ref_ledger.assert_matches(ledger)
-            assert src.laplace(1.0) == after
+        dist = np.full(30_000, 200, dtype)
+        src, ledger = NoiseSource(3), ledger_for(1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(NoiseSource, "_refill", spy)
+            assert below_thresh(dist, 0.0, src, ledger, whole(dist)) == (0, None)
+        assert sum(transformed) <= 2 * matchers._HEAD + noise_module._MAX_BLOCK
+        ref_src, ref_ledger = NoiseSource(3), RefLedger(1.0)
+        assert ref_below_thresh(dist.tolist(), 0.0, 1, ref_src, ref_ledger, (0, 30_000)) is None
+        ref_ledger.assert_matches(ledger)
+        assert src.laplace(1.0) == ref_src.laplace(1.0)
 
 
 class TestExistence:
@@ -1087,7 +1113,7 @@ class TestOneCapCheckPerQuery:
         ],
         ids=["existence", "report_periodic", "count_nonperiodic"],
     )
-    def test_scanning_plan_checks_once(self, checked, text, query, variant):
+    def test_scanning_matcher_checks_once(self, checked, text, query, variant):
         # The checked records are the ones a run charges: the one existence
         # scan, both scans of every reporting window, the uniform count.
         prepared = plan(text, query, variant)
@@ -1940,7 +1966,7 @@ class TestTally:
         ran_on = [o for o in got if not o.found or o.witness >= matchers._HEAD]
         assert ran_on and ExistenceOutcome(False, None) in got
 
-    def test_existence_ledger_checked_once_per_plan(self):
+    def test_ledger_checked_once_per_existence_tally(self):
         # Every existence run's ledger is the one record (0, one run, n) at
         # share 1: the plan checks it once, and a tally checks nothing.
         text, query = self.c7b_plan(True)
@@ -1949,7 +1975,7 @@ class TestTally:
         records = [(ledger.share, ledger._runs) for ledger in checked]
         assert records == [(1, [(0, 1, len(text))])]  # (start, runs, stop)
 
-    def test_uniform_count_records_checked_once_per_plan(self):
+    def test_uniform_count_runs_checked_once(self):
         # Every uniform counting run's ledger holds the same records, one a
         # window: the plan checks them once, and a tally checks nothing.
         with cap_checks() as checked:

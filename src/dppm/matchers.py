@@ -48,18 +48,17 @@ run reading the source's stream from its cursor and the distances its
 deterministic half computed, so runs on one source equal as many fresh calls
 seed for seed. ``tally(src, runs)`` counts the outcomes of consecutive runs;
 existence, counting and the trivial reporter decide them in a batch, and
-periodic reporting runs them one by one. An existence plan decides them
-together in `_first_hits`, which compares every start of a peeked block of
-draws with its first distances in one strided numpy compare, then walks the
-chain of starts and counts each scan's first hit as it goes. A counting plan
-knows, at prepare time, its uniform run, in which every scan hits at its
-first distance: its chain of first distances, its ledger records and its
-outcome are fixed. One compare serves a lone run and a tally's block of runs
+periodic reporting runs them one by one. A counting plan knows, at prepare
+time, its uniform run, in which every scan hits at its first distance: its
+chain of first distances, its ledger records and its outcome are fixed. One
+compare, `_uniform_runs`, serves a lone run and a tally's block of runs
 alike: it peeks at the runs' draws once, compares them with the chain in
 chunks of `_BLOCK` scans, and serves the draws of the uniform runs before
 the first run in which some scan misses there; the kernel counts that run.
-A tally counts the uniform runs in one step. This compare is the only place
-where the first distances of many counting scans are compared at once: the
+An existence plan decides its runs in `_first_hits`, which leads each block
+of runs with that compare on the one-scan chain of the first distance, then
+compares every later start of a peeked block of draws with its first
+distances in one strided numpy compare and walks the chain of starts. The
 kernel runs one scan at a time. The trivial reporter draws nothing, so its
 tally is its one outcome, ``runs`` times.
 
@@ -193,12 +192,14 @@ class BudgetLedger:
         self.epsilon = check_real("epsilon", epsilon)
         self.share = check_int("share", share, 1)
         self._runs: list[tuple[int, int, int]] = []  # (start, runs, stop)
+        self._known: Optional[int] = None  # the peak of _runs, once swept
 
     def charge_span(self, start: int, stop: int, runs: int = 1) -> None:
         """Charge ``runs`` scans, starting at text positions ``start``,
         ``start + 1``, ..., each on the span from its start to ``stop``; the
         last starts before ``stop``."""
         start, runs = check_int("start", start), check_int("runs", runs, 1)
+        self._known = None
         self._runs.append((start, runs, check_int("stop", stop, start + runs)))
 
     def _peak(self) -> int:
@@ -226,10 +227,11 @@ class BudgetLedger:
     @property
     def max_spent(self) -> Fraction:
         """Largest accumulated charge over all positions, as an exact rational."""
-        return Fraction(self.epsilon) * self._peak() / self.share
+        peak = self._peak() if self._known is None else self._known
+        return Fraction(self.epsilon) * peak / self.share
 
     def assert_within_cap(self) -> None:
-        peak = self._peak()
+        self._known = peak = self._peak()
         if peak > self.share:
             raise PrivacyBudgetExceeded(
                 f"privacy budget exceeded: a position pays {peak}/{self.share} "
@@ -257,8 +259,9 @@ _BLOCK = 1 << 16
 # otherwise: over a long text a scan that runs on leaves its block, so a
 # block would decide about _RUN_ON scans, and one costs about 15 us to set up
 # where a single scan over the C7 audit text takes about 2 us. A counting
-# tally compares blocks of runs by the same rule, counting the runs that are
-# not uniform (each ends its block) in place of scans that run on.
+# tally, and an existence tally's lead, compare blocks of runs by the same
+# rule, counting the runs that are not uniform (each ends its block) in place
+# of scans that run on; a block holds up to twice their mean stretch.
 _RUN_ON = 16
 
 
@@ -395,6 +398,27 @@ def _scan_on(dist, at, end, noisy, d_scale, src):
     return None
 
 
+def _uniform_runs(src, chain, thresh, t_scale, d_scale, runs):
+    """How many of the next ``runs`` runs of S = len(chain) scans, in a row,
+    are uniform (each scan hits at its entry of ``chain``): their draws are
+    served, the rest peeked at only. The units are peeked at once, a row of
+    2S a run (a threshold unit, then a distance unit, a scan), and compared
+    with the chain in chunks of _BLOCK scans, each chunk only for the runs
+    uniform so far."""
+    size = len(chain)
+    u = src.units(2 * size * runs).reshape(runs, 2 * size)
+    j = runs
+    for c in range(0, size, _BLOCK):
+        chunk = u[:j, 2 * c : 2 * (c + _BLOCK)]
+        noisy = thresh + t_scale * chunk[:, ::2]
+        hit = chain[c : c + _BLOCK] + d_scale * chunk[:, 1::2] <= noisy
+        whole = hit.all(axis=1)
+        if not whole.all():
+            j = int(whole.argmin())
+    src.skip(2 * size * j)
+    return j
+
+
 def _first_hits(dist, thresh, src, ledger, runs):
     """``runs`` existence scans, one after another on ``src``, each the
     `below_thresh` scan at ``ledger``'s slice over one window of ``dist``: a
@@ -417,7 +441,10 @@ def _first_hits(dist, thresh, src, ledger, runs):
     block. The block's draws are served with one skip; a chain that leaves the
     block peeks the next one. While more than one scan in _RUN_ON has run on,
     scans run one at a time through `below_thresh`, each charging the
-    certified ``(0, 1, n)`` to a fresh ledger like ``ledger``, unread.
+    certified ``(0, 1, n)`` to a fresh ledger like ``ledger``, unread. Each
+    block leads with `_uniform_runs` on ``dist[:1]`` (see _RUN_ON): it counts
+    the scans that hit at index 0, two draws each, in one skip, and the
+    strided compare starts at the first that does not.
     """
     size = len(dist)
     width = min(size, _HEAD)
@@ -430,13 +457,22 @@ def _first_hits(dist, thresh, src, ledger, runs):
     per_scan = 2  # draws a scan served in the last block, rounded up
     left = runs
     while left:
-        if _RUN_ON * ran_on > runs - left:
+        done = runs - left
+        if _RUN_ON * ran_on > done:
             fresh = BudgetLedger(ledger.epsilon, ledger.share)
             _, at = below_thresh(dist, thresh, src, fresh, whole)
             hits[size if at is None else at] += 1
             ran_on += at is None or at >= width
             left -= 1
             continue
+        odd = done - counts[0] - hits[0]  # scans that missed index 0
+        if _RUN_ON * odd <= done:
+            lead = min(left, _BLOCK, 2 * done // odd if odd else left)
+            j = _uniform_runs(src, dist[:1], thresh, t_scale, d_scale, lead)
+            counts[0] += j
+            left -= j
+            if j == lead:
+                continue
         # Starts in this block: enough for the scans left at the last
         # block's rate, within a _BLOCK of compared distances.
         starts = min(per_scan * left, _BLOCK // (width + 1))
@@ -727,24 +763,6 @@ def _prepare_count(
     paid = _certified(query.epsilon, contract.share, records)
     t_scale, d_scale = _scales(paid)
 
-    def uniform_runs(src: NoiseSource, runs: int) -> int:
-        """How many of the next ``runs`` runs, in a row, are uniform: their
-        draws are served, the rest peeked at only. The runs' units are
-        peeked at once, a row of 2S a run (a threshold unit, then a distance
-        unit, a scan), and compared with the chain in chunks of _BLOCK
-        scans; each chunk compares only the runs uniform so far."""
-        u = src.units(2 * size * runs).reshape(runs, 2 * size)
-        j = runs
-        for c in range(0, size, _BLOCK):
-            chunk = u[:j, 2 * c : 2 * (c + _BLOCK)]
-            noisy = thresh + t_scale * chunk[:, ::2]
-            hit = chain[c : c + _BLOCK] + d_scale * chunk[:, 1::2] <= noisy
-            whole = hit.all(axis=1)
-            if not whole.all():
-                j = int(whole.argmin())
-        src.skip(2 * size * j)
-        return j
-
     def counted(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
         total, witness = below_thresh(dist, thresh, src, ledger, windows, cap)
         count = min(max(total, 0), n - m + 1)
@@ -752,7 +770,8 @@ def _prepare_count(
         return CountOutcome(count=count, witness=witness, raw_count=total)
 
     def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
-        if uniform_runs(src, 1):
+        if _uniform_runs(src, chain, thresh, t_scale, d_scale, 1):
+            ledger._known = None if ledger._runs else paid._known  # the certified peak
             ledger._runs += records
             return uniform
         return counted(src, ledger)
@@ -770,7 +789,7 @@ def _prepare_count(
             done = runs - left
             if _RUN_ON * odd <= done:
                 block = min(left, per_block, 2 * done // odd if odd else left)
-                j = uniform_runs(src, block)
+                j = _uniform_runs(src, chain, thresh, t_scale, d_scale, block)
                 counts[uniform] += j
                 left -= j
                 if j == block:
@@ -899,13 +918,14 @@ class QueryPlan:
     def tally(self, src: NoiseSource, runs: int) -> Counter[Outcome]:
         """How often each outcome comes out of ``runs`` consecutive runs on
         ``src``: ``Counter(self.outcome(src) for _ in range(runs))`` seed
-        for seed, leaving the source's cursor where those runs leave it. An
-        existence plan serves the runs in a vectorized pass over peeked
-        draws. A counting plan compares blocks of runs with its uniform run
-        (every scan hits at its first distance) and runs the others one by
-        one, each checking a ledger of its own; `plan` certified the rest.
-        The trivial reporter's plan draws nothing and counts its one
-        outcome. A periodic reporting plan runs ``outcome`` ``runs`` times."""
+        for seed, leaving the source's cursor where those runs leave it. A
+        counting plan compares blocks of runs with its uniform run (every
+        scan hits at its first distance) and runs the others one by one,
+        each checking a ledger of its own; `plan` certified the rest. An
+        existence plan leads each block with that compare on its first
+        distance and serves the rest in a pass over peeked draws. The
+        trivial reporter's plan draws nothing and counts its one outcome. A
+        periodic reporting plan runs ``outcome`` ``runs`` times."""
         runs = check_int("runs", runs)
         if self.batch is None:
             return Counter(self.outcome(src) for _ in range(runs))

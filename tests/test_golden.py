@@ -111,6 +111,9 @@ _NOISY_B = _NOISY_A[:550] + b"a" + _NOISY_A[551:]
 _MIXED_A = _random_bytes(_rng, b"acgt", 600)
 _MIXED_B = _MIXED_A[:300] + b"x" + _MIXED_A[301:]
 
+_C7B_A = ((b"a" * 4 + b"b" * 60) * 3)[:143]
+_C7B_B = _C7B_A[:13] + b"a" + _C7B_A[14:]
+
 # (matchers, text_a, text_b, pattern, k, epsilon)
 AUDIT_CASES = (
     (("existence", "canary"), b"ababab", b"abbbab", b"ba", 0, 1.0),
@@ -136,6 +139,11 @@ AUDIT_CASES = (
     # first distance, so a lane compares blocks of uniform runs at once and
     # counts the other runs through the kernel.
     (("count",), _MIXED_A, _MIXED_B, _NOISY_PATTERN, 1, 610.0),
+    # Acceptance C7b's pair: every distance of _C7B_A is 60, _C7B_B lowers
+    # the first 14 to 59, and the threshold is about 59.02, so the noise
+    # decides where each scan hits, whether it hits at its first distance
+    # and whether it runs on past its head.
+    (("existence",), _C7B_A, _C7B_B, b"a" * 64, 0, 1.0),
 )
 
 

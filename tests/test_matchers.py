@@ -1149,6 +1149,41 @@ class TestOneCapCheckPerQuery:
         with pytest.raises(matchers.PrivacyBudgetExceeded):
             prepared.tally(NoiseSource(1), 3)
 
+    def test_record_reads_the_checked_peak(self, monkeypatch):
+        # A uniform counting run's ledger holds exactly the certified records
+        # and carries the peak the plan's check swept, so its record sweeps
+        # nothing; a run the noise decides sweeps its own ledger once, in its
+        # check, and a charge after a check drops the peak it kept.
+        query = MatchQuery(b"ba", 1, 1.0, 0.1)
+        uniform = plan(b"abababab", query, "count")
+        decided = noise_decided_count(400)
+        swept = []
+        sweep = BudgetLedger._peak
+
+        def recording(ledger):
+            swept.append(ledger)
+            return sweep(ledger)
+
+        monkeypatch.setattr(BudgetLedger, "_peak", recording)
+        result = uniform.run(NoiseSource(2))
+        assert result.outcome == CountOutcome(7, 0, 7)
+        budget_max = result.to_record(query)["budget_max"]
+        assert swept == []
+        result.ledger._known = None
+        assert float(result.ledger.max_spent) == budget_max == 3 / 2304
+        assert swept == [result.ledger]
+        del swept[:]
+        result = decided.run(NoiseSource(1))
+        assert result.outcome.raw_count < 385
+        result.to_record(query)
+        assert swept == [result.ledger]
+        ledger, peak = result.ledger, sweep(result.ledger)
+        ledger.charge_span(0, 400, 3)
+        spent = ledger.max_spent
+        assert swept == [ledger] * 2
+        assert sweep(ledger) > peak
+        assert spent == Fraction(ledger.epsilon) * sweep(ledger) / ledger.share
+
 
 class TestRefusedAtPlanTime:
     """Where the cap binds, a `CONTRACTS` row whose share is one too small is
@@ -1903,6 +1938,20 @@ class TestCountTally:
         assert got == Counter({CountOutcome(size, 0, size): 2})
 
 
+def record_leads(monkeypatch) -> list:
+    """Log ``(runs, uniform)`` for every `matchers._uniform_runs` call."""
+    leads = []
+    lead = matchers._uniform_runs
+
+    def recording(*args):
+        j = lead(*args)
+        leads.append((args[-1], j))
+        return j
+
+    monkeypatch.setattr(matchers, "_uniform_runs", recording)
+    return leads
+
+
 class TestTally:
     """``QueryPlan.tally(src, runs)`` counts the outcomes of ``runs``
     consecutive runs on ``src``. An existence plan decides them in one
@@ -2069,8 +2118,9 @@ class TestTally:
     @pytest.mark.parametrize("text", [b"ababab", b"abbbab"])
     def test_c7_lane_peeks_one_block(self, text, monkeypatch):
         # An audit lane at C7's size decides its 250 runs from one peeked
-        # block of two draws a run (nearly every scan hits at its first
-        # distance) and the head's five.
+        # block of two draws a run: on this seed every scan hits at its first
+        # distance, so the lead compares them all and no strided block is
+        # peeked.
         prepared = plan(text, MatchQuery(b"ba", 0, 1.0, 0.1), "existence")
         src, loop_src = NoiseSource(11), NoiseSource(11)
         want = Counter(prepared.outcome(loop_src) for _ in range(250))
@@ -2083,8 +2133,53 @@ class TestTally:
 
         monkeypatch.setattr(NoiseSource, "units", units)
         assert prepared.tally(src, 250) == want
-        assert peeks == [2 * 250 + 5]
+        assert peeks == [2 * 250]
         assert src.laplace(1.0) == loop_src.laplace(1.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lead_breaks_and_resumes(self, seed, monkeypatch):
+        # Distances 2, 3, 1, 4, 0, 4, 0, ... (38 of them) against a threshold
+        # three distance noise scales above 2: about one scan in 30 misses
+        # its first distance, and a strided block walks about 960 runs, so a
+        # 3000-run tally opens several blocks with the lead, which counts the
+        # uniform stretches between those scans.
+        text = b"bbbb" + b"ab" * 20
+        logs = math.log(len(text) - 3) + math.log(2.0 / 0.1)
+        prepared = plan(text, MatchQuery(b"abab", 0, 4 * logs - 6, 0.1), "existence")
+        src, loop_src = NoiseSource(seed), NoiseSource(seed)
+        want = Counter(prepared.outcome(loop_src) for _ in range(3000))
+        leads = record_leads(monkeypatch)
+        assert prepared.tally(src, 3000) == want
+        assert src.laplace(1.0) == loop_src.laplace(1.0)
+        assert 0 < want[ExistenceOutcome(True, 0)] < 3000
+        assert leads[0][1] < leads[0][0] and any(j for _, j in leads[1:])
+
+    def test_noise_decided_lane_leads_at_most_twice(self, monkeypatch):
+        # On C7b's pair about half the scans miss their first distance, so
+        # after its first block the tally stops leading with the compare.
+        text, query = self.c7b_plan(True)
+        prepared = plan(text, query, "existence")
+        leads = record_leads(monkeypatch)
+        src, loop_src = NoiseSource(8), NoiseSource(8)
+        assert prepared.tally(src, 3000) == Counter(
+            prepared.outcome(loop_src) for _ in range(3000)
+        )
+        assert 1 <= len(leads) <= 2
+
+    @pytest.mark.parametrize("epsilon, witness", [(1.0, 0), (40.0, 2), (1e4, 4)])
+    def test_zero_mode_lead(self, epsilon, witness, monkeypatch):
+        # Zero noise: every scan hits at the first distance at most the
+        # threshold. At epsilon 1 that is the first (2), and the lead counts
+        # all 300 runs in one compare; above it (thresholds about 1.3 and
+        # 0.005) the lead counts none and the walk counts them.
+        text = b"bbbb" + b"ab" * 20
+        prepared = plan(text, MatchQuery(b"abab", 0, epsilon, 0.1), "existence")
+        leads = record_leads(monkeypatch)
+        got = prepared.tally(NoiseSource(4, "zero"), 300)
+        loop_src = NoiseSource(4, "zero")
+        assert got == Counter(prepared.outcome(loop_src) for _ in range(300))
+        assert got == Counter({ExistenceOutcome(True, witness): 300})
+        assert leads == [(300, 300 if witness == 0 else 0)]
 
     def test_long_runs_span_blocks(self):
         # 20,000 runs need more draws than one peeked block holds.

@@ -32,7 +32,6 @@ import numpy as np
 
 from .matchers import (
     VARIANTS as MATCH_VARIANTS,
-    BudgetLedger,
     Contract,
     CountOutcome,
     ExistenceOutcome,
@@ -378,7 +377,7 @@ def run_utility_experiment(cfg: TrialConfig, variant: str) -> UtilityReport:
         except ValueError as exc:
             record = TrialRecord(trial=trial, violated=True, error=str(exc))
         else:
-            outcome = scan(src, BudgetLedger(cfg.epsilon, contract.share))
+            outcome, _ = scan(src)
             record = _judge_trial(inst, cfg, trial, algorithm, contract.bound, outcome)
         report.records.append(record)
     report.runtime_seconds = time.perf_counter() - started

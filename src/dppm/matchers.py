@@ -34,15 +34,14 @@ Each matcher is two halves, the trivial reporter included. The
 deterministic half validates the query, computes the contract once, the
 distances and the windows its scans read, and certifies the cap; it never
 receives the `NoiseSource`, so it cannot draw. The noisy half is what
-depends on the draws: the scans over a ledger and the outcome (the trivial
-reporter's returns its fixed report). `_prepare_reporter` is the one choice
-between periodic reporting and the trivial reporter, for `plan` and the
-utility bench alike. `plan` composes dispatch with the selected matcher's
+depends on the draws: the scans, at the noise scales of the certified
+ledger, and the outcome with the run's ledger (the trivial reporter's
+returns its fixed report). `_prepare_reporter` is the one choice between
+periodic reporting and the trivial reporter, for `plan` and the utility
+bench alike. `plan` composes dispatch with the selected matcher's
 deterministic half into a `QueryPlan`, whose ``run(src)`` is the noisy half
-with a fresh `BudgetLedger` at the query's epsilon and the contract's share
-(``outcome(src)`` returns its outcome alone), so no matcher takes a ledger
-and every scan's noise scale comes from the query and its contract;
-`match_auto` is ``plan(...).run(src)``. No matcher is exported by name:
+(``outcome(src)`` returns its outcome alone); `match_auto` is
+``plan(...).run(src)``. No matcher is exported by name:
 `QueryPlan.matcher` names the one that ran. A plan may run many times, each
 run reading the source's stream from its cursor and the distances its
 deterministic half computed, so runs on one source equal as many fresh calls
@@ -64,12 +63,13 @@ tally is its one outcome, ``runs`` times.
 
 Every scan of a query pays the same integer share of the query epsilon, the
 ``share`` of its matcher's `CONTRACTS` row, on the span of text its distances
-read, in a `BudgetLedger` built for that share, and draws its noise at that
-slice; the kernel charges a window's scans that start at consecutive
-positions as one run record. The ledger's cap check is the executable form of
+read, and draws its noise at that slice; the kernel returns a window's scans
+that start at consecutive positions as one run record. A `BudgetLedger` is
+the value of a run's records, and its cap check is the executable form of
 the composition argument: it counts the scans covering each position against
 the share. Records the plan fixes bound every run's, so `_certified` checks
-them once, and only a counting run that is not uniform checks its own.
+them once, and a run whose records they are answers with that ledger; only a
+counting run that is not uniform builds and checks its own.
 `window_cover` gives each block of ``stride`` start positions one window,
 and a position lies in at most ``ceil((m - 1) / stride) + 1`` of them, 3
 at the reporter's stride ``m // 2`` (two scans each) and 2 at the counter's
@@ -178,29 +178,24 @@ class PrivacyBudgetExceeded(RuntimeError):
 
 
 class BudgetLedger:
-    """Per-position record of the privacy budget one query's scans consume.
+    """Per-position record of the privacy budget one query's scans consume:
+    a value, built once from its run records and never changed.
 
     Every scan pays the query contract's integer ``share``: it costs
     ``epsilon / share`` on each position of its half-open span
     ``[start, stop)``. A run of ``runs`` charges on ``[start, stop)``, ...,
     ``[start + runs - 1, stop)`` (consecutive scans that each hit at their
-    first distance) is kept as one record ``(start, runs, stop)``. The cap
-    check counts the scans covering a position against ``share``: exact.
+    first distance) is kept as one record ``(start, runs, stop)``. The
+    records, from the kernel or a plan, are stored as given and their
+    ``peak``, the most scans covering one position, is swept once, here; the
+    cap check counts it against ``share``: exact.
     """
 
-    def __init__(self, epsilon: float, share: int):
+    def __init__(self, epsilon: float, share: int, records=()):
         self.epsilon = check_real("epsilon", epsilon)
         self.share = check_int("share", share, 1)
-        self._runs: list[tuple[int, int, int]] = []  # (start, runs, stop)
-        self._known: Optional[int] = None  # the peak of _runs, once swept
-
-    def charge_span(self, start: int, stop: int, runs: int = 1) -> None:
-        """Charge ``runs`` scans, starting at text positions ``start``,
-        ``start + 1``, ..., each on the span from its start to ``stop``; the
-        last starts before ``stop``."""
-        start, runs = check_int("start", start), check_int("runs", runs, 1)
-        self._known = None
-        self._runs.append((start, runs, check_int("stop", stop, start + runs)))
+        self.records: tuple[tuple[int, int, int], ...] = tuple(records)
+        self.peak = self._peak()
 
     def _peak(self) -> int:
         """The largest number of scans whose spans cover one position.
@@ -212,7 +207,7 @@ class BudgetLedger:
         position adds the climb to the cover, so a climb ends with -1.
         """
         events = []
-        for start, runs, stop in self._runs:
+        for start, runs, stop in self.records:
             events += (start, 1, 1), (start + runs, -1, -1), (stop, -runs, 0)
         peak = cover = climb = at = 0  # the cover at position at
         for p, step, turn in sorted(events):
@@ -227,14 +222,12 @@ class BudgetLedger:
     @property
     def max_spent(self) -> Fraction:
         """Largest accumulated charge over all positions, as an exact rational."""
-        peak = self._peak() if self._known is None else self._known
-        return Fraction(self.epsilon) * peak / self.share
+        return Fraction(self.epsilon) * self.peak / self.share
 
     def assert_within_cap(self) -> None:
-        self._known = peak = self._peak()
-        if peak > self.share:
+        if self.peak > self.share:
             raise PrivacyBudgetExceeded(
-                f"privacy budget exceeded: a position pays {peak}/{self.share} "
+                f"privacy budget exceeded: a position pays {self.peak}/{self.share} "
                 f"of epsilon={self.epsilon!r}"
             )
 
@@ -276,47 +269,48 @@ def _scales(ledger: BudgetLedger) -> tuple[float, float]:
 def below_thresh(
     dist: np.ndarray,
     thresh: float,
+    t_scale: float,
+    d_scale: float,
     src: NoiseSource,
-    ledger: BudgetLedger,
     windows: tuple[tuple[int, int, tuple[int, int]], ...],
     max_hits: int = 1,
-) -> tuple[int, Optional[int]]:
+) -> tuple[int, Optional[int], list[tuple[int, int, int]]]:
     """Noisy threshold scans over the windows of one sequence of distances,
     in order: in each window ``(lo, hi, span)``, up to ``max_hits`` scans
     over ``dist[lo:hi]``, each resuming one past the previous hit. A window's
     scanning stops at a scan that misses or when its distances run out; no
-    scan starts where no distance remains. Returns the number of hits and
-    the index of the first hit (None when no scan hits). The windows come in
-    increasing order and do not overlap.
+    scan starts where no distance remains. Returns the number of hits, the
+    index of the first hit (None when no scan hits) and the scans' run
+    records. The windows come in increasing order and do not overlap.
 
     ``dist`` is one numpy integer array (each matcher passes the uint16 or
     uint32 array of `distance_array` it froze at prepare time, or a view of
-    it). Each scan pays the ledger's share of its epsilon and runs at
-    ``eps = ledger.epsilon / ledger.share``: the threshold receives
-    Lap(2/eps) noise once, each examined distance receives fresh Lap(4/eps)
-    noise, and the comparison is a plain ``<=``. A scan that starts at index
-    ``p`` of window ``(lo, hi, span)`` is charged, inside the kernel, to the
-    text span ``(span[0] + p - lo, span[1])``; a window's scans that start
-    at consecutive indices are charged as one run record. In zero-noise mode
-    a window's first hit is exactly ``min{lo <= i < hi : d_i <= thresh}``.
+    it). Each scan runs at the scales `_scales` gives for the slice it pays:
+    the threshold receives Lap(``t_scale``) noise once, each examined
+    distance receives fresh Lap(``d_scale``) noise, and the comparison is a
+    plain ``<=``. A scan that starts at index ``p`` of window ``(lo, hi,
+    span)`` covers the text span ``(span[0] + p - lo, span[1])``; a window's
+    scans that start at consecutive indices make one `BudgetLedger` run
+    record ``(start, runs, stop)``, and no ledger is built here. In
+    zero-noise mode a window's first hit is exactly ``min{lo <= i < hi : d_i
+    <= thresh}``.
 
     Noise is served from the source's one stream in the order of scans that
     compare one distance at a time (threshold first, then one per examined
     distance), whether the kernel compares distances singly or in numpy
     blocks; results are the same seed for seed. Past a scan's head, the
     kernel jumps to the next distance ``d`` with
-    ``d - UNIT_BOUND * 4/eps <= noisy threshold`` (by one integer compare
+    ``d - UNIT_BOUND * d_scale <= noisy threshold`` (by one integer compare
     against a bound that is never tighter than that test) and serves the
     draws of the distances it jumps over unpeeked, in one skip: no draw
     could turn them into a hit, so they are never transformed.
     """
-    t_scale, d_scale = _scales(ledger)
     draw = src.laplace
-    hits, first_hit = 0, None
+    hits, first_hit, records = 0, None, []
     head_at, head = -_HEAD, []  # head lists dist[head_at : head_at + _HEAD]
     for lo, hi, (first, stop) in windows:
         # Scans started at consecutive indices from run_start, not yet
-        # charged; every one but the last started has hit at its first
+        # recorded; every one but the last started has hit at its first
         # distance.
         at, got, run = lo, 0, 0
         while at < hi and got < max_hits:
@@ -340,12 +334,12 @@ def below_thresh(
             got += 1
             at = hit + 1
             if hit != start:  # the next scan does not start at start + 1
-                ledger.charge_span(first + run_start - lo, stop, run)
+                records.append((first + run_start - lo, run, stop))
                 run = 0
         if run:
-            ledger.charge_span(first + run_start - lo, stop, run)
+            records.append((first + run_start - lo, run, stop))
         hits += got
-    return hits, first_hit
+    return hits, first_hit, records
 
 
 def _scan_on(dist, at, end, noisy, d_scale, src):
@@ -419,12 +413,12 @@ def _uniform_runs(src, chain, thresh, t_scale, d_scale, runs):
     return j
 
 
-def _first_hits(dist, thresh, src, ledger, runs):
+def _first_hits(dist, thresh, t_scale, d_scale, src, runs):
     """``runs`` existence scans, one after another on ``src``, each the
-    `below_thresh` scan at ``ledger``'s slice over one window of ``dist``: a
-    Counter of how many scans first hit at each index, the scans that missed
-    counted at index ``len(dist)``. The source's cursor moves as those scans
-    would move it.
+    `below_thresh` scan at the scales ``t_scale, d_scale`` over one window of
+    ``dist``: a Counter of how many scans first hit at each index, the scans
+    that missed counted at index ``len(dist)``. The source's cursor moves as
+    those scans would move it.
 
     A scan is a function of the draws it serves: its threshold unit, then one
     unit per distance up to its hit. So every offset of a peeked block is
@@ -440,16 +434,15 @@ def _first_hits(dist, thresh, src, ledger, runs):
     apart, and the chain goes on from where that scan ended, in the same
     block. The block's draws are served with one skip; a chain that leaves the
     block peeks the next one. While more than one scan in _RUN_ON has run on,
-    scans run one at a time through `below_thresh`, each charging the
-    certified ``(0, 1, n)`` to a fresh ledger like ``ledger``, unread. Each
-    block leads with `_uniform_runs` on ``dist[:1]`` (see _RUN_ON): it counts
-    the scans that hit at index 0, two draws each, in one skip, and the
-    strided compare starts at the first that does not.
+    scans run one at a time through `below_thresh`, whose records, the
+    certified ``(0, 1, n)``, go unread. Each block leads with `_uniform_runs`
+    on ``dist[:1]`` (see _RUN_ON): it counts the scans that hit at index 0,
+    two draws each, in one skip, and the strided compare starts at the first
+    that does not.
     """
     size = len(dist)
     width = min(size, _HEAD)
     head = dist[:width, None]
-    t_scale, d_scale = _scales(ledger)
     whole = ((0, size, (0, size)),)
     counts = [0] * (width + 1)  # scans by first hit in the head (W: a miss)
     hits = Counter()  # and the scans that ran on or ran one at a time
@@ -459,8 +452,7 @@ def _first_hits(dist, thresh, src, ledger, runs):
     while left:
         done = runs - left
         if _RUN_ON * ran_on > done:
-            fresh = BudgetLedger(ledger.epsilon, ledger.share)
-            _, at = below_thresh(dist, thresh, src, fresh, whole)
+            _, at, _ = below_thresh(dist, thresh, t_scale, d_scale, src, whole)
             hits[size if at is None else at] += 1
             ran_on += at is None or at >= width
             left -= 1
@@ -605,11 +597,12 @@ def error_contract(
 # --- matchers: the deterministic half, then the noisy half --------------------
 
 # The noisy half of one matcher on a fixed text and query: it runs the scans
-# on the given source and ledger and returns the outcome. Only the code that
-# runs it creates the ledger, always fresh, at the query's epsilon and the
-# contract's share, which set every scan's noise scale.
-Scan = Callable[[NoiseSource, BudgetLedger], Outcome]
-# The noisy half run ``runs`` times in a row on one source, charging no
+# on the given source, at the noise scales of the plan's certified ledger, and
+# returns the outcome and the run's ledger. Where the plan fixed the run's
+# records, that ledger is the plan's own; only a counting run that is not
+# uniform builds one, from the kernel's records.
+Scan = Callable[[NoiseSource], tuple[Outcome, BudgetLedger]]
+# The noisy half run ``runs`` times in a row on one source, returning no
 # ledger: how often each outcome came out.
 Batch = Callable[[NoiseSource, int], "Counter[Outcome]"]
 
@@ -631,9 +624,8 @@ def _frozen_distances(text: bytes, pattern: bytes) -> np.ndarray:
 def _certified(epsilon: float, share: int, records: list) -> BudgetLedger:
     """The ledger of ``records``, which cover each position at least as
     often as any run's, its cap checked once: the check certifies every run
-    before any draw."""
-    ledger = BudgetLedger(epsilon, share)
-    ledger._runs += records
+    before any draw, and a run whose records these are answers with it."""
+    ledger = BudgetLedger(epsilon, share, records)
     ledger.assert_within_cap()
     return ledger
 
@@ -655,13 +647,14 @@ def _prepare_existence(
     whole = ((0, len(dist), (0, n)),)
     # Every run's one scan starts at index 0, hit or miss.
     paid = _certified(query.epsilon, contract.share, [(0, 1, n)])
+    t_scale, d_scale = _scales(paid)
 
-    def scan(src: NoiseSource, ledger: BudgetLedger) -> ExistenceOutcome:
-        _, hit = below_thresh(dist, thresh, src, ledger, whole)
-        return ExistenceOutcome(found=hit is not None, witness=hit)
+    def scan(src: NoiseSource) -> tuple[ExistenceOutcome, BudgetLedger]:
+        _, hit, _ = below_thresh(dist, thresh, t_scale, d_scale, src, whole)
+        return ExistenceOutcome(found=hit is not None, witness=hit), paid
 
     def batch(src: NoiseSource, runs: int) -> Counter:
-        counts = _first_hits(dist, thresh, src, paid, runs)
+        counts = _first_hits(dist, thresh, t_scale, d_scale, src, runs)
         miss = len(dist)
         return Counter({
             ExistenceOutcome(i < miss, i if i < miss else None): count
@@ -700,18 +693,19 @@ def _prepare_report(
         starts = dist[a : b - m + 2]
         windows.append((a, starts, starts[::-1], ((0, len(starts), (a, b + 1)),)))
         records += [(a, 1, b + 1)] * 2
-    _certified(query.epsilon, contract.share, records)
+    paid = _certified(query.epsilon, contract.share, records)
+    t_scale, d_scale = _scales(paid)
 
-    def scan(src: NoiseSource, ledger: BudgetLedger) -> ReportOutcome:
+    def scan(src: NoiseSource) -> tuple[ReportOutcome, BudgetLedger]:
         found: list[int] = []
         for a, forward, backward, window in windows:
-            _, first = below_thresh(forward, thresh, src, ledger, window)
-            _, rev_hit = below_thresh(backward, thresh, src, ledger, window)
-            if first is None or rev_hit is None:
+            _, first, _ = below_thresh(forward, thresh, t_scale, d_scale, src, window)
+            _, back, _ = below_thresh(backward, thresh, t_scale, d_scale, src, window)
+            if first is None or back is None:
                 continue
-            last = len(forward) - 1 - rev_hit
+            last = len(forward) - 1 - back
             found.extend(range(a + first, a + last + 1, step))
-        return ReportOutcome(tuple(found))
+        return ReportOutcome(tuple(found)), paid
 
     return contract, scan
 
@@ -763,18 +757,19 @@ def _prepare_count(
     paid = _certified(query.epsilon, contract.share, records)
     t_scale, d_scale = _scales(paid)
 
-    def counted(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
-        total, witness = below_thresh(dist, thresh, src, ledger, windows, cap)
-        count = min(max(total, 0), n - m + 1)
+    def counted(src: NoiseSource) -> tuple[CountOutcome, BudgetLedger]:
+        total, witness, spent = below_thresh(
+            dist, thresh, t_scale, d_scale, src, windows, cap
+        )
+        ledger = BudgetLedger(paid.epsilon, paid.share, spent)
         ledger.assert_within_cap()
-        return CountOutcome(count=count, witness=witness, raw_count=total)
+        count = min(max(total, 0), n - m + 1)
+        return CountOutcome(count=count, witness=witness, raw_count=total), ledger
 
-    def scan(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
+    def scan(src: NoiseSource) -> tuple[CountOutcome, BudgetLedger]:
         if _uniform_runs(src, chain, thresh, t_scale, d_scale, 1):
-            ledger._known = None if ledger._runs else paid._known  # the certified peak
-            ledger._runs += records
-            return uniform
-        return counted(src, ledger)
+            return uniform, paid
+        return counted(src)
 
     def batch(src: NoiseSource, runs: int) -> Counter:
         # Blocks of runs are compared at once while at most one run in
@@ -794,7 +789,7 @@ def _prepare_count(
                 left -= j
                 if j == block:
                     continue
-            outcome = counted(src, BudgetLedger(paid.epsilon, paid.share))
+            outcome, _ = counted(src)
             counts[outcome] += 1
             odd += outcome.raw_count != size
             left -= 1
@@ -803,24 +798,26 @@ def _prepare_count(
     return contract, scan, batch
 
 
-def _fixed(outcome: Outcome) -> tuple[Scan, Batch]:
-    """The noisy half of a matcher that draws nothing and charges nothing,
-    and its batch: every run answers ``outcome``."""
+def _fixed(outcome: Outcome, ledger: BudgetLedger) -> tuple[Scan, Batch]:
+    """The noisy half of a matcher that draws nothing, and its batch: every
+    run answers ``outcome`` and ``ledger``."""
     return (
-        lambda src, ledger: outcome,
+        lambda src: (outcome, ledger),
         lambda src, runs: Counter({outcome: runs} if runs else {}),
     )
 
 
 def _prepare_trivial(text: bytes, query: MatchQuery) -> tuple[Contract, Scan, Batch]:
     """The trivial reporter: every start position. It reads only the
-    lengths, so its noisy half reads neither the source nor the ledger: it
-    draws nothing, charges nothing, and is private at any epsilon."""
+    lengths, so its noisy half reads no source: it draws nothing, every run
+    answers with the one empty ledger built here, and it is private at any
+    epsilon."""
     _require_text(text, query.m)
     contract = error_contract(
         "trivial_all", len(text), query.m, query.k, query.epsilon, query.beta
     )
-    return contract, *_fixed(ReportOutcome(tuple(range(len(text) - query.m + 1))))
+    report = ReportOutcome(tuple(range(len(text) - query.m + 1)))
+    return contract, *_fixed(report, BudgetLedger(query.epsilon, contract.share))
 
 
 def _prepare_reporter(
@@ -843,8 +840,9 @@ VARIANTS = ("auto", "existence", "count", "report")
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Outcome of an auto-dispatched query, tagged with the regime that ran
-    and the error contract of the matcher that produced it."""
+    """Outcome of an auto-dispatched query, tagged with the regime that ran,
+    the run's ledger (the plan's certified one where the plan fixed the
+    run's records) and the error contract of the matcher that produced it."""
 
     regime: Regime
     decision: DispatchDecision
@@ -880,10 +878,10 @@ class MatchResult:
 def _as_count(scan: Scan) -> Scan:
     """A reporter's noisy half that answers with the size of its report."""
 
-    def count(src: NoiseSource, ledger: BudgetLedger) -> CountOutcome:
-        positions = scan(src, ledger).positions
-        size = len(positions)
-        return CountOutcome(size, positions[0] if positions else None, size)
+    def count(src: NoiseSource) -> tuple[CountOutcome, BudgetLedger]:
+        report, ledger = scan(src)
+        size = len(report.positions)
+        return CountOutcome(size, report.positions[0] if size else None, size), ledger
 
     return count
 
@@ -892,28 +890,28 @@ def _as_count(scan: Scan) -> Scan:
 class QueryPlan:
     """The deterministic half of one query on one text: the dispatch, the
     matcher that runs and its contract, and the distances that matcher
-    reads. ``run`` is the noisy half; each call starts a fresh ledger for the
-    contract's share and reads the source's stream from its cursor, so runs
-    on one source read consecutive draws. ``batch`` serves many runs at once
-    where the matcher has one (existence, counting and the trivial reporter;
-    not periodic reporting), for `tally`."""
+    reads. ``run`` is the noisy half; each call reads the source's stream
+    from its cursor, so runs on one source read consecutive draws. Its
+    ledger is the plan's certified one where the plan fixed the run's
+    records (the trivial reporter's is empty); a counting run the noise
+    decides checks one of its own. ``batch`` serves many runs at once where
+    the matcher has one (existence, counting and the trivial reporter; not
+    periodic reporting), for `tally`."""
 
     regime: Regime
     decision: DispatchDecision
     matcher: str
     contract: Contract
-    epsilon: float
     scan: Scan = field(repr=False)
     batch: Optional[Batch] = field(default=None, repr=False)
 
     def run(self, src: NoiseSource) -> MatchResult:
-        ledger = BudgetLedger(self.epsilon, self.contract.share)
-        outcome = self.scan(src, ledger)
+        outcome, ledger = self.scan(src)
         return MatchResult(self.regime, self.decision, outcome, ledger, self.contract)
 
     def outcome(self, src: NoiseSource) -> Outcome:
         """``run(src).outcome``, without building the `MatchResult`."""
-        return self.scan(src, BudgetLedger(self.epsilon, self.contract.share))
+        return self.scan(src)[0]
 
     def tally(self, src: NoiseSource, runs: int) -> Counter[Outcome]:
         """How often each outcome comes out of ``runs`` consecutive runs on
@@ -964,9 +962,9 @@ def plan(text: bytes, query: MatchQuery, variant: str = "auto") -> QueryPlan:
         if variant == "count":
             scan = _as_count(scan)
             if matcher == "trivial_all":
-                # It reads neither source nor ledger: its count is fixed too.
-                scan, batch = _fixed(scan(None, None))
-    return QueryPlan(regime, decision, matcher, contract, query.epsilon, scan, batch)
+                # It reads no source: its count is fixed too.
+                scan, batch = _fixed(*scan(None))
+    return QueryPlan(regime, decision, matcher, contract, scan, batch)
 
 
 def match_auto(
@@ -976,7 +974,7 @@ def match_auto(
     variant: str = "auto",
 ) -> MatchResult:
     """Dispatch on the public pattern, run the selected matcher, and return
-    the outcome together with the regime tag, the final budget ledger and the
+    the outcome together with the regime tag, the run's budget ledger and the
     contract of the matcher that ran: ``plan(text, query, variant).run(src)``.
 
     ``variant`` narrows the output type: ``existence`` always runs the

@@ -113,7 +113,7 @@ def spent_by_position(ledger) -> dict[int, Fraction]:
     ``epsilon / ledger.share`` on every position of its span."""
     out: dict[int, Fraction] = {}
     eps = Fraction(ledger.epsilon) / ledger.share
-    for start, runs, stop in ledger._runs:
+    for start, runs, stop in ledger.records:
         for first in range(start, start + runs):
             for p in range(first, stop):
                 out[p] = out.get(p, Fraction(0)) + eps
@@ -160,11 +160,11 @@ def draws(src, b: float, size: int) -> np.ndarray:
 
 def run_half(prepared, src, epsilon: float):
     """Run a matcher's private half, the ``(contract, scan)`` pair a
-    ``_prepare_*`` function returns, on ``src`` and a fresh ledger at
-    ``epsilon`` and the contract's share, as `plan` does: the outcome and the
-    ledger."""
-    ledger = BudgetLedger(epsilon, prepared[0].share)
-    return prepared[1](src, ledger), ledger
+    ``_prepare_*`` function returns, on ``src``, as `plan` does: the outcome
+    and the run's ledger, which is at ``epsilon`` and the contract's share."""
+    outcome, ledger = prepared[1](src)
+    assert (ledger.epsilon, ledger.share) == (epsilon, prepared[0].share)
+    return outcome, ledger
 
 
 def per_trial(mechanism):
@@ -294,11 +294,12 @@ class RefLedger:
             records.append((start, 1, stop))
         return records
 
-    def assert_matches(self, ledger) -> None:
-        """``ledger`` holds this ledger's charges: the same run records, at
-        the one share this ledger's scans paid."""
-        assert ledger._runs == self.run_records()
-        assert self.shares() <= {ledger.share}
+    def assert_matches(self, records, share: int) -> None:
+        """``records``, the kernel's or a ledger's, are this ledger's
+        charges, paid at ``share``: the same run records, at the one share
+        this ledger's scans paid."""
+        assert list(records) == self.run_records()
+        assert self.shares() <= {share}
 
 
 def ref_below_thresh(distances, thresh, share, src, ledger, span):

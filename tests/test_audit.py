@@ -298,7 +298,7 @@ class TestUtilityExperiment:
         # broken matcher too, not a parameter error on one row.
         cfg = small_config(n=2000, m=16, k=2, epsilon=1e5, trials=4)
         assert run_utility_experiment(cfg, "count").violation_count == 0
-        monkeypatch.setattr(matchers, "below_thresh", lambda *args: (3, None))
+        monkeypatch.setattr(matchers, "below_thresh", lambda *args: (3, None, []))
         with pytest.raises(ValueError, match="positive count requires a witness"):
             run_utility_experiment(cfg, "count")
 
@@ -419,7 +419,7 @@ class TestAuditTable:
     ):
         # Two sparse-vector failures of Lyu, Su & Li (VLDB 2017) as scans
         # over a neighbouring pair at a fixed threshold: the kernel
-        # (`below_thresh` on a share-1 ledger) is not refuted, and the same
+        # (`below_thresh` at a share-1 slice) is not refuted, and the same
         # scan without its distance noise or without its threshold noise is.
         def label(hit):
             if hit is None:
@@ -429,10 +429,10 @@ class TestAuditTable:
         def kernel(text, query):
             dist = distance_array(text, query.pattern)
             window = ((0, len(dist), (0, len(text))),)
+            scales = matchers._scales(BudgetLedger(query.epsilon, 1))
 
             def trial(src):
-                ledger = BudgetLedger(query.epsilon, 1)
-                _, hit = below_thresh(dist, thresh, src, ledger, window)
+                _, hit, _ = below_thresh(dist, thresh, *scales, src, window)
                 return label(hit)
 
             return trial

@@ -59,8 +59,9 @@ def zero_src() -> NoiseSource:
     return NoiseSource(0, mode="zero")
 
 
-def ledger_for(epsilon: float, share: int = 1) -> BudgetLedger:
-    return BudgetLedger(epsilon, share)
+def scales(epsilon: float, share: int = 1) -> tuple[float, float]:
+    """The kernel's noise scales for scans that pay ``epsilon / share``."""
+    return matchers._scales(BudgetLedger(epsilon, share))
 
 
 # At this epsilon every contract threshold is k plus less than 1e-6, so a
@@ -150,10 +151,7 @@ class TestQueryNumbers:
 
 class TestBudgetLedger:
     def test_exact_accumulation(self):
-        ledger = BudgetLedger(1.0, 3)
-        ledger.charge_span(0, 10)
-        ledger.charge_span(5, 15)
-        ledger.charge_span(5, 10)
+        ledger = BudgetLedger(1.0, 3, [(0, 1, 10), (5, 1, 15), (5, 1, 10)])
         assert ledger.max_spent == Fraction(1)
         spent = spent_by_position(ledger)
         assert spent[0] == Fraction(1, 3)
@@ -163,22 +161,31 @@ class TestBudgetLedger:
 
     def test_cap_violation_detected(self):
         # Three scans of share 2 cover position 3.
-        ledger = BudgetLedger(1.0, 2)
-        ledger.charge_span(0, 4)
-        ledger.charge_span(2, 6)
-        ledger.assert_within_cap()
-        ledger.charge_span(3, 5)
+        BudgetLedger(1.0, 2, [(0, 1, 4), (2, 1, 6)]).assert_within_cap()
+        ledger = BudgetLedger(1.0, 2, [(0, 1, 4), (2, 1, 6), (3, 1, 5)])
         with pytest.raises(RuntimeError, match="budget"):
             ledger.assert_within_cap()
 
     def test_per_position_matches_spans(self):
-        ledger = BudgetLedger(1.0, 2)
-        ledger.charge_span(1, 3)
+        ledger = BudgetLedger(1.0, 2, [(1, 1, 3)])
         assert spent_by_position(ledger) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_empty_span_rejected(self):
-        with pytest.raises(ValueError):
-            BudgetLedger(1.0, 1).charge_span(3, 3)
+        # The kernel starts no scan where no distance remains, so no record
+        # it returns has an empty span: every scan of a run starts before its
+        # stop, inside its window's span.
+        rng = random.Random(3)
+        for _ in range(200):
+            dist = np.array([rng.randint(0, 3) for _ in range(rng.randint(0, 12))])
+            cuts = sorted(rng.randint(0, len(dist)) for _ in range(3))
+            bounds = list(zip([0, *cuts], [*cuts, len(dist)]))
+            windows = tuple((lo, hi, (lo + 5, hi + 7)) for lo, hi in bounds)
+            src = NoiseSource(rng.randrange(2**32))
+            _, _, records = below_thresh(dist, 1.5, *scales(4.0), src, windows, 3)
+            spans = [span for lo, hi, span in windows if hi > lo]
+            for start, runs, stop in records:
+                assert runs >= 1 and start + runs <= stop
+                assert any(a <= start and stop == b for a, b in spans)
 
     @pytest.mark.parametrize(
         "share, error",
@@ -197,12 +204,11 @@ class TestBudgetLedger:
         # Six slices of 1/6 of a non-dyadic epsilon on one position are
         # exactly epsilon; one more slice on the same position is over the
         # cap.
-        ledger = BudgetLedger(0.7, 6)
-        for start in range(4, 10):
-            ledger.charge_span(start, 10)
+        records = [(start, 1, 10) for start in range(4, 10)]
+        ledger = BudgetLedger(0.7, 6, records)
         assert ledger.max_spent == Fraction(0.7)
         ledger.assert_within_cap()
-        ledger.charge_span(9, 10)
+        ledger = BudgetLedger(0.7, 6, [*records, (9, 1, 10)])
         assert ledger.max_spent == Fraction(0.7) * 7 / 6
         with pytest.raises(RuntimeError, match="budget"):
             ledger.assert_within_cap()
@@ -216,9 +222,9 @@ class TestBudgetLedger:
     )
     @settings(max_examples=200)
     def test_integer_sweep_matches_fraction_reference(self, epsilon, share, charges):
-        ledger = BudgetLedger(epsilon, share)
-        for start, length in charges:
-            ledger.charge_span(start, start + length)
+        ledger = BudgetLedger(
+            epsilon, share, [(start, 1, start + length) for start, length in charges]
+        )
         peak = max(spent_by_position(ledger).values(), default=Fraction(0))
         assert ledger.max_spent == peak
         if peak > Fraction(epsilon):
@@ -227,24 +233,10 @@ class TestBudgetLedger:
         else:
             ledger.assert_within_cap()
 
-
-    @pytest.mark.parametrize(
-        "start, stop, share, runs, error",
-        [(0, 5, 1, 0, ValueError), (0, 5, 1, -2, ValueError), (0, 5, 1, 1.0, TypeError),
-         (2, 5, 1, 4, ValueError), (0, 5, 1.5, 3, TypeError), (-1, 5, 1, 1, ValueError)],
-        ids=["zero-runs", "negative-runs", "float-runs", "stop-before-last-start",
-             "float-share", "negative-start"],
-    )
-    def test_run_record_validated(self, start, stop, share, runs, error):
-        with pytest.raises(error):
-            BudgetLedger(1.0, share).charge_span(start, stop, runs)
-
     def test_run_record_is_its_charges(self):
         # A run of 3 from 2 to 6 is the charges [2, 6), [3, 6) and [4, 6).
-        run, spans = BudgetLedger(1.0, 4), BudgetLedger(1.0, 4)
-        run.charge_span(2, 6, runs=3)
-        for start in (2, 3, 4):
-            spans.charge_span(start, 6)
+        run = BudgetLedger(1.0, 4, [(2, 3, 6)])
+        spans = BudgetLedger(1.0, 4, [(start, 1, 6) for start in (2, 3, 4)])
         assert spent_by_position(run) == spent_by_position(spans)
         assert run.max_spent == spans.max_spent == Fraction(3, 4)
 
@@ -261,9 +253,9 @@ class TestBudgetLedger:
         # Run records and single charges at one share: the sweep's peak is
         # the per-position maximum of the brute-force Fraction fold, and the
         # cap check fails exactly when some position pays more than epsilon.
-        ledger = BudgetLedger(epsilon, share)
-        for start, runs, tail in records:
-            ledger.charge_span(start, start + runs + tail, runs)
+        ledger = BudgetLedger(epsilon, share, [
+            (start, runs, start + runs + tail) for start, runs, tail in records
+        ])
         peak = max(spent_by_position(ledger).values(), default=Fraction(0))
         assert ledger.max_spent == peak
         if peak > Fraction(epsilon):
@@ -274,23 +266,25 @@ class TestBudgetLedger:
 
     def test_peak_counts_the_scans_covering_a_position(self):
         # Random single-share ledgers: runs longer than one, overlapping
-        # records charged out of order, stops drawn from a few shared values,
-        # and the empty ledger. The one-pass peak is the most scans covering
-        # one position, as the Fraction fold counts them.
+        # records out of order, stops drawn from a few shared values, and
+        # the empty ledger. The one-pass peak is the most scans covering one
+        # position, as the Fraction fold counts them.
         rng = random.Random(29)
         for trial in range(400):
             share = rng.choice([1, 2, 6, 2304])
-            ledger = BudgetLedger(0.3, share)
             stops = [rng.randint(4, 24) for _ in range(3)]
+            records = []
             for _ in range(rng.randint(0, 8)):
                 stop = rng.choice(stops)
                 start = rng.randint(0, stop - 1)
-                ledger.charge_span(start, stop, rng.randint(1, stop - start))
+                records.append((start, rng.randint(1, stop - start), stop))
+            ledger = BudgetLedger(0.3, share, records)
             spent = max(spent_by_position(ledger).values(), default=0)
-            assert spent == Fraction(0.3) / share * ledger._peak()
-            assert (ledger._peak() > share) == (spent > Fraction(0.3))
+            assert spent == Fraction(0.3) / share * ledger.peak
+            assert ledger.peak == ledger._peak()
+            assert (ledger.peak > share) == (spent > Fraction(0.3))
         empty = BudgetLedger(0.3, 6)
-        assert empty._peak() == 0 and empty.max_spent == 0
+        assert empty.peak == 0 and empty.max_spent == 0
         empty.assert_within_cap()
 
 
@@ -301,12 +295,14 @@ def whole(dist, base=0, n=None):
     return ((0, len(dist), (base, base + n)),)
 
 
-def scan(text, pattern, thresh, src, ledger, base=0):
-    """One scan of ``text`` as if it started at position ``base`` of a longer
-    text: the index of its hit, or None."""
+def scan(text, pattern, thresh, src, base=0):
+    """One scan of ``text`` at epsilon 1, as if it started at position
+    ``base`` of a longer text: the index of its hit, or None, and its run
+    records."""
     dist = distance_array(text, pattern)
-    _, hit = below_thresh(dist, thresh, src, ledger, whole(dist, base, len(text)))
-    return hit
+    window = whole(dist, base, len(text))
+    _, hit, records = below_thresh(dist, thresh, *scales(1.0), src, window)
+    return hit, records
 
 
 class FixedUnits(NoiseSource):
@@ -328,30 +324,28 @@ class FixedUnits(NoiseSource):
 
 class TestBelowThresh:
     def test_zero_noise_first_hit(self):
-        hit = scan(b"abracadabra", b"abra", 1.0, zero_src(), ledger_for(1.0))
+        hit, _ = scan(b"abracadabra", b"abra", 1.0, zero_src())
         assert hit == 0
 
     def test_zero_noise_suffix(self):
         # d-sequence of the suffix is (4, 3, 3, 3, 3, 4, 0).
-        hit = scan(b"bracadabra", b"abra", 2.5, zero_src(), ledger_for(1.0))
+        hit, _ = scan(b"bracadabra", b"abra", 2.5, zero_src())
         assert hit == 6
 
     def test_zero_noise_no_hit(self):
-        hit = scan(b"aaaa", b"bb", 1.0, zero_src(), ledger_for(1.0))
+        hit, _ = scan(b"aaaa", b"bb", 1.0, zero_src())
         assert hit is None
 
     def test_charges_whole_text(self):
-        ledger = ledger_for(1.0)
-        scan(b"aaaa", b"bb", 1.0, zero_src(), ledger, base=10)
-        assert spent_by_position(ledger) == {p: Fraction(1) for p in range(10, 14)}
+        _, records = scan(b"aaaa", b"bb", 1.0, zero_src(), base=10)
+        assert records == [(10, 1, 14)]
+        spent = spent_by_position(BudgetLedger(1.0, 1, records))
+        assert spent == {p: Fraction(1) for p in range(10, 14)}
 
     def test_validation(self):
+        # The scales come from a ledger, which refuses a share of 0.
         with pytest.raises(ValueError):
-            below_thresh(np.array([0]), 1.0, zero_src(), ledger_for(1.0, 0), whole([0]))
-        with pytest.raises(ValueError):
-            below_thresh(
-                np.array([0]), 1.0, zero_src(), ledger_for(1.0), ((0, 1, (1, 1)),)
-            )
+            scales(1.0, 0)
 
     def test_noise_scale_is_the_paid_slice(self):
         # The slice charged and the scale drawn at come from one share, in
@@ -359,19 +353,21 @@ class TestBelowThresh:
         # unit at 1.0 a comparison is d + 4/eps <= 20 + 2/eps, i.e.
         # d <= 20 - 2/eps: at the paid slice (eps = 0.9/6, 2/eps = 13.3)
         # distance 0 hits and 10 misses; at the query's 0.9 both would hit.
-        ledger = ledger_for(0.9, 6)
         distances = np.array([0] * 12 + [10] * 20)
-        hits = below_thresh(distances, 20.0, FixedUnits(), ledger, whole(distances), 100)
+        window = whole(distances)
+        hits, first, records = below_thresh(
+            distances, 20.0, *scales(0.9, 6), FixedUnits(), window, 100
+        )
         # Twelve scans hit at their first distance; the thirteenth misses.
-        assert hits == (12, 0)
-        assert ledger._runs == [(0, 13, 32)]
+        assert (hits, first) == (12, 0)
+        assert records == [(0, 13, 32)]
         slice_ = Fraction(0.9) / 6
-        assert spent_by_position(ledger) == {
+        assert spent_by_position(BudgetLedger(0.9, 6, records)) == {
             p: slice_ * min(p + 1, 13) for p in range(32)
         }
         # An existence tally's compare: every scan misses 10 and hits at 0.
         counts = matchers._first_hits(
-            np.array([10, 0]), 20.0, FixedUnits(), ledger_for(0.9, 6), 5
+            np.array([10, 0]), 20.0, *scales(0.9, 6), FixedUnits(), 5
         )
         assert counts == Counter({1: 5})
         # A counting run's compares, which draw at the scales of the ledger
@@ -401,8 +397,8 @@ class TestBelowThresh:
             (100, matchers._BLOCK + 100),
             (matchers._BLOCK + 50, 50),
         ]:
-            epsilon, scan, _, uniform = count_plan(before, after)
-            assert scan(FixedUnits(), BudgetLedger(epsilon, share)) != uniform
+            _, scan, _, uniform = count_plan(before, after)
+            assert scan(FixedUnits())[0] != uniform
         # A tally's block of runs.
         _, _, batch, uniform = count_plan(40, 40)
         tally = batch(FixedUnits(), 3)
@@ -414,31 +410,27 @@ class TestBelowThresh:
         # start at 0 (hit at 0), 1 (hit at 7) and 8 (a miss).
         distances = distance_array(b"abracadabracad", b"abra")  # 0,4,3,3,3,3,4,0,4,3,3
         window = whole(distances, 0, 14)
-        ledger = ledger_for(1.0, 2)
-        hits = below_thresh(distances, 0.0, zero_src(), ledger, window, 5)
-        assert hits == (2, 0)
-        assert ledger._runs == [(0, 2, 14), (8, 1, 14)]
-        assert spent_by_position(ledger) == {
+        half = scales(1.0, 2)
+        got = below_thresh(distances, 0.0, *half, zero_src(), window, 5)
+        assert got == (2, 0, [(0, 2, 14), (8, 1, 14)])
+        assert spent_by_position(BudgetLedger(1.0, 2, got[2])) == {
             p: Fraction(1, 2) * (min(p + 1, 2) + (p >= 8)) for p in range(14)
         }
         # On b"abracadabra", after the hit at the last index no distance
         # remains, so no further scan starts.
-        ledger = ledger_for(1.0, 2)
         short = distances[:8]
         assert below_thresh(
-            short, 0.0, zero_src(), ledger, whole(short, 0, 11), 5
-        ) == (2, 0)
-        assert ledger._runs == [(0, 2, 11)]
+            short, 0.0, *half, zero_src(), whole(short, 0, 11), 5
+        ) == (2, 0, [(0, 2, 11)])
         # A zero-noise counter window with a cap of one hit stops there.
-        ledger = ledger_for(1.0, 2)
-        assert below_thresh(distances, 0.0, zero_src(), ledger, window) == (1, 0)
-        assert ledger._runs == [(0, 1, 14)]
+        got = below_thresh(distances, 0.0, *half, zero_src(), window)
+        assert got == (1, 0, [(0, 1, 14)])
 
     def test_no_scan_on_empty_distances(self):
-        src, ledger = NoiseSource(0), ledger_for(1.0)
+        src = NoiseSource(0)
         empty = np.array([], np.int64)
-        assert below_thresh(empty, 1.0, src, ledger, ((0, 0, (0, 1)),)) == (0, None)
-        assert ledger._runs == []
+        got = below_thresh(empty, 1.0, *scales(1.0), src, ((0, 0, (0, 1)),))
+        assert got == (0, None, [])
         assert src.laplace(1.0) == NoiseSource(0).laplace(1.0)  # nothing drawn
 
     def test_zero_noise_restarts_along_a_long_array(self):
@@ -451,13 +443,14 @@ class TestBelowThresh:
         for at in (256, 768, 33536):
             text[at - 1 : at + 256] = b"a" * 257
         dist = distance_array(bytes(text), b"a" * 256)
-        ledger = ledger_for(2.0)
-        hits = below_thresh(dist, 0.5, zero_src(), ledger, whole(dist, 0, n), 40)
+        hits, first, records = below_thresh(
+            dist, 0.5, *scales(2.0), zero_src(), whole(dist, 0, n), 40
+        )
         # Hits at 255, 256, 767, 768, 33535 and 33536: the scans start at 0,
         # then at 256 and 257, 768 and 769, and 33536 and 33537 (the last one
         # misses).
-        assert hits == (6, 255)
-        assert ledger._runs == [
+        assert (hits, first) == (6, 255)
+        assert records == [
             (0, 1, n), (256, 2, n), (768, 2, n), (33536, 2, n)
         ]
 
@@ -475,15 +468,17 @@ class TestBelowThresh:
         text = bytes(rng.choice(b"acgt") for _ in range(30000))
         dist = distance_array(text, text[:256]).view(Listing)
         hits = below_thresh(
-            dist, -100.0, NoiseSource(1), ledger_for(2.0), whole(dist, 0, 30000)
+            dist, -100.0, *scales(2.0), NoiseSource(1), whole(dist, 0, 30000)
         )
-        assert hits == (0, None) and lengths and max(lengths) <= matchers._HEAD
+        assert hits == (0, None, [(0, 1, 30000)])
+        assert lengths and max(lengths) <= matchers._HEAD
         assert sum(lengths) < 2 * matchers._HEAD  # the head and the tail
         lengths.clear()
         zeros = np.zeros(64, np.int64).view(Listing)
-        ledger = ledger_for(1.0, 2)
-        hits = below_thresh(zeros, 0.5, zero_src(), ledger, whole(zeros, 0, 127), 64)
-        assert hits == (64, 0) and ledger._runs == [(0, 64, 127)]
+        hits = below_thresh(
+            zeros, 0.5, *scales(1.0, 2), zero_src(), whole(zeros, 0, 127), 64
+        )
+        assert hits == (64, 0, [(0, 64, 127)])
         # 64 scans, each hitting at its first distance: a list serves the
         # _HEAD // 2 scans that start in its first half.
         assert lengths == [matchers._HEAD] * 3 + [matchers._HEAD // 2]
@@ -495,19 +490,13 @@ class TestBelowThresh:
                 for m in range(1, min(3, n) + 1):
                     for pattern in binary_strings(m):
                         for thresh in range(m + 1):
-                            got = scan(
-                                text,
-                                pattern,
-                                float(thresh),
-                                zero_src(),
-                                ledger_for(1.0),
-                            )
+                            got, _ = scan(text, pattern, float(thresh), zero_src())
                             assert got == brute_first_at_most(text, pattern, thresh)
 
     def test_noisy_run_is_seed_deterministic(self):
         args = (b"abracadabra", b"abra", 2.0)
-        one = scan(*args, NoiseSource(5), ledger_for(1.0))
-        two = scan(*args, NoiseSource(5), ledger_for(1.0))
+        one = scan(*args, NoiseSource(5))
+        two = scan(*args, NoiseSource(5))
         assert one == two
 
 
@@ -543,10 +532,12 @@ def scans_as_reference(dist, thresh, epsilon, source, stream, dtype, view=lambda
 
     hit, ref_ledger, after = reference_run((thresh, epsilon, stream), view(dist), reference)
     scanned = view(dist.astype(dtype))
-    src, ledger = source(), BudgetLedger(epsilon, 1)
-    got = below_thresh(scanned, thresh, src, ledger, whole(scanned))
-    assert got == (int(hit is not None), hit)
-    ref_ledger.assert_matches(ledger)
+    src = source()
+    hits, first, records = below_thresh(
+        scanned, thresh, *scales(epsilon), src, whole(scanned)
+    )
+    assert (hits, first) == (int(hit is not None), hit)
+    ref_ledger.assert_matches(records, 1)
     assert src.laplace(1.0) == after
     return hit
 
@@ -597,12 +588,14 @@ def windows_as_reference(dist, thresh, epsilon, windows, max_hits, seed, dtype):
 
     key = (thresh, epsilon, windows, max_hits, seed)
     want, ref_ledger, after = reference_run(key, dist, reference)
-    src, ledger = NoiseSource(seed), BudgetLedger(epsilon, 1)
-    got = below_thresh(dist.astype(dtype), thresh, src, ledger, windows, max_hits)
-    assert got == want
-    ref_ledger.assert_matches(ledger)
+    src = NoiseSource(seed)
+    hits, first, records = below_thresh(
+        dist.astype(dtype), thresh, *scales(epsilon), src, windows, max_hits
+    )
+    assert (hits, first) == want
+    ref_ledger.assert_matches(records, 1)
     assert src.laplace(1.0) == after
-    return got
+    return hits, first
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -788,14 +781,15 @@ class TestPrunedScan:
             transformed.append(len(src._units) - left)
 
         dist = np.full(30_000, 200, dtype)
-        src, ledger = NoiseSource(3), ledger_for(1.0)
+        src = NoiseSource(3)
         with monkeypatch.context() as patch:
             patch.setattr(NoiseSource, "_refill", spy)
-            assert below_thresh(dist, 0.0, src, ledger, whole(dist)) == (0, None)
+            hits, first, records = below_thresh(dist, 0.0, *scales(1.0), src, whole(dist))
+        assert (hits, first) == (0, None)
         assert sum(transformed) <= 2 * matchers._HEAD + noise_module._MAX_BLOCK
         ref_src, ref_ledger = NoiseSource(3), RefLedger(1.0)
         assert ref_below_thresh(dist.tolist(), 0.0, 1, ref_src, ref_ledger, (0, 30_000)) is None
-        ref_ledger.assert_matches(ledger)
+        ref_ledger.assert_matches(records, 1)
         assert src.laplace(1.0) == ref_src.laplace(1.0)
 
 
@@ -1096,8 +1090,9 @@ def noise_decided_count(n):
 
 class TestOneCapCheckPerQuery:
     """A scanning plan checks the cap once, while it is prepared, on the
-    records that bound every run's; only a counting run that the noise
-    decides checks its own ledger."""
+    records that bound every run's, and a run whose records they are
+    answers with that ledger; only a counting run that the noise decides
+    builds and checks its own."""
 
     @pytest.fixture
     def checked(self):
@@ -1114,20 +1109,26 @@ class TestOneCapCheckPerQuery:
         ids=["existence", "report_periodic", "count_nonperiodic"],
     )
     def test_scanning_matcher_checks_once(self, checked, text, query, variant):
-        # The checked records are the ones a run charges: the one existence
-        # scan, both scans of every reporting window, the uniform count.
+        # The checked records are the ones every run makes: the one
+        # existence scan, both scans of every reporting window, the uniform
+        # count. Each run answers with the checked ledger itself.
         prepared = plan(text, query, variant)
         [paid] = checked
-        result = prepared.run(NoiseSource(2))
+        src = NoiseSource(2)
+        assert prepared.run(src).ledger is paid
+        assert prepared.run(src).ledger is paid
         prepared.tally(NoiseSource(2), 5)
         assert checked == [paid]
         assert (paid.epsilon, paid.share) == (query.epsilon, prepared.contract.share)
-        assert paid._runs == result.ledger._runs
 
     def test_trivial_path_checks_nothing(self, checked):
+        # Every run of the trivial reporter answers with one empty ledger.
         query = MatchQuery(b"a", 1, 1.0, 0.1)
-        result = match_auto(b"abcdefghij", query, NoiseSource(2))
-        assert result.regime is Regime.TRIVIAL_FALLBACK
+        prepared = plan(b"abcdefghij", query)
+        one, two = prepared.run(NoiseSource(2)), prepared.run(NoiseSource(3))
+        assert one.regime is Regime.TRIVIAL_FALLBACK
+        assert one.ledger is two.ledger
+        assert one.ledger.records == () and one.ledger.max_spent == 0
         assert checked == []
 
     def test_count_the_noise_decides_checks_each_run(self, checked, monkeypatch):
@@ -1137,25 +1138,37 @@ class TestOneCapCheckPerQuery:
         [paid] = checked
         result = prepared.run(NoiseSource(1))
         assert result.outcome.raw_count < 385
-        assert checked == [paid, result.ledger]
+        assert checked == [paid, result.ledger] and result.ledger is not paid
         del checked[:]
         prepared.tally(NoiseSource(1), 3)
         assert len(checked) == 3
-        assert checked[0]._runs == result.ledger._runs
-        assert all(ledger._runs != paid._runs for ledger in checked)
+        assert checked[0].records == result.ledger.records
+        assert all(ledger.records != paid.records for ledger in checked)
         monkeypatch.setattr(BudgetLedger, "_peak", lambda ledger: ledger.share + 1)
         with pytest.raises(matchers.PrivacyBudgetExceeded):
             prepared.run(NoiseSource(1))
         with pytest.raises(matchers.PrivacyBudgetExceeded):
             prepared.tally(NoiseSource(1), 3)
 
-    def test_record_reads_the_checked_peak(self, monkeypatch):
-        # A uniform counting run's ledger holds exactly the certified records
-        # and carries the peak the plan's check swept, so its record sweeps
-        # nothing; a run the noise decides sweeps its own ledger once, in its
-        # check, and a charge after a check drops the peak it kept.
-        query = MatchQuery(b"ba", 1, 1.0, 0.1)
-        uniform = plan(b"abababab", query, "count")
+    @pytest.mark.parametrize(
+        "text, query, variant, budget_max",
+        [
+            (b"abracadabra", MatchQuery(b"abra", 0, 1.0, 0.1), "existence", 1.0),
+            (tile(b"ab", 100), MatchQuery(tile(b"ab", 64), 1, 1000.0, 0.1), "auto",
+             1000.0 * 4 / 6),
+            (b"abcdefghij", MatchQuery(b"a", 1, 1.0, 0.1), "report", 0.0),
+            (b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count", 3 / 2304),
+        ],
+        ids=["existence", "report_periodic", "trivial_all", "count_nonperiodic"],
+    )
+    def test_record_reads_the_checked_peak(
+        self, monkeypatch, text, query, variant, budget_max
+    ):
+        # A run whose records the plan fixed answers with a ledger whose
+        # peak was swept once, when it was built, so its record sweeps
+        # nothing; a run the noise decides sweeps its own ledger once, when
+        # it builds it.
+        prepared = plan(text, query, variant)
         decided = noise_decided_count(400)
         swept = []
         sweep = BudgetLedger._peak
@@ -1165,24 +1178,15 @@ class TestOneCapCheckPerQuery:
             return sweep(ledger)
 
         monkeypatch.setattr(BudgetLedger, "_peak", recording)
-        result = uniform.run(NoiseSource(2))
-        assert result.outcome == CountOutcome(7, 0, 7)
-        budget_max = result.to_record(query)["budget_max"]
+        result = prepared.run(NoiseSource(2))
+        assert result.to_record(query)["budget_max"] == budget_max
         assert swept == []
-        result.ledger._known = None
-        assert float(result.ledger.max_spent) == budget_max == 3 / 2304
-        assert swept == [result.ledger]
-        del swept[:]
+        ledger = result.ledger
+        assert ledger.max_spent == Fraction(ledger.epsilon) * sweep(ledger) / ledger.share
         result = decided.run(NoiseSource(1))
         assert result.outcome.raw_count < 385
         result.to_record(query)
         assert swept == [result.ledger]
-        ledger, peak = result.ledger, sweep(result.ledger)
-        ledger.charge_span(0, 400, 3)
-        spent = ledger.max_spent
-        assert swept == [ledger] * 2
-        assert sweep(ledger) > peak
-        assert spent == Fraction(ledger.epsilon) * sweep(ledger) / ledger.share
 
 
 class TestRefusedAtPlanTime:
@@ -1529,7 +1533,7 @@ class TestSeedForSeedOracle:
 
         def recording(dist, *args):
             received.append(dist)
-            windows.append(args[3])
+            windows.append(args[4])
             return below_thresh(dist, *args)
 
         monkeypatch.setattr(matchers, "distance_array", filling)
@@ -1630,9 +1634,9 @@ def counts_as_reference(text, query, k_eff, src):
     ref_src, ref_ledger = NoiseSource(src.seed), RefLedger(query.epsilon)
     expected = ref_count_nonperiodic(text, query, ref_src, ref_ledger, k_eff)
     assert outcome_tuple(outcome) == expected
-    ref_ledger.assert_matches(ledger)
+    ref_ledger.assert_matches(ledger.records, ledger.share)
     assert src.laplace(1.0) == ref_src.laplace(1.0)
-    return outcome, ledger._runs
+    return outcome, ledger.records
 
 
 def kernel_as_reference(text, query, k_eff, src):
@@ -1647,16 +1651,16 @@ def kernel_as_reference(text, query, k_eff, src):
         "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
     )
     windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in counting_cover(n, m))
-    ledger = BudgetLedger(query.epsilon, contract.share)
-    hits, first = below_thresh(
-        distance_array(text, query.pattern), contract.threshold, src, ledger, windows, cap
+    hits, first, records = below_thresh(
+        distance_array(text, query.pattern), contract.threshold,
+        *scales(query.epsilon, contract.share), src, windows, cap,
     )
     ref_src, ref_ledger = NoiseSource(src.seed), RefLedger(query.epsilon)
     _, _, witness, total = ref_count_nonperiodic(text, query, ref_src, ref_ledger, k_eff)
     assert (hits, first) == (total, witness)
-    ref_ledger.assert_matches(ledger)
+    ref_ledger.assert_matches(records, contract.share)
     assert src.laplace(1.0) == ref_src.laplace(1.0)
-    return hits, first, ledger._runs
+    return hits, first, records
 
 
 class TestBatchAcrossWindows:
@@ -1728,12 +1732,13 @@ class TestBatchAcrossWindows:
         bounds = [(0, 50), (50, 100), (100, 110), (110, 300), (300, 340),
                   (340, 380), (380, 480)]
         windows = tuple((lo, hi, (lo, hi + 7)) for lo, hi in bounds)
-        src, ledger = NoiseSource(1), BudgetLedger(1e9, 1)
+        src = NoiseSource(1)
         hits = [min(hi - lo, 50) for lo, hi in bounds]
         scans = sum(hits)
         dist = np.zeros(480, np.int64)
-        assert below_thresh(dist, 0.5, src, ledger, windows, 50) == (scans, 0)
-        assert ledger._runs == [(lo, h, hi + 7) for (lo, hi), h in zip(bounds, hits)]
+        assert below_thresh(dist, 0.5, *scales(1e9), src, windows, 50) == (
+            scans, 0, [(lo, h, hi + 7) for (lo, hi), h in zip(bounds, hits)]
+        )
         ref = NoiseSource(1)
         ref.units(2 * scans)
         ref.skip(2 * scans)
@@ -1762,7 +1767,7 @@ class TestBatchAcrossWindows:
         calls = []
 
         def recording(*args):
-            calls.append(args[4])
+            calls.append(args[5])
             return below_thresh(*args)
 
         monkeypatch.setattr(matchers, "below_thresh", recording)
@@ -1775,7 +1780,7 @@ class TestBatchAcrossWindows:
         result = prepared.run(src)
         assert result.outcome == CountOutcome(2437, 0, 2437)
         assert calls == [] and src.peeks == [2 * 2437]
-        assert len(result.ledger._runs) == 39
+        assert len(result.ledger.records) == 39
         src = PeekLog(1)
         assert kernel_as_reference(text, query, 3, src)[0] == 2437
         assert src.peeks == []
@@ -1786,22 +1791,23 @@ def tallies_as_reference(text, query, k_eff, seed, runs):
     batch, against as many one-at-a-time reference counts on a source of the
     same seed: the same outcomes, the same run records and the same next
     draw. The plan checks the uniform run's records (every scan hit at its
-    first distance) once. The batch charges no ledger for the runs its
+    first distance) once. The batch builds no ledger for the runs its
     compare finds uniform, and checks the ledger of each run it counts
     through the kernel, every run that is not uniform among them, which
-    holds that run's records. Returns the tally."""
+    holds that run's records. Only a run with the uniform run's records and
+    outcome may answer with the plan's ledger. Returns the tally."""
     with cap_checks() as checked:
         prepared = matchers._prepare_count(text, query, k_eff)
     n, m = len(text), query.m
     cap = matchers.WINDOW_OCCURRENCE_CAP * k_eff
-    uniform = [
+    uniform = tuple(
         (a, min(b - m + 2 - a, cap), b + 1)
         for a, b in counting_cover(n, m)
         if b - m + 2 > a
-    ]
-    assert [(paid.share, paid._runs) for paid in checked] == [
-        (prepared[0].share, uniform)
-    ]
+    )
+    [paid] = checked
+    assert (paid.share, paid.records) == (prepared[0].share, uniform)
+    size = sum(runs for _, runs, _ in uniform)
     src, ref_src = NoiseSource(seed), NoiseSource(seed)
     want, odd = Counter(), []
     for _ in range(runs):
@@ -1811,14 +1817,17 @@ def tallies_as_reference(text, query, k_eff, seed, runs):
         )
         outcome, ledger = run_half(prepared, src, query.epsilon)
         assert outcome == CountOutcome(count, witness, raw)
-        ref_ledger.assert_matches(ledger)
+        ref_ledger.assert_matches(ledger.records, ledger.share)
         want[outcome] += 1
-        if ref_ledger.run_records() != uniform:
-            odd.append(ref_ledger.run_records())
+        records = tuple(ref_ledger.run_records())
+        if ledger is paid:
+            assert (records, outcome) == (uniform, CountOutcome(size, 0, size))
+        if records != uniform:
+            odd.append(records)
     tally_src = NoiseSource(seed)
     with cap_checks() as checked:
         assert prepared[2](tally_src, runs) == want
-    assert [ledger._runs for ledger in checked if ledger._runs != uniform] == odd
+    assert [ledger.records for ledger in checked if ledger.records != uniform] == odd
     assert len(checked) <= runs
     assert {ledger.share for ledger in checked} <= {prepared[0].share}
     assert tally_src.laplace(1.0) == src.laplace(1.0) == ref_src.laplace(1.0)
@@ -2021,8 +2030,8 @@ class TestTally:
         text, query = self.c7b_plan(True)
         with cap_checks() as checked:
             plan(text, query, "existence").tally(NoiseSource(2), 500)
-        records = [(ledger.share, ledger._runs) for ledger in checked]
-        assert records == [(1, [(0, 1, len(text))])]  # (start, runs, stop)
+        records = [(ledger.share, ledger.records) for ledger in checked]
+        assert records == [(1, ((0, 1, len(text)),))]  # (start, runs, stop)
 
     def test_uniform_count_runs_checked_once(self):
         # Every uniform counting run's ledger holds the same records, one a
@@ -2031,8 +2040,8 @@ class TestTally:
             prepared = plan(b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count")
             tallied = prepared.tally(NoiseSource(2), 5)
         assert tallied == Counter({CountOutcome(7, 0, 7): 5})
-        records = [(ledger.share, ledger._runs) for ledger in checked]
-        assert records == [(2304, [(0, 2, 3), (2, 2, 5), (4, 2, 7), (6, 1, 8)])]
+        records = [(ledger.share, ledger.records) for ledger in checked]
+        assert records == [(2304, ((0, 2, 3), (2, 2, 5), (4, 2, 7), (6, 1, 8)))]
 
     @given(
         size=st.sampled_from([1, 2, 5, 33, 80]),

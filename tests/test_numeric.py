@@ -86,15 +86,8 @@ def skip(count_value):
 
 
 def ledger(epsilon, share):
-    book = BudgetLedger(epsilon, share)
-    book.charge_span(0, 4)
+    book = BudgetLedger(epsilon, share, [(0, 1, 4)])
     return repr((book.epsilon, book.share, book.max_spent))
-
-
-def charge(start, stop, runs):
-    book = BudgetLedger(1.0, 2)
-    book.charge_span(start, stop, runs)
-    return repr((book._runs, book.max_spent))
 
 
 def matched(k, epsilon, beta, seed_value):
@@ -105,7 +98,7 @@ def matched(k, epsilon, beta, seed_value):
 
 def planned(k, epsilon, beta):
     prepared = plan(TEXT, MatchQuery(PATTERN, k, epsilon, beta), "count")
-    return repr((prepared.regime, prepared.matcher, prepared.contract, prepared.epsilon))
+    return repr((prepared.regime, prepared.matcher, prepared.contract))
 
 
 def tallied(runs):
@@ -137,7 +130,6 @@ def audited(trials, seed_value):
 # module) -> (call, numeric arguments).
 ENTRIES = {
     "BudgetLedger": (ledger, [EPSILON, count(2, 1)]),
-    "BudgetLedger.charge_span": (charge, [count(0, 0, 4), count(5, 1), count(1, 1, 5)]),
     "MatchQuery": (
         lambda k, e, b: repr(MatchQuery(PATTERN, k, e, b)), [count(1, 0, 4), EPSILON, BETA]
     ),
@@ -195,7 +187,10 @@ UNEXPORTED = {"audit.clopper_pearson"}
 # Exports that take no number.
 NO_NUMBERS = {"hamming_distance", "is_primitive", "sliding_distances"}
 # The library's results: it builds them from numbers it has checked, and
-# they are exported to be read and matched on, not built by callers.
+# they are exported to be read and matched on, not built by callers. A
+# `BudgetLedger`'s run records are such numbers too: they come only from
+# the kernel and the plans and are stored as given, so its entry passes
+# fixed records and fuzzes epsilon and share alone.
 RESULTS = {
     "Contract", "CountOutcome", "DispatchDecision", "DpAuditReport",
     "ExistenceOutcome", "MatchResult", "PeriodicCandidate",
@@ -277,12 +272,6 @@ PROBES = [
     ("laplace(nan)", lambda: NoiseSource(0).laplace(math.nan), ValueError),
     ("BudgetLedger(1.0, np.int64(2))", lambda: BudgetLedger(1.0, np.int64(2)).share, 2),
     ("BudgetLedger(1.0, True)", lambda: BudgetLedger(1.0, True).share, 1),
-    ("charge_span(0, 5.5)", lambda: BudgetLedger(1.0, 1).charge_span(0, 5.5), TypeError),
-    (
-        "charge_span with numpy ints",
-        lambda: BudgetLedger(1.0, 1).charge_span(np.int64(0), np.uint8(5), np.int32(2)),
-        None,
-    ),
     (
         'error_contract("existence", 100.5, 4, 1, 1.0, 0.1)',
         lambda: error_contract("existence", 100.5, 4, 1, 1.0, 0.1),

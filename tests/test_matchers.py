@@ -287,6 +287,17 @@ class TestBudgetLedger:
         assert empty.peak == 0 and empty.max_spent == 0
         empty.assert_within_cap()
 
+    def test_ledger_keeps_its_own_records(self):
+        # A ledger is a value: changing the list it was built from later
+        # changes neither its records nor the peak swept from them.
+        records = [(0, 1, 4), (2, 1, 6)]
+        ledger = BudgetLedger(1.0, 2, records)
+        records += [(3, 1, 5)] * 3
+        records[0] = (0, 4, 8)
+        assert ledger.records == ((0, 1, 4), (2, 1, 6))
+        assert ledger.peak == ledger._peak() == 2
+        ledger.assert_within_cap()
+
 
 def whole(dist, base=0, n=None):
     """The one window over all of ``dist``, charged as a length-``n`` text
@@ -1187,6 +1198,38 @@ class TestOneCapCheckPerQuery:
         assert result.outcome.raw_count < 385
         result.to_record(query)
         assert swept == [result.ledger]
+
+    @pytest.mark.parametrize(
+        "prepare, n",
+        [
+            (lambda: plan(b"abracadabra", MatchQuery(b"abra", 0, 1.0, 0.1), "existence"),
+             11),
+            (lambda: plan(tile(b"ab", 100), MatchQuery(tile(b"ab", 64), 1, 1000.0, 0.1)),
+             100),
+            (lambda: plan(b"abcdefghij", MatchQuery(b"a", 1, 1.0, 0.1), "report"), 10),
+            (lambda: plan(b"abababab", MatchQuery(b"ba", 1, 1.0, 0.1), "count"), 8),
+            (lambda: plan(tile(b"ab", 400), MatchQuery(tile(b"ab", 256), 1, 50.0, 0.1),
+                          "count"), 400),
+            (lambda: noise_decided_count(400), 400),
+        ],
+        ids=["existence", "report_periodic", "trivial_all", "count_nonperiodic",
+             "count_small_k", "count_noise_decided"],
+    )
+    def test_every_ledger_holds_well_formed_records(self, checked, prepare, n):
+        # A ledger stores its records as given, unchecked, so the plans and
+        # the kernel are what keep them well formed: plain ints, a run of at
+        # least one scan, and every scan of a length-n text starting inside
+        # it and before its stop, which is at most n.
+        prepared = prepare()
+        results = [prepared.run(NoiseSource(seed)) for seed in (1, 2)]
+        prepared.tally(NoiseSource(3), 5)
+        ledgers = [*checked, *(result.ledger for result in results)]
+        for ledger in ledgers:
+            assert type(ledger.records) is tuple
+            for record in ledger.records:
+                assert [type(value) for value in record] == [int, int, int]
+                start, runs, stop = record
+                assert 0 <= start and 1 <= runs and start + runs <= stop <= n
 
 
 class TestRefusedAtPlanTime:

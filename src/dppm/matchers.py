@@ -11,10 +11,11 @@ by one integer compare, over distances too far above the noisy threshold for
 any draw to matter (the sampler's units are bounded by `noise.UNIT_BOUND`),
 serving their draws unpeeked in one skip. Draws come from the `NoiseSource`
 stream in the order of a one-distance-at-a-time scan, so answers are the
-same seed for seed. Each matcher computes its distances once per query, into
-one frozen `distance_array`, and runs the kernel over them: existence in one
-window over the whole text, counting in one call over all its windows, and
-reporting in one call per window and direction. The matchers, by the names
+same seed for seed. Each matcher computes its distances at most once per
+query, into one frozen `distance_array` (a counting plan when a run first
+needs them), and runs the kernel over them: existence in one window over the
+whole text, counting in one call over all its windows, and reporting in one
+call per window and direction. The matchers, by the names
 `QueryPlan.matcher` and `CONTRACTS` give them:
 
 * `existence` — one scan over the whole text; no multiplicative error.
@@ -30,9 +31,9 @@ reporting in one call per window and direction. The matchers, by the names
 Each matcher's calibrated threshold, error contract and budget share is one
 row of `CONTRACTS`, read through `error_contract`.
 
-Each matcher is two halves, the trivial reporter included. The
-deterministic half validates the query, computes the contract once, the
-distances and the windows its scans read, and certifies the cap; it never
+Each matcher is two halves, the trivial reporter included. The deterministic
+half validates the query, computes the contract once, the windows its scans
+read and (but for counting) their distances, and certifies the cap; it never
 receives the `NoiseSource`, so it cannot draw. The noisy half is what
 depends on the draws: the scans, at the noise scales of the certified
 ledger, and the outcome with the run's ledger (the trivial reporter's
@@ -41,25 +42,26 @@ periodic reporting and the trivial reporter, for `plan` and the utility
 bench alike. `plan` composes dispatch with the selected matcher's
 deterministic half into a `QueryPlan`, whose ``run(src)`` is the noisy half
 (``outcome(src)`` returns its outcome alone); `match_auto` is
-``plan(...).run(src)``. No matcher is exported by name:
-`QueryPlan.matcher` names the one that ran. A plan may run many times, each
-run reading the source's stream from its cursor and the distances its
-deterministic half computed, so runs on one source equal as many fresh calls
-seed for seed. ``tally(src, runs)`` counts the outcomes of consecutive runs;
-existence, counting and the trivial reporter decide them in a batch, and
-periodic reporting runs them one by one. A counting plan knows, at prepare
-time, its uniform run, in which every scan hits at its first distance: its
-chain of first distances, its ledger records and its outcome are fixed. One
-compare, `_uniform_runs`, serves a lone run and a tally's block of runs
-alike: it peeks at the runs' draws once, compares them with the chain in
-chunks of `_BLOCK` scans, and serves the draws of the uniform runs before
-the first run in which some scan misses there; the kernel counts that run.
-An existence plan decides its runs in `_first_hits`, which leads each block
-of runs with that compare on the one-scan chain of the first distance, then
-compares every later start of a peeked block of draws with its first
-distances in one strided numpy compare and walks the chain of starts. The
-kernel runs one scan at a time. The trivial reporter draws nothing, so its
-tally is its one outcome, ``runs`` times.
+``plan(...).run(src)``. No matcher is exported by name: `QueryPlan.matcher`
+names the one that ran. A plan may run many times, each run reading the
+source's stream from its cursor and the plan's distances, so runs on one
+source equal as many fresh calls seed for seed. ``tally(src, runs)`` counts
+the outcomes of consecutive runs; existence, counting and the trivial
+reporter decide them in a batch, and periodic reporting runs them one by
+one. A counting plan knows, at prepare time, its uniform run, in which every
+scan hits at its first distance: its chain of first distances, its ledger
+records and its outcome are fixed. One compare, `_uniform_runs`, serves a
+lone run and a tally's block of runs alike from one peek at their draws:
+runs whose units lie within the plan's `_hit_bound` hit whatever their
+distances, and from the first that does not it compares the draws with the
+chain in chunks of `_BLOCK` scans. It serves the draws of the uniform runs;
+the kernel counts the first run in which some scan misses. An existence plan
+decides its runs in `_first_hits`, which leads each block of runs with that
+compare on the one-scan chain of the first distance, then compares every
+later start of a peeked block of draws with its first distances in one
+strided numpy compare and walks the chain of starts. The kernel runs one
+scan at a time. The trivial reporter draws nothing, so its tally is its one
+outcome, ``runs`` times.
 
 Every scan of a query pays the same integer share of the query epsilon, the
 ``share`` of its matcher's `CONTRACTS` row, on the span of text its distances
@@ -83,7 +85,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import lt
+from functools import cache, partial
+from operator import itemgetter, lt
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -186,9 +189,11 @@ class BudgetLedger:
     ``[start, stop)``. A run of ``runs`` charges on ``[start, stop)``, ...,
     ``[start + runs - 1, stop)`` (consecutive scans that each hit at their
     first distance) is kept as one record ``(start, runs, stop)``. The
-    records, from the kernel or a plan, are stored as given and their
-    ``peak``, the most scans covering one position, is swept once, here; the
-    cap check counts it against ``share``: exact.
+    records, from the kernel or a plan, are stored as given, unchecked;
+    their ``peak``, the most scans covering one position, is swept once,
+    here, and is exact for records with ``runs >= 1`` and ``start + runs <=
+    stop``, which every producer keeps (the tests hold each to it). The cap
+    check counts the peak against ``share``: exact.
     """
 
     def __init__(self, epsilon: float, share: int, records=()):
@@ -198,25 +203,24 @@ class BudgetLedger:
         self.peak = self._peak()
 
     def _peak(self) -> int:
-        """The largest number of scans whose spans cover one position.
-
-        Along the text the cover rises by one at each scan's start (a run
-        climbs one a position) and drops at a stop, so it peaks at ``p - 1``
-        for some event position ``p``: one pass over the sorted events
-        (position, change of cover, change of climb). Moving on from a
-        position adds the climb to the cover, so a climb ends with -1.
-        """
-        events = []
-        for start, runs, stop in self.records:
-            events += (start, 1, 1), (start + runs, -1, -1), (stop, -runs, 0)
-        peak = cover = climb = at = 0  # the cover at position at
-        for p, step, turn in sorted(events):
-            if p > at:
-                peak = max(peak, cover + climb * (p - 1 - at))
-                cover += climb * (p - at)
-                at = p
-            cover += step
-            climb += turn
+        """The most scans whose spans cover one position. A record covers
+        position x with ``x + 1 - start`` scans from its start on, less ``x +
+        1 - start - runs`` from the end of its climb on, less ``runs`` from
+        its stop on. Only a stop lowers the cover, so it peaks at ``s - 1``
+        for some stop ``s``: one walk over the sorted stops, with a cursor
+        each over the sorted starts and climb ends below ``s``."""
+        starts = [*sorted(start for start, _, _ in self.records), math.inf]
+        ends = [*sorted(start + runs for start, runs, _ in self.records), math.inf]
+        peak = i = j = begun = ended = stopped = 0  # sums below the stop
+        for _, runs, stop in sorted(self.records, key=itemgetter(2)):
+            while starts[i] < stop:
+                begun += starts[i]
+                i += 1
+            while ends[j] < stop:
+                ended += ends[j]
+                j += 1
+            peak = max(peak, (i - j) * stop - begun + ended - stopped)
+            stopped += runs
         return peak
 
     @property
@@ -392,25 +396,51 @@ def _scan_on(dist, at, end, noisy, d_scale, src):
     return None
 
 
-def _uniform_runs(src, chain, thresh, t_scale, d_scale, runs):
-    """How many of the next ``runs`` runs of S = len(chain) scans, in a row,
-    are uniform (each scan hits at its entry of ``chain``): their draws are
-    served, the rest peeked at only. The units are peeked at once, a row of
-    2S a run (a threshold unit, then a distance unit, a scan), and compared
-    with the chain in chunks of _BLOCK scans, each chunk only for the runs
-    uniform so far."""
-    size = len(chain)
+def _uniform_runs(src, size, chain, thresh, t_scale, d_scale, runs, bound=None):
+    """How many of the next ``runs`` runs of ``size`` scans, in a row, are
+    uniform (each scan hits at its entry of the chain ``chain()``): their
+    draws are served, the rest peeked at only, in one peek, a row of 2S
+    units a run (a threshold unit, then a distance unit, a scan). Runs whose
+    units lie within `_hit_bound`'s ``bound`` are uniform unread; from the
+    first that is not, the rows are compared with the chain in chunks of
+    _BLOCK scans, each chunk only for the runs uniform so far."""
     u = src.units(2 * size * runs).reshape(runs, 2 * size)
-    j = runs
-    for c in range(0, size, _BLOCK):
-        chunk = u[:j, 2 * c : 2 * (c + _BLOCK)]
-        noisy = thresh + t_scale * chunk[:, ::2]
-        hit = chain[c : c + _BLOCK] + d_scale * chunk[:, 1::2] <= noisy
-        whole = hit.all(axis=1)
-        if not whole.all():
-            j = int(whole.argmin())
+    j = 0
+    if bound is not None:
+        inside = (u[:, 1::2].max(axis=1) <= bound) & (u[:, ::2].min(axis=1) >= -bound)
+        j = runs if inside.all() else int(inside.argmin())
+    if j < runs:
+        chain, lead, j = chain(), j, runs
+        for c in range(0, size, _BLOCK):
+            chunk = u[lead:j, 2 * c : 2 * (c + _BLOCK)]
+            noisy = thresh + t_scale * chunk[:, ::2]
+            hit = chain[c : c + _BLOCK] + d_scale * chunk[:, 1::2] <= noisy
+            whole = hit.all(axis=1)
+            if not whole.all():
+                j = lead + int(whole.argmin())
     src.skip(2 * size * j)
     return j
+
+
+def _hit_bound(m, thresh, t_scale, d_scale):
+    """The largest float L with ``m + d_scale * L <= thresh - t_scale * L``
+    (None when the threshold is below m), bisected from a few ulps around
+    the real root, or from 0. Float multiply and add round monotonically
+    and negation is exact, so a scan whose distance unit is at most L and
+    whose threshold unit is at least -L hits at any distance up to m, in
+    `_uniform_runs`'s compare and the kernel's alike."""
+
+    def hits(unit):
+        return m + d_scale * unit <= thresh - t_scale * unit
+
+    if not hits(0.0):
+        return None
+    root = (thresh - m) / (d_scale + t_scale)
+    lo, hi = root * (1 - 2**-50), root * (1 + 2**-50)
+    lo, hi = lo if hits(lo) else 0.0, 2 * root + 1 if hits(hi) else hi
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        lo, hi = (mid, hi) if hits(mid) else (lo, mid)
+    return lo
 
 
 def _first_hits(dist, thresh, t_scale, d_scale, src, runs):
@@ -460,7 +490,7 @@ def _first_hits(dist, thresh, t_scale, d_scale, src, runs):
         odd = done - counts[0] - hits[0]  # scans that missed index 0
         if _RUN_ON * odd <= done:
             lead = min(left, _BLOCK, 2 * done // odd if odd else left)
-            j = _uniform_runs(src, dist[:1], thresh, t_scale, d_scale, lead)
+            j = _uniform_runs(src, 1, lambda: dist[:1], thresh, t_scale, d_scale, lead)
             counts[0] += j
             left -= j
             if j == lead:
@@ -719,9 +749,11 @@ def _prepare_count(
     m, m)`` is scanned until a scan misses, its starts run out or it has
     ``1152 * k_eff`` hits; the witness is the first hit, and the count is
     the clamped sum of per-window hits. A run, or a tally's block of runs,
-    is first compared with the uniform run (see the comment in the body):
-    one peek of two units a scan, compared in chunks of _BLOCK scans. Each
-    run that is not uniform is counted through the kernel and checked."""
+    is first compared with the uniform run (see the comment in the body) by
+    `_uniform_runs`, which decides it by the plan's `_hit_bound` where it
+    can; each run that is not uniform is counted through the kernel and
+    checked. The first run that needs the distances fills them, once, from
+    the copies of text and pattern taken here."""
     _require_text(text, query.m)
     if k_eff < 1:
         raise ValueError(
@@ -730,13 +762,12 @@ def _prepare_count(
         )
     if k_eff < query.k:
         raise ValueError(f"effective_k {k_eff} is below the query's k = {query.k}")
-    n, m = len(text), query.m
+    n, m, text, pattern = len(text), query.m, bytes(text), bytes(query.pattern)
     cap = WINDOW_OCCURRENCE_CAP * k_eff
     contract = error_contract(
         "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
     )
     thresh = contract.threshold
-    dist = _frozen_distances(text, query.pattern)
     # A window's starts are the indices of their distances.
     windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in window_cover(n, m, m))
     # The uniform run, in which every scan hits at its first distance: its
@@ -747,19 +778,25 @@ def _prepare_count(
     records = [(lo, min(hi - lo, cap), stop) for lo, hi, (_, stop) in windows]
     size = sum(runs for _, runs, _ in records)
     per_block = max(1, _BLOCK // size)
-    chain = dist
-    if size < len(dist):
-        chain = np.concatenate([dist[lo : lo + runs] for lo, runs, _ in records])
     uniform = CountOutcome(size, 0, size)
     # No run covers a position more often than the uniform run: a window's
     # i-th scan starts at index lo + i - 1 or later, a window starts at most
     # min(hi - lo, cap) scans, and every scan ends at its window's stop.
     paid = _certified(query.epsilon, contract.share, records)
     t_scale, d_scale = _scales(paid)
+    bound = _hit_bound(m, thresh, t_scale, d_scale)
+    distances = cache(partial(_frozen_distances, text, pattern))
+
+    @cache
+    def chain() -> np.ndarray:
+        dist = distances()
+        if size == len(dist):
+            return dist
+        return np.concatenate([dist[lo : lo + runs] for lo, runs, _ in records])
 
     def counted(src: NoiseSource) -> tuple[CountOutcome, BudgetLedger]:
         total, witness, spent = below_thresh(
-            dist, thresh, t_scale, d_scale, src, windows, cap
+            distances(), thresh, t_scale, d_scale, src, windows, cap
         )
         ledger = BudgetLedger(paid.epsilon, paid.share, spent)
         ledger.assert_within_cap()
@@ -767,7 +804,7 @@ def _prepare_count(
         return CountOutcome(count=count, witness=witness, raw_count=total), ledger
 
     def scan(src: NoiseSource) -> tuple[CountOutcome, BudgetLedger]:
-        if _uniform_runs(src, chain, thresh, t_scale, d_scale, 1):
+        if _uniform_runs(src, size, chain, thresh, t_scale, d_scale, 1, bound):
             return uniform, paid
         return counted(src)
 
@@ -784,7 +821,9 @@ def _prepare_count(
             done = runs - left
             if _RUN_ON * odd <= done:
                 block = min(left, per_block, 2 * done // odd if odd else left)
-                j = _uniform_runs(src, chain, thresh, t_scale, d_scale, block)
+                j = _uniform_runs(
+                    src, size, chain, thresh, t_scale, d_scale, block, bound
+                )
                 counts[uniform] += j
                 left -= j
                 if j == block:
@@ -890,13 +929,14 @@ def _as_count(scan: Scan) -> Scan:
 class QueryPlan:
     """The deterministic half of one query on one text: the dispatch, the
     matcher that runs and its contract, and the distances that matcher
-    reads. ``run`` is the noisy half; each call reads the source's stream
-    from its cursor, so runs on one source read consecutive draws. Its
-    ledger is the plan's certified one where the plan fixed the run's
-    records (the trivial reporter's is empty); a counting run the noise
-    decides checks one of its own. ``batch`` serves many runs at once where
-    the matcher has one (existence, counting and the trivial reporter; not
-    periodic reporting), for `tally`."""
+    reads (a counting plan's once a run first needs them). ``run`` is the
+    noisy half; each call reads the source's stream from its cursor, so runs
+    on one source read consecutive draws. Its ledger is the plan's certified
+    one where the plan fixed the run's records (the trivial reporter's is
+    empty); a counting run the noise decides checks one of its own.
+    ``batch`` serves many runs at once where the matcher has one (existence,
+    counting and the trivial reporter; not periodic reporting), for
+    `tally`."""
 
     regime: Regime
     decision: DispatchDecision

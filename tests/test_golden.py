@@ -55,6 +55,10 @@ MATCH_CASES = (
 COUNT_CASES = (
     ("uniform-random", 70000, 64, 3, 1.0, 0),
     ("uniform-random", 70000, 64, 3, 3e4, 0),
+    # At n = 10**6 the threshold (about 1.38e6) lies so far above m that the
+    # noise bound decides every scan: a lone run of 999,937 scans, its chain
+    # compared in 16 chunks.
+    ("uniform-random", 10**6, 64, 3, 1.0, 0),
     # Every distance is m = 2**16 + 1, past the uint16 range, and the
     # threshold (about 65536.8) lies within a few noise scales below it: the
     # noise decides each scan, and the runs count about 1450 hits.
@@ -66,9 +70,11 @@ COUNT_CASES = (
 # decides which of the few windows near it is the witness, and the scan
 # jumps over the 86% of distances that lie past its bound. At m = 2**16 + 1
 # the threshold (65407) is below every distance, 65537, and the scan prunes
-# each one.
+# each one. At n = 10**6 the threshold is about 162.4 against distances from
+# about 159 up: the noise picks a witness deep in the text.
 EXIST_CASES = (
     ("uniform-random", 200000, 256, 140, 6.0, 0),
+    ("uniform-random", 10**6, 256, 140, 6.0, 0),
     ("disjoint-alphabet", 70000, 65537, 65407, 3e8, 0),
 )
 

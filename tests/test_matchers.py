@@ -287,6 +287,27 @@ class TestBudgetLedger:
         assert empty.peak == 0 and empty.max_spent == 0
         empty.assert_within_cap()
 
+    @given(
+        positions=st.lists(st.integers(0, 20), min_size=2, max_size=4, unique=True),
+        picks=st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=10),
+        share=st.sampled_from([1, 3, 6912]),
+    )
+    @settings(max_examples=300)
+    def test_peak_where_starts_ends_and_stops_tie(self, positions, picks, share):
+        # Every start, climb end (start + runs) and stop is one of a few
+        # shared positions, so one record's start or climb end often falls
+        # on another's stop, or on its own stop; the records come in any
+        # order, and the empty ledger is among them. The walk's peak is the
+        # most scans the Fraction fold finds on one position.
+        records = []
+        for pick in picks:
+            start, end, stop = sorted(positions[i % len(positions)] for i in pick)
+            if start < end:
+                records.append((start, end - start, stop))
+        ledger = BudgetLedger(1.0, share, records)
+        spent = max(spent_by_position(ledger).values(), default=0)
+        assert spent == Fraction(ledger.peak, share)
+
     def test_ledger_keeps_its_own_records(self):
         # A ledger is a value: changing the list it was built from later
         # changes neither its records nor the peak swept from them.
@@ -317,20 +338,24 @@ def scan(text, pattern, thresh, src, base=0):
 
 
 class FixedUnits(NoiseSource):
-    """A source whose every unit draw is 1.0, through ``laplace`` and through
-    the cursor alike."""
+    """A source whose unit draws alternate ``first, second, first, ...``
+    (every one 1.0 by default), through ``laplace`` and through the cursor
+    alike: in a counting run whose scans each hit at their first distance,
+    every threshold unit is ``first`` and every distance unit ``second``."""
 
-    def __init__(self):
+    def __init__(self, first=1.0, second=1.0):
         super().__init__(0)
+        self.pair, self.at = (first, second), 0
 
     def laplace(self, b):
-        return b * 1.0
+        self.at += 1
+        return b * self.pair[(self.at - 1) % 2]
 
     def units(self, count):
-        return np.ones(count)
+        return np.array([self.pair[(self.at + i) % 2] for i in range(count)])
 
     def skip(self, count):
-        pass
+        self.at += count
 
 
 class TestBelowThresh:
@@ -1082,13 +1107,40 @@ class TestDistancesOncePerQuery:
         assert calls == [(text, pattern)]
 
     def test_count_nonperiodic(self, calls):
+        # A counting plan fills its distances when a run first needs them,
+        # at most once: never while the noise bound decides every run (a
+        # threshold of about 1.8e5 against m = 2), and once for every run
+        # and tally the noise decides.
         text = tile(b"ab", 50)
-        plan(text, MatchQuery(b"ab", 2, 1.3, 0.1), "count").outcome(NoiseSource(9))
-        assert calls == [(text, b"ab")]
+        prepared = plan(text, MatchQuery(b"ab", 2, 1.3, 0.1), "count")
+        src = NoiseSource(9)
+        prepared.run(src)
+        prepared.tally(src, 300)
+        assert calls == []
+        decided = noise_decided_count(300)
+        src = NoiseSource(9)
+        for _ in range(3):
+            decided.run(src)
+        decided.tally(src, 5)
+        assert len(calls) == 1
+
+    def test_count_fills_from_the_text_it_was_planned_on(self):
+        # A counting plan fills its distances at its first run, from copies
+        # of a mutable text and pattern taken when it was planned.
+        text, query = noise_decided_query(300)
+        mutable = bytearray(text), bytearray(query.pattern)
+        prepared = plan(
+            mutable[0], MatchQuery(mutable[1], query.k, query.epsilon, 0.1), "count"
+        )
+        mutable[0][:], mutable[1][:] = b"b" * 300, b"a" * 16
+        want = plan(text, query, "count")
+        for seed in range(3):
+            got = prepared.run(NoiseSource(seed)).outcome
+            assert got == want.run(NoiseSource(seed)).outcome
 
 
-def noise_decided_count(n):
-    """A counting plan over ``n`` random binary bytes whose threshold, at
+def noise_decided_query(n):
+    """``n`` random binary bytes and a counting query whose threshold, at
     k = 2, sits among the distances (4 to 13, m = 16): the noise decides
     its scans, and no run is uniform."""
     rng = random.Random(3)
@@ -1096,7 +1148,12 @@ def noise_decided_count(n):
     pattern = bytes(rng.choice(b"ab") for _ in range(16))
     cap = matchers.WINDOW_OCCURRENCE_CAP * 2
     logs = math.log(16) + math.log(2.0 * (n / 16) * cap / 0.1)
-    return plan(text, MatchQuery(pattern, 2, 16.0 * cap * logs / 3.0, 0.1), "count")
+    return text, MatchQuery(pattern, 2, 16.0 * cap * logs / 3.0, 0.1)
+
+
+def noise_decided_count(n):
+    """The counting plan of `noise_decided_query`."""
+    return plan(*noise_decided_query(n), "count")
 
 
 class TestOneCapCheckPerQuery:
@@ -1988,6 +2045,125 @@ class TestCountTally:
         size = matchers._BLOCK + 200
         got = tallies_as_reference(text, query, 3, 9, 2)
         assert got == Counter({CountOutcome(size, 0, size): 2})
+
+
+def count_scales(text, query):
+    """The threshold and noise scales of ``query``'s counting plan on ``text``
+    at its own k, and the plan's `_hit_bound`."""
+    contract = error_contract(
+        "count_nonperiodic", len(text), query.m, query.k, query.epsilon, query.beta
+    )
+    t_scale, d_scale = scales(query.epsilon, contract.share)
+    bound = matchers._hit_bound(query.m, contract.threshold, t_scale, d_scale)
+    return contract.threshold, t_scale, d_scale, bound
+
+
+class TestHitBound:
+    """A counting plan decides a run whose units all lie within its
+    `_hit_bound` L (distance units at most L, threshold units at least -L)
+    without reading a distance: every scan of such a run hits at its first
+    distance, whatever that distance is, up to m."""
+
+    @staticmethod
+    def passes(m, thresh, t_scale, d_scale, unit):
+        return m + d_scale * unit <= thresh - t_scale * unit
+
+    @pytest.mark.parametrize(
+        "m, thresh, t_scale, d_scale",
+        [
+            (64, 1.05e6, 13824.0, 27648.0),  # about count-desk's
+            (64, 1380141.9444279086, 13824.0, 27648.0),  # n = 10**6
+            (8, 9.75, 0.146, 0.292),
+            (1, 1.0, 0.5, 1.0),  # the threshold is m: only rounding leaves room
+            (64, 64.0 + 1e-9, 2.0, 4.0),  # a root far below 1
+            (65537, 65537.0 * (1 + 2**-40), 1e-4, 2e-4),
+            # A real root past the floats: the bound falls back to 0, which
+            # passes but is not the largest.
+            (3, 1e300, 1e-300, 2e-300),
+            (5, 4.999, 1.0, 2.0),  # below m: no bound
+        ],
+    )
+    def test_largest_float_that_passes(self, m, thresh, t_scale, d_scale):
+        bound = matchers._hit_bound(m, thresh, t_scale, d_scale)
+        if thresh < m:
+            assert bound is None
+            return
+        assert self.passes(m, thresh, t_scale, d_scale, bound)
+        if math.isfinite(thresh / (d_scale + t_scale)):
+            up = math.nextafter(bound, math.inf)
+            assert not self.passes(m, thresh, t_scale, d_scale, up)
+        else:
+            assert bound == 0.0
+
+    @given(
+        m=st.integers(1, 70000),
+        above=st.floats(0.0, 1e7),
+        t_scale=st.floats(1e-6, 1e5),
+    )
+    @settings(max_examples=300)
+    def test_largest_float_on_a_grid(self, m, above, t_scale):
+        thresh, d_scale = m + above, 2 * t_scale
+        bound = matchers._hit_bound(m, thresh, t_scale, d_scale)
+        assert self.passes(m, thresh, t_scale, d_scale, bound)
+        up = math.nextafter(bound, math.inf)
+        assert not self.passes(m, thresh, t_scale, d_scale, up)
+
+    # A window of b's at distance m = 8 among windows of a's at distance 0.
+    TEXT = b"a" * 30 + b"b" * 8 + b"a" * 30
+
+    @pytest.mark.parametrize(
+        "stretch_d, stretch_t, uniform",
+        [
+            (1.0, 1.0, True),  # exactly at the bound: decided
+            (1 + 1e-9, 1.0, False),  # distance units past it
+            (1.0, 1 + 1e-9, False),  # threshold units past it
+        ],
+    )
+    def test_units_at_the_bound(self, stretch_d, stretch_t, uniform):
+        # At exactly +L on distance units and -L on threshold units the
+        # window at distance m hits, so the run is uniform; just past the
+        # bound on either side it misses. Either way the plan's run equals
+        # the kernel's on the same units, and leaves the cursor where it does.
+        query = MatchQuery(b"a" * 8, 1, 3e4, 0.1)
+        thresh, t_scale, d_scale, bound = count_scales(self.TEXT, query)
+        assert 1.0 < bound < UNIT_BOUND
+        units = (-bound * stretch_t, bound * stretch_d)
+        prepared = plan(self.TEXT, query, "count")
+        assert prepared.matcher == "count_nonperiodic"
+        src = FixedUnits(*units)
+        outcome = prepared.outcome(src)
+        size = len(self.TEXT) - 8 + 1
+        assert (outcome == CountOutcome(size, 0, size)) == uniform
+        windows = tuple(
+            (a, b - 8 + 2, (a, b + 1)) for a, b in window_cover(len(self.TEXT), 8, 8)
+        )
+        kernel = FixedUnits(*units)
+        hits, first, _ = below_thresh(
+            distance_array(self.TEXT, b"a" * 8), thresh, t_scale, d_scale,
+            kernel, windows, matchers.WINDOW_OCCURRENCE_CAP,
+        )
+        assert (outcome.raw_count, outcome.witness) == (hits, first)
+        assert src.at == kernel.at
+
+    @pytest.mark.parametrize("bound", [-1.0, 0.5, 1, 2, 3, 4, 5, 6, 7, 8])
+    def test_tally_across_the_bound(self, bound):
+        # Random binary text and pattern a^8 (distances 0 to 8), with epsilon
+        # set so that the bound is about ``bound`` (below 0: no bound). Up
+        # to about 3 the bound decides no run and some runs miss at a window
+        # near m; from 4 to 8 it decides a growing share of runs (about 2%
+        # to 97%), the first run it does not decide ends the lead of a
+        # block, and the exact compare takes the rest on the same peek.
+        rng = random.Random(5)
+        text = bytes(rng.choice(b"ab") for _ in range(200))
+        cap = matchers.WINDOW_OCCURRENCE_CAP
+        logs = math.log(8) + math.log(2.0 * (200 / 8) * cap / 0.1)
+        epsilon = (16 * cap * logs - 12 * cap * bound) / 7
+        query = MatchQuery(b"a" * 8, 1, epsilon, 0.1)
+        got = count_scales(text, query)[3]
+        assert (got is None) == (bound < 0)
+        if got is not None:
+            assert got == pytest.approx(bound)
+        tallies_as_reference(text, query, 1, 7, 60)
 
 
 def record_leads(monkeypatch) -> list:

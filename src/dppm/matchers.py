@@ -51,17 +51,17 @@ reporter decide them in a batch, and periodic reporting runs them one by
 one. A counting plan knows, at prepare time, its uniform run, in which every
 scan hits at its first distance: its chain of first distances, its ledger
 records and its outcome are fixed. One compare, `_uniform_runs`, serves a
-lone run and a tally's block of runs alike from one peek at their draws:
-runs whose units lie within the plan's `_hit_bound` hit whatever their
-distances, and from the first that does not it compares the draws with the
-chain in chunks of `_BLOCK` scans. It serves the draws of the uniform runs;
-the kernel counts the first run in which some scan misses. An existence plan
-decides its runs in `_first_hits`, which leads each block of runs with that
-compare on the one-scan chain of the first distance, then compares every
-later start of a peeked block of draws with its first distances in one
-strided numpy compare and walks the chain of starts. The kernel runs one
-scan at a time. The trivial reporter draws nothing, so its tally is its one
-outcome, ``runs`` times.
+lone run and a tally's block of runs alike from one peek at their
+untransformed U (`NoiseSource.uniforms`): runs within the plan's
+`_hit_bound` hit whatever their distances; from the first that is not, it
+compares units with the chain in chunks of `_BLOCK` scans. It serves the
+draws of the uniform runs; the kernel counts the first run in which some
+scan misses. An existence plan decides its runs in `_first_hits`, which
+leads each block of runs with that compare on the one-scan chain of the
+first distance, then compares every later start of a peeked block of draws
+with its first distances in one strided numpy compare and walks the chain of
+starts. The kernel runs one scan at a time. The trivial reporter draws
+nothing, so its tally is its one outcome, ``runs`` times.
 
 Every scan of a query pays the same integer share of the query epsilon, the
 ``share`` of its matcher's `CONTRACTS` row, on the span of text its distances
@@ -71,7 +71,8 @@ the value of a run's records, and its cap check is the executable form of
 the composition argument: it counts the scans covering each position against
 the share. Records the plan fixes bound every run's, so `_certified` checks
 them once, and a run whose records they are answers with that ledger; only a
-counting run that is not uniform builds and checks its own.
+counting run that is not uniform builds and checks its own. A counting
+plan's are certified once per public shape per process (`_count_shape`).
 `window_cover` gives each block of ``stride`` start positions one window,
 and a position lies in at most ``ceil((m - 1) / stride) + 1`` of them, 3
 at the reporter's stride ``m // 2`` (two scans each) and 2 at the counter's
@@ -85,13 +86,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from operator import itemgetter, lt
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .noise import MAX_SEED, UNIT_BOUND, NoiseSource
+from .noise import MAX_SEED, UNIT_BOUND, NoiseSource, uniform_bounds
 from .periodicity import (
     DispatchDecision,
     PeriodicCandidate,
@@ -396,21 +397,23 @@ def _scan_on(dist, at, end, noisy, d_scale, src):
     return None
 
 
-def _uniform_runs(src, size, chain, thresh, t_scale, d_scale, runs, bound=None):
+def _uniform_runs(src, size, chain, thresh, t_scale, d_scale, bound, runs):
     """How many of the next ``runs`` runs of ``size`` scans, in a row, are
     uniform (each scan hits at its entry of the chain ``chain()``): their
-    draws are served, the rest peeked at only, in one peek, a row of 2S
-    units a run (a threshold unit, then a distance unit, a scan). Runs whose
-    units lie within `_hit_bound`'s ``bound`` are uniform unread; from the
-    first that is not, the rows are compared with the chain in chunks of
-    _BLOCK scans, each chunk only for the runs uniform so far."""
-    u = src.units(2 * size * runs).reshape(runs, 2 * size)
+    draws are served, the rest peeked at only, a row of 2S draws a run (a
+    threshold draw, then a distance draw, a scan). Runs whose U lie within
+    `_raw_bound`'s ``bound`` are uniform unread, untransformed; from
+    the first that is not, the rows' units are compared with the chain in
+    chunks of _BLOCK scans, each chunk only for the runs uniform so far."""
     j = 0
     if bound is not None:
-        inside = (u[:, 1::2].max(axis=1) <= bound) & (u[:, ::2].min(axis=1) >= -bound)
-        j = runs if inside.all() else int(inside.argmin())
+        r = src.uniforms(2 * size * runs)
+        out = (r[1::2] > bound[1]) | (r[::2] < bound[0])  # a scan's draws
+        first = int(out.argmax())
+        j = first // size if out[first] else runs
     if j < runs:
         chain, lead, j = chain(), j, runs
+        u = src.units(2 * size * runs).reshape(runs, 2 * size)
         for c in range(0, size, _BLOCK):
             chunk = u[lead:j, 2 * c : 2 * (c + _BLOCK)]
             noisy = thresh + t_scale * chunk[:, ::2]
@@ -443,7 +446,13 @@ def _hit_bound(m, thresh, t_scale, d_scale):
     return lo
 
 
-def _first_hits(dist, thresh, t_scale, d_scale, src, runs):
+def _raw_bound(m, thresh, t_scale, d_scale):
+    """`_uniform_runs`'s ``bound``: `noise.uniform_bounds` of `_hit_bound`."""
+    bound = _hit_bound(m, thresh, t_scale, d_scale)
+    return None if bound is None else uniform_bounds(bound)
+
+
+def _first_hits(dist, thresh, t_scale, d_scale, src, runs, bound=None):
     """``runs`` existence scans, one after another on ``src``, each the
     `below_thresh` scan at the scales ``t_scale, d_scale`` over one window of
     ``dist``: a Counter of how many scans first hit at each index, the scans
@@ -490,7 +499,9 @@ def _first_hits(dist, thresh, t_scale, d_scale, src, runs):
         odd = done - counts[0] - hits[0]  # scans that missed index 0
         if _RUN_ON * odd <= done:
             lead = min(left, _BLOCK, 2 * done // odd if odd else left)
-            j = _uniform_runs(src, 1, lambda: dist[:1], thresh, t_scale, d_scale, lead)
+            j = _uniform_runs(
+                src, 1, lambda: dist[:1], thresh, t_scale, d_scale, bound, lead
+            )
             counts[0] += j
             left -= j
             if j == lead:
@@ -678,13 +689,14 @@ def _prepare_existence(
     # Every run's one scan starts at index 0, hit or miss.
     paid = _certified(query.epsilon, contract.share, [(0, 1, n)])
     t_scale, d_scale = _scales(paid)
+    bound = _raw_bound(query.m, thresh, t_scale, d_scale)
 
     def scan(src: NoiseSource) -> tuple[ExistenceOutcome, BudgetLedger]:
         _, hit, _ = below_thresh(dist, thresh, t_scale, d_scale, src, whole)
         return ExistenceOutcome(found=hit is not None, witness=hit), paid
 
     def batch(src: NoiseSource, runs: int) -> Counter:
-        counts = _first_hits(dist, thresh, t_scale, d_scale, src, runs)
+        counts = _first_hits(dist, thresh, t_scale, d_scale, src, runs, bound)
         miss = len(dist)
         return Counter({
             ExistenceOutcome(i < miss, i if i < miss else None): count
@@ -740,6 +752,21 @@ def _prepare_report(
     return contract, scan
 
 
+@lru_cache(maxsize=4)
+def _count_shape(n, m, cap, epsilon, contract):
+    """A counting plan's public half, keyed by all it reads: the uniform
+    run's certified ledger and size, the scales and the raw bound. An entry
+    keeps about 140 bytes a window."""
+    # One run a window [a, b + 1], its starts up to the cap. No run covers a
+    # position more often: a window's i-th scan starts at index a + i - 1 or
+    # later, and every scan ends at its window's stop.
+    records = [(a, min(b - m + 2 - a, cap), b + 1) for a, b in window_cover(n, m, m)]
+    paid = _certified(epsilon, contract.share, records)
+    t_scale, d_scale = _scales(paid)
+    bound = _raw_bound(m, contract.threshold, t_scale, d_scale)
+    return paid, sum(runs for _, runs, _ in records), t_scale, d_scale, bound
+
+
 def _prepare_count(
     text: bytes, query: MatchQuery, k_eff: int
 ) -> tuple[Contract, Scan, Batch]:
@@ -748,12 +775,12 @@ def _prepare_count(
     occurrences, so it raises ValueError). Each window of ``window_cover(n,
     m, m)`` is scanned until a scan misses, its starts run out or it has
     ``1152 * k_eff`` hits; the witness is the first hit, and the count is
-    the clamped sum of per-window hits. A run, or a tally's block of runs,
-    is first compared with the uniform run (see the comment in the body) by
-    `_uniform_runs`, which decides it by the plan's `_hit_bound` where it
-    can; each run that is not uniform is counted through the kernel and
-    checked. The first run that needs the distances fills them, once, from
-    the copies of text and pattern taken here."""
+    the clamped sum of per-window hits. A run, or a tally's block of runs
+    (at most _BLOCK scans, or one run), is first compared with the uniform
+    run of `_count_shape` by `_uniform_runs`; each run that is not uniform
+    is counted through the kernel and checked. The first run that needs the
+    distances fills them, once, from the copies of text and pattern taken
+    here."""
     _require_text(text, query.m)
     if k_eff < 1:
         raise ValueError(
@@ -768,35 +795,24 @@ def _prepare_count(
         "count_nonperiodic", n, m, k_eff, query.epsilon, query.beta
     )
     thresh = contract.threshold
-    # A window's starts are the indices of their distances.
-    windows = tuple((a, b - m + 2, (a, b + 1)) for a, b in window_cover(n, m, m))
-    # The uniform run, in which every scan hits at its first distance: its
-    # ledger records, one run a window (each window's starts up to the cap);
-    # the chain of its S scans' first distances, in window order (all of
-    # them, unless the cap cuts a window); and its outcome. A tally's block
-    # of uniform runs holds at most _BLOCK scans, or one run.
-    records = [(lo, min(hi - lo, cap), stop) for lo, hi, (_, stop) in windows]
-    size = sum(runs for _, runs, _ in records)
-    per_block = max(1, _BLOCK // size)
+    paid, size, t_scale, d_scale, bound = _count_shape(n, m, cap, query.epsilon, contract)
     uniform = CountOutcome(size, 0, size)
-    # No run covers a position more often than the uniform run: a window's
-    # i-th scan starts at index lo + i - 1 or later, a window starts at most
-    # min(hi - lo, cap) scans, and every scan ends at its window's stop.
-    paid = _certified(query.epsilon, contract.share, records)
-    t_scale, d_scale = _scales(paid)
-    bound = _hit_bound(m, thresh, t_scale, d_scale)
+    per_block = max(1, _BLOCK // size)
     distances = cache(partial(_frozen_distances, text, pattern))
 
     @cache
-    def chain() -> np.ndarray:
+    def chain() -> np.ndarray:  # the uniform run's first distances
         dist = distances()
         if size == len(dist):
             return dist
-        return np.concatenate([dist[lo : lo + runs] for lo, runs, _ in records])
+        return np.concatenate([dist[lo : lo + runs] for lo, runs, _ in paid.records])
+
+    # The kernel's windows: a window's starts are its distances' indices.
+    windows = cache(lambda: tuple((a, b - m + 1, (a, b)) for a, _, b in paid.records))
 
     def counted(src: NoiseSource) -> tuple[CountOutcome, BudgetLedger]:
         total, witness, spent = below_thresh(
-            distances(), thresh, t_scale, d_scale, src, windows, cap
+            distances(), thresh, t_scale, d_scale, src, windows(), cap
         )
         ledger = BudgetLedger(paid.epsilon, paid.share, spent)
         ledger.assert_within_cap()
@@ -804,7 +820,7 @@ def _prepare_count(
         return CountOutcome(count=count, witness=witness, raw_count=total), ledger
 
     def scan(src: NoiseSource) -> tuple[CountOutcome, BudgetLedger]:
-        if _uniform_runs(src, size, chain, thresh, t_scale, d_scale, 1, bound):
+        if _uniform_runs(src, size, chain, thresh, t_scale, d_scale, bound, 1):
             return uniform, paid
         return counted(src)
 
@@ -822,7 +838,7 @@ def _prepare_count(
             if _RUN_ON * odd <= done:
                 block = min(left, per_block, 2 * done // odd if odd else left)
                 j = _uniform_runs(
-                    src, size, chain, thresh, t_scale, d_scale, block, bound
+                    src, size, chain, thresh, t_scale, d_scale, bound, block
                 )
                 counts[uniform] += j
                 left -= j

@@ -9,19 +9,20 @@ and numpy picks its loop by the CPU's features at import, so another host
 may serve draws that differ in their last bits. Two modes:
 ``standard`` (real noise) and ``zero`` (always 0, used by oracle tests).
 
-A source serves every draw from one numpy buffer of unit-Laplace values
-(scale 1), multiplied by each call's scale. A refill transforms one block of
-uniforms: as many as the source has transformed so far (so blocks double),
-at least 32 (about what one noisy scan draws one at a time, its threshold
-and up to 32 distances) and at most 4096, or the whole shortfall of a longer
-peek. A uniform on the interval boundary is clamped to the smallest positive
-uniform, 2**-53, so every draw consumes exactly one generator output. How
-the stream is cut into blocks never changes a value: every draw equals the
+A source buffers its draws' U, the clamped uniform less 1/2 (exact, as a
+uniform is a multiple of 2**-53), and their unit-Laplace values (scale 1),
+transformed only when ``laplace`` or ``units`` asks for them. It draws
+blocks as large as all it has drawn (so blocks double), at least 32 (about
+what one scan draws one at a time) and at most 4096, or the whole shortfall
+of a longer peek. A uniform on the interval boundary is clamped to 2**-53,
+the smallest positive one, so every draw consumes exactly one generator
+output. Blocks never change a value: every draw equals the
 one-uniform-at-a-time transform of the same uniform, in the same order, bit
 for bit.
 
 Vectorized consumers read the same stream through a cursor: ``units(count)``
-peeks at the next ``count`` unit values as an array without serving them, and
+peeks at the next ``count`` unit values as an array without serving them,
+``uniforms(count)`` peeks at their U, untransformed, and
 ``skip(count)`` serves the next ``count`` draws, peeked at or not. Scaling a
 peeked unit by ``b`` gives the value ``laplace(b)`` would have returned for
 it, so any interleaving of ``laplace`` with peeks and skips serves one stream.
@@ -30,6 +31,12 @@ A skip past the buffer jumps the generator over the rest with PCG64's
 never draws them. A negative count would move the cursor back and serve
 draws again, and a fractional one leave it between draws: each raises (see
 `text.check_int`).
+
+A unit has U's sign and magnitude ``-log1p(-2|U|)``, within ``+-L`` when
+``|U| <= (1 - e**-L) / 2``. `uniform_bounds` shrinks that by a margin (L
+less 2**-40 of itself, then the end less 2**-40 of itself): the transform is
+exact up to ``log1p``, so with any ``log1p`` within 2**11 ulps (numpy's is
+within a few) U decides, untransformed, that its unit lies within ``+-L``.
 
 Every unit lies within ``UNIT_BOUND`` of 0: a uniform is a nonzero multiple
 of 2**-53, so ``1 - 2|U| >= 2**-52`` and ``|unit| <= 52 ln 2``, about
@@ -47,6 +54,8 @@ of scope here; the privacy analysis treats noise as real-valued.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -93,6 +102,15 @@ def derive_seed(root: int, *lanes: int) -> int:
     return state
 
 
+def uniform_bounds(bound: float) -> tuple[float, float]:
+    """``(lo, hi) = (-c, c)``: a draw whose U is at least lo has a unit of at
+    least ``-bound``, one whose U is at most hi a unit of at most ``bound``."""
+    if bound >= UNIT_BOUND:
+        return -0.5, 0.5
+    c = -math.expm1(-bound * (1 - 2.0**-40)) / 2 * (1 - 2.0**-40)
+    return -c, c
+
+
 class NoiseSource:
     """Single-owner stream of Laplace draws rooted at a 64-bit seed.
 
@@ -109,12 +127,10 @@ class NoiseSource:
         self.seed = check_int("seed", seed, 0, MAX_SEED)
         self.mode = mode
         self._gen: np.random.Generator | None = None
-        # Buffered unit draws in one numpy array, _units[_next:] not yet
-        # served. Only a refill replaces it, so views units() handed out stay
-        # valid.
-        self._units = _EMPTY
-        self._next = 0
-        self._drawn = 0  # unit draws transformed so far (not skipped)
+        # U, _u[_next:] not yet served, and the units of the first
+        # len(_units); only replaced, so views handed out stay valid.
+        self._u, self._units, self._next = _EMPTY, _EMPTY, 0
+        self._drawn = 0  # uniforms drawn so far (not skipped)
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
@@ -151,9 +167,19 @@ class NoiseSource:
         count = check_int("count", count)
         if self.mode == "zero":
             return np.zeros(count)
-        while (short := count - len(self._units) + self._next) > 0:
-            self._refill(short)
+        if count > len(self._units) - self._next:
+            self._refill(count)
         return self._units[self._next : self._next + count]
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """:meth:`units`, but the draws' U, untransformed (0, whose unit is 0,
+        in zero mode); see `uniform_bounds`."""
+        count = check_int("count", count)
+        if self.mode == "zero":
+            return np.zeros(count)
+        if (short := count - len(self._u) + self._next) > 0:
+            self._draw(short)
+        return self._u[self._next : self._next + count]
 
     def skip(self, count: int) -> None:
         """Serve the next ``count`` unit draws, peeked at by :meth:`units` or
@@ -162,34 +188,41 @@ class NoiseSource:
         count = check_int("count", count)
         if self.mode == "zero":
             return
-        short = count - len(self._units) + self._next
+        short = count - len(self._u) + self._next
         if short <= 0:
             self._next += count
             return
-        self._units, self._next = _EMPTY, 0
+        self._u, self._units, self._next = _EMPTY, _EMPTY, 0
         self._generator().bit_generator.advance(short)
 
-    def _refill(self, short: int) -> None:
-        """Append the next block of unit draws to the unserved buffer, at
-        least ``short`` of them, so a peek of any length copies the unserved
-        buffer once."""
+    def _draw(self, short: int) -> None:
+        """Append the U of at least ``short`` new uniforms to the unserved."""
         size = max(short, _MIN_BLOCK, min(self._drawn, _MAX_BLOCK))
         u = self._generator().random(size)
         if not u.all():
             u[u == 0.0] = 2.0**-53  # raw 0.0 is U = -1/2, the boundary
-        self._drawn += size
-        # The unserved units (a peek reached past the buffer), then the new
-        # ones, -sign(U) * log1p(-2|U|), computed in place behind them. The
-        # log is never positive, so the unit is the log with U's sign, which
-        # copysign writes in place (bit for bit, signed zeros too) with no
-        # temporary.
-        left = len(self._units) - self._next
-        units = np.empty(left + size)
-        units[:left] = self._units[self._next :]
-        new = units[left:]
         u -= 0.5
-        np.abs(u, out=new)
+        self._drawn += size
+        at = self._next
+        if at < len(self._u):
+            u = np.concatenate((self._u[at:], u))
+        self._u, self._units, self._next = u, self._units[at:], 0
+
+    def _refill(self, count: int) -> None:
+        """Transform the unserved U not yet transformed, drawing a block
+        first when fewer than ``count`` are unserved."""
+        if (short := count - len(self._u) + self._next) > 0:
+            self._draw(short)
+        at = self._next
+        left = max(len(self._units) - at, 0)  # transformed, unserved
+        u = self._u[at:]
+        units = np.empty(len(u))
+        units[:left] = self._units[at:]
+        # Behind them, -sign(U) * log1p(-2|U|): the log is never positive, so
+        # copysign gives it U's sign in place (bit for bit, signed zeros too).
+        new = units[left:]
+        np.abs(u[left:], out=new)
         new *= -2.0
         np.log1p(new, out=new)
-        np.copysign(new, u, out=new)
-        self._units, self._next = units, 0
+        np.copysign(new, u[left:], out=new)
+        self._u, self._units, self._next = u, units, 0

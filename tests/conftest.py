@@ -22,7 +22,13 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dppm.matchers import CONTRACTS, WINDOW_OCCURRENCE_CAP, BudgetLedger, error_contract
+from dppm.matchers import (
+    CONTRACTS,
+    WINDOW_OCCURRENCE_CAP,
+    BudgetLedger,
+    _count_shape,
+    error_contract,
+)
 from dppm.periodicity import Regime, dispatch
 
 
@@ -123,9 +129,11 @@ def spent_by_position(ledger) -> dict[int, Fraction]:
 @contextmanager
 def cap_checks():
     """Inside the block, record every ledger whose cap is checked, in order;
-    each check still runs."""
+    each check still runs. A counting plan certifies each public shape once
+    per process, so the block starts on an empty cache of them."""
     checked = []
     check = BudgetLedger.assert_within_cap
+    _count_shape.cache_clear()
 
     def recording(ledger):
         checked.append(ledger)

@@ -117,6 +117,10 @@ _NOISY_B = _NOISY_A[:550] + b"a" + _NOISY_A[551:]
 _MIXED_A = _random_bytes(_rng, b"acgt", 600)
 _MIXED_B = _MIXED_A[:300] + b"x" + _MIXED_A[301:]
 
+# The first 600 bytes of each: 89 windows a text, every one at distance 512
+# (511 for those of _SHORT_B that read its pattern symbol).
+_SHORT_A, _SHORT_B = _NOISY_A[:600], _NOISY_B[:600]
+
 _C7B_A = ((b"a" * 4 + b"b" * 60) * 3)[:143]
 _C7B_B = _C7B_A[:13] + b"a" + _C7B_A[14:]
 
@@ -150,6 +154,19 @@ AUDIT_CASES = (
     # decides where each scan hits, whether it hits at its first distance
     # and whether it runs on past its head.
     (("existence",), _C7B_A, _C7B_B, b"a" * 64, 0, 1.0),
+    # Non-periodic counting whose threshold (about 659.8) exceeds m = 512 by
+    # L = 4.9 times the sum of the two noise scales (L, the noise bound),
+    # every distance 512 or 511: a lane's runs mix three kinds, those whose
+    # draws all lie within +-L (about 1 in 20), those that a draw outside it
+    # still leaves uniform, compared with the distances, and those in which
+    # a scan misses its first distance (about 1 in 30), counted through the
+    # kernel.
+    (("count",), _SHORT_A, _SHORT_B, _NOISY_PATTERN, 1, 460.0),
+    # Existence whose threshold (about 416.6) lies about 4.3 distance noise
+    # scales below every distance: about three scans in four run on past
+    # their head, about 1 in 14 misses the whole text, and after the first
+    # block the scans run one at a time.
+    (("existence",), _NOISY_A, _NOISY_B, _NOISY_PATTERN, 0, 0.18),
 )
 
 

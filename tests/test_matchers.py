@@ -27,7 +27,7 @@ from dppm.matchers import (
     match_auto,
     plan,
 )
-from dppm.noise import UNIT_BOUND, NoiseSource
+from dppm.noise import UNIT_BOUND, NoiseSource, uniform_bounds
 from dppm.periodicity import PeriodicCandidate, Regime, small_k_cutoff
 from dppm.text import (
     distance_array,
@@ -340,8 +340,9 @@ def scan(text, pattern, thresh, src, base=0):
 class FixedUnits(NoiseSource):
     """A source whose unit draws alternate ``first, second, first, ...``
     (every one 1.0 by default), through ``laplace`` and through the cursor
-    alike: in a counting run whose scans each hit at their first distance,
-    every threshold unit is ``first`` and every distance unit ``second``."""
+    alike, and whose U are theirs to within rounding: in a counting run
+    whose scans each hit at their first distance, every threshold unit is
+    ``first`` and every distance unit ``second``."""
 
     def __init__(self, first=1.0, second=1.0):
         super().__init__(0)
@@ -353,6 +354,10 @@ class FixedUnits(NoiseSource):
 
     def units(self, count):
         return np.array([self.pair[(self.at + i) % 2] for i in range(count)])
+
+    def uniforms(self, count):
+        u = self.units(count)
+        return np.where(u > 0, -np.expm1(-u) / 2, np.expm1(u) / 2)
 
     def skip(self, count):
         self.at += count
@@ -1189,6 +1194,23 @@ class TestOneCapCheckPerQuery:
         assert checked == [paid]
         assert (paid.epsilon, paid.share) == (query.epsilon, prepared.contract.share)
 
+    def test_one_check_per_counting_shape(self, checked):
+        # A counting plan certifies each public shape (n, m, k, epsilon,
+        # beta and the contract row) once per process: a second plan of the
+        # same shape, on another text, checks no cap and answers with the
+        # same ledger; another epsilon is another shape.
+        rng = random.Random(8)
+        one, two = (bytes(rng.choice(b"acgt") for _ in range(600)) for _ in "12")
+        query = MatchQuery(bytes(rng.choice(b"acgt") for _ in range(64)), 3, 1.0, 0.1)
+        first = plan(one, query, "count")
+        [paid] = checked
+        second = plan(two, query, "count")
+        assert checked == [paid]
+        assert first.run(NoiseSource(1)).ledger is paid
+        assert second.run(NoiseSource(1)).ledger is paid
+        plan(two, MatchQuery(query.pattern, 3, 2.0, 0.1), "count")
+        assert len(checked) == 2 and checked[1].epsilon == 2.0
+
     def test_trivial_path_checks_nothing(self, checked):
         # Every run of the trivial reporter answers with one empty ledger.
         query = MatchQuery(b"a", 1, 1.0, 0.1)
@@ -1714,7 +1736,8 @@ class TestSeedForSeedOracle:
 
 
 class PeekLog(NoiseSource):
-    """A real source that logs the length of every ``units`` peek."""
+    """A real source that logs the length of every peek, at ``units`` or
+    at raw ``uniforms``."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -1723,6 +1746,10 @@ class PeekLog(NoiseSource):
     def units(self, count):
         self.peeks.append(count)
         return super().units(count)
+
+    def uniforms(self, count):
+        self.peeks.append(count)
+        return super().uniforms(count)
 
 
 def counts_as_reference(text, query, k_eff, src):
@@ -1983,7 +2010,9 @@ class TestCountTally:
     def test_block_whose_last_run_misses(self):
         # The distances of test_uniform_and_not_mixed at eps = 6e4: on seed
         # 3, runs 0 to 29 are uniform and run 30 is not. A tally of 31 runs
-        # compares them in one block and one peek, serves the draws of its
+        # compares them in one block: one peek at their raw uniforms, whose
+        # bound decides runs 0 and 1, and one at their units, which the
+        # exact compare takes from run 2 on. It serves the draws of the
         # first 30 runs (j = block - 1) and counts run 30 through the kernel
         # from there.
         query = MatchQuery(b"abab", 1, 6e4, 0.1)
@@ -1992,7 +2021,7 @@ class TestCountTally:
         _, _, batch = matchers._prepare_count(b"abababab", query, 1)
         src = PeekLog(3)
         assert batch(src, 31) == got
-        assert src.peeks == [2 * 5 * 31]
+        assert src.peeks == [2 * 5 * 31, 2 * 5 * 31]
 
     @pytest.mark.parametrize("epsilon", [1.0, 3e4])
     def test_windows_the_cap_cuts(self, epsilon):
@@ -2164,6 +2193,95 @@ class TestHitBound:
         if got is not None:
             assert got == pytest.approx(bound)
         tallies_as_reference(text, query, 1, 7, 60)
+
+
+class TestExistenceLeadBound:
+    """An existence plan whose threshold lies above m has a `_hit_bound`
+    too, and its tally's lead decides the runs whose draws lie within it on
+    their raw uniforms: each scan hits at its first distance."""
+
+    C7 = (b"abbbab", MatchQuery(b"ba", 0, 1.0, 0.1))
+
+    @staticmethod
+    def bound(text, query):
+        contract = plan(text, query, "existence").contract
+        t_scale, d_scale = scales(query.epsilon, contract.share)
+        return matchers._hit_bound(query.m, contract.threshold, t_scale, d_scale)
+
+    def test_which_plans_have_a_bound(self):
+        # The C7 audit's threshold, about 36.8, lies far above m = 2;
+        # exist-scan's, about 61, below m = 256.
+        assert 5 < self.bound(*self.C7) < 6
+        rng = random.Random(1)
+        text = bytes(rng.choice(b"acgt") for _ in range(30_000))
+        query = MatchQuery(bytes(rng.choice(b"acgt") for _ in range(256)), 8, 2.0, 0.1)
+        assert self.bound(text, query) is None
+
+    @pytest.mark.parametrize(
+        "stretch_d, stretch_t",
+        [(1.0, 1.0), (1 + 1e-9, 1.0), (1.0, 1 + 1e-9)],
+        ids=["at", "distance-past", "threshold-past"],
+    )
+    def test_tally_at_the_bound(self, stretch_d, stretch_t):
+        # Every threshold unit at -L and every distance unit at +L (each
+        # scan hits at its first distance, at m = 2), or one of them just
+        # past it (the first distance, 2, misses): the tally equals as many
+        # one-at-a-time runs, and leaves the cursor where they do.
+        text, query = self.C7
+        bound = self.bound(text, query)
+        units = (-bound * stretch_t, bound * stretch_d)
+        prepared = plan(text, query, "existence")
+        src, loop_src = FixedUnits(*units), FixedUnits(*units)
+        want = Counter(prepared.outcome(loop_src) for _ in range(40))
+        assert prepared.tally(src, 40) == want
+        assert src.at == loop_src.at
+        at_bound = stretch_d == stretch_t == 1.0
+        assert (want == Counter({ExistenceOutcome(True, 0): 40})) == at_bound
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lead_counts_the_runs_that_hit_first(self, seed):
+        # The lead alone, at a bound of about 1.14 (epsilon 15, so a third
+        # of the runs hold a draw outside it): how many runs in a row hit at
+        # the first distance, 2, against those runs drawn one at a time, and
+        # it serves their draws only. Tallies compare counts, which a chain
+        # shifted by a draw or two soon rejoins; this compares the runs.
+        text, query = b"abbbab", MatchQuery(b"ba", 0, 15.0, 0.1)
+        thresh = plan(text, query, "existence").contract.threshold
+        t_scale, d_scale = scales(query.epsilon)
+        bound = uniform_bounds(matchers._hit_bound(2, thresh, t_scale, d_scale))
+        src, ref = NoiseSource(seed), NoiseSource(seed)
+        got = matchers._uniform_runs(
+            src, 1, lambda: np.array([2]), thresh, t_scale, d_scale, bound, 40
+        )
+        want = 0
+        while want < 40:
+            noisy = thresh + ref.laplace(t_scale)  # the threshold draws first
+            if 2 + ref.laplace(d_scale) > noisy:
+                break
+            want += 1
+        assert got == want
+        after = NoiseSource(seed)
+        after.skip(2 * want)
+        assert src.laplace(1.0) == after.laplace(1.0)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 15.0])
+    @pytest.mark.parametrize("text", [b"ababab", b"abbbab"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tally_equals_runs(self, text, seed, epsilon):
+        # At epsilon 1, on seeds 3 and 5 a lane of 250 runs holds draws
+        # outside the bound (2 and 3 of them): the lead decides the runs
+        # before the first on their raw uniforms and compares the rest. On
+        # the other seeds it decides all 250 unread. At epsilon 15 the bound
+        # is about 1.14: about one draw in 6 lies outside it, and about one
+        # run in 10 misses its first distance. Either way: the same outcomes
+        # and next draw.
+        query = MatchQuery(b"ba", 0, epsilon, 0.1)
+        assert (self.bound(text, query) < 2) == (epsilon == 15.0)
+        prepared = plan(text, query, "existence")
+        src, loop_src = NoiseSource(seed), NoiseSource(seed)
+        want = Counter(prepared.outcome(loop_src) for _ in range(250))
+        assert prepared.tally(src, 250) == want
+        assert src.laplace(1.0) == loop_src.laplace(1.0)
 
 
 def record_leads(monkeypatch) -> list:
@@ -2344,24 +2462,17 @@ class TestTally:
         assert len(want) > 100
 
     @pytest.mark.parametrize("text", [b"ababab", b"abbbab"])
-    def test_c7_lane_peeks_one_block(self, text, monkeypatch):
+    def test_c7_lane_peeks_one_block(self, text):
         # An audit lane at C7's size decides its 250 runs from one peeked
-        # block of two draws a run: on this seed every scan hits at its first
-        # distance, so the lead compares them all and no strided block is
-        # peeked.
+        # block of two draws a run: on this seed every draw lies within the
+        # plan's bound (the threshold, about 36.8, is far above m = 2), so
+        # the lead decides them all on their raw uniforms, and no unit or
+        # strided block is peeked.
         prepared = plan(text, MatchQuery(b"ba", 0, 1.0, 0.1), "existence")
-        src, loop_src = NoiseSource(11), NoiseSource(11)
+        src, loop_src = PeekLog(11), NoiseSource(11)
         want = Counter(prepared.outcome(loop_src) for _ in range(250))
-        peeks = []
-        real = NoiseSource.units
-
-        def units(source, count):
-            peeks.append(count)
-            return real(source, count)
-
-        monkeypatch.setattr(NoiseSource, "units", units)
         assert prepared.tally(src, 250) == want
-        assert peeks == [2 * 250]
+        assert src.peeks == [2 * 250]
         assert src.laplace(1.0) == loop_src.laplace(1.0)
 
     @pytest.mark.parametrize("seed", range(3))

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dppm.noise as noise_module
-from dppm.noise import UNIT_BOUND, NoiseSource, derive_seed, splitmix64
+from dppm.noise import UNIT_BOUND, NoiseSource, derive_seed, splitmix64, uniform_bounds
 
 from conftest import draws
 
@@ -224,6 +224,142 @@ class TestBufferedStream:
         for _ in range(5000):
             src.laplace(1.0)
         assert 1 <= len(gen.sizes) <= math.log2(5000 / 8) + 1
+
+    # Seed 2's mix first reaches uniform 1100 in a raw peek, then peeks at
+    # it as a unit; 72,000 lies inside a skip past the buffer, which never
+    # draws it.
+    @pytest.mark.parametrize(
+        "seed, zeros", [(seed, ()) for seed in range(6)] + [(2, (1100, 72_000))]
+    )
+    def test_raw_peeks_serve_the_reference_stream(self, seed, zeros):
+        # A seeded mix of laplace, unit peeks, raw peeks (each a peek again
+        # at units or raw half the time), a served prefix after each peek,
+        # and skips past the buffer: every raw peek is the reference's
+        # clamped uniforms less 1/2, every unit peek and draw their reference
+        # transforms, bit for bit, and the next draw is the reference's.
+        src, _ = faked(seed, zeros)
+        raw = np.maximum(FakeGenerator(seed, zeros).random(200_000), 2.0**-53)
+        centred = raw - 0.5  # exact
+
+        def reference(at, count, b=1.0):
+            replay = Replay(raw[at : at + count])
+            return hexes(reference_laplace(replay, b) for _ in range(count))
+
+        rng = np.random.default_rng([seed, 53])
+        at = 0
+        while at < 100_000:
+            b = float(10.0 ** rng.uniform(-3, 3))
+            op = rng.random()
+            count = int(rng.choice([1, 3, 32, 33, 500, 4096, 4097, 9000]))
+            if op < 0.3:
+                assert hexes([src.laplace(b)]) == reference(at, 1, b)
+                at += 1
+                continue
+            if op < 0.45:
+                src.skip(count)
+                at += count
+                continue
+            if op < 0.7:
+                assert hexes(src.units(count)) == reference(at, count)
+            else:
+                assert src.uniforms(count).tolist() == centred[at : at + count].tolist()
+            again = int(rng.integers(0, count + 1))
+            if rng.random() < 0.5:
+                assert hexes(src.units(again)) == reference(at, again)
+            else:
+                assert src.uniforms(again).tolist() == centred[at : at + again].tolist()
+            take = int(rng.integers(0, count + 1))
+            src.skip(take)
+            at += take
+        assert hexes([src.laplace(1.0)]) == reference(at, 1)
+
+    def test_raw_peek_transforms_nothing(self):
+        # A raw peek draws its uniforms and transforms none; serving them
+        # unread leaves nothing to transform, and the draw after them is
+        # the plain stream's.
+        src = NoiseSource(4)
+        transformed = []
+        refill = src._refill
+        src._refill = lambda count: (transformed.append(count), refill(count))
+        src.uniforms(5000)
+        src.skip(5000)
+        assert transformed == []
+        plain = NoiseSource(4)
+        plain.skip(5000)
+        assert src.laplace(1.0) == plain.laplace(1.0)
+        assert transformed == [1]
+
+    def test_zero_mode_raw_peek_is_zero(self):
+        # The U whose unit is 0, and nothing is drawn.
+        src = NoiseSource(0, mode="zero")
+        assert src.uniforms(3).tolist() == [0.0] * 3
+        assert src._gen is None
+
+
+class Replay:
+    """A generator that returns the given uniforms one at a time, or the
+    same values, cycled, for a block."""
+
+    def __init__(self, values):
+        self.values, self.at = [float(v) for v in values], 0
+
+    def random(self, size=None):
+        if size is not None:
+            return np.resize(np.array(self.values, float), size)
+        self.at += 1
+        return self.values[self.at - 1]
+
+
+class TestUniformBounds:
+    """A draw whose U `uniform_bounds(L)` accepts on one side has a unit on
+    that side of +-L: the low end bounds threshold draws (unit >= -L), the
+    high end distance draws (unit <= L)."""
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            0.0, 2.0**-60, 1e-12, 1e-6,  # near 0
+            0.5, 1.0, 1.0 + 2.0**-40,  # about 1
+            4.918794119293891, 25.3, 25.30000000001,  # about 25
+            UNIT_BOUND, 36.1,  # at least UNIT_BOUND
+            37.0, 40.0, 800.0,  # e**-L / 2 below 2**-53
+        ],
+    )
+    def test_accepted_uniforms_stay_within_the_bound(self, bound):
+        lo, hi = uniform_bounds(bound)
+        # The uniforms whose U lie next to either end, 2**-53 apart as a
+        # source serves them, and the raw 0.0 a source clamps to 2**-53.
+        near = {0.0}
+        for end in (lo, hi):
+            step = round((end + 0.5) * 2.0**53)
+            near.update(i * 2.0**-53 for i in range(step - 3, step + 4))
+        near = sorted(u for u in near if 0.0 <= u < 1.0)
+        src = NoiseSource(0)
+        src._gen = Replay(near)
+        units = src.units(len(near)).tolist()
+        served = [max(u, 2.0**-53) - 0.5 for u in near]
+        assert src.uniforms(len(near)).tolist() == served
+        for u, unit in zip(served, units):
+            if u >= lo:
+                assert unit >= -bound, (u, unit)
+            if u <= hi:
+                assert unit <= bound, (u, unit)
+        # From UNIT_BOUND up every U a source serves is accepted; near 0
+        # only those whose units lie within a rounding of 0.
+        if bound >= UNIT_BOUND:
+            assert lo <= -0.5 + 2.0**-53 and hi >= 0.5 - 2.0**-53
+        if bound < 1e-15:
+            assert not any(lo <= u <= hi for u in served if u != 0.0)
+
+    @pytest.mark.parametrize("bound", [1e-6, 1.0, 4.918794119293891, 25.3])
+    def test_the_margin_is_slight(self, bound):
+        # Shrunk by 2**-40 of L, then by 2**-40 of itself, the ends lie
+        # within 2**-38 of the true images +-(1 - e**-L) / 2, relatively: a
+        # draw falls between them with probability below 2**-38.
+        lo, hi = uniform_bounds(bound)
+        image = -math.expm1(-bound) / 2
+        assert lo == -hi
+        assert image * (1 - 2.0**-38) < hi < image
 
 
 class TestCursor:
